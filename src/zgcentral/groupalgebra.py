@@ -19,7 +19,7 @@ from .errors import (
     NotInvertible,
     NotNormal,
 )
-from .groups import Subgroup, is_normal, minimal_normal_overgroups
+from .groups import _GATHER_BLOCK, Subgroup, is_normal, minimal_normal_overgroups
 from .linalg import integer_rank
 
 
@@ -295,19 +295,29 @@ def are_orthogonal(a, b):
 
 
 def centralizer_of(a, within):
-    """{g in `within` : g^-1 a g = a} as a Subgroup."""
+    """{g in `within` : g^-1 a g = a} as a Subgroup.
+
+    Each distinct coefficient of `a` gets a small positive id (0 marks
+    elements outside the support), so equal ids mean equal Fractions.  For
+    a block of g at once, the ids at the conjugates g^-1 x g of the
+    support X are compared with the ids at X.
+    """
     G = a.group
     t = G.table
-    items = sorted(a.coeffs.items())
+    ids = np.zeros(G.order, dtype=np.int32)
+    id_of = {}
+    for x, q in a.coeffs.items():
+        ids[x] = id_of.setdefault(q, len(id_of) + 1)
+    X = np.fromiter(a.coeffs, dtype=np.intp, count=len(a.coeffs))
+    want = ids[X]
+    W = np.array(within.sorted_members, dtype=np.intp)
+    block = max(1, _GATHER_BLOCK // max(X.size, 1))
     mem = []
-    for g in within.members:
-        gi = int(G.inv[g])
-        for x, q in items:
-            if a.coeffs.get(int(t[t[gi, x], g])) != q:
-                break
-        else:
-            mem.append(g)
-    return Subgroup(G, frozenset(mem))
+    for start in range(0, W.size, block):
+        g = W[start : start + block, None]
+        conj = t[t[G.inv[g], X], g]
+        mem.extend(g[(ids[conj] == want).all(axis=1), 0].tolist())
+    return Subgroup(G, mem)
 
 
 def is_central(a):
@@ -315,22 +325,6 @@ def is_central(a):
 
 
 # -- inversion ---------------------------------------------------------------
-
-
-def regular_matrix(a):
-    """Right-multiplication action of `a` on the group basis.
-
-    Column j holds the coordinates of a * g_j, so the matrix sends the
-    coordinate vector of x to that of a * x.
-    """
-    G = a.group
-    n = G.order
-    m = [[Fraction(0)] * n for _ in range(n)]
-    t = G.table
-    for g, q in a.coeffs.items():
-        for j in range(n):
-            m[int(t[g, j])][j] = q
-    return m
 
 
 def minimal_polynomial(a, cap=None):

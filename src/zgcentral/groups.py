@@ -26,6 +26,9 @@ MAX_ORDER = 2048
 
 _EXHAUSTIVE_ASSOC_LIMIT = 32
 
+# Most table entries gathered at once by the closure and centralizer kernels.
+_GATHER_BLOCK = 1 << 16
+
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -100,17 +103,28 @@ class FiniteGroup:
         return gens
 
     def _closure_members(self, seed):
+        """Member set of the subgroup generated by `seed` (always holds 0).
+
+        Breadth-first search from the identity under right multiplication
+        by the non-identity seed elements; in a finite group the monoid
+        they generate is the subgroup.  Each step gathers the table at the
+        frontier rows and generator columns, in blocks of at most
+        _GATHER_BLOCK entries, and keeps what the membership mask lacks.
+        """
         t = self.table
-        members = set(seed)
-        frontier = list(seed)
-        while frontier:
-            x = frontier.pop()
-            for y in tuple(members):
-                for z in (int(t[x, y]), int(t[y, x])):
-                    if z not in members:
-                        members.add(z)
-                        frontier.append(z)
-        return members
+        gens = np.array(sorted({int(s) for s in seed} - {0}), dtype=np.intp)
+        rows = max(1, _GATHER_BLOCK // max(gens.size, 1))
+        member = np.zeros(self.order, dtype=bool)
+        member[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            reached = np.zeros(self.order, dtype=bool)
+            for start in range(0, frontier.size, rows):
+                reached[t[np.ix_(frontier[start : start + rows], gens)]] = True
+            reached &= ~member
+            member |= reached
+            frontier = np.flatnonzero(reached)
+        return set(np.flatnonzero(member).tolist())
 
     def _compute_inverses(self):
         inv = np.empty(self.order, dtype=np.int32)

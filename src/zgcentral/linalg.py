@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def integer_rank(rows):
     """Rank over Q of a list of integer rows (fraction-free elimination)."""
@@ -22,60 +20,21 @@ def integer_rank(rows):
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
+        top = rows[rank]
+        p = top[col]
         for i in range(rank + 1, len(rows)):
-            q = rows[i][col]
-            if q:
-                r = rows[i]
-                top = rows[rank]
-                for j in range(col, ncols):
-                    r[j] = (r[j] * p - q * top[j]) // prev_pivot
-            else:
-                r = rows[i]
-                if prev_pivot != 1:
-                    for j in range(col, ncols):
-                        r[j] = r[j] * p // prev_pivot
+            # Every row below the pivot takes the Bareiss step, also one
+            # whose pivot-column entry is 0: skipping its scaling by p would
+            # make the later divisions by prev_pivot inexact.
+            r = rows[i]
+            q = r[col]
+            for j in range(col, ncols):
+                r[j] = (r[j] * p - q * top[j]) // prev_pivot
+        # a row that has become zero stays zero: drop it
+        rows[rank + 1 :] = [r for r in rows[rank + 1 :] if any(r)]
         prev_pivot = p
         rank += 1
         col += 1
         if rank == len(rows):
             break
     return rank
-
-
-def solve_linear(matrix, rhs):
-    """Solve matrix * x = rhs exactly over Q; returns None if unsolvable.
-
-    `matrix` is a list of rows (Fractions or ints), square or rectangular.
-    """
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][-1]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][-1]
-    return x

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, cyc, euler_phi, trace_to_q
 from .errors import (
+    NotAGroup,
+    NotNormal,
     NotShodaPair,
     SearchBoundExceeded,
 )
@@ -22,7 +24,6 @@ from .groupalgebra import (
     QGElement,
     centralizer_of,
     conjugate_orbit,
-    e_sum_conjugates,
     epsilon,
     mul,
 )
@@ -99,11 +100,6 @@ def induced_char_value(lam, G, g):
     return total
 
 
-def induced_char_class_values(G, lam, partition):
-    """Induced-character value on one representative per ordinary class."""
-    return [induced_char_value(lam, G, min(cl)) for cl in partition.classes]
-
-
 # -- Shoda conditions ---------------------------------------------------------
 
 
@@ -116,7 +112,7 @@ def is_shoda_pair(G, H, K):
         return False
     try:
         Q, _ = quotient(H, K)
-    except Exception:
+    except (NotNormal, NotAGroup):
         return False
     if not Q.is_abelian() or max(Q.element_orders) != Q.order:
         return False

@@ -33,6 +33,7 @@ from .groupalgebra import (
     hat,
     epsilon,
     is_central,
+    is_unit_of_zg,
     mul,
     qg_inverse,
 )
@@ -185,15 +186,6 @@ def gen_bass_unit(G, g, M, k, m, cap=10**4):
 
 
 # -- verification predicates ---------------------------------------------------
-
-
-def is_unit_of_zg(v):
-    if not v.is_integral():
-        return False
-    try:
-        return qg_inverse(v).is_integral()
-    except NotInvertible:
-        return False
 
 
 def is_central_unit(v):

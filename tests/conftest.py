@@ -4,6 +4,7 @@ from zgcentral.catalog import (
     alternating4,
     cyclic,
     dihedral,
+    paper_1000_86,
     quaternion8,
     symmetric,
 )
@@ -47,3 +48,8 @@ def d4():
 @pytest.fixture(scope="session")
 def d5():
     return dihedral(5)
+
+
+@pytest.fixture(scope="session")
+def paper1000():
+    return paper_1000_86()

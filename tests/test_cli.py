@@ -1,9 +1,10 @@
 """In-process CLI tests: subcommands, formats, error paths, exit codes."""
 
 import json
+from importlib import resources
 
 from zgcentral.catalog import cyclic
-from zgcentral.cli import main, parse_word
+from zgcentral.cli import main, parse_pairs_file, parse_word
 from zgcentral.catalog import paper_1000_86
 
 
@@ -95,6 +96,27 @@ def test_parse_word_semantics():
     prod = parse_word(G, "x4*x5^2")
     assert prod == G.mul(parse_word(G, "x4"), G.power(parse_word(G, "x5"), 2))
     assert parse_word(G, 0) == 0
+
+
+def test_parse_pairs_file_paper9_orders(paper1000):
+    with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
+        candidates = parse_pairs_file(paper1000, json.load(fh))
+    orders = [
+        (H.order, K.order, chain and [S.order for S in chain])
+        for H, K, chain in candidates
+    ]
+    assert orders == [
+        (1000, 1000, None),
+        (1000, 500, None),
+        (1000, 250, None),
+        (1000, 125, None),
+        (125, 25, None),
+        (125, 25, None),
+        (125, 25, None),
+        (50, 10, [50, 50, 250, 1000]),
+        (50, 5, [50, 50, 250, 1000]),
+    ]
+    assert all(K <= H for H, K, _ in candidates)
 
 
 def test_cayley_round_trip(tmp_path, capsys):

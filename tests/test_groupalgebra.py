@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgcentral.catalog import cyclic, symmetric
+from zgcentral.catalog import cyclic, get_group, symmetric
 from zgcentral.errors import GroupMismatch, NotInvertible, NotNormal
 from zgcentral.groupalgebra import (
     QGElement,
@@ -219,3 +219,44 @@ def test_center_dims_and_component_counts():
         total = sum(center_component_dim(p.pci) for p in pairs)
         assert total == len(conjugacy_partition(G, "ordinary").classes)
         assert len(pairs) == len(conjugacy_partition(G, "rational").classes)
+
+
+# -- centralizer kernel against the per-element filter -------------------------
+
+
+def filter_centralizer(a, within):
+    """Reference centralizer: conjugate `a` by each element and compare."""
+    return {g for g in within.members if a.conj(g) == a}
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "Q16"])
+def test_centralizer_matches_filter_on_shoda_pairs(name):
+    from zgcentral.shoda import shoda_pair_candidates
+
+    G = get_group(name)
+    for H, K in shoda_pair_candidates(G):
+        for a in (epsilon(H, K), e_sum_conjugates(G.whole(), H, K)):
+            for within in (G.whole(), H):
+                assert centralizer_of(a, within).members == filter_centralizer(a, within)
+
+
+CENTRALIZER_GROUPS = {name: get_group(name) for name in ("S4", "D12", "Q16", "C12")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CENTRALIZER_GROUPS)), st.data())
+def test_centralizer_matches_filter_on_sparse_elements(name, data):
+    G = CENTRALIZER_GROUPS[name]
+    coeffs = data.draw(
+        st.dictionaries(
+            st.integers(0, G.order - 1),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            max_size=6,
+        )
+    )
+    a = QGElement(G, coeffs)
+    # a class sum is central: adding it keeps the centralizer but changes
+    # the coefficients that the kernel compares
+    cl = data.draw(st.sampled_from(conjugacy_partition(G).classes))
+    for b in (a, a + QGElement(G, {g: 1 for g in cl})):
+        assert centralizer_of(b, G.whole()).members == filter_centralizer(b, G.whole())

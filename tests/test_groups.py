@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgcentral.catalog import cyclic, dihedral, paper_1000_86, symmetric
+from zgcentral.catalog import cyclic, dihedral, get_group, paper_1000_86, symmetric
 from zgcentral.errors import NotAGroup, NotNormal, NotSubnormal
 from zgcentral.groups import (
     Subgroup,
@@ -262,3 +262,43 @@ def test_cyclic_quotients(n, data):
     H = subgroup_closure(G, [g])
     Q, _ = quotient(G.whole(), H)
     assert Q.order * H.order == n
+
+
+# -- closure kernel against the pairwise brute force ---------------------------
+
+
+def pairwise_closure(G, seed):
+    """Reference closure: multiply every new member by every member, on
+    both sides, until nothing new appears."""
+    t = G.table.tolist()
+    members = set(seed)
+    frontier = list(seed)
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(members):
+            for z in (t[x][y], t[y][x]):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return members
+
+
+CLOSURE_GROUPS = {name: get_group(name) for name in ("C12", "D9", "Q16", "S4", "E25")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)), st.data())
+def test_closure_matches_pairwise_brute_force(name, data):
+    G = CLOSURE_GROUPS[name]
+    seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4))
+    seed.add(0)
+    members = G._closure_members(seed)
+    assert members == pairwise_closure(G, seed)
+    assert all(type(m) is int for m in members)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sets(st.integers(0, 999), min_size=1, max_size=2))
+def test_closure_matches_pairwise_brute_force_order_1000(paper1000, seed):
+    seed.add(0)
+    assert paper1000._closure_members(seed) == pairwise_closure(paper1000, seed)
