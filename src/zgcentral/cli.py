@@ -262,7 +262,6 @@ def build_parser():
         p.add_argument("--subgroup-cap", type=int, default=200)
         p.add_argument("--chain-depth-cap", type=int, default=8)
         p.add_argument("--chain-visit-cap", type=int, default=10**5)
-        p.add_argument("--tolerance", type=float, default=1e-6)
 
     for name in ("analyze", "pairs", "rank", "units", "oracle"):
         add_common(sub.add_parser(name))
@@ -275,7 +274,6 @@ def run(args):
         subgroup_cap=args.subgroup_cap,
         chain_depth_cap=args.chain_depth_cap,
         chain_visit_cap=args.chain_visit_cap,
-        rank_witness_tolerance=args.tolerance,
     )
     if args.command == "catalog":
         entries = [

@@ -10,8 +10,6 @@ class AnalysisConfig:
     subgroup_cap: int = 200
     chain_depth_cap: int = 8
     chain_visit_cap: int = 10**5
-    rank_witness_tolerance: float = 1e-6
-    parallelism: str = "auto"
 
     def __post_init__(self):
         if min(self.subgroup_cap, self.chain_depth_cap, self.chain_visit_cap) <= 0:

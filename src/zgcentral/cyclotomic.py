@@ -2,7 +2,9 @@
 
 Values are stored on the power basis zeta^0..zeta^(phi(n)-1) after reduction
 modulo the n-th cyclotomic polynomial.  Conductors are not minimized; mixed
-conductors are lifted to the lcm on demand.
+conductors are lifted to the lcm on demand.  Sums of powers of zeta_n with
+integer multiplicities can skip the objects: `ramanujan_row` gives their
+traces to Q and `reduction_matrix` their power-basis coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .errors import BadExponent, DivisionByZero
 
@@ -82,15 +86,16 @@ def cyclotomic_polynomial(n):
 
 @lru_cache(maxsize=None)
 def _phi_reduction_rows(n):
-    """For k in phi(n)..n-1: coefficients of zeta^k on the power basis."""
+    """For k in phi(n)..n-1: integer coefficients of zeta^k on the power
+    basis (integral because Phi_n is monic)."""
     phi = euler_phi(n)
     phin = cyclotomic_polynomial(n)
     # zeta^phi = -sum_{i<phi} phin[i] * zeta^i   (phin monic)
     rows = {}
-    prev = [Fraction(-c) for c in phin[:phi]]
+    prev = [-c for c in phin[:phi]]
     rows[phi] = tuple(prev)
     for k in range(phi + 1, n):
-        shifted = [Fraction(0)] + prev[:-1]
+        shifted = [0] + prev[:-1]
         top = prev[-1]
         if top:
             base = rows[phi]
@@ -98,6 +103,49 @@ def _phi_reduction_rows(n):
         rows[k] = tuple(shifted)
         prev = shifted
     return rows
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(n):
+    """Integer n x phi(n) matrix whose row k holds zeta_n^k on the power
+    basis; a row of exponent counts times it is that sum reduced mod Phi_n."""
+    phi = euler_phi(n)
+    rows = _phi_reduction_rows(n)
+    out = np.zeros((n, phi), dtype=np.int64)
+    out[np.arange(phi), np.arange(phi)] = 1
+    for k in range(phi, n):
+        out[k] = rows[k]
+    out.setflags(write=False)
+    return out
+
+
+def _mobius(n):
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+@lru_cache(maxsize=None)
+def ramanujan_row(n):
+    """Traces from Q(zeta_n) to Q of zeta_n^k for k = 0..n-1, as int64.
+
+    The trace of zeta_n^k is the Ramanujan sum c_n(k) =
+    mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, k).
+    """
+    phi = euler_phi(n)
+    out = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        m = n // gcd(n, k)
+        out[k] = _mobius(m) * phi // euler_phi(m)
+    out.setflags(write=False)
+    return out
 
 
 class Cyclotomic:
@@ -354,13 +402,3 @@ def galois_apply(sigma, x):
 def galois_group(n):
     """All automorphisms of Q(zeta_n)/Q; has euler_phi(n) elements."""
     return [GaloisMap(n, m) for m in range(1, n + 1) if gcd(m, n) == 1]
-
-
-def trace_to_q(x):
-    """Trace of x from Q(zeta_n) down to Q, as a Fraction."""
-    total = Cyclotomic.zero(x.n)
-    for sigma in galois_group(x.n):
-        total = total + sigma(x)
-    q = total.as_rational()
-    assert q is not None
-    return q

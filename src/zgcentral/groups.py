@@ -55,7 +55,7 @@ class FiniteGroup:
         self.inv = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
         self._generators = None
-        self._conjugacy = {}
+        self._conjugacy = {}  # kind -> ConjugacyPartition
 
     # -- construction checks -------------------------------------------------
 
@@ -636,17 +636,32 @@ def minimal_normal_overgroups(H, K):
 # -- conjugacy ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjugacyPartition:
-    classes: list
-    class_of: list
+    classes: tuple  # of frozensets
+    class_of: tuple
     kind: str
 
 
 def conjugacy_partition(G, kind="ordinary"):
-    """Partition of G into ordinary, real or rational conjugacy classes."""
+    """Partition of G into ordinary, real or rational conjugacy classes.
+
+    Memoized per group and kind; the result is immutable.
+    """
     if kind not in ("ordinary", "real", "rational"):
         raise ValueError(f"unknown kind {kind!r}")
+    cached = G._conjugacy.get(kind)
+    if cached is not None:
+        return cached
+    if kind == "ordinary":
+        part = _ordinary_partition(G)
+    else:
+        part = _merged_partition(G, kind)
+    G._conjugacy[kind] = part
+    return part
+
+
+def _ordinary_partition(G):
     n = G.order
     class_of = [-1] * n
     classes = []
@@ -663,43 +678,54 @@ def conjugacy_partition(G, kind="ordinary"):
                     orbit.add(y)
                     frontier.append(y)
         cid = len(classes)
-        classes.append(orbit)
+        classes.append(frozenset(orbit))
         for x in orbit:
             class_of[x] = cid
+    return ConjugacyPartition(tuple(classes), tuple(class_of), "ordinary")
 
-    if kind != "ordinary":
-        parent = list(range(len(classes)))
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+def _merged_partition(G, kind):
+    """Ordinary classes merged with those of their inverses ("real") or of
+    every generator of their cyclic subgroups ("rational").  Conjugate
+    elements have conjugate powers, so one representative per ordinary
+    class suffices."""
+    ordinary = conjugacy_partition(G, "ordinary")
+    class_of = ordinary.class_of
+    parent = list(range(len(ordinary.classes)))
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-        for g in range(n):
-            if kind == "real":
-                union(class_of[g], class_of[int(G.inv[g])])
-            else:
-                d = G.element_orders[g]
-                for m in range(1, d):
-                    if gcd(m, d) == 1:
-                        union(class_of[g], class_of[G.power(g, m)])
-        merged = {}
-        for cid in range(len(classes)):
-            merged.setdefault(find(cid), set()).update(classes[cid])
-        classes = [merged[k] for k in sorted(merged)]
-        class_of = [-1] * n
-        for cid, cl in enumerate(classes):
-            for x in cl:
-                class_of[x] = cid
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
-    classes = [frozenset(c) for c in classes]
-    return ConjugacyPartition(classes=classes, class_of=class_of, kind=kind)
+    t = G.table
+    for cid, cl in enumerate(ordinary.classes):
+        g = min(cl)
+        if kind == "real":
+            union(cid, class_of[int(G.inv[g])])
+            continue
+        # walk g, g^2, ..., g^(d-1) with one table lookup per step
+        d = G.element_orders[g]
+        x = g
+        for m in range(1, d):
+            if gcd(m, d) == 1:
+                union(cid, class_of[x])
+            x = int(t[x, g])
+    merged = {}
+    for cid, cl in enumerate(ordinary.classes):
+        merged.setdefault(find(cid), set()).update(cl)
+    classes = tuple(frozenset(merged[k]) for k in sorted(merged))
+    new_class_of = [-1] * G.order
+    for cid, cl in enumerate(classes):
+        for x in cl:
+            new_class_of[x] = cid
+    return ConjugacyPartition(classes, tuple(new_class_of), kind)
 
 
 # -- subnormality ------------------------------------------------------------

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import euler_phi
+import numpy as np
+
+from .cyclotomic import euler_phi, reduction_matrix
 from .errors import DivisibilityViolation, IncompleteSet
 from .groupalgebra import QGElement, center_component_dim
 from .groups import conjugacy_partition
-from .shoda import induced_char_value
+from .shoda import induced_counts
 
 
 @dataclass
@@ -40,13 +42,17 @@ class RankReport:
 
 def k_of_pair(G, pair):
     """1 if the induced character is real-valued (totally real center),
-    else 2; decided exactly."""
-    part = conjugacy_partition(G, "ordinary")
-    for cl in part.classes:
-        v = induced_char_value(pair.lam, G, min(cl))
-        if not v.is_real():
-            return 2
-    return 1
+    else 2; decided exactly.
+
+    At g^-1 every exponent of the induced character at g is negated, so
+    the character is real iff each class representative's count row and
+    its negated-exponent row agree once reduced modulo Phi_n.
+    """
+    n = pair.lam.order
+    reps = [min(cl) for cl in conjugacy_partition(G, "ordinary").classes]
+    counts = induced_counts(pair.lam, G, reps)
+    conj = counts[:, -np.arange(n) % n]
+    return 2 if ((counts - conj) @ reduction_matrix(n)).any() else 1
 
 
 def rank_term(G, pair):

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyc, euler_phi, trace_to_q
+import numpy as np
+
+from .cyclotomic import Cyclotomic, cyc, ramanujan_row
 from .errors import (
     NotAGroup,
     NotNormal,
@@ -28,6 +30,7 @@ from .groupalgebra import (
     mul,
 )
 from .groups import (
+    _GATHER_BLOCK,
     Subgroup,
     is_normal,
     quotient,
@@ -36,23 +39,26 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+# eq=False: the array fields have no truth value, so compare by identity
+@dataclass(frozen=True, eq=False)
 class LinearCharacter:
     """A faithful linear character of H/K, lifted to H.
 
-    `coset_log` maps each element of H to the exponent of the chosen
-    generator of H/K representing its coset; the character value at h is
-    generator_image ** coset_log[h].
+    The character value at h is zeta_n ** coset_log[h] with n = [H:K]:
+    `coset_log` is a length-|G| array holding, for each element of H, the
+    discrete log of its coset with respect to the generator of H/K that the
+    character sends to zeta_n, and -1 outside H.  `transversal` is a right
+    transversal of H in G, over which the character is induced.
     """
 
     H: Subgroup
     K: Subgroup
     order: int  # [H:K]
-    generator_image: Cyclotomic
-    coset_log: dict
+    coset_log: np.ndarray
+    transversal: np.ndarray
 
     def value(self, h):
-        return self.generator_image ** self.coset_log[h]
+        return cyc(self.order, int(self.coset_log[h]))
 
 
 def linear_character(H, K, t=1):
@@ -62,6 +68,7 @@ def linear_character(H, K, t=1):
     coset generates; `t` (coprime to [H:K]) selects which primitive root
     of unity that generator maps to.
     """
+    G = H.parent
     Q, proj = quotient(H, K)
     c = Q.order
     if not Q.is_abelian() or max(Q.element_orders) != c:
@@ -71,33 +78,64 @@ def linear_character(H, K, t=1):
         if Q.element_orders[proj[h]] == c:
             gen_q = proj[h]
             break
-    # discrete logs of every coset with respect to the chosen generator
+    # discrete logs of every coset with respect to the chosen generator,
+    # scaled by t so that they are exponents of zeta_c
     log_q = {0: 0}
     x, e = gen_q, 1
     while x != 0:
-        log_q[x] = e
+        log_q[x] = e * t % c
         x = Q.mul(x, gen_q)
         e += 1
-    coset_log = {h: log_q[proj[h]] for h in H.members}
+    coset_log = np.full(G.order, -1, dtype=np.int64)
+    for h in H.members:
+        coset_log[h] = log_q[proj[h]]
+    coset_log.setflags(write=False)
+    transversal = np.array(right_transversal(H, G.whole()), dtype=np.intp)
+    transversal.setflags(write=False)
     return LinearCharacter(
-        H=H,
-        K=K,
-        order=c,
-        generator_image=cyc(c, t),
-        coset_log=coset_log,
+        H=H, K=K, order=c, coset_log=coset_log, transversal=transversal
     )
+
+
+def _induced_exponents(lam, G, cols):
+    """Exponents of zeta_n summed by the induced character, in blocks.
+
+    With T = lam.transversal, yields (j, E) where E[i, c] is coset_log at
+    T[i] * g * T[i]^-1 for g = cols[j + c]: -1 where that conjugate lies
+    outside H, else the exponent of its character value.  A block gathers
+    at most _GATHER_BLOCK table entries.
+    """
+    t = G.table
+    T = lam.transversal
+    T_inv = G.inv[T][:, None]
+    width = max(1, _GATHER_BLOCK // T.size)
+    for j in range(0, cols.size, width):
+        x = t[t[np.ix_(T, cols[j : j + width])], T_inv]
+        yield j, lam.coset_log[x]
+
+
+def induced_counts(lam, G, cols):
+    """Row c counts, for each exponent k < [H:K], the transversal elements
+    whose conjugate of g = cols[c] has character value zeta_n ** k; the
+    induced character at g is the sum of those powers."""
+    n = lam.order
+    cols = np.asarray(cols, dtype=np.intp)
+    counts = np.zeros((cols.size, n + 1), dtype=np.int64)
+    for j, E in _induced_exponents(lam, G, cols):
+        w = E.shape[1]
+        # exponent -1 (outside H) lands in the spare slot n of its row
+        slots = E % (n + 1) + (n + 1) * np.arange(w)
+        block = np.bincount(slots.ravel(), minlength=w * (n + 1))
+        counts[j : j + w] = block.reshape(w, n + 1)
+    return counts[:, :n]
 
 
 def induced_char_value(lam, G, g):
     """Value at g of the character of G induced from `lam` on H."""
-    H = lam.H
-    reps = right_transversal(H, G.whole())
-    total = Cyclotomic.zero(lam.order)
-    for t in reps:
-        x = G.mul(G.mul(t, g), int(G.inv[t]))
-        if x in H:
-            total = total + lam.value(x)
-    return total
+    row = induced_counts(lam, G, [g])[0]
+    return Cyclotomic.from_powers(
+        lam.order, {k: int(c) for k, c in enumerate(row.tolist()) if c}
+    )
 
 
 # -- Shoda conditions ---------------------------------------------------------
@@ -149,33 +187,28 @@ def is_strong_shoda_pair(G, H, K):
 # -- primitive central idempotents --------------------------------------------
 
 
-def pci(G, H, K, lam=None, partition=None, check=True):
+def pci(G, H, K, lam=None, check=True):
     """The primitive central idempotent realized by the pair (H, K).
 
-    Computed as the Galois-orbit sum of the induced character: summing
-    sigma(induced(g)) over the full Galois group of Q(zeta_[H:K]) gives a
-    rational class function whose associated algebra element is a positive
-    rational multiple of the idempotent; the multiple is recovered from
-    a single squaring.
+    Computed as the Galois-orbit sum of the induced character: its value
+    at g is the trace to Q of a sum of powers of zeta_[H:K], read off as
+    Ramanujan sums in integers.  That rational class function gives an
+    algebra element which is a positive rational multiple of the
+    idempotent; the multiple is recovered from a single squaring.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     if lam is None:
         lam = linear_character(H, K)
-    if partition is None:
-        from .groups import conjugacy_partition
-
-        partition = conjugacy_partition(G, "ordinary")
-    coeffs = {}
-    scale = Fraction(1, H.order)
-    for cl in partition.classes:
-        g = min(cl)
-        v = induced_char_value(lam, G, g)
-        t = trace_to_q(v)
-        if t:
-            q = t * scale
-            for x in cl:
-                coeffs[int(G.inv[x])] = q
+    # a trailing 0 so that exponent -1 (outside H) adds nothing
+    ram = np.append(ramanujan_row(lam.order), 0)
+    trace = np.empty(G.order, dtype=np.int64)
+    for j, E in _induced_exponents(lam, G, np.arange(G.order, dtype=np.intp)):
+        trace[j : j + E.shape[1]] = ram[E].sum(axis=0)
+    # the coefficient of g^-1 is trace(g) / |H|
+    coeffs = {
+        g: Fraction(v, H.order) for g, v in enumerate(trace[G.inv].tolist()) if v
+    }
     a = QGElement(G, coeffs)
     # a = r * e for the idempotent e and a positive rational r, so a^2 = r*a
     a2 = mul(a, a)
@@ -349,9 +382,7 @@ def _chain_and_status(G, H, K, chain_steps, depth_cap, visit_cap):
     return chain, "strong" if chain.length == 1 else "generalized_strong"
 
 
-def classify_pair(
-    G, H, K, chain_steps=None, partition=None, depth_cap=8, visit_cap=10**5
-):
+def classify_pair(G, H, K, chain_steps=None, depth_cap=8, visit_cap=10**5):
     """Classify (H, K) and compute its idempotent; raises NotShodaPair.
 
     A supplied chain (list of Subgroups) is verified before any search.
@@ -359,7 +390,7 @@ def classify_pair(
     if not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     lam = linear_character(H, K)
-    e = pci(G, H, K, lam=lam, partition=partition, check=False)
+    e = pci(G, H, K, lam=lam, check=False)
     chain, status = _chain_and_status(G, H, K, chain_steps, depth_cap, visit_cap)
     return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
 
@@ -390,9 +421,6 @@ def complete_irredundant_set(
     omitted the subgroup lattice is enumerated.  The flag is True exactly
     when the retained idempotents sum to 1.
     """
-    from .groups import conjugacy_partition
-
-    partition = conjugacy_partition(G, "ordinary")
     if candidates is None:
         candidates = shoda_pair_candidates(G, order_cap=order_cap)
     kept = []
@@ -406,7 +434,7 @@ def complete_irredundant_set(
                 "Shoda conditions"
             )
         lam = linear_character(H, K)
-        e = pci(G, H, K, lam=lam, partition=partition, check=False)
+        e = pci(G, H, K, lam=lam, check=False)
         if e in seen:
             continue
         seen.append(e)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
@@ -105,18 +105,20 @@ def _bass_inverse_coeffs(d, k, m):
     return tuple(v)
 
 
-def _place_on_powers(G, g, d, coeffs):
+def _place_on_powers(G, g, coeffs):
     out = {}
-    for i, c in enumerate(coeffs):
+    x = 0  # g^i, one table lookup per step
+    for c in coeffs:
         if c:
-            out[G.power(g, i)] = Fraction(c)
+            out[x] = Fraction(c)
+        x = int(G.table[x, g])
     return QGElement(G, out)
 
 
 def bass_unit(G, spec):
     """(1 + g + ... + g^(k-1))^m + ((1 - k^m)/|g|) (1 + g + ... + g^(|g|-1))."""
     d = validate_bass_spec(G, spec)
-    return _place_on_powers(G, spec.g, d, _bass_coeffs(d, spec.k, spec.m))
+    return _place_on_powers(G, spec.g, _bass_coeffs(d, spec.k, spec.m))
 
 
 def bass_inverse(G, spec):
@@ -126,7 +128,7 @@ def bass_inverse(G, spec):
     Z[x]/(x^|g| - 1) (cannot happen for a valid spec; kept as a hard
     check)."""
     d = validate_bass_spec(G, spec)
-    return _place_on_powers(G, spec.g, d, _bass_inverse_coeffs(d, spec.k, spec.m))
+    return _place_on_powers(G, spec.g, _bass_inverse_coeffs(d, spec.k, spec.m))
 
 
 def bass_specs_for(G, g):
@@ -231,11 +233,9 @@ def _integer_multiple_of(p, w):
     return int(c)
 
 
-def _ordered_product(factors):
-    out = None
-    for f in factors:
-        out = f if out is None else mul(out, f)
-    return out if out is not None else None
+def _ordered_product(G, factors):
+    """f_1 * f_2 * ... * f_r in the given order; 1 for no factors."""
+    return reduce(mul, factors, QGElement.one(G))
 
 
 def z_central_unit(u, pair):
@@ -260,10 +260,10 @@ def z_central_unit(u, pair):
         if any(z.conj(h) != z for h in base.gens or [0]):
             raise PreconditionFailed("intermediate value lost centrality")
         inner = _ordered_product(
-            [(z**base.order).conj(d) for d in right_transversal(base, cen)]
+            G, [(z**base.order).conj(d) for d in right_transversal(base, cen)]
         )
         z = _ordered_product(
-            [inner.conj(t) for t in pair.chain.transversals[i]]
+            G, [inner.conj(t) for t in pair.chain.transversals[i]]
         )
     if not is_central_unit(z):
         raise ZgError("construction output failed the central-unit check")
@@ -286,7 +286,7 @@ def c_central_unit(u, series, transversals=None):
             reps = transversals[i]
         else:
             reps = right_transversal(steps[i], steps[i + 1])
-        c = _ordered_product([c.conj(t) for t in reps])
+        c = _ordered_product(H.parent, [c.conj(t) for t in reps])
     if not is_central_unit(c):
         raise ZgError("construction output failed the central-unit check")
     return CentralUnit(

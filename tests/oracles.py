@@ -1,0 +1,97 @@
+"""Brute-force reference implementations that the tests compare against,
+and the corpus of groups they are compared on.
+
+They use `Cyclotomic` objects and Galois sums throughout and share no code
+with the integer character kernel in `zgcentral.shoda`: each pair gets its
+own linear character, built from a generating coset of H/K by walking
+powers.
+"""
+
+import json
+from fractions import Fraction
+from importlib import resources
+
+from zgcentral.cli import parse_pairs_file
+from zgcentral.cyclotomic import Cyclotomic, cyc, galois_group
+from zgcentral.groupalgebra import QGElement, mul
+from zgcentral.groups import conjugacy_partition
+
+# catalog groups whose every Shoda pair is checked against the oracles
+CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
+
+
+def paper9_pairs(G):
+    """(H, K) of the nine pairs in paper9.json, in the order-1000 group G."""
+    with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
+        return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
+
+
+def trace_to_q(x):
+    """Trace of x from Q(zeta_n) down to Q, summed over the Galois group."""
+    total = Cyclotomic.zero(x.n)
+    for sigma in galois_group(x.n):
+        total = total + sigma(x)
+    q = total.as_rational()
+    assert q is not None
+    return q
+
+
+def character_exponents(G, H, K):
+    """{h: k} for a faithful linear character of H/K sending h to
+    zeta_n ** k, n = [H:K]."""
+    n = H.order // K.order
+    for g in sorted(H.members):
+        coset, x, k = {}, 0, 0
+        while k < n:
+            for y in K.members:
+                coset[G.mul(y, x)] = k
+            x = G.mul(x, g)
+            k += 1
+        if len(coset) == H.order:
+            return coset
+    raise AssertionError("H/K is not cyclic")
+
+
+def induced_value(G, H, exponents, n, g):
+    """Induced character at g: sum of lam(x g x^-1) over x in G with the
+    conjugate in H, divided by |H|."""
+    counts = {}
+    for y in G.table[G.table[:, g], G.inv].tolist():
+        if y in exponents:
+            counts[exponents[y]] = counts.get(exponents[y], 0) + 1
+    total = Cyclotomic.zero(n)
+    for k, c in counts.items():
+        total = total + cyc(n, k, Fraction(c, H.order))
+    return total
+
+
+def class_values(G, H, K):
+    """Induced character value at each ordinary class representative."""
+    n = H.order // K.order
+    exponents = character_exponents(G, H, K)
+    return [
+        (cl, induced_value(G, H, exponents, n, min(cl)))
+        for cl in conjugacy_partition(G, "ordinary").classes
+    ]
+
+
+def pci(G, H, K):
+    """The idempotent as the Galois-orbit sum of the induced character,
+    normalized by one squaring."""
+    coeffs = {}
+    for cl, v in class_values(G, H, K):
+        t = trace_to_q(v)
+        if t:
+            for x in cl:
+                coeffs[int(G.inv[x])] = t / H.order
+    a = QGElement(G, coeffs)
+    a2 = mul(a, a)
+    g0 = next(iter(a.coeffs))
+    r = a2.coeffs.get(g0, Fraction(0)) / a.coeffs[g0]
+    assert r > 0 and a2 == a.scale(r), "induced character is not irreducible"
+    return a.scale(1 / r)
+
+
+def k_of_pair(G, H, K):
+    """1 if every induced character value is real, else 2."""
+    return 1 if all(v.is_real() for _, v in class_values(G, H, K)) else 2

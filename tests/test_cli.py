@@ -2,16 +2,44 @@
 
 import json
 from importlib import resources
+from pathlib import Path
+
+import pytest
+from jsonschema import Draft202012Validator
 
 from zgcentral.catalog import cyclic
 from zgcentral.cli import main, parse_pairs_file, parse_word
 from zgcentral.catalog import paper_1000_86
 
 
+REPORT_SCHEMA = json.loads(
+    (Path(__file__).parents[1] / "docs" / "schemas" / "report.schema.json").read_text()
+)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--group", "catalog:S4"],
+        ["pairs", "--group", "catalog:D4"],
+        ["rank", "--group", "catalog:C12"],
+        ["units", "--group", "catalog:C5"],
+        ["oracle", "--group", "catalog:Q8"],
+        ["catalog"],
+    ],
+)
+def test_report_matches_schema(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    Draft202012Validator.check_schema(REPORT_SCHEMA)
+    Draft202012Validator(REPORT_SCHEMA).validate(doc)
+    assert set(doc["config"]) == set(REPORT_SCHEMA["properties"]["config"]["properties"])
 
 
 def test_analyze_s3(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import trace_to_q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,8 @@ from zgcentral.cyclotomic import (
     euler_phi,
     galois_apply,
     galois_group,
-    trace_to_q,
+    ramanujan_row,
+    reduction_matrix,
 )
 from zgcentral.errors import BadExponent, DivisionByZero
 
@@ -69,6 +71,17 @@ def test_trace_of_primitive_root():
     assert trace_to_q(cyc(5, 1)) == Fraction(-1)
     assert trace_to_q(cyc(4, 1)) == Fraction(0)
     assert trace_to_q(Cyclotomic.rational(3, 5)) == Fraction(12)  # 3 * phi(5)
+
+
+def test_ramanujan_row_and_reduction_match_cyclotomics():
+    for n in range(1, 61):
+        ram = ramanujan_row(n)
+        red = reduction_matrix(n)
+        assert red.shape == (n, euler_phi(n))
+        for k in range(n):
+            z = cyc(n, k)
+            assert ram[k] == trace_to_q(z), (n, k)
+            assert list(red[k]) == list(z.c), (n, k)
 
 
 def test_realness():

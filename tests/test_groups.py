@@ -1,6 +1,7 @@
 """Group core: constructors, subgroup machinery, conjugacy, subnormality."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,40 @@ def test_partition_invariants(name):
                 assert all(int(G.inv[g]) in cl for g in cl)
         sizes[kind] = len(part.classes)
     assert sizes["rational"] <= sizes["real"] <= sizes["ordinary"]
+
+
+@pytest.mark.parametrize("name", ["C12", "D4", "S4", "Q16", "C60", "D25"])
+def test_partition_merges_match_power_oracle(name):
+    G = get_group(name)
+    ordinary = conjugacy_partition(G, "ordinary")
+
+    def merged(exponents_of):
+        return {
+            frozenset().union(
+                *(ordinary.classes[ordinary.class_of[G.power(g, m)]] for m in exponents_of(g))
+            )
+            for g in range(G.order)
+        }
+
+    def real(g):
+        return (1, G.element_orders[g] - 1)
+
+    def rational(g):
+        d = G.element_orders[g]
+        return [m for m in range(1, d + 1) if math.gcd(m, d) == 1]
+
+    assert set(conjugacy_partition(G, "real").classes) == merged(real)
+    assert set(conjugacy_partition(G, "rational").classes) == merged(rational)
+
+
+def test_partition_memoized_and_immutable():
+    G = cyclic(6)
+    for kind in ("ordinary", "real", "rational"):
+        part = conjugacy_partition(G, kind)
+        assert conjugacy_partition(G, kind) is part
+        assert isinstance(part.classes, tuple) and isinstance(part.class_of, tuple)
+        with pytest.raises(AttributeError):
+            part.classes = ()
 
 
 # -- subnormality --------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Rank formula, oracle, k-decision, center-degree identity."""
 
+import oracles
 import pytest
+from oracles import CORPUS, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
 from zgcentral.cyclotomic import euler_phi
@@ -13,7 +15,13 @@ from zgcentral.rank import (
     rank_total,
     verify_center_degree,
 )
-from zgcentral.shoda import complete_irredundant_set
+from zgcentral.shoda import (
+    ShodaPair,
+    complete_irredundant_set,
+    linear_character,
+    pci,
+    shoda_pair_candidates,
+)
 
 
 def pairs_of(G):
@@ -52,6 +60,28 @@ def test_k_odd_order_rule():
         for p in pairs_of(G):
             expected = 1 if p.index == 1 else 2
             assert k_of_pair(G, p) == expected
+
+
+def unclassified(G, H, K):
+    return ShodaPair(
+        H=H, K=K, status="shoda", pci=pci(G, H, K), lam=linear_character(H, K)
+    )
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_k_matches_is_real_oracle(name):
+    G = get_group(name)
+    for H, K in shoda_pair_candidates(G):
+        assert k_of_pair(G, unclassified(G, H, K)) == oracles.k_of_pair(G, H, K)
+
+
+def test_k_matches_oracle_on_paper_pairs(paper1000):
+    ks = []
+    for H, K in paper9_pairs(paper1000):
+        k = k_of_pair(paper1000, unclassified(paper1000, H, K))
+        assert k == oracles.k_of_pair(paper1000, H, K)
+        ks.append(k)
+    assert ks == [1, 1, 2, 2, 1, 1, 1, 1, 1]
 
 
 # -- terms and totals ----------------------------------------------------------

@@ -1,8 +1,12 @@
 """Shoda-pair detection, idempotents, chains, complete sets."""
 
-import pytest
+from fractions import Fraction
 
-from zgcentral.catalog import cyclic, symmetric
+import oracles
+import pytest
+from oracles import CORPUS, paper9_pairs
+
+from zgcentral.catalog import cyclic, get_group, symmetric
 from zgcentral.cyclotomic import Cyclotomic, cyc
 from zgcentral.errors import NotShodaPair
 from zgcentral.groupalgebra import (
@@ -22,6 +26,7 @@ from zgcentral.shoda import (
     is_strong_shoda_pair,
     linear_character,
     pci,
+    shoda_pair_candidates,
     verify_chain,
 )
 
@@ -120,6 +125,32 @@ def test_pci_choice_invariance(c5):
     e1 = pci(c5, c5.whole(), triv(c5), lam=linear_character(c5.whole(), triv(c5), t=1))
     e2 = pci(c5, c5.whole(), triv(c5), lam=linear_character(c5.whole(), triv(c5), t=2))
     assert e1 == e2
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_pci_matches_galois_sum_oracle(name):
+    G = get_group(name)
+    pairs = shoda_pair_candidates(G)
+    assert pairs
+    for H, K in pairs:
+        assert pci(G, H, K) == oracles.pci(G, H, K), (H.order, K.order)
+
+
+def test_pci_matches_oracle_on_paper_pairs(paper1000):
+    for H, K in paper9_pairs(paper1000):
+        assert pci(paper1000, H, K) == oracles.pci(paper1000, H, K)
+
+
+def test_induced_value_matches_sum_over_group(s4):
+    for H, K in shoda_pair_candidates(s4):
+        lam = linear_character(H, K)
+        for g in range(s4.order):
+            expected = Cyclotomic.zero(lam.order)
+            for x in range(s4.order):
+                y = s4.mul(s4.mul(x, g), int(s4.inv[x]))
+                if y in H:
+                    expected = expected + lam.value(y) * Fraction(1, H.order)
+            assert induced_char_value(lam, s4, g) == expected
 
 
 def test_pci_rejects_non_shoda(s3):

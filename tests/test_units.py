@@ -22,6 +22,7 @@ from zgcentral.units import (
     random_right_transversal,
     z_central_unit,
 )
+from zgcentral.units import _ordered_product
 
 
 def cyclic_poly_oracle(n, k, m):
@@ -87,6 +88,14 @@ def test_bass_matches_cyclic_oracle():
         u = bass_unit(G, spec)
         oracle = cyclic_poly_oracle(n, spec.k, spec.m)
         assert [u.coeffs.get(G.power(1, i), Fraction(0)) for i in range(n)] == oracle
+
+
+def test_ordered_product_empty_and_single(s3):
+    assert _ordered_product(s3, []) == QGElement.one(s3)
+    u = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
+    assert _ordered_product(s3, [u]) == u
+    v = QGElement(s3, {2: Fraction(1)})
+    assert _ordered_product(s3, [u, v]) == mul(u, v)
 
 
 # -- generalized Bass units ----------------------------------------------------
