@@ -5,10 +5,12 @@ For each cyclic subgroup of the chosen group, Bass units are pushed to
 central units of the whole integral group ring via the transversal
 product over a subnormal series.  The rank of the subgroup they generate
 is estimated numerically (log-absolute-value embedding + SVD) and
-compared with the class-counting oracle.
+compared with the class-counting oracle; the exit status is 1 when the
+two disagree.
 """
 
 import argparse
+import sys
 
 from zgcentral.catalog import get_group
 from zgcentral.groups import (
@@ -54,7 +56,8 @@ def main():
     witness = log_rank_witness(G, units, pairs, tolerance=args.tolerance)
     oracle = rank_oracle(G)
     print(f"log-rank witness {witness}, oracle {oracle}, agree={witness == oracle}")
+    return 0 if witness == oracle else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -128,7 +128,7 @@ def pair_json(pair):
         "K_order": pair.K.order,
         "index": pair.index,
         "status": pair.status,
-        "pci_support": len(pair.pci.coeffs),
+        "pci_support": len(pair.pci.support),
         "chain": _chain_json(pair.chain),
     }
 
@@ -201,8 +201,7 @@ def units_json(G, pairs, complete):
                 continue
             row = {
                 "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
-                "n_b": None,
-                "support": len(cu.value.coeffs),
+                "support": len(cu.value.support),
                 "central_unit": is_central_unit(cu.value),
             }
             if complete:

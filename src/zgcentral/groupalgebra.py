@@ -1,14 +1,16 @@
-"""Sparse exact group-algebra arithmetic over QG and ZG.
+"""Exact group-algebra arithmetic over QG and ZG.
 
-Elements are sparse maps element-index -> Fraction with no stored zeros.
-Products use the materialized Cayley table; an int64/numpy fast path covers
-the common case of small numerators, with a big-integer fallback.
+An element is (den, vec): the coefficient of group element g is
+vec[g] / den for a positive integer den and a length-|G| integer vector,
+with gcd(den, vec) = 1.  vec is int64 exactly when every entry is below
+_INT64_BOUND in absolute value, else a vector of Python ints; each
+operation picks its result's dtype from a bound on its operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -22,87 +24,138 @@ from .errors import (
 from .groups import _GATHER_BLOCK, Subgroup, is_normal, minimal_normal_overgroups
 from .linalg import integer_rank
 
+# int64 results are used only while a bound on every entry stays below this
+_INT64_BOUND = 2**62
+
+
+def _maxabs(vec):
+    """The largest absolute value of an integer vector, as a Python int."""
+    return int(np.abs(vec).max(initial=0))
+
+
+def _combine(terms):
+    """sum(s * x) over pairs (integer s, integer vector x), exactly: in
+    int64 when the bound sum(|s| * max|x|) allows it, else in Python ints."""
+    live = [(s, x) for s, x in terms if s and x.any()]
+    bound = sum(abs(s) * _maxabs(x) for s, x in live)
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    out = np.zeros(terms[0][1].size, dtype=dtype)
+    for s, x in live:
+        out += s * x.astype(dtype, copy=False)
+    return out
+
+
+def _element(group, den, vec):
+    """The element vec / den (den > 0), brought into canonical form."""
+    c = int(np.gcd.reduce(vec))
+    if not c:
+        return QGElement.zero(group)
+    g = gcd(den, c)
+    if g > 1:
+        den //= g
+        vec = vec // g
+    if vec.dtype == object and _maxabs(vec) < _INT64_BOUND:
+        vec = vec.astype(np.int64)
+    return QGElement._of(group, den, vec)
+
 
 class QGElement:
-    """An element of the rational group algebra QG."""
+    """An element of the rational group algebra QG, built from {g: q}."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "den", "vec")
 
     def __init__(self, group, coeffs):
-        self.group = group
-        self.coeffs = {int(k): Fraction(v) for k, v in coeffs.items() if v}
+        coeffs = {int(g): Fraction(q) for g, q in coeffs.items() if q}
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        vec = np.zeros(group.order, dtype=object)
+        for g, q in coeffs.items():
+            vec[g] = q.numerator * (den // q.denominator)
+        e = _element(group, den, vec)
+        self.group, self.den, self.vec = group, e.den, e.vec
+
+    @classmethod
+    def _of(cls, group, den, vec):
+        """Wrap a pair already in canonical form."""
+        self = object.__new__(cls)
+        vec.setflags(write=False)
+        self.group, self.den, self.vec = group, den, vec
+        return self
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def from_vec(group, vec, den=1):
+        """vec / den for a length-|G| sequence or array of integers."""
+        return _element(group, den, np.array([int(v) for v in vec], dtype=object))
+
+    @staticmethod
     def one(group):
-        return QGElement(group, {0: 1})
+        return QGElement.element(group, 0)
 
     @staticmethod
     def zero(group):
-        return QGElement(group, {})
+        return QGElement._of(group, 1, np.zeros(group.order, dtype=np.int64))
 
     @staticmethod
     def element(group, g):
-        return QGElement(group, {g: 1})
+        vec = np.zeros(group.order, dtype=np.int64)
+        vec[g] = 1
+        return QGElement._of(group, 1, vec)
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def support(self):
-        return self.coeffs.keys()
+        return np.flatnonzero(self.vec).tolist()
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.vec.any()
 
     def is_integral(self):
-        return all(q.denominator == 1 for q in self.coeffs.values())
+        return self.den == 1
 
     def augmentation(self):
-        return sum(self.coeffs.values(), Fraction(0))
+        return Fraction(sum(self.vec.tolist()), self.den)
 
     def coeff(self, g):
-        return self.coeffs.get(g, Fraction(0))
+        return Fraction(int(self.vec[g]), self.den)
 
     def __eq__(self, other):
         if isinstance(other, QGElement):
-            return self.group is other.group and self.coeffs == other.coeffs
+            return (
+                self.group is other.group
+                and self.den == other.den
+                and np.array_equal(self.vec, other.vec)
+            )
         if other == 0:
-            return not self.coeffs
+            return self.is_zero()
         if other == 1:
-            return self.coeffs == {0: Fraction(1)}
+            return self == QGElement.one(self.group)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, tuple(self.vec.tolist())))
 
     def __repr__(self):
-        if not self.coeffs:
+        support = self.support
+        if not support:
             return "QG(0)"
-        parts = [
-            f"{q}*[{self.group.label(g)}]"
-            for g, q in sorted(self.coeffs.items())[:8]
-        ]
-        more = "..." if len(self.coeffs) > 8 else ""
+        parts = [f"{self.coeff(g)}*[{self.group.label(g)}]" for g in support[:8]]
+        more = "..." if len(support) > 8 else ""
         return "QG(" + " + ".join(parts) + more + ")"
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for g, q in other.coeffs.items():
-            s = out.get(g, Fraction(0)) + q
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-        return QGElement(self.group, out)
+        den = lcm(self.den, other.den)
+        vec = _combine([(den // self.den, self.vec), (den // other.den, other.vec)])
+        return _element(self.group, den, vec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QGElement(self.group, {g: -q for g, q in self.coeffs.items()})
+        return QGElement._of(self.group, self.den, -self.vec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -112,16 +165,15 @@ class QGElement:
 
     def scale(self, q):
         q = Fraction(q)
-        if not q:
-            return QGElement.zero(self.group)
-        return QGElement(self.group, {g: c * q for g, c in self.coeffs.items()})
+        vec = _combine([(q.numerator, self.vec)])
+        return _element(self.group, self.den * q.denominator, vec)
 
     def _coerce(self, other):
         if isinstance(other, QGElement):
             if other.group is not self.group:
                 raise GroupMismatch("elements live over different groups")
             return other
-        return QGElement(self.group, {0: Fraction(other)})
+        return QGElement(self.group, {0: other})
 
     # -- multiplicative structure --------------------------------------------
 
@@ -138,25 +190,20 @@ class QGElement:
     def __pow__(self, k):
         if k < 0:
             return qg_inverse(self) ** (-k)
-        out = QGElement.one(self.group)
-        base = self
+        out, base = QGElement.one(self.group), self
         while k:
             if k & 1:
                 out = mul(out, base)
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = mul(base, base)
-            k = base_needed
         return out
 
     def conj(self, g):
-        """g^-1 * self * g."""
+        """g^-1 * self * g: its coefficient at y is self's at g y g^-1."""
         G = self.group
         t = G.table
-        gi = int(G.inv[g])
-        return QGElement(
-            G, {int(t[t[gi, x], g]): q for x, q in self.coeffs.items()}
-        )
+        return QGElement._of(G, self.den, self.vec[t[t[g], G.inv[g]]])
 
 
 class ZGElement(QGElement):
@@ -168,69 +215,29 @@ class ZGElement(QGElement):
             raise ValueError("ZGElement requires integer coefficients")
 
 
-def as_zg(a):
-    """Downcast a QGElement with integer coefficients to ZGElement."""
-    return ZGElement(a.group, a.coeffs)
-
-
-_INT64_BOUND = 2**62
-
-
-def _scaled_ints(a):
-    den = lcm(*(q.denominator for q in a.coeffs.values())) if a.coeffs else 1
-    keys = list(a.coeffs.keys())
-    vals = [int(a.coeffs[g] * den) for g in keys]
-    return den, keys, vals
-
-
 def mul(a, b):
-    """Exact convolution product in QG."""
+    """Exact convolution product in QG, over the support of `a` in blocks
+    of rows of the Cayley table."""
     if not isinstance(a, QGElement) or not isinstance(b, QGElement):
         raise TypeError("mul expects QGElements")
     if a.group is not b.group:
         raise GroupMismatch("elements live over different groups")
     G = a.group
-    if not a.coeffs or not b.coeffs:
+    support = np.flatnonzero(a.vec)
+    terms = min(support.size, int(np.count_nonzero(b.vec)))
+    if not terms:
         return QGElement.zero(G)
-    da, ka, va = _scaled_ints(a)
-    db, kb, vb = _scaled_ints(b)
-    maxa = max(abs(v) for v in va)
-    maxb = max(abs(v) for v in vb)
-    den = da * db
-    table = G.table
-    if maxa * maxb * min(len(ka), len(kb)) < _INT64_BOUND:
-        acc = np.zeros(G.order, dtype=np.int64)
-        if len(ka) <= len(kb):
-            idx = np.asarray(kb, dtype=np.int64)
-            valarr = np.asarray(vb, dtype=np.int64)
-            for g, cg in zip(ka, va):
-                acc[table[g, idx]] += cg * valarr
-        else:
-            idx = np.asarray(ka, dtype=np.int64)
-            valarr = np.asarray(va, dtype=np.int64)
-            for h, ch in zip(kb, vb):
-                acc[table[idx, h]] += ch * valarr
-        nz = np.flatnonzero(acc)
-        out = {int(i): Fraction(int(acc[i]), den) for i in nz}
-        return QGElement(G, out)
-    acc = {}
-    if len(ka) <= len(kb):
-        for g, cg in zip(ka, va):
-            row = table[g]
-            for h, ch in zip(kb, vb):
-                k = int(row[h])
-                acc[k] = acc.get(k, 0) + cg * ch
-    else:
-        col = table
-        for h, ch in zip(kb, vb):
-            for g, cg in zip(ka, va):
-                k = int(col[g, h])
-                acc[k] = acc.get(k, 0) + cg * ch
-    return QGElement(G, {k: Fraction(v, den) for k, v in acc.items() if v})
-
-
-def conj(a, g):
-    return a.conj(g)
+    bound = _maxabs(a.vec) * _maxabs(b.vec) * terms
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    A = a.vec.astype(dtype, copy=False)
+    B = b.vec.astype(dtype, copy=False)
+    acc = np.zeros(G.order, dtype=dtype)
+    block = max(1, _GATHER_BLOCK // G.order)
+    for start in range(0, support.size, block):
+        g = support[start : start + block]
+        # (a b)[k] is the sum over g of a[g] * b[g^-1 k]
+        acc += (A[g, None] * B[G.table[G.inv[g]]]).sum(axis=0)
+    return _element(G, a.den * b.den, acc)
 
 
 # -- idempotent constructions ------------------------------------------------
@@ -238,8 +245,9 @@ def conj(a, g):
 
 def hat(S):
     """The averaging idempotent (1/|S|) * sum of the members of S."""
-    q = Fraction(1, S.order)
-    return QGElement(S.parent, {g: q for g in S.members})
+    vec = np.zeros(S.parent.order, dtype=np.int64)
+    vec[list(S.members)] = 1
+    return QGElement._of(S.parent, S.order, vec)
 
 
 def epsilon(H, K):
@@ -290,33 +298,24 @@ def is_idempotent(a):
     return mul(a, a) == a
 
 
-def are_orthogonal(a, b):
-    return mul(a, b).is_zero() and mul(b, a).is_zero()
-
-
 def centralizer_of(a, within):
     """{g in `within` : g^-1 a g = a} as a Subgroup.
 
-    Each distinct coefficient of `a` gets a small positive id (0 marks
-    elements outside the support), so equal ids mean equal Fractions.  For
-    a block of g at once, the ids at the conjugates g^-1 x g of the
-    support X are compared with the ids at X.
+    For a block of g at once, the coefficients at the conjugates g^-1 x g
+    of the support X are compared with those at X; conjugation permutes
+    the group, so agreeing on X means agreeing everywhere.
     """
     G = a.group
     t = G.table
-    ids = np.zeros(G.order, dtype=np.int32)
-    id_of = {}
-    for x, q in a.coeffs.items():
-        ids[x] = id_of.setdefault(q, len(id_of) + 1)
-    X = np.fromiter(a.coeffs, dtype=np.intp, count=len(a.coeffs))
-    want = ids[X]
+    X = np.flatnonzero(a.vec)
+    want = a.vec[X]
     W = np.array(within.sorted_members, dtype=np.intp)
     block = max(1, _GATHER_BLOCK // max(X.size, 1))
     mem = []
     for start in range(0, W.size, block):
         g = W[start : start + block, None]
         conj = t[t[G.inv[g], X], g]
-        mem.extend(g[(ids[conj] == want).all(axis=1), 0].tolist())
+        mem.extend(g[(a.vec[conj] == want).all(axis=1), 0].tolist())
     return Subgroup(G, mem)
 
 
@@ -327,32 +326,37 @@ def is_central(a):
 # -- inversion ---------------------------------------------------------------
 
 
-def minimal_polynomial(a, cap=None):
-    """Monic minimal polynomial coefficients c_0..c_d (c_d = 1) of `a`."""
-    G = a.group
-    cap = G.order if cap is None else cap
-    basis = []  # (pivot, vec dict, combo list)
-    power = QGElement.one(G)
-    for d in range(cap + 1):
-        vec = dict(power.coeffs)
-        combo = [Fraction(0)] * d + [Fraction(1)]
-        for pivot, bvec, bcombo in basis:
-            q = vec.get(pivot)
+def minimal_polynomial(a):
+    """Integers m_0..m_d, m_d != 0, with m_0 + m_1 a + ... + m_d a^d = 0
+    for the least d, and the powers a^0..a^(d-1).
+
+    Fraction-free elimination: the row of a^i = vec_i / den_i is
+    [vec_i | e_i], reduced against the earlier rows, dividing out its
+    content after each step.  Once the vector part vanishes, the e-part
+    holds integers c_i with sum c_i vec_i = 0, so m_i = c_i * den_i.
+    """
+    n = a.group.order
+    basis = []  # (pivot column, row)
+    powers = []
+    power = QGElement.one(a.group)
+    for d in range(n + 1):  # any n + 1 powers are linearly dependent
+        row = np.zeros(2 * n + 1, dtype=power.vec.dtype)
+        row[:n] = power.vec
+        row[n + d] = 1
+        for pivot, b in basis:
+            q = int(row[pivot])
             if q:
-                f = q / bvec[pivot]
-                for g, val in bvec.items():
-                    s = vec.get(g, Fraction(0)) - f * val
-                    if s:
-                        vec[g] = s
-                    else:
-                        vec.pop(g, None)
-                for i, val in enumerate(bcombo):
-                    combo[i] -= f * val
-        if not vec:
-            return combo
-        basis.append((min(vec), vec, combo))
-        power = mul(power, a)
-    raise NotInvertible("minimal polynomial search exceeded bound")
+                p = int(b[pivot])
+                g = gcd(p, q)
+                row = _combine([(p // g, row), (-q // g, b)])
+                row //= int(np.gcd.reduce(row))
+        nz = np.flatnonzero(row[:n])
+        if not nz.size:
+            c = row[n:].tolist()
+            return [ci * x.den for ci, x in zip(c, powers + [power])], powers
+        basis.append((nz[0], row))
+        powers.append(power)
+        power = mul(a, power)
 
 
 def qg_inverse(a):
@@ -362,29 +366,30 @@ def qg_inverse(a):
     """
     if a.is_zero():
         raise NotInvertible("zero has no inverse")
-    c = minimal_polynomial(a)
-    if not c[0]:
+    m, powers = minimal_polynomial(a)
+    if not m[0]:
         raise NotInvertible("element is a zero divisor")
-    # c0 + c1 a + ... + a^d = 0  =>  a^-1 = -(c1 + c2 a + ...)/c0
-    G = a.group
-    out = QGElement.zero(G)
-    power = QGElement.one(G)
-    for i in range(1, len(c)):
-        if c[i]:
-            out = out + power.scale(c[i])
-        if i + 1 < len(c):
-            power = mul(power, a)
-    return out.scale(Fraction(-1, 1) / c[0])
+    # m_0 + m_1 a + ... + m_d a^d = 0  =>  a^-1 = -(m_1 + m_2 a + ...) / m_0
+    out = QGElement.zero(a.group)
+    for mi, x in zip(m[1:], powers):
+        out = out + x.scale(mi)
+    return out.scale(Fraction(-1, m[0]))
+
+
+def zg_inverse(a):
+    """The inverse of `a` if `a` is a unit of ZG, else None."""
+    if not a.is_integral():
+        return None
+    try:
+        inv = qg_inverse(a)
+    except NotInvertible:
+        return None
+    return inv if inv.is_integral() else None
 
 
 def is_unit_of_zg(a):
     """True iff `a` has integer coefficients and an integral inverse."""
-    if not a.is_integral():
-        return False
-    try:
-        return qg_inverse(a).is_integral()
-    except NotInvertible:
-        return False
+    return zg_inverse(a) is not None
 
 
 # -- center ------------------------------------------------------------------
@@ -394,23 +399,20 @@ def center_basis(G):
     """Ordinary class sums; a Q-basis of the center of QG."""
     from .groups import conjugacy_partition
 
-    part = conjugacy_partition(G, "ordinary")
-    return [QGElement(G, {g: 1 for g in cl}) for cl in part.classes]
+    out = []
+    for cl in conjugacy_partition(G, "ordinary").classes:
+        vec = np.zeros(G.order, dtype=np.int64)
+        vec[list(cl)] = 1
+        out.append(QGElement._of(G, 1, vec))
+    return out
 
 
 def center_component_dim(e):
     """dim_Q of the center of the simple component cut out by `e`."""
-    G = e.group
     if not is_central(e):
         raise NotCentral("idempotent is not central")
     if not is_idempotent(e):
         raise NotIdempotent("element is not idempotent")
-    rows = []
-    for cs in center_basis(G):
-        prod = mul(cs, e)
-        den = lcm(*(q.denominator for q in prod.coeffs.values())) if prod.coeffs else 1
-        row = [0] * G.order
-        for g, q in prod.coeffs.items():
-            row[g] = int(q * den)
-        rows.append(row)
-    return integer_rank(rows)
+    # each row is a positive multiple of the product, which keeps the rank;
+    # tolist() hands integer_rank Python ints, which cannot overflow
+    return integer_rank(mul(cs, e).vec.tolist() for cs in center_basis(e.group))

@@ -11,7 +11,6 @@ of the rational group algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -206,14 +205,11 @@ def pci(G, H, K, lam=None, check=True):
     for j, E in _induced_exponents(lam, G, np.arange(G.order, dtype=np.intp)):
         trace[j : j + E.shape[1]] = ram[E].sum(axis=0)
     # the coefficient of g^-1 is trace(g) / |H|
-    coeffs = {
-        g: Fraction(v, H.order) for g, v in enumerate(trace[G.inv].tolist()) if v
-    }
-    a = QGElement(G, coeffs)
+    a = QGElement.from_vec(G, trace[G.inv], den=H.order)
     # a = r * e for the idempotent e and a positive rational r, so a^2 = r*a
     a2 = mul(a, a)
-    g0 = next(iter(a.coeffs))
-    r = a2.coeffs.get(g0, Fraction(0)) / a.coeffs[g0]
+    g0 = a.support[0]
+    r = a2.coeff(g0) / a.coeff(g0)
     if r <= 0 or a2 != a.scale(r):
         raise NotShodaPair("induced character is not irreducible")
     return a.scale(1 / r)
@@ -363,23 +359,33 @@ class ShodaPair:
         return self.H.order // self.K.order
 
 
-def _chain_and_status(G, H, K, chain_steps, depth_cap, visit_cap):
-    if chain_steps:
-        chain = verify_chain(G, H, K, chain_steps)
-        if chain is not None:
-            status = (
-                "strong" if is_strong_shoda_pair(G, H, K) else "generalized_strong"
-            )
-            return chain, status
-    try:
-        chain = find_strong_inductive_chain(
-            G, H, K, depth_cap=depth_cap, visit_cap=visit_cap, check=False
+def _classify(G, H, K, chain_steps, depth_cap, visit_cap, check, known=()):
+    """The classified pair, or None when its idempotent is in `known`.
+
+    With `check`, a pair failing the Shoda conditions raises NotShodaPair.
+    A supplied chain is verified before any search.
+    """
+    if check and not is_shoda_pair(G, H, K):
+        raise NotShodaPair(
+            f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
         )
-    except SearchBoundExceeded:
-        chain = None
-    if chain is None:
-        return None, "shoda"
-    return chain, "strong" if chain.length == 1 else "generalized_strong"
+    lam = linear_character(H, K)
+    e = pci(G, H, K, lam=lam, check=False)
+    if e in known:
+        return None
+    chain = verify_chain(G, H, K, chain_steps) if chain_steps else None
+    if chain is not None:
+        strong = is_strong_shoda_pair(G, H, K)
+    else:
+        try:
+            chain = find_strong_inductive_chain(
+                G, H, K, depth_cap=depth_cap, visit_cap=visit_cap, check=False
+            )
+        except SearchBoundExceeded:
+            chain = None
+        strong = chain is not None and chain.length == 1
+    status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
+    return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
 
 
 def classify_pair(G, H, K, chain_steps=None, depth_cap=8, visit_cap=10**5):
@@ -387,12 +393,7 @@ def classify_pair(G, H, K, chain_steps=None, depth_cap=8, visit_cap=10**5):
 
     A supplied chain (list of Subgroups) is verified before any search.
     """
-    if not is_shoda_pair(G, H, K):
-        raise NotShodaPair("pair fails the Shoda conditions")
-    lam = linear_character(H, K)
-    e = pci(G, H, K, lam=lam, check=False)
-    chain, status = _chain_and_status(G, H, K, chain_steps, depth_cap, visit_cap)
-    return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
+    return _classify(G, H, K, chain_steps, depth_cap, visit_cap, check=True)
 
 
 def shoda_pair_candidates(G, subgroups=None, order_cap=200):
@@ -421,25 +422,21 @@ def complete_irredundant_set(
     omitted the subgroup lattice is enumerated.  The flag is True exactly
     when the retained idempotents sum to 1.
     """
-    if candidates is None:
+    supplied = candidates is not None
+    if not supplied:
         candidates = shoda_pair_candidates(G, order_cap=order_cap)
     kept = []
-    seen = []
+    seen = set()
     for cand in candidates:
         H, K = cand[0], cand[1]
         chain_steps = cand[2] if len(cand) > 2 else None
-        if not is_shoda_pair(G, H, K):
-            raise NotShodaPair(
-                f"supplied pair (|H|={H.order}, |K|={K.order}) fails the "
-                "Shoda conditions"
-            )
-        lam = linear_character(H, K)
-        e = pci(G, H, K, lam=lam, check=False)
-        if e in seen:
-            continue
-        seen.append(e)
-        chain, status = _chain_and_status(G, H, K, chain_steps, depth_cap, visit_cap)
-        kept.append(ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam))
+        # enumerated candidates have already passed the Shoda test
+        pair = _classify(
+            G, H, K, chain_steps, depth_cap, visit_cap, check=supplied, known=seen
+        )
+        if pair is not None:
+            seen.add(pair.pci)
+            kept.append(pair)
     total = QGElement.zero(G)
     for pair in kept:
         total = total + pair.pci

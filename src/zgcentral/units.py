@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
@@ -35,7 +34,7 @@ from .groupalgebra import (
     is_central,
     is_unit_of_zg,
     mul,
-    qg_inverse,
+    zg_inverse,
 )
 from .groups import conjugacy_partition, is_normal, right_transversal
 from .shoda import induced_char_value
@@ -106,13 +105,12 @@ def _bass_inverse_coeffs(d, k, m):
 
 
 def _place_on_powers(G, g, coeffs):
-    out = {}
+    vec = [0] * G.order
     x = 0  # g^i, one table lookup per step
     for c in coeffs:
-        if c:
-            out[x] = Fraction(c)
+        vec[x] = c
         x = int(G.table[x, g])
-    return QGElement(G, out)
+    return QGElement.from_vec(G, vec)
 
 
 def bass_unit(G, spec):
@@ -169,20 +167,15 @@ def gen_bass_unit(G, g, M, k, m, cap=10**4):
     b = QGElement.one(G) - hm + mul(bass_unit(G, spec), hm)
     p = b
     for n in range(1, cap + 1):
-        if p.is_integral():
-            try:
-                inv = qg_inverse(p)
-            except NotInvertible:
-                inv = None
-            if inv is not None and inv.is_integral():
-                closed = (
-                    QGElement.one(G)
-                    - hm
-                    + mul(bass_unit(G, BassSpec(g=g, k=k, m=m * n)), hm)
-                )
-                if closed != p:
-                    raise ZgError("closed-form identity failed for a power")
-                return GenBassUnit(spec=spec, M=M, n_b=n, value=p)
+        if is_unit_of_zg(p):
+            closed = (
+                QGElement.one(G)
+                - hm
+                + mul(bass_unit(G, BassSpec(g=g, k=k, m=m * n)), hm)
+            )
+            if closed != p:
+                raise ZgError("closed-form identity failed for a power")
+            return GenBassUnit(spec=spec, M=M, n_b=n, value=p)
         p = mul(p, b)
     raise InternalBoundExceeded(f"no unit power found within {cap} steps")
 
@@ -198,8 +191,16 @@ def is_central_unit(v):
 @dataclass
 class CentralUnit:
     value: QGElement
+    inverse: QGElement  # integral, verified when the unit was built
     provenance: str
     inputs: dict = field(default_factory=dict)
+
+
+def _verified_unit(value, provenance, inputs):
+    inverse = zg_inverse(value) if is_central(value) else None
+    if inverse is None:
+        raise ZgError("construction output failed the central-unit check")
+    return CentralUnit(value, inverse, provenance, inputs)
 
 
 # -- the z- and c-constructions ------------------------------------------------
@@ -213,11 +214,8 @@ def _require_central_unit_of_subring(u, H, label):
     for h in H.gens or [0]:
         if u.conj(h) != u:
             raise PreconditionFailed(f"{label} is not central in the base subring")
-    try:
-        uinv = qg_inverse(u)
-    except NotInvertible:
-        raise PreconditionFailed(f"{label} is not invertible")
-    if not uinv.is_integral():
+    uinv = zg_inverse(u)
+    if uinv is None:
         raise PreconditionFailed(f"{label} is not a unit of the integral subring")
     return uinv
 
@@ -226,8 +224,8 @@ def _integer_multiple_of(p, w):
     """The integer c with p = c*w, or None."""
     if w.is_zero():
         return 0 if p.is_zero() else None
-    g0 = next(iter(w.coeffs))
-    c = p.coeffs.get(g0, Fraction(0)) / w.coeffs[g0]
+    g0 = w.support[0]
+    c = p.coeff(g0) / w.coeff(g0)
     if c.denominator != 1 or p != w.scale(c):
         return None
     return int(c)
@@ -265,12 +263,8 @@ def z_central_unit(u, pair):
         z = _ordered_product(
             G, [inner.conj(t) for t in pair.chain.transversals[i]]
         )
-    if not is_central_unit(z):
-        raise ZgError("construction output failed the central-unit check")
-    return CentralUnit(
-        value=z,
-        provenance="z-construction",
-        inputs={"pair": pair, "base_support": sorted(u.support)},
+    return _verified_unit(
+        z, "z-construction", {"pair": pair, "base_support": u.support}
     )
 
 
@@ -287,12 +281,8 @@ def c_central_unit(u, series, transversals=None):
         else:
             reps = right_transversal(steps[i], steps[i + 1])
         c = _ordered_product(H.parent, [c.conj(t) for t in reps])
-    if not is_central_unit(c):
-        raise ZgError("construction output failed the central-unit check")
-    return CentralUnit(
-        value=c,
-        provenance="c-construction",
-        inputs={"series_orders": [s.order for s in steps]},
+    return _verified_unit(
+        c, "c-construction", {"series_orders": [s.order for s in steps]}
     )
 
 
@@ -317,15 +307,20 @@ def central_character_value(G, pair, v, class_values=None, partition=None):
             induced_char_value(pair.lam, G, min(cl)) for cl in partition.classes
         ]
     total = Cyclotomic.zero(pair.lam.order)
-    for g, q in v.coeffs.items():
-        total = total + class_values[partition.class_of[g]] * q
+    for g in v.support:
+        total = total + class_values[partition.class_of[g]] * v.coeff(g)
     degree = class_values[partition.class_of[0]].as_rational()
     return total / degree
 
 
 def log_rank_witness(G, units, pairs, tolerance=1e-6):
     """Rank of the subgroup generated by `units` modulo torsion, measured
-    through archimedean log-embeddings of their central characters."""
+    through archimedean log-embeddings of their central characters.
+
+    Where |sigma(u)| < 1 its float value can be mostly cancellation noise,
+    so log|sigma(u)| is taken as -log|sigma(u^-1)| from the unit's
+    verified inverse.
+    """
     total = QGElement.zero(G)
     for p in pairs:
         total = total + p.pci
@@ -342,11 +337,14 @@ def log_rank_witness(G, units, pairs, tolerance=1e-6):
     for cu in units:
         row = []
         for p, cvals in zip(pairs, per_pair_values):
-            omega = central_character_value(
-                G, p, cu.value, class_values=cvals, partition=partition
-            )
-            for z in omega.embeddings():
-                row.append(math.log(abs(z)))
+
+            def abs_embeddings(v):
+                omega = central_character_value(G, p, v, cvals, partition)
+                return [abs(z) for z in omega.embeddings()]
+
+            zs = abs_embeddings(cu.value)
+            ws = abs_embeddings(cu.inverse) if min(zs) < 1 else zs
+            row += [math.log(z) if z >= 1 else -math.log(w) for z, w in zip(zs, ws)]
         rows.append(row)
     sv = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
     return int(np.sum(sv > tolerance))

@@ -1,10 +1,12 @@
 """Brute-force reference implementations that the tests compare against,
 and the corpus of groups they are compared on.
 
-They use `Cyclotomic` objects and Galois sums throughout and share no code
-with the integer character kernel in `zgcentral.shoda`: each pair gets its
-own linear character, built from a generating coset of H/K by walking
-powers.
+The character oracles use `Cyclotomic` objects and Galois sums throughout
+and share no code with the integer character kernel in `zgcentral.shoda`:
+each pair gets its own linear character, built from a generating coset of
+H/K by walking powers.  The group-algebra oracles work on sparse
+`{index: Fraction}` dicts with no stored zeros, the representation that
+`zgcentral.groupalgebra` used before its `(den, vec)` elements.
 """
 
 import json
@@ -13,7 +15,8 @@ from importlib import resources
 
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import Cyclotomic, cyc, galois_group
-from zgcentral.groupalgebra import QGElement, mul
+from zgcentral.errors import NotInvertible
+from zgcentral.groupalgebra import QGElement
 from zgcentral.groups import conjugacy_partition
 
 # catalog groups whose every Shoda pair is checked against the oracles
@@ -24,6 +27,85 @@ def paper9_pairs(G):
     """(H, K) of the nine pairs in paper9.json, in the order-1000 group G."""
     with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
         return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
+
+
+# -- QG elements as {index: Fraction} dicts --------------------------------------
+
+
+def as_dict(a):
+    """The coefficients of a QGElement as a {index: Fraction} dict."""
+    return {g: a.coeff(g) for g in a.support}
+
+
+def add(a, b):
+    out = dict(a)
+    for g, q in b.items():
+        out[g] = out.get(g, Fraction(0)) + q
+    return {g: q for g, q in out.items() if q}
+
+
+def conj(G, a, g):
+    """g^-1 * a * g."""
+    t = G.table
+    gi = int(G.inv[g])
+    return {int(t[t[gi, x], g]): q for x, q in a.items()}
+
+
+def mul(G, a, b):
+    """Convolution product, one Fraction product per pair of support
+    elements."""
+    acc = {}
+    for g, cg in a.items():
+        row = G.table[g]
+        for h, ch in b.items():
+            k = int(row[h])
+            acc[k] = acc.get(k, 0) + cg * ch
+    return {k: v for k, v in acc.items() if v}
+
+
+def minimal_polynomial(G, a):
+    """Monic minimal polynomial coefficients c_0..c_d (c_d = 1) of `a`, by
+    Gaussian elimination over Fractions on the powers of `a`."""
+    basis = []  # (pivot, vec dict, combo list)
+    power = {0: Fraction(1)}
+    for d in range(G.order + 1):
+        vec = dict(power)
+        combo = [Fraction(0)] * d + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            q = vec.get(pivot)
+            if q:
+                f = q / bvec[pivot]
+                for g, val in bvec.items():
+                    s = vec.get(g, Fraction(0)) - f * val
+                    if s:
+                        vec[g] = s
+                    else:
+                        vec.pop(g, None)
+                for i, val in enumerate(bcombo):
+                    combo[i] -= f * val
+        if not vec:
+            return combo
+        basis.append((min(vec), vec, combo))
+        power = mul(G, power, a)
+    raise AssertionError("a minimal polynomial has degree at most |G|")
+
+
+def inverse(G, a):
+    """a^-1 = -(c_1 + c_2 a + ... + a^(d-1)) / c_0 from the minimal
+    polynomial; NotInvertible for zero and for zero divisors."""
+    if not a:
+        raise NotInvertible("zero has no inverse")
+    c = minimal_polynomial(G, a)
+    if not c[0]:
+        raise NotInvertible("element is a zero divisor")
+    out, power = {}, {0: Fraction(1)}
+    for ci in c[1:]:
+        out = add(out, {g: ci * q for g, q in power.items()})
+        power = mul(G, power, a)
+    return {g: -q / c[0] for g, q in out.items()}
+
+
+# -- characters and idempotents -----------------------------------------------
 
 
 def trace_to_q(x):
@@ -85,9 +167,9 @@ def pci(G, H, K):
             for x in cl:
                 coeffs[int(G.inv[x])] = t / H.order
     a = QGElement(G, coeffs)
-    a2 = mul(a, a)
-    g0 = next(iter(a.coeffs))
-    r = a2.coeffs.get(g0, Fraction(0)) / a.coeffs[g0]
+    a2 = a * a
+    g0 = a.support[0]
+    r = a2.coeff(g0) / a.coeff(g0)
     assert r > 0 and a2 == a.scale(r), "induced character is not irreducible"
     return a.scale(1 / r)
 

@@ -178,7 +178,9 @@ def witness_units(G):
 
 def test_rank_witness():
     start = time.monotonic()
-    groups = [cyclic(n) for n in (5, 7, 8, 9, 11, 12, 15, 16)]
+    # in C21, C30 and C36 some |sigma(u)| are tiny, where float
+    # cancellation would add rank unless the witness reads the inverse
+    groups = [cyclic(n) for n in (5, 7, 8, 9, 11, 12, 15, 16, 21, 30, 36)]
     groups += [quaternion8(), dihedral(4)]
     for G in groups:
         holds, witness = check_cyclic_subnormal_hypothesis(G)

@@ -1,7 +1,10 @@
 """Group-algebra arithmetic: idempotents, products, inverses, center."""
 
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from zgcentral.catalog import cyclic, get_group, symmetric
 from zgcentral.errors import GroupMismatch, NotInvertible, NotNormal
 from zgcentral.groupalgebra import (
+    _INT64_BOUND,
     QGElement,
     ZGElement,
     center_basis,
@@ -20,6 +24,7 @@ from zgcentral.groupalgebra import (
     hat,
     is_central,
     is_idempotent,
+    minimal_polynomial,
     mul,
     qg_inverse,
 )
@@ -47,7 +52,7 @@ def test_hat_c2():
 
     C2 = cyclic(2)
     h = hat(C2.whole())
-    assert h.coeffs == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert [h.coeff(g) for g in range(2)] == [Fraction(1, 2), Fraction(1, 2)]
     assert is_idempotent(h)
 
 
@@ -260,3 +265,137 @@ def test_centralizer_matches_filter_on_sparse_elements(name, data):
     cl = data.draw(st.sampled_from(conjugacy_partition(G).classes))
     for b in (a, a + QGElement(G, {g: 1 for g in cl})):
         assert centralizer_of(b, G.whole()).members == filter_centralizer(b, G.whole())
+
+
+# -- the (den, vec) kernels against the Fraction-dict oracles -------------------
+
+CORPUS_GROUPS = {name: get_group(name) for name in ("S3", "D4", "Q8", "C12", "S4")}
+SMALL_GROUPS = ("S3", "D4", "Q8", "C6")
+BIG = _INT64_BOUND
+
+# small fractions, plus integers at the int64 bound of the representation
+coefficients = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([BIG - 1, -(BIG - 1), BIG, -BIG, 2**63, Fraction(BIG, 3)]),
+)
+
+
+def draw_element(data, G, coeffs=coefficients):
+    """A sparse (at most 6 terms) or a dense element of QG."""
+    if data.draw(st.booleans(), label="dense"):
+        values = data.draw(st.lists(coeffs, min_size=G.order, max_size=G.order))
+        return QGElement(G, dict(enumerate(values)))
+    return QGElement(
+        G, data.draw(st.dictionaries(st.integers(0, G.order - 1), coeffs, max_size=6))
+    )
+
+
+def assert_canonical(a):
+    """den > 0, gcd(den, vec) = 1, and int64 exactly when every entry fits."""
+    ints = a.vec.tolist()
+    assert a.den > 0 and gcd(a.den, *ints) == 1
+    fits = max(map(abs, ints)) < BIG
+    assert a.vec.dtype == (np.int64 if fits else object)
+    assert all(type(v) is int for v in ints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_linear_ops_match_oracle(name, data):
+    G = CORPUS_GROUPS[name]
+    a, b = draw_element(data, G), draw_element(data, G)
+    da, db = oracles.as_dict(a), oracles.as_dict(b)
+    minus_b = {g: -q for g, q in db.items()}
+    q = data.draw(coefficients)
+    for got, want in (
+        (a + b, oracles.add(da, db)),
+        (a - b, oracles.add(da, minus_b)),
+        (a.scale(q), {g: q * c for g, c in da.items() if q * c}),
+    ):
+        assert_canonical(got)
+        assert oracles.as_dict(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_mul_and_conj_match_oracle(name, data):
+    G = CORPUS_GROUPS[name]
+    a, b = draw_element(data, G), draw_element(data, G)
+    da, db = oracles.as_dict(a), oracles.as_dict(b)
+    ab = mul(a, b)
+    assert_canonical(ab)
+    assert oracles.as_dict(ab) == oracles.mul(G, da, db)
+    g = data.draw(st.integers(0, G.order - 1))
+    assert oracles.as_dict(a.conj(g)) == oracles.conj(G, da, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_equal_values_compare_and_hash_equal(name, data):
+    G = CORPUS_GROUPS[name]
+    a, b = draw_element(data, G), draw_element(data, G)
+    assert (a == b) == (oracles.as_dict(a) == oracles.as_dict(b))
+    # the same value reached by different routes
+    routes = [
+        QGElement(G, oracles.as_dict(a)),
+        (a + b) - b,
+        a.scale(2**70).scale(Fraction(1, 2**70)),
+        mul(a, QGElement.one(G)),
+        mul(QGElement.element(G, 0).scale(3), a).scale(Fraction(1, 3)),
+    ]
+    for r in routes:
+        assert_canonical(r)
+        assert r == a and hash(r) == hash(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_centralizer_matches_oracle_conj(name, data):
+    G = CORPUS_GROUPS[name]
+    a = draw_element(data, G)
+    da = oracles.as_dict(a)
+    want = {g for g in range(G.order) if oracles.conj(G, da, g) == da}
+    assert centralizer_of(a, G.whole()).members == want
+    assert is_central(a) == (len(want) == G.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_inverse_matches_oracle(name, data):
+    G = get_group(name)
+    # coefficients in {-2..2} make zero divisors common enough to test
+    a = draw_element(data, G, st.integers(-2, 2) | coefficients)
+    m, powers = minimal_polynomial(a)
+    assert [Fraction(x, m[-1]) for x in m] == oracles.minimal_polynomial(
+        G, oracles.as_dict(a)
+    )
+    assert powers == [a**i for i in range(len(m) - 1)]
+    try:
+        want = oracles.inverse(G, oracles.as_dict(a))
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            qg_inverse(a)
+        return
+    got = qg_inverse(a)
+    assert_canonical(got)
+    assert oracles.as_dict(got) == want
+
+
+def test_int64_bound_edge():
+    G = cyclic(3)
+    g, g2 = 1, G.mul(1, 1)
+    # entries of size BIG - 1 stay int64; one more and they leave it
+    a = QGElement(G, {0: BIG - 1, g: -(BIG - 1)})
+    assert a.vec.dtype == np.int64
+    assert QGElement(G, {0: BIG}).vec.dtype == object
+    assert (a + QGElement.one(G)).vec.dtype == object
+    # a product that overflows int64 takes the Python-int path exactly
+    sq = mul(a, a)
+    assert sq.vec.dtype == object
+    m = (BIG - 1) ** 2
+    assert [sq.coeff(x) for x in (0, g, g2)] == [m, -2 * m, m]
+    # dividing back out returns to int64, equal and hashing equal
+    back = sq.scale(Fraction(1, m))
+    b = QGElement(G, {0: 1, g: -2, g2: 1})
+    assert back.vec.dtype == np.int64
+    assert back == b and hash(back) == hash(b)

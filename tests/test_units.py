@@ -60,7 +60,7 @@ def test_bass_c5_coefficients(c5):
     u = bass_unit(c5, BassSpec(g=g, k=2, m=4))
     oracle = cyclic_poly_oracle(5, 2, 4)
     assert oracle == [-2, 1, 3, 1, -2]
-    got = [u.coeffs.get(c5.power(g, i), Fraction(0)) for i in range(5)]
+    got = [u.coeff(c5.power(g, i)) for i in range(5)]
     assert got == oracle
 
 
@@ -87,7 +87,7 @@ def test_bass_matches_cyclic_oracle():
         spec = next(s for s in bass_specs_for(G, 1) if s.k == k)
         u = bass_unit(G, spec)
         oracle = cyclic_poly_oracle(n, spec.k, spec.m)
-        assert [u.coeffs.get(G.power(1, i), Fraction(0)) for i in range(n)] == oracle
+        assert [u.coeff(G.power(1, i)) for i in range(n)] == oracle
 
 
 def test_ordered_product_empty_and_single(s3):
@@ -152,6 +152,7 @@ def test_c_on_d5(d5):
     u = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
     cu = c_central_unit(u, subnormal_series(H))
     assert is_central_unit(cu.value)
+    assert mul(cu.value, cu.inverse) == QGElement.one(d5)
 
 
 def test_c_transversal_invariance(d5):
@@ -209,6 +210,7 @@ def test_z_on_dihedral_pair(d5):
     u = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
     zu = z_central_unit(u, p)
     assert is_central_unit(zu.value)
+    assert mul(zu.value, zu.inverse) == QGElement.one(d5)
 
 
 def test_z_precondition_split_failure(d5):
@@ -234,7 +236,8 @@ def test_witness_identity_only(c5):
     pairs, _ = complete_irredundant_set(c5)
     from zgcentral.units import CentralUnit
 
-    units = [CentralUnit(value=QGElement.one(c5), provenance="product")]
+    one = QGElement.one(c5)
+    units = [CentralUnit(value=one, inverse=one, provenance="product")]
     assert log_rank_witness(c5, units, pairs) == 0
 
 
