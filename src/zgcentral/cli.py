@@ -19,6 +19,7 @@ from .catalog import catalog, get_group
 from .config import AnalysisConfig
 from .cyclotomic import euler_phi
 from .errors import ZgError
+from .groupalgebra import is_central
 from .groups import (
     group_from_cayley,
     group_from_pc_presentation,
@@ -33,7 +34,6 @@ from .units import (
     bass_unit,
     c_central_unit,
     central_character_value,
-    is_central_unit,
 )
 
 
@@ -202,7 +202,7 @@ def units_json(G, pairs, complete):
             row = {
                 "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
                 "support": len(cu.value.support),
-                "central_unit": is_central_unit(cu.value),
+                "central_unit": is_central(cu.value) and cu.value * cu.inverse == 1,
             }
             if complete:
                 row["omega"] = [

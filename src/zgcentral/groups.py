@@ -7,7 +7,6 @@ multiplication is a single lookup.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -24,8 +23,6 @@ from .errors import (
 
 MAX_ORDER = 2048
 
-_EXHAUSTIVE_ASSOC_LIMIT = 32
-
 # Most table entries gathered at once by the closure and centralizer kernels.
 _GATHER_BLOCK = 1 << 16
 
@@ -37,7 +34,7 @@ class FiniteGroup:
     orders, generators, conjugacy classes) is computed eagerly or cached.
     """
 
-    def __init__(self, table, labels=None, validate=True):
+    def __init__(self, table, labels=None):
         table = np.asarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("table is not square")
@@ -50,8 +47,7 @@ class FiniteGroup:
         self.table = table
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
-        if validate:
-            self._validate()
+        self._validate()
         self.inv = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
         self._generators = None
@@ -72,22 +68,17 @@ class FiniteGroup:
                 raise NotAGroup(f"row {a} is not a permutation")
             if len(set(t[:, a].tolist())) != n:
                 raise NotAGroup(f"column {a} is not a permutation")
-        if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-            for a, b, c in triples:
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise NotAGroup("associativity failure", witness=(a, b, c))
-        else:
-            # Light's test: associativity on all pairs against a generating
-            # set implies full associativity.
-            for g in self._greedy_generators():
-                left = t[t[:, g], :]
-                right = t[:, t[g, :]]
-                if not np.array_equal(left, right):
-                    a, b = np.argwhere(left != right)[0]
-                    raise NotAGroup(
-                        "associativity failure", witness=(int(a), int(g), int(b))
-                    )
+        # Light's test: if (x g) y = x (g y) for all x, y and every g in a
+        # generating set, the elements g with that property are closed
+        # under products, so the table is associative.
+        for g in self._greedy_generators():
+            left = t[t[:, g], :]
+            right = t[:, t[g, :]]
+            if not np.array_equal(left, right):
+                a, b = np.argwhere(left != right)[0]
+                raise NotAGroup(
+                    "associativity failure", witness=(int(a), int(g), int(b))
+                )
         for a in range(n):
             hits = np.flatnonzero(t[a] == 0)
             if hits.size != 1 or t[hits[0], a] != 0:
@@ -178,12 +169,6 @@ class FiniteGroup:
                 self._generators = [0]
         return self._generators
 
-    def word_power(self, a, k):
-        """a^k for possibly negative k."""
-        if k < 0:
-            return self.power(self.inv[a], -k)
-        return self.power(a, k)
-
     def whole(self):
         return Subgroup(self, frozenset(range(self.order)), gens=self.generators)
 
@@ -205,26 +190,11 @@ class Subgroup:
 
     __slots__ = ("parent", "members", "sorted_members", "_gens")
 
-    def __init__(self, parent, members, gens=None, check=False):
+    def __init__(self, parent, members, gens=None):
         self.parent = parent
         self.members = frozenset(int(m) for m in members)
         self.sorted_members = tuple(sorted(self.members))
         self._gens = list(gens) if gens is not None else None
-        if check and not self._is_closed():
-            raise NotSubgroup("member set is not closed")
-
-    def _is_closed(self):
-        t = self.parent.table
-        mem = self.members
-        if 0 not in mem:
-            return False
-        for a in mem:
-            if int(self.parent.inv[a]) not in mem:
-                return False
-            for b in mem:
-                if int(t[a, b]) not in mem:
-                    return False
-        return True
 
     @property
     def order(self):
@@ -282,7 +252,7 @@ def subgroup_closure(G, gens):
 
 def group_from_cayley(table, labels=None):
     """Validate a Cayley table and wrap it as a FiniteGroup."""
-    return FiniteGroup(table, labels=labels, validate=True)
+    return FiniteGroup(table, labels=labels)
 
 
 def perm_from_cycles(degree, cycles):
@@ -332,7 +302,7 @@ def group_from_permutations(degree, generators, cap=5000):
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             table[i, j] = index[tuple(q[x] for x in p)]
-    G = FiniteGroup(table, validate=True)
+    G = FiniteGroup(table)
     G.permutations = elements
     return G
 
@@ -475,7 +445,7 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
         parts = [f"x{i + 1}" + (f"^{t[i]}" if t[i] > 1 else "") for i in range(ngen) if t[i]]
         labels.append("*".join(parts) if parts else "1")
     try:
-        G = FiniteGroup(table, labels=labels, validate=True)
+        G = FiniteGroup(table, labels=labels)
     except NotAGroup as exc:
         raise InconsistentPresentation(f"collection is not confluent: {exc}") from exc
     G.pc_orders = tuple(orders)
@@ -533,13 +503,6 @@ def normalizer(H, within):
     return Subgroup(G, frozenset(mem))
 
 
-def centralizer_elem(g, within):
-    G = within.parent
-    t = G.table
-    mem = [x for x in within.members if t[x, g] == t[g, x]]
-    return Subgroup(G, frozenset(mem))
-
-
 def derived_subgroup(H):
     G = H.parent
     comms = {G.commutator(a, b) for a in H.members for b in H.members}
@@ -582,53 +545,56 @@ def right_transversal(H, within):
     return reps
 
 
-def quotient(H, K):
-    """Quotient group H/K with its projection map.
+def cyclic_coset_log(H, K):
+    """Discrete logs of the cosets of K in H, or None if H/K is not cyclic.
 
-    Returns (Q, proj) where Q is a FiniteGroup on coset indices and proj
-    maps each element of H to its coset index.  Raises NotNormal.
+    Tries the representatives r of right_transversal(K, H) in increasing
+    order; each is the smallest element of its coset.  For the first r
+    whose coset generates H/K, returns a length-|G| int64 array holding e
+    at every element of the coset K r^e, and -1 outside H.  Raises
+    NotSubgroup or NotNormal unless K is a normal subgroup of H.
     """
     G = H.parent
     if not K.members <= H.members:
         raise NotSubgroup("K is not contained in H")
     if not is_normal(K, H):
         raise NotNormal("K is not normal in H")
-    reps = right_transversal(K, H)
-    proj = {}
-    for i, r in enumerate(reps):
-        for k in K.members:
-            proj[G.mul(k, r)] = i
-    n = len(reps)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = proj[G.mul(a, b)]
-    Q = FiniteGroup(table, labels=[G.label(r) for r in reps], validate=True)
-    return Q, proj
+    t = G.table
+    n = H.order // K.order
+    ks = np.array(K.sorted_members, dtype=np.intp)
+    in_k = np.zeros(G.order, dtype=bool)
+    in_k[ks] = True
+    # a walk that covers every coset overwrites all of H, so one array
+    # serves every attempt
+    log = np.full(G.order, -1, dtype=np.int64)
+    for r in right_transversal(K, H):
+        x, e = 0, 0
+        while e == 0 or not in_k[x]:
+            log[t[ks, x]] = e
+            x = int(t[x, r])
+            e += 1
+        if e == n:
+            return log
+    return None
 
 
 def minimal_normal_overgroups(H, K):
     """All L with K < L, L normal in H, minimal with those properties.
 
-    Computed in the quotient H/K via the correspondence theorem.
+    By the correspondence theorem these are the minimal sets among the
+    normal closures in H of <K, r> over the coset representatives r of K
+    in H outside K.  Assumes K is normal in H.
     """
     G = H.parent
-    if H.members == K.members:
-        return []
-    Q, proj = quotient(H, K)
-    closures = {}
-    for q in range(1, Q.order):
-        N = normal_closure(subgroup_closure(Q, [q]), Q.whole())
-        closures[q] = N.members
-    mins = []
-    for q, mem in closures.items():
-        if not any(other < mem for other in closures.values()):
-            if mem not in mins:
-                mins.append(mem)
-    out = []
-    for mem in mins:
-        lifted = {g for g in H.members if proj[g] in mem}
-        out.append(Subgroup(G, frozenset(lifted)))
+    closures = set()
+    for r in right_transversal(K, H)[1:]:
+        N = normal_closure(subgroup_closure(G, [*K.gens, r]), H)
+        closures.add(N.members)
+    out = [
+        Subgroup(G, mem)
+        for mem in closures
+        if not any(other < mem for other in closures)
+    ]
     out.sort(key=lambda S: (S.order, S.sorted_members))
     return out
 

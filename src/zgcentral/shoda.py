@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclotomic import Cyclotomic, cyc, ramanujan_row
-from .errors import (
-    NotAGroup,
-    NotNormal,
-    NotShodaPair,
-    SearchBoundExceeded,
-)
+from .errors import NotShodaPair, SearchBoundExceeded
 from .groupalgebra import (
     QGElement,
     centralizer_of,
@@ -31,8 +26,8 @@ from .groupalgebra import (
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
+    cyclic_coset_log,
     is_normal,
-    quotient,
     right_transversal,
     subgroup_closure,
 )
@@ -68,26 +63,12 @@ def linear_character(H, K, t=1):
     of unity that generator maps to.
     """
     G = H.parent
-    Q, proj = quotient(H, K)
-    c = Q.order
-    if not Q.is_abelian() or max(Q.element_orders) != c:
+    log = cyclic_coset_log(H, K)
+    if log is None:
         raise NotShodaPair("H/K is not cyclic")
-    gen_q = None
-    for h in sorted(H.members):
-        if Q.element_orders[proj[h]] == c:
-            gen_q = proj[h]
-            break
-    # discrete logs of every coset with respect to the chosen generator,
-    # scaled by t so that they are exponents of zeta_c
-    log_q = {0: 0}
-    x, e = gen_q, 1
-    while x != 0:
-        log_q[x] = e * t % c
-        x = Q.mul(x, gen_q)
-        e += 1
-    coset_log = np.full(G.order, -1, dtype=np.int64)
-    for h in H.members:
-        coset_log[h] = log_q[proj[h]]
+    c = H.order // K.order
+    # scaled by t so that the logs are exponents of zeta_c
+    coset_log = np.where(log < 0, -1, log * t % c)
     coset_log.setflags(write=False)
     transversal = np.array(right_transversal(H, G.whole()), dtype=np.intp)
     transversal.setflags(write=False)
@@ -143,15 +124,9 @@ def induced_char_value(lam, G, g):
 def is_shoda_pair(G, H, K):
     """K normal in H with H/K cyclic, and every g with [H,g] cap H <= K
     already lies in H."""
-    if not K.members <= H.members:
+    if not (K.members <= H.members and is_normal(K, H)):
         return False
-    if not is_normal(K, H):
-        return False
-    try:
-        Q, _ = quotient(H, K)
-    except (NotNormal, NotAGroup):
-        return False
-    if not Q.is_abelian() or max(Q.element_orders) != Q.order:
+    if cyclic_coset_log(H, K) is None:
         return False
     hmem = H.members
     kmem = K.members
@@ -169,18 +144,12 @@ def is_shoda_pair(G, H, K):
 
 
 def is_strong_shoda_pair(G, H, K):
-    """H normal in the centralizer of epsilon(H,K), with distinct
-    conjugates of epsilon(H,K) mutually orthogonal."""
+    """A Shoda pair whose one-step chain H <= G verifies: H normal in the
+    centralizer of epsilon(H,K), with distinct conjugates of epsilon(H,K)
+    mutually orthogonal."""
     if not is_shoda_pair(G, H, K):
         return False
-    eps = epsilon(H, K)
-    cen = centralizer_of(eps, G.whole())
-    if not (H.members <= cen.members and is_normal(H, cen)):
-        return False
-    for d in conjugate_orbit(eps, G.whole()):
-        if d != eps and not mul(eps, d).is_zero():
-            return False
-    return True
+    return verify_chain(G, H, K, [H, G.whole()]) is not None
 
 
 # -- primitive central idempotents --------------------------------------------
@@ -375,7 +344,7 @@ def _classify(G, H, K, chain_steps, depth_cap, visit_cap, check, known=()):
         return None
     chain = verify_chain(G, H, K, chain_steps) if chain_steps else None
     if chain is not None:
-        strong = is_strong_shoda_pair(G, H, K)
+        strong = verify_chain(G, H, K, [H, G.whole()]) is not None
     else:
         try:
             chain = find_strong_inductive_chain(
@@ -386,14 +355,6 @@ def _classify(G, H, K, chain_steps, depth_cap, visit_cap, check, known=()):
         strong = chain is not None and chain.length == 1
     status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
     return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
-
-
-def classify_pair(G, H, K, chain_steps=None, depth_cap=8, visit_cap=10**5):
-    """Classify (H, K) and compute its idempotent; raises NotShodaPair.
-
-    A supplied chain (list of Subgroups) is verified before any search.
-    """
-    return _classify(G, H, K, chain_steps, depth_cap, visit_cap, check=True)
 
 
 def shoda_pair_candidates(G, subgroups=None, order_cap=200):

@@ -6,18 +6,30 @@ and share no code with the integer character kernel in `zgcentral.shoda`:
 each pair gets its own linear character, built from a generating coset of
 H/K by walking powers.  The group-algebra oracles work on sparse
 `{index: Fraction}` dicts with no stored zeros, the representation that
-`zgcentral.groupalgebra` used before its `(den, vec)` elements.
+`zgcentral.groupalgebra` used before its `(den, vec)` elements.  The coset
+oracles build H/K as a group of its own, with a projection map, the way
+`zgcentral` did before it read the cosets off G's table.
 """
 
 import json
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
+
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import Cyclotomic, cyc, galois_group
-from zgcentral.errors import NotInvertible
+from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup
 from zgcentral.groupalgebra import QGElement
-from zgcentral.groups import conjugacy_partition
+from zgcentral.groups import (
+    FiniteGroup,
+    Subgroup,
+    conjugacy_partition,
+    is_normal,
+    normal_closure,
+    right_transversal,
+    subgroup_closure,
+)
 
 # catalog groups whose every Shoda pair is checked against the oracles
 CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
@@ -27,6 +39,93 @@ def paper9_pairs(G):
     """(H, K) of the nine pairs in paper9.json, in the order-1000 group G."""
     with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
         return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
+
+
+# -- the quotient group H/K ----------------------------------------------------
+
+
+def quotient(H, K):
+    """Quotient group H/K with its projection map.
+
+    Returns (Q, proj) where Q is a FiniteGroup on coset indices and proj
+    maps each element of H to its coset index.  Raises NotNormal.
+    """
+    G = H.parent
+    if not K.members <= H.members:
+        raise NotSubgroup("K is not contained in H")
+    if not is_normal(K, H):
+        raise NotNormal("K is not normal in H")
+    reps = right_transversal(K, H)
+    proj = {}
+    for i, r in enumerate(reps):
+        for k in K.members:
+            proj[G.mul(k, r)] = i
+    n = len(reps)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            table[i, j] = proj[G.mul(a, b)]
+    Q = FiniteGroup(table, labels=[G.label(r) for r in reps])
+    return Q, proj
+
+
+def is_cyclic(Q):
+    return Q.is_abelian() and max(Q.element_orders) == Q.order
+
+
+def coset_log(H, K, t=1):
+    """{h: t * e mod [H:K]} for every h in H with Kh = K g^e, where g is
+    the smallest element of H whose coset generates H/K; None when H/K is
+    not cyclic."""
+    Q, proj = quotient(H, K)
+    c = Q.order
+    if not is_cyclic(Q):
+        return None
+    gen_q = next(proj[h] for h in sorted(H.members) if Q.element_orders[proj[h]] == c)
+    log_q = {0: 0}
+    x, e = gen_q, 1
+    while x != 0:
+        log_q[x] = e * t % c
+        x = Q.mul(x, gen_q)
+        e += 1
+    return {h: log_q[proj[h]] for h in H.members}
+
+
+def is_shoda_pair(G, H, K):
+    """K normal in H, H/K cyclic, and for every g outside H some
+    commutator [h, g] with h in H lies in H but not in K."""
+    if not (K.members <= H.members and is_normal(K, H)):
+        return False
+    if not is_cyclic(quotient(H, K)[0]):
+        return False
+    for g in set(range(G.order)) - H.members:
+        comms = {G.commutator(h, g) for h in H.members}
+        if not comms & (H.members - K.members):
+            return False
+    return True
+
+
+def minimal_normal_overgroups(H, K):
+    """Minimal normal subgroups of H/K, lifted to H."""
+    G = H.parent
+    if H.members == K.members:
+        return []
+    Q, proj = quotient(H, K)
+    closures = {}
+    for q in range(1, Q.order):
+        N = normal_closure(subgroup_closure(Q, [q]), Q.whole())
+        closures[q] = N.members
+    mins = []
+    for q, mem in closures.items():
+        if not any(other < mem for other in closures.values()):
+            if mem not in mins:
+                mins.append(mem)
+    out = []
+    for mem in mins:
+        lifted = {g for g in H.members if proj[g] in mem}
+        out.append(Subgroup(G, frozenset(lifted)))
+    out.sort(key=lambda S: (S.order, S.sorted_members))
+    return out
 
 
 # -- QG elements as {index: Fraction} dicts --------------------------------------

@@ -3,17 +3,19 @@
 import itertools
 import math
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zgcentral.catalog import cyclic, dihedral, get_group, paper_1000_86, symmetric
-from zgcentral.errors import NotAGroup, NotNormal, NotSubnormal
+from zgcentral.errors import NotAGroup, NotNormal, NotSubgroup, NotSubnormal
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
     check_cyclic_subnormal_hypothesis,
     conjugacy_partition,
+    cyclic_coset_log,
     derived_subgroup,
     group_from_cayley,
     group_from_pc_presentation,
@@ -23,7 +25,6 @@ from zgcentral.groups import (
     minimal_normal_overgroups,
     normalizer,
     perm_from_cycles,
-    quotient,
     subgroup_closure,
     subnormal_series,
 )
@@ -61,6 +62,24 @@ def test_corrupt_table_rejected(s3):
     with pytest.raises(NotAGroup) as err:
         group_from_cayley(table)
     assert err.value.reason
+
+
+def test_nonassociative_loop_rejected():
+    # a Latin square with identity 0 (a loop) whose product is not
+    # associative; only Light's test over the generators can reject it
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(NotAGroup) as err:
+        group_from_cayley(table)
+    assert err.value.reason == "associativity failure"
+    a, g, b = err.value.witness
+    t = table
+    assert t[t[a][g]][b] != t[a][t[g][b]]
 
 
 def test_perm_s3():
@@ -133,10 +152,14 @@ def test_derived_subgroup_s3(s3):
 
 def test_quotient_s3(s3):
     A3 = derived_subgroup(s3.whole())
-    Q, proj = quotient(s3.whole(), A3)
+    log = cyclic_coset_log(s3.whole(), A3).tolist()
+    assert sorted(log) == [0, 0, 0, 1, 1, 1]
+    assert all(log[k] == 0 for k in A3.members)
+    Q, proj = oracles.quotient(s3.whole(), A3)
     assert Q.order == 2
     for a in range(s3.order):
         for b in range(s3.order):
+            assert log[s3.mul(a, b)] == (log[a] + log[b]) % 2
             assert proj[s3.mul(a, b)] == Q.mul(proj[a], proj[b])
 
 
@@ -144,7 +167,12 @@ def test_quotient_requires_normal(s3):
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     H = subgroup_closure(s3, [refl])
     with pytest.raises(NotNormal):
-        quotient(s3.whole(), H)
+        cyclic_coset_log(s3.whole(), H)
+    with pytest.raises(NotNormal):
+        oracles.quotient(s3.whole(), H)
+    A3 = derived_subgroup(s3.whole())
+    with pytest.raises(NotSubgroup):
+        cyclic_coset_log(A3, H)
 
 
 def test_normalizer_of_reflection(s3):
@@ -295,7 +323,10 @@ def test_cyclic_quotients(n, data):
     G = cyclic(n)
     g = data.draw(st.integers(0, n - 1))
     H = subgroup_closure(G, [g])
-    Q, _ = quotient(G.whole(), H)
+    log = cyclic_coset_log(G.whole(), H)
+    assert (int(log.max()) + 1) * H.order == n
+    assert all(log[h] == 0 for h in H.members)
+    Q, _ = oracles.quotient(G.whole(), H)
     assert Q.order * H.order == n
 
 

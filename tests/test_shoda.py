@@ -1,9 +1,12 @@
 """Shoda-pair detection, idempotents, chains, complete sets."""
 
 from fractions import Fraction
+from math import gcd
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import CORPUS, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, symmetric
@@ -17,7 +20,15 @@ from zgcentral.groupalgebra import (
     is_idempotent,
     mul,
 )
-from zgcentral.groups import Subgroup, derived_subgroup, subgroup_closure
+from zgcentral.groups import (
+    Subgroup,
+    all_subgroups,
+    cyclic_coset_log,
+    derived_subgroup,
+    is_normal,
+    minimal_normal_overgroups,
+    subgroup_closure,
+)
 from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
@@ -101,6 +112,68 @@ def test_induced_value_off_conjugates(s3):
     lam = linear_character(A3, triv(s3))
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     assert induced_char_value(lam, s3, refl).is_zero()
+
+
+# -- cosets of K in H against the quotient-group oracles -------------------------
+
+COSET_GROUPS = ("S4", "D12", "Q16", "A4", "E8", "E25", "C60")
+
+
+def normal_pairs(G):
+    subs = all_subgroups(G)
+    return [(H, K) for H in subs for K in subs if K <= H and is_normal(K, H)]
+
+
+COSET_PAIRS = {name: normal_pairs(get_group(name)) for name in COSET_GROUPS}
+
+
+def check_against_oracles(G, H, K, t=1, shoda=True):
+    """The coset kernel and its three callers agree with the quotient
+    oracles on (H, K); returns whether H/K is cyclic."""
+    log = cyclic_coset_log(H, K)
+    expected = oracles.coset_log(H, K)
+    assert (log is None) == (expected is None)
+    if log is not None:
+        assert log.dtype.kind == "i"
+        assert {h: int(log[h]) for h in H.members} == expected
+        assert all(log[g] == -1 for g in range(G.order) if g not in H.members)
+        lam = linear_character(H, K, t)
+        c = H.order // K.order
+        assert lam.order == c
+        scaled = oracles.coset_log(H, K, t)
+        assert {h: int(lam.coset_log[h]) for h in H.members} == scaled
+        assert all(
+            lam.coset_log[g] == -1 for g in range(G.order) if g not in H.members
+        )
+    if shoda:
+        assert is_shoda_pair(G, H, K) == oracles.is_shoda_pair(G, H, K)
+    got = [L.members for L in minimal_normal_overgroups(H, K)]
+    assert got == [L.members for L in oracles.minimal_normal_overgroups(H, K)]
+    return log is not None
+
+
+@pytest.mark.parametrize("name", COSET_GROUPS)
+def test_coset_kernel_matches_oracles_on_every_normal_pair(name):
+    G = get_group(name)
+    cyclic_flags = [check_against_oracles(G, H, K) for H, K in COSET_PAIRS[name]]
+    if name in ("S4", "Q16", "E8", "E25"):
+        assert not all(cyclic_flags)  # non-cyclic H/K is covered
+
+
+def test_coset_kernel_matches_oracles_on_paper_pairs(paper1000):
+    for H, K in paper9_pairs(paper1000):
+        assert check_against_oracles(paper1000, H, K)
+        assert is_shoda_pair(paper1000, H, K)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(COSET_GROUPS), st.data())
+def test_linear_character_matches_oracle_for_every_root(name, data):
+    G = get_group(name)
+    H, K = data.draw(st.sampled_from(COSET_PAIRS[name]))
+    c = H.order // K.order
+    t = data.draw(st.sampled_from([t for t in range(1, c + 1) if gcd(t, c) == 1]))
+    check_against_oracles(G, H, K, t=t, shoda=False)
 
 
 # -- primitive central idempotents ---------------------------------------------
