@@ -3,10 +3,13 @@
 
 Loads the bundled candidate pair list, classifies each pair (strong /
 generalized strong), prints the per-pair rank contributions, and checks
-the total against the conjugacy-class-counting oracle.
+the total against the conjugacy-class-counting oracle.  Exits with
+status 1 when the set is incomplete, the total disagrees with the oracle,
+or a center-degree check fails.
 """
 
 import json
+import sys
 import time
 from importlib import resources
 
@@ -26,8 +29,10 @@ def main():
     report = rank_total(G, pairs, complete=complete)
     header = f"{'|H|':>5} {'|K|':>5} {'[H:K]':>6} {'status':>20} {'indices':>10} {'k':>2} {'term':>5}"
     print(header)
+    degrees_ok = True
     for t in report.terms:
         ok = verify_center_degree(G, t.pair)
+        degrees_ok = degrees_ok and ok
         print(
             f"{t.pair.H.order:>5} {t.pair.K.order:>5} {t.index_HK:>6} "
             f"{t.pair.status:>20} {'x'.join(map(str, t.chain_indices)):>10} "
@@ -35,7 +40,8 @@ def main():
         )
     print(f"total rank {report.total}, oracle {report.oracle_total}, agree={report.agree}")
     print(f"elapsed {time.monotonic() - start:.1f}s")
+    return 0 if complete and report.agree and degrees_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,6 +5,10 @@ vec[g] / den for a positive integer den and a length-|G| integer vector,
 with gcd(den, vec) = 1.  vec is int64 exactly when every entry is below
 _INT64_BOUND in absolute value, else a vector of Python ints; each
 operation picks its result's dtype from a bound on its operands.
+
+The idempotents hat(S) and epsilon(H, K) are built directly as such
+vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
+the cosets of K in H.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .cyclotomic import ramanujan_row
 from .errors import (
     GroupMismatch,
     NotCentral,
     NotIdempotent,
     NotInvertible,
-    NotNormal,
+    NotShodaPair,
 )
-from .groups import _GATHER_BLOCK, Subgroup, is_normal, minimal_normal_overgroups
+from .groups import _GATHER_BLOCK, Subgroup, cyclic_coset_log
 from .linalg import integer_rank
 
 # int64 results are used only while a bound on every entry stays below this
@@ -251,19 +256,21 @@ def hat(S):
 
 
 def epsilon(H, K):
-    """hat(K) when H = K, else the product of (hat(K) - hat(L)) over the
-    minimal normal subgroups L of H properly containing K."""
-    if not K.members <= H.members:
-        raise NotNormal("K is not contained in H")
-    if not is_normal(K, H):
-        raise NotNormal("K is not normal in H")
-    hk = hat(K)
-    if H.members == K.members:
-        return hk
-    out = QGElement.one(H.parent)
-    for L in minimal_normal_overgroups(H, K):
-        out = mul(out, hk - hat(L))
-    return out
+    """The idempotent of QH for the characters of H with kernel exactly K.
+
+    With n = [H:K] and H/K cyclic, it is the lift to H of the idempotent
+    of Q[H/K] for the faithful characters: its coefficient at h is
+    c_n(log h) / |H|, where log h is the discrete log of the coset Kh
+    (`cyclic_coset_log`) and c_n the Ramanujan sum.  Raises NotSubgroup
+    or NotNormal unless K is normal in H, NotShodaPair when H/K is not
+    cyclic.
+    """
+    log = cyclic_coset_log(H, K)
+    if log is None:
+        raise NotShodaPair("H/K is not cyclic")
+    # a trailing 0 so that log -1 (outside H) reads coefficient 0
+    ram = np.append(ramanujan_row(H.order // K.order), 0)
+    return _element(H.parent, H.order, ram[log])
 
 
 def conjugate_orbit(a, N):
@@ -281,17 +288,6 @@ def conjugate_orbit(a, N):
                 order.append(y)
                 frontier.append(y)
     return order
-
-
-def e_sum_conjugates(N, H, K):
-    """Sum of the distinct N-conjugates of epsilon(H, K)."""
-    if not H.members <= N.members:
-        raise NotNormal("H is not contained in the ambient subgroup")
-    eps = epsilon(H, K)
-    out = QGElement.zero(H.parent)
-    for x in conjugate_orbit(eps, N):
-        out = out + x
-    return out
 
 
 def is_idempotent(a):

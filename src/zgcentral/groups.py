@@ -50,7 +50,6 @@ class FiniteGroup:
         self._validate()
         self.inv = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
-        self._generators = None
         self._conjugacy = {}  # kind -> ConjugacyPartition
 
     # -- construction checks -------------------------------------------------
@@ -71,7 +70,8 @@ class FiniteGroup:
         # Light's test: if (x g) y = x (g y) for all x, y and every g in a
         # generating set, the elements g with that property are closed
         # under products, so the table is associative.
-        for g in self._greedy_generators():
+        self.generators = _subgroup_generators(self, range(n)) or [0]
+        for g in self.generators:
             left = t[t[:, g], :]
             right = t[:, t[g, :]]
             if not np.array_equal(left, right):
@@ -83,15 +83,6 @@ class FiniteGroup:
             hits = np.flatnonzero(t[a] == 0)
             if hits.size != 1 or t[hits[0], a] != 0:
                 raise NotAGroup(f"element {a} has no two-sided inverse")
-
-    def _greedy_generators(self):
-        gens = []
-        closed = {0}
-        while len(closed) < self.order:
-            g = min(set(range(self.order)) - closed)
-            gens.append(g)
-            closed = self._closure_members(closed | {g})
-        return gens
 
     def _closure_members(self, seed):
         """Member set of the subgroup generated by `seed` (always holds 0).
@@ -161,14 +152,6 @@ class FiniteGroup:
             return self.labels[a]
         return str(a)
 
-    @property
-    def generators(self):
-        if self._generators is None:
-            self._generators = self._greedy_generators()
-            if not self._generators:
-                self._generators = [0]
-        return self._generators
-
     def whole(self):
         return Subgroup(self, frozenset(range(self.order)), gens=self.generators)
 
@@ -203,7 +186,7 @@ class Subgroup:
     @property
     def gens(self):
         if self._gens is None:
-            self._gens = _subgroup_generators(self)
+            self._gens = _subgroup_generators(self.parent, self.members)
         return self._gens
 
     def __contains__(self, g):
@@ -229,12 +212,13 @@ class Subgroup:
         return f"Subgroup(order={self.order})"
 
 
-def _subgroup_generators(H):
-    G = H.parent
+def _subgroup_generators(G, members):
+    """Greedy generators of the subgroup of G with the given members: each
+    is the smallest member outside the closure of those before it."""
     gens = []
     closed = {0}
-    remaining = set(H.members)
-    while closed != H.members:
+    remaining = set(members)
+    while closed != remaining:
         g = min(remaining - closed)
         gens.append(g)
         closed = G._closure_members(closed | {g})
@@ -494,15 +478,6 @@ def is_normal(K, H):
     return True
 
 
-def normalizer(H, within):
-    G = H.parent
-    mem = []
-    for g in within.members:
-        if all(G.conj(h, g) in H.members for h in H.gens):
-            mem.append(g)
-    return Subgroup(G, frozenset(mem))
-
-
 def derived_subgroup(H):
     G = H.parent
     comms = {G.commutator(a, b) for a in H.members for b in H.members}
@@ -576,27 +551,6 @@ def cyclic_coset_log(H, K):
         if e == n:
             return log
     return None
-
-
-def minimal_normal_overgroups(H, K):
-    """All L with K < L, L normal in H, minimal with those properties.
-
-    By the correspondence theorem these are the minimal sets among the
-    normal closures in H of <K, r> over the coset representatives r of K
-    in H outside K.  Assumes K is normal in H.
-    """
-    G = H.parent
-    closures = set()
-    for r in right_transversal(K, H)[1:]:
-        N = normal_closure(subgroup_closure(G, [*K.gens, r]), H)
-        closures.add(N.members)
-    out = [
-        Subgroup(G, mem)
-        for mem in closures
-        if not any(other < mem for other in closures)
-    ]
-    out.sort(key=lambda S: (S.order, S.sorted_members))
-    return out
 
 
 # -- conjugacy ---------------------------------------------------------------

@@ -8,7 +8,9 @@ H/K by walking powers.  The group-algebra oracles work on sparse
 `{index: Fraction}` dicts with no stored zeros, the representation that
 `zgcentral.groupalgebra` used before its `(den, vec)` elements.  The coset
 oracles build H/K as a group of its own, with a projection map, the way
-`zgcentral` did before it read the cosets off G's table.
+`zgcentral` did before it read the cosets off G's table, and `epsilon`
+is the product over the minimal normal overgroups of K found in that
+quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
 """
 
 import json
@@ -20,7 +22,7 @@ import numpy as np
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import Cyclotomic, cyc, galois_group
 from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup
-from zgcentral.groupalgebra import QGElement
+from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groups import (
     FiniteGroup,
     Subgroup,
@@ -126,6 +128,25 @@ def minimal_normal_overgroups(H, K):
         out.append(Subgroup(G, frozenset(lifted)))
     out.sort(key=lambda S: (S.order, S.sorted_members))
     return out
+
+
+# -- the idempotents epsilon(H, K) and e(N, H, K) --------------------------------
+
+
+def epsilon(H, K):
+    """The product of (hat(K) - hat(L)) over the minimal normal subgroups
+    L of H properly containing K; hat(K) when H = K."""
+    hk = hat(K)
+    out = hk
+    for L in minimal_normal_overgroups(H, K):
+        out = out * (hk - hat(L))
+    return out
+
+
+def e_sum_conjugates(N, H, K):
+    """Sum of the distinct N-conjugates of epsilon(H, K)."""
+    eps = epsilon(H, K)
+    return sum({eps.conj(g) for g in N.members}, QGElement.zero(H.parent))
 
 
 # -- QG elements as {index: Fraction} dicts --------------------------------------

@@ -8,9 +8,10 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import e_sum_conjugates
 
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import GroupMismatch, NotInvertible, NotNormal
+from zgcentral.errors import GroupMismatch, NotInvertible, NotNormal, NotSubgroup
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
@@ -19,7 +20,6 @@ from zgcentral.groupalgebra import (
     center_component_dim,
     centralizer_of,
     conjugate_orbit,
-    e_sum_conjugates,
     epsilon,
     hat,
     is_central,
@@ -88,6 +88,8 @@ def test_epsilon_requires_normal(s3):
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     with pytest.raises(NotNormal):
         epsilon(s3.whole(), subgroup_closure(s3, [refl]))
+    with pytest.raises(NotSubgroup):
+        epsilon(derived_subgroup(s3.whole()), subgroup_closure(s3, [refl]))
 
 
 def test_e_sum_conjugates_s3(s3):

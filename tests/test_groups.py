@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zgcentral import groups
 from zgcentral.catalog import cyclic, dihedral, get_group, paper_1000_86, symmetric
 from zgcentral.errors import NotAGroup, NotNormal, NotSubgroup, NotSubnormal
 from zgcentral.groups import (
@@ -22,8 +23,6 @@ from zgcentral.groups import (
     group_from_permutations,
     is_normal,
     is_subnormal,
-    minimal_normal_overgroups,
-    normalizer,
     perm_from_cycles,
     subgroup_closure,
     subnormal_series,
@@ -46,6 +45,7 @@ def test_trivial_cayley():
     G = group_from_cayley([[0]])
     assert G.order == 1
     assert G.element_orders == [1]
+    assert G.generators == [0]
 
 
 def test_c2_cayley():
@@ -80,6 +80,21 @@ def test_nonassociative_loop_rejected():
     a, g, b = err.value.witness
     t = table
     assert t[t[a][g]][b] != t[a][t[g][b]]
+
+
+def test_construction_computes_generators_once(s3, monkeypatch):
+    greedy = groups._subgroup_generators
+    calls = []
+
+    def counted(G, members):
+        calls.append(G)
+        return greedy(G, members)
+
+    monkeypatch.setattr(groups, "_subgroup_generators", counted)
+    G = group_from_cayley(s3.table)
+    assert len(calls) == 1
+    assert G.whole().gens == G.generators == greedy(G, range(G.order))
+    assert len(calls) == 1
 
 
 def test_perm_s3():
@@ -175,26 +190,20 @@ def test_quotient_requires_normal(s3):
         cyclic_coset_log(A3, H)
 
 
-def test_normalizer_of_reflection(s3):
-    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
-    H = subgroup_closure(s3, [refl])
-    assert normalizer(H, s3.whole()).members == H.members
-
-
 def test_minimal_normal_overgroups_trivial_case(c4):
     H = c4.whole()
-    assert minimal_normal_overgroups(H, H) == []
+    assert oracles.minimal_normal_overgroups(H, H) == []
 
 
 def test_minimal_normal_overgroups_c4(c4):
     g2 = next(g for g in range(4) if c4.element_orders[g] == 2)
-    out = minimal_normal_overgroups(c4.whole(), Subgroup(c4, {0}))
+    out = oracles.minimal_normal_overgroups(c4.whole(), Subgroup(c4, {0}))
     assert len(out) == 1 and out[0].members == {0, g2}
 
 
 def test_minimal_normal_overgroups_a3(s3):
     A3 = derived_subgroup(s3.whole())
-    out = minimal_normal_overgroups(A3, Subgroup(s3, {0}))
+    out = oracles.minimal_normal_overgroups(A3, Subgroup(s3, {0}))
     assert len(out) == 1 and out[0].members == A3.members
 
 

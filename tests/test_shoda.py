@@ -7,14 +7,14 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CORPUS, paper9_pairs
+from oracles import CORPUS, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, symmetric
 from zgcentral.cyclotomic import Cyclotomic, cyc
 from zgcentral.errors import NotShodaPair
 from zgcentral.groupalgebra import (
     QGElement,
-    e_sum_conjugates,
+    epsilon,
     hat,
     is_central,
     is_idempotent,
@@ -26,7 +26,6 @@ from zgcentral.groups import (
     cyclic_coset_log,
     derived_subgroup,
     is_normal,
-    minimal_normal_overgroups,
     subgroup_closure,
 )
 from zgcentral.shoda import (
@@ -145,10 +144,13 @@ def check_against_oracles(G, H, K, t=1, shoda=True):
         assert all(
             lam.coset_log[g] == -1 for g in range(G.order) if g not in H.members
         )
+    if log is None:
+        with pytest.raises(NotShodaPair):
+            epsilon(H, K)
+    else:
+        assert epsilon(H, K) == oracles.epsilon(H, K)
     if shoda:
         assert is_shoda_pair(G, H, K) == oracles.is_shoda_pair(G, H, K)
-    got = [L.members for L in minimal_normal_overgroups(H, K)]
-    assert got == [L.members for L in oracles.minimal_normal_overgroups(H, K)]
     return log is not None
 
 
@@ -164,6 +166,13 @@ def test_coset_kernel_matches_oracles_on_paper_pairs(paper1000):
     for H, K in paper9_pairs(paper1000):
         assert check_against_oracles(paper1000, H, K)
         assert is_shoda_pair(paper1000, H, K)
+
+
+@pytest.mark.parametrize("name", ["Q8", "E4"])
+def test_epsilon_rejects_non_cyclic_quotient(name):
+    G = get_group(name)
+    with pytest.raises(NotShodaPair):
+        epsilon(G.whole(), triv(G))
 
 
 @settings(max_examples=80, deadline=None)
