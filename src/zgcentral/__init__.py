@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .catalog import catalog, get_group
 from .config import AnalysisConfig
-from .cyclotomic import Cyclotomic, GaloisMap, cyc, euler_phi, galois_group
+from .cyclotomic import Cyclotomic, euler_phi
 from .groupalgebra import QGElement, ZGElement, epsilon, hat
 from .groups import (
     FiniteGroup,

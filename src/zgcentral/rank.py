@@ -15,9 +15,9 @@ import numpy as np
 
 from .cyclotomic import euler_phi, reduction_matrix
 from .errors import DivisibilityViolation, IncompleteSet
-from .groupalgebra import QGElement, center_component_dim
+from .groupalgebra import center_component_dim
 from .groups import conjugacy_partition
-from .shoda import induced_counts
+from .shoda import induced_counts, is_complete
 
 
 @dataclass
@@ -80,10 +80,7 @@ def rank_term(G, pair):
 def rank_total(G, pairs, complete=None):
     """Sum of rank terms over a complete irredundant set, with oracle."""
     if complete is None:
-        total = QGElement.zero(G)
-        for p in pairs:
-            total = total + p.pci
-        complete = total == QGElement.one(G)
+        complete = is_complete(G, pairs)
     if not complete:
         raise IncompleteSet("pair set does not cover the group algebra")
     terms = [rank_term(G, p) for p in pairs]

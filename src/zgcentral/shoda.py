@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, cyc, ramanujan_row
+from .cyclotomic import ramanujan_row
 from .errors import NotShodaPair, SearchBoundExceeded
 from .groupalgebra import (
     QGElement,
@@ -50,9 +50,6 @@ class LinearCharacter:
     order: int  # [H:K]
     coset_log: np.ndarray
     transversal: np.ndarray
-
-    def value(self, h):
-        return cyc(self.order, int(self.coset_log[h]))
 
 
 def linear_character(H, K, t=1):
@@ -108,14 +105,6 @@ def induced_counts(lam, G, cols):
         block = np.bincount(slots.ravel(), minlength=w * (n + 1))
         counts[j : j + w] = block.reshape(w, n + 1)
     return counts[:, :n]
-
-
-def induced_char_value(lam, G, g):
-    """Value at g of the character of G induced from `lam` on H."""
-    row = induced_counts(lam, G, [g])[0]
-    return Cyclotomic.from_powers(
-        lam.order, {k: int(c) for k, c in enumerate(row.tolist()) if c}
-    )
 
 
 # -- Shoda conditions ---------------------------------------------------------
@@ -398,7 +387,10 @@ def complete_irredundant_set(
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)
-    total = QGElement.zero(G)
-    for pair in kept:
-        total = total + pair.pci
-    return kept, total == QGElement.one(G)
+    return kept, is_complete(G, kept)
+
+
+def is_complete(G, pairs):
+    """True when the pairs' idempotents sum to 1, so that their simple
+    components cover QG."""
+    return sum((p.pci for p in pairs), QGElement.zero(G)) == QGElement.one(G)

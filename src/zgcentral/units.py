@@ -4,20 +4,28 @@ up into the center of ZG.
 
 The z-construction walks a strong inductive chain, conjugate-averaging
 over the level centralizers; the c-construction walks a subnormal series,
-conjugate-averaging over transversals.  A numerical log-embedding witness
-measures the multiplicative rank of a set of central units.
+conjugate-averaging over transversals.  Both carry the inverse of their
+product, the reversed product of the conjugated inverses, and check it
+with one multiplication.
+
+A numerical log-embedding witness measures the multiplicative rank of a
+set of central units.  The central character value it embeds is exact
+and integral until one final division: the unit's numerators summed per
+conjugacy class, times each pair's induced-character rows reduced mod
+Phi_n, over the unit's denominator times [G:H].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, reduction_matrix
 from .errors import (
     BadCongruence,
     IncompleteSet,
@@ -37,7 +45,7 @@ from .groupalgebra import (
     zg_inverse,
 )
 from .groups import conjugacy_partition, is_normal, right_transversal
-from .shoda import induced_char_value
+from .shoda import induced_counts, is_complete
 
 
 @dataclass(frozen=True)
@@ -196,9 +204,16 @@ class CentralUnit:
     inputs: dict = field(default_factory=dict)
 
 
-def _verified_unit(value, provenance, inputs):
-    inverse = zg_inverse(value) if is_central(value) else None
-    if inverse is None:
+def _verified_unit(value, inverse, provenance, inputs):
+    """Wrap a construction's output once it is integral and central and
+    its carried inverse is integral with value * inverse = 1."""
+    G = value.group
+    if not (
+        value.is_integral()
+        and inverse.is_integral()
+        and is_central(value)
+        and mul(value, inverse) == QGElement.one(G)
+    ):
         raise ZgError("construction output failed the central-unit check")
     return CentralUnit(value, inverse, provenance, inputs)
 
@@ -251,20 +266,23 @@ def z_central_unit(u, pair):
             raise PreconditionFailed(
                 f"{label} does not split as Z(1-e) + (subring)e"
             )
-    z = u
+    # the inverse of an ordered product is the reversed product of the
+    # inverses, and (z^m)^-1 = (z^-1)^m
+    z, zinv = u, uinv
     for i in range(pair.chain.length):
         base = pair.chain.steps[i]
         cen = pair.chain.centralizers[i]
         if any(z.conj(h) != z for h in base.gens or [0]):
             raise PreconditionFailed("intermediate value lost centrality")
-        inner = _ordered_product(
-            G, [(z**base.order).conj(d) for d in right_transversal(base, cen)]
-        )
-        z = _ordered_product(
-            G, [inner.conj(t) for t in pair.chain.transversals[i]]
-        )
+        reps = right_transversal(base, cen)
+        zm, zm_inv = z**base.order, zinv**base.order
+        inner = _ordered_product(G, [zm.conj(d) for d in reps])
+        inner_inv = _ordered_product(G, [zm_inv.conj(d) for d in reversed(reps)])
+        ts = pair.chain.transversals[i]
+        z = _ordered_product(G, [inner.conj(t) for t in ts])
+        zinv = _ordered_product(G, [inner_inv.conj(t) for t in reversed(ts)])
     return _verified_unit(
-        z, "z-construction", {"pair": pair, "base_support": u.support}
+        z, zinv, "z-construction", {"pair": pair, "base_support": u.support}
     )
 
 
@@ -273,16 +291,17 @@ def c_central_unit(u, series, transversals=None):
     transversal products; independent of the transversal choices."""
     steps = series.steps
     H = steps[0]
-    _require_central_unit_of_subring(u, H, "u")
-    c = u
+    uinv = _require_central_unit_of_subring(u, H, "u")
+    c, cinv = u, uinv
     for i in range(len(steps) - 1):
         if transversals is not None:
             reps = transversals[i]
         else:
             reps = right_transversal(steps[i], steps[i + 1])
         c = _ordered_product(H.parent, [c.conj(t) for t in reps])
+        cinv = _ordered_product(H.parent, [cinv.conj(t) for t in reversed(reps)])
     return _verified_unit(
-        c, "c-construction", {"series_orders": [s.order for s in steps]}
+        c, cinv, "c-construction", {"series_orders": [s.order for s in steps]}
     )
 
 
@@ -297,20 +316,32 @@ def random_right_transversal(H, within, rng):
 # -- numerical rank witness ----------------------------------------------------
 
 
-def central_character_value(G, pair, v, class_values=None, partition=None):
-    """The scalar by which v acts on the pair's simple component:
-    sum of coeff_v(g) * induced(g), divided by the character degree."""
-    if partition is None:
-        partition = conjugacy_partition(G, "ordinary")
-    if class_values is None:
-        class_values = [
-            induced_char_value(pair.lam, G, min(cl)) for cl in partition.classes
-        ]
-    total = Cyclotomic.zero(pair.lam.order)
-    for g in v.support:
-        total = total + class_values[partition.class_of[g]] * v.coeff(g)
-    degree = class_values[partition.class_of[0]].as_rational()
-    return total / degree
+def _class_sums(v):
+    """v's integer numerators summed over each ordinary class, as Python ints."""
+    vals = v.vec.tolist()
+    classes = conjugacy_partition(v.group, "ordinary").classes
+    return np.array([sum(vals[g] for g in cl) for cl in classes], dtype=object)
+
+
+def _class_value_rows(G, lam):
+    """Row c: the character induced from `lam`, at ordinary class c, on the
+    power basis of Q(zeta_n): its exponent count row reduced mod Phi_n."""
+    reps = [min(cl) for cl in conjugacy_partition(G, "ordinary").classes]
+    counts = induced_counts(lam, G, reps)
+    return (counts @ reduction_matrix(lam.order)).astype(object)
+
+
+def _omega(lam, value_rows, sums, den):
+    """sum_g v(g) chi(g) / chi(1) for v = vec / den with class sums `sums`
+    of vec, where chi(1) = [G:H] is the size of lam's transversal."""
+    q = den * lam.transversal.size
+    return Cyclotomic(lam.order, tuple(Fraction(x, q) for x in sums @ value_rows))
+
+
+def central_character_value(G, pair, v):
+    """The scalar by which v acts on the pair's simple component: the
+    induced character chi summed against v's coefficients, over chi(1)."""
+    return _omega(pair.lam, _class_value_rows(G, pair.lam), _class_sums(v), v.den)
 
 
 def log_rank_witness(G, units, pairs, tolerance=1e-6):
@@ -321,29 +352,24 @@ def log_rank_witness(G, units, pairs, tolerance=1e-6):
     so log|sigma(u)| is taken as -log|sigma(u^-1)| from the unit's
     verified inverse.
     """
-    total = QGElement.zero(G)
-    for p in pairs:
-        total = total + p.pci
-    if total != QGElement.one(G):
+    if not is_complete(G, pairs):
         raise IncompleteSet("pair set does not cover the group algebra")
     if not units:
         return 0
-    partition = conjugacy_partition(G, "ordinary")
-    per_pair_values = [
-        [induced_char_value(p.lam, G, min(cl)) for cl in partition.classes]
-        for p in pairs
-    ]
+    chars = [(p.lam, _class_value_rows(G, p.lam)) for p in pairs]
     rows = []
     for cu in units:
+        sums = _class_sums(cu.value)
+        inv_sums = _class_sums(cu.inverse)
         row = []
-        for p, cvals in zip(pairs, per_pair_values):
+        for lam, value_rows in chars:
 
-            def abs_embeddings(v):
-                omega = central_character_value(G, p, v, cvals, partition)
+            def abs_embeddings(s, den):
+                omega = _omega(lam, value_rows, s, den)
                 return [abs(z) for z in omega.embeddings()]
 
-            zs = abs_embeddings(cu.value)
-            ws = abs_embeddings(cu.inverse) if min(zs) < 1 else zs
+            zs = abs_embeddings(sums, cu.value.den)
+            ws = abs_embeddings(inv_sums, cu.inverse.den) if min(zs) < 1 else zs
             row += [math.log(z) if z >= 1 else -math.log(w) for z, w in zip(zs, ws)]
         rows.append(row)
     sv = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)

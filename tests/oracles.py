@@ -1,10 +1,13 @@
 """Brute-force reference implementations that the tests compare against,
 and the corpus of groups they are compared on.
 
-The character oracles use `Cyclotomic` objects and Galois sums throughout
-and share no code with the integer character kernel in `zgcentral.shoda`:
-each pair gets its own linear character, built from a generating coset of
-H/K by walking powers.  The group-algebra oracles work on sparse
+The character oracles use `Cyclotomic` values with Fraction field
+arithmetic and Galois sums throughout, reduced modulo Phi_n by long
+division, and share no code with the integer character kernel in
+`zgcentral.shoda` and `zgcentral.cyclotomic.reduction_matrix`: each pair
+gets its own linear character, built from a generating coset of H/K by
+walking powers, and the central character value is summed one field
+product per support element.  The group-algebra oracles work on sparse
 `{index: Fraction}` dicts with no stored zeros, the representation that
 `zgcentral.groupalgebra` used before its `(den, vec)` elements.  The coset
 oracles build H/K as a group of its own, with a projection map, the way
@@ -14,14 +17,23 @@ quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
 """
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import numpy as np
 
 from zgcentral.cli import parse_pairs_file
-from zgcentral.cyclotomic import Cyclotomic, cyc, galois_group
-from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup
+from zgcentral import cyclotomic
+from zgcentral.cyclotomic import cyclotomic_polynomial
+from zgcentral.errors import (
+    BadExponent,
+    DivisionByZero,
+    NotInvertible,
+    NotNormal,
+    NotSubgroup,
+)
 from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groups import (
     FiniteGroup,
@@ -41,6 +53,211 @@ def paper9_pairs(G):
     """(H, K) of the nine pairs in paper9.json, in the order-1000 group G."""
     with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
         return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
+
+
+# -- Q(zeta_n) with its Fraction field arithmetic --------------------------------
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _reduce_mod_phi(n, dense):
+    """Power-basis coefficients of sum dense[k] * zeta_n^k, by long
+    division by the monic Phi_n."""
+    phin = cyclotomic_polynomial(n)
+    phi = len(phin) - 1
+    dense = list(dense) + [Fraction(0)] * max(0, phi - len(dense))
+    for k in range(len(dense) - 1, phi - 1, -1):
+        q = dense[k]
+        if q:
+            for i, a in enumerate(phin):
+                dense[k - phi + i] -= q * a
+    return dense[:phi]
+
+
+def _poly_mul_frac(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+class Cyclotomic(cyclotomic.Cyclotomic):
+    """The library's exact value of Q(zeta_n), with field arithmetic:
+    mixed conductors are lifted to the lcm, and equality compares the
+    lifted coefficients."""
+
+    @classmethod
+    def from_powers(cls, n, powers):
+        """Sum of coeff * zeta_n^k for {k: coeff} in `powers`."""
+        dense = [Fraction(0)] * n
+        for k, coeff in powers.items():
+            dense[k % n] += Fraction(coeff)
+        return cls(n, tuple(_reduce_mod_phi(n, dense)))
+
+    @classmethod
+    def rational(cls, q, n=1):
+        return cls.from_powers(n, {0: q})
+
+    @classmethod
+    def zero(cls, n=1):
+        return cls.rational(0, n)
+
+    def lift(self, N):
+        """The same value in Q(zeta_N); n must divide N."""
+        if N == self.n:
+            return self
+        if N % self.n != 0:
+            raise ValueError(f"cannot lift conductor {self.n} into {N}")
+        step = N // self.n
+        powers = {i * step: q for i, q in enumerate(self.c) if q}
+        return self.from_powers(N, powers)
+
+    def _pair(self, other):
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.rational(other)
+        N = self.n * other.n // gcd(self.n, other.n)
+        return self.lift(N), other.lift(N)
+
+    def is_zero(self):
+        return all(q == 0 for q in self.c)
+
+    def as_rational(self):
+        """The value as a Fraction, or None if it is irrational."""
+        if any(q for q in self.c[1:]):
+            return None
+        return self.c[0]
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return Cyclotomic(a.n, tuple(x + y for x, y in zip(a.c, b.c)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclotomic(self.n, tuple(-x for x in self.c))
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return Cyclotomic(a.n, tuple(x - y for x, y in zip(a.c, b.c)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        prod = _poly_mul_frac(list(a.c), list(b.c))
+        return Cyclotomic.from_powers(a.n, dict(enumerate(prod)))
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        """Multiplicative inverse via the extended Euclidean algorithm."""
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        r1 = _trim(list(self.c))
+        # xgcd(a, Phi_n) over Q[x]: find s with s*a == gcd (a unit) mod Phi_n
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q = []
+            rem = list(r0)
+            while len(rem) >= len(r1) and rem:
+                factor = rem[-1] / r1[-1]
+                deg = len(rem) - len(r1)
+                while len(q) <= deg:
+                    q.append(Fraction(0))
+                q[deg] += factor
+                for j, y in enumerate(r1):
+                    rem[deg + j] -= factor * y
+                _trim(rem)
+            r0, r1 = r1, rem
+            qs1 = _poly_mul_frac(q, s1)
+            news = [Fraction(0)] * max(len(s0), len(qs1))
+            for i, v in enumerate(s0):
+                news[i] += v
+            for i, v in enumerate(qs1):
+                news[i] -= v
+            s0, s1 = s1, _trim(news)
+        if len(r0) != 1:
+            raise DivisionByZero("element is a zero divisor in the chosen basis")
+        g = r0[0]
+        return Cyclotomic.from_powers(self.n, {i: v / g for i, v in enumerate(s0)})
+
+    def __truediv__(self, other):
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.rational(other)
+        return self * other.inv()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = Cyclotomic.rational(1, self.n)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        try:
+            a, b = self._pair(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return a.c == b.c
+
+    # equality lifts conductors, so coefficient-based hashing would be unsound
+    __hash__ = None
+
+    def galois(self, m):
+        """Image under zeta_n -> zeta_n^m; requires gcd(m, n) = 1."""
+        if gcd(m, self.n) != 1:
+            raise BadExponent(f"gcd({m}, {self.n}) != 1")
+        return Cyclotomic.from_powers(
+            self.n, {(i * m) % self.n: q for i, q in enumerate(self.c) if q}
+        )
+
+    def conjugate(self):
+        return self.galois(self.n - 1)
+
+    def is_real(self):
+        return self == self.conjugate()
+
+
+def cyc(n, k=1, coeff=1):
+    """coeff * zeta_n^k."""
+    return Cyclotomic.from_powers(n, {k: coeff})
+
+
+@dataclass(frozen=True)
+class GaloisMap:
+    """The automorphism of Q(zeta_n) sending zeta_n to zeta_n^m."""
+
+    n: int
+    m: int
+
+    def __post_init__(self):
+        if gcd(self.m, self.n) != 1:
+            raise BadExponent(f"gcd({self.m}, {self.n}) != 1")
+
+    def __call__(self, x):
+        return galois_apply(self, x)
+
+
+def galois_apply(sigma, x):
+    if x.n != sigma.n:
+        if sigma.n % x.n != 0:
+            raise ValueError("conductor of value does not divide the map's")
+        x = x.lift(sigma.n)
+    return x.galois(sigma.m)
+
+
+def galois_group(n):
+    """All automorphisms of Q(zeta_n)/Q; has euler_phi(n) elements."""
+    return [GaloisMap(n, m) for m in range(1, n + 1) if gcd(m, n) == 1]
 
 
 # -- the quotient group H/K ----------------------------------------------------
@@ -297,3 +514,16 @@ def pci(G, H, K):
 def k_of_pair(G, H, K):
     """1 if every induced character value is real, else 2."""
     return 1 if all(v.is_real() for _, v in class_values(G, H, K)) else 2
+
+
+def central_character_value(G, H, K, v):
+    """The scalar by which v acts on the component of (H, K): the induced
+    character at each support element times its coefficient, summed one
+    field product at a time, over the character degree."""
+    values = {}
+    for cl, x in class_values(G, H, K):
+        values.update(dict.fromkeys(cl, x))
+    total = Cyclotomic.zero(H.order // K.order)
+    for g in v.support:
+        total = total + values[g] * v.coeff(g)
+    return total / values[0]

@@ -1,20 +1,23 @@
-"""Exact cyclotomic arithmetic, Galois action, realness, embeddings."""
+"""The integer cyclotomic kernels, and the Fraction field arithmetic of
+the test oracles (Galois action, realness, embeddings) that checks them."""
 
 from fractions import Fraction
 
 import pytest
-from oracles import trace_to_q
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from zgcentral.cyclotomic import (
+from oracles import (
     Cyclotomic,
     GaloisMap,
     cyc,
-    cyclotomic_polynomial,
-    euler_phi,
     galois_apply,
     galois_group,
+    trace_to_q,
+)
+
+from zgcentral.cyclotomic import (
+    cyclotomic_polynomial,
+    euler_phi,
     ramanujan_row,
     reduction_matrix,
 )

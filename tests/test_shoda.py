@@ -7,10 +7,9 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CORPUS, e_sum_conjugates, paper9_pairs
+from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.cyclotomic import Cyclotomic, cyc
 from zgcentral.errors import NotShodaPair
 from zgcentral.groupalgebra import (
     QGElement,
@@ -31,7 +30,7 @@ from zgcentral.groups import (
 from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
-    induced_char_value,
+    induced_counts,
     is_shoda_pair,
     is_strong_shoda_pair,
     linear_character,
@@ -84,33 +83,42 @@ def test_strong_in_abelian(c4):
 # -- characters ----------------------------------------------------------------
 
 
+def induced_value(lam, G, g):
+    """The induced character at g, as the field sum of its count row."""
+    row = induced_counts(lam, G, [g])[0].tolist()
+    return Cyclotomic.from_powers(lam.order, dict(enumerate(row)))
+
+
 def test_linear_character_multiplicative(s3):
     A3 = derived_subgroup(s3.whole())
     lam = linear_character(A3, triv(s3))
+    log = lam.coset_log
     for a in A3.members:
         for b in A3.members:
-            assert lam.value(s3.mul(a, b)) == lam.value(a) * lam.value(b)
-    assert all(lam.value(k) == Cyclotomic.rational(1) for k in (0,))
+            assert cyc(3, int(log[s3.mul(a, b)])) == cyc(3, int(log[a])) * cyc(
+                3, int(log[b])
+            )
+    assert log[0] == 0
 
 
 def test_trivial_character_induction(s3):
     lam = linear_character(s3.whole(), s3.whole())
-    for g in range(6):
-        assert induced_char_value(lam, s3, g) == Cyclotomic.rational(1)
+    assert induced_counts(lam, s3, range(6)).tolist() == [[1]] * 6
 
 
 def test_induced_value_on_three_cycle(s3):
     A3 = derived_subgroup(s3.whole())
     lam = linear_character(A3, triv(s3))
     rot = next(g for g in A3.members if g != 0)
-    assert induced_char_value(lam, s3, rot) == cyc(3, 1) + cyc(3, 2)
+    assert induced_counts(lam, s3, [rot]).tolist() == [[0, 1, 1]]
+    assert induced_value(lam, s3, rot) == cyc(3, 1) + cyc(3, 2)
 
 
 def test_induced_value_off_conjugates(s3):
     A3 = derived_subgroup(s3.whole())
     lam = linear_character(A3, triv(s3))
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
-    assert induced_char_value(lam, s3, refl).is_zero()
+    assert not induced_counts(lam, s3, [refl]).any()
 
 
 # -- cosets of K in H against the quotient-group oracles -------------------------
@@ -224,15 +232,14 @@ def test_pci_matches_oracle_on_paper_pairs(paper1000):
 
 
 def test_induced_value_matches_sum_over_group(s4):
+    """The count rows against the oracle's sum over G with its own
+    character, which is the one `linear_character` picks."""
     for H, K in shoda_pair_candidates(s4):
         lam = linear_character(H, K)
+        exponents = oracles.character_exponents(s4, H, K)
         for g in range(s4.order):
-            expected = Cyclotomic.zero(lam.order)
-            for x in range(s4.order):
-                y = s4.mul(s4.mul(x, g), int(s4.inv[x]))
-                if y in H:
-                    expected = expected + lam.value(y) * Fraction(1, H.order)
-            assert induced_char_value(lam, s4, g) == expected
+            expected = oracles.induced_value(s4, H, exponents, lam.order, g)
+            assert induced_value(lam, s4, g) == expected
 
 
 def test_pci_rejects_non_shoda(s3):

@@ -3,18 +3,21 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from zgcentral.catalog import cyclic, dihedral, get_group, quaternion8
 from zgcentral.errors import BadCongruence, NotNormal, PreconditionFailed
 from zgcentral.groupalgebra import QGElement, mul, qg_inverse
 from zgcentral.groups import Subgroup, subgroup_closure, subnormal_series
+from zgcentral.rank import rank_oracle
 from zgcentral.shoda import complete_irredundant_set
 from zgcentral.units import (
     BassSpec,
     bass_specs_for,
     bass_unit,
     c_central_unit,
+    central_character_value,
     gen_bass_unit,
     is_central_unit,
     is_unit_of_zg,
@@ -259,3 +262,78 @@ def test_witness_q8_is_zero(q8):
         for spec in bass_specs_for(q8, g):
             units.append(c_central_unit(bass_unit(q8, spec), subnormal_series(H)))
     assert log_rank_witness(q8, units, pairs) == 0
+
+
+# -- central character values against the field oracle -------------------------
+
+
+def c_units(G):
+    """The c-construction on the Bass units of every cyclic subgroup."""
+    units, seen = [], set()
+    for g in range(G.order):
+        H = subgroup_closure(G, [g])
+        if H.members not in seen:
+            seen.add(H.members)
+            series = subnormal_series(H)
+            for spec in bass_specs_for(G, g):
+                units.append(c_central_unit(bass_unit(G, spec), series))
+    return units
+
+
+def z_units(G, pairs):
+    """The z-construction on the Bass units of every element of H, for each
+    chained pair; units that fail its preconditions are skipped."""
+    units = []
+    for p in pairs:
+        if p.chain is None:
+            continue
+        for h in sorted(p.H.members):
+            for spec in bass_specs_for(G, h):
+                try:
+                    units.append(z_central_unit(bass_unit(G, spec), p))
+                except PreconditionFailed:
+                    pass
+    return units
+
+
+def check_omega_against_oracle(G, pairs, units):
+    """Each unit and its inverse, and each pair's idempotent (the units
+    all have denominator 1), on every pair."""
+    elements = [v for cu in units for v in (cu.value, cu.inverse)]
+    elements += [q.pci for q in pairs]
+    for p in pairs:
+        for v in elements:
+            got = central_character_value(G, p, v)
+            want = oracles.central_character_value(G, p.H, p.K, v)
+            assert (got.n, got.c) == (want.n, want.c)
+        for q in pairs:
+            got = central_character_value(G, p, q.pci)
+            assert got.c == (int(p is q),) + (0,) * (len(got.c) - 1)
+
+
+@pytest.mark.parametrize("name", ["C24", "C30", "C36", "Q16", "E25"])
+def test_omega_matches_field_oracle_on_c_units(name):
+    G = get_group(name)
+    pairs, _ = complete_irredundant_set(G)
+    check_omega_against_oracle(G, pairs, c_units(G))
+
+
+@pytest.mark.parametrize("name, count", [("D5", 37), ("D7", 65)])
+def test_omega_matches_field_oracle_on_z_units(name, count):
+    G = get_group(name)
+    pairs, _ = complete_irredundant_set(G)
+    units = z_units(G, pairs)
+    assert len(units) == count
+    check_omega_against_oracle(G, pairs, units)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the float witness over-counts on z-units with coefficients of "
+    "up to 97 bits: 6 against rank 2 (ROADMAP item 3)",
+)
+def test_witness_d7_z_units():
+    G = get_group("D7")
+    pairs, _ = complete_irredundant_set(G)
+    assert log_rank_witness(G, z_units(G, pairs), pairs) == rank_oracle(G)
