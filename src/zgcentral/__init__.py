@@ -8,7 +8,6 @@ central units of ZG with an independent conjugacy-class oracle.
 __version__ = "0.1.0"
 
 from .catalog import catalog, get_group
-from .config import AnalysisConfig
 from .cyclotomic import Cyclotomic, euler_phi
 from .groupalgebra import QGElement, ZGElement, epsilon, hat
 from .groups import (

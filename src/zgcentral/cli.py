@@ -3,9 +3,11 @@
 Subcommands: analyze, pairs, rank, units, oracle, catalog.  Groups come
 from the built-in catalog (``--group catalog:NAME``) or a JSON file with
 a cayley table, permutation generators, or a power-commutator
-presentation.  Candidate Shoda pairs for large groups are supplied via
-``--pairs-file`` using generator words.  Exit codes: 0 success, 2 when a
-pair set is incomplete, 1 on errors.
+presentation.  Shoda pairs are found from the subgroup lattice; a group
+with more than ``groups.LATTICE_CAP`` subgroups, or a non-solvable one,
+needs its candidate pairs supplied via ``--pairs-file`` using generator
+words.  Exit codes: 0 success, 2 when a pair set is incomplete, 1 on
+errors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import sys
 
 from . import __version__
 from .catalog import catalog, get_group
-from .config import AnalysisConfig
 from .cyclotomic import euler_phi
 from .errors import ZgError
 from .groupalgebra import is_central
@@ -24,6 +25,7 @@ from .groups import (
     group_from_cayley,
     group_from_pc_presentation,
     group_from_permutations,
+    perm_from_cycles,
     subgroup_closure,
     subnormal_series,
 )
@@ -46,8 +48,6 @@ def load_group_spec(spec):
     if kind == "cayley":
         return group_from_cayley(spec["table"], labels=spec.get("labels"))
     if kind == "perm":
-        from .groups import perm_from_cycles
-
         degree = spec["degree"]
         gens = [perm_from_cycles(degree, cycles) for cycles in spec["generators"]]
         return group_from_permutations(degree, gens)
@@ -133,22 +133,12 @@ def pair_json(pair):
     }
 
 
-def _envelope(config, payload):
-    return {"version": __version__, "config": config.to_json(), **payload}
-
-
-def compute_pairs(G, args, config):
+def compute_pairs(G, args):
     candidates = None
     if args.pairs_file:
         with open(args.pairs_file, encoding="utf-8") as fh:
             candidates = parse_pairs_file(G, json.load(fh))
-    return complete_irredundant_set(
-        G,
-        candidates=candidates,
-        order_cap=config.subgroup_cap,
-        depth_cap=config.chain_depth_cap,
-        visit_cap=config.chain_visit_cap,
-    )
+    return complete_irredundant_set(G, candidates=candidates)
 
 
 def rank_json(G, pairs, complete):
@@ -225,7 +215,8 @@ def _flatten(prefix, value, rows):
         rows.append((prefix, value))
 
 
-def emit(doc, args, text=None):
+def emit(payload, args, text=None):
+    doc = {"version": __version__, **payload}
     if args.format == "tsv":
         rows = []
         _flatten("", doc, rows)
@@ -258,9 +249,6 @@ def build_parser():
             p.add_argument("--pairs-file", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "tsv", "text"], default="json")
-        p.add_argument("--subgroup-cap", type=int, default=200)
-        p.add_argument("--chain-depth-cap", type=int, default=8)
-        p.add_argument("--chain-visit-cap", type=int, default=10**5)
 
     for name in ("analyze", "pairs", "rank", "units", "oracle"):
         add_common(sub.add_parser(name))
@@ -269,43 +257,32 @@ def build_parser():
 
 
 def run(args):
-    config = AnalysisConfig(
-        subgroup_cap=args.subgroup_cap,
-        chain_depth_cap=args.chain_depth_cap,
-        chain_visit_cap=args.chain_visit_cap,
-    )
     if args.command == "catalog":
         entries = [
             {"name": e.name, "order": e.constructor().order} for e in catalog()
         ]
-        emit(_envelope(config, {"catalog": entries}), args)
+        emit({"catalog": entries}, args)
         return 0
 
     G = resolve_group(args.group)
     if args.command == "oracle":
-        emit(_envelope(config, {"oracle": rank_oracle(G)}), args)
+        emit({"oracle": rank_oracle(G)}, args)
         return 0
 
-    pairs, complete = compute_pairs(G, args, config)
+    pairs, complete = compute_pairs(G, args)
     if args.command == "pairs":
-        emit(
-            _envelope(
-                config,
-                {"pairs": [pair_json(p) for p in pairs], "complete": complete},
-            ),
-            args,
-        )
+        emit({"pairs": [pair_json(p) for p in pairs], "complete": complete}, args)
         return 0 if complete else 2
     if args.command == "rank":
         if not complete:
-            emit(_envelope(config, {"error": "incomplete pair set"}), args)
+            emit({"error": "incomplete pair set"}, args)
             return 2
         report, doc = rank_json(G, pairs, complete)
-        emit(_envelope(config, doc), args, text=rank_text_table(report))
+        emit(doc, args, text=rank_text_table(report))
         return 0
     if args.command == "units":
         doc = units_json(G, pairs, complete)
-        emit(_envelope(config, {**doc, "complete": complete}), args)
+        emit({**doc, "complete": complete}, args)
         return 0 if complete else 2
     # analyze
     payload = {
@@ -321,9 +298,9 @@ def run(args):
             "oracle": report.oracle_total,
             "agree": report.agree,
         }
-        emit(_envelope(config, payload), args)
+        emit(payload, args)
         return 0
-    emit(_envelope(config, payload), args)
+    emit(payload, args)
     return 2
 
 

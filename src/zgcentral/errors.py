@@ -33,19 +33,15 @@ class NotSubgroup(ZgError):
     pass
 
 
+class NotSolvable(ZgError):
+    pass
+
+
 class GroupMismatch(ZgError):
     pass
 
 
 class NotInvertible(ZgError):
-    pass
-
-
-class DivisionByZero(ZgError):
-    pass
-
-
-class BadExponent(ZgError):
     pass
 
 

@@ -17,11 +17,15 @@ from .errors import (
     InconsistentPresentation,
     NotAGroup,
     NotNormal,
+    NotSolvable,
     NotSubgroup,
     NotSubnormal,
 )
 
 MAX_ORDER = 2048
+
+# Most subgroups all_subgroups enumerates before it gives up.
+LATTICE_CAP = 4096
 
 # Most table entries gathered at once by the closure and centralizer kernels.
 _GATHER_BLOCK = 1 << 16
@@ -255,11 +259,11 @@ def perm_from_cycles(degree, cycles):
     return tuple(images)
 
 
-def group_from_permutations(degree, generators, cap=5000):
+def group_from_permutations(degree, generators):
     """Closure of permutation generators under composition.
 
     Each generator is a tuple/list of 0-based images of 0..degree-1.
-    Product convention: (p*q)(x) = q(p(x)).
+    Product convention: (p*q)(x) = q(p(x)).  Raises CapExceeded past MAX_ORDER.
     """
     idp = tuple(range(degree))
     gens = []
@@ -276,8 +280,8 @@ def group_from_permutations(degree, generators, cap=5000):
         for q in gens:
             r = tuple(q[x] for x in p)
             if r not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"permutation closure exceeds cap {cap}")
+                if len(elements) >= MAX_ORDER:
+                    raise CapExceeded(f"permutation group exceeds order {MAX_ORDER}")
                 index[r] = len(elements)
                 elements.append(r)
                 frontier.append(r)
@@ -348,10 +352,11 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
     """Group from a power-commutator presentation by collection.
 
     `orders` lists the relative order of each generator x_1..x_m.  `powers`
-    maps generator i (1-based) to a word for x_i^orders[i]; `commutators`
-    maps (j, i) with j > i to a word for [x_j, x_i].  Words are sequences of
-    (generator, exponent) pairs with nonnegative exponents (negative allowed
-    only when the generator's power relation is trivial).
+    maps generator i (1-based) to a word in x_(i+1)..x_m for x_i^orders[i];
+    `commutators` maps (j, i) with j > i to a word in x_(i+1)..x_m for
+    [x_j, x_i].  Words are sequences of (generator, exponent) pairs with
+    nonnegative exponents (negative allowed only when the generator's power
+    relation is trivial).
     """
     orders = [int(e) for e in orders]
     if any(e < 1 for e in orders):
@@ -360,12 +365,14 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
     powers = dict(powers or {})
     commutators = dict(commutators or {})
 
-    def norm_word(word):
+    def norm_word(word, floor, relation):
         out = []
         for g, e in word:
             g, e = int(g), int(e)
             if not (1 <= g <= ngen):
                 raise InconsistentPresentation(f"unknown generator x{g}")
+            if g <= floor:  # a pc relation of x_floor uses only later generators
+                raise InconsistentPresentation(f"word for {relation} uses x{g}")
             if e < 0:
                 if powers.get(g):
                     raise InconsistentPresentation(
@@ -376,11 +383,13 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
                 out.append((g, e))
         return tuple(out)
 
-    power_words = [norm_word(powers.get(i, ())) for i in range(1, ngen + 1)]
+    power_words = [
+        norm_word(powers.get(i, ()), i, f"x{i}^{orders[i - 1]}") for i in range(1, ngen + 1)
+    ]
     conj_words = {}
     for j in range(1, ngen + 1):
         for i in range(1, j):
-            comm = norm_word(commutators.get((j, i), ()))
+            comm = norm_word(commutators.get((j, i), ()), i, f"[x{j}, x{i}]")
             conj_words[(j, i)] = ((j, 1),) + comm
 
     n = 1
@@ -405,14 +414,19 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
             x %= radix[i]
         return tuple(out)
 
-    # right-multiplication permutation of each generator
+    # right-multiplication permutation of each generator.  The relations of
+    # x_g..x_m involve no earlier generator, so x * x_g only depends on the
+    # tail of x from x_g on: collect x_g into each of the `size` tails once.
     gen_perm = np.empty((ngen, n), dtype=np.int32)
     for g in range(1, ngen + 1):
-        for x in range(n):
-            t = idx_to_tup(x)
-            word = [(i + 1, t[i]) for i in range(ngen) if t[i]] + [(g, 1)]
+        size = radix[g - 1] * orders[g - 1]
+        tail = np.empty(size, dtype=np.int64)
+        for r in range(size):
+            t = idx_to_tup(r)
+            word = [(i + 1, t[i]) for i in range(g - 1, ngen) if t[i]] + [(g, 1)]
             res = _collect_pc_word(word, orders, power_words, conj_words, step_bound)
-            gen_perm[g - 1, x] = tup_to_idx(res)
+            tail[r] = tup_to_idx(res)
+        gen_perm[g - 1] = (np.arange(0, n, size)[:, None] + tail).ravel()
 
     # column h of the table by extending the predecessor of h by one generator
     table = np.empty((n, n), dtype=np.int32)
@@ -442,30 +456,68 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
 # -- subgroup machinery ------------------------------------------------------
 
 
-def all_subgroups(G, order_cap=200):
+def all_subgroups(G):
     """Every subgroup of G, sorted by (order, member tuple).
 
-    Enumerated by repeatedly extending known subgroups with one extra
-    generator; feasible for small orders only.
+    Cyclic extension (Neubüser, Numer. Math. 2 (1960)): each subgroup
+    T != 1 of a solvable group is S<z> for some normal S of prime index p,
+    with z in N(S) and z^p in S, so T is the union of the cosets S z^i,
+    i < p, and needs no closure.  T carries the generators S.gens + [z].
+    Raises CapExceeded beyond LATTICE_CAP subgroups, and NotSolvable when
+    G is not reached, which happens exactly when G is not solvable.
     """
-    if G.order > order_cap:
-        raise CapExceeded(
-            f"group order {G.order} exceeds enumeration cap {order_cap}"
+    found = {frozenset([0]): G.trivial()}
+    queue = list(found.values())
+    for S in queue:  # breadth first: the queue grows while it is read
+        for members, z in _cyclic_extensions(G, S):
+            key = frozenset(members.tolist())
+            if key in found:
+                continue
+            if len(found) == LATTICE_CAP:
+                raise CapExceeded(
+                    f"group of order {G.order} has more than {LATTICE_CAP} "
+                    "subgroups; supply candidate pairs with --pairs-file"
+                )
+            found[key] = Subgroup(G, key, gens=S.gens + [z])
+            queue.append(found[key])
+    if frozenset(range(G.order)) not in found:
+        raise NotSolvable(
+            f"group of order {G.order} is not solvable, hence not monomial "
+            "(Taketa's theorem), so no set of its Shoda pairs is complete; "
+            "supply candidate pairs with --pairs-file"
         )
-    seen = {}
-    triv = G.trivial()
-    seen[triv.members] = triv
-    frontier = [triv]
-    while frontier:
-        S = frontier.pop()
-        outside = set(range(G.order)) - S.members
-        while outside:
-            g = outside.pop()
-            T = subgroup_closure(G, S.gens + [g])
-            if T.members not in seen:
-                seen[T.members] = T
-                frontier.append(T)
-    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
+    return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
+
+
+def _cyclic_extensions(G, S):
+    """(members, z) for each T = S<z> containing S as a normal subgroup of
+    prime index, with z the smallest element of T outside S."""
+    t = G.table
+    s = np.array(S.sorted_members, dtype=np.intp)
+    in_s = np.zeros(G.order, dtype=bool)
+    in_s[s] = True
+    # z normalizes S when it conjugates each generator of S into S
+    cand = ~in_s
+    for h in S.gens:
+        cand &= in_s[t[t[G.inv, h], np.arange(G.order)]]
+    z = np.flatnonzero(cand)
+    # k = order of zS in N(S)/S, walking the powers of every z at once
+    x, k = z.copy(), np.ones(z.size, dtype=np.int64)
+    while not in_s[x].all():
+        live = ~in_s[x]
+        x[live] = t[x[live], z[live]]
+        k += live
+    covered = np.zeros(G.order, dtype=bool)
+    for zi, p in zip(z.tolist(), k.tolist()):
+        if covered[zi] or any(p % d == 0 for d in range(2, p)):
+            continue
+        cosets = [s]
+        for _ in range(p - 1):
+            cosets.append(t[cosets[-1], zi])
+        members = np.concatenate(cosets)
+        # each element of T outside S generates T over S
+        covered[members] = True
+        yield members, zi
 
 
 def is_normal(K, H):

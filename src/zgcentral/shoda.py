@@ -26,11 +26,15 @@ from .groupalgebra import (
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
+    all_subgroups,
     cyclic_coset_log,
     is_normal,
     right_transversal,
     subgroup_closure,
 )
+
+# Most subgroups the chain search visits for one pair before it gives up.
+CHAIN_VISIT_BUDGET = 10**5
 
 
 # eq=False: the array fields have no truth value, so compare by identity
@@ -234,16 +238,14 @@ def verify_chain(G, H, K, steps):
     return chain
 
 
-def find_strong_inductive_chain(
-    G, H, K, depth_cap=8, visit_cap=10**5, check=True
-):
+def find_strong_inductive_chain(G, H, K, check=True):
     """Search for a strong inductive chain from H to G.
 
     Prefers the one-step chain (present exactly when the pair is strong);
     otherwise runs a depth-first search over one-generator extensions,
-    memoizing failed intermediate subgroups.  Returns None when the
-    bounded search exhausts without finding a chain; raises
-    SearchBoundExceeded when the visit budget runs out first.
+    memoizing failed intermediate subgroups.  Returns None when the search
+    exhausts without finding a chain; raises SearchBoundExceeded when it
+    visits more than CHAIN_VISIT_BUDGET subgroups first.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
@@ -270,11 +272,12 @@ def find_strong_inductive_chain(
 
     def dfs(prefix):
         cur = prefix[-1]
-        if len(prefix) - 1 > depth_cap:
-            return None
         visits[0] += 1
-        if visits[0] > visit_cap:
-            raise SearchBoundExceeded("chain search visit budget exhausted")
+        if visits[0] > CHAIN_VISIT_BUDGET:
+            raise SearchBoundExceeded(
+                f"chain search for the pair (|H|={H.order}, |K|={K.order}) "
+                f"gave up after {CHAIN_VISIT_BUDGET} visits"
+            )
         for nxt in extensions(cur):
             if nxt.members in dead:
                 continue
@@ -302,7 +305,7 @@ class ShodaPair:
     """A classified Shoda pair with its idempotent and optional chain.
 
     status is "strong", "generalized_strong" (chain found, not strong), or
-    "shoda" (no chain found within bounds; existence undetermined).
+    "shoda" (the chain search finished without finding a chain).
     """
 
     H: Subgroup
@@ -317,7 +320,7 @@ class ShodaPair:
         return self.H.order // self.K.order
 
 
-def _classify(G, H, K, chain_steps, depth_cap, visit_cap, check, known=()):
+def _classify(G, H, K, chain_steps, check, known=()):
     """The classified pair, or None when its idempotent is in `known`.
 
     With `check`, a pair failing the Shoda conditions raises NotShodaPair.
@@ -335,37 +338,24 @@ def _classify(G, H, K, chain_steps, depth_cap, visit_cap, check, known=()):
     if chain is not None:
         strong = verify_chain(G, H, K, [H, G.whole()]) is not None
     else:
-        try:
-            chain = find_strong_inductive_chain(
-                G, H, K, depth_cap=depth_cap, visit_cap=visit_cap, check=False
-            )
-        except SearchBoundExceeded:
-            chain = None
+        chain = find_strong_inductive_chain(G, H, K, check=False)
         strong = chain is not None and chain.length == 1
     status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
     return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
 
 
-def shoda_pair_candidates(G, subgroups=None, order_cap=200):
+def shoda_pair_candidates(G):
     """All (H, K) with K normal in H, H/K cyclic, passing the Shoda test."""
-    from .groups import all_subgroups
-
-    if subgroups is None:
-        subgroups = all_subgroups(G, order_cap=order_cap)
-    by_members = {S.members: S for S in subgroups}
-    out = []
-    for H in subgroups:
-        for K in subgroups:
-            if not (K.members <= H.members and is_normal(K, H)):
-                continue
-            if is_shoda_pair(G, H, K):
-                out.append((by_members[H.members], K))
-    return out
+    subgroups = all_subgroups(G)
+    return [
+        (H, K)
+        for H in subgroups
+        for K in subgroups
+        if K.members <= H.members and is_shoda_pair(G, H, K)
+    ]
 
 
-def complete_irredundant_set(
-    G, candidates=None, order_cap=200, depth_cap=8, visit_cap=10**5
-):
+def complete_irredundant_set(G, candidates=None):
     """One classified pair per distinct idempotent, plus a completeness flag.
 
     `candidates` is an optional list of (H, K[, chain_steps]) tuples; when
@@ -374,16 +364,14 @@ def complete_irredundant_set(
     """
     supplied = candidates is not None
     if not supplied:
-        candidates = shoda_pair_candidates(G, order_cap=order_cap)
+        candidates = shoda_pair_candidates(G)
     kept = []
     seen = set()
     for cand in candidates:
         H, K = cand[0], cand[1]
         chain_steps = cand[2] if len(cand) > 2 else None
         # enumerated candidates have already passed the Shoda test
-        pair = _classify(
-            G, H, K, chain_steps, depth_cap, visit_cap, check=supplied, known=seen
-        )
+        pair = _classify(G, H, K, chain_steps, check=supplied, known=seen)
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)

@@ -14,6 +14,8 @@ oracles build H/K as a group of its own, with a projection map, the way
 `zgcentral` did before it read the cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
+The subgroup-lattice oracle closes S + g for every known subgroup S and
+every g outside it, the way `zgcentral` did before its cyclic extension.
 """
 
 import json
@@ -27,13 +29,7 @@ import numpy as np
 from zgcentral.cli import parse_pairs_file
 from zgcentral import cyclotomic
 from zgcentral.cyclotomic import cyclotomic_polynomial
-from zgcentral.errors import (
-    BadExponent,
-    DivisionByZero,
-    NotInvertible,
-    NotNormal,
-    NotSubgroup,
-)
+from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup, ZgError
 from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groups import (
     FiniteGroup,
@@ -55,7 +51,35 @@ def paper9_pairs(G):
         return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
 
 
+# -- the subgroup lattice by closures ---------------------------------------------
+
+
+def all_subgroups(G):
+    """Every subgroup of G, sorted by (order, member tuple): the closures
+    of S + g for every subgroup S found so far and every g outside S."""
+    seen = {}
+    triv = G.trivial()
+    seen[triv.members] = triv
+    frontier = [triv]
+    while frontier:
+        S = frontier.pop()
+        for g in sorted(set(range(G.order)) - S.members):
+            T = subgroup_closure(G, S.gens + [g])
+            if T.members not in seen:
+                seen[T.members] = T
+                frontier.append(T)
+    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
+
+
 # -- Q(zeta_n) with its Fraction field arithmetic --------------------------------
+
+
+class DivisionByZero(ZgError):
+    pass
+
+
+class BadExponent(ZgError):
+    pass
 
 
 def _trim(c):

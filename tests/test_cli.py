@@ -1,6 +1,7 @@
 """In-process CLI tests: subcommands, formats, error paths, exit codes."""
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def test_report_matches_schema(capsys, argv):
     assert code == 0
     Draft202012Validator.check_schema(REPORT_SCHEMA)
     Draft202012Validator(REPORT_SCHEMA).validate(doc)
-    assert set(doc["config"]) == set(REPORT_SCHEMA["properties"]["config"]["properties"])
+    assert "config" not in doc
 
 
 def test_analyze_s3(capsys):
@@ -47,7 +48,7 @@ def test_analyze_s3(capsys):
     assert code == 0
     assert doc["group_order"] == 6 and doc["complete"]
     assert doc["summary"]["agree"] and doc["summary"]["rank_total"] == 0
-    assert "version" in doc and "config" in doc
+    assert "version" in doc and "config" not in doc
 
 
 def test_oracle_q8(capsys):
@@ -115,6 +116,41 @@ def test_bad_generator_word(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown generator" in capsys.readouterr().err
+
+
+def test_pairs_non_solvable_group_exits_1(tmp_path, capsys):
+    s5 = {"type": "perm", "degree": 5, "generators": [[[1, 2]], [[1, 2, 3, 4, 5]]]}
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(s5))
+    code = main(["pairs", "--group", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not solvable" in err and "--pairs-file" in err
+
+
+def _rank_rows(doc):
+    return sorted(
+        (
+            p["H_order"],
+            p["K_order"],
+            p["index"],
+            p["status"],
+            p["k"],
+            p["term"],
+            math.prod(p["chain_indices"]),
+        )
+        for p in doc["pairs"]
+    )
+
+
+def test_rank_order_1000_needs_no_pairs_file(capsys):
+    pairs_file = resources.files("zgcentral.data").joinpath("paper9.json")
+    argv = ["rank", "--group", "catalog:paper-1000-86"]
+    code_a, found = run_json(capsys, argv)
+    code_b, supplied = run_json(capsys, argv + ["--pairs-file", str(pairs_file)])
+    assert code_a == code_b == 0
+    assert found["total"] == found["oracle"] == supplied["total"] == 1
+    assert _rank_rows(found) == _rank_rows(supplied)
 
 
 def test_parse_word_semantics():

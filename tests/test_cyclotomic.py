@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    BadExponent,
     Cyclotomic,
+    DivisionByZero,
     GaloisMap,
     cyc,
     galois_apply,
@@ -21,7 +23,6 @@ from zgcentral.cyclotomic import (
     ramanujan_row,
     reduction_matrix,
 )
-from zgcentral.errors import BadExponent, DivisionByZero
 
 
 def test_identity_values():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import oracles
 import pytest
@@ -9,8 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zgcentral import groups
-from zgcentral.catalog import cyclic, dihedral, get_group, paper_1000_86, symmetric
-from zgcentral.errors import NotAGroup, NotNormal, NotSubgroup, NotSubnormal
+from zgcentral.catalog import (
+    catalog,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    get_group,
+    paper_1000_86,
+    symmetric,
+)
+from zgcentral.errors import (
+    CapExceeded,
+    InconsistentPresentation,
+    NotAGroup,
+    NotNormal,
+    NotSolvable,
+    NotSubgroup,
+    NotSubnormal,
+)
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
@@ -127,6 +144,26 @@ def test_pc_c4():
     assert max(G.element_orders) == 4  # cyclic of order 4
 
 
+def test_pc_power_word_must_lie_above_its_generator():
+    # x2^2 = x1 is no pc relation: the power of x2 may only use x3, x4, ...
+    with pytest.raises(InconsistentPresentation, match=r"word for x2\^2 uses x1"):
+        group_from_pc_presentation([2, 2], powers={2: [(1, 1)]})
+
+
+def test_pc_commutator_word_must_lie_above_the_lower_generator():
+    with pytest.raises(InconsistentPresentation, match=r"word for \[x3, x2\] uses x2"):
+        group_from_pc_presentation([2, 2, 2], commutators={(3, 2): [(2, 1)]})
+
+
+def test_perm_closure_stops_at_max_order():
+    # A7 has order 2520 > MAX_ORDER; the closure gives up before any table
+    gens = [perm_from_cycles(7, [[1, 2, 3]]), perm_from_cycles(7, [list(range(1, 8))])]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        group_from_permutations(7, gens)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_pc_order_1000():
     G = paper_1000_86()
     assert G.order == 1000
@@ -157,6 +194,41 @@ def test_all_subgroups_matches_brute_force(d4, a4, q8):
 def test_all_subgroups_trivial():
     G = group_from_cayley([[0]])
     assert len(all_subgroups(G)) == 1
+
+
+# every catalog group but paper-1000-86 has order at most 60
+@pytest.mark.parametrize(
+    "entry", [e for e in catalog() if e.name != "paper-1000-86"], ids=lambda e: e.name
+)
+def test_all_subgroups_matches_closure_oracle(entry):
+    G = entry.constructor()
+    assert G.order <= 60
+    subs = all_subgroups(G)
+    assert [S.sorted_members for S in subs] == [
+        S.sorted_members for S in oracles.all_subgroups(G)
+    ]
+    for S in subs:
+        assert subgroup_closure(G, S.gens).members == S.members
+
+
+def test_all_subgroups_rejects_non_solvable():
+    with pytest.raises(NotSolvable, match="Taketa"):
+        all_subgroups(symmetric(5))
+
+
+def test_all_subgroups_lattice_cap():
+    # E128 has 29 212 subgroups, more than LATTICE_CAP
+    G = elementary_abelian(2, 7)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="--pairs-file"):
+        all_subgroups(G)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_all_subgroups_order_1000(paper1000):
+    subs = all_subgroups(paper1000)
+    assert len(subs) == 632
+    assert subs[-1].order == 1000
 
 
 def test_derived_subgroup_s3(s3):

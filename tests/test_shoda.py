@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import NotShodaPair
+from zgcentral import shoda
+from zgcentral.errors import NotShodaPair, SearchBoundExceeded
 from zgcentral.groupalgebra import (
     QGElement,
     epsilon,
@@ -312,3 +313,15 @@ def test_supplied_bad_pair_rejected(s3):
         complete_irredundant_set(
             s3, candidates=[(subgroup_closure(s3, [refl]), triv(s3))]
         )
+
+
+def test_exhausted_chain_budget_is_an_error(paper1000, monkeypatch):
+    # the generalized pair |H| = 50, |K| = 5 of paper9.json, without its
+    # chain: one visit is not enough to find one, and that must not read
+    # as "no chain exists" (status "shoda")
+    H, K = next(
+        (H, K) for H, K in paper9_pairs(paper1000) if (H.order, K.order) == (50, 5)
+    )
+    monkeypatch.setattr(shoda, "CHAIN_VISIT_BUDGET", 1)
+    with pytest.raises(SearchBoundExceeded, match=r"\|H\|=50, \|K\|=5.*1 visits"):
+        complete_irredundant_set(paper1000, candidates=[(H, K)])
