@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Build central units from Bass units and measure their log-rank.
 
-For each cyclic subgroup of the chosen group, Bass units are pushed to
-central units of the whole integral group ring via the transversal
-product over a subnormal series.  The rank of the subgroup they generate
-is estimated numerically (log-absolute-value embedding + SVD) and
-compared with the class-counting oracle; the exit status is 1 when the
-two disagree.
+For each cyclic subgroup of the chosen group, Bass units, each carrying
+its closed-form inverse, are pushed to central units of the whole
+integral group ring via the transversal product over a subnormal series.
+The rank of the subgroup they generate is estimated numerically
+(log-absolute-value embedding + SVD) and compared with the
+class-counting oracle; the exit status is 1 when the two disagree.
 """
 
 import argparse

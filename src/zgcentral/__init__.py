@@ -31,9 +31,7 @@ from .shoda import (
 )
 from .units import (
     BassSpec,
-    CentralUnit,
-    GenBassUnit,
-    bass_inverse,
+    Unit,
     bass_specs_for,
     bass_unit,
     c_central_unit,

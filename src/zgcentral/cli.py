@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .catalog import catalog, get_group
 from .cyclotomic import euler_phi
-from .errors import ZgError
+from .errors import NotSubnormal, ZgError
 from .groupalgebra import is_central
 from .groups import (
     group_from_cayley,
@@ -181,14 +181,11 @@ def units_json(G, pairs, complete):
         seen_cyclic.add(H.members)
         try:
             series = subnormal_series(H)
-        except ZgError:
+        except NotSubnormal:
             continue
         for spec in bass_specs_for(G, g):
-            u = bass_unit(G, spec)
-            try:
-                cu = c_central_unit(u, series)
-            except ZgError:
-                continue
+            # a Bass unit that fails here is a defect, and exits 1
+            cu = c_central_unit(bass_unit(G, spec), series)
             row = {
                 "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
                 "support": len(cu.value.support),

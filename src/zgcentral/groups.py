@@ -575,8 +575,7 @@ def right_transversal(H, within):
 def cyclic_coset_log(H, K):
     """Discrete logs of the cosets of K in H, or None if H/K is not cyclic.
 
-    Tries the representatives r of right_transversal(K, H) in increasing
-    order; each is the smallest element of its coset.  For the first r
+    Tries the elements r of H in increasing order.  For the first r
     whose coset generates H/K, returns a length-|G| int64 array holding e
     at every element of the coset K r^e, and -1 outside H.  Raises
     NotSubgroup or NotNormal unless K is a normal subgroup of H.
@@ -594,7 +593,9 @@ def cyclic_coset_log(H, K):
     # a walk that covers every coset overwrites all of H, so one array
     # serves every attempt
     log = np.full(G.order, -1, dtype=np.int64)
-    for r in right_transversal(K, H):
+    for r in H.sorted_members:
+        if log[r] >= 0:
+            continue  # in <Kr'> for an earlier r' that did not generate
         x, e = 0, 0
         while e == 0 or not in_k[x]:
             log[t[ks, x]] = e

@@ -115,25 +115,43 @@ def induced_counts(lam, G, cols):
 
 
 def is_shoda_pair(G, H, K):
-    """K normal in H with H/K cyclic, and every g with [H,g] cap H <= K
-    already lies in H."""
+    """K normal in H with H/K cyclic, and every g outside H has some
+    commutator [h, g] = h^-1 h^g, h in H, inside H but not in K."""
+    return _is_shoda_pair(H, K, _coset_conjugates(H))
+
+
+def _coset_conjugates(H):
+    """(hs, conj): H's members, and conj[i, j] = hs[j]^g for g the least
+    element of the i-th coset Hg other than H, one table gather of |G|
+    entries."""
+    G = H.parent
+    t = G.table
+    hs = np.array(H.sorted_members, dtype=np.intp)
+    # column g of t[hs] is the coset Hg: its least entry, in row blocks
+    least = np.arange(G.order)
+    rows = max(1, _GATHER_BLOCK // G.order)
+    for start in range(0, hs.size, rows):
+        np.minimum(least, t[hs[start : start + rows]].min(axis=0), out=least)
+    # [1:] drops H itself, the coset of 0
+    reps = np.flatnonzero(least == np.arange(G.order))[1:, None]
+    return hs, t[t[G.inv[reps], hs], reps]
+
+
+def _is_shoda_pair(H, K, coset_conjugates):
+    """The Shoda test with H's `_coset_conjugates` given.
+
+    [h, g] lies in H but not in K exactly when h^g lies in H outside the
+    coset hK, which the coset log reads off.  As H/K is abelian the test
+    for g only depends on the coset Hg, so one element of each will do.
+    """
     if not (K.members <= H.members and is_normal(K, H)):
         return False
-    if cyclic_coset_log(H, K) is None:
+    log = cyclic_coset_log(H, K)
+    if log is None:
         return False
-    hmem = H.members
-    kmem = K.members
-    for g in range(G.order):
-        if g in hmem:
-            continue
-        gi = int(G.inv[g])
-        for h in hmem:
-            c = G.mul(G.mul(int(G.inv[h]), gi), G.mul(h, g))
-            if c in hmem and c not in kmem:
-                break
-        else:
-            return False
-    return True
+    hs, conj = coset_conjugates
+    x = log[conj]
+    return bool(((x >= 0) & (x != log[hs])).any(axis=1).all())
 
 
 def is_strong_shoda_pair(G, H, K):
@@ -347,12 +365,15 @@ def _classify(G, H, K, chain_steps, check, known=()):
 def shoda_pair_candidates(G):
     """All (H, K) with K normal in H, H/K cyclic, passing the Shoda test."""
     subgroups = all_subgroups(G)
-    return [
-        (H, K)
-        for H in subgroups
-        for K in subgroups
-        if K.members <= H.members and is_shoda_pair(G, H, K)
-    ]
+    out = []
+    for H in subgroups:
+        conj = _coset_conjugates(H)  # shared by every K below H
+        out += [
+            (H, K)
+            for K in subgroups
+            if K.members <= H.members and _is_shoda_pair(H, K, conj)
+        ]
+    return out
 
 
 def complete_irredundant_set(G, candidates=None):

@@ -2,11 +2,17 @@
 and the two averaging constructions that push central units of a subring
 up into the center of ZG.
 
+Every unit is a `Unit`: its value together with its integral inverse.
+Bass units and generalized Bass units get their inverses in closed form,
+u_{k,m}(g)^-1 = u_{k',m}(g^k) with k k' = 1 mod |g|, checked by an exact
+product in Z[x]/(x^|g| - 1); no inverse is ever solved for.
+
 The z-construction walks a strong inductive chain, conjugate-averaging
 over the level centralizers; the c-construction walks a subnormal series,
-conjugate-averaging over transversals.  Both carry the inverse of their
-product, the reversed product of the conjugated inverses, and check it
-with one multiplication.
+conjugate-averaging over transversals.  Each checks the inverse its input
+carries with one multiplication, carries the inverse of its product, the
+reversed product of the conjugated inverses, and checks that with one
+more.
 
 A numerical log-embedding witness measures the multiplicative rank of a
 set of central units.  The central character value it embeds is exact
@@ -42,7 +48,6 @@ from .groupalgebra import (
     is_central,
     is_unit_of_zg,
     mul,
-    zg_inverse,
 )
 from .groups import conjugacy_partition, is_normal, right_transversal
 from .shoda import induced_counts, is_complete
@@ -77,6 +82,19 @@ def _cyclic_convolve(a, b, d):
     return out
 
 
+def _cyclic_power(a, e, d):
+    """a^e in Z[x]/(x^d - 1), by repeated squaring."""
+    acc = [0] * d
+    acc[0] = 1
+    while e:
+        if e & 1:
+            acc = _cyclic_convolve(acc, a, d)
+        e >>= 1
+        if e:
+            a = _cyclic_convolve(a, a, d)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def _bass_coeffs(d, k, m):
     """Coefficients of (1 + x + ... + x^(k-1))^m + ((1 - k^m)/d) (1 + ... +
@@ -84,17 +102,8 @@ def _bass_coeffs(d, k, m):
     geo = [0] * d
     for i in range(k):
         geo[i % d] += 1
-    acc = [0] * d
-    acc[0] = 1
-    e = m
-    while e:
-        if e & 1:
-            acc = _cyclic_convolve(acc, geo, d)
-        e >>= 1
-        if e:
-            geo = _cyclic_convolve(geo, geo, d)
     corr = (1 - k**m) // d
-    return tuple(a + corr for a in acc)
+    return tuple(a + corr for a in _cyclic_power(geo, m, d))
 
 
 @lru_cache(maxsize=None)
@@ -121,20 +130,29 @@ def _place_on_powers(G, g, coeffs):
     return QGElement.from_vec(G, vec)
 
 
+@dataclass
+class Unit:
+    """A unit of ZG with its integral inverse, the input and the output of
+    the constructions; `provenance` and `inputs` say how it was built.  A
+    Bass unit u_{k,m}(g) is central only in Z<g>; the constructions' output
+    is central in ZG."""
+
+    value: QGElement
+    inverse: QGElement
+    provenance: str
+    inputs: dict = field(default_factory=dict)
+
+
 def bass_unit(G, spec):
-    """(1 + g + ... + g^(k-1))^m + ((1 - k^m)/|g|) (1 + g + ... + g^(|g|-1))."""
+    """(1 + g + ... + g^(k-1))^m + ((1 - k^m)/|g|) (1 + g + ... + g^(|g|-1)),
+    central in Z<g>, with its inverse u_{k', m}(g^k), k k' = 1 mod |g|."""
     d = validate_bass_spec(G, spec)
-    return _place_on_powers(G, spec.g, _bass_coeffs(d, spec.k, spec.m))
-
-
-def bass_inverse(G, spec):
-    """The explicit inverse u_{k', m}(g^k) with k k' = 1 mod |g|.
-
-    Raises NotInvertible if the product with the unit is not 1 in
-    Z[x]/(x^|g| - 1) (cannot happen for a valid spec; kept as a hard
-    check)."""
-    d = validate_bass_spec(G, spec)
-    return _place_on_powers(G, spec.g, _bass_inverse_coeffs(d, spec.k, spec.m))
+    return Unit(
+        _place_on_powers(G, spec.g, _bass_coeffs(d, spec.k, spec.m)),
+        _place_on_powers(G, spec.g, _bass_inverse_coeffs(d, spec.k, spec.m)),
+        "Bass",
+        {"spec": spec},
+    )
 
 
 def bass_specs_for(G, g):
@@ -153,39 +171,61 @@ def bass_specs_for(G, g):
     return out or [BassSpec(g=g, k=1, m=1)]
 
 
-@dataclass
-class GenBassUnit:
-    spec: BassSpec
-    M: object  # Subgroup
-    n_b: int
-    value: QGElement  # integral
+# Most powers gen_bass_unit tries before it gives up.
+GEN_BASS_CAP = 10**4
 
 
-def gen_bass_unit(G, g, M, k, m, cap=10**4):
-    """Minimal power of 1 - hat(M) + u_{k,m}(g) hat(M) that is a unit of ZG.
+def _integral_over(coeffs, e, order):
+    """Whether 1 - hat(M) + x hat(M) is integral for x = sum c_i g^i, given
+    its coefficients mod |M| = `order` and e the order of gM in G/M: g^i
+    and g^j lie in one coset of M exactly when i = j mod e, so each coset
+    sum of x - 1 must vanish mod |M|."""
+    sums = [0] * e
+    for i, c in enumerate(coeffs):
+        sums[i % e] += c
+    sums[0] -= 1
+    return all(s % order == 0 for s in sums)
 
-    Returns the GenBassUnit together with a verification that the closed
-    form 1 - hat(M) + u_{k, m n_b}(g) hat(M) matches exactly.
+
+def gen_bass_unit(G, g, M, k, m):
+    """The generalized Bass unit 1 - hat(M) + u_{k, m n_b}(g) hat(M) of ZG,
+    with n_b the least n for which the n-th power of 1 - hat(M) +
+    u_{k,m}(g) hat(M) is a unit of ZG.
+
+    M is normal, so hat(M) is a central idempotent and that power is
+    1 - hat(M) + u_{k,m}(g)^n hat(M), with u_{k,m}^n = u_{k,mn}; its
+    inverse puts u_{k,m}(g)^-n in the same place.  n_b is found from the
+    rows of u_{k,m}^n and u_{k,m}^-n in Z[x]/(x^|g| - 1), walked mod |M|,
+    and only the unit itself is built in QG.
     """
     if not is_normal(M, G.whole()):
         raise NotNormal("M must be normal in G")
     spec = BassSpec(g=g, k=k, m=m)
-    validate_bass_spec(G, spec)
-    hm = hat(M)
-    b = QGElement.one(G) - hm + mul(bass_unit(G, spec), hm)
-    p = b
-    for n in range(1, cap + 1):
-        if is_unit_of_zg(p):
-            closed = (
-                QGElement.one(G)
-                - hm
-                + mul(bass_unit(G, BassSpec(g=g, k=k, m=m * n)), hm)
-            )
-            if closed != p:
-                raise ZgError("closed-form identity failed for a power")
-            return GenBassUnit(spec=spec, M=M, n_b=n, value=p)
-        p = mul(p, b)
-    raise InternalBoundExceeded(f"no unit power found within {cap} steps")
+    d = validate_bass_spec(G, spec)
+    e, x = 1, g  # the order of gM in G/M
+    while x not in M.members:
+        x = G.mul(x, g)
+        e += 1
+    rows = (_bass_coeffs(d, k, m), _bass_inverse_coeffs(d, k, m))
+    steps = [[c % M.order for c in row] for row in rows]
+    powers = steps
+    for n in range(1, GEN_BASS_CAP + 1):
+        if all(_integral_over(p, e, M.order) for p in powers):
+            break
+        powers = [
+            [c % M.order for c in _cyclic_convolve(p, step, d)]
+            for p, step in zip(powers, steps)
+        ]
+    else:
+        raise InternalBoundExceeded(f"no unit power found within {GEN_BASS_CAP} steps")
+    one, hm = QGElement.one(G), hat(M)
+    value, inverse = (
+        one - hm + mul(_place_on_powers(G, g, _cyclic_power(row, n, d)), hm)
+        for row in rows
+    )
+    if not (value.is_integral() and inverse.is_integral()):
+        raise ZgError("closed-form generalized Bass unit is not integral")
+    return Unit(value, inverse, "generalized Bass", {"spec": spec, "M": M, "n_b": n})
 
 
 # -- verification predicates ---------------------------------------------------
@@ -194,14 +234,6 @@ def gen_bass_unit(G, g, M, k, m, cap=10**4):
 def is_central_unit(v):
     """Integral, commutes with every group generator, integral inverse."""
     return v.is_integral() and is_central(v) and is_unit_of_zg(v)
-
-
-@dataclass
-class CentralUnit:
-    value: QGElement
-    inverse: QGElement  # integral, verified when the unit was built
-    provenance: str
-    inputs: dict = field(default_factory=dict)
 
 
 def _verified_unit(value, inverse, provenance, inputs):
@@ -215,24 +247,27 @@ def _verified_unit(value, inverse, provenance, inputs):
         and mul(value, inverse) == QGElement.one(G)
     ):
         raise ZgError("construction output failed the central-unit check")
-    return CentralUnit(value, inverse, provenance, inputs)
+    return Unit(value, inverse, provenance, inputs)
 
 
 # -- the z- and c-constructions ------------------------------------------------
 
 
-def _require_central_unit_of_subring(u, H, label):
-    if not set(u.support) <= H.members:
-        raise PreconditionFailed(f"{label} is not supported inside the base subgroup")
-    if not u.is_integral():
-        raise PreconditionFailed(f"{label} has non-integer coefficients")
+def _require_central_unit_of_subring(u, H):
+    """Check that the Unit u lies in ZH, is central there, and carries its
+    inverse: both integral and supported in H, value * inverse = 1."""
+    for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
+        if not set(v.support) <= H.members:
+            raise PreconditionFailed(
+                f"{label} is not supported inside the base subgroup"
+            )
+        if not v.is_integral():
+            raise PreconditionFailed(f"{label} has non-integer coefficients")
     for h in H.gens or [0]:
-        if u.conj(h) != u:
-            raise PreconditionFailed(f"{label} is not central in the base subring")
-    uinv = zg_inverse(u)
-    if uinv is None:
-        raise PreconditionFailed(f"{label} is not a unit of the integral subring")
-    return uinv
+        if u.value.conj(h) != u.value:
+            raise PreconditionFailed("u is not central in the base subring")
+    if mul(u.value, u.inverse) != QGElement.one(H.parent):
+        raise PreconditionFailed("u times its carried inverse is not 1")
 
 
 def _integer_multiple_of(p, w):
@@ -252,23 +287,23 @@ def _ordered_product(G, factors):
 
 
 def z_central_unit(u, pair):
-    """Push a central unit of the base subring up the pair's strong
-    inductive chain; the result is a verified central unit of ZG."""
+    """Push a Unit central in Z[pair.H] up the pair's strong inductive
+    chain; the result is a verified central Unit of ZG."""
     if pair.chain is None:
         raise PreconditionFailed("pair has no verified chain")
     H = pair.H
     G = H.parent
-    uinv = _require_central_unit_of_subring(u, H, "u")
+    _require_central_unit_of_subring(u, H)
     eps = epsilon(H, pair.K)
     one_minus = QGElement.one(G) - eps
-    for v, label in ((u, "u"), (uinv, "u inverse")):
+    for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
         if _integer_multiple_of(v - mul(v, eps), one_minus) is None:
             raise PreconditionFailed(
                 f"{label} does not split as Z(1-e) + (subring)e"
             )
     # the inverse of an ordered product is the reversed product of the
     # inverses, and (z^m)^-1 = (z^-1)^m
-    z, zinv = u, uinv
+    z, zinv = u.value, u.inverse
     for i in range(pair.chain.length):
         base = pair.chain.steps[i]
         cen = pair.chain.centralizers[i]
@@ -282,17 +317,18 @@ def z_central_unit(u, pair):
         z = _ordered_product(G, [inner.conj(t) for t in ts])
         zinv = _ordered_product(G, [inner_inv.conj(t) for t in reversed(ts)])
     return _verified_unit(
-        z, zinv, "z-construction", {"pair": pair, "base_support": u.support}
+        z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support}
     )
 
 
 def c_central_unit(u, series, transversals=None):
-    """Push a central unit of the base subring up a subnormal series by
-    transversal products; independent of the transversal choices."""
+    """Push a Unit central in the ring of the series' first subgroup up the
+    series by transversal products; independent of the transversal
+    choices."""
     steps = series.steps
     H = steps[0]
-    uinv = _require_central_unit_of_subring(u, H, "u")
-    c, cinv = u, uinv
+    _require_central_unit_of_subring(u, H)
+    c, cinv = u.value, u.inverse
     for i in range(len(steps) - 1):
         if transversals is not None:
             reps = transversals[i]

@@ -16,6 +16,10 @@ is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
+The Shoda test loops over every g outside H and h in H, and the
+generalized Bass unit is found by multiplying out powers in QG and
+inverting each, the ways `zgcentral` did before its table gather and its
+closed form.
 """
 
 import json
@@ -30,7 +34,8 @@ from zgcentral.cli import parse_pairs_file
 from zgcentral import cyclotomic
 from zgcentral.cyclotomic import cyclotomic_polynomial
 from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup, ZgError
-from zgcentral.groupalgebra import QGElement, hat
+from zgcentral.groupalgebra import QGElement, hat, zg_inverse
+from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     FiniteGroup,
     Subgroup,
@@ -40,6 +45,7 @@ from zgcentral.groups import (
     right_transversal,
     subgroup_closure,
 )
+from zgcentral.units import BassSpec, bass_unit
 
 # catalog groups whose every Shoda pair is checked against the oracles
 CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
@@ -336,7 +342,8 @@ def coset_log(H, K, t=1):
 
 def is_shoda_pair(G, H, K):
     """K normal in H, H/K cyclic, and for every g outside H some
-    commutator [h, g] with h in H lies in H but not in K."""
+    commutator [h, g] with h in H lies in H but not in K; one commutator
+    per (g, h)."""
     if not (K.members <= H.members and is_normal(K, H)):
         return False
     if not is_cyclic(quotient(H, K)[0]):
@@ -551,3 +558,21 @@ def central_character_value(G, H, K, v):
     for g in v.support:
         total = total + values[g] * v.coeff(g)
     return total / values[0]
+
+
+# -- generalized Bass units by powers ----------------------------------------------
+
+
+def gen_bass_unit(G, g, M, k, m, cap):
+    """(n_b, b^n_b, its inverse) for b = 1 - hat(M) + u_{k,m}(g) hat(M) and
+    n_b the least n with b^n a unit of ZG: one QG product and one
+    inversion per power.  None when n_b > cap."""
+    hm = hat(M)
+    b = QGElement.one(G) - hm + qg_mul(bass_unit(G, BassSpec(g, k, m)).value, hm)
+    p = b
+    for n in range(1, cap + 1):
+        inv = zg_inverse(p)
+        if inv is not None:
+            return n, p, inv
+        p = qg_mul(p, b)
+    return None

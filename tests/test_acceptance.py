@@ -31,13 +31,11 @@ from zgcentral.groups import (
 from zgcentral.rank import rank_oracle, rank_total, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set
 from zgcentral.units import (
-    bass_inverse,
     bass_specs_for,
     bass_unit,
     c_central_unit,
     gen_bass_unit,
     is_central_unit,
-    is_unit_of_zg,
     log_rank_witness,
     random_right_transversal,
     z_central_unit,
@@ -127,19 +125,20 @@ def test_unit_suite():
         for g in range(G.order):
             for spec in bass_specs_for(G, g):
                 u = bass_unit(G, spec)
-                assert u.augmentation() == 1
-                # bass_inverse produces an integral element and proves
-                # u * inverse == 1 exactly
-                assert bass_inverse(G, spec).is_integral()
+                assert u.value.augmentation() == 1
+                # the closed-form inverse is integral; u * inverse == 1 is
+                # proved in Z[x]/(x^|g| - 1) when the unit is built
+                assert u.inverse.is_integral()
 
-    # generalized Bass units satisfy their closed-form identity exactly
-    # (asserted inside the constructor) and are integral units
+    # generalized Bass units and their closed-form inverses are integral
+    # and multiply to 1
     d5 = dihedral(5)
     rot = next(g for g in range(10) if d5.element_orders[g] == 5)
     M = subgroup_closure(d5, [rot])
     for k, m in ((2, 4), (3, 4)):
         gb = gen_bass_unit(d5, rot, M, k, m)
-        assert gb.value.is_integral() and is_unit_of_zg(gb.value)
+        assert gb.value.is_integral() and gb.inverse.is_integral()
+        assert mul(gb.value, gb.inverse) == QGElement.one(d5)
 
     # z- and c-constructions produce central units
     pairs = full_analysis(d5)

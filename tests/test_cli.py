@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from zgcentral import cli
 from zgcentral.catalog import cyclic
 from zgcentral.cli import main, parse_pairs_file, parse_word
+from zgcentral.errors import PreconditionFailed
 from zgcentral.catalog import paper_1000_86
 
 
@@ -91,6 +93,23 @@ def test_units_c5(capsys):
     assert code == 0 and doc["complete"]
     assert doc["units"] and all(r["central_unit"] for r in doc["units"])
     assert all(len(r["omega"]) == 2 for r in doc["units"])
+
+
+def test_units_skip_only_non_subnormal_subgroups(capsys):
+    # S3's reflections generate non-subnormal subgroups, which are skipped
+    code, doc = run_json(capsys, ["units", "--group", "catalog:S3"])
+    assert code == 0
+    assert doc["units"] and all(r["central_unit"] for r in doc["units"])
+    assert {r["spec"]["g"] for r in doc["units"]} == {0, 2}
+
+
+def test_units_construction_failure_exits_1(monkeypatch, capsys):
+    def refuse(u, series, transversals=None):
+        raise PreconditionFailed("refused")
+
+    monkeypatch.setattr(cli, "c_central_unit", refuse)
+    assert main(["units", "--group", "catalog:C5"]) == 1
+    assert "refused" in capsys.readouterr().err
 
 
 def test_corrupt_cayley_file(tmp_path, capsys):

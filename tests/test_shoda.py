@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
-from zgcentral.catalog import cyclic, get_group, symmetric
+from zgcentral.catalog import catalog, cyclic, get_group, symmetric
 from zgcentral import shoda
 from zgcentral.errors import NotShodaPair, SearchBoundExceeded
 from zgcentral.groupalgebra import (
@@ -75,6 +75,21 @@ def test_noncyclic_quotient_fails(q8):
     center = next(g for g in range(8) if q8.element_orders[g] == 2)
     # Q8 / center is the Klein group
     assert not is_shoda_pair(q8, q8.whole(), Subgroup(q8, {0, center}))
+
+
+def test_shoda_gather_matches_loop_oracle_on_catalog():
+    # every K <= H of every catalog group of order <= 32
+    for entry in catalog():
+        G = entry.constructor()
+        if G.order > 32:
+            continue
+        subgroups = all_subgroups(G)
+        for H in subgroups:
+            for K in subgroups:
+                if K.members <= H.members:
+                    assert is_shoda_pair(G, H, K) == oracles.is_shoda_pair(
+                        G, H, K
+                    ), (entry.name, H.order, K.order)
 
 
 def test_strong_in_abelian(c4):

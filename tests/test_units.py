@@ -6,21 +6,28 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from zgcentral.catalog import cyclic, dihedral, get_group, quaternion8
+from zgcentral import groupalgebra
+from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
 from zgcentral.errors import BadCongruence, NotNormal, PreconditionFailed
-from zgcentral.groupalgebra import QGElement, mul, qg_inverse
-from zgcentral.groups import Subgroup, subgroup_closure, subnormal_series
+from zgcentral.groupalgebra import QGElement, is_central, is_unit_of_zg, mul
+from zgcentral.groups import (
+    Subgroup,
+    all_subgroups,
+    is_normal,
+    subgroup_closure,
+    subnormal_series,
+)
 from zgcentral.rank import rank_oracle
 from zgcentral.shoda import complete_irredundant_set
 from zgcentral.units import (
     BassSpec,
+    Unit,
     bass_specs_for,
     bass_unit,
     c_central_unit,
     central_character_value,
     gen_bass_unit,
     is_central_unit,
-    is_unit_of_zg,
     log_rank_witness,
     random_right_transversal,
     z_central_unit,
@@ -51,16 +58,17 @@ def cyclic_poly_oracle(n, k, m):
 
 
 def test_bass_k1_is_identity(c5):
-    assert bass_unit(c5, BassSpec(g=1, k=1, m=3)) == QGElement.one(c5)
+    u = bass_unit(c5, BassSpec(g=1, k=1, m=3))
+    assert u.value == u.inverse == QGElement.one(c5)
 
 
 def test_bass_on_identity_element(c5):
-    assert bass_unit(c5, BassSpec(g=0, k=1, m=1)) == QGElement.one(c5)
+    assert bass_unit(c5, BassSpec(g=0, k=1, m=1)).value == QGElement.one(c5)
 
 
 def test_bass_c5_coefficients(c5):
     g = 1
-    u = bass_unit(c5, BassSpec(g=g, k=2, m=4))
+    u = bass_unit(c5, BassSpec(g=g, k=2, m=4)).value
     oracle = cyclic_poly_oracle(5, 2, 4)
     assert oracle == [-2, 1, 3, 1, -2]
     got = [u.coeff(c5.power(g, i)) for i in range(5)]
@@ -80,15 +88,17 @@ def test_bass_sweep_small_groups():
         for g in range(G.order):
             for spec in bass_specs_for(G, g):
                 u = bass_unit(G, spec)
-                assert u.augmentation() == 1
-                assert is_unit_of_zg(u)
+                assert u.value.augmentation() == 1
+                assert u.inverse.is_integral()
+                assert mul(u.value, u.inverse) == QGElement.one(G)
+                assert u.inputs == {"spec": spec}
 
 
 def test_bass_matches_cyclic_oracle():
     for n, k in ((7, 3), (8, 3), (12, 5)):
         G = cyclic(n)
         spec = next(s for s in bass_specs_for(G, 1) if s.k == k)
-        u = bass_unit(G, spec)
+        u = bass_unit(G, spec).value
         oracle = cyclic_poly_oracle(n, spec.k, spec.m)
         assert [u.coeff(G.power(1, i)) for i in range(n)] == oracle
 
@@ -107,21 +117,22 @@ def test_ordered_product_empty_and_single(s3):
 def test_gen_bass_trivial_m(c5):
     M = Subgroup(c5, {0})
     gb = gen_bass_unit(c5, 1, M, 2, 4)
-    assert gb.n_b == 1
-    assert gb.value == bass_unit(c5, BassSpec(g=1, k=2, m=4))
+    assert gb.inputs["n_b"] == 1
+    assert gb.value == bass_unit(c5, BassSpec(g=1, k=2, m=4)).value
 
 
 def test_gen_bass_m_whole_group(c5):
     gb = gen_bass_unit(c5, 1, c5.whole(), 2, 4)
-    assert gb.value.is_integral() and is_unit_of_zg(gb.value)
+    assert gb.value.is_integral() and gb.inverse.is_integral()
+    assert mul(gb.value, gb.inverse) == QGElement.one(c5)
 
 
 def test_gen_bass_on_d5(d5):
     rot = next(g for g in range(10) if d5.element_orders[g] == 5)
     M = subgroup_closure(d5, [rot])
     gb = gen_bass_unit(d5, rot, M, 2, 4)
-    # the closed-form identity is asserted inside the constructor
     assert gb.value.is_integral() and is_unit_of_zg(gb.value)
+    assert mul(gb.value, gb.inverse) == QGElement.one(d5)
 
 
 def test_gen_bass_requires_normal_m(s3):
@@ -130,13 +141,56 @@ def test_gen_bass_requires_normal_m(s3):
         gen_bass_unit(s3, refl, subgroup_closure(s3, [refl]), 1, 1)
 
 
+def test_gen_bass_matches_powers_on_catalog():
+    # every catalog group of order <= 40 but C38, whose n_b of 9709 makes
+    # coefficients of 10^5 digits; the powers are walked up to n = 40
+    cases, beyond = 0, 0
+    for entry in catalog():
+        G = entry.constructor()
+        if G.order > 40 or entry.name == "C38":
+            continue
+        normal = [M for M in all_subgroups(G)[1:] if is_normal(M, G.whole())]
+        for g in range(G.order):
+            if G.element_orders[g] <= 2:
+                continue
+            for spec in bass_specs_for(G, g)[:2]:
+                for M in normal:
+                    gb = gen_bass_unit(G, g, M, spec.k, spec.m)
+                    assert gb.value.is_integral() and gb.inverse.is_integral()
+                    want = oracles.gen_bass_unit(G, g, M, spec.k, spec.m, cap=40)
+                    cases += 1
+                    if want is None:
+                        assert gb.inputs["n_b"] > 40
+                        beyond += 1
+                        continue
+                    n_b, value, inverse = want
+                    assert gb.inputs == {"spec": spec, "M": M, "n_b": n_b}
+                    assert (gb.value, gb.inverse) == (value, inverse)
+    assert (cases, beyond) == (7492, 154)
+
+
+def test_gen_bass_paper_1000(paper1000):
+    G = paper1000
+    M = Subgroup(G, [x for x in range(G.order) if 125 % G.element_orders[x] == 0])
+    g = next(x for x in range(G.order) if G.element_orders[x] == 8)
+    assert M.order == 125
+    gb = gen_bass_unit(G, g, M, 3, 2)
+    assert gb.inputs["n_b"] == 300
+    assert gb.value.is_integral() and gb.inverse.is_integral()
+    assert is_central(gb.value)
+    # this one unit already reaches the rank of the central units
+    pairs, _ = complete_irredundant_set(G)
+    assert log_rank_witness(G, [gb], pairs) == rank_oracle(G) == 1
+
+
 # -- c-construction ------------------------------------------------------------
 
 
 def test_c_identity_series(c5):
     ser = subnormal_series(c5.whole())
     u = bass_unit(c5, BassSpec(g=1, k=2, m=4))
-    assert c_central_unit(u, ser).value == u
+    cu = c_central_unit(u, ser)
+    assert (cu.value, cu.inverse) == (u.value, u.inverse)
 
 
 def test_c_one_step_power(d5):
@@ -144,9 +198,9 @@ def test_c_one_step_power(d5):
     # transversal product is u^[G:H]
     rot = next(g for g in range(10) if d5.element_orders[g] == 5)
     H = subgroup_closure(d5, [rot])
-    u = QGElement.one(d5)  # central everywhere, trivially
+    one = QGElement.one(d5)  # central everywhere, trivially
     ser = subnormal_series(H)
-    assert c_central_unit(u, ser).value == QGElement.one(d5)
+    assert c_central_unit(Unit(one, one, "one"), ser).value == one
 
 
 def test_c_on_d5(d5):
@@ -174,16 +228,42 @@ def test_c_transversal_invariance(d5):
 
 
 def test_c_precondition_failures(s3):
-    A3 = subgroup_closure(s3, [next(g for g in range(6) if s3.element_orders[g] == 3)])
+    rot = next(g for g in range(6) if s3.element_orders[g] == 3)
+    A3 = subgroup_closure(s3, [rot])
     ser = subnormal_series(A3)
-    # not supported inside the base subgroup
-    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
+    u = bass_unit(s3, BassSpec(g=rot, k=1, m=1))
+    refl = QGElement.element(s3, next(g for g in range(6) if s3.element_orders[g] == 2))
+    r = QGElement.element(s3, rot)
+    bad = [
+        Unit(refl, refl, "not supported inside the base subgroup"),
+        Unit(u.value, refl, "inverse supported outside the base subgroup"),
+        Unit(u.value, u.value.scale(Fraction(1, 2)), "non-integral inverse"),
+        Unit(r.scale(Fraction(1, 2)), r.scale(2), "non-integral value"),
+        Unit(r + u.value, u.value, "wrong inverse"),
+        Unit(r, r, "wrong inverse of a unit"),
+    ]
+    for cu in bad:
+        with pytest.raises(PreconditionFailed):
+            c_central_unit(cu, ser)
+    # not central in the base subring: a reflection in S3 itself
+    ser_s3 = subnormal_series(s3.whole())
     with pytest.raises(PreconditionFailed):
-        c_central_unit(QGElement.element(s3, refl), ser)
-    # not a unit of the integral subring
-    bad = QGElement.element(s3, next(iter(A3.members - {0}))) + QGElement.one(s3)
-    with pytest.raises(PreconditionFailed):
-        c_central_unit(bad, ser)
+        c_central_unit(Unit(refl, refl, "reflection"), ser_s3)
+
+
+def test_constructions_need_no_minimal_polynomial(monkeypatch):
+    def refuse(a):
+        raise AssertionError("minimal_polynomial on the construction path")
+
+    monkeypatch.setattr(groupalgebra, "minimal_polynomial", refuse)
+    assert len(c_units(get_group("C36"))) == 36
+    for name, count in (("D5", 37), ("D7", 65)):
+        G = get_group(name)
+        pairs, _ = complete_irredundant_set(G)
+        assert len(z_units(G, pairs)) == count
+    G = get_group("C22")
+    M = next(M for M in all_subgroups(G) if M.order == 2)
+    assert gen_bass_unit(G, 1, M, 3, 5).inputs["n_b"] == 341
 
 
 # -- z-construction ------------------------------------------------------------
@@ -202,7 +282,8 @@ def test_z_on_abelian_is_power(c5):
     pairs, _ = complete_irredundant_set(c5)
     p = next(p for p in pairs if p.index == 5)
     u = bass_unit(c5, BassSpec(g=1, k=2, m=4))
-    assert z_central_unit(u, p).value == u**5
+    zu = z_central_unit(u, p)
+    assert (zu.value, zu.inverse) == (u.value**5, u.inverse**5)
 
 
 def test_z_on_dihedral_pair(d5):
@@ -216,15 +297,24 @@ def test_z_on_dihedral_pair(d5):
     assert mul(zu.value, zu.inverse) == QGElement.one(d5)
 
 
-def test_z_precondition_split_failure(d5):
-    rot = next(g for g in range(10) if d5.element_orders[g] == 5)
+def test_z_precondition_split_failure(c4, d5):
+    pairs, _ = complete_irredundant_set(c4)
+    p = next(p for p in pairs if p.index == 4)
+    # g is a unit of ZC4, but g (1 - eps) = (g + g^3)/2 is not an integer
+    # multiple of 1 - eps = (1 + g^2)/2
+    g = next(x for x in range(4) if c4.element_orders[x] == 4)
+    u = Unit(QGElement.element(c4, g), QGElement.element(c4, int(c4.inv[g])), "g")
+    with pytest.raises(PreconditionFailed, match="split"):
+        z_central_unit(u, p)
+    # a wrong carried inverse is refused before the split is looked at
+    rot = next(x for x in range(10) if d5.element_orders[x] == 5)
     H = subgroup_closure(d5, [rot])
     pairs, _ = complete_irredundant_set(d5)
-    p = next(p for p in pairs if p.H.members == H.members)
-    # -1 + 3*hat-like combination: central unit of ZH but the (1-eps) part
-    # is not an integer multiple of (1-eps)... use a non-unit to trip earlier
-    with pytest.raises(PreconditionFailed):
-        z_central_unit(QGElement.element(d5, rot).scale(2), p)
+    p = next(p for p in pairs if p.H.members == H.members and p.index == 5)
+    v = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
+    r_inv = QGElement.element(d5, int(d5.inv[rot]))
+    with pytest.raises(PreconditionFailed, match="inverse is not 1"):
+        z_central_unit(Unit(v.value, r_inv, "wrong inverse"), p)
 
 
 # -- verification and rank witness ---------------------------------------------
@@ -237,10 +327,8 @@ def test_is_central_unit_basics(s3):
 
 def test_witness_identity_only(c5):
     pairs, _ = complete_irredundant_set(c5)
-    from zgcentral.units import CentralUnit
-
     one = QGElement.one(c5)
-    units = [CentralUnit(value=one, inverse=one, provenance="product")]
+    units = [Unit(value=one, inverse=one, provenance="product")]
     assert log_rank_witness(c5, units, pairs) == 0
 
 
