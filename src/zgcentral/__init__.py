@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .catalog import catalog, get_group
 from .cyclotomic import Cyclotomic, euler_phi
-from .groupalgebra import QGElement, ZGElement, epsilon, hat
+from .groupalgebra import QGElement, epsilon, hat
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -36,7 +36,6 @@ from .units import (
     bass_unit,
     c_central_unit,
     gen_bass_unit,
-    is_central_unit,
     log_rank_witness,
     z_central_unit,
 )

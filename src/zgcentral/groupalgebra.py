@@ -23,7 +23,6 @@ from .errors import (
     GroupMismatch,
     NotCentral,
     NotIdempotent,
-    NotInvertible,
     NotShodaPair,
 )
 from .groups import _GATHER_BLOCK, Subgroup, cyclic_coset_log
@@ -194,7 +193,7 @@ class QGElement:
 
     def __pow__(self, k):
         if k < 0:
-            return qg_inverse(self) ** (-k)
+            raise ValueError("negative power: QG has no inversion; use Unit.inverse")
         out, base = QGElement.one(self.group), self
         while k:
             if k & 1:
@@ -209,15 +208,6 @@ class QGElement:
         G = self.group
         t = G.table
         return QGElement._of(G, self.den, self.vec[t[t[g], G.inv[g]]])
-
-
-class ZGElement(QGElement):
-    """An element of the integral group ring ZG (checked at construction)."""
-
-    def __init__(self, group, coeffs):
-        super().__init__(group, coeffs)
-        if not self.is_integral():
-            raise ValueError("ZGElement requires integer coefficients")
 
 
 def mul(a, b):
@@ -317,75 +307,6 @@ def centralizer_of(a, within):
 
 def is_central(a):
     return all(a.conj(g) == a for g in a.group.generators)
-
-
-# -- inversion ---------------------------------------------------------------
-
-
-def minimal_polynomial(a):
-    """Integers m_0..m_d, m_d != 0, with m_0 + m_1 a + ... + m_d a^d = 0
-    for the least d, and the powers a^0..a^(d-1).
-
-    Fraction-free elimination: the row of a^i = vec_i / den_i is
-    [vec_i | e_i], reduced against the earlier rows, dividing out its
-    content after each step.  Once the vector part vanishes, the e-part
-    holds integers c_i with sum c_i vec_i = 0, so m_i = c_i * den_i.
-    """
-    n = a.group.order
-    basis = []  # (pivot column, row)
-    powers = []
-    power = QGElement.one(a.group)
-    for d in range(n + 1):  # any n + 1 powers are linearly dependent
-        row = np.zeros(2 * n + 1, dtype=power.vec.dtype)
-        row[:n] = power.vec
-        row[n + d] = 1
-        for pivot, b in basis:
-            q = int(row[pivot])
-            if q:
-                p = int(b[pivot])
-                g = gcd(p, q)
-                row = _combine([(p // g, row), (-q // g, b)])
-                row //= int(np.gcd.reduce(row))
-        nz = np.flatnonzero(row[:n])
-        if not nz.size:
-            c = row[n:].tolist()
-            return [ci * x.den for ci, x in zip(c, powers + [power])], powers
-        basis.append((nz[0], row))
-        powers.append(power)
-        power = mul(a, power)
-
-
-def qg_inverse(a):
-    """Exact inverse in QG, found inside the subalgebra Q[a].
-
-    Raises NotInvertible when `a` is zero or a zero divisor.
-    """
-    if a.is_zero():
-        raise NotInvertible("zero has no inverse")
-    m, powers = minimal_polynomial(a)
-    if not m[0]:
-        raise NotInvertible("element is a zero divisor")
-    # m_0 + m_1 a + ... + m_d a^d = 0  =>  a^-1 = -(m_1 + m_2 a + ...) / m_0
-    out = QGElement.zero(a.group)
-    for mi, x in zip(m[1:], powers):
-        out = out + x.scale(mi)
-    return out.scale(Fraction(-1, m[0]))
-
-
-def zg_inverse(a):
-    """The inverse of `a` if `a` is a unit of ZG, else None."""
-    if not a.is_integral():
-        return None
-    try:
-        inv = qg_inverse(a)
-    except NotInvertible:
-        return None
-    return inv if inv.is_integral() else None
-
-
-def is_unit_of_zg(a):
-    """True iff `a` has integer coefficients and an integral inverse."""
-    return zg_inverse(a) is not None
 
 
 # -- center ------------------------------------------------------------------

@@ -165,21 +165,18 @@ class FiniteGroup:
     def is_abelian(self):
         return bool(np.array_equal(self.table, self.table.T))
 
-    def exponent(self):
-        e = 1
-        for k in self.element_orders:
-            e = e * k // gcd(e, k)
-        return e
-
 
 class Subgroup:
-    """An immutable subgroup of a FiniteGroup, stored as a member set."""
+    """An immutable subgroup of a FiniteGroup, stored as a member set.
+
+    `members` are element indices as Python ints; they are not converted.
+    """
 
     __slots__ = ("parent", "members", "sorted_members", "_gens")
 
     def __init__(self, parent, members, gens=None):
         self.parent = parent
-        self.members = frozenset(int(m) for m in members)
+        self.members = frozenset(members)
         self.sorted_members = tuple(sorted(self.members))
         self._gens = list(gens) if gens is not None else None
 

@@ -46,7 +46,6 @@ from .groupalgebra import (
     hat,
     epsilon,
     is_central,
-    is_unit_of_zg,
     mul,
 )
 from .groups import conjugacy_partition, is_normal, right_transversal
@@ -228,12 +227,7 @@ def gen_bass_unit(G, g, M, k, m):
     return Unit(value, inverse, "generalized Bass", {"spec": spec, "M": M, "n_b": n})
 
 
-# -- verification predicates ---------------------------------------------------
-
-
-def is_central_unit(v):
-    """Integral, commutes with every group generator, integral inverse."""
-    return v.is_integral() and is_central(v) and is_unit_of_zg(v)
+# -- verification --------------------------------------------------------------
 
 
 def _verified_unit(value, inverse, provenance, inputs):

@@ -19,7 +19,10 @@ every g outside it, the way `zgcentral` did before its cyclic extension.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
-closed form.
+closed form.  The Fraction `minimal_polynomial` and `inverse` here are
+the only inversion left anywhere: `zgcentral` never solves for an
+inverse, since every unit it builds carries its own, and `gen_bass_unit`
+and the unit tests check those carried inverses against this one.
 """
 
 import json
@@ -34,7 +37,7 @@ from zgcentral.cli import parse_pairs_file
 from zgcentral import cyclotomic
 from zgcentral.cyclotomic import cyclotomic_polynomial
 from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup, ZgError
-from zgcentral.groupalgebra import QGElement, hat, zg_inverse
+from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     FiniteGroup,
@@ -433,8 +436,10 @@ def mul(G, a, b):
 
 def minimal_polynomial(G, a):
     """Monic minimal polynomial coefficients c_0..c_d (c_d = 1) of `a`, by
-    Gaussian elimination over Fractions on the powers of `a`."""
+    Gaussian elimination over Fractions on the powers of `a`, and the
+    powers a^0..a^(d-1)."""
     basis = []  # (pivot, vec dict, combo list)
+    powers = []
     power = {0: Fraction(1)}
     for d in range(G.order + 1):
         vec = dict(power)
@@ -452,8 +457,9 @@ def minimal_polynomial(G, a):
                 for i, val in enumerate(bcombo):
                     combo[i] -= f * val
         if not vec:
-            return combo
+            return combo, powers
         basis.append((min(vec), vec, combo))
+        powers.append(power)
         power = mul(G, power, a)
     raise AssertionError("a minimal polynomial has degree at most |G|")
 
@@ -463,13 +469,12 @@ def inverse(G, a):
     polynomial; NotInvertible for zero and for zero divisors."""
     if not a:
         raise NotInvertible("zero has no inverse")
-    c = minimal_polynomial(G, a)
+    c, powers = minimal_polynomial(G, a)
     if not c[0]:
         raise NotInvertible("element is a zero divisor")
-    out, power = {}, {0: Fraction(1)}
-    for ci in c[1:]:
+    out = {}
+    for ci, power in zip(c[1:], powers):
         out = add(out, {g: ci * q for g, q in power.items()})
-        power = mul(G, power, a)
     return {g: -q / c[0] for g, q in out.items()}
 
 
@@ -565,14 +570,16 @@ def central_character_value(G, H, K, v):
 
 def gen_bass_unit(G, g, M, k, m, cap):
     """(n_b, b^n_b, its inverse) for b = 1 - hat(M) + u_{k,m}(g) hat(M) and
-    n_b the least n with b^n a unit of ZG: one QG product and one
-    inversion per power.  None when n_b > cap."""
+    n_b the least n with b^n a unit of ZG: one QG product per power, and
+    the Fraction `inverse` of each integral power, kept when it is
+    integral.  None when n_b > cap."""
     hm = hat(M)
     b = QGElement.one(G) - hm + qg_mul(bass_unit(G, BassSpec(g, k, m)).value, hm)
     p = b
     for n in range(1, cap + 1):
-        inv = zg_inverse(p)
-        if inv is not None:
-            return n, p, inv
+        if p.is_integral():
+            inv = inverse(G, as_dict(p))
+            if all(q.denominator == 1 for q in inv.values()):
+                return n, p, QGElement(G, inv)
         p = qg_mul(p, b)
     return None

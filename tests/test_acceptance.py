@@ -35,7 +35,6 @@ from zgcentral.units import (
     bass_unit,
     c_central_unit,
     gen_bass_unit,
-    is_central_unit,
     log_rank_witness,
     random_right_transversal,
     z_central_unit,
@@ -140,14 +139,18 @@ def test_unit_suite():
         assert gb.value.is_integral() and gb.inverse.is_integral()
         assert mul(gb.value, gb.inverse) == QGElement.one(d5)
 
-    # z- and c-constructions produce central units
+    # z- and c-constructions produce central units that carry their
+    # inverses: both integral, value * inverse = 1
     pairs = full_analysis(d5)
     pair = next(p for p in pairs if p.H.members == M.members and p.index == 5)
     u = bass_unit(d5, next(s for s in bass_specs_for(d5, rot) if s.k == 2))
-    assert is_central_unit(z_central_unit(u, pair).value)
     series = subnormal_series(M)
-    reference = c_central_unit(u, series).value
-    assert is_central_unit(reference)
+    z_unit, c_unit = z_central_unit(u, pair), c_central_unit(u, series)
+    for cu in (z_unit, c_unit):
+        assert cu.value.is_integral() and cu.inverse.is_integral()
+        assert is_central(cu.value)
+        assert mul(cu.value, cu.inverse) == QGElement.one(d5)
+    reference = c_unit.value
 
     # the c-construction does not depend on the transversal choice
     import random

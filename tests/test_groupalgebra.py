@@ -1,4 +1,4 @@
-"""Group-algebra arithmetic: idempotents, products, inverses, center."""
+"""Group-algebra arithmetic: idempotents, products, powers, center."""
 
 from fractions import Fraction
 from math import gcd
@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from oracles import e_sum_conjugates
 
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import GroupMismatch, NotInvertible, NotNormal, NotSubgroup
+from zgcentral.errors import GroupMismatch, NotNormal, NotSubgroup
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
-    ZGElement,
     center_basis,
     center_component_dim,
     centralizer_of,
@@ -24,9 +23,7 @@ from zgcentral.groupalgebra import (
     hat,
     is_central,
     is_idempotent,
-    minimal_polynomial,
     mul,
-    qg_inverse,
 )
 from zgcentral.groups import (
     Subgroup,
@@ -129,11 +126,6 @@ def test_group_mismatch(s3, c4):
         mul(QGElement.one(s3), QGElement.one(c4))
 
 
-def test_zg_element_rejects_fractions(s3):
-    with pytest.raises(ValueError):
-        ZGElement(s3, {0: Fraction(1, 2)})
-
-
 sparse = st.dictionaries(
     st.integers(0, 5), st.fractions(max_denominator=3), max_size=4
 )
@@ -156,29 +148,16 @@ def test_conj_is_ring_automorphism(ca, g):
     assert mul(a.conj(g), a.conj(g)) == mul(a, a).conj(g)
 
 
-# -- inverses ------------------------------------------------------------------
+# -- powers --------------------------------------------------------------------
 
 
-def test_inverse_of_one(s3):
-    assert qg_inverse(QGElement.one(s3)) == QGElement.one(s3)
-
-
-def test_inverse_of_group_element(s3):
-    for g in range(6):
-        assert qg_inverse(elem(s3, g)) == elem(s3, int(s3.inv[g]))
-
-
-def test_hat_not_invertible(s3):
-    A3 = derived_subgroup(s3.whole())
-    with pytest.raises(NotInvertible):
-        qg_inverse(hat(A3))
-
-
-def test_inverse_roundtrip(s3):
-    a = QGElement.one(s3) + elem(s3, 1).scale(3)  # 1 + 3g is invertible in QS3
-    inv = qg_inverse(a)
-    assert mul(a, inv) == QGElement.one(s3)
-    assert mul(inv, a) == QGElement.one(s3)
+def test_powers_are_nonnegative(s3):
+    # QG solves for no inverse: a unit's inverse is carried by Unit
+    a = elem(s3, 1)
+    assert a**0 == QGElement.one(s3)
+    assert a**1 == a
+    with pytest.raises(ValueError, match="Unit.inverse"):
+        a**-1
 
 
 # -- centralizers and center ---------------------------------------------------
@@ -272,7 +251,6 @@ def test_centralizer_matches_filter_on_sparse_elements(name, data):
 # -- the (den, vec) kernels against the Fraction-dict oracles -------------------
 
 CORPUS_GROUPS = {name: get_group(name) for name in ("S3", "D4", "Q8", "C12", "S4")}
-SMALL_GROUPS = ("S3", "D4", "Q8", "C6")
 BIG = _INT64_BOUND
 
 # small fractions, plus integers at the int64 bound of the representation
@@ -282,14 +260,13 @@ coefficients = st.one_of(
 )
 
 
-def draw_element(data, G, coeffs=coefficients):
+def draw_element(data, G):
     """A sparse (at most 6 terms) or a dense element of QG."""
     if data.draw(st.booleans(), label="dense"):
-        values = data.draw(st.lists(coeffs, min_size=G.order, max_size=G.order))
+        values = data.draw(st.lists(coefficients, min_size=G.order, max_size=G.order))
         return QGElement(G, dict(enumerate(values)))
-    return QGElement(
-        G, data.draw(st.dictionaries(st.integers(0, G.order - 1), coeffs, max_size=6))
-    )
+    terms = st.dictionaries(st.integers(0, G.order - 1), coefficients, max_size=6)
+    return QGElement(G, data.draw(terms))
 
 
 def assert_canonical(a):
@@ -359,28 +336,6 @@ def test_centralizer_matches_oracle_conj(name, data):
     want = {g for g in range(G.order) if oracles.conj(G, da, g) == da}
     assert centralizer_of(a, G.whole()).members == want
     assert is_central(a) == (len(want) == G.order)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SMALL_GROUPS), st.data())
-def test_inverse_matches_oracle(name, data):
-    G = get_group(name)
-    # coefficients in {-2..2} make zero divisors common enough to test
-    a = draw_element(data, G, st.integers(-2, 2) | coefficients)
-    m, powers = minimal_polynomial(a)
-    assert [Fraction(x, m[-1]) for x in m] == oracles.minimal_polynomial(
-        G, oracles.as_dict(a)
-    )
-    assert powers == [a**i for i in range(len(m) - 1)]
-    try:
-        want = oracles.inverse(G, oracles.as_dict(a))
-    except NotInvertible:
-        with pytest.raises(NotInvertible):
-            qg_inverse(a)
-        return
-    got = qg_inverse(a)
-    assert_canonical(got)
-    assert oracles.as_dict(got) == want
 
 
 def test_int64_bound_edge():
