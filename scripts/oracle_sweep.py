@@ -3,13 +3,15 @@
 
 Runs the full pipeline (pair search, classification, rank formula) over
 every catalog group up to a given order and reports any disagreement.
+Every pair also goes through the center-degree check, which squares its
+idempotent, so each idempotent is checked to be one.
 """
 
 import argparse
 import time
 
 from zgcentral.catalog import catalog
-from zgcentral.rank import rank_total
+from zgcentral.rank import rank_total, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set
 
 
@@ -31,8 +33,13 @@ def main():
             failures += 1
             continue
         report = rank_total(G, pairs, complete=True)
-        mark = "ok" if report.agree else "MISMATCH"
+        bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
+        mark = "ok"
         if not report.agree:
+            mark = "MISMATCH"
+        elif bad_degree:
+            mark = f"CENTER DEGREE FAILED on {bad_degree} pair(s)"
+        if mark != "ok":
             failures += 1
         print(
             f"{entry.name:>14}  order {G.order:>4}  pairs {len(pairs):>3}  "

@@ -26,7 +26,6 @@ from .shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
     is_shoda_pair,
-    is_strong_shoda_pair,
     pci,
 )
 from .units import (

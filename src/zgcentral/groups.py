@@ -162,9 +162,6 @@ class FiniteGroup:
     def trivial(self):
         return Subgroup(self, frozenset([0]), gens=[])
 
-    def is_abelian(self):
-        return bool(np.array_equal(self.table, self.table.T))
-
 
 class Subgroup:
     """An immutable subgroup of a FiniteGroup, stored as a member set.
@@ -611,6 +608,11 @@ class ConjugacyPartition:
     classes: tuple  # of frozensets
     class_of: tuple
     kind: str
+
+    @property
+    def reps(self):
+        """The least element of each class."""
+        return [min(cl) for cl in self.classes]
 
 
 def conjugacy_partition(G, kind="ordinary"):

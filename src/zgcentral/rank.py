@@ -3,7 +3,9 @@
 Per classified pair the center of the associated simple component is a
 field of degree phi([H:K]) / prod [C_i:H_i]; its unit group contributes
 that degree divided by k (1 if the field is totally real, else 2) minus
-one to the rank.  The independent oracle counts real minus rational
+one to the rank.  k is read off the pair's induced-character class rows
+(`LinearCharacter.class_rows`): it is 1 exactly when complex conjugation
+sigma_-1 fixes them.  The independent oracle counts real minus rational
 conjugacy classes.
 """
 
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import euler_phi, reduction_matrix
+from .cyclotomic import euler_phi
 from .errors import DivisibilityViolation, IncompleteSet
 from .groupalgebra import center_component_dim
 from .groups import conjugacy_partition
-from .shoda import induced_counts, is_complete
+from .shoda import is_complete
 
 
 @dataclass
@@ -41,18 +43,16 @@ class RankReport:
 
 
 def k_of_pair(G, pair):
-    """1 if the induced character is real-valued (totally real center),
+    """1 if the induced character chi is real-valued (totally real center),
     else 2; decided exactly.
 
-    At g^-1 every exponent of the induced character at g is negated, so
-    the character is real iff each class representative's count row and
-    its negated-exponent row agree once reduced modulo Phi_n.
+    chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when its class
+    rows at the classes of the inverse representatives equal the rows.
     """
-    n = pair.lam.order
-    reps = [min(cl) for cl in conjugacy_partition(G, "ordinary").classes]
-    counts = induced_counts(pair.lam, G, reps)
-    conj = counts[:, -np.arange(n) % n]
-    return 2 if ((counts - conj) @ reduction_matrix(n)).any() else 1
+    part = conjugacy_partition(G)
+    rows = pair.lam.class_rows
+    bar = np.asarray(part.class_of)[G.inv[part.reps]]
+    return 1 if np.array_equal(rows[bar], rows) else 2
 
 
 def rank_term(G, pair):

@@ -11,10 +11,12 @@ of the rational group algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import ramanujan_row
+from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from .errors import NotShodaPair, SearchBoundExceeded
 from .groupalgebra import (
     QGElement,
@@ -27,6 +29,7 @@ from .groups import (
     _GATHER_BLOCK,
     Subgroup,
     all_subgroups,
+    conjugacy_partition,
     cyclic_coset_log,
     is_normal,
     right_transversal,
@@ -55,6 +58,16 @@ class LinearCharacter:
     coset_log: np.ndarray
     transversal: np.ndarray
 
+    @cached_property
+    def class_rows(self):
+        """Row c: the induced character at G's c-th ordinary class, on the
+        power basis of Q(zeta_n); read-only int64."""
+        G = self.H.parent
+        counts = induced_counts(self, G, conjugacy_partition(G).reps)
+        rows = counts @ reduction_matrix(self.order)
+        rows.setflags(write=False)
+        return rows
+
 
 def linear_character(H, K, t=1):
     """A faithful linear character of H/K with kernel K.
@@ -78,31 +91,23 @@ def linear_character(H, K, t=1):
     )
 
 
-def _induced_exponents(lam, G, cols):
-    """Exponents of zeta_n summed by the induced character, in blocks.
-
-    With T = lam.transversal, yields (j, E) where E[i, c] is coset_log at
-    T[i] * g * T[i]^-1 for g = cols[j + c]: -1 where that conjugate lies
-    outside H, else the exponent of its character value.  A block gathers
-    at most _GATHER_BLOCK table entries.
-    """
-    t = G.table
-    T = lam.transversal
-    T_inv = G.inv[T][:, None]
-    width = max(1, _GATHER_BLOCK // T.size)
-    for j in range(0, cols.size, width):
-        x = t[t[np.ix_(T, cols[j : j + width])], T_inv]
-        yield j, lam.coset_log[x]
-
-
 def induced_counts(lam, G, cols):
     """Row c counts, for each exponent k < [H:K], the transversal elements
     whose conjugate of g = cols[c] has character value zeta_n ** k; the
-    induced character at g is the sum of those powers."""
+    induced character at g is the sum of those powers.
+
+    With T = lam.transversal, a block of columns gathers coset_log at
+    T[i] * g * T[i]^-1, at most _GATHER_BLOCK table entries at a time.
+    """
     n = lam.order
+    t = G.table
+    T = lam.transversal
+    T_inv = G.inv[T][:, None]
     cols = np.asarray(cols, dtype=np.intp)
     counts = np.zeros((cols.size, n + 1), dtype=np.int64)
-    for j, E in _induced_exponents(lam, G, cols):
+    width = max(1, _GATHER_BLOCK // T.size)
+    for j in range(0, cols.size, width):
+        E = lam.coset_log[t[t[np.ix_(T, cols[j : j + width])], T_inv]]
         w = E.shape[1]
         # exponent -1 (outside H) lands in the spare slot n of its row
         slots = E % (n + 1) + (n + 1) * np.arange(w)
@@ -154,45 +159,40 @@ def _is_shoda_pair(H, K, coset_conjugates):
     return bool(((x >= 0) & (x != log[hs])).any(axis=1).all())
 
 
-def is_strong_shoda_pair(G, H, K):
-    """A Shoda pair whose one-step chain H <= G verifies: H normal in the
-    centralizer of epsilon(H,K), with distinct conjugates of epsilon(H,K)
-    mutually orthogonal."""
-    if not is_shoda_pair(G, H, K):
-        return False
-    return verify_chain(G, H, K, [H, G.whole()]) is not None
-
-
 # -- primitive central idempotents --------------------------------------------
 
 
 def pci(G, H, K, lam=None, check=True):
     """The primitive central idempotent realized by the pair (H, K).
 
-    Computed as the Galois-orbit sum of the induced character: its value
-    at g is the trace to Q of a sum of powers of zeta_[H:K], read off as
-    Ramanujan sums in integers.  That rational class function gives an
-    algebra element which is a positive rational multiple of the
-    idempotent; the multiple is recovered from a single squaring.
+    With n = [H:K], the Galois conjugates of the induced character chi sum
+    to its trace from Q(zeta_n) to Q over |S|, S the stabilizer of chi in
+    (Z/n)^x.  The trace at a class is chi's class row times the Ramanujan
+    sums c_n(i), the traces of the power basis.  sigma_t(chi(g)) =
+    chi(g^t) for t prime to the exponent e of G, and sigma_t depends only
+    on t mod n, so S is read off the rows at the classes of rep^t for one
+    such t per residue in (Z/n)^x.  As n divides e, each residue has one
+    below e.  The powers rep^t are walked with one table gather per t.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     if lam is None:
         lam = linear_character(H, K)
-    # a trailing 0 so that exponent -1 (outside H) adds nothing
-    ram = np.append(ramanujan_row(lam.order), 0)
-    trace = np.empty(G.order, dtype=np.int64)
-    for j, E in _induced_exponents(lam, G, np.arange(G.order, dtype=np.intp)):
-        trace[j : j + E.shape[1]] = ram[E].sum(axis=0)
-    # the coefficient of g^-1 is trace(g) / |H|
-    a = QGElement.from_vec(G, trace[G.inv], den=H.order)
-    # a = r * e for the idempotent e and a positive rational r, so a^2 = r*a
-    a2 = mul(a, a)
-    g0 = a.support[0]
-    r = a2.coeff(g0) / a.coeff(g0)
-    if r <= 0 or a2 != a.scale(r):
-        raise NotShodaPair("induced character is not irreducible")
-    return a.scale(1 / r)
+    n, rows = lam.order, lam.class_rows
+    part = conjugacy_partition(G)
+    class_of = np.asarray(part.class_of)
+    reps = np.array(part.reps, dtype=np.intp)
+    e = lcm(*G.element_orders)
+    seen, stabilizer = {1 % n}, 1  # t = 1
+    t, x = 1, reps
+    while len(seen) < euler_phi(n):
+        t, x = t + 1, G.table[x, reps]
+        if gcd(t, e) == 1 and t % n not in seen:
+            seen.add(t % n)
+            stabilizer += np.array_equal(rows[class_of[x]], rows)
+    trace = rows @ ramanujan_row(n)[: rows.shape[1]]
+    # the coefficient of g^-1 is trace(g) / (|H| |S|)
+    return QGElement.from_vec(G, trace[class_of][G.inv], den=H.order * stabilizer)
 
 
 # -- strong inductive chains ---------------------------------------------------

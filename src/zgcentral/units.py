@@ -17,8 +17,9 @@ more.
 A numerical log-embedding witness measures the multiplicative rank of a
 set of central units.  The central character value it embeds is exact
 and integral until one final division: the unit's numerators summed per
-conjugacy class, times each pair's induced-character rows reduced mod
-Phi_n, over the unit's denominator times [G:H].
+conjugacy class, times the pair's induced-character class rows
+(`LinearCharacter.class_rows`, on the power basis of Q(zeta_n)), over
+the unit's denominator times [G:H].
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, reduction_matrix
+from .cyclotomic import Cyclotomic
 from .errors import (
     BadCongruence,
     IncompleteSet,
@@ -49,7 +50,7 @@ from .groupalgebra import (
     mul,
 )
 from .groups import conjugacy_partition, is_normal, right_transversal
-from .shoda import induced_counts, is_complete
+from .shoda import is_complete
 
 
 @dataclass(frozen=True)
@@ -353,25 +354,18 @@ def _class_sums(v):
     return np.array([sum(vals[g] for g in cl) for cl in classes], dtype=object)
 
 
-def _class_value_rows(G, lam):
-    """Row c: the character induced from `lam`, at ordinary class c, on the
-    power basis of Q(zeta_n): its exponent count row reduced mod Phi_n."""
-    reps = [min(cl) for cl in conjugacy_partition(G, "ordinary").classes]
-    counts = induced_counts(lam, G, reps)
-    return (counts @ reduction_matrix(lam.order)).astype(object)
-
-
-def _omega(lam, value_rows, sums, den):
+def _omega(lam, sums, den):
     """sum_g v(g) chi(g) / chi(1) for v = vec / den with class sums `sums`
     of vec, where chi(1) = [G:H] is the size of lam's transversal."""
     q = den * lam.transversal.size
-    return Cyclotomic(lam.order, tuple(Fraction(x, q) for x in sums @ value_rows))
+    row = sums @ lam.class_rows.astype(object)
+    return Cyclotomic(lam.order, tuple(Fraction(x, q) for x in row))
 
 
 def central_character_value(G, pair, v):
     """The scalar by which v acts on the pair's simple component: the
     induced character chi summed against v's coefficients, over chi(1)."""
-    return _omega(pair.lam, _class_value_rows(G, pair.lam), _class_sums(v), v.den)
+    return _omega(pair.lam, _class_sums(v), v.den)
 
 
 def log_rank_witness(G, units, pairs, tolerance=1e-6):
@@ -386,16 +380,15 @@ def log_rank_witness(G, units, pairs, tolerance=1e-6):
         raise IncompleteSet("pair set does not cover the group algebra")
     if not units:
         return 0
-    chars = [(p.lam, _class_value_rows(G, p.lam)) for p in pairs]
     rows = []
     for cu in units:
         sums = _class_sums(cu.value)
         inv_sums = _class_sums(cu.inverse)
         row = []
-        for lam, value_rows in chars:
+        for p in pairs:
 
             def abs_embeddings(s, den):
-                omega = _omega(lam, value_rows, s, den)
+                omega = _omega(p.lam, s, den)
                 return [abs(z) for z in omega.embeddings()]
 
             zs = abs_embeddings(sums, cu.value.den)

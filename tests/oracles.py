@@ -7,11 +7,14 @@ division, and share no code with the integer character kernel in
 `zgcentral.shoda` and `zgcentral.cyclotomic.reduction_matrix`: each pair
 gets its own linear character, built from a generating coset of H/K by
 walking powers, and the central character value is summed one field
-product per support element.  The group-algebra oracles work on sparse
-`{index: Fraction}` dicts with no stored zeros, the representation that
-`zgcentral.groupalgebra` used before its `(den, vec)` elements.  The coset
-oracles build H/K as a group of its own, with a projection map, the way
-`zgcentral` did before it read the cosets off G's table, and `epsilon`
+product per support element.  The idempotent oracle normalizes the
+Galois sum by one QG squaring, the way `zgcentral` did before it read
+the Galois stabilizer off the class power map.  The group-algebra
+oracles work on sparse `{index: Fraction}` dicts with no stored zeros,
+the representation that `zgcentral.groupalgebra` used before its
+`(den, vec)` elements.  The coset oracles build H/K as a group of its
+own, with a projection map, the way `zgcentral` did before it read the
+cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
@@ -322,7 +325,8 @@ def quotient(H, K):
 
 
 def is_cyclic(Q):
-    return Q.is_abelian() and max(Q.element_orders) == Q.order
+    abelian = np.array_equal(Q.table, Q.table.T)
+    return abelian and max(Q.element_orders) == Q.order
 
 
 def coset_log(H, K, t=1):

@@ -68,7 +68,7 @@ def unclassified(G, H, K):
     )
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
 def test_k_matches_is_real_oracle(name):
     G = get_group(name)
     for H, K in shoda_pair_candidates(G):

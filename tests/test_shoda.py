@@ -33,7 +33,6 @@ from zgcentral.shoda import (
     find_strong_inductive_chain,
     induced_counts,
     is_shoda_pair,
-    is_strong_shoda_pair,
     linear_character,
     pci,
     shoda_pair_candidates,
@@ -63,7 +62,7 @@ def test_abelian_proper_h_fails(c4):
 def test_a3_pair(s3):
     A3 = derived_subgroup(s3.whole())
     assert is_shoda_pair(s3, A3, triv(s3))
-    assert is_strong_shoda_pair(s3, A3, triv(s3))
+    assert verify_chain(s3, A3, triv(s3), [A3, s3.whole()]) is not None
 
 
 def test_reflection_pair_fails(s3):
@@ -93,7 +92,9 @@ def test_shoda_gather_matches_loop_oracle_on_catalog():
 
 
 def test_strong_in_abelian(c4):
-    assert is_strong_shoda_pair(c4, c4.whole(), triv(c4))
+    H = c4.whole()
+    assert is_shoda_pair(c4, H, triv(c4))
+    assert verify_chain(c4, H, triv(c4), [H, c4.whole()]) is not None
 
 
 # -- characters ----------------------------------------------------------------
@@ -233,7 +234,7 @@ def test_pci_choice_invariance(c5):
     assert e1 == e2
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
 def test_pci_matches_galois_sum_oracle(name):
     G = get_group(name)
     pairs = shoda_pair_candidates(G)
@@ -245,6 +246,20 @@ def test_pci_matches_galois_sum_oracle(name):
 def test_pci_matches_oracle_on_paper_pairs(paper1000):
     for H, K in paper9_pairs(paper1000):
         assert pci(paper1000, H, K) == oracles.pci(paper1000, H, K)
+
+
+def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
+    """The normalizer |S| comes from the class power map, not from a QG
+    product: with `mul` unavailable to shoda, pci still matches."""
+
+    def no_mul(a, b):
+        raise AssertionError("pci multiplied in QG")
+
+    monkeypatch.setattr(shoda, "mul", no_mul)
+    cases = [(s4, H, K) for H, K in shoda_pair_candidates(s4)]
+    cases += [(paper1000, H, K) for H, K in paper9_pairs(paper1000)]
+    for G, H, K in cases:
+        assert pci(G, H, K) == oracles.pci(G, H, K), (G.order, H.order, K.order)
 
 
 def test_induced_value_matches_sum_over_group(s4):
