@@ -4,13 +4,16 @@
 Runs the full pipeline (pair search, classification, rank formula) over
 every catalog group up to a given order and reports any disagreement.
 Every pair also goes through the center-degree check, which squares its
-idempotent, so each idempotent is checked to be one.
+idempotent, so each idempotent is checked to be one.  The number of pairs
+must equal the number of rational conjugacy classes, the number of
+Wedderburn components of QG.
 """
 
 import argparse
 import time
 
 from zgcentral.catalog import catalog
+from zgcentral.groups import conjugacy_partition
 from zgcentral.rank import rank_total, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set
 
@@ -34,9 +37,12 @@ def main():
             continue
         report = rank_total(G, pairs, complete=True)
         bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
+        components = conjugacy_partition(G, "rational").reps.size
         mark = "ok"
         if not report.agree:
             mark = "MISMATCH"
+        elif len(pairs) != components:
+            mark = f"{components} RATIONAL CLASSES"
         elif bad_degree:
             mark = f"CENTER DEGREE FAILED on {bad_degree} pair(s)"
         if mark != "ok":

@@ -316,12 +316,11 @@ def center_basis(G):
     """Ordinary class sums; a Q-basis of the center of QG."""
     from .groups import conjugacy_partition
 
-    out = []
-    for cl in conjugacy_partition(G, "ordinary").classes:
-        vec = np.zeros(G.order, dtype=np.int64)
-        vec[list(cl)] = 1
-        out.append(QGElement._of(G, 1, vec))
-    return out
+    part = conjugacy_partition(G, "ordinary")
+    return [
+        QGElement._of(G, 1, (part.class_of == c).astype(np.int64))
+        for c in range(part.reps.size)
+    ]
 
 
 def center_component_dim(e):

@@ -3,12 +3,18 @@
 Elements are dense indices 0..order-1 with 0 the identity.  Groups up to
 order 2048 are supported; the table is kept as an int32 matrix so that
 multiplication is a single lookup.
+
+Conjugacy is decided here and nowhere else.  A `ConjugacyPartition` is
+two read-only arrays, the class of each element and the least element of
+each class.  `galois_classes` is the action of (Z/e)^x, e the exponent,
+on the ordinary classes by g -> g^t; the real and rational classes, the
+Galois stabilizer in `shoda.pci` and k in `rank.k_of_pair` all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
+from math import gcd, lcm
 
 import numpy as np
 
@@ -54,7 +60,7 @@ class FiniteGroup:
         self._validate()
         self.inv = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
-        self._conjugacy = {}  # kind -> ConjugacyPartition
+        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois" -> array
 
     # -- construction checks -------------------------------------------------
 
@@ -145,11 +151,6 @@ class FiniteGroup:
     def conj(self, a, g):
         """g^-1 * a * g."""
         return int(self.table[self.table[self.inv[g], a], g])
-
-    def commutator(self, a, b):
-        """a^-1 * b^-1 * a * b."""
-        t = self.table
-        return int(t[t[t[self.inv[a], self.inv[b]], a], b])
 
     def label(self, a):
         if self.labels is not None:
@@ -524,28 +525,15 @@ def is_normal(K, H):
     return True
 
 
-def derived_subgroup(H):
-    G = H.parent
-    comms = {G.commutator(a, b) for a in H.members for b in H.members}
-    return normal_closure(Subgroup(G, G._closure_members(comms | {0})), H)
-
-
 def normal_closure(S, within):
-    """Smallest subgroup of `within` containing S and normal in `within`."""
+    """Smallest subgroup of `within` containing S and normal in `within`:
+    the closure of the conjugates s^w of S's generators by every w in
+    `within`, gathered at once."""
     G = S.parent
-    gens = list(S.gens)
-    current = subgroup_closure(G, gens)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(current.gens):
-            for w in within.gens:
-                c = G.conj(x, w)
-                if c not in current.members:
-                    gens.append(c)
-                    current = subgroup_closure(G, gens)
-                    changed = True
-    return current
+    t = G.table
+    w = np.array(within.sorted_members, dtype=np.intp)[:, None]
+    conj = t[t[G.inv[w], np.array(S.gens, dtype=np.intp)], w]
+    return Subgroup(G, G._closure_members(conj.ravel().tolist()))
 
 
 def right_transversal(H, within):
@@ -603,22 +591,44 @@ def cyclic_coset_log(H, K):
 # -- conjugacy ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
-    classes: tuple  # of frozensets
-    class_of: tuple
+    """A partition of G into classes, as two read-only arrays.
+
+    `class_of` holds the class id of each element and `reps` the least
+    element of each class; ids are ordered by least element.
+    """
+
+    class_of: np.ndarray
+    reps: np.ndarray
     kind: str
 
     @property
-    def reps(self):
-        """The least element of each class."""
-        return [min(cl) for cl in self.classes]
+    def classes(self):
+        """The classes as frozensets of elements, in id order."""
+        members = np.argsort(self.class_of, kind="stable")
+        bounds = np.cumsum(np.bincount(self.class_of))[:-1]
+        return tuple(frozenset(c.tolist()) for c in np.split(members, bounds))
+
+
+def _partition(labels, kind):
+    """The partition whose classes are the level sets of `labels`, each
+    label being the least element of its class."""
+    reps, class_of = np.unique(labels, return_inverse=True)
+    reps.setflags(write=False)
+    class_of.setflags(write=False)
+    return ConjugacyPartition(class_of, reps, kind)
 
 
 def conjugacy_partition(G, kind="ordinary"):
     """Partition of G into ordinary, real or rational conjugacy classes.
 
-    Memoized per group and kind; the result is immutable.
+    Ordinary classes are the fixpoint of least labels under conjugation
+    by the generators: conjugation permutes G, so in a finite group what
+    the generators reach from x is the class of x.  Real and rational
+    classes are orbits of {1, -1} and of all of (Z/e)^x on the ordinary
+    classes, read off `galois_classes`.  Memoized per group and kind; the
+    result is immutable.
     """
     if kind not in ("ordinary", "real", "rational"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -626,78 +636,48 @@ def conjugacy_partition(G, kind="ordinary"):
     if cached is not None:
         return cached
     if kind == "ordinary":
-        part = _ordinary_partition(G)
+        t = G.table
+        gens = np.array(G.generators, dtype=np.intp)[:, None]
+        conj = t[t[G.inv[gens], np.arange(G.order)], gens]
+        least = np.arange(G.order)
+        while True:
+            step = np.minimum(least, least[conj].min(axis=0))
+            if np.array_equal(step, least):
+                break
+            least = step
+        part = _partition(least, kind)
     else:
-        part = _merged_partition(G, kind)
+        ordinary = conjugacy_partition(G)
+        P = galois_classes(G)
+        # orbits of a group action: the least class id in each is one step away
+        merged = np.minimum(P[0], P[-1]) if kind == "real" else P.min(axis=0)
+        part = _partition(ordinary.reps[merged][ordinary.class_of], kind)
     G._conjugacy[kind] = part
     return part
 
 
-def _ordinary_partition(G):
-    n = G.order
-    class_of = [-1] * n
-    classes = []
-    for g in range(n):
-        if class_of[g] != -1:
-            continue
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            for s in G.generators:
-                y = G.conj(x, s)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        cid = len(classes)
-        classes.append(frozenset(orbit))
-        for x in orbit:
-            class_of[x] = cid
-    return ConjugacyPartition(tuple(classes), tuple(class_of), "ordinary")
+def galois_classes(G):
+    """The action of (Z/e)^x on G's ordinary classes, e the exponent of G.
 
-
-def _merged_partition(G, kind):
-    """Ordinary classes merged with those of their inverses ("real") or of
-    every generator of their cyclic subgroups ("rational").  Conjugate
-    elements have conjugate powers, so one representative per ordinary
-    class suffices."""
-    ordinary = conjugacy_partition(G, "ordinary")
-    class_of = ordinary.class_of
-    parent = list(range(len(ordinary.classes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    t = G.table
-    for cid, cl in enumerate(ordinary.classes):
-        g = min(cl)
-        if kind == "real":
-            union(cid, class_of[int(G.inv[g])])
-            continue
-        # walk g, g^2, ..., g^(d-1) with one table lookup per step
-        d = G.element_orders[g]
-        x = g
-        for m in range(1, d):
-            if gcd(m, d) == 1:
-                union(cid, class_of[x])
-            x = int(t[x, g])
-    merged = {}
-    for cid, cl in enumerate(ordinary.classes):
-        merged.setdefault(find(cid), set()).update(cl)
-    classes = tuple(frozenset(merged[k]) for k in sorted(merged))
-    new_class_of = [-1] * G.order
-    for cid, cl in enumerate(classes):
-        for x in cl:
-            new_class_of[x] = cid
-    return ConjugacyPartition(classes, tuple(new_class_of), kind)
+    Row i holds the class of rep^t for each class representative rep,
+    with t the i-th unit mod e in increasing order: row 0 is t = 1 and
+    the last row t = -1.  The powers are walked with one table gather per
+    t < e.  Memoized per group; read-only intp.
+    """
+    cached = G._conjugacy.get("galois")
+    if cached is not None:
+        return cached
+    part = conjugacy_partition(G)
+    e = lcm(*G.element_orders)
+    rows, x = [part.class_of[part.reps]], part.reps
+    for t in range(2, e):
+        x = G.table[x, part.reps]
+        if gcd(t, e) == 1:
+            rows.append(part.class_of[x])
+    P = np.array(rows)
+    P.setflags(write=False)
+    G._conjugacy["galois"] = P
+    return P
 
 
 # -- subnormality ------------------------------------------------------------

@@ -5,8 +5,10 @@ field of degree phi([H:K]) / prod [C_i:H_i]; its unit group contributes
 that degree divided by k (1 if the field is totally real, else 2) minus
 one to the rank.  k is read off the pair's induced-character class rows
 (`LinearCharacter.class_rows`): it is 1 exactly when complex conjugation
-sigma_-1 fixes them.  The independent oracle counts real minus rational
-conjugacy classes.
+sigma_-1 fixes them, that is, when the t = -1 row of
+`groups.galois_classes` does.  The independent oracle counts real minus
+rational conjugacy classes, the orbits of {1, -1} and of all units mod
+the exponent on the ordinary classes, which `galois_classes` also gives.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import euler_phi
-from .errors import DivisibilityViolation, IncompleteSet
+from .errors import DivisibilityViolation, IncompleteSet, NotCentral, NotIdempotent
 from .groupalgebra import center_component_dim
-from .groups import conjugacy_partition
+from .groups import conjugacy_partition, galois_classes
 from .shoda import is_complete
 
 
@@ -46,13 +48,11 @@ def k_of_pair(G, pair):
     """1 if the induced character chi is real-valued (totally real center),
     else 2; decided exactly.
 
-    chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when its class
-    rows at the classes of the inverse representatives equal the rows.
+    chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when the last
+    row of `galois_classes` (t = -1) fixes its class rows.
     """
-    part = conjugacy_partition(G)
     rows = pair.lam.class_rows
-    bar = np.asarray(part.class_of)[G.inv[part.reps]]
-    return 1 if np.array_equal(rows[bar], rows) else 2
+    return 1 if np.array_equal(rows[galois_classes(G)[-1]], rows) else 2
 
 
 def rank_term(G, pair):
@@ -95,12 +95,13 @@ def rank_oracle(G):
     """Number of real conjugacy classes minus number of rational ones."""
     real = conjugacy_partition(G, "real")
     rational = conjugacy_partition(G, "rational")
-    return len(real.classes) - len(rational.classes)
+    return real.reps.size - rational.reps.size
 
 
 def verify_center_degree(G, pair):
     """Exact check that dim_Q of the component's center matches
-    phi([H:K]) / prod [C_i:H_i]."""
+    phi([H:K]) / prod [C_i:H_i].  False also when the pair's idempotent
+    is not a central idempotent."""
     if pair.chain is None:
         return False
     denom = 1
@@ -109,4 +110,7 @@ def verify_center_degree(G, pair):
     phi = euler_phi(pair.index)
     if phi % denom != 0:
         return False
-    return center_component_dim(pair.pci) == phi // denom
+    try:
+        return center_component_dim(pair.pci) == phi // denom
+    except (NotCentral, NotIdempotent):
+        return False

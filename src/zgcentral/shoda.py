@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .groups import (
     all_subgroups,
     conjugacy_partition,
     cyclic_coset_log,
+    galois_classes,
     is_normal,
     right_transversal,
     subgroup_closure,
@@ -169,29 +169,22 @@ def pci(G, H, K, lam=None, check=True):
     to its trace from Q(zeta_n) to Q over |S|, S the stabilizer of chi in
     (Z/n)^x.  The trace at a class is chi's class row times the Ramanujan
     sums c_n(i), the traces of the power basis.  sigma_t(chi(g)) =
-    chi(g^t) for t prime to the exponent e of G, and sigma_t depends only
-    on t mod n, so S is read off the rows at the classes of rep^t for one
-    such t per residue in (Z/n)^x.  As n divides e, each residue has one
-    below e.  The powers rep^t are walked with one table gather per t.
+    chi(g^t) for t prime to the exponent e of G, so row i of
+    `galois_classes` fixes chi's class rows exactly when sigma_t does, t
+    the i-th unit mod e.  Each element of S lifts to phi(e) / phi(n)
+    units mod e, so |S| is phi(n) / phi(e) times the rows that fix chi.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     if lam is None:
         lam = linear_character(H, K)
     n, rows = lam.order, lam.class_rows
-    part = conjugacy_partition(G)
-    class_of = np.asarray(part.class_of)
-    reps = np.array(part.reps, dtype=np.intp)
-    e = lcm(*G.element_orders)
-    seen, stabilizer = {1 % n}, 1  # t = 1
-    t, x = 1, reps
-    while len(seen) < euler_phi(n):
-        t, x = t + 1, G.table[x, reps]
-        if gcd(t, e) == 1 and t % n not in seen:
-            seen.add(t % n)
-            stabilizer += np.array_equal(rows[class_of[x]], rows)
+    P = galois_classes(G)
+    fixed = sum(np.array_equal(rows[p], rows) for p in P)
+    stabilizer = euler_phi(n) * fixed // len(P)
     trace = rows @ ramanujan_row(n)[: rows.shape[1]]
     # the coefficient of g^-1 is trace(g) / (|H| |S|)
+    class_of = conjugacy_partition(G).class_of
     return QGElement.from_vec(G, trace[class_of][G.inv], den=H.order * stabilizer)
 
 

@@ -349,9 +349,10 @@ def random_right_transversal(H, within, rng):
 
 def _class_sums(v):
     """v's integer numerators summed over each ordinary class, as Python ints."""
-    vals = v.vec.tolist()
-    classes = conjugacy_partition(v.group, "ordinary").classes
-    return np.array([sum(vals[g] for g in cl) for cl in classes], dtype=object)
+    part = conjugacy_partition(v.group, "ordinary")
+    sums = np.zeros(part.reps.size, dtype=object)
+    np.add.at(sums, part.class_of, v.vec.astype(object))
+    return sums
 
 
 def _omega(lam, sums, den):

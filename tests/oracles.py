@@ -9,7 +9,14 @@ gets its own linear character, built from a generating coset of H/K by
 walking powers, and the central character value is summed one field
 product per support element.  The idempotent oracle normalizes the
 Galois sum by one QG squaring, the way `zgcentral` did before it read
-the Galois stabilizer off the class power map.  The group-algebra
+the Galois stabilizer off the class power map.  The character oracles
+take their classes from `conjugacy_classes`, a breadth-first search
+under conjugation by G's generators, the way `zgcentral` found them
+before its least-label fixpoint; the tests check that partition, the
+real and rational ones and `zgcentral.groups.galois_classes` against
+`G.power`.  The normal-closure oracle closes again after every conjugate
+that falls outside, the loop `zgcentral` ran before it closed all
+conjugates at once.  The group-algebra
 oracles work on sparse `{index: Fraction}` dicts with no stored zeros,
 the representation that `zgcentral.groupalgebra` used before its
 `(den, vec)` elements.  The coset oracles build H/K as a group of its
@@ -45,9 +52,7 @@ from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     FiniteGroup,
     Subgroup,
-    conjugacy_partition,
     is_normal,
-    normal_closure,
     right_transversal,
     subgroup_closure,
 )
@@ -356,10 +361,35 @@ def is_shoda_pair(G, H, K):
     if not is_cyclic(quotient(H, K)[0]):
         return False
     for g in set(range(G.order)) - H.members:
-        comms = {G.commutator(h, g) for h in H.members}
+        comms = {commutator(G, h, g) for h in H.members}
         if not comms & (H.members - K.members):
             return False
     return True
+
+
+def commutator(G, a, b):
+    """a^-1 b^-1 a b, one product at a time."""
+    return G.mul(G.mul(G.mul(int(G.inv[a]), int(G.inv[b])), a), b)
+
+
+def normal_closure(S, within):
+    """Smallest subgroup of `within` containing S and normal in it: close
+    again after each conjugate of a current generator by a generator of
+    `within` that falls outside, until none does."""
+    G = S.parent
+    gens = list(S.gens)
+    current = subgroup_closure(G, gens)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(current.gens):
+            for w in within.gens:
+                c = G.conj(x, w)
+                if c not in current.members:
+                    gens.append(c)
+                    current = subgroup_closure(G, gens)
+                    changed = True
+    return current
 
 
 def minimal_normal_overgroups(H, K):
@@ -524,13 +554,37 @@ def induced_value(G, H, exponents, n, g):
     return total
 
 
+def conjugacy_classes(G):
+    """(classes, class_of): the ordinary classes of G as frozensets in
+    order of least element, found by breadth-first search under
+    conjugation by G's generators, and the class index of each element."""
+    class_of = [-1] * G.order
+    classes = []
+    for g in range(G.order):
+        if class_of[g] != -1:
+            continue
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for s in G.generators:
+                y = G.conj(x, s)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for x in orbit:
+            class_of[x] = len(classes)
+        classes.append(frozenset(orbit))
+    return classes, class_of
+
+
 def class_values(G, H, K):
     """Induced character value at each ordinary class representative."""
     n = H.order // K.order
     exponents = character_exponents(G, H, K)
     return [
         (cl, induced_value(G, H, exponents, n, min(cl)))
-        for cl in conjugacy_partition(G, "ordinary").classes
+        for cl in conjugacy_classes(G)[0]
     ]
 
 

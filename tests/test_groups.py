@@ -35,12 +35,13 @@ from zgcentral.groups import (
     check_cyclic_subnormal_hypothesis,
     conjugacy_partition,
     cyclic_coset_log,
-    derived_subgroup,
+    galois_classes,
     group_from_cayley,
     group_from_pc_presentation,
     group_from_permutations,
     is_normal,
     is_subnormal,
+    normal_closure,
     perm_from_cycles,
     subgroup_closure,
     subnormal_series,
@@ -233,13 +234,16 @@ def test_all_subgroups_order_1000(paper1000):
 
 
 def test_derived_subgroup_s3(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
+    comms = {oracles.commutator(s3, a, b) for a in range(6) for b in range(6)}
+    assert subgroup_closure(s3, comms) == A3
     assert A3.order == 3
     assert is_normal(A3, s3.whole())
+    assert normal_closure(A3, s3.whole()) == A3
 
 
 def test_quotient_s3(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     log = cyclic_coset_log(s3.whole(), A3).tolist()
     assert sorted(log) == [0, 0, 0, 1, 1, 1]
     assert all(log[k] == 0 for k in A3.members)
@@ -258,7 +262,7 @@ def test_quotient_requires_normal(s3):
         cyclic_coset_log(s3.whole(), H)
     with pytest.raises(NotNormal):
         oracles.quotient(s3.whole(), H)
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     with pytest.raises(NotSubgroup):
         cyclic_coset_log(A3, H)
 
@@ -275,7 +279,7 @@ def test_minimal_normal_overgroups_c4(c4):
 
 
 def test_minimal_normal_overgroups_a3(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     out = oracles.minimal_normal_overgroups(A3, Subgroup(s3, {0}))
     assert len(out) == 1 and out[0].members == A3.members
 
@@ -345,9 +349,62 @@ def test_partition_memoized_and_immutable():
     for kind in ("ordinary", "real", "rational"):
         part = conjugacy_partition(G, kind)
         assert conjugacy_partition(G, kind) is part
-        assert isinstance(part.classes, tuple) and isinstance(part.class_of, tuple)
+        for arr in (part.class_of, part.reps):
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
         with pytest.raises(AttributeError):
             part.classes = ()
+    assert galois_classes(G) is galois_classes(G)
+    assert not galois_classes(G).flags.writeable
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_partitions_and_galois_classes_match_power_oracle(name):
+    """Every catalog group (orders up to 60, and paper-1000-86): the
+    ordinary classes equal the breadth-first oracle's, row i of
+    galois_classes holds the oracle class of rep^t for the i-th unit t
+    mod the exponent, walked by G.power, and the real and rational classes
+    merge the oracle classes of g^t over t = +-1 and over every unit."""
+    G = get_group(name)
+    classes, class_of = oracles.conjugacy_classes(G)
+    e = math.lcm(*G.element_orders)
+    units = [t for t in range(1, e + 1) if math.gcd(t, e) == 1]
+
+    def merged(ts):
+        return {
+            frozenset().union(*(classes[class_of[G.power(g, t)]] for t in ts))
+            for g in range(G.order)
+        }
+
+    expected = {"ordinary": set(classes), "real": merged({1, e - 1}), "rational": merged(units)}
+    for kind, want in expected.items():
+        part = conjugacy_partition(G, kind)
+        assert set(part.classes) == want
+        assert part.reps.tolist() == sorted(min(c) for c in want)
+        assert all(part.class_of[g] == i for i, c in enumerate(part.classes) for g in c)
+    assert conjugacy_partition(G).class_of.tolist() == class_of
+    reps = [min(c) for c in classes]
+    assert galois_classes(G).tolist() == [
+        [class_of[G.power(r, t)] for r in reps] for t in units
+    ]
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q16", "D8", "E8", "C24", "paper-1000-86"])
+def test_normal_closure_matches_loop_oracle(name):
+    """normal_closure(S, T), closing the conjugates of S's generators by
+    all of T at once, equals the loop oracle for every pair S <= T of
+    subgroups of G; for paper-1000-86 only T = G."""
+    G = get_group(name)
+    subs = all_subgroups(G)
+    tops = [G.whole()] if G.order > 100 else subs
+    checked = 0
+    for T in tops:
+        for S in subs:
+            if S <= T:
+                assert normal_closure(S, T) == oracles.normal_closure(S, T)
+                checked += 1
+    assert checked >= len(subs)
 
 
 # -- subnormality --------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Rank formula, oracle, k-decision, center-degree identity."""
 
+from dataclasses import replace
+
 import oracles
 import pytest
 from oracles import CORPUS, paper9_pairs
@@ -7,7 +9,8 @@ from oracles import CORPUS, paper9_pairs
 from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
 from zgcentral.cyclotomic import euler_phi
 from zgcentral.errors import IncompleteSet
-from zgcentral.groups import conjugacy_partition
+from zgcentral.groupalgebra import hat
+from zgcentral.groups import conjugacy_partition, subgroup_closure
 from zgcentral.rank import (
     k_of_pair,
     rank_oracle,
@@ -130,6 +133,17 @@ def test_center_degree_values(s3, c4):
     assert euler_phi(p.index) // p.chain.indices[0] == 1
     p = next(p for p in pairs_of(c4) if p.index == 4)
     assert euler_phi(p.index) == 2
+
+
+def test_center_degree_is_false_for_a_bad_idempotent(s3):
+    """A kept pair whose idempotent is doubled (central, not idempotent) or
+    replaced by hat of a reflection subgroup (idempotent, not central)
+    fails the check instead of raising."""
+    refl = s3.element_orders.index(2)
+    not_central = hat(subgroup_closure(s3, [refl]))
+    for p in pairs_of(s3):
+        assert not verify_center_degree(s3, replace(p, pci=p.pci.scale(2)))
+        assert not verify_center_degree(s3, replace(p, pci=not_central))
 
 
 # -- cross-validation ----------------------------------------------------------

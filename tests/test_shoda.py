@@ -24,7 +24,6 @@ from zgcentral.groups import (
     Subgroup,
     all_subgroups,
     cyclic_coset_log,
-    derived_subgroup,
     is_normal,
     subgroup_closure,
 )
@@ -60,7 +59,7 @@ def test_abelian_proper_h_fails(c4):
 
 
 def test_a3_pair(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     assert is_shoda_pair(s3, A3, triv(s3))
     assert verify_chain(s3, A3, triv(s3), [A3, s3.whole()]) is not None
 
@@ -107,7 +106,7 @@ def induced_value(lam, G, g):
 
 
 def test_linear_character_multiplicative(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     lam = linear_character(A3, triv(s3))
     log = lam.coset_log
     for a in A3.members:
@@ -124,7 +123,7 @@ def test_trivial_character_induction(s3):
 
 
 def test_induced_value_on_three_cycle(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     lam = linear_character(A3, triv(s3))
     rot = next(g for g in A3.members if g != 0)
     assert induced_counts(lam, s3, [rot]).tolist() == [[0, 1, 1]]
@@ -132,7 +131,7 @@ def test_induced_value_on_three_cycle(s3):
 
 
 def test_induced_value_off_conjugates(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     lam = linear_character(A3, triv(s3))
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     assert not induced_counts(lam, s3, [refl]).any()
@@ -218,12 +217,12 @@ def test_pci_trivial_pair(s3):
 
 
 def test_pci_a3(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     assert pci(s3, A3, triv(s3)) == QGElement.one(s3) - hat(A3)
 
 
 def test_pci_sign_character(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     assert pci(s3, s3.whole(), A3) == hat(A3) - hat(s3.whole())
 
 
@@ -280,7 +279,7 @@ def test_pci_rejects_non_shoda(s3):
 
 
 def test_pci_idempotent_central_for_strong_pair(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     e = pci(s3, A3, triv(s3))
     assert is_idempotent(e) and is_central(e)
     assert e == e_sum_conjugates(s3.whole(), A3, triv(s3))
@@ -290,7 +289,7 @@ def test_pci_idempotent_central_for_strong_pair(s3):
 
 
 def test_strong_pair_one_step_chain(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     chain = find_strong_inductive_chain(s3, A3, triv(s3))
     assert chain is not None and chain.length == 1
     assert chain.indices == [2]  # the centralizer of the idempotent is S3
@@ -310,7 +309,7 @@ def test_verify_chain_with_repeats(c4):
 
 
 def test_verify_chain_rejects_wrong_base(s3):
-    A3 = derived_subgroup(s3.whole())
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     assert verify_chain(s3, A3, triv(s3), [s3.whole(), s3.whole()]) is None
 
 
