@@ -6,13 +6,15 @@ every catalog group up to a given order and reports any disagreement.
 Every pair also goes through the center-degree check, which squares its
 idempotent, so each idempotent is checked to be one.  The number of pairs
 must equal the number of rational conjugacy classes, the number of
-Wedderburn components of QG.
+Wedderburn components of QG, and the centers of those components tile
+Z(QG): their dimensions must add up to the number of ordinary classes.
 """
 
 import argparse
 import time
 
 from zgcentral.catalog import catalog
+from zgcentral.groupalgebra import center_component_dim
 from zgcentral.groups import conjugacy_partition
 from zgcentral.rank import rank_total, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set
@@ -38,6 +40,7 @@ def main():
         report = rank_total(G, pairs, complete=True)
         bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
         components = conjugacy_partition(G, "rational").reps.size
+        classes = conjugacy_partition(G).reps.size
         mark = "ok"
         if not report.agree:
             mark = "MISMATCH"
@@ -45,6 +48,9 @@ def main():
             mark = f"{components} RATIONAL CLASSES"
         elif bad_degree:
             mark = f"CENTER DEGREE FAILED on {bad_degree} pair(s)"
+        # after the degree check, so that every idempotent is a central one
+        elif (center_dim := sum(center_component_dim(p.pci) for p in pairs)) != classes:
+            mark = f"CENTERS SPAN {center_dim} OF {classes} CLASSES"
         if mark != "ok":
             failures += 1
         print(

@@ -9,6 +9,11 @@ operation picks its result's dtype from a bound on its operands.
 The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
 the cosets of K in H.
+
+For a central idempotent e, z -> z e is an idempotent linear map of the
+center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no
+elimination: on the basis of ordinary class sums its diagonal is read
+off e's coefficients by one gather (`center_component_dim`).
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from .errors import (
     NotIdempotent,
     NotShodaPair,
 )
-from .groups import _GATHER_BLOCK, Subgroup, cyclic_coset_log
-from .linalg import integer_rank
+from .groups import _GATHER_BLOCK, Subgroup, conjugacy_partition, cyclic_coset_log
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -312,23 +316,28 @@ def is_central(a):
 # -- center ------------------------------------------------------------------
 
 
-def center_basis(G):
-    """Ordinary class sums; a Q-basis of the center of QG."""
-    from .groups import conjugacy_partition
-
-    part = conjugacy_partition(G, "ordinary")
-    return [
-        QGElement._of(G, 1, (part.class_of == c).astype(np.int64))
-        for c in range(part.reps.size)
-    ]
-
-
 def center_component_dim(e):
-    """dim_Q of the center of the simple component cut out by `e`."""
+    """dim_Q of the center of the simple component QGe, for a central
+    idempotent e.
+
+    z -> z e is an idempotent linear map of Z(QG) whose image is Z(QGe),
+    so that dimension is the map's trace.  On the basis of ordinary class
+    sums, the diagonal entry at a class C is the coefficient of C e at
+    C's least element r, the sum over g in C of e's coefficient at
+    g^-1 r; over all classes that is one gather of length |G|.  Raises
+    NotCentral or NotIdempotent, the latter also if the trace is not an
+    integer, which no idempotent allows.
+    """
     if not is_central(e):
         raise NotCentral("idempotent is not central")
     if not is_idempotent(e):
         raise NotIdempotent("element is not idempotent")
-    # each row is a positive multiple of the product, which keeps the rank;
-    # tolist() hands integer_rank Python ints, which cannot overflow
-    return integer_rank(mul(cs, e).vec.tolist() for cs in center_basis(e.group))
+    G = e.group
+    part = conjugacy_partition(G)
+    # e's coefficient at g^-1 r for each g, r the least element of g's class
+    diag = e.vec[G.table[G.inv, part.reps[part.class_of]]]
+    # summed in Python ints: an object vector's entries have no bound
+    trace, rest = divmod(sum(diag.tolist()), e.den)
+    if rest:
+        raise NotIdempotent("multiplication by e on Z(QG) has a non-integral trace")
+    return trace

@@ -101,7 +101,12 @@ def rank_oracle(G):
 def verify_center_degree(G, pair):
     """Exact check that dim_Q of the component's center matches
     phi([H:K]) / prod [C_i:H_i].  False also when the pair's idempotent
-    is not a central idempotent."""
+    is not a central idempotent.
+
+    The center of QGe is isomorphic to Q(chi), chi the pair's induced
+    character, of degree the number of Galois conjugates of chi.  That
+    dimension is read off with no elimination, as the trace of the
+    projection z -> z e of Z(QG) onto the center (`center_component_dim`)."""
     if pair.chain is None:
         return False
     denom = 1

@@ -61,10 +61,16 @@ class LinearCharacter:
     @cached_property
     def class_rows(self):
         """Row c: the induced character at G's c-th ordinary class, on the
-        power basis of Q(zeta_n); read-only int64."""
+        power basis of Q(zeta_n); read-only int64.
+
+        It is the count row times `reduction_matrix`, summed over the at
+        most [G:H] nonzero counts of each row only."""
         G = self.H.parent
         counts = induced_counts(self, G, conjugacy_partition(G).reps)
-        rows = counts @ reduction_matrix(self.order)
+        R = reduction_matrix(self.order)
+        c, k = np.nonzero(counts)
+        rows = np.zeros((counts.shape[0], R.shape[1]), dtype=np.int64)
+        np.add.at(rows, c, counts[c, k, None] * R[k])
         rows.setflags(write=False)
         return rows
 
@@ -173,6 +179,8 @@ def pci(G, H, K, lam=None, check=True):
     `galois_classes` fixes chi's class rows exactly when sigma_t does, t
     the i-th unit mod e.  Each element of S lifts to phi(e) / phi(n)
     units mod e, so |S| is phi(n) / phi(e) times the rows that fix chi.
+    Only the rows that fix a fingerprint of the class rows, their dot
+    product with 1..phi(n), are compared in full.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
@@ -180,7 +188,9 @@ def pci(G, H, K, lam=None, check=True):
         lam = linear_character(H, K)
     n, rows = lam.order, lam.class_rows
     P = galois_classes(G)
-    fixed = sum(np.array_equal(rows[p], rows) for p in P)
+    # equal rows have equal fingerprints, also where the int64 dot wraps
+    f = rows @ np.arange(1, rows.shape[1] + 1)
+    fixed = sum(np.array_equal(rows[p], rows) for p in P[(f[P] == f).all(axis=1)])
     stabilizer = euler_phi(n) * fixed // len(P)
     trace = rows @ ramanujan_row(n)[: rows.shape[1]]
     # the coefficient of g^-1 is trace(g) / (|H| |S|)

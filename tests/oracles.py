@@ -32,17 +32,22 @@ inverting each, the ways `zgcentral` did before its table gather and its
 closed form.  The Fraction `minimal_polynomial` and `inverse` here are
 the only inversion left anywhere: `zgcentral` never solves for an
 inverse, since every unit it builds carries its own, and `gen_bass_unit`
-and the unit tests check those carried inverses against this one.
+and the unit tests check those carried inverses against this one.  The
+center-degree oracle is the rank of the class sums times e, found by
+Bareiss fraction-free elimination over the integers, the way `zgcentral`
+did before it read that dimension off as a trace.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd
 
 import numpy as np
 
+from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
 from zgcentral import cyclotomic
 from zgcentral.cyclotomic import cyclotomic_polynomial
@@ -60,6 +65,14 @@ from zgcentral.units import BassSpec, bass_unit
 
 # catalog groups whose every Shoda pair is checked against the oracles
 CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
+
+
+@cache
+def small_catalog(max_order=60):
+    """(name, group) for every catalog group of order at most `max_order`,
+    built once per session."""
+    built = ((e.name, e.constructor()) for e in catalog())
+    return [(name, G) for name, G in built if G.order <= max_order]
 
 
 def paper9_pairs(G):
@@ -510,6 +523,53 @@ def inverse(G, a):
     for ci, power in zip(c[1:], powers):
         out = add(out, {g: ci * q for g, q in power.items()})
     return {g: -q / c[0] for g, q in out.items()}
+
+
+# -- the center degree by elimination -------------------------------------------
+
+
+def integer_rank(rows):
+    """Rank over Q of a list of integer rows (Bareiss fraction-free
+    elimination)."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    prev_pivot = 1
+    while rows and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            # Every row below the pivot takes the Bareiss step, also one
+            # whose pivot-column entry is 0: skipping its scaling by p would
+            # make the later divisions by prev_pivot inexact.
+            r = rows[i]
+            q = r[col]
+            for j in range(col, ncols):
+                r[j] = (r[j] * p - q * top[j]) // prev_pivot
+        # a row that has become zero stays zero: drop it
+        rows[rank + 1 :] = [r for r in rows[rank + 1 :] if any(r)]
+        prev_pivot = p
+        rank += 1
+        col += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def center_component_dim(e):
+    """dim_Q of Z(QG) e: the rank of the products of e with the sums of
+    the `conjugacy_classes`, a Q-basis of Z(QG)."""
+    G = e.group
+    sums = [QGElement(G, dict.fromkeys(cl, 1)) for cl in conjugacy_classes(G)[0]]
+    # each row is a positive multiple of the product, which keeps the rank;
+    # tolist() gives Python ints, which cannot overflow
+    return integer_rank(qg_mul(cs, e).vec.tolist() for cs in sums)
 
 
 # -- characters and idempotents -----------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import e_sum_conjugates
 
+from zgcentral import groupalgebra
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import GroupMismatch, NotNormal, NotSubgroup
+from zgcentral.errors import GroupMismatch, NotIdempotent, NotNormal, NotSubgroup
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
-    center_basis,
     center_component_dim,
     centralizer_of,
     conjugate_orbit,
@@ -30,6 +30,8 @@ from zgcentral.groups import (
     conjugacy_partition,
     subgroup_closure,
 )
+from zgcentral.rank import verify_center_degree
+from zgcentral.shoda import complete_irredundant_set, pci, shoda_pair_candidates
 
 
 def elem(G, g):
@@ -180,8 +182,11 @@ def test_conjugate_orbit_size(s3):
     assert len(orbit) == 3  # the three reflections
 
 
-def test_center_basis_dimension(s3):
-    assert len(center_basis(s3)) == len(conjugacy_partition(s3).classes)
+def test_center_of_qg_has_class_count_dimension(s3, s4, paper1000):
+    # e = 1 projects Z(QG) onto itself, spanned by the class sums
+    for G in (s3, s4, paper1000):
+        classes = conjugacy_partition(G).classes
+        assert center_component_dim(QGElement.one(G)) == len(classes)
 
 
 def test_center_component_dims():
@@ -198,13 +203,107 @@ def test_center_dims_and_component_counts():
     # the component centers tile Z(QG): dimensions sum to the ordinary
     # class count, and there is one component per rational class
     for G in (symmetric(3), cyclic(4), cyclic(6)):
-        from zgcentral.shoda import complete_irredundant_set
-
         pairs, complete = complete_irredundant_set(G)
         assert complete
         total = sum(center_component_dim(p.pci) for p in pairs)
         assert total == len(conjugacy_partition(G, "ordinary").classes)
         assert len(pairs) == len(conjugacy_partition(G, "rational").classes)
+
+
+# -- the center degree as a trace against the elimination oracle ---------------
+
+
+def fraction_rank(rows):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+            max_size=6,
+        )
+    )
+)
+def test_integer_rank_matches_fraction_elimination(rows):
+    assert oracles.integer_rank(rows) == fraction_rank(rows)
+
+
+def test_integer_rank_scales_rows_with_zero_in_the_pivot_column():
+    # after the pivot 2 the row [0, 0, 1] must become [0, 0, 2]; left
+    # unscaled, the next step divides it by 2 down to 0
+    assert oracles.integer_rank([[0, 1, 0], [0, 0, 1], [2, 0, 0]]) == 3
+
+
+def test_center_degree_c50_full_pair():
+    G = get_group("C50")
+    pairs, complete = complete_irredundant_set(G)
+    assert complete
+    p = next(p for p in pairs if p.H.order == 50 and p.K.order == 1)
+    assert verify_center_degree(G, p)
+    assert center_component_dim(p.pci) == oracles.center_component_dim(p.pci) == 20
+
+
+def test_center_dim_matches_elimination_oracle_on_small_catalog():
+    kept = 0
+    for name, G in oracles.small_catalog():
+        pairs, complete = complete_irredundant_set(G)
+        assert complete, name
+        for p in pairs:
+            assert center_component_dim(p.pci) == oracles.center_component_dim(p.pci), (
+                name,
+                p.H.order,
+                p.K.order,
+            )
+        kept += len(pairs)
+    assert kept == 425
+
+
+def test_center_dim_matches_elimination_oracle_on_paper_pairs(paper1000):
+    pairs, complete = complete_irredundant_set(
+        paper1000, candidates=oracles.paper9_pairs(paper1000)
+    )
+    assert complete and len(pairs) == 9
+    for p in pairs:
+        assert center_component_dim(p.pci) == oracles.center_component_dim(p.pci)
+
+
+def test_center_dim_makes_one_qg_product(s4, monkeypatch):
+    """The idempotency check is the only QG product: the trace is a gather."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(groupalgebra, "mul", counted)
+    for H, K in shoda_pair_candidates(s4):
+        e = pci(s4, H, K)
+        calls.clear()
+        center_component_dim(e)
+        assert len(calls) == 1
+
+
+def test_center_dim_rejects_a_non_integral_trace(s3, monkeypatch):
+    # 1/2 is central; with the squaring check bypassed, its trace 3/2 on
+    # Z(QS3) is a typed error, never a count
+    monkeypatch.setattr(groupalgebra, "is_idempotent", lambda a: True)
+    with pytest.raises(NotIdempotent):
+        center_component_dim(QGElement.one(s3).scale(Fraction(1, 2)))
 
 
 # -- centralizer kernel against the per-element filter -------------------------
@@ -217,8 +316,6 @@ def filter_centralizer(a, within):
 
 @pytest.mark.parametrize("name", ["S4", "D12", "Q16"])
 def test_centralizer_matches_filter_on_shoda_pairs(name):
-    from zgcentral.shoda import shoda_pair_candidates
-
     G = get_group(name)
     for H, K in shoda_pair_candidates(G):
         for a in (epsilon(H, K), e_sum_conjugates(G.whole(), H, K)):

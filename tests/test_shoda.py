@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
 from zgcentral import shoda
+from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from zgcentral.errors import NotShodaPair, SearchBoundExceeded
 from zgcentral.groupalgebra import (
     QGElement,
@@ -23,7 +25,9 @@ from zgcentral.groupalgebra import (
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
+    conjugacy_partition,
     cyclic_coset_log,
+    galois_classes,
     is_normal,
     subgroup_closure,
 )
@@ -270,6 +274,48 @@ def test_induced_value_matches_sum_over_group(s4):
         for g in range(s4.order):
             expected = oracles.induced_value(s4, H, exponents, lam.order, g)
             assert induced_value(lam, s4, g) == expected
+
+
+def dense_rows_and_pci(G, H, K):
+    """(class rows, pci) the dense way: the whole count matrix times
+    `reduction_matrix`, and a full comparison of the class rows under
+    every row of `galois_classes`."""
+    lam = linear_character(H, K)
+    n = lam.order
+    part = conjugacy_partition(G)
+    rows = induced_counts(lam, G, part.reps) @ reduction_matrix(n)
+    P = galois_classes(G)
+    fixed = sum(np.array_equal(rows[p], rows) for p in P)
+    trace = rows @ ramanujan_row(n)[: rows.shape[1]]
+    den = H.order * euler_phi(n) * fixed // len(P)
+    return rows, QGElement.from_vec(G, trace[part.class_of][G.inv], den=den)
+
+
+def assert_sparse_rows_and_pci_match_dense(G, pairs):
+    for H, K in pairs:
+        rows, expected = dense_rows_and_pci(G, H, K)
+        lam = linear_character(H, K)
+        assert np.array_equal(lam.class_rows, rows), (H.order, K.order)
+        e = pci(G, H, K, lam=lam, check=False)
+        assert e.den == expected.den, (H.order, K.order)
+        assert np.array_equal(e.vec, expected.vec), (H.order, K.order)
+
+
+def test_class_rows_and_pci_match_dense_on_small_catalog():
+    count = 0
+    for _, G in oracles.small_catalog():
+        pairs = shoda_pair_candidates(G)
+        assert_sparse_rows_and_pci_match_dense(G, pairs)
+        count += len(pairs)
+    assert count == 461
+
+
+def test_class_rows_and_pci_match_dense_on_c1021():
+    # 1021 classes and phi(n) = 1020 on the faithful pair
+    G = cyclic(1021)
+    pairs = shoda_pair_candidates(G)
+    assert sorted((H.order, K.order) for H, K in pairs) == [(1021, 1), (1021, 1021)]
+    assert_sparse_rows_and_pci_match_dense(G, pairs)
 
 
 def test_pci_rejects_non_shoda(s3):
