@@ -4,6 +4,12 @@ Elements are dense indices 0..order-1 with 0 the identity.  Groups up to
 order 2048 are supported; the table is kept as an int32 matrix so that
 multiplication is a single lookup.
 
+A pc group on x_1..x_m is built as the tower of cyclic extensions
+G_i = <x_i, G_(i+1)>, x_1^(e_1) ... x_m^(e_m) having the radix index with
+x_1 most significant.  Each step checks Hoelder's conditions: conjugation
+by x_i is an automorphism of G_(i+1) that fixes w = x_i^(p_i), and its
+p_i-th power is conjugation by w.
+
 Conjugacy is decided here and nowhere else.  A `ConjugacyPartition` is
 two read-only arrays, the class of each element and the least element of
 each class.  `galois_classes` is the action of (Z/e)^x, e the exponent,
@@ -13,8 +19,9 @@ Galois stabilizer in `shoda.pci` and k in `rank.k_of_pair` all read it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -58,13 +65,14 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
         self._validate()
-        self.inv = self._compute_inverses()
         self.element_orders = self._compute_element_orders()
         self._conjugacy = {}  # kind -> ConjugacyPartition, "galois" -> array
 
     # -- construction checks -------------------------------------------------
 
     def _validate(self):
+        """Check the group axioms in blocks of at most _GATHER_BLOCK table
+        entries, naming the first bad index; store `inv` and `generators`."""
         t = self.table
         n = self.order
         idperm = np.arange(n, dtype=np.int32)
@@ -72,27 +80,33 @@ class FiniteGroup:
             raise NotAGroup("row 0 is not the identity permutation")
         if not np.array_equal(t[:, 0], idperm):
             raise NotAGroup("column 0 is not the identity permutation")
-        for a in range(n):
-            if len(set(t[a].tolist())) != n:
-                raise NotAGroup(f"row {a} is not a permutation")
-            if len(set(t[:, a].tolist())) != n:
-                raise NotAGroup(f"column {a} is not a permutation")
+        rows = max(1, _GATHER_BLOCK // n)
+        for start in range(0, n, rows):
+            k = np.arange(min(rows, n - start))
+            seen = np.zeros((2, k.size, n), dtype=bool)  # membership scatter
+            seen[0, k[:, None], t[start : start + rows]] = True
+            seen[1, k, t[:, start : start + rows]] = True
+            bad = ~seen.all(axis=2)
+            if bad.any():
+                a = bad.any(axis=0).argmax()
+                kind = "row" if bad[0, a] else "column"
+                raise NotAGroup(f"{kind} {start + a} is not a permutation")
+        self.inv = t.argmin(axis=1).astype(np.int32)  # where row a holds 0
+        bad = np.flatnonzero(t[self.inv, idperm])
+        if bad.size:
+            raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
+        self.inv.setflags(write=False)
         # Light's test: if (x g) y = x (g y) for all x, y and every g in a
         # generating set, the elements g with that property are closed
         # under products, so the table is associative.
         self.generators = _subgroup_generators(self, range(n)) or [0]
         for g in self.generators:
-            left = t[t[:, g], :]
-            right = t[:, t[g, :]]
-            if not np.array_equal(left, right):
-                a, b = np.argwhere(left != right)[0]
-                raise NotAGroup(
-                    "associativity failure", witness=(int(a), int(g), int(b))
-                )
-        for a in range(n):
-            hits = np.flatnonzero(t[a] == 0)
-            if hits.size != 1 or t[hits[0], a] != 0:
-                raise NotAGroup(f"element {a} has no two-sided inverse")
+            for start in range(0, n, rows):
+                left = t[t[start : start + rows, g], :]
+                right = t[start : start + rows][:, t[g, :]]
+                if not np.array_equal(left, right):
+                    a, b = np.argwhere(left != right)[0].tolist()
+                    raise NotAGroup("associativity failure", witness=(start + a, g, b))
 
     def _closure_members(self, seed):
         """Member set of the subgroup generated by `seed` (always holds 0).
@@ -118,22 +132,18 @@ class FiniteGroup:
             frontier = np.flatnonzero(reached)
         return set(np.flatnonzero(member).tolist())
 
-    def _compute_inverses(self):
-        inv = np.empty(self.order, dtype=np.int32)
-        for a in range(self.order):
-            inv[a] = int(np.flatnonzero(self.table[a] == 0)[0])
-        inv.setflags(write=False)
-        return inv
-
     def _compute_element_orders(self):
-        orders = [1] * self.order
-        for a in range(1, self.order):
-            x, k = a, 1
-            while x != 0:
-                x = int(self.table[x, a])
-                k += 1
-            orders[a] = k
-        return orders
+        """Order of every element, walking the powers of all at once."""
+        t = self.table
+        orders = np.ones(self.order, dtype=np.int64)
+        a = np.arange(1, self.order)
+        x = a
+        while a.size:
+            x = t[x, a]
+            orders[a] += 1
+            live = x != 0
+            a, x = a[live], x[live]
+        return orders.tolist()
 
     # -- basic arithmetic ----------------------------------------------------
 
@@ -259,6 +269,8 @@ def group_from_permutations(degree, generators):
 
     Each generator is a tuple/list of 0-based images of 0..degree-1.
     Product convention: (p*q)(x) = q(p(x)).  Raises CapExceeded past MAX_ORDER.
+    The search finds each e_j as e_p * s, s a generator, and R_s[i] = e_i * s
+    for all i; column j of the table is column p mapped through R_s.
     """
     idp = tuple(range(degree))
     gens = []
@@ -269,93 +281,56 @@ def group_from_permutations(degree, generators):
         gens.append(p)
     elements = [idp]
     index = {idp: 0}
-    frontier = [idp]
+    parent = [(0, 0)]  # (p, s) with e_j = e_p * gens[s]
+    right = np.zeros((len(gens), MAX_ORDER), dtype=np.int32)  # R_s[i]
+    frontier = [0]
     while frontier:
-        p = frontier.pop()
-        for q in gens:
-            r = tuple(q[x] for x in p)
+        i = frontier.pop()
+        for s, q in enumerate(gens):
+            r = tuple(q[x] for x in elements[i])
             if r not in index:
                 if len(elements) >= MAX_ORDER:
                     raise CapExceeded(f"permutation group exceeds order {MAX_ORDER}")
                 index[r] = len(elements)
                 elements.append(r)
-                frontier.append(r)
+                parent.append((i, s))
+                frontier.append(index[r])
+            right[s, i] = index[r]
     n = len(elements)
     table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            table[i, j] = index[tuple(q[x] for x in p)]
+    table[:, 0] = np.arange(n)
+    for j in range(1, n):
+        p, s = parent[j]
+        table[:, j] = right[s][table[:, p]]
     G = FiniteGroup(table)
     G.permutations = elements
     return G
 
 
-def _collect_pc_word(word, orders, power_words, conj_words, step_bound):
-    """Collection-from-the-left to normal form; returns an exponent tuple."""
-    ngen = len(orders)
-    work = [[g, e] for g, e in word if e != 0]
-    steps = 0
-    i = 0
-    while i < len(work):
-        steps += 1
-        if steps > step_bound:
-            raise InconsistentPresentation(
-                f"collection exceeded step bound {step_bound}"
-            )
-        g, e = work[i]
-        if e == 0:
-            del work[i]
-            i = max(i - 1, 0)
-            continue
-        if e < 0:
-            raise InconsistentPresentation("negative exponent during collection")
-        if e >= orders[g - 1]:
-            q, r = divmod(e, orders[g - 1])
-            repl = []
-            if r:
-                repl.append([g, r])
-            repl.extend([x, y] for x, y in power_words[g - 1] * q)
-            work[i : i + 1] = repl or [[g, 0]]
-            i = max(i - 1, 0)
-            continue
-        if i + 1 < len(work):
-            h, f = work[i + 1]
-            if h == g:
-                work[i][1] = e + f
-                del work[i + 1]
-                continue
-            if h < g:
-                # x_g^e x_h^f  ->  x_h (x_g^{x_h})^e x_h^{f-1}
-                repl = [[h, 1]]
-                repl.extend([x, y] for x, y in conj_words[(g, h)] * e)
-                if f - 1:
-                    repl.append([h, f - 1])
-                work[i : i + 2] = repl
-                i = max(i - 1, 0)
-                continue
-        if i > 0 and work[i - 1][0] >= g:
-            i -= 1
-            continue
-        i += 1
-    expo = [0] * ngen
-    for g, e in work:
-        expo[g - 1] = e
-    return tuple(expo)
+def group_from_pc_presentation(orders, powers=None, commutators=None):
+    """Group from a power-commutator presentation, one cyclic extension at
+    a time.
 
+    `orders` lists the relative order p_i >= 2 of each generator x_1..x_m.
+    `powers` maps generator i (1-based) to a word in x_(i+1)..x_m for
+    x_i^(p_i); `commutators` maps (j, i) with j > i to a word in
+    x_(i+1)..x_m for [x_j, x_i].  Words are sequences of (generator,
+    exponent) pairs with nonnegative exponents (negative allowed only when
+    the generator's power relation is trivial).
 
-def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound=10**7):
-    """Group from a power-commutator presentation by collection.
-
-    `orders` lists the relative order of each generator x_1..x_m.  `powers`
-    maps generator i (1-based) to a word in x_(i+1)..x_m for x_i^orders[i];
-    `commutators` maps (j, i) with j > i to a word in x_(i+1)..x_m for
-    [x_j, x_i].  Words are sequences of (generator, exponent) pairs with
-    nonnegative exponents (negative allowed only when the generator's power
-    relation is trivial).
+    Element x_1^(e_1) ... x_m^(e_m), 0 <= e_i < p_i, has index
+    sum e_i * p_(i+1) * ... * p_m: x_1 is the most significant digit, and
+    G_i = <x_i, ..., x_m> holds the indices below |G_i|.  For i = m, ..., 1
+    the table of G_i extends that of G_(i+1) by x = x_i, with x^p = w and
+    phi(y) = x^-1 y x, phi(x_j) = x_j [x_j, x_i].  By Hoelder's theorem the
+    extension exists exactly when phi (read over normal forms) is an
+    automorphism of G_(i+1), phi(w) = w, and phi^p is conjugation by w;
+    otherwise InconsistentPresentation names x_i and the failed condition.
+    (x^a y)(x^b z) = x^(a+b) phi^b(y) z fills the table in p^2 blocks.
     """
     orders = [int(e) for e in orders]
-    if any(e < 1 for e in orders):
-        raise InconsistentPresentation("relative orders must be >= 1")
+    if any(e < 2 for e in orders):
+        raise InconsistentPresentation("relative orders must be >= 2")
     ngen = len(orders)
     powers = dict(powers or {})
     commutators = dict(commutators or {})
@@ -381,69 +356,71 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
     power_words = [
         norm_word(powers.get(i, ()), i, f"x{i}^{orders[i - 1]}") for i in range(1, ngen + 1)
     ]
-    conj_words = {}
-    for j in range(1, ngen + 1):
-        for i in range(1, j):
-            comm = norm_word(commutators.get((j, i), ()), i, f"[x{j}, x{i}]")
-            conj_words[(j, i)] = ((j, 1),) + comm
+    comm_words = {
+        (j, i): norm_word(commutators.get((j, i), ()), i, f"[x{j}, x{i}]")
+        for j in range(1, ngen + 1)
+        for i in range(1, j)
+    }
 
-    n = 1
-    for e in orders:
-        n *= e
+    n = prod(orders)
     if n > MAX_ORDER:
         raise CapExceeded(f"presented order {n} exceeds {MAX_ORDER}")
 
-    radix = [0] * ngen
-    acc = 1
-    for i in reversed(range(ngen)):
-        radix[i] = acc
-        acc *= orders[i]
+    radix = [prod(orders[i:]) for i in range(1, ngen + 1)]  # x_i is |G_(i+1)|
+    table = np.zeros((1, 1), dtype=np.int32)
+    for i in range(ngen, 0, -1):
+        p, s = orders[i - 1], table.shape[0]
 
-    def tup_to_idx(t):
-        return sum(t[i] * radix[i] for i in range(ngen))
+        def value(word):
+            x = 0
+            for g, e in word:
+                for _ in range(e % s):  # the order of x_g divides |G_(i+1)|
+                    x = table[x, radix[g - 1]]
+            return x
 
-    def idx_to_tup(x):
-        out = []
-        for i in range(ngen):
-            out.append(x // radix[i])
-            x %= radix[i]
-        return tuple(out)
+        w = value(power_words[i - 1])
+        # phi on the block x_j^a y' of G_j is phi(x_j)^a phi(y')
+        phi = np.zeros(s, dtype=np.int32)
+        for j in range(ngen, i, -1):
+            size = radix[j - 1]
+            image = table[size, value(comm_words[(j, i)])]
+            power = 0
+            for a in range(1, orders[j - 1]):
+                power = table[power, image]
+                phi[a * size : (a + 1) * size] = table[power, phi[:size]]
+        if np.bincount(phi, minlength=s).min() == 0:
+            raise InconsistentPresentation(f"x{i}: conjugation by x{i} is not a bijection")
+        for j in range(i + 1, ngen + 1):
+            g = radix[j - 1]
+            if not np.array_equal(phi[table[:, g]], table[phi, phi[g]]):
+                raise InconsistentPresentation(
+                    f"x{i}: conjugation by x{i} does not respect multiplication by x{j}"
+                )
+        if phi[w] != w:
+            raise InconsistentPresentation(f"x{i}: conjugation by x{i} moves x{i}^{p}")
+        phis = [np.arange(s, dtype=np.int32)]
+        for _ in range(p):
+            phis.append(phi[phis[-1]])
+        if not np.array_equal(table[w, phis[p]], table[:, w]):
+            raise InconsistentPresentation(
+                f"x{i}: conjugation by x{i} to the power {p} is not conjugation by x{i}^{p}"
+            )
+        grown = np.empty((p * s, p * s), dtype=np.int32)
+        for b in range(p):
+            low, high = table[phis[b]], table[table[w, phis[b]]]
+            for a in range(p):
+                block = low if a + b < p else high
+                grown[a * s : (a + 1) * s, b * s : (b + 1) * s] = block + (a + b) % p * s
+        table = grown
 
-    # right-multiplication permutation of each generator.  The relations of
-    # x_g..x_m involve no earlier generator, so x * x_g only depends on the
-    # tail of x from x_g on: collect x_g into each of the `size` tails once.
-    gen_perm = np.empty((ngen, n), dtype=np.int32)
-    for g in range(1, ngen + 1):
-        size = radix[g - 1] * orders[g - 1]
-        tail = np.empty(size, dtype=np.int64)
-        for r in range(size):
-            t = idx_to_tup(r)
-            word = [(i + 1, t[i]) for i in range(g - 1, ngen) if t[i]] + [(g, 1)]
-            res = _collect_pc_word(word, orders, power_words, conj_words, step_bound)
-            tail[r] = tup_to_idx(res)
-        gen_perm[g - 1] = (np.arange(0, n, size)[:, None] + tail).ravel()
-
-    # column h of the table by extending the predecessor of h by one generator
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
-    for h in range(1, n):
-        t = idx_to_tup(h)
-        i = max(i for i in range(ngen) if t[i])
-        pred = h - radix[i]
-        table[:, h] = gen_perm[i][table[:, pred]]
-
-    labels = []
-    for x in range(n):
-        t = idx_to_tup(x)
-        parts = [f"x{i + 1}" + (f"^{t[i]}" if t[i] > 1 else "") for i in range(ngen) if t[i]]
-        labels.append("*".join(parts) if parts else "1")
-    try:
-        G = FiniteGroup(table, labels=labels)
-    except NotAGroup as exc:
-        raise InconsistentPresentation(f"collection is not confluent: {exc}") from exc
+    labels = [
+        "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(t) if e)
+        or "1"
+        for t in itertools.product(*map(range, orders))
+    ]
+    G = FiniteGroup(table, labels=labels)
     G.pc_orders = tuple(orders)
-    G.pc_generators = [tup_to_idx(tuple(1 if j == i else 0 for j in range(ngen)))
-                       for i in range(ngen)]
+    G.pc_generators = radix
     G.generator_names = [f"x{i + 1}" for i in range(ngen)]
     return G
 

@@ -35,7 +35,14 @@ inverse, since every unit it builds carries its own, and `gen_bass_unit`
 and the unit tests check those carried inverses against this one.  The
 center-degree oracle is the rank of the class sums times e, found by
 Bareiss fraction-free elimination over the integers, the way `zgcentral`
-did before it read that dimension off as a trace.
+did before it read that dimension off as a trace.  The group
+constructors are the ones `zgcentral` ran before it built pc groups by
+cyclic extension and permutation tables from the right-regular action:
+a pc group by collection from the left, one word per normal-form tail
+and generator, and a permutation group by composing all n^2 pairs of
+permutation tuples.  `table_reason`, `inverses` and `element_orders`
+are its per-row and per-element loops from before it checked tables in
+blocks.
 """
 
 import json
@@ -51,10 +58,19 @@ from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
 from zgcentral import cyclotomic
 from zgcentral.cyclotomic import cyclotomic_polynomial
-from zgcentral.errors import NotInvertible, NotNormal, NotSubgroup, ZgError
+from zgcentral.errors import (
+    CapExceeded,
+    InconsistentPresentation,
+    NotAGroup,
+    NotInvertible,
+    NotNormal,
+    NotSubgroup,
+    ZgError,
+)
 from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
+    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     is_normal,
@@ -79,6 +95,218 @@ def paper9_pairs(G):
     """(H, K) of the nine pairs in paper9.json, in the order-1000 group G."""
     with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
         return [(H, K) for H, K, _ in parse_pairs_file(G, json.load(fh))]
+
+
+# -- group construction by collection and by tuple composition -------------------
+
+
+def _collect_pc_word(word, orders, power_words, conj_words, step_bound):
+    """Collection-from-the-left to normal form; returns an exponent tuple."""
+    ngen = len(orders)
+    work = [[g, e] for g, e in word if e != 0]
+    steps = 0
+    i = 0
+    while i < len(work):
+        steps += 1
+        if steps > step_bound:
+            raise InconsistentPresentation(
+                f"collection exceeded step bound {step_bound}"
+            )
+        g, e = work[i]
+        if e == 0:
+            del work[i]
+            i = max(i - 1, 0)
+            continue
+        if e < 0:
+            raise InconsistentPresentation("negative exponent during collection")
+        if e >= orders[g - 1]:
+            q, r = divmod(e, orders[g - 1])
+            repl = []
+            if r:
+                repl.append([g, r])
+            repl.extend([x, y] for x, y in power_words[g - 1] * q)
+            work[i : i + 1] = repl or [[g, 0]]
+            i = max(i - 1, 0)
+            continue
+        if i + 1 < len(work):
+            h, f = work[i + 1]
+            if h == g:
+                work[i][1] = e + f
+                del work[i + 1]
+                continue
+            if h < g:
+                # x_g^e x_h^f  ->  x_h (x_g^{x_h})^e x_h^{f-1}
+                repl = [[h, 1]]
+                repl.extend([x, y] for x, y in conj_words[(g, h)] * e)
+                if f - 1:
+                    repl.append([h, f - 1])
+                work[i : i + 2] = repl
+                i = max(i - 1, 0)
+                continue
+        if i > 0 and work[i - 1][0] >= g:
+            i -= 1
+            continue
+        i += 1
+    expo = [0] * ngen
+    for g, e in work:
+        expo[g - 1] = e
+    return tuple(expo)
+
+
+def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound=10**7):
+    """`zgcentral.groups.group_from_pc_presentation` by collection: right
+    multiplication by each generator is collected into every tail of the
+    normal forms, and column h of the table extends the column of h's
+    predecessor by one generator."""
+    orders = [int(e) for e in orders]
+    if any(e < 1 for e in orders):
+        raise InconsistentPresentation("relative orders must be >= 1")
+    ngen = len(orders)
+    powers = dict(powers or {})
+    commutators = dict(commutators or {})
+
+    def norm_word(word, floor, relation):
+        out = []
+        for g, e in word:
+            g, e = int(g), int(e)
+            if not (1 <= g <= ngen):
+                raise InconsistentPresentation(f"unknown generator x{g}")
+            if g <= floor:
+                raise InconsistentPresentation(f"word for {relation} uses x{g}")
+            if e < 0:
+                if powers.get(g):
+                    raise InconsistentPresentation(
+                        f"negative exponent on x{g} with nontrivial power relation"
+                    )
+                e %= orders[g - 1]
+            if e:
+                out.append((g, e))
+        return tuple(out)
+
+    power_words = [
+        norm_word(powers.get(i, ()), i, f"x{i}^{orders[i - 1]}") for i in range(1, ngen + 1)
+    ]
+    conj_words = {}
+    for j in range(1, ngen + 1):
+        for i in range(1, j):
+            comm = norm_word(commutators.get((j, i), ()), i, f"[x{j}, x{i}]")
+            conj_words[(j, i)] = ((j, 1),) + comm
+
+    n = 1
+    for e in orders:
+        n *= e
+    if n > MAX_ORDER:
+        raise CapExceeded(f"presented order {n} exceeds {MAX_ORDER}")
+
+    radix = [0] * ngen
+    acc = 1
+    for i in reversed(range(ngen)):
+        radix[i] = acc
+        acc *= orders[i]
+
+    def tup_to_idx(t):
+        return sum(t[i] * radix[i] for i in range(ngen))
+
+    def idx_to_tup(x):
+        out = []
+        for i in range(ngen):
+            out.append(x // radix[i])
+            x %= radix[i]
+        return tuple(out)
+
+    # the relations of x_g..x_m involve no earlier generator, so x * x_g
+    # only depends on the tail of x from x_g on
+    gen_perm = np.empty((ngen, n), dtype=np.int32)
+    for g in range(1, ngen + 1):
+        size = radix[g - 1] * orders[g - 1]
+        tail = np.empty(size, dtype=np.int64)
+        for r in range(size):
+            t = idx_to_tup(r)
+            word = [(i + 1, t[i]) for i in range(g - 1, ngen) if t[i]] + [(g, 1)]
+            res = _collect_pc_word(word, orders, power_words, conj_words, step_bound)
+            tail[r] = tup_to_idx(res)
+        gen_perm[g - 1] = (np.arange(0, n, size)[:, None] + tail).ravel()
+
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    for h in range(1, n):
+        t = idx_to_tup(h)
+        i = max(i for i in range(ngen) if t[i])
+        pred = h - radix[i]
+        table[:, h] = gen_perm[i][table[:, pred]]
+
+    labels = []
+    for x in range(n):
+        t = idx_to_tup(x)
+        parts = [f"x{i + 1}" + (f"^{t[i]}" if t[i] > 1 else "") for i in range(ngen) if t[i]]
+        labels.append("*".join(parts) if parts else "1")
+    try:
+        G = FiniteGroup(table, labels=labels)
+    except NotAGroup as exc:
+        raise InconsistentPresentation(f"collection is not confluent: {exc}") from exc
+    G.pc_orders = tuple(orders)
+    G.pc_generators = [
+        tup_to_idx(tuple(1 if j == i else 0 for j in range(ngen))) for i in range(ngen)
+    ]
+    G.generator_names = [f"x{i + 1}" for i in range(ngen)]
+    return G
+
+
+def group_from_permutations(degree, generators):
+    """`zgcentral.groups.group_from_permutations` with the table filled by
+    composing every pair of permutation tuples."""
+    idp = tuple(range(degree))
+    gens = [tuple(int(x) for x in p) for p in generators]
+    elements = [idp]
+    index = {idp: 0}
+    frontier = [idp]
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            r = tuple(q[x] for x in p)
+            if r not in index:
+                if len(elements) >= MAX_ORDER:
+                    raise CapExceeded(f"permutation group exceeds order {MAX_ORDER}")
+                index[r] = len(elements)
+                elements.append(r)
+                frontier.append(r)
+    n = len(elements)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            table[i, j] = index[tuple(q[x] for x in p)]
+    G = FiniteGroup(table)
+    G.permutations = elements
+    return G
+
+
+def table_reason(table):
+    """The reason for the first row or column of `table` that is not a
+    permutation, row a before column a; None when every one is."""
+    n = len(table)
+    for a in range(n):
+        if len(set(table[a])) != n:
+            return f"row {a} is not a permutation"
+        if len({row[a] for row in table}) != n:
+            return f"column {a} is not a permutation"
+    return None
+
+
+def inverses(G):
+    """The inverse of each element: where its row holds the identity."""
+    return [int(np.flatnonzero(G.table[a] == 0)[0]) for a in range(G.order)]
+
+
+def element_orders(G):
+    """The order of each element, walking its powers one product at a time."""
+    orders = [1] * G.order
+    for a in range(1, G.order):
+        x, k = a, 1
+        while x != 0:
+            x = int(G.table[x, a])
+            k += 1
+        orders[a] = k
+    return orders
 
 
 # -- the subgroup lattice by closures ---------------------------------------------

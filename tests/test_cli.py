@@ -221,3 +221,28 @@ def test_out_file(tmp_path, capsys):
     code = main(["oracle", "--group", "catalog:C5", "--out", str(dest)])
     assert code == 0
     assert json.loads(dest.read_text())["oracle"] == 1
+
+
+def test_pc_file_matches_catalog(tmp_path, capsys):
+    q8 = {
+        "type": "pc",
+        "orders": [2, 2, 2],
+        "powers": {"1": [[3, 1]], "2": [[3, 1]]},
+        "commutators": {"2,1": [[3, 1]]},
+    }
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps(q8))
+    assert main(["analyze", "--group", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["analyze", "--group", "catalog:Q8"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+def test_inconsistent_pc_file_exits_1(tmp_path, capsys):
+    # [x2, x1] = x2 sends x2 to x2^2 = 1
+    bad = {"type": "pc", "orders": [2, 2], "commutators": {"2,1": [[2, 1]]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["analyze", "--group", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x1: conjugation by x1 is not a bijection")

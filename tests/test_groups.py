@@ -1,5 +1,6 @@
 """Group core: constructors, subgroup machinery, conjugacy, subnormality."""
 
+import importlib
 import itertools
 import math
 import time
@@ -171,6 +172,169 @@ def test_pc_order_1000():
     assert G.order == 1000
     assert sorted(set(G.element_orders)) == [1, 2, 4, 5, 8, 10]
     assert G.element_orders.count(8) == 500
+
+
+def test_pc_relative_order_one_rejected():
+    # x1 = 1 would force x2 = [x2, x1] = 1: the order-2 group is not it
+    with pytest.raises(InconsistentPresentation, match="relative orders must be >= 2"):
+        group_from_pc_presentation([1, 2], commutators={(2, 1): [(2, 1)]})
+
+
+@pytest.mark.parametrize(
+    "orders, powers, commutators, reason",
+    [
+        ([2, 2], {}, {(2, 1): [(2, 1)]}, "x1: conjugation by x1 is not a bijection"),
+        (
+            [2, 3, 2],
+            {},
+            {(3, 1): [(2, 1)]},
+            "x1: conjugation by x1 does not respect multiplication by x3",
+        ),
+        ([2, 3], {1: [(2, 1)]}, {(2, 1): [(2, 1)]}, r"x1: conjugation by x1 moves x1\^2"),
+        (
+            [2, 5],
+            {},
+            {(2, 1): [(2, 1)]},
+            r"x1: conjugation by x1 to the power 2 is not conjugation by x1\^2",
+        ),
+    ],
+)
+def test_pc_inconsistent_presentation(orders, powers, commutators, reason):
+    # one presentation per Hoelder condition; collection fails on each too
+    with pytest.raises(InconsistentPresentation, match=reason):
+        group_from_pc_presentation(orders, powers=powers, commutators=commutators)
+    with pytest.raises(InconsistentPresentation):
+        oracles.group_from_pc_presentation(orders, powers=powers, commutators=commutators)
+
+
+@st.composite
+def pc_presentations(draw):
+    """Relative orders 2..6 of 1-4 generators, with random power and
+    commutator words; negative exponents only on generators whose power
+    relation is trivial."""
+    orders = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    ngen = len(orders)
+
+    def word(floor, powers):
+        gens = st.integers(floor + 1, ngen)
+        pairs = gens.flatmap(
+            lambda g: st.tuples(
+                st.just(g),
+                st.integers(0 if g in powers else 1 - orders[g - 1], orders[g - 1]),
+            )
+        )
+        return draw(st.lists(pairs, max_size=3)) if floor < ngen else []
+
+    powers = {}
+    for i in range(ngen, 0, -1):
+        w = word(i, powers)
+        if w:
+            powers[i] = w
+    commutators = {}
+    for j in range(2, ngen + 1):
+        for i in range(1, j):
+            w = word(i, powers)
+            if w:
+                commutators[(j, i)] = w
+    return orders, powers, commutators
+
+
+@settings(max_examples=60, deadline=None)
+@given(pc_presentations())
+def test_pc_presentation_matches_collection_oracle(presentation):
+    orders, powers, commutators = presentation
+    try:
+        got = group_from_pc_presentation(orders, powers, commutators)
+    except InconsistentPresentation:
+        got = None
+    try:
+        want = oracles.group_from_pc_presentation(orders, powers, commutators)
+    except InconsistentPresentation:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got.table, want.table)
+        assert got.labels == want.labels
+        assert got.pc_generators == want.pc_generators
+
+
+# the catalog groups built from a pc presentation or from permutations
+BUILT = ["Q8", "Q16", "paper-1000-86", "S3", "S4", "A4"] + [f"D{n}" for n in range(3, 26)]
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_catalog_tables_match_constructor_oracles(name, monkeypatch):
+    G = get_group(name)
+    catalog_module = importlib.import_module("zgcentral.catalog")
+    monkeypatch.setattr(
+        catalog_module, "group_from_pc_presentation", oracles.group_from_pc_presentation
+    )
+    monkeypatch.setattr(
+        catalog_module, "group_from_permutations", oracles.group_from_permutations
+    )
+    want = get_group(name)
+    assert np.array_equal(G.table, want.table)
+    assert G.labels == want.labels
+    assert getattr(G, "pc_generators", None) == getattr(want, "pc_generators", None)
+    assert getattr(G, "permutations", None) == getattr(want, "permutations", None)
+
+
+def test_bad_table_reasons():
+    with pytest.raises(NotAGroup, match="^row 1 is not a permutation$"):
+        group_from_cayley([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    with pytest.raises(NotAGroup, match="^column 1 is not a permutation$"):
+        group_from_cayley([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    # a Latin square with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(NotAGroup, match="^element 2 has no two-sided inverse$"):
+        group_from_cayley(loop)
+
+
+CORRUPTED = {name: get_group(name) for name in ("S4", "D25", "paper-1000-86")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(CORRUPTED)), st.data())
+def test_corrupted_table_reason_matches_loop_oracle(name, data):
+    # paper-1000-86's table spans several validation blocks
+    G = CORRUPTED[name]
+    n = G.order
+    table = G.table.tolist()
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(1, n - 1))
+    v = data.draw(st.integers(0, n - 2))
+    table[i][j] = v + (v >= table[i][j])
+    if data.draw(st.booleans()):
+        table = [list(col) for col in zip(*table)]
+    with pytest.raises(NotAGroup) as err:
+        group_from_cayley(table)
+    assert err.value.reason == oracles.table_reason(table)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_inverses_and_element_orders_match_walk_oracle(entry):
+    G = entry.constructor()
+    assert G.inv.tolist() == oracles.inverses(G)
+    assert G.element_orders == oracles.element_orders(G)
+    assert all(type(k) is int for k in G.element_orders)
+
+
+def test_groups_at_max_order_build_quickly():
+    n = groups.MAX_ORDER // 2
+    start = time.perf_counter()
+    D = dihedral(n)
+    assert time.perf_counter() - start < 60.0
+    assert D.order == groups.MAX_ORDER and max(D.element_orders) == n
+    start = time.perf_counter()
+    C = group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
+    assert time.perf_counter() - start < 60.0
+    assert C.order == groups.MAX_ORDER and max(C.element_orders) == groups.MAX_ORDER
 
 
 # -- subgroup machinery --------------------------------------------------------
