@@ -5,8 +5,8 @@ from the built-in catalog (``--group catalog:NAME``) or a JSON file with
 a cayley table, permutation generators, or a power-commutator
 presentation.  Shoda pairs are found from the subgroup lattice; a group
 with more than ``groups.LATTICE_CAP`` subgroups, or a non-solvable one,
-needs its candidate pairs supplied via ``--pairs-file`` using generator
-words.  Exit codes: 0 success, 2 when a pair set is incomplete, 1 on
+needs its candidate pairs, and a chain for every pair that is not
+strong, supplied via ``--pairs-file`` using generator words.  Exit codes: 0 success, 2 when a pair set is incomplete, 1 on
 errors.
 """
 

@@ -61,10 +61,6 @@ class NotShodaPair(ZgError):
     pass
 
 
-class SearchBoundExceeded(ZgError):
-    pass
-
-
 class PreconditionFailed(ZgError):
     def __init__(self, clause):
         self.clause = clause

@@ -419,7 +419,6 @@ def group_from_pc_presentation(orders, powers=None, commutators=None):
         for t in itertools.product(*map(range, orders))
     ]
     G = FiniteGroup(table, labels=labels)
-    G.pc_orders = tuple(orders)
     G.pc_generators = radix
     G.generator_names = [f"x{i + 1}" for i in range(ngen)]
     return G
@@ -448,7 +447,8 @@ def all_subgroups(G):
             if len(found) == LATTICE_CAP:
                 raise CapExceeded(
                     f"group of order {G.order} has more than {LATTICE_CAP} "
-                    "subgroups; supply candidate pairs with --pairs-file"
+                    "subgroups; supply candidate pairs, and a chain for every "
+                    "pair that is not strong, with --pairs-file"
                 )
             found[key] = Subgroup(G, key, gens=S.gens + [z])
             queue.append(found[key])
@@ -456,7 +456,8 @@ def all_subgroups(G):
         raise NotSolvable(
             f"group of order {G.order} is not solvable, hence not monomial "
             "(Taketa's theorem), so no set of its Shoda pairs is complete; "
-            "supply candidate pairs with --pairs-file"
+            "supply candidate pairs, and a chain for every pair that is not "
+            "strong, with --pairs-file"
         )
     return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
 
@@ -683,6 +684,7 @@ def subnormal_series(H, G=None):
         raise NotSubnormal(
             f"normal-closure chain stabilizes at order {chain[-1].order}"
         )
+    chain[-1] = H  # the caller's H, with its generators
     return SubnormalSeries(steps=list(reversed(chain)))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
-from .errors import NotShodaPair, SearchBoundExceeded
+from .errors import NotShodaPair
 from .groupalgebra import (
     QGElement,
     centralizer_of,
@@ -33,11 +33,7 @@ from .groups import (
     galois_classes,
     is_normal,
     right_transversal,
-    subgroup_closure,
 )
-
-# Most subgroups the chain search visits for one pair before it gives up.
-CHAIN_VISIT_BUDGET = 10**5
 
 
 # eq=False: the array fields have no truth value, so compare by identity
@@ -263,10 +259,11 @@ def find_strong_inductive_chain(G, H, K, check=True):
     """Search for a strong inductive chain from H to G.
 
     Prefers the one-step chain (present exactly when the pair is strong);
-    otherwise runs a depth-first search over one-generator extensions,
-    memoizing failed intermediate subgroups.  Returns None when the search
-    exhausts without finding a chain; raises SearchBoundExceeded when it
-    visits more than CHAIN_VISIT_BUDGET subgroups first.
+    otherwise walks the subgroup lattice depth first, trying each step's
+    overgroups smallest first and memoizing subgroups with no chain to G.
+    Every subgroup is entered at most once, so the walk ends with a chain,
+    or with None when no chain exists in the lattice.  Building the
+    lattice raises CapExceeded or NotSolvable as `all_subgroups` does.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
@@ -275,32 +272,13 @@ def find_strong_inductive_chain(G, H, K, check=True):
     if one_step is not None:
         return one_step
     eps = epsilon(H, K)
+    lattice = all_subgroups(G)
     dead = set()
-    visits = [0]
-
-    def extensions(S):
-        seen = set()
-        out = []
-        for g in range(G.order):
-            if g in S.members:
-                continue
-            T = subgroup_closure(G, list(S.gens) + [g])
-            if T.members not in seen:
-                seen.add(T.members)
-                out.append(T)
-        out.sort(key=lambda T: T.order)
-        return out
 
     def dfs(prefix):
         cur = prefix[-1]
-        visits[0] += 1
-        if visits[0] > CHAIN_VISIT_BUDGET:
-            raise SearchBoundExceeded(
-                f"chain search for the pair (|H|={H.order}, |K|={K.order}) "
-                f"gave up after {CHAIN_VISIT_BUDGET} visits"
-            )
-        for nxt in extensions(cur):
-            if nxt.members in dead:
+        for nxt in lattice:
+            if nxt.members in dead or not cur.members < nxt.members:
                 continue
             if _level_check(cur, nxt, H, K, eps) is None:
                 continue
@@ -326,7 +304,7 @@ class ShodaPair:
     """A classified Shoda pair with its idempotent and optional chain.
 
     status is "strong", "generalized_strong" (chain found, not strong), or
-    "shoda" (the chain search finished without finding a chain).
+    "shoda" (no strong inductive chain exists in the subgroup lattice).
     """
 
     H: Subgroup

@@ -26,6 +26,9 @@ is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
+The chain-search oracle lists the overgroups of each subgroup it visits
+the same way, one closure per element outside, where `zgcentral` reads
+them off the lattice.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
@@ -56,7 +59,7 @@ import numpy as np
 
 from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
-from zgcentral import cyclotomic
+from zgcentral import cyclotomic, shoda
 from zgcentral.cyclotomic import cyclotomic_polynomial
 from zgcentral.errors import (
     CapExceeded,
@@ -68,6 +71,7 @@ from zgcentral.errors import (
     ZgError,
 )
 from zgcentral.groupalgebra import QGElement, hat
+from zgcentral.groupalgebra import epsilon as qg_epsilon
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     MAX_ORDER,
@@ -244,7 +248,6 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
         G = FiniteGroup(table, labels=labels)
     except NotAGroup as exc:
         raise InconsistentPresentation(f"collection is not confluent: {exc}") from exc
-    G.pc_orders = tuple(orders)
     G.pc_generators = [
         tup_to_idx(tuple(1 if j == i else 0 for j in range(ngen))) for i in range(ngen)
     ]
@@ -327,6 +330,49 @@ def all_subgroups(G):
                 seen[T.members] = T
                 frontier.append(T)
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
+
+
+def find_strong_inductive_chain(G, H, K):
+    """A strong inductive chain from H to G, or None: the one-step chain
+    if it passes, else a depth-first search over the closures S + g for g
+    outside S, smallest first, memoizing subgroups with no chain to G."""
+    whole = G.whole()
+    one_step = shoda.verify_chain(G, H, K, [H, whole])
+    if one_step is not None:
+        return one_step
+    eps = qg_epsilon(H, K)
+    dead = set()
+
+    def extensions(S):
+        seen = set()
+        out = []
+        for g in range(G.order):
+            if g in S.members:
+                continue
+            T = subgroup_closure(G, list(S.gens) + [g])
+            if T.members not in seen:
+                seen.add(T.members)
+                out.append(T)
+        out.sort(key=lambda T: T.order)
+        return out
+
+    def dfs(prefix):
+        cur = prefix[-1]
+        for nxt in extensions(cur):
+            if nxt.members in dead:
+                continue
+            if shoda._level_check(cur, nxt, H, K, eps) is None:
+                continue
+            if nxt.members == whole.members:
+                return prefix + [nxt]
+            found = dfs(prefix + [nxt])
+            if found is not None:
+                return found
+        dead.add(cur.members)
+        return None
+
+    steps = dfs([H])
+    return None if steps is None else shoda.verify_chain(G, H, K, steps)
 
 
 # -- Q(zeta_n) with its Fraction field arithmetic --------------------------------

@@ -598,6 +598,15 @@ def test_series_steps_each_normal(d4):
         assert is_normal(a, b)
 
 
+@pytest.mark.parametrize("name", ["C24", "Q16", "D4"])
+def test_series_starts_at_the_callers_subgroup(name):
+    # steps[0] keeps H's generators, so nothing recomputes them
+    G = get_group(name)
+    for g in range(G.order):
+        H = subgroup_closure(G, [g])
+        assert subnormal_series(H).steps[0] is H
+
+
 def test_cyclic_subnormal_hypothesis():
     ok, witness = check_cyclic_subnormal_hypothesis(symmetric(3))
     assert ok and witness is None  # vacuous: all orders divide 6

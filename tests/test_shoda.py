@@ -1,5 +1,6 @@
 """Shoda-pair detection, idempotents, chains, complete sets."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
-from zgcentral import shoda
+from zgcentral import groups, shoda
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
-from zgcentral.errors import NotShodaPair, SearchBoundExceeded
+from zgcentral.errors import CapExceeded, NotShodaPair
 from zgcentral.groupalgebra import (
     QGElement,
     epsilon,
@@ -359,6 +360,52 @@ def test_verify_chain_rejects_wrong_base(s3):
     assert verify_chain(s3, A3, triv(s3), [s3.whole(), s3.whole()]) is None
 
 
+def _searched_pairs(G):
+    """paper9.json's two pairs that are not strong, then every 15th of
+    paper-1000-86's Shoda candidates whose one-step check fails."""
+    searched = [
+        (H, K)
+        for H, K in shoda_pair_candidates(G)
+        if verify_chain(G, H, K, [H, G.whole()]) is None
+    ]
+    supplied = [
+        (H, K)
+        for H, K in paper9_pairs(G)
+        if verify_chain(G, H, K, [H, G.whole()]) is None
+    ]
+    assert len(supplied) == 2 and len(searched) == 60
+    return supplied + searched[::15]
+
+
+def test_chain_search_matches_closure_walk(paper1000):
+    G = paper1000
+    for H, K in _searched_pairs(G):
+        got = find_strong_inductive_chain(G, H, K)
+        want = oracles.find_strong_inductive_chain(G, H, K)
+        assert got is not None and want is not None
+        assert [S.order for S in got.steps] == [S.order for S in want.steps]
+        assert got.indices == want.indices == [2, 1, 2]
+        assert got.length == want.length > 1  # neither is strong
+
+
+def test_chain_search_makes_no_closure(paper1000, monkeypatch):
+    H, K = next(
+        (H, K) for H, K in paper9_pairs(paper1000) if (H.order, K.order) == (50, 5)
+    )
+    calls = []
+
+    def counting(G, gens):
+        calls.append(gens)
+        return subgroup_closure(G, gens)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zgcentral") and hasattr(module, "subgroup_closure"):
+            monkeypatch.setattr(module, "subgroup_closure", counting)
+    chain = find_strong_inductive_chain(paper1000, H, K)
+    assert chain.indices == [2, 1, 2]
+    assert calls == []
+
+
 # -- complete sets -------------------------------------------------------------
 
 
@@ -390,13 +437,13 @@ def test_supplied_bad_pair_rejected(s3):
         )
 
 
-def test_exhausted_chain_budget_is_an_error(paper1000, monkeypatch):
+def test_chain_search_beyond_the_lattice_cap_is_an_error(paper1000, monkeypatch):
     # the generalized pair |H| = 50, |K| = 5 of paper9.json, without its
-    # chain: one visit is not enough to find one, and that must not read
-    # as "no chain exists" (status "shoda")
+    # chain: the search needs the lattice, and a lattice past the cap must
+    # not read as "no chain exists" (status "shoda")
     H, K = next(
         (H, K) for H, K in paper9_pairs(paper1000) if (H.order, K.order) == (50, 5)
     )
-    monkeypatch.setattr(shoda, "CHAIN_VISIT_BUDGET", 1)
-    with pytest.raises(SearchBoundExceeded, match=r"\|H\|=50, \|K\|=5.*1 visits"):
+    monkeypatch.setattr(groups, "LATTICE_CAP", 10)
+    with pytest.raises(CapExceeded, match="chain for every pair.*--pairs-file"):
         complete_irredundant_set(paper1000, candidates=[(H, K)])
