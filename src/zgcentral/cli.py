@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -42,22 +43,77 @@ from .units import (
 # -- input loading -------------------------------------------------------------
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_of(check):
+    return lambda x: isinstance(x, list) and all(check(y) for y in x)
+
+
+def _object_of(key, check):
+    """Objects whose keys match the regex `key` and whose values pass `check`."""
+    return lambda x: isinstance(x, dict) and all(
+        re.fullmatch(key, k) and check(v) for k, v in x.items()
+    )
+
+
+_INTS = _list_of(_is_int)
+_WORD = _list_of(lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)))
+_TOKENS = _list_of(lambda x: isinstance(x, str) or _is_int(x))
+_REQUIRED = object()
+
+
+def _field(doc, key, where, check, what, default=_REQUIRED):
+    """doc[key] if it passes `check`; a ValueError naming `where`, the
+    field and `what` it must be otherwise, or when it is missing and no
+    default is given."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} lacks the field {key!r}")
+        return default
+    if not check(doc[key]):
+        raise ValueError(f"{where}: field {key!r} must be {what}")
+    return doc[key]
+
+
 def load_group_spec(spec):
     """Build a FiniteGroup from a parsed group-input JSON object."""
+    if not isinstance(spec, dict):
+        raise ValueError("group input must be a JSON object")
     kind = spec.get("type")
+    where = f"group input of type {kind!r}"
     if kind == "cayley":
-        return group_from_cayley(spec["table"], labels=spec.get("labels"))
+        table = _field(spec, "table", where, _list_of(_INTS), "a list of rows of integers")
+        labels = _field(
+            spec, "labels", where, _list_of(lambda x: isinstance(x, str)), "a list of strings", None
+        )
+        return group_from_cayley(table, labels=labels)
     if kind == "perm":
-        degree = spec["degree"]
-        gens = [perm_from_cycles(degree, cycles) for cycles in spec["generators"]]
-        return group_from_permutations(degree, gens)
+        degree = _field(spec, "degree", where, _is_int, "an integer")
+        gens = _field(
+            spec, "generators", where, _list_of(_list_of(_INTS)),
+            "a list of generators, each a list of cycles of integers",
+        )
+        return group_from_permutations(degree, [perm_from_cycles(degree, c) for c in gens])
     if kind == "pc":
-        powers = {int(k): [tuple(t) for t in v] for k, v in (spec.get("powers") or {}).items()}
-        commutators = {
-            tuple(int(x) for x in k.split(",")): [tuple(t) for t in v]
-            for k, v in (spec.get("commutators") or {}).items()
-        }
-        return group_from_pc_presentation(spec["orders"], powers=powers, commutators=commutators)
+        orders = _field(spec, "orders", where, _INTS, "a list of integers")
+        powers = _field(
+            spec, "powers", where, _object_of(r"[0-9]+", _WORD),
+            'an object mapping "i" to a word of [generator, exponent] pairs', {},
+        )
+        commutators = _field(
+            spec, "commutators", where, _object_of(r"[0-9]+,[0-9]+", _WORD),
+            'an object mapping "j,i" to a word of [generator, exponent] pairs', {},
+        )
+        return group_from_pc_presentation(
+            orders,
+            powers={int(k): [tuple(t) for t in v] for k, v in powers.items()},
+            commutators={
+                tuple(map(int, k.split(","))): [tuple(t) for t in v]
+                for k, v in commutators.items()
+            },
+        )
     raise ValueError(f"unknown group input type {kind!r}")
 
 
@@ -70,7 +126,7 @@ def resolve_group(arg):
 
 def parse_word(G, token):
     """Evaluate a generator word like "x3*x4^2" (or an element index)."""
-    if isinstance(token, int):
+    if _is_int(token):
         if not 0 <= token < G.order:
             raise ValueError(f"element index {token} out of range")
         return token
@@ -98,13 +154,19 @@ def parse_subgroup(G, tokens):
 
 def parse_pairs_file(G, doc):
     """Candidate tuples (H, K, chain_steps_or_None) from a pairs file."""
+    if not isinstance(doc, dict):
+        raise ValueError("pairs file must be a JSON object")
+    entries = _field(doc, "pairs", "pairs file", lambda x: isinstance(x, list), "a list")
+    subgroup = "a list of generator words and element indices"
     out = []
-    for entry in doc["pairs"]:
-        H = parse_subgroup(G, entry["H"])
-        K = parse_subgroup(G, entry["K"])
-        chain = None
-        if entry.get("chain"):
-            chain = [parse_subgroup(G, step) for step in entry["chain"]]
+    for i, entry in enumerate(entries):
+        where = f"pairs file entry {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        H = parse_subgroup(G, _field(entry, "H", where, _TOKENS, subgroup))
+        K = parse_subgroup(G, _field(entry, "K", where, _TOKENS, subgroup))
+        steps = _field(entry, "chain", where, _list_of(_TOKENS), f"a list of {subgroup}", None)
+        chain = [parse_subgroup(G, step) for step in steps] if steps else None
         out.append((H, K, chain))
     return out
 

@@ -8,7 +8,8 @@ operation picks its result's dtype from a bound on its operands.
 
 The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
-the cosets of K in H.
+the cosets of K in H.  No orbit is searched: the distinct conjugates of a
+under N are a^t over a right transversal of a's centralizer in N.
 
 For a central idempotent e, z -> z e is an idempotent linear map of the
 center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no
@@ -265,23 +266,6 @@ def epsilon(H, K):
     # a trailing 0 so that log -1 (outside H) reads coefficient 0
     ram = np.append(ramanujan_row(H.order // K.order), 0)
     return _element(H.parent, H.order, ram[log])
-
-
-def conjugate_orbit(a, N):
-    """The distinct conjugates of `a` under conjugation by N, BFS order."""
-    seen = {a}
-    order = [a]
-    frontier = [a]
-    gens = N.gens or [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x.conj(g)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                frontier.append(y)
-    return order
 
 
 def is_idempotent(a):

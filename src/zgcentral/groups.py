@@ -10,6 +10,9 @@ x_1 most significant.  Each step checks Hoelder's conditions: conjugation
 by x_i is an automorphism of G_(i+1) that fixes w = x_i^(p_i), and its
 p_i-th power is conjugation by w.
 
+A Subgroup gets its generators when it is built, and nothing searches
+for them later; the greedy search runs once per group, in `_validate`.
+
 Conjugacy is decided here and nowhere else.  A `ConjugacyPartition` is
 two read-only arrays, the class of each element and the least element of
 each class.  `galois_classes` is the action of (Z/e)^x, e the exponent,
@@ -158,10 +161,6 @@ class FiniteGroup:
             x = int(self.table[x, a])
         return x
 
-    def conj(self, a, g):
-        """g^-1 * a * g."""
-        return int(self.table[self.table[self.inv[g], a], g])
-
     def label(self, a):
         if self.labels is not None:
             return self.labels[a]
@@ -178,6 +177,7 @@ class Subgroup:
     """An immutable subgroup of a FiniteGroup, stored as a member set.
 
     `members` are element indices as Python ints; they are not converted.
+    `gens` defaults to the non-identity members, which need no closure.
     """
 
     __slots__ = ("parent", "members", "sorted_members", "_gens")
@@ -186,7 +186,7 @@ class Subgroup:
         self.parent = parent
         self.members = frozenset(members)
         self.sorted_members = tuple(sorted(self.members))
-        self._gens = list(gens) if gens is not None else None
+        self._gens = [g for g in self.sorted_members if g] if gens is None else list(gens)
 
     @property
     def order(self):
@@ -194,8 +194,6 @@ class Subgroup:
 
     @property
     def gens(self):
-        if self._gens is None:
-            self._gens = _subgroup_generators(self.parent, self.members)
         return self._gens
 
     def __contains__(self, g):
@@ -494,12 +492,20 @@ def _cyclic_extensions(G, S):
 
 
 def is_normal(K, H):
-    """K normal in H (both subgroups of the same parent; K <= H assumed)."""
+    """K normal in H (both subgroups of the same parent; K <= H assumed):
+    K's generators conjugated by every member of H stay in K, gathered in
+    blocks of at most _GATHER_BLOCK entries.  H's generators are not read."""
     G = K.parent
-    for g in H.gens:
-        for k in K.gens:
-            if G.conj(k, g) not in K.members:
-                return False
+    t = G.table
+    in_k = np.zeros(G.order, dtype=bool)
+    in_k[np.array(K.sorted_members, dtype=np.intp)] = True
+    ks = np.array(K.gens, dtype=np.intp)
+    hs = np.array(H.sorted_members, dtype=np.intp)[:, None]
+    rows = max(1, _GATHER_BLOCK // max(ks.size, 1))
+    for start in range(0, hs.size, rows):
+        h = hs[start : start + rows]
+        if not in_k[t[t[G.inv[h], ks], h]].all():
+            return False
     return True
 
 

@@ -5,7 +5,8 @@ irreducible character of G exactly when the Shoda condition holds; such
 pairs are classified here as plain, strong, or generalized strong (the
 latter witnessed by an inductive chain of subgroups from H up to G), and
 each equivalence class of pairs yields one primitive central idempotent
-of the rational group algebra.
+of the rational group algebra.  A chain's level check reads the
+conjugates of its idempotents off right transversals of centralizers.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
-from .errors import NotShodaPair
-from .groupalgebra import (
-    QGElement,
-    centralizer_of,
-    conjugate_orbit,
-    epsilon,
-    mul,
-)
+from .errors import NotNormal, NotShodaPair, NotSubgroup
+from .groupalgebra import QGElement, centralizer_of, epsilon, mul
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
@@ -147,13 +142,15 @@ def _coset_conjugates(H):
 def _is_shoda_pair(H, K, coset_conjugates):
     """The Shoda test with H's `_coset_conjugates` given.
 
-    [h, g] lies in H but not in K exactly when h^g lies in H outside the
-    coset hK, which the coset log reads off.  As H/K is abelian the test
-    for g only depends on the coset Hg, so one element of each will do.
+    The coset log checks that K is normal in H with H/K cyclic.  [h, g]
+    lies in H but not in K exactly when h^g lies in H outside the coset
+    hK, which the coset log reads off.  As H/K is abelian the test for g
+    only depends on the coset Hg, so one element of each will do.
     """
-    if not (K.members <= H.members and is_normal(K, H)):
+    try:
+        log = cyclic_coset_log(H, K)
+    except (NotSubgroup, NotNormal):
         return False
-    log = cyclic_coset_log(H, K)
     if log is None:
         return False
     hs, conj = coset_conjugates
@@ -217,40 +214,42 @@ class StrongInductiveChain:
         return len(self.steps) - 1
 
 
-def _level_check(Hi, Hnext, H, K, eps):
-    """Check the two level conditions for Hi <= Hnext; returns the
-    centralizer on success, None on failure."""
-    ei = QGElement.zero(H.parent)
-    for d in conjugate_orbit(eps, Hi):
-        ei = ei + d
+def _level_check(Hi, Hnext, eps):
+    """The two level conditions for Hi <= Hnext and eps = epsilon(H, K):
+    Hi is normal in cen, the centralizer in Hnext of e_i = the sum of the
+    Hi-conjugates of eps, and e_i is orthogonal to its other conjugates
+    e_i^t, t != 1 in a right transversal of cen in Hnext.  Conjugates
+    are read off such transversals.  (cen, transversal), or None."""
+    reps = right_transversal(centralizer_of(eps, Hi), Hi)
+    ei = sum((eps.conj(t) for t in reps), QGElement.zero(eps.group))
     cen = centralizer_of(ei, Hnext)
     if not (Hi.members <= cen.members and is_normal(Hi, cen)):
         return None
-    for d in conjugate_orbit(ei, Hnext):
-        if d != ei and not mul(ei, d).is_zero():
-            return None
-    return cen
+    transversal = right_transversal(cen, Hnext)
+    # the identity comes first and stands for e_i itself
+    if any(not mul(ei, ei.conj(t)).is_zero() for t in transversal[1:]):
+        return None
+    return cen, transversal
 
 
 def verify_chain(G, H, K, steps):
     """Validate a supplied tower of subgroups as a strong inductive chain.
 
-    Returns a populated StrongInductiveChain, or None if some level fails.
-    Repeated steps are allowed (they contribute index 1).
+    Returns a populated StrongInductiveChain, or None if some level fails,
+    which includes a step not contained in the next.  Repeated steps are
+    allowed (they contribute index 1).
     """
     if steps[0].members != H.members or steps[-1].members != G.whole().members:
         return None
-    for a, b in zip(steps, steps[1:]):
-        if not a.members <= b.members:
-            return None
     eps = epsilon(H, K)
     chain = StrongInductiveChain(steps=list(steps))
     for Hi, Hnext in zip(steps, steps[1:]):
-        cen = _level_check(Hi, Hnext, H, K, eps)
-        if cen is None:
+        level = _level_check(Hi, Hnext, eps)
+        if level is None:
             return None
+        cen, transversal = level
         chain.centralizers.append(cen)
-        chain.transversals.append(right_transversal(cen, Hnext))
+        chain.transversals.append(transversal)
         chain.indices.append(cen.order // Hi.order)
     return chain
 
@@ -280,7 +279,7 @@ def find_strong_inductive_chain(G, H, K, check=True):
         for nxt in lattice:
             if nxt.members in dead or not cur.members < nxt.members:
                 continue
-            if _level_check(cur, nxt, H, K, eps) is None:
+            if _level_check(cur, nxt, eps) is None:
                 continue
             if nxt.members == whole.members:
                 return prefix + [nxt]

@@ -28,14 +28,22 @@ The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
 The chain-search oracle lists the overgroups of each subgroup it visits
 the same way, one closure per element outside, where `zgcentral` reads
-them off the lattice.
+them off the lattice.  Its `level_check` and `verify_chain` are the
+level conditions as `zgcentral` checked them before it read conjugates
+off centralizer transversals: each orbit is a breadth-first search
+under the generators that hashes whole QG vectors, and the centralizer
+is filtered one element at a time.  `is_normal` here loops over pairs
+of generators, one conjugate at a time, where `zgcentral` gathers the
+smaller group's generators conjugated by every member of the larger;
+the quotient, coset-log, Shoda-test and chain oracles all use it.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
-closed form.  The Fraction `minimal_polynomial` and `inverse` here are
-the only inversion left anywhere: `zgcentral` never solves for an
-inverse, since every unit it builds carries its own, and `gen_bass_unit`
-and the unit tests check those carried inverses against this one.  The
+closed form.  `inverse` here is the only inversion left anywhere: it
+finds the first integer relation among the powers of the element by
+fraction-free elimination.  `zgcentral` never solves for an inverse,
+since every unit it builds carries its own, and `gen_bass_unit` and the
+unit tests check those carried inverses against this one.  The
 center-degree oracle is the rank of the class sums times e, found by
 Bareiss fraction-free elimination over the integers, the way `zgcentral`
 did before it read that dimension off as a trace.  The group
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -77,7 +85,6 @@ from zgcentral.groups import (
     MAX_ORDER,
     FiniteGroup,
     Subgroup,
-    is_normal,
     right_transversal,
     subgroup_closure,
 )
@@ -332,12 +339,64 @@ def all_subgroups(G):
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
 
 
+def is_normal(K, H):
+    """K normal in H: every generator of K conjugated by every generator
+    of H stays in K, one conjugate at a time."""
+    G = K.parent
+    return all(conjugate(G, k, g) in K.members for g in H.gens for k in K.gens)
+
+
+def conjugate_orbit(a, N):
+    """The distinct conjugates of the QG element `a` under N, by a
+    breadth-first search under N's generators that hashes whole vectors."""
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        x = frontier.pop()
+        for g in N.gens:
+            y = x.conj(g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def level_check(Hi, Hnext, eps):
+    """The level conditions for Hi <= Hnext, eps = epsilon(H, K): e_i is
+    the sum of eps's Hi-orbit, its centralizer in Hnext is filtered one
+    element at a time, Hi must be normal in it, and e_i orthogonal to
+    every other member of its Hnext-orbit.  The centralizer, or None."""
+    ei = sum(conjugate_orbit(eps, Hi), QGElement.zero(eps.group))
+    cen = Subgroup(eps.group, [g for g in Hnext.members if ei.conj(g) == ei])
+    if not (Hi.members <= cen.members and is_normal(Hi, cen)):
+        return None
+    for d in conjugate_orbit(ei, Hnext):
+        if d != ei and not qg_mul(ei, d).is_zero():
+            return None
+    return cen
+
+
+def verify_chain(G, H, K, steps):
+    """The chain through `steps` with its centralizers and indices when
+    every level passes `level_check`, else None; transversals are left
+    empty."""
+    eps = qg_epsilon(H, K)
+    chain = shoda.StrongInductiveChain(steps=list(steps))
+    for Hi, Hnext in zip(steps, steps[1:]):
+        cen = level_check(Hi, Hnext, eps)
+        if cen is None:
+            return None
+        chain.centralizers.append(cen)
+        chain.indices.append(cen.order // Hi.order)
+    return chain
+
+
 def find_strong_inductive_chain(G, H, K):
     """A strong inductive chain from H to G, or None: the one-step chain
     if it passes, else a depth-first search over the closures S + g for g
     outside S, smallest first, memoizing subgroups with no chain to G."""
     whole = G.whole()
-    one_step = shoda.verify_chain(G, H, K, [H, whole])
+    one_step = verify_chain(G, H, K, [H, whole])
     if one_step is not None:
         return one_step
     eps = qg_epsilon(H, K)
@@ -361,7 +420,7 @@ def find_strong_inductive_chain(G, H, K):
         for nxt in extensions(cur):
             if nxt.members in dead:
                 continue
-            if shoda._level_check(cur, nxt, H, K, eps) is None:
+            if level_check(cur, nxt, eps) is None:
                 continue
             if nxt.members == whole.members:
                 return prefix + [nxt]
@@ -372,7 +431,7 @@ def find_strong_inductive_chain(G, H, K):
         return None
 
     steps = dfs([H])
-    return None if steps is None else shoda.verify_chain(G, H, K, steps)
+    return None if steps is None else verify_chain(G, H, K, steps)
 
 
 # -- Q(zeta_n) with its Fraction field arithmetic --------------------------------
@@ -659,6 +718,11 @@ def commutator(G, a, b):
     return G.mul(G.mul(G.mul(int(G.inv[a]), int(G.inv[b])), a), b)
 
 
+def conjugate(G, a, g):
+    """g^-1 a g, one product at a time."""
+    return G.mul(G.mul(int(G.inv[g]), a), g)
+
+
 def normal_closure(S, within):
     """Smallest subgroup of `within` containing S and normal in it: close
     again after each conjugate of a current generator by a generator of
@@ -671,7 +735,7 @@ def normal_closure(S, within):
         changed = False
         for x in list(current.gens):
             for w in within.gens:
-                c = G.conj(x, w)
+                c = conjugate(G, x, w)
                 if c not in current.members:
                     gens.append(c)
                     current = subgroup_closure(G, gens)
@@ -755,48 +819,46 @@ def mul(G, a, b):
     return {k: v for k, v in acc.items() if v}
 
 
-def minimal_polynomial(G, a):
-    """Monic minimal polynomial coefficients c_0..c_d (c_d = 1) of `a`, by
-    Gaussian elimination over Fractions on the powers of `a`, and the
-    powers a^0..a^(d-1)."""
-    basis = []  # (pivot, vec dict, combo list)
-    powers = []
-    power = {0: Fraction(1)}
-    for d in range(G.order + 1):
-        vec = dict(power)
-        combo = [Fraction(0)] * d + [Fraction(1)]
-        for pivot, bvec, bcombo in basis:
-            q = vec.get(pivot)
-            if q:
-                f = q / bvec[pivot]
-                for g, val in bvec.items():
-                    s = vec.get(g, Fraction(0)) - f * val
-                    if s:
-                        vec[g] = s
-                    else:
-                        vec.pop(g, None)
-                for i, val in enumerate(bcombo):
-                    combo[i] -= f * val
-        if not vec:
-            return combo, powers
-        basis.append((min(vec), vec, combo))
-        powers.append(power)
-        power = mul(G, power, a)
-    raise AssertionError("a minimal polynomial has degree at most |G|")
-
-
 def inverse(G, a):
-    """a^-1 = -(c_1 + c_2 a + ... + a^(d-1)) / c_0 from the minimal
-    polynomial; NotInvertible for zero and for zero divisors."""
+    """a^-1 for a = {g: q}, from the first integer relation c_0 + c_1 b +
+    ... + c_d b^d = 0 among the powers of b = m a, m the common
+    denominator: b^-1 = -(c_1 + c_2 b + ... + c_d b^(d-1)) / c_0.
+
+    Each power of b, an integer vector, is reduced against the earlier
+    ones by fraction-free elimination, v -> (p v - v_i w) / c with w the
+    pivot row, p its pivot and c the content of the result, so every
+    division is exact; the combination of powers rides along.
+    NotInvertible for zero and for zero divisors."""
     if not a:
         raise NotInvertible("zero has no inverse")
-    c, powers = minimal_polynomial(G, a)
-    if not c[0]:
+    m = lcm(*(Fraction(q).denominator for q in a.values()))
+    b = {g: int(q * m) for g, q in a.items()}
+    basis = []  # (pivot, row, combination of powers)
+    powers = []
+    power = {0: 1}
+    while True:
+        vec, combo = dict(power), [0] * len(powers) + [1]
+        for pivot, row, rcombo in basis:
+            q = vec.get(pivot)
+            if q:
+                p = row[pivot]
+                for g in vec.keys() | row.keys():
+                    vec[g] = p * vec.get(g, 0) - q * row.get(g, 0)
+                combo = [p * x - q * y for x, y in zip(combo, rcombo + [0] * len(combo))]
+                c = gcd(*vec.values(), *combo)
+                vec = {g: x // c for g, x in vec.items() if x}
+                combo = [x // c for x in combo]
+        if not vec:
+            break
+        basis.append((min(vec), vec, combo))
+        powers.append(power)
+        power = mul(G, power, b)
+    if not combo[0]:
         raise NotInvertible("element is a zero divisor")
     out = {}
-    for ci, power in zip(c[1:], powers):
-        out = add(out, {g: ci * q for g, q in power.items()})
-    return {g: -q / c[0] for g, q in out.items()}
+    for ci, power in zip(combo[1:], powers):
+        out = add(out, {g: ci * x for g, x in power.items()})
+    return {g: Fraction(-x * m, combo[0]) for g, x in out.items()}
 
 
 # -- the center degree by elimination -------------------------------------------
@@ -902,7 +964,7 @@ def conjugacy_classes(G):
         while frontier:
             x = frontier.pop()
             for s in G.generators:
-                y = G.conj(x, s)
+                y = conjugate(G, x, s)
                 if y not in orbit:
                     orbit.add(y)
                     frontier.append(y)

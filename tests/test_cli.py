@@ -246,3 +246,62 @@ def test_inconsistent_pc_file_exits_1(tmp_path, capsys):
     assert main(["analyze", "--group", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: x1: conjugation by x1 is not a bijection")
+
+
+def _single_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+MALFORMED_PAIRS = {
+    "list": ([], "must be a JSON object"),
+    "no-pairs": ({}, "lacks the field 'pairs'"),
+    "pairs-object": ({"pairs": {}}, "field 'pairs' must be a list"),
+    "entry-int": ({"pairs": [1]}, "entry 0 must be a JSON object"),
+    "H-int": ({"pairs": [{"H": 1, "K": []}]}, "entry 0: field 'H'"),
+    "H-bool": ({"pairs": [{"H": [True], "K": []}]}, "entry 0: field 'H'"),
+    "H-null": ({"pairs": [{"H": [None], "K": []}]}, "entry 0: field 'H'"),
+    "no-K": ({"pairs": [{"H": []}]}, "entry 0 lacks the field 'K'"),
+    "chain-flat": ({"pairs": [{"H": [], "K": [], "chain": [1]}]}, "entry 0: field 'chain'"),
+    "second-K": ({"pairs": [{"H": [], "K": []}, {"H": [], "K": [[0]]}]}, "entry 1: field 'K'"),
+}
+
+
+@pytest.mark.parametrize("doc, says", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+def test_malformed_pairs_file_exits_1(tmp_path, capsys, doc, says):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    argv = ["pairs", "--group", "catalog:C4", "--pairs-file", str(path)]
+    assert main(argv) == 1
+    assert says in _single_error(capsys)
+
+
+MALFORMED_GROUPS = {
+    "list": ([1], "must be a JSON object"),
+    "cayley-no-table": ({"type": "cayley"}, "lacks the field 'table'"),
+    "cayley-bool": ({"type": "cayley", "table": [[0, True], [1, 0]]}, "field 'table'"),
+    "cayley-labels": ({"type": "cayley", "table": [[0]], "labels": [1]}, "field 'labels'"),
+    "perm-no-degree": ({"type": "perm", "generators": []}, "lacks the field 'degree'"),
+    "perm-flat": ({"type": "perm", "degree": 3, "generators": [[1, 2]]}, "field 'generators'"),
+    "perm-degree-str": ({"type": "perm", "degree": "3", "generators": []}, "field 'degree'"),
+    "pc-no-orders": ({"type": "pc"}, "lacks the field 'orders'"),
+    "pc-power-key": ({"type": "pc", "orders": [2], "powers": {"x": []}}, "field 'powers'"),
+    "pc-comm-key": (
+        {"type": "pc", "orders": [2, 2], "commutators": {"2": []}},
+        "field 'commutators'",
+    ),
+    "pc-comm-word": (
+        {"type": "pc", "orders": [2, 2], "commutators": {"2,1": [[2]]}},
+        "field 'commutators'",
+    ),
+    "unknown-type": ({"type": "free"}, "unknown group input type 'free'"),
+}
+
+
+@pytest.mark.parametrize("doc, says", MALFORMED_GROUPS.values(), ids=MALFORMED_GROUPS)
+def test_malformed_group_file_exits_1(tmp_path, capsys, doc, says):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--group", str(path)]) == 1
+    assert says in _single_error(capsys)

@@ -18,7 +18,6 @@ from zgcentral.groupalgebra import (
     QGElement,
     center_component_dim,
     centralizer_of,
-    conjugate_orbit,
     epsilon,
     hat,
     is_central,
@@ -174,12 +173,6 @@ def test_centralizer_of_central_idempotent(s3):
     eps = epsilon(A3, Subgroup(s3, {0}))
     assert centralizer_of(eps, s3.whole()).order == 6
     assert is_central(eps)
-
-
-def test_conjugate_orbit_size(s3):
-    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
-    orbit = conjugate_orbit(elem(s3, refl), s3.whole())
-    assert len(orbit) == 3  # the three reflections
 
 
 def test_center_of_qg_has_class_count_dimension(s3, s4, paper1000):

@@ -571,6 +571,32 @@ def test_normal_closure_matches_loop_oracle(name):
     assert checked >= len(subs)
 
 
+def test_is_normal_matches_generator_loop_oracle():
+    """is_normal(K, H), one gather of K's generators conjugated by all of
+    H, equals the loop over pairs of generators for every K <= H of every
+    lattice in the small catalog, also when K has the default generators
+    (its non-identity members)."""
+    checked = 0
+    for _, G in oracles.small_catalog():
+        subs = all_subgroups(G)
+        for H in subs:
+            for K in subs:
+                if K <= H:
+                    want = oracles.is_normal(K, H)
+                    assert is_normal(K, H) == want
+                    assert is_normal(Subgroup(G, K.members), H) == want
+                    checked += 1
+    assert checked > 3500
+
+
+def test_subgroups_carry_generators():
+    # the default is the non-identity members; closures keep their seed
+    G = get_group("D4")
+    assert Subgroup(G, range(8)).gens == list(range(1, 8))
+    assert Subgroup(G, {0}).gens == []
+    assert subgroup_closure(G, [0, 3]).gens == [3]
+
+
 # -- subnormality --------------------------------------------------------------
 
 
@@ -587,7 +613,7 @@ def test_reflection_not_subnormal(s3):
 
 
 def test_center_of_q8_subnormal(q8):
-    center = [g for g in range(8) if all(q8.conj(g, h) == g for h in range(8))]
+    center = [g for g in range(8) if all(q8.mul(g, h) == q8.mul(h, g) for h in range(8))]
     assert is_subnormal(subgroup_closure(q8, center))
 
 

@@ -360,6 +360,37 @@ def test_verify_chain_rejects_wrong_base(s3):
     assert verify_chain(s3, A3, triv(s3), [s3.whole(), s3.whole()]) is None
 
 
+@pytest.mark.parametrize("name", CORPUS + ("paper-1000-86",))
+def test_level_check_matches_orbit_oracle(name):
+    """_level_check, reading both orbits off centralizer transversals,
+    equals the orbit-search oracle for each Shoda pair (each candidate of
+    the CORPUS groups, paper9.json's nine pairs) on every Hi < Hnext of
+    the lattice, above H for paper-1000-86: the same centralizer, or both
+    None."""
+    G = get_group(name)
+    subs = all_subgroups(G)
+    pairs = paper9_pairs(G) if G.order > 100 else shoda_pair_candidates(G)
+    outcomes = set()
+    for H, K in pairs:
+        eps = epsilon(H, K)
+        lows = [S for S in subs if H <= S] if G.order > 100 else subs
+        for Hi in lows:
+            for Hnext in subs:
+                if not Hi < Hnext:
+                    continue
+                got = shoda._level_check(Hi, Hnext, eps)
+                want = oracles.level_check(Hi, Hnext, eps)
+                assert (got is None) == (want is None)
+                outcomes.add(got is None)
+                if got is not None:
+                    cen, transversal = got
+                    assert cen.members == want.members
+                    assert len(transversal) == Hnext.order // cen.order
+    # every level of an abelian group passes
+    abelian = np.array_equal(G.table, G.table.T)
+    assert outcomes == ({False} if abelian else {True, False})
+
+
 def _searched_pairs(G):
     """paper9.json's two pairs that are not strong, then every 15th of
     paper-1000-86's Shoda candidates whose one-step check fails."""

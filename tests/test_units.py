@@ -1,12 +1,16 @@
 """Bass units, generalized Bass units, z-/c-constructions, rank witness."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import oracles
 import pytest
 
+from zgcentral import groups
 from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
+from zgcentral.cli import parse_pairs_file
 from zgcentral.errors import BadCongruence, NotNormal, PreconditionFailed
 from zgcentral.groupalgebra import QGElement, is_central, mul
 from zgcentral.groups import (
@@ -273,6 +277,29 @@ def test_construction_counts_and_n_b():
     G = get_group("C22")
     M = next(M for M in all_subgroups(G) if M.order == 2)
     assert gen_bass_unit(G, 1, M, 3, 5).inputs["n_b"] == 341
+
+
+def test_no_generator_search_after_construction(paper1000, monkeypatch):
+    # every subgroup carries generators from construction, so classifying
+    # paper-1000-86 from paper9.json and building D7's z-units search none
+    D7 = get_group("D7")
+    with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
+        doc = json.load(fh)
+    calls = []
+    greedy = groups._subgroup_generators
+
+    def counted(G, members):
+        calls.append(G.order)
+        return greedy(G, members)
+
+    monkeypatch.setattr(groups, "_subgroup_generators", counted)
+    pairs, complete = complete_irredundant_set(
+        paper1000, candidates=parse_pairs_file(paper1000, doc)
+    )
+    assert complete and len(pairs) == 9
+    d7_pairs, _ = complete_irredundant_set(D7)
+    assert len(z_units(D7, d7_pairs)) == 65
+    assert calls == []
 
 
 # -- z-construction ------------------------------------------------------------
