@@ -8,6 +8,8 @@ idempotent, so each idempotent is checked to be one.  The number of pairs
 must equal the number of rational conjugacy classes, the number of
 Wedderburn components of QG, and the centers of those components tile
 Z(QG): their dimensions must add up to the number of ordinary classes.
+The idempotent that a pair's strong inductive chain carries to its top
+must be the pair's primitive central idempotent.
 """
 
 import argparse
@@ -39,6 +41,7 @@ def main():
             continue
         report = rank_total(G, pairs, complete=True)
         bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
+        bad_top = sum(p.chain is not None and p.chain.top != p.pci for p in pairs)
         components = conjugacy_partition(G, "rational").reps.size
         classes = conjugacy_partition(G).reps.size
         mark = "ok"
@@ -48,6 +51,8 @@ def main():
             mark = f"{components} RATIONAL CLASSES"
         elif bad_degree:
             mark = f"CENTER DEGREE FAILED on {bad_degree} pair(s)"
+        elif bad_top:
+            mark = f"CHAIN TOP IS NOT THE PCI on {bad_top} pair(s)"
         # after the degree check, so that every idempotent is a central one
         elif (center_dim := sum(center_component_dim(p.pci) for p in pairs)) != classes:
             mark = f"CENTERS SPAN {center_dim} OF {classes} CLASSES"

@@ -8,8 +8,9 @@ operation picks its result's dtype from a bound on its operands.
 
 The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
-the cosets of K in H.  No orbit is searched: the distinct conjugates of a
-under N are a^t over a right transversal of a's centralizer in N.
+the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
+only on the coset St, so the conjugates of a under N >= S are a^t over a
+right transversal of S in N (`shoda._climb`).
 
 For a central idempotent e, z -> z e is an idempotent linear map of the
 center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no
@@ -31,7 +32,7 @@ from .errors import (
     NotIdempotent,
     NotShodaPair,
 )
-from .groups import _GATHER_BLOCK, Subgroup, conjugacy_partition, cyclic_coset_log
+from .groups import _GATHER_BLOCK, conjugacy_partition, cyclic_coset_log
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -270,27 +271,6 @@ def epsilon(H, K):
 
 def is_idempotent(a):
     return mul(a, a) == a
-
-
-def centralizer_of(a, within):
-    """{g in `within` : g^-1 a g = a} as a Subgroup.
-
-    For a block of g at once, the coefficients at the conjugates g^-1 x g
-    of the support X are compared with those at X; conjugation permutes
-    the group, so agreeing on X means agreeing everywhere.
-    """
-    G = a.group
-    t = G.table
-    X = np.flatnonzero(a.vec)
-    want = a.vec[X]
-    W = np.array(within.sorted_members, dtype=np.intp)
-    block = max(1, _GATHER_BLOCK // max(X.size, 1))
-    mem = []
-    for start in range(0, W.size, block):
-        g = W[start : start + block, None]
-        conj = t[t[G.inv[g], X], g]
-        mem.extend(g[(a.vec[conj] == want).all(axis=1), 0].tolist())
-    return Subgroup(G, mem)
 
 
 def is_central(a):

@@ -43,7 +43,7 @@ MAX_ORDER = 2048
 # Most subgroups all_subgroups enumerates before it gives up.
 LATTICE_CAP = 4096
 
-# Most table entries gathered at once by the closure and centralizer kernels.
+# Most table entries gathered at once by the closure, normality and product kernels.
 _GATHER_BLOCK = 1 << 16
 
 

@@ -5,8 +5,9 @@ irreducible character of G exactly when the Shoda condition holds; such
 pairs are classified here as plain, strong, or generalized strong (the
 latter witnessed by an inductive chain of subgroups from H up to G), and
 each equivalence class of pairs yields one primitive central idempotent
-of the rational group algebra.  A chain's level check reads the
-conjugates of its idempotents off right transversals of centralizers.
+of the rational group algebra.  A chain carries its idempotent e_i, and
+each level reads e_i's conjugates off one right transversal of the
+step below, which also yields the centralizer and its transversal.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from .errors import NotNormal, NotShodaPair, NotSubgroup
-from .groupalgebra import QGElement, centralizer_of, epsilon, mul
+from .groupalgebra import QGElement, epsilon, mul
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
@@ -196,15 +197,18 @@ def pci(G, H, K, lam=None, check=True):
 
 @dataclass
 class StrongInductiveChain:
-    """A tower H = H_0 <= ... <= H_n = G passing the level conditions.
+    """A tower H = H_0 <= ... <= H_n passing the level conditions, grown
+    one level at a time by `_climb`; complete when H_n = G.
 
-    Per level i: `centralizers[i]` is the centralizer in H_{i+1} of the
-    summed-conjugate idempotent e(H_i, H, K), `transversals[i]` a right
-    transversal of that centralizer in H_{i+1}, and `indices[i]` the index
-    of H_i in the centralizer.
+    `top` is e_n: e_0 = epsilon(H, K), and e_{i+1} is the sum of the
+    distinct H_{i+1}-conjugates of e_i (Bakshi-Kaur).  Per level i:
+    `centralizers[i]` is the centralizer of e_i in H_{i+1},
+    `transversals[i]` its right transversal in H_{i+1}, and `indices[i]`
+    the index of H_i in the centralizer.
     """
 
     steps: list
+    top: QGElement
     centralizers: list = field(default_factory=list)
     transversals: list = field(default_factory=list)
     indices: list = field(default_factory=list)
@@ -214,22 +218,39 @@ class StrongInductiveChain:
         return len(self.steps) - 1
 
 
-def _level_check(Hi, Hnext, eps):
-    """The two level conditions for Hi <= Hnext and eps = epsilon(H, K):
-    Hi is normal in cen, the centralizer in Hnext of e_i = the sum of the
-    Hi-conjugates of eps, and e_i is orthogonal to its other conjugates
-    e_i^t, t != 1 in a right transversal of cen in Hnext.  Conjugates
-    are read off such transversals.  (cen, transversal), or None."""
-    reps = right_transversal(centralizer_of(eps, Hi), Hi)
-    ei = sum((eps.conj(t) for t in reps), QGElement.zero(eps.group))
-    cen = centralizer_of(ei, Hnext)
-    if not (Hi.members <= cen.members and is_normal(Hi, cen)):
+def _climb(chain, nxt):
+    """The chain one level longer, up to `nxt`, or None when a level
+    condition fails: H_i <= nxt, H_i normal in cen, the centralizer of
+    e_i = chain.top in nxt, and e_i orthogonal to its other conjugates.
+
+    H_i fixes e_i, so e_i^t depends only on the coset H_i t, and cen is
+    the union of the cosets whose representative t fixes e_i.  Listed in
+    increasing order, the first t of each distinct conjugate is the
+    least element of its coset of cen: a right transversal of cen.
+    """
+    Hi, ei = chain.steps[-1], chain.top
+    if not Hi <= nxt:
         return None
-    transversal = right_transversal(cen, Hnext)
-    # the identity comes first and stands for e_i itself
-    if any(not mul(ei, ei.conj(t)).is_zero() for t in transversal[1:]):
+    conjugates = {}
+    for t in right_transversal(Hi, nxt):
+        conjugates.setdefault(ei.conj(t), []).append(t)
+    # t = 0 comes first: the first conjugate is e_i, with the t fixing it
+    (_, fixing), *others = conjugates.items()
+    G = ei.group
+    hs = np.array(Hi.sorted_members, dtype=np.intp)
+    members = G.table[np.ix_(hs, fixing)].ravel().tolist()
+    cen = Subgroup(G, members, gens=Hi.gens + fixing[1:])
+    if not is_normal(Hi, cen):
         return None
-    return cen, transversal
+    if any(not mul(ei, d).is_zero() for d, _ in others):
+        return None
+    return StrongInductiveChain(
+        steps=chain.steps + [nxt],
+        top=sum(conjugates, QGElement.zero(G)),
+        centralizers=chain.centralizers + [cen],
+        transversals=chain.transversals + [[ts[0] for ts in conjugates.values()]],
+        indices=chain.indices + [len(fixing)],
+    )
 
 
 def verify_chain(G, H, K, steps):
@@ -241,16 +262,11 @@ def verify_chain(G, H, K, steps):
     """
     if steps[0].members != H.members or steps[-1].members != G.whole().members:
         return None
-    eps = epsilon(H, K)
-    chain = StrongInductiveChain(steps=list(steps))
-    for Hi, Hnext in zip(steps, steps[1:]):
-        level = _level_check(Hi, Hnext, eps)
-        if level is None:
+    chain = StrongInductiveChain([H], top=epsilon(H, K))
+    for nxt in steps[1:]:
+        chain = _climb(chain, nxt)
+        if chain is None:
             return None
-        cen, transversal = level
-        chain.centralizers.append(cen)
-        chain.transversals.append(transversal)
-        chain.indices.append(cen.order // Hi.order)
     return chain
 
 
@@ -260,6 +276,8 @@ def find_strong_inductive_chain(G, H, K, check=True):
     Prefers the one-step chain (present exactly when the pair is strong);
     otherwise walks the subgroup lattice depth first, trying each step's
     overgroups smallest first and memoizing subgroups with no chain to G.
+    A chain's top at H_i is the primitive central idempotent of Q H_i
+    that (H, K) realizes, whatever the path below, so the memo holds.
     Every subgroup is entered at most once, so the walk ends with a chain,
     or with None when no chain exists in the lattice.  Building the
     lattice raises CapExceeded or NotSolvable as `all_subgroups` does.
@@ -267,32 +285,28 @@ def find_strong_inductive_chain(G, H, K, check=True):
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     whole = G.whole()
-    one_step = verify_chain(G, H, K, [H, whole])
+    root = StrongInductiveChain([H], top=epsilon(H, K))
+    one_step = _climb(root, whole)
     if one_step is not None:
         return one_step
-    eps = epsilon(H, K)
     lattice = all_subgroups(G)
     dead = set()
 
-    def dfs(prefix):
-        cur = prefix[-1]
+    def dfs(chain):
+        cur = chain.steps[-1]
+        if cur.members == whole.members:
+            return chain
         for nxt in lattice:
-            if nxt.members in dead or not cur.members < nxt.members:
+            if nxt.members in dead or not cur < nxt:
                 continue
-            if _level_check(cur, nxt, eps) is None:
-                continue
-            if nxt.members == whole.members:
-                return prefix + [nxt]
-            found = dfs(prefix + [nxt])
+            longer = _climb(chain, nxt)
+            found = None if longer is None else dfs(longer)
             if found is not None:
                 return found
         dead.add(cur.members)
         return None
 
-    steps = dfs([H])
-    if steps is None:
-        return None
-    return verify_chain(G, H, K, steps)
+    return dfs(root)
 
 
 # -- classification and complete sets -----------------------------------------

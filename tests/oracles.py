@@ -28,11 +28,12 @@ The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
 The chain-search oracle lists the overgroups of each subgroup it visits
 the same way, one closure per element outside, where `zgcentral` reads
-them off the lattice.  Its `level_check` and `verify_chain` are the
-level conditions as `zgcentral` checked them before it read conjugates
-off centralizer transversals: each orbit is a breadth-first search
+them off the lattice.  Its `level_check` and `verify_chain` carry
+e_i up the chain as `zgcentral` does, e_0 = epsilon(H, K) and e_(i+1)
+the sum of e_i's H_(i+1)-orbit, but each orbit is a breadth-first search
 under the generators that hashes whole QG vectors, and the centralizer
-is filtered one element at a time.  `is_normal` here loops over pairs
+is filtered one element at a time, where `zgcentral` reads both off one
+right transversal of the step below.  `is_normal` here loops over pairs
 of generators, one conjugate at a time, where `zgcentral` gathers the
 smaller group's generators conjugated by every member of the larger;
 the quotient, coset-log, Shoda-test and chain oracles all use it.
@@ -361,31 +362,39 @@ def conjugate_orbit(a, N):
     return seen
 
 
-def level_check(Hi, Hnext, eps):
-    """The level conditions for Hi <= Hnext, eps = epsilon(H, K): e_i is
-    the sum of eps's Hi-orbit, its centralizer in Hnext is filtered one
-    element at a time, Hi must be normal in it, and e_i orthogonal to
-    every other member of its Hnext-orbit.  The centralizer, or None."""
-    ei = sum(conjugate_orbit(eps, Hi), QGElement.zero(eps.group))
-    cen = Subgroup(eps.group, [g for g in Hnext.members if ei.conj(g) == ei])
+def filter_centralizer(a, within):
+    """{g in `within` : a^g = a} as a Subgroup, one element at a time."""
+    return Subgroup(a.group, [g for g in within.members if a.conj(g) == a])
+
+
+def level_check(Hi, Hnext, ei):
+    """The level conditions for Hi <= Hnext and the idempotent e_i: its
+    centralizer in Hnext is filtered one element at a time, Hi must lie
+    in it and be normal there, and e_i must be orthogonal to every other
+    member of its Hnext-orbit.  (centralizer, sum of the orbit), the
+    latter being e_(i+1), or None."""
+    if not Hi.members <= Hnext.members:
+        return None
+    cen = filter_centralizer(ei, Hnext)
     if not (Hi.members <= cen.members and is_normal(Hi, cen)):
         return None
-    for d in conjugate_orbit(ei, Hnext):
+    orbit = conjugate_orbit(ei, Hnext)
+    for d in orbit:
         if d != ei and not qg_mul(ei, d).is_zero():
             return None
-    return cen
+    return cen, sum(orbit, QGElement.zero(ei.group))
 
 
 def verify_chain(G, H, K, steps):
-    """The chain through `steps` with its centralizers and indices when
-    every level passes `level_check`, else None; transversals are left
-    empty."""
-    eps = qg_epsilon(H, K)
-    chain = shoda.StrongInductiveChain(steps=list(steps))
+    """The chain through `steps` with its centralizers, indices and top
+    when every level passes `level_check`, e_0 = epsilon(H, K), else
+    None; transversals are left empty."""
+    chain = shoda.StrongInductiveChain(steps=list(steps), top=qg_epsilon(H, K))
     for Hi, Hnext in zip(steps, steps[1:]):
-        cen = level_check(Hi, Hnext, eps)
-        if cen is None:
+        level = level_check(Hi, Hnext, chain.top)
+        if level is None:
             return None
+        cen, chain.top = level
         chain.centralizers.append(cen)
         chain.indices.append(cen.order // Hi.order)
     return chain
@@ -394,12 +403,12 @@ def verify_chain(G, H, K, steps):
 def find_strong_inductive_chain(G, H, K):
     """A strong inductive chain from H to G, or None: the one-step chain
     if it passes, else a depth-first search over the closures S + g for g
-    outside S, smallest first, memoizing subgroups with no chain to G."""
+    outside S, smallest first, carrying e_i and memoizing subgroups with
+    no chain to G."""
     whole = G.whole()
     one_step = verify_chain(G, H, K, [H, whole])
     if one_step is not None:
         return one_step
-    eps = qg_epsilon(H, K)
     dead = set()
 
     def extensions(S):
@@ -415,22 +424,23 @@ def find_strong_inductive_chain(G, H, K):
         out.sort(key=lambda T: T.order)
         return out
 
-    def dfs(prefix):
+    def dfs(prefix, ei):
         cur = prefix[-1]
         for nxt in extensions(cur):
             if nxt.members in dead:
                 continue
-            if level_check(cur, nxt, eps) is None:
+            level = level_check(cur, nxt, ei)
+            if level is None:
                 continue
             if nxt.members == whole.members:
                 return prefix + [nxt]
-            found = dfs(prefix + [nxt])
+            found = dfs(prefix + [nxt], level[1])
             if found is not None:
                 return found
         dead.add(cur.members)
         return None
 
-    steps = dfs([H])
+    steps = dfs([H], qg_epsilon(H, K))
     return None if steps is None else verify_chain(G, H, K, steps)
 
 

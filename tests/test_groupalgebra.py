@@ -17,7 +17,6 @@ from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
     center_component_dim,
-    centralizer_of,
     epsilon,
     hat,
     is_central,
@@ -161,18 +160,7 @@ def test_powers_are_nonnegative(s3):
         a**-1
 
 
-# -- centralizers and center ---------------------------------------------------
-
-
-def test_centralizer_of_one(s3):
-    assert centralizer_of(QGElement.one(s3), s3.whole()).members == set(range(6))
-
-
-def test_centralizer_of_central_idempotent(s3):
-    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    eps = epsilon(A3, Subgroup(s3, {0}))
-    assert centralizer_of(eps, s3.whole()).order == 6
-    assert is_central(eps)
+# -- center --------------------------------------------------------------------
 
 
 def test_center_of_qg_has_class_count_dimension(s3, s4, paper1000):
@@ -299,45 +287,6 @@ def test_center_dim_rejects_a_non_integral_trace(s3, monkeypatch):
         center_component_dim(QGElement.one(s3).scale(Fraction(1, 2)))
 
 
-# -- centralizer kernel against the per-element filter -------------------------
-
-
-def filter_centralizer(a, within):
-    """Reference centralizer: conjugate `a` by each element and compare."""
-    return {g for g in within.members if a.conj(g) == a}
-
-
-@pytest.mark.parametrize("name", ["S4", "D12", "Q16"])
-def test_centralizer_matches_filter_on_shoda_pairs(name):
-    G = get_group(name)
-    for H, K in shoda_pair_candidates(G):
-        for a in (epsilon(H, K), e_sum_conjugates(G.whole(), H, K)):
-            for within in (G.whole(), H):
-                assert centralizer_of(a, within).members == filter_centralizer(a, within)
-
-
-CENTRALIZER_GROUPS = {name: get_group(name) for name in ("S4", "D12", "Q16", "C12")}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(CENTRALIZER_GROUPS)), st.data())
-def test_centralizer_matches_filter_on_sparse_elements(name, data):
-    G = CENTRALIZER_GROUPS[name]
-    coeffs = data.draw(
-        st.dictionaries(
-            st.integers(0, G.order - 1),
-            st.fractions(min_value=-2, max_value=2, max_denominator=3),
-            max_size=6,
-        )
-    )
-    a = QGElement(G, coeffs)
-    # a class sum is central: adding it keeps the centralizer but changes
-    # the coefficients that the kernel compares
-    cl = data.draw(st.sampled_from(conjugacy_partition(G).classes))
-    for b in (a, a + QGElement(G, {g: 1 for g in cl})):
-        assert centralizer_of(b, G.whole()).members == filter_centralizer(b, G.whole())
-
-
 # -- the (den, vec) kernels against the Fraction-dict oracles -------------------
 
 CORPUS_GROUPS = {name: get_group(name) for name in ("S3", "D4", "Q8", "C12", "S4")}
@@ -419,13 +368,11 @@ def test_equal_values_compare_and_hash_equal(name, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
-def test_centralizer_matches_oracle_conj(name, data):
+def test_is_central_matches_oracle_conj(name, data):
     G = CORPUS_GROUPS[name]
     a = draw_element(data, G)
     da = oracles.as_dict(a)
-    want = {g for g in range(G.order) if oracles.conj(G, da, g) == da}
-    assert centralizer_of(a, G.whole()).members == want
-    assert is_central(a) == (len(want) == G.order)
+    assert is_central(a) == all(oracles.conj(G, da, g) == da for g in range(G.order))
 
 
 def test_int64_bound_edge():

@@ -1,7 +1,9 @@
 """Shoda-pair detection, idempotents, chains, complete sets."""
 
+import json
 import sys
 from fractions import Fraction
+from importlib import resources
 from math import gcd
 
 import numpy as np
@@ -13,6 +15,7 @@ from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
 from zgcentral import groups, shoda
+from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from zgcentral.errors import CapExceeded, NotShodaPair
 from zgcentral.groupalgebra import (
@@ -30,6 +33,7 @@ from zgcentral.groups import (
     cyclic_coset_log,
     galois_classes,
     is_normal,
+    right_transversal,
     subgroup_closure,
 )
 from zgcentral.shoda import (
@@ -360,35 +364,86 @@ def test_verify_chain_rejects_wrong_base(s3):
     assert verify_chain(s3, A3, triv(s3), [s3.whole(), s3.whole()]) is None
 
 
+def test_verify_chain_rejects_step_outside_the_next(s3):
+    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
+    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
+    R = subgroup_closure(s3, [refl])
+    assert verify_chain(s3, A3, triv(s3), [A3, R, s3.whole()]) is None
+
+
 @pytest.mark.parametrize("name", CORPUS + ("paper-1000-86",))
 def test_level_check_matches_orbit_oracle(name):
-    """_level_check, reading both orbits off centralizer transversals,
-    equals the orbit-search oracle for each Shoda pair (each candidate of
-    the CORPUS groups, paper9.json's nine pairs) on every Hi < Hnext of
-    the lattice, above H for paper-1000-86: the same centralizer, or both
-    None."""
+    """_climb, reading the conjugates of e_i off one right transversal of
+    Hi, equals the orbit-search oracle for each Shoda pair (each candidate
+    of the CORPUS groups, paper9.json's nine pairs) on every Hi < Hnext of
+    the lattice, above H for paper-1000-86, with e_i the sum of epsilon's
+    Hi-orbit: the same centralizer (the per-element filter's), a
+    transversal of it, and the same new top, or both None."""
     G = get_group(name)
     subs = all_subgroups(G)
     pairs = paper9_pairs(G) if G.order > 100 else shoda_pair_candidates(G)
     outcomes = set()
     for H, K in pairs:
-        eps = epsilon(H, K)
         lows = [S for S in subs if H <= S] if G.order > 100 else subs
         for Hi in lows:
+            ei = e_sum_conjugates(Hi, H, K)
+            root = shoda.StrongInductiveChain([Hi], top=ei)
             for Hnext in subs:
                 if not Hi < Hnext:
                     continue
-                got = shoda._level_check(Hi, Hnext, eps)
-                want = oracles.level_check(Hi, Hnext, eps)
+                got = shoda._climb(root, Hnext)
+                want = oracles.level_check(Hi, Hnext, ei)
                 assert (got is None) == (want is None)
                 outcomes.add(got is None)
                 if got is not None:
-                    cen, transversal = got
-                    assert cen.members == want.members
-                    assert len(transversal) == Hnext.order // cen.order
+                    cen, top = want
+                    assert got.centralizers == [cen]
+                    assert got.transversals == [right_transversal(cen, Hnext)]
+                    assert got.top == top
     # every level of an abelian group passes
     abelian = np.array_equal(G.table, G.table.T)
     assert outcomes == ({False} if abelian else {True, False})
+
+
+def _paper9_candidates(G):
+    """paper9.json's (H, K, chain steps) in the order-1000 group G."""
+    with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
+        return parse_pairs_file(G, json.load(fh))
+
+
+def _chained_pairs():
+    """(group name, classified pairs) for every catalog group of order at
+    most 60, paper-1000-86 without a pair file, and paper9.json."""
+    for entry in catalog():
+        G = entry.constructor()
+        if G.order <= 60 or entry.name == "paper-1000-86":
+            yield entry.name, complete_irredundant_set(G)[0]
+    G = get_group("paper-1000-86")
+    yield "paper9.json", complete_irredundant_set(G, _paper9_candidates(G))[0]
+
+
+def test_chain_top_is_the_pci():
+    """The carried e_n of every chain is its pair's idempotent; every
+    pair of these groups has a chain."""
+    chained = 0
+    for name, pairs in _chained_pairs():
+        for p in pairs:
+            assert p.chain.top == p.pci, (name, p.H.order, p.K.order)
+            chained += 1
+    assert chained == 443
+
+
+def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
+    """On paper9.json's (50, 10) pair, chain [50, 50, 250, 1000], the sum
+    of epsilon's G-orbit is no idempotent; the recursion's top is the pci."""
+    H, K, steps = next(
+        c for c in _paper9_candidates(paper1000) if (c[0].order, c[1].order) == (50, 10)
+    )
+    chain = verify_chain(paper1000, H, K, steps)
+    assert [S.order for S in chain.steps] == [50, 50, 250, 1000]
+    assert chain.indices == [1, 1, 4]
+    assert not is_idempotent(e_sum_conjugates(paper1000.whole(), H, K))
+    assert chain.top == pci(paper1000, H, K)
 
 
 def _searched_pairs(G):
