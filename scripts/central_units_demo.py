@@ -31,7 +31,6 @@ from zgcentral.units import (
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--group", default="C12", help="catalog name, e.g. C12, Q8, D4")
-    ap.add_argument("--tolerance", type=float, default=1e-6)
     args = ap.parse_args()
 
     G = get_group(args.group)
@@ -53,7 +52,7 @@ def main():
             units.append(c_central_unit(bass_unit(G, spec), series))
     print(f"constructed {len(units)} central units")
 
-    witness = log_rank_witness(G, units, pairs, tolerance=args.tolerance)
+    witness = log_rank_witness(G, units, pairs)
     oracle = rank_oracle(G)
     print(f"log-rank witness {witness}, oracle {oracle}, agree={witness == oracle}")
     return 0 if witness == oracle else 1

@@ -8,7 +8,7 @@ central units of ZG with an independent conjugacy-class oracle.
 __version__ = "0.1.0"
 
 from .catalog import catalog, get_group
-from .cyclotomic import Cyclotomic, euler_phi
+from .cyclotomic import euler_phi
 from .groupalgebra import QGElement, epsilon, hat
 from .groups import (
     FiniteGroup,

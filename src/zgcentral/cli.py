@@ -16,12 +16,12 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .catalog import catalog, get_group
 from .cyclotomic import euler_phi
 from .errors import NotSubnormal, ZgError
-from .groupalgebra import is_central
 from .groups import (
     group_from_cayley,
     group_from_pc_presentation,
@@ -233,6 +233,13 @@ def rank_text_table(report):
     return "\n".join(lines)
 
 
+def _omega_json(G, pair, v):
+    """v's central character value on the pair, nonzero coefficients only."""
+    n, row, den = central_character_value(G, pair, v)
+    coeffs = {str(i): str(Fraction(x, den)) for i, x in enumerate(row) if x}
+    return {"n": n, "coeffs": coeffs}
+
+
 def units_json(G, pairs, complete):
     rows = []
     seen_cyclic = set()
@@ -246,17 +253,15 @@ def units_json(G, pairs, complete):
         except NotSubnormal:
             continue
         for spec in bass_specs_for(G, g):
-            # a Bass unit that fails here is a defect, and exits 1
+            # c_central_unit verifies the central unit, or raises: exit 1
             cu = c_central_unit(bass_unit(G, spec), series)
             row = {
                 "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
                 "support": len(cu.value.support),
-                "central_unit": is_central(cu.value) and cu.value * cu.inverse == 1,
+                "central_unit": True,
             }
             if complete:
-                row["omega"] = [
-                    central_character_value(G, p, cu.value).to_json() for p in pairs
-                ]
+                row["omega"] = [_omega_json(G, p, cu.value) for p in pairs]
             rows.append(row)
     return {"units": rows}
 

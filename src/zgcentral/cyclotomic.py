@@ -4,15 +4,13 @@ A character value is a sum of powers of zeta_n with integer
 multiplicities, held as a row of exponent counts: `ramanujan_row` gives
 the traces to Q of those powers, and `reduction_matrix` their coordinates
 on the power basis zeta^0..zeta^(phi(n)-1) after reduction modulo the
-n-th cyclotomic polynomial.  `Cyclotomic` is the exact value such a
-reduction produces, with its complex embeddings and its JSON form; it
-has no field arithmetic.
+n-th cyclotomic polynomial.  An exact value of Q(zeta_n), such as the
+central character value in `units`, is an integer row on that basis over
+one positive denominator; nothing here does field arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -129,26 +127,3 @@ def ramanujan_row(n):
     out.setflags(write=False)
     return out
 
-
-@dataclass(frozen=True)
-class Cyclotomic:
-    """An exact element of Q(zeta_n): `c` holds its Fraction coefficients
-    on the power basis zeta^0..zeta^(phi(n)-1)."""
-
-    n: int
-    c: tuple
-
-    def embeddings(self):
-        """Complex values at every primitive n-th root of unity."""
-        out = []
-        for m in range(1, self.n + 1):
-            if gcd(m, self.n) == 1:
-                z = cmath.exp(2j * cmath.pi * m / self.n)
-                out.append(sum(float(q) * z**i for i, q in enumerate(self.c)))
-        return out
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "coeffs": {str(i): str(q) for i, q in enumerate(self.c) if q},
-        }

@@ -13,6 +13,7 @@ the exponent on the ordinary classes, which `galois_classes` also gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,25 +56,30 @@ def k_of_pair(G, pair):
     return 1 if np.array_equal(rows[galois_classes(G)[-1]], rows) else 2
 
 
+def _center_degree(pair, k=1):
+    """phi([H:K]) / (k * prod [C_i:H_i]) over the pair's chain, or None
+    when that is not an integer."""
+    phi, denom = euler_phi(pair.index), k * math.prod(pair.chain.indices)
+    return phi // denom if phi % denom == 0 else None
+
+
 def rank_term(G, pair):
     """The pair's contribution phi([H:K]) / (k * prod indices) - 1."""
     if pair.chain is None:
         raise DivisibilityViolation("pair has no verified chain")
     k = k_of_pair(G, pair)
-    denom = k
-    for idx in pair.chain.indices:
-        denom *= idx
-    phi = euler_phi(pair.index)
-    if phi % denom != 0:
+    degree = _center_degree(pair, k)
+    if degree is None:
         raise DivisibilityViolation(
-            f"phi({pair.index}) = {phi} not divisible by {denom}"
+            f"phi({pair.index}) = {euler_phi(pair.index)} not divisible by "
+            f"{k * math.prod(pair.chain.indices)}"
         )
     return RankTerm(
         pair=pair,
         index_HK=pair.index,
         chain_indices=list(pair.chain.indices),
         k=k,
-        term=phi // denom - 1,
+        term=degree - 1,
     )
 
 
@@ -109,13 +115,10 @@ def verify_center_degree(G, pair):
     projection z -> z e of Z(QG) onto the center (`center_component_dim`)."""
     if pair.chain is None:
         return False
-    denom = 1
-    for idx in pair.chain.indices:
-        denom *= idx
-    phi = euler_phi(pair.index)
-    if phi % denom != 0:
+    degree = _center_degree(pair)
+    if degree is None:
         return False
     try:
-        return center_component_dim(pair.pci) == phi // denom
+        return center_component_dim(pair.pci) == degree
     except (NotCentral, NotIdempotent):
         return False

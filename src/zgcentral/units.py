@@ -15,24 +15,21 @@ reversed product of the conjugated inverses, and checks that with one
 more.
 
 A numerical log-embedding witness measures the multiplicative rank of a
-set of central units.  The central character value it embeds is exact
-and integral until one final division: the unit's numerators summed per
-conjugacy class, times the pair's induced-character class rows
-(`LinearCharacter.class_rows`, on the power basis of Q(zeta_n)), over
-the unit's denominator times [G:H].
+set of central units.  The central character value it embeds is exact,
+(n, row, den): the unit's numerators summed per conjugacy class, times
+the pair's induced-character class rows (`LinearCharacter.class_rows`,
+on the power basis of Q(zeta_n)), over the unit's denominator times
+[G:H].  One matrix product per pair embeds all of the units' rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
 from .errors import (
     BadCongruence,
     IncompleteSet,
@@ -281,6 +278,16 @@ def _ordered_product(G, factors):
     return reduce(mul, factors, QGElement.one(G))
 
 
+def _conjugate_product(value, inverse, reps):
+    """(prod of value^t over reps, prod of inverse^t over reversed reps),
+    since an ordered product's inverse is the reversed product of inverses."""
+    G = value.group
+    return (
+        _ordered_product(G, [value.conj(t) for t in reps]),
+        _ordered_product(G, [inverse.conj(t) for t in reversed(reps)]),
+    )
+
+
 def z_central_unit(u, pair):
     """Push a Unit central in Z[pair.H] up the pair's strong inductive
     chain; the result is a verified central Unit of ZG."""
@@ -296,8 +303,7 @@ def z_central_unit(u, pair):
             raise PreconditionFailed(
                 f"{label} does not split as Z(1-e) + (subring)e"
             )
-    # the inverse of an ordered product is the reversed product of the
-    # inverses, and (z^m)^-1 = (z^-1)^m
+    # (z^m)^-1 = (z^-1)^m
     z, zinv = u.value, u.inverse
     for i in range(pair.chain.length):
         base = pair.chain.steps[i]
@@ -305,12 +311,8 @@ def z_central_unit(u, pair):
         if any(z.conj(h) != z for h in base.gens or [0]):
             raise PreconditionFailed("intermediate value lost centrality")
         reps = right_transversal(base, cen)
-        zm, zm_inv = z**base.order, zinv**base.order
-        inner = _ordered_product(G, [zm.conj(d) for d in reps])
-        inner_inv = _ordered_product(G, [zm_inv.conj(d) for d in reversed(reps)])
-        ts = pair.chain.transversals[i]
-        z = _ordered_product(G, [inner.conj(t) for t in ts])
-        zinv = _ordered_product(G, [inner_inv.conj(t) for t in reversed(ts)])
+        inner = _conjugate_product(z**base.order, zinv**base.order, reps)
+        z, zinv = _conjugate_product(*inner, pair.chain.transversals[i])
     return _verified_unit(
         z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support}
     )
@@ -329,8 +331,7 @@ def c_central_unit(u, series, transversals=None):
             reps = transversals[i]
         else:
             reps = right_transversal(steps[i], steps[i + 1])
-        c = _ordered_product(H.parent, [c.conj(t) for t in reps])
-        cinv = _ordered_product(H.parent, [cinv.conj(t) for t in reversed(reps)])
+        c, cinv = _conjugate_product(c, cinv, reps)
     return _verified_unit(
         c, cinv, "c-construction", {"series_orders": [s.order for s in steps]}
     )
@@ -346,6 +347,9 @@ def random_right_transversal(H, within, rng):
 
 # -- numerical rank witness ----------------------------------------------------
 
+# Singular values of the log matrix at or below this count as zero.
+WITNESS_TOLERANCE = 1e-6
+
 
 def _class_sums(v):
     """v's integer numerators summed over each ordinary class, as Python ints."""
@@ -356,45 +360,52 @@ def _class_sums(v):
 
 
 def _omega(lam, sums, den):
-    """sum_g v(g) chi(g) / chi(1) for v = vec / den with class sums `sums`
-    of vec, where chi(1) = [G:H] is the size of lam's transversal."""
-    q = den * lam.transversal.size
-    row = sums @ lam.class_rows.astype(object)
-    return Cyclotomic(lam.order, tuple(Fraction(x, q) for x in row))
+    """omega's exact row and denominator on lam's pair, for class sums
+    `sums` of numerators over `den`: one element, or with a matrix of
+    class sums and an array of dens, one element per row."""
+    return sums @ lam.class_rows.astype(object), den * lam.transversal.size
 
 
 def central_character_value(G, pair, v):
-    """The scalar by which v acts on the pair's simple component: the
-    induced character chi summed against v's coefficients, over chi(1)."""
-    return _omega(pair.lam, _class_sums(v), v.den)
+    """The scalar omega by which v acts on the pair's simple component, the
+    induced character chi summed against v's coefficients over chi(1) =
+    [G:H], as (n, row, den): omega = row / den on the power basis of
+    Q(zeta_n), with `row` an exact integer object array."""
+    return (pair.lam.order, *_omega(pair.lam, _class_sums(v), v.den))
 
 
-def log_rank_witness(G, units, pairs, tolerance=1e-6):
+@lru_cache(maxsize=None)
+def _embedding_matrix(n):
+    """phi(n) x phi(n) complex matrix of zeta_n^(i m), with i the power
+    basis index and m running over the units mod n: a power-basis row
+    times it is the row's value at every primitive n-th root of unity."""
+    ms = np.array([m for m in range(1, n + 1) if gcd(m, n) == 1])
+    out = np.exp(2j * np.pi * (np.outer(np.arange(ms.size), ms) % n) / n)
+    out.setflags(write=False)
+    return out
+
+
+def log_rank_witness(G, units, pairs):
     """Rank of the subgroup generated by `units` modulo torsion, measured
     through archimedean log-embeddings of their central characters.
 
-    Where |sigma(u)| < 1 its float value can be mostly cancellation noise,
-    so log|sigma(u)| is taken as -log|sigma(u^-1)| from the unit's
-    verified inverse.
+    The exact rows of the units and of their inverses become floats by
+    correctly rounded int/int division.  Where |sigma(u)| < 1 its float
+    value can be mostly cancellation noise, so log|sigma(u)| is taken as
+    -log|sigma(u^-1)| from the unit's verified inverse.
     """
     if not is_complete(G, pairs):
         raise IncompleteSet("pair set does not cover the group algebra")
     if not units:
         return 0
-    rows = []
-    for cu in units:
-        sums = _class_sums(cu.value)
-        inv_sums = _class_sums(cu.inverse)
-        row = []
-        for p in pairs:
-
-            def abs_embeddings(s, den):
-                omega = _omega(p.lam, s, den)
-                return [abs(z) for z in omega.embeddings()]
-
-            zs = abs_embeddings(sums, cu.value.den)
-            ws = abs_embeddings(inv_sums, cu.inverse.den) if min(zs) < 1 else zs
-            row += [math.log(z) if z >= 1 else -math.log(w) for z, w in zip(zs, ws)]
-        rows.append(row)
-    sv = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
-    return int(np.sum(sv > tolerance))
+    elements = [cu.value for cu in units] + [cu.inverse for cu in units]
+    sums = np.array([_class_sums(v) for v in elements])
+    dens = np.array([v.den for v in elements], dtype=object)
+    blocks = []
+    for p in pairs:
+        rows, q = _omega(p.lam, sums, dens)
+        floats = (rows / q[:, None]).astype(float)
+        zs, ws = np.split(np.abs(floats @ _embedding_matrix(p.lam.order)), 2)
+        blocks.append(np.where(zs >= 1, np.log(zs), -np.log(ws)))
+    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.sum(sv > WITNESS_TOLERANCE))

@@ -54,10 +54,16 @@ a pc group by collection from the left, one word per normal-form tail
 and generator, and a permutation group by composing all n^2 pairs of
 permutation tuples.  `table_reason`, `inverses` and `element_orders`
 are its per-row and per-element loops from before it checked tables in
-blocks.
+blocks.  `Cyclotomic` is the Fraction value of Q(zeta_n) that
+`zgcentral` held the central character value in before its exact
+(n, row, den), and `log_rank_witness` embeds it one coefficient and one
+(unit, pair) at a time, the way `zgcentral` did before it embedded all
+of a pair's rows with one matrix product.
 """
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -68,7 +74,7 @@ import numpy as np
 
 from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
-from zgcentral import cyclotomic, shoda
+from zgcentral import shoda
 from zgcentral.cyclotomic import cyclotomic_polynomial
 from zgcentral.errors import (
     CapExceeded,
@@ -89,7 +95,8 @@ from zgcentral.groups import (
     right_transversal,
     subgroup_closure,
 )
-from zgcentral.units import BassSpec, bass_unit
+from zgcentral.units import WITNESS_TOLERANCE, BassSpec, bass_unit
+from zgcentral.units import central_character_value as exact_omega
 
 # catalog groups whose every Shoda pair is checked against the oracles
 CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
@@ -484,10 +491,15 @@ def _poly_mul_frac(a, b):
     return _trim(out)
 
 
-class Cyclotomic(cyclotomic.Cyclotomic):
-    """The library's exact value of Q(zeta_n), with field arithmetic:
-    mixed conductors are lifted to the lcm, and equality compares the
+@dataclass(frozen=True, eq=False)
+class Cyclotomic:
+    """An exact element of Q(zeta_n), with field arithmetic: `c` holds its
+    Fraction coefficients on the power basis zeta^0..zeta^(phi(n)-1).
+    Mixed conductors are lifted to the lcm, and equality compares the
     lifted coefficients."""
+
+    n: int
+    c: tuple
 
     @classmethod
     def from_powers(cls, n, powers):
@@ -608,6 +620,22 @@ class Cyclotomic(cyclotomic.Cyclotomic):
 
     # equality lifts conductors, so coefficient-based hashing would be unsound
     __hash__ = None
+
+    def embeddings(self):
+        """Complex values at every primitive n-th root of unity, one
+        coefficient at a time."""
+        out = []
+        for m in range(1, self.n + 1):
+            if gcd(m, self.n) == 1:
+                z = cmath.exp(2j * cmath.pi * m / self.n)
+                out.append(sum(float(q) * z**i for i, q in enumerate(self.c)))
+        return out
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "coeffs": {str(i): str(q) for i, q in enumerate(self.c) if q},
+        }
 
     def galois(self, m):
         """Image under zeta_n -> zeta_n^m; requires gcd(m, n) = 1."""
@@ -1027,6 +1055,30 @@ def central_character_value(G, H, K, v):
     for g in v.support:
         total = total + values[g] * v.coeff(g)
     return total / values[0]
+
+
+def log_rank_witness(G, units, pairs):
+    """The log-rank witness one (unit, pair) at a time: the library's exact
+    omega row over its denominator as a Fraction `Cyclotomic`, embedded one
+    coefficient at a time, with the same inverse fallback and threshold."""
+    if not units:
+        return 0
+
+    def abs_embeddings(p, v):
+        n, row, den = exact_omega(G, p, v)
+        omega = Cyclotomic(n, tuple(Fraction(x, den) for x in row))
+        return [abs(z) for z in omega.embeddings()]
+
+    rows = []
+    for cu in units:
+        row = []
+        for p in pairs:
+            zs = abs_embeddings(p, cu.value)
+            ws = abs_embeddings(p, cu.inverse) if min(zs) < 1 else zs
+            row += [math.log(z) if z >= 1 else -math.log(w) for z, w in zip(zs, ws)]
+        rows.append(row)
+    sv = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
+    return int(np.sum(sv > WITNESS_TOLERANCE))
 
 
 # -- generalized Bass units by powers ----------------------------------------------

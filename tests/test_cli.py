@@ -5,14 +5,18 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import oracles
 import pytest
 from jsonschema import Draft202012Validator
 
 from zgcentral import cli
-from zgcentral.catalog import cyclic
+from zgcentral.catalog import cyclic, get_group
 from zgcentral.cli import main, parse_pairs_file, parse_word
 from zgcentral.errors import PreconditionFailed
 from zgcentral.catalog import paper_1000_86
+from zgcentral.groups import subgroup_closure, subnormal_series
+from zgcentral.shoda import complete_irredundant_set
+from zgcentral.units import BassSpec, bass_unit, c_central_unit
 
 
 REPORT_SCHEMA = json.loads(
@@ -93,6 +97,19 @@ def test_units_c5(capsys):
     assert code == 0 and doc["complete"]
     assert doc["units"] and all(r["central_unit"] for r in doc["units"])
     assert all(len(r["omega"]) == 2 for r in doc["units"])
+
+
+@pytest.mark.parametrize("name", ["Q16", "C24"])
+def test_units_omega_matches_field_oracle(capsys, name):
+    code, doc = run_json(capsys, ["units", "--group", f"catalog:{name}"])
+    assert code == 0 and doc["complete"] and doc["units"]
+    G = get_group(name)
+    pairs, _ = complete_irredundant_set(G)
+    for row in doc["units"]:
+        series = subnormal_series(subgroup_closure(G, [row["spec"]["g"]]))
+        cu = c_central_unit(bass_unit(G, BassSpec(**row["spec"])), series)
+        want = [oracles.central_character_value(G, p.H, p.K, cu.value) for p in pairs]
+        assert row["omega"] == [w.to_json() for w in want]
 
 
 def test_units_skip_only_non_subnormal_subgroups(capsys):

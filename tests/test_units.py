@@ -386,16 +386,22 @@ def test_witness_q8_is_zero(q8):
 # -- central character values against the field oracle -------------------------
 
 
-def c_units(G):
-    """The c-construction on the Bass units of every cyclic subgroup."""
+def c_units(G, rng=None):
+    """The c-construction on the Bass units of every cyclic subgroup, with
+    random transversals when an `rng` is given."""
     units, seen = [], set()
     for g in range(G.order):
         H = subgroup_closure(G, [g])
         if H.members not in seen:
             seen.add(H.members)
             series = subnormal_series(H)
+            steps = series.steps
             for spec in bass_specs_for(G, g):
-                units.append(c_central_unit(bass_unit(G, spec), series))
+                tv = None if rng is None else [
+                    random_right_transversal(steps[i], steps[i + 1], rng)
+                    for i in range(len(steps) - 1)
+                ]
+                units.append(c_central_unit(bass_unit(G, spec), series, transversals=tv))
     return units
 
 
@@ -420,14 +426,17 @@ def check_omega_against_oracle(G, pairs, units):
     all have denominator 1), on every pair."""
     elements = [v for cu in units for v in (cu.value, cu.inverse)]
     elements += [q.pci for q in pairs]
+    def exact(p, v):
+        n, row, den = central_character_value(G, p, v)
+        return n, tuple(Fraction(x, den) for x in row)
+
     for p in pairs:
         for v in elements:
-            got = central_character_value(G, p, v)
             want = oracles.central_character_value(G, p.H, p.K, v)
-            assert (got.n, got.c) == (want.n, want.c)
+            assert exact(p, v) == (want.n, want.c)
         for q in pairs:
-            got = central_character_value(G, p, q.pci)
-            assert got.c == (int(p is q),) + (0,) * (len(got.c) - 1)
+            n, got = exact(p, q.pci)
+            assert got == (int(p is q),) + (0,) * (len(got) - 1)
 
 
 @pytest.mark.parametrize("name", ["C24", "C30", "C36", "Q16", "E25"])
@@ -450,9 +459,36 @@ def test_omega_matches_field_oracle_on_z_units(name, count):
     strict=True,
     raises=AssertionError,
     reason="the float witness over-counts on z-units with coefficients of "
-    "up to 97 bits: 6 against rank 2 (ROADMAP item 3)",
+    "up to 97 bits: 6 against rank 2 (ROADMAP item 4)",
 )
 def test_witness_d7_z_units():
     G = get_group("D7")
     pairs, _ = complete_irredundant_set(G)
     assert log_rank_witness(G, z_units(G, pairs), pairs) == rank_oracle(G)
+
+
+# -- the rank witness against its one-coefficient-at-a-time oracle --------------
+
+# the c-unit groups of the central-units benchmark
+WITNESS_C_GROUPS = ("C20", "C21", "C24", "C30", "C36", "E25", "Q16")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_witness_matches_oracle_on_random_transversals(seed):
+    rng = random.Random(seed)
+    for name in WITNESS_C_GROUPS:
+        G = get_group(name)
+        pairs, _ = complete_irredundant_set(G)
+        units = c_units(G, rng)
+        got = log_rank_witness(G, units, pairs)
+        assert got == oracles.log_rank_witness(G, units, pairs) == rank_oracle(G), name
+
+
+@pytest.mark.parametrize("name, rank", [("D5", 1), ("D7", 6), ("D11", 10)])
+def test_witness_matches_oracle_on_z_units(name, rank):
+    """Both witnesses give the same count on the z-units, over-counts
+    included: D7's and D11's are above the true rank."""
+    G = get_group(name)
+    pairs, _ = complete_irredundant_set(G)
+    units = z_units(G, pairs)
+    assert log_rank_witness(G, units, pairs) == oracles.log_rank_witness(G, units, pairs) == rank
