@@ -95,7 +95,11 @@ class QGElement:
 
     @staticmethod
     def from_vec(group, vec, den=1):
-        """vec / den for a length-|G| sequence or array of integers."""
+        """vec / den for a length-|G| sequence or array of integers; an
+        integer array whose entries are below _INT64_BOUND stays int64."""
+        if isinstance(vec, np.ndarray) and vec.dtype.kind in "iu":
+            if -_INT64_BOUND < int(vec.min()) and int(vec.max()) < _INT64_BOUND:
+                return _element(group, den, vec.astype(np.int64))
         return _element(group, den, np.array([int(v) for v in vec], dtype=object))
 
     @staticmethod
@@ -251,17 +255,20 @@ def hat(S):
     return QGElement._of(S.parent, S.order, vec)
 
 
-def epsilon(H, K):
+def epsilon(H, K, log=None):
     """The idempotent of QH for the characters of H with kernel exactly K.
 
     With n = [H:K] and H/K cyclic, it is the lift to H of the idempotent
     of Q[H/K] for the faithful characters: its coefficient at h is
     c_n(log h) / |H|, where log h is the discrete log of the coset Kh
-    (`cyclic_coset_log`) and c_n the Ramanujan sum.  Raises NotSubgroup
-    or NotNormal unless K is normal in H, NotShodaPair when H/K is not
-    cyclic.
+    (`cyclic_coset_log`) and c_n the Ramanujan sum.  A caller holding a
+    faithful character's `coset_log` passes it as `log`: c_n(t x) =
+    c_n(x) for t prime to n, so any generator of H/K gives the same
+    idempotent.  Without it, raises NotSubgroup or NotNormal unless K is
+    normal in H, NotShodaPair when H/K is not cyclic.
     """
-    log = cyclic_coset_log(H, K)
+    if log is None:
+        log = cyclic_coset_log(H, K)
     if log is None:
         raise NotShodaPair("H/K is not cyclic")
     # a trailing 0 so that log -1 (outside H) reads coefficient 0

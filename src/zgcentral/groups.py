@@ -15,9 +15,11 @@ for them later; the greedy search runs once per group, in `_validate`.
 
 Conjugacy is decided here and nowhere else.  A `ConjugacyPartition` is
 two read-only arrays, the class of each element and the least element of
-each class.  `galois_classes` is the action of (Z/e)^x, e the exponent,
-on the ordinary classes by g -> g^t; the real and rational classes, the
-Galois stabilizer in `shoda.pci` and k in `rank.k_of_pair` all read it.
+each class, and `center` reads Z(G) off its class sizes; `conjugates`
+walks a subgroup's orbit under G's generators.  `galois_classes` is the
+action of (Z/e)^x, e the exponent, on the ordinary classes by g -> g^t;
+the real and rational classes, the Galois stabilizer in `shoda.pci` and
+k in `rank.k_of_pair` all read it.
 """
 
 from __future__ import annotations
@@ -491,14 +493,26 @@ def _cyclic_extensions(G, S):
         yield members, zi
 
 
+def _mask(K):
+    """(members, in_k): K's sorted members as an index array, and its
+    membership mask over G."""
+    ks = np.array(K.sorted_members, dtype=np.intp)
+    in_k = np.zeros(K.parent.order, dtype=bool)
+    in_k[ks] = True
+    return ks, in_k
+
+
 def is_normal(K, H):
-    """K normal in H (both subgroups of the same parent; K <= H assumed):
-    K's generators conjugated by every member of H stay in K, gathered in
-    blocks of at most _GATHER_BLOCK entries.  H's generators are not read."""
+    """K normal in H (both subgroups of the same parent; K <= H assumed)."""
+    return _normalizes(H, K, _mask(K)[1])
+
+
+def _normalizes(H, K, in_k):
+    """K's generators conjugated by every member of H stay in K (mask
+    `in_k`), gathered in blocks of at most _GATHER_BLOCK entries.  H's
+    generators are not read."""
     G = K.parent
     t = G.table
-    in_k = np.zeros(G.order, dtype=bool)
-    in_k[np.array(K.sorted_members, dtype=np.intp)] = True
     ks = np.array(K.gens, dtype=np.intp)
     hs = np.array(H.sorted_members, dtype=np.intp)[:, None]
     rows = max(1, _GATHER_BLOCK // max(ks.size, 1))
@@ -549,13 +563,11 @@ def cyclic_coset_log(H, K):
     G = H.parent
     if not K.members <= H.members:
         raise NotSubgroup("K is not contained in H")
-    if not is_normal(K, H):
+    ks, in_k = _mask(K)
+    if not _normalizes(H, K, in_k):
         raise NotNormal("K is not normal in H")
     t = G.table
     n = H.order // K.order
-    ks = np.array(K.sorted_members, dtype=np.intp)
-    in_k = np.zeros(G.order, dtype=bool)
-    in_k[ks] = True
     # a walk that covers every coset overwrites all of H, so one array
     # serves every attempt
     log = np.full(G.order, -1, dtype=np.int64)
@@ -662,6 +674,32 @@ def galois_classes(G):
     P.setflags(write=False)
     G._conjugacy["galois"] = P
     return P
+
+
+def center(G):
+    """The members of Z(G), the elements whose class has size 1."""
+    class_of = conjugacy_partition(G).class_of
+    return frozenset(np.flatnonzero(np.bincount(class_of)[class_of] == 1).tolist())
+
+
+def conjugates(H):
+    """The member sets of H's G-conjugates: H's orbit under conjugation by
+    G's generators, with one table gather per orbit member covering all
+    generators at once."""
+    G = H.parent
+    t = G.table
+    gens = np.array(G.generators, dtype=np.intp)[:, None]
+    gens_inv = G.inv[gens]
+    orbit = {H.members}
+    frontier = [np.array(H.sorted_members, dtype=np.intp)]
+    while frontier:
+        hs = frontier.pop()
+        for row in t[t[gens_inv, hs], gens]:
+            key = frozenset(row.tolist())
+            if key not in orbit:
+                orbit.add(key)
+                frontier.append(row)
+    return orbit
 
 
 # -- subnormality ------------------------------------------------------------

@@ -5,9 +5,12 @@ irreducible character of G exactly when the Shoda condition holds; such
 pairs are classified here as plain, strong, or generalized strong (the
 latter witnessed by an inductive chain of subgroups from H up to G), and
 each equivalence class of pairs yields one primitive central idempotent
-of the rational group algebra.  A chain carries its idempotent e_i, and
-each level reads e_i's conjugates off one right transversal of the
-step below, which also yields the centralizer and its transversal.
+of the rational group algebra.  The enumerated pairs have H above Z(G),
+one H per conjugacy class, and the coset log of each pair's Shoda test
+is its character's, from which epsilon(H, K) is read too.  A chain
+carries its idempotent e_i, and each level reads e_i's conjugates off
+one right transversal of the step below, which also yields the
+centralizer and its transversal.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .groups import (
     _GATHER_BLOCK,
     Subgroup,
     all_subgroups,
+    center,
     conjugacy_partition,
+    conjugates,
     cyclic_coset_log,
     galois_classes,
     is_normal,
@@ -67,20 +72,23 @@ class LinearCharacter:
         return rows
 
 
-def linear_character(H, K, t=1):
+def linear_character(H, K, t=1, log=None):
     """A faithful linear character of H/K with kernel K.
 
     The generator of H/K is the coset of the smallest H-element whose
     coset generates; `t` (coprime to [H:K]) selects which primitive root
-    of unity that generator maps to.
+    of unity that generator maps to.  `log` is `cyclic_coset_log(H, K)`
+    when the caller has it, as the Shoda test does; with t = 1 it becomes
+    the character's `coset_log` as it is.
     """
     G = H.parent
-    log = cyclic_coset_log(H, K)
+    if log is None:
+        log = cyclic_coset_log(H, K)
     if log is None:
         raise NotShodaPair("H/K is not cyclic")
     c = H.order // K.order
     # scaled by t so that the logs are exponents of zeta_c
-    coset_log = np.where(log < 0, -1, log * t % c)
+    coset_log = log if t == 1 else np.where(log < 0, -1, log * t % c)
     coset_log.setflags(write=False)
     transversal = np.array(right_transversal(H, G.whole()), dtype=np.intp)
     transversal.setflags(write=False)
@@ -120,7 +128,7 @@ def induced_counts(lam, G, cols):
 def is_shoda_pair(G, H, K):
     """K normal in H with H/K cyclic, and every g outside H has some
     commutator [h, g] = h^-1 h^g, h in H, inside H but not in K."""
-    return _is_shoda_pair(H, K, _coset_conjugates(H))
+    return _is_shoda_pair(H, K, _coset_conjugates(H)) is not None
 
 
 def _coset_conjugates(H):
@@ -141,7 +149,8 @@ def _coset_conjugates(H):
 
 
 def _is_shoda_pair(H, K, coset_conjugates):
-    """The Shoda test with H's `_coset_conjugates` given.
+    """The Shoda test with H's `_coset_conjugates` given: the pair's
+    `cyclic_coset_log` when it passes, else None.
 
     The coset log checks that K is normal in H with H/K cyclic.  [h, g]
     lies in H but not in K exactly when h^g lies in H outside the coset
@@ -151,12 +160,12 @@ def _is_shoda_pair(H, K, coset_conjugates):
     try:
         log = cyclic_coset_log(H, K)
     except (NotSubgroup, NotNormal):
-        return False
+        return None
     if log is None:
-        return False
+        return None
     hs, conj = coset_conjugates
     x = log[conj]
-    return bool(((x >= 0) & (x != log[hs])).any(axis=1).all())
+    return log if ((x >= 0) & (x != log[hs])).any(axis=1).all() else None
 
 
 # -- primitive central idempotents --------------------------------------------
@@ -253,16 +262,24 @@ def _climb(chain, nxt):
     )
 
 
-def verify_chain(G, H, K, steps):
+def _root(H, K, lam):
+    """The chain of length 0 at H, its top e_0 = epsilon(H, K) read off
+    the coset log of `lam` when given."""
+    log = None if lam is None else lam.coset_log
+    return StrongInductiveChain([H], top=epsilon(H, K, log))
+
+
+def verify_chain(G, H, K, steps, lam=None):
     """Validate a supplied tower of subgroups as a strong inductive chain.
 
     Returns a populated StrongInductiveChain, or None if some level fails,
     which includes a step not contained in the next.  Repeated steps are
-    allowed (they contribute index 1).
+    allowed (they contribute index 1).  `lam` is the pair's character,
+    whose coset log gives e_0 without a second coset walk.
     """
     if steps[0].members != H.members or steps[-1].members != G.whole().members:
         return None
-    chain = StrongInductiveChain([H], top=epsilon(H, K))
+    chain = _root(H, K, lam)
     for nxt in steps[1:]:
         chain = _climb(chain, nxt)
         if chain is None:
@@ -270,7 +287,7 @@ def verify_chain(G, H, K, steps):
     return chain
 
 
-def find_strong_inductive_chain(G, H, K, check=True):
+def find_strong_inductive_chain(G, H, K, check=True, lam=None):
     """Search for a strong inductive chain from H to G.
 
     Prefers the one-step chain (present exactly when the pair is strong);
@@ -281,11 +298,12 @@ def find_strong_inductive_chain(G, H, K, check=True):
     Every subgroup is entered at most once, so the walk ends with a chain,
     or with None when no chain exists in the lattice.  Building the
     lattice raises CapExceeded or NotSolvable as `all_subgroups` does.
+    `lam` is as in `verify_chain`.
     """
     if check and not is_shoda_pair(G, H, K):
         raise NotShodaPair("pair fails the Shoda conditions")
     whole = G.whole()
-    root = StrongInductiveChain([H], top=epsilon(H, K))
+    root = _root(H, K, lam)
     one_step = _climb(root, whole)
     if one_step is not None:
         return one_step
@@ -332,61 +350,80 @@ class ShodaPair:
         return self.H.order // self.K.order
 
 
-def _classify(G, H, K, chain_steps, check, known=()):
-    """The classified pair, or None when its idempotent is in `known`.
-
-    With `check`, a pair failing the Shoda conditions raises NotShodaPair.
-    A supplied chain is verified before any search.
-    """
-    if check and not is_shoda_pair(G, H, K):
-        raise NotShodaPair(
-            f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
-        )
-    lam = linear_character(H, K)
+def _classify(G, lam, chain_steps, known=()):
+    """The classified pair of the character `lam`, or None when its
+    idempotent is in `known`.  A supplied chain is verified before any
+    search."""
+    H, K = lam.H, lam.K
     e = pci(G, H, K, lam=lam, check=False)
     if e in known:
         return None
-    chain = verify_chain(G, H, K, chain_steps) if chain_steps else None
+    chain = verify_chain(G, H, K, chain_steps, lam=lam) if chain_steps else None
     if chain is not None:
-        strong = verify_chain(G, H, K, [H, G.whole()]) is not None
+        strong = verify_chain(G, H, K, [H, G.whole()], lam=lam) is not None
     else:
-        chain = find_strong_inductive_chain(G, H, K, check=False)
+        chain = find_strong_inductive_chain(G, H, K, check=False, lam=lam)
         strong = chain is not None and chain.length == 1
     status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
     return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
 
 
 def shoda_pair_candidates(G):
-    """All (H, K) with K normal in H, H/K cyclic, passing the Shoda test."""
+    """The Shoda pairs (H, K) with H the first of its G-conjugacy class in
+    lattice order, as their linear characters, in lattice order of H and
+    then of K.
+
+    Every Shoda pair has H >= Z(G): for a central z outside H each
+    commutator [h, z] = 1 lies in K, so the test fails at z.  A conjugate
+    pair (H^g, K^g) realizes the same idempotent (Olivieri-del Rio-Simon,
+    Comm. Algebra 32 (2004)) and comes later in lattice order, so the
+    first pair of each idempotent is among those returned.  Each pair
+    carries the coset log of its Shoda test as its `coset_log`.
+    """
     subgroups = all_subgroups(G)
+    z = center(G)
+    seen = set()
     out = []
     for H in subgroups:
+        if H.members in seen or not z <= H.members:
+            continue
+        seen |= conjugates(H)
         conj = _coset_conjugates(H)  # shared by every K below H
-        out += [
-            (H, K)
-            for K in subgroups
-            if K.members <= H.members and _is_shoda_pair(H, K, conj)
-        ]
+        for K in subgroups:
+            if K.members <= H.members:
+                log = _is_shoda_pair(H, K, conj)
+                if log is not None:
+                    out.append(linear_character(H, K, log=log))
     return out
+
+
+def _supplied(candidates):
+    """(character, chain steps) for each supplied (H, K[, chain_steps]),
+    each pair taking the Shoda test as it is reached."""
+    for H, K, *rest in candidates:
+        log = _is_shoda_pair(H, K, _coset_conjugates(H))
+        if log is None:
+            raise NotShodaPair(
+                f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
+            )
+        yield linear_character(H, K, log=log), (rest[0] if rest else None)
 
 
 def complete_irredundant_set(G, candidates=None):
     """One classified pair per distinct idempotent, plus a completeness flag.
 
     `candidates` is an optional list of (H, K[, chain_steps]) tuples; when
-    omitted the subgroup lattice is enumerated.  The flag is True exactly
-    when the retained idempotents sum to 1.
+    omitted the Shoda pairs come from `shoda_pair_candidates`.  The flag
+    is True exactly when the retained idempotents sum to 1.
     """
-    supplied = candidates is not None
-    if not supplied:
-        candidates = shoda_pair_candidates(G)
+    if candidates is None:
+        todo = ((lam, None) for lam in shoda_pair_candidates(G))
+    else:
+        todo = _supplied(candidates)
     kept = []
     seen = set()
-    for cand in candidates:
-        H, K = cand[0], cand[1]
-        chain_steps = cand[2] if len(cand) > 2 else None
-        # enumerated candidates have already passed the Shoda test
-        pair = _classify(G, H, K, chain_steps, check=supplied, known=seen)
+    for lam, chain_steps in todo:
+        pair = _classify(G, lam, chain_steps, known=seen)
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)

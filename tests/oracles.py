@@ -40,7 +40,10 @@ the quotient, coset-log, Shoda-test and chain oracles all use it.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
-closed form.  `inverse` here is the only inversion left anywhere: it
+closed form.  `shoda_pair_candidates` gives every Shoda pair: it runs
+`zgcentral`'s Shoda test on every K <= H of the whole lattice, the
+enumeration `zgcentral` ran before it kept one H above Z(G) per
+conjugacy class, and the tests that need every pair read it.  `inverse` here is the only inversion left anywhere: it
 finds the first integer relation among the powers of the element by
 fraction-free elimination.  `zgcentral` never solves for an inverse,
 since every unit it builds carries its own, and `gen_bass_unit` and the
@@ -74,7 +77,7 @@ import numpy as np
 
 from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
-from zgcentral import shoda
+from zgcentral import groups, shoda
 from zgcentral.cyclotomic import cyclotomic_polynomial
 from zgcentral.errors import (
     CapExceeded,
@@ -749,6 +752,23 @@ def is_shoda_pair(G, H, K):
         if not comms & (H.members - K.members):
             return False
     return True
+
+
+def shoda_pair_candidates(G):
+    """Every Shoda pair (H, K) of G in lattice order of H and then of K:
+    every K <= H of the whole lattice takes `zgcentral`'s Shoda test, the
+    enumeration `zgcentral` ran before it took H above Z(G), one per
+    conjugacy class."""
+    subgroups = groups.all_subgroups(G)
+    out = []
+    for H in subgroups:
+        conj = shoda._coset_conjugates(H)  # shared by every K below H
+        out += [
+            (H, K)
+            for K in subgroups
+            if K.members <= H.members and shoda._is_shoda_pair(H, K, conj) is not None
+        ]
+    return out
 
 
 def commutator(G, a, b):

@@ -1,9 +1,10 @@
 """End-to-end acceptance suite.
 
 One test per top-level guarantee of the package: the order-1000 showcase
-group, oracle equivalence across the catalog, the idempotent algebra,
-the center-degree identity, the unit constructions, the numeric rank
-witness, and degenerate/robustness behaviour.
+group, E64's pairs within a time bound, oracle equivalence across the
+catalog, the idempotent algebra, the center-degree identity, the unit
+constructions, the numeric rank witness, and degenerate/robustness
+behaviour.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 from oracles import e_sum_conjugates
 
 from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
-from zgcentral.cli import parse_pairs_file
+from zgcentral.cli import load_group_spec, parse_pairs_file
 from zgcentral.errors import NotAGroup
 from zgcentral.groupalgebra import (
     QGElement,
@@ -80,6 +81,17 @@ def test_order_1000_showcase():
     assert sorted(t.k for t in report.terms) == [1, 1, 1, 1, 1, 1, 1, 2, 2]
     assert report.total == 1 == report.oracle_total and report.agree
     assert time.monotonic() - start < 600
+
+
+def test_e64_pairs_above_the_center():
+    """E64 has 2825 subgroups but one H above its center: 64 pairs, rank 0."""
+    start = time.monotonic()
+    G = load_group_spec({"type": "pc", "orders": [2, 2, 2, 2, 2, 2]})
+    pairs, complete = complete_irredundant_set(G)
+    assert complete and len(pairs) == 64
+    report = rank_total(G, pairs, complete=True)
+    assert report.total == 0 == report.oracle_total == rank_oracle(G)
+    assert time.monotonic() - start < 3
 
 
 def test_oracle_equivalence_sweep():

@@ -29,7 +29,7 @@ from zgcentral.groups import (
     subgroup_closure,
 )
 from zgcentral.rank import verify_center_degree
-from zgcentral.shoda import complete_irredundant_set, pci, shoda_pair_candidates
+from zgcentral.shoda import complete_irredundant_set, pci
 
 
 def elem(G, g):
@@ -272,7 +272,7 @@ def test_center_dim_makes_one_qg_product(s4, monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(groupalgebra, "mul", counted)
-    for H, K in shoda_pair_candidates(s4):
+    for H, K in oracles.shoda_pair_candidates(s4):
         e = pci(s4, H, K)
         calls.clear()
         center_component_dim(e)
@@ -393,3 +393,21 @@ def test_int64_bound_edge():
     b = QGElement(G, {0: 1, g: -2, g2: 1})
     assert back.vec.dtype == np.int64
     assert back == b and hash(back) == hash(b)
+
+
+def test_from_vec_matches_the_fraction_constructor():
+    # int64 arrays, their entries up to the int64 limits, and a Python list
+    G = cyclic(4)
+    cases = [
+        ([0, 3, -6, 9], 6),
+        ([BIG - 1, -(BIG - 1), 0, 2], 1),
+        ([BIG, 0, 0, 2], 3),
+        ([2**63 - 1, -(2**63), 0, 1], 1),
+    ]
+    for values, den in cases:
+        want = QGElement(G, {g: Fraction(v, den) for g, v in enumerate(values)})
+        for vec in (np.array(values, dtype=np.int64), values):
+            got = QGElement.from_vec(G, vec, den=den)
+            assert_canonical(got)
+            assert got == want
+    assert QGElement.from_vec(G, np.arange(4, dtype=np.int32)).vec.dtype == np.int64

@@ -245,7 +245,7 @@ def test_pci_choice_invariance(c5):
 @pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
 def test_pci_matches_galois_sum_oracle(name):
     G = get_group(name)
-    pairs = shoda_pair_candidates(G)
+    pairs = oracles.shoda_pair_candidates(G)
     assert pairs
     for H, K in pairs:
         assert pci(G, H, K) == oracles.pci(G, H, K), (H.order, K.order)
@@ -264,7 +264,7 @@ def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
         raise AssertionError("pci multiplied in QG")
 
     monkeypatch.setattr(shoda, "mul", no_mul)
-    cases = [(s4, H, K) for H, K in shoda_pair_candidates(s4)]
+    cases = [(s4, H, K) for H, K in oracles.shoda_pair_candidates(s4)]
     cases += [(paper1000, H, K) for H, K in paper9_pairs(paper1000)]
     for G, H, K in cases:
         assert pci(G, H, K) == oracles.pci(G, H, K), (G.order, H.order, K.order)
@@ -273,7 +273,7 @@ def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
 def test_induced_value_matches_sum_over_group(s4):
     """The count rows against the oracle's sum over G with its own
     character, which is the one `linear_character` picks."""
-    for H, K in shoda_pair_candidates(s4):
+    for H, K in oracles.shoda_pair_candidates(s4):
         lam = linear_character(H, K)
         exponents = oracles.character_exponents(s4, H, K)
         for g in range(s4.order):
@@ -309,7 +309,7 @@ def assert_sparse_rows_and_pci_match_dense(G, pairs):
 def test_class_rows_and_pci_match_dense_on_small_catalog():
     count = 0
     for _, G in oracles.small_catalog():
-        pairs = shoda_pair_candidates(G)
+        pairs = oracles.shoda_pair_candidates(G)
         assert_sparse_rows_and_pci_match_dense(G, pairs)
         count += len(pairs)
     assert count == 461
@@ -318,7 +318,7 @@ def test_class_rows_and_pci_match_dense_on_small_catalog():
 def test_class_rows_and_pci_match_dense_on_c1021():
     # 1021 classes and phi(n) = 1020 on the faithful pair
     G = cyclic(1021)
-    pairs = shoda_pair_candidates(G)
+    pairs = oracles.shoda_pair_candidates(G)
     assert sorted((H.order, K.order) for H, K in pairs) == [(1021, 1), (1021, 1021)]
     assert_sparse_rows_and_pci_match_dense(G, pairs)
 
@@ -381,7 +381,7 @@ def test_level_check_matches_orbit_oracle(name):
     transversal of it, and the same new top, or both None."""
     G = get_group(name)
     subs = all_subgroups(G)
-    pairs = paper9_pairs(G) if G.order > 100 else shoda_pair_candidates(G)
+    pairs = paper9_pairs(G) if G.order > 100 else oracles.shoda_pair_candidates(G)
     outcomes = set()
     for H, K in pairs:
         lows = [S for S in subs if H <= S] if G.order > 100 else subs
@@ -451,7 +451,7 @@ def _searched_pairs(G):
     paper-1000-86's Shoda candidates whose one-step check fails."""
     searched = [
         (H, K)
-        for H, K in shoda_pair_candidates(G)
+        for H, K in oracles.shoda_pair_candidates(G)
         if verify_chain(G, H, K, [H, G.whole()]) is None
     ]
     supplied = [
@@ -533,3 +533,91 @@ def test_chain_search_beyond_the_lattice_cap_is_an_error(paper1000, monkeypatch)
     monkeypatch.setattr(groups, "LATTICE_CAP", 10)
     with pytest.raises(CapExceeded, match="chain for every pair.*--pairs-file"):
         complete_irredundant_set(paper1000, candidates=[(H, K)])
+
+
+# -- the enumerator against every Shoda pair -------------------------------------
+
+
+def _rows(pairs):
+    return [
+        (
+            p.H.members,
+            p.K.members,
+            p.status,
+            p.pci,
+            None if p.chain is None else (p.chain.indices, [S.members for S in p.chain.steps]),
+        )
+        for p in pairs
+    ]
+
+
+ENUMERATED = [name for name, _ in oracles.small_catalog()] + ["paper-1000-86"]
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_complete_set_matches_every_shoda_pair(name):
+    """Taking H above Z(G), one per conjugacy class, keeps the same first
+    pair per idempotent as classifying every Shoda pair in lattice order."""
+    G = get_group(name)
+    got, complete = complete_irredundant_set(G)
+    want, want_complete = complete_irredundant_set(G, oracles.shoda_pair_candidates(G))
+    assert complete == want_complete
+    assert _rows(got) == _rows(want)
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_candidates_cover_every_shoda_pair_up_to_conjugacy(name):
+    """Every Shoda pair has H >= Z(G) and H conjugate to a returned H; the
+    returned H lie above Z(G) and no two are conjugate."""
+    G = get_group(name)
+    t = G.table
+    center = frozenset(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+    everyone = np.arange(G.order)[:, None]
+
+    def conjugates(H):
+        hs = np.array(H.sorted_members)
+        return {frozenset(row.tolist()) for row in t[t[G.inv[everyone], hs], everyone]}
+
+    reps = {lam.H for lam in shoda_pair_candidates(G)}
+    returned = {H.members for H in reps}
+    assert all(center <= H for H in returned)
+    assert all(len(conjugates(H) & returned) == 1 for H in reps)
+    for H, _ in oracles.shoda_pair_candidates(G):
+        assert center <= H.members
+        assert conjugates(H) & returned
+
+
+def _counting_coset_logs(monkeypatch):
+    """(coset logs, Shoda tests): call counts of `cyclic_coset_log`, in
+    every module that binds it, and of the Shoda test."""
+    counts = {"logs": 0, "tests": 0}
+    log, test = groups.cyclic_coset_log, shoda._is_shoda_pair
+
+    def counted_log(H, K):
+        counts["logs"] += 1
+        return log(H, K)
+
+    def counted_test(H, K, conj):
+        counts["tests"] += 1
+        return test(H, K, conj)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zgcentral") and hasattr(module, "cyclic_coset_log"):
+            monkeypatch.setattr(module, "cyclic_coset_log", counted_log)
+    monkeypatch.setattr(shoda, "_is_shoda_pair", counted_test)
+    return counts
+
+
+def test_classified_pairs_walk_no_coset_beyond_the_shoda_test(paper1000, monkeypatch):
+    """The Shoda test's coset log serves the character, epsilon and the
+    chain: D24 enumerated and paper9.json's pairs make no other walk."""
+    d24 = get_group("D24")
+    candidates = _paper9_candidates(paper1000)
+    counts = _counting_coset_logs(monkeypatch)
+    pairs, complete = complete_irredundant_set(d24)
+    assert complete and pairs
+    assert counts["logs"] == counts["tests"] > 0
+    counts.update(logs=0, tests=0)
+    pairs, complete = complete_irredundant_set(paper1000, candidates)
+    assert complete and len(pairs) == 9
+    assert counts == {"logs": 9, "tests": 9}
