@@ -34,8 +34,8 @@ def main():
         ok = verify_center_degree(G, t.pair)
         degrees_ok = degrees_ok and ok
         print(
-            f"{t.pair.H.order:>5} {t.pair.K.order:>5} {t.index_HK:>6} "
-            f"{t.pair.status:>20} {'x'.join(map(str, t.chain_indices)):>10} "
+            f"{t.pair.H.order:>5} {t.pair.K.order:>5} {t.pair.index:>6} "
+            f"{t.pair.status:>20} {'x'.join(map(str, t.pair.chain.indices)):>10} "
             f"{t.k:>2} {t.term:>5}  center-degree {'ok' if ok else 'FAIL'}"
         )
     print(f"total rank {report.total}, oracle {report.oracle_total}, agree={report.agree}")

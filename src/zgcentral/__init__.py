@@ -27,6 +27,7 @@ from .shoda import (
     find_strong_inductive_chain,
     is_shoda_pair,
     pci,
+    shoda_character,
 )
 from .units import (
     BassSpec,

@@ -6,8 +6,11 @@ a cayley table, permutation generators, or a power-commutator
 presentation.  Shoda pairs are found from the subgroup lattice; a group
 with more than ``groups.LATTICE_CAP`` subgroups, or a non-solvable one,
 needs its candidate pairs, and a chain for every pair that is not
-strong, supplied via ``--pairs-file`` using generator words.  Exit codes: 0 success, 2 when a pair set is incomplete, 1 on
-errors.
+strong, supplied via ``--pairs-file`` using generator words; each
+supplied pair takes the Shoda test (`shoda.shoda_character`).  Every
+subcommand writes ``--format json`` or ``tsv``, and ``rank`` also
+``text``, its per-pair table.  Exit codes: 0 success, 2 when a pair set
+is incomplete, 1 on errors, bad input and bad command lines alike.
 """
 
 from __future__ import annotations
@@ -209,8 +212,8 @@ def rank_json(G, pairs, complete):
         "pairs": [
             {
                 **pair_json(t.pair),
-                "phi": euler_phi(t.index_HK),
-                "chain_indices": t.chain_indices,
+                "phi": euler_phi(t.pair.index),
+                "chain_indices": list(t.pair.chain.indices),
                 "k": t.k,
                 "term": t.term,
             }
@@ -226,8 +229,8 @@ def rank_text_table(report):
     lines = ["H_order\tK_order\t[H:K]\tindices\tk\tterm"]
     for t in report.terms:
         lines.append(
-            f"{t.pair.H.order}\t{t.pair.K.order}\t{t.index_HK}\t"
-            f"{'x'.join(map(str, t.chain_indices))}\t{t.k}\t{t.term}"
+            f"{t.pair.H.order}\t{t.pair.K.order}\t{t.pair.index}\t"
+            f"{'x'.join(map(str, t.pair.chain.indices))}\t{t.k}\t{t.term}"
         )
     lines.append(f"total\t{report.total}\toracle\t{report.oracle_total}\tagree\t{report.agree}")
     return "\n".join(lines)
@@ -299,23 +302,34 @@ def emit(payload, args, text=None):
 # -- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 1, so that 2 only ever means an
+    incomplete pair set."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zgcentral",
         description="Shoda pairs, central idempotents, and central units of ZG.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_group=True):
+    def add_common(p, needs_group=True, formats=("json", "tsv")):
         if needs_group:
             p.add_argument("--group", required=True, help="catalog:NAME or a JSON file")
             p.add_argument("--pairs-file", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "tsv", "text"], default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
-    for name in ("analyze", "pairs", "rank", "units", "oracle"):
+    for name in ("analyze", "pairs", "units", "oracle"):
         add_common(sub.add_parser(name))
+    # rank alone has a text form, its table
+    add_common(sub.add_parser("rank"), formats=("json", "tsv", "text"))
     add_common(sub.add_parser("catalog"), needs_group=False)
     return parser
 

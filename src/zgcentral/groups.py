@@ -710,15 +710,13 @@ class SubnormalSeries:
     steps: list  # Subgroups, H = steps[0] <| ... <| steps[-1] = G
 
 
-def subnormal_series(H, G=None):
+def subnormal_series(H):
     """Subnormal series from H to its parent via iterated normal closures.
 
     Raises NotSubnormal when the descending normal-closure chain stabilizes
     above H.
     """
-    parent = H.parent if G is None else G
-    top = parent.whole() if isinstance(parent, FiniteGroup) else parent
-    chain = [top]
+    chain = [H.parent.whole()]
     while True:
         N = normal_closure(H, chain[-1])
         if N.members == chain[-1].members:
@@ -732,9 +730,9 @@ def subnormal_series(H, G=None):
     return SubnormalSeries(steps=list(reversed(chain)))
 
 
-def is_subnormal(H, G=None):
+def is_subnormal(H):
     try:
-        subnormal_series(H, G)
+        subnormal_series(H)
         return True
     except NotSubnormal:
         return False

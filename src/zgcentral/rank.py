@@ -28,8 +28,6 @@ from .shoda import is_complete
 @dataclass
 class RankTerm:
     pair: object
-    index_HK: int
-    chain_indices: list
     k: int
     term: int
 
@@ -74,13 +72,7 @@ def rank_term(G, pair):
             f"phi({pair.index}) = {euler_phi(pair.index)} not divisible by "
             f"{k * math.prod(pair.chain.indices)}"
         )
-    return RankTerm(
-        pair=pair,
-        index_HK=pair.index,
-        chain_indices=list(pair.chain.indices),
-        k=k,
-        term=degree - 1,
-    )
+    return RankTerm(pair=pair, k=k, term=degree - 1)
 
 
 def rank_total(G, pairs, complete=None):

@@ -5,12 +5,13 @@ irreducible character of G exactly when the Shoda condition holds; such
 pairs are classified here as plain, strong, or generalized strong (the
 latter witnessed by an inductive chain of subgroups from H up to G), and
 each equivalence class of pairs yields one primitive central idempotent
-of the rational group algebra.  The enumerated pairs have H above Z(G),
-one H per conjugacy class, and the coset log of each pair's Shoda test
-is its character's, from which epsilon(H, K) is read too.  A chain
-carries its idempotent e_i, and each level reads e_i's conjugates off
-one right transversal of the step below, which also yields the
-centralizer and its transversal.
+of the rational group algebra.  The Shoda test is the one way in: it
+builds the pair's linear character (`shoda_character`) from its own
+coset log and H's coset representatives, and the idempotent, the chains
+and epsilon(H, K) all take that character.  The enumerated pairs have H
+above Z(G), one H per conjugacy class.  A chain carries its idempotent
+e_i, and each level reads e_i's conjugates off one right transversal of
+the step below, which also yields the centralizer and its transversal.
 """
 
 from __future__ import annotations
@@ -40,13 +41,15 @@ from .groups import (
 # eq=False: the array fields have no truth value, so compare by identity
 @dataclass(frozen=True, eq=False)
 class LinearCharacter:
-    """A faithful linear character of H/K, lifted to H.
+    """The faithful linear character of H/K of a Shoda pair (H, K), lifted
+    to H; built by the Shoda test (`shoda_character`).
 
     The character value at h is zeta_n ** coset_log[h] with n = [H:K]:
-    `coset_log` is a length-|G| array holding, for each element of H, the
-    discrete log of its coset with respect to the generator of H/K that the
-    character sends to zeta_n, and -1 outside H.  `transversal` is a right
-    transversal of H in G, over which the character is induced.
+    `coset_log` is the test's `cyclic_coset_log`, a length-|G| array
+    holding, for each element of H, the discrete log of its coset with
+    respect to the generator of H/K that the character sends to zeta_n,
+    and -1 outside H.  `transversal` is the right transversal of H in G
+    of least coset elements, over which the character is induced.
     """
 
     H: Subgroup
@@ -71,30 +74,10 @@ class LinearCharacter:
         rows.setflags(write=False)
         return rows
 
-
-def linear_character(H, K, t=1, log=None):
-    """A faithful linear character of H/K with kernel K.
-
-    The generator of H/K is the coset of the smallest H-element whose
-    coset generates; `t` (coprime to [H:K]) selects which primitive root
-    of unity that generator maps to.  `log` is `cyclic_coset_log(H, K)`
-    when the caller has it, as the Shoda test does; with t = 1 it becomes
-    the character's `coset_log` as it is.
-    """
-    G = H.parent
-    if log is None:
-        log = cyclic_coset_log(H, K)
-    if log is None:
-        raise NotShodaPair("H/K is not cyclic")
-    c = H.order // K.order
-    # scaled by t so that the logs are exponents of zeta_c
-    coset_log = log if t == 1 else np.where(log < 0, -1, log * t % c)
-    coset_log.setflags(write=False)
-    transversal = np.array(right_transversal(H, G.whole()), dtype=np.intp)
-    transversal.setflags(write=False)
-    return LinearCharacter(
-        H=H, K=K, order=c, coset_log=coset_log, transversal=transversal
-    )
+    @cached_property
+    def epsilon(self):
+        """epsilon(H, K), read off the coset log."""
+        return epsilon(self.H, self.K, self.coset_log)
 
 
 def induced_counts(lam, G, cols):
@@ -128,12 +111,24 @@ def induced_counts(lam, G, cols):
 def is_shoda_pair(G, H, K):
     """K normal in H with H/K cyclic, and every g outside H has some
     commutator [h, g] = h^-1 h^g, h in H, inside H but not in K."""
-    return _is_shoda_pair(H, K, _coset_conjugates(H)) is not None
+    return _shoda_character(H, K, _coset_conjugates(H)) is not None
+
+
+def shoda_character(H, K):
+    """The linear character of the Shoda pair (H, K), built by the Shoda
+    test; raises NotShodaPair naming |H| and |K| when the test fails."""
+    lam = _shoda_character(H, K, _coset_conjugates(H))
+    if lam is None:
+        raise NotShodaPair(
+            f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
+        )
+    return lam
 
 
 def _coset_conjugates(H):
-    """(hs, conj): H's members, and conj[i, j] = hs[j]^g for g the least
-    element of the i-th coset Hg other than H, one table gather of |G|
+    """(hs, reps, conj): H's members; the least element of each right coset
+    Hg, in increasing order, which is `right_transversal(H, G.whole())`;
+    and conj[i, j] = hs[j]^g for g = reps[i + 1], one table gather of |G|
     entries."""
     G = H.parent
     t = G.table
@@ -143,19 +138,22 @@ def _coset_conjugates(H):
     rows = max(1, _GATHER_BLOCK // G.order)
     for start in range(0, hs.size, rows):
         np.minimum(least, t[hs[start : start + rows]].min(axis=0), out=least)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    reps.setflags(write=False)
     # [1:] drops H itself, the coset of 0
-    reps = np.flatnonzero(least == np.arange(G.order))[1:, None]
-    return hs, t[t[G.inv[reps], hs], reps]
+    g = reps[1:, None]
+    return hs, reps, t[t[G.inv[g], hs], g]
 
 
-def _is_shoda_pair(H, K, coset_conjugates):
+def _shoda_character(H, K, coset_conjugates):
     """The Shoda test with H's `_coset_conjugates` given: the pair's
-    `cyclic_coset_log` when it passes, else None.
+    character when it passes, else None.
 
-    The coset log checks that K is normal in H with H/K cyclic.  [h, g]
-    lies in H but not in K exactly when h^g lies in H outside the coset
-    hK, which the coset log reads off.  As H/K is abelian the test for g
-    only depends on the coset Hg, so one element of each will do.
+    The coset log checks that K is normal in H with H/K cyclic, and
+    becomes the character's.  [h, g] lies in H but not in K exactly when
+    h^g lies in H outside the coset hK, which the coset log reads off.  As
+    H/K is abelian the test for g only depends on the coset Hg, so one
+    element of each will do.
     """
     try:
         log = cyclic_coset_log(H, K)
@@ -163,16 +161,22 @@ def _is_shoda_pair(H, K, coset_conjugates):
         return None
     if log is None:
         return None
-    hs, conj = coset_conjugates
+    hs, reps, conj = coset_conjugates
     x = log[conj]
-    return log if ((x >= 0) & (x != log[hs])).any(axis=1).all() else None
+    if not ((x >= 0) & (x != log[hs])).any(axis=1).all():
+        return None
+    log.setflags(write=False)
+    return LinearCharacter(
+        H=H, K=K, order=H.order // K.order, coset_log=log, transversal=reps
+    )
 
 
 # -- primitive central idempotents --------------------------------------------
 
 
-def pci(G, H, K, lam=None, check=True):
-    """The primitive central idempotent realized by the pair (H, K).
+def pci(lam):
+    """The primitive central idempotent realized by the Shoda pair of the
+    character `lam`.
 
     With n = [H:K], the Galois conjugates of the induced character chi sum
     to its trace from Q(zeta_n) to Q over |S|, S the stabilizer of chi in
@@ -185,10 +189,7 @@ def pci(G, H, K, lam=None, check=True):
     Only the rows that fix a fingerprint of the class rows, their dot
     product with 1..phi(n), are compared in full.
     """
-    if check and not is_shoda_pair(G, H, K):
-        raise NotShodaPair("pair fails the Shoda conditions")
-    if lam is None:
-        lam = linear_character(H, K)
+    G = lam.H.parent
     n, rows = lam.order, lam.class_rows
     P = galois_classes(G)
     # equal rows have equal fingerprints, also where the int64 dot wraps
@@ -198,7 +199,7 @@ def pci(G, H, K, lam=None, check=True):
     trace = rows @ ramanujan_row(n)[: rows.shape[1]]
     # the coefficient of g^-1 is trace(g) / (|H| |S|)
     class_of = conjugacy_partition(G).class_of
-    return QGElement.from_vec(G, trace[class_of][G.inv], den=H.order * stabilizer)
+    return QGElement.from_vec(G, trace[class_of][G.inv], den=lam.H.order * stabilizer)
 
 
 # -- strong inductive chains ---------------------------------------------------
@@ -262,24 +263,23 @@ def _climb(chain, nxt):
     )
 
 
-def _root(H, K, lam):
-    """The chain of length 0 at H, its top e_0 = epsilon(H, K) read off
-    the coset log of `lam` when given."""
-    log = None if lam is None else lam.coset_log
-    return StrongInductiveChain([H], top=epsilon(H, K, log))
+def _root(lam):
+    """The chain of length 0 at H, its top e_0 = epsilon(H, K)."""
+    return StrongInductiveChain([lam.H], top=lam.epsilon)
 
 
-def verify_chain(G, H, K, steps, lam=None):
-    """Validate a supplied tower of subgroups as a strong inductive chain.
+def verify_chain(lam, steps):
+    """Validate a supplied tower of subgroups as a strong inductive chain
+    for the Shoda pair of the character `lam`.
 
     Returns a populated StrongInductiveChain, or None if some level fails,
     which includes a step not contained in the next.  Repeated steps are
-    allowed (they contribute index 1).  `lam` is the pair's character,
-    whose coset log gives e_0 without a second coset walk.
+    allowed (they contribute index 1).
     """
-    if steps[0].members != H.members or steps[-1].members != G.whole().members:
+    whole = lam.H.parent.whole()
+    if steps[0].members != lam.H.members or steps[-1].members != whole.members:
         return None
-    chain = _root(H, K, lam)
+    chain = _root(lam)
     for nxt in steps[1:]:
         chain = _climb(chain, nxt)
         if chain is None:
@@ -287,8 +287,9 @@ def verify_chain(G, H, K, steps, lam=None):
     return chain
 
 
-def find_strong_inductive_chain(G, H, K, check=True, lam=None):
-    """Search for a strong inductive chain from H to G.
+def find_strong_inductive_chain(lam):
+    """Search for a strong inductive chain from H to G for the Shoda pair
+    of the character `lam`.
 
     Prefers the one-step chain (present exactly when the pair is strong);
     otherwise walks the subgroup lattice depth first, trying each step's
@@ -298,12 +299,10 @@ def find_strong_inductive_chain(G, H, K, check=True, lam=None):
     Every subgroup is entered at most once, so the walk ends with a chain,
     or with None when no chain exists in the lattice.  Building the
     lattice raises CapExceeded or NotSolvable as `all_subgroups` does.
-    `lam` is as in `verify_chain`.
     """
-    if check and not is_shoda_pair(G, H, K):
-        raise NotShodaPair("pair fails the Shoda conditions")
+    G = lam.H.parent
     whole = G.whole()
-    root = _root(H, K, lam)
+    root = _root(lam)
     one_step = _climb(root, whole)
     if one_step is not None:
         return one_step
@@ -332,40 +331,46 @@ def find_strong_inductive_chain(G, H, K, check=True, lam=None):
 
 @dataclass
 class ShodaPair:
-    """A classified Shoda pair with its idempotent and optional chain.
+    """A classified Shoda pair, given by its character, with its idempotent
+    and optional chain.
 
     status is "strong", "generalized_strong" (chain found, not strong), or
     "shoda" (no strong inductive chain exists in the subgroup lattice).
     """
 
-    H: Subgroup
-    K: Subgroup
+    lam: LinearCharacter
     status: str
     pci: QGElement
     chain: StrongInductiveChain | None = None
-    lam: LinearCharacter | None = None
+
+    @property
+    def H(self):
+        return self.lam.H
+
+    @property
+    def K(self):
+        return self.lam.K
 
     @property
     def index(self):
-        return self.H.order // self.K.order
+        return self.lam.order
 
 
-def _classify(G, lam, chain_steps, known=()):
+def _classify(lam, chain_steps, known=()):
     """The classified pair of the character `lam`, or None when its
     idempotent is in `known`.  A supplied chain is verified before any
     search."""
-    H, K = lam.H, lam.K
-    e = pci(G, H, K, lam=lam, check=False)
+    e = pci(lam)
     if e in known:
         return None
-    chain = verify_chain(G, H, K, chain_steps, lam=lam) if chain_steps else None
+    chain = verify_chain(lam, chain_steps) if chain_steps else None
     if chain is not None:
-        strong = verify_chain(G, H, K, [H, G.whole()], lam=lam) is not None
+        strong = verify_chain(lam, [lam.H, lam.H.parent.whole()]) is not None
     else:
-        chain = find_strong_inductive_chain(G, H, K, check=False, lam=lam)
+        chain = find_strong_inductive_chain(lam)
         strong = chain is not None and chain.length == 1
     status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
-    return ShodaPair(H=H, K=K, status=status, pci=e, chain=chain, lam=lam)
+    return ShodaPair(lam=lam, status=status, pci=e, chain=chain)
 
 
 def shoda_pair_candidates(G):
@@ -377,8 +382,7 @@ def shoda_pair_candidates(G):
     commutator [h, z] = 1 lies in K, so the test fails at z.  A conjugate
     pair (H^g, K^g) realizes the same idempotent (Olivieri-del Rio-Simon,
     Comm. Algebra 32 (2004)) and comes later in lattice order, so the
-    first pair of each idempotent is among those returned.  Each pair
-    carries the coset log of its Shoda test as its `coset_log`.
+    first pair of each idempotent is among those returned.
     """
     subgroups = all_subgroups(G)
     z = center(G)
@@ -388,42 +392,34 @@ def shoda_pair_candidates(G):
         if H.members in seen or not z <= H.members:
             continue
         seen |= conjugates(H)
-        conj = _coset_conjugates(H)  # shared by every K below H
+        cosets = _coset_conjugates(H)  # shared by every K below H
         for K in subgroups:
             if K.members <= H.members:
-                log = _is_shoda_pair(H, K, conj)
-                if log is not None:
-                    out.append(linear_character(H, K, log=log))
+                lam = _shoda_character(H, K, cosets)
+                if lam is not None:
+                    out.append(lam)
     return out
-
-
-def _supplied(candidates):
-    """(character, chain steps) for each supplied (H, K[, chain_steps]),
-    each pair taking the Shoda test as it is reached."""
-    for H, K, *rest in candidates:
-        log = _is_shoda_pair(H, K, _coset_conjugates(H))
-        if log is None:
-            raise NotShodaPair(
-                f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
-            )
-        yield linear_character(H, K, log=log), (rest[0] if rest else None)
 
 
 def complete_irredundant_set(G, candidates=None):
     """One classified pair per distinct idempotent, plus a completeness flag.
 
-    `candidates` is an optional list of (H, K[, chain_steps]) tuples; when
+    `candidates` is an optional list of (H, K[, chain_steps]) tuples, each
+    taking the Shoda test (`shoda_character`) as it is reached; when
     omitted the Shoda pairs come from `shoda_pair_candidates`.  The flag
     is True exactly when the retained idempotents sum to 1.
     """
     if candidates is None:
         todo = ((lam, None) for lam in shoda_pair_candidates(G))
     else:
-        todo = _supplied(candidates)
+        todo = (
+            (shoda_character(H, K), rest[0] if rest else None)
+            for H, K, *rest in candidates
+        )
     kept = []
     seen = set()
     for lam, chain_steps in todo:
-        pair = _classify(G, lam, chain_steps, known=seen)
+        pair = _classify(lam, chain_steps, known=seen)
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)

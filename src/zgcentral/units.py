@@ -39,13 +39,7 @@ from .errors import (
     PreconditionFailed,
     ZgError,
 )
-from .groupalgebra import (
-    QGElement,
-    hat,
-    epsilon,
-    is_central,
-    mul,
-)
+from .groupalgebra import QGElement, hat, is_central, mul
 from .groups import conjugacy_partition, is_normal, right_transversal
 from .shoda import is_complete
 
@@ -296,7 +290,7 @@ def z_central_unit(u, pair):
     H = pair.H
     G = H.parent
     _require_central_unit_of_subring(u, H)
-    eps = epsilon(H, pair.K)
+    eps = pair.lam.epsilon
     one_minus = QGElement.one(G) - eps
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
         if _integer_multiple_of(v - mul(v, eps), one_minus) is None:

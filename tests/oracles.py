@@ -762,11 +762,12 @@ def shoda_pair_candidates(G):
     subgroups = groups.all_subgroups(G)
     out = []
     for H in subgroups:
-        conj = shoda._coset_conjugates(H)  # shared by every K below H
+        cosets = shoda._coset_conjugates(H)  # shared by every K below H
         out += [
             (H, K)
             for K in subgroups
-            if K.members <= H.members and shoda._is_shoda_pair(H, K, conj) is not None
+            if K.members <= H.members
+            and shoda._shoda_character(H, K, cosets) is not None
         ]
     return out
 

@@ -322,3 +322,53 @@ def test_malformed_group_file_exits_1(tmp_path, capsys, doc, says):
     path.write_text(json.dumps(doc))
     assert main(["oracle", "--group", str(path)]) == 1
     assert says in _single_error(capsys)
+
+
+def test_supplied_non_shoda_pair_exits_1(tmp_path, capsys):
+    # <x4> of order 5 with K = 1 fails the Shoda test, the only check on
+    # a supplied pair
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": [{"H": ["x4"], "K": []}]}))
+    for command in ("pairs", "rank", "analyze", "units"):
+        argv = [command, "--group", "catalog:paper-1000-86", "--pairs-file", str(path)]
+        assert main(argv) == 1
+        assert _single_error(capsys) == (
+            "error: pair (|H|=5, |K|=1) fails the Shoda conditions\n"
+        )
+
+
+USAGE_ERRORS = {
+    "unknown-format": ["rank", "--group", "catalog:C4", "--format", "xml"],
+    "no-group": ["analyze"],
+    "unknown-option": ["oracle", "--group", "catalog:C4", "--seed", "1"],
+    "unknown-command": ["frobnicate"],
+    "no-command": [],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_1(capsys, argv):
+    # 2 is kept for an incomplete pair set
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zgcentral") and "error: " in err
+
+
+def test_format_text_is_offered_on_rank_only(capsys):
+    # rank's text table is test_pairs_text_table's
+    others = [[c, "--group", "catalog:C4"] for c in ("analyze", "pairs", "units", "oracle")]
+    for argv in others + [["catalog"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "text"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'text'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["rank", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

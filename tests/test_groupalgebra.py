@@ -29,7 +29,7 @@ from zgcentral.groups import (
     subgroup_closure,
 )
 from zgcentral.rank import verify_center_degree
-from zgcentral.shoda import complete_irredundant_set, pci
+from zgcentral.shoda import complete_irredundant_set, pci, shoda_character
 
 
 def elem(G, g):
@@ -273,7 +273,7 @@ def test_center_dim_makes_one_qg_product(s4, monkeypatch):
 
     monkeypatch.setattr(groupalgebra, "mul", counted)
     for H, K in oracles.shoda_pair_candidates(s4):
-        e = pci(s4, H, K)
+        e = pci(shoda_character(H, K))
         calls.clear()
         center_component_dim(e)
         assert len(calls) == 1

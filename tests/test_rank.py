@@ -21,8 +21,8 @@ from zgcentral.rank import (
 from zgcentral.shoda import (
     ShodaPair,
     complete_irredundant_set,
-    linear_character,
     pci,
+    shoda_character,
 )
 
 
@@ -65,9 +65,8 @@ def test_k_odd_order_rule():
 
 
 def unclassified(G, H, K):
-    return ShodaPair(
-        H=H, K=K, status="shoda", pci=pci(G, H, K), lam=linear_character(H, K)
-    )
+    lam = shoda_character(H, K)
+    return ShodaPair(lam=lam, status="shoda", pci=pci(lam))
 
 
 @pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
@@ -92,7 +91,7 @@ def test_k_matches_oracle_on_paper_pairs(paper1000):
 def test_rank_term_c5(c5):
     p = next(p for p in pairs_of(c5) if p.index == 5)
     t = rank_term(c5, p)
-    assert (t.k, t.chain_indices, t.term) == (2, [1], 1)
+    assert (t.k, t.pair.chain.indices, t.term) == (2, [1], 1)
 
 
 def test_rank_total_c5(c5):

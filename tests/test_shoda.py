@@ -4,13 +4,10 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import gcd
 
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
@@ -41,8 +38,8 @@ from zgcentral.shoda import (
     find_strong_inductive_chain,
     induced_counts,
     is_shoda_pair,
-    linear_character,
     pci,
+    shoda_character,
     shoda_pair_candidates,
     verify_chain,
 )
@@ -70,7 +67,7 @@ def test_abelian_proper_h_fails(c4):
 def test_a3_pair(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     assert is_shoda_pair(s3, A3, triv(s3))
-    assert verify_chain(s3, A3, triv(s3), [A3, s3.whole()]) is not None
+    assert verify_chain(shoda_character(A3, triv(s3)), [A3, s3.whole()]) is not None
 
 
 def test_reflection_pair_fails(s3):
@@ -102,7 +99,7 @@ def test_shoda_gather_matches_loop_oracle_on_catalog():
 def test_strong_in_abelian(c4):
     H = c4.whole()
     assert is_shoda_pair(c4, H, triv(c4))
-    assert verify_chain(c4, H, triv(c4), [H, c4.whole()]) is not None
+    assert verify_chain(shoda_character(H, triv(c4)), [H, c4.whole()]) is not None
 
 
 # -- characters ----------------------------------------------------------------
@@ -116,7 +113,7 @@ def induced_value(lam, G, g):
 
 def test_linear_character_multiplicative(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    lam = linear_character(A3, triv(s3))
+    lam = shoda_character(A3, triv(s3))
     log = lam.coset_log
     for a in A3.members:
         for b in A3.members:
@@ -127,13 +124,13 @@ def test_linear_character_multiplicative(s3):
 
 
 def test_trivial_character_induction(s3):
-    lam = linear_character(s3.whole(), s3.whole())
+    lam = shoda_character(s3.whole(), s3.whole())
     assert induced_counts(lam, s3, range(6)).tolist() == [[1]] * 6
 
 
 def test_induced_value_on_three_cycle(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    lam = linear_character(A3, triv(s3))
+    lam = shoda_character(A3, triv(s3))
     rot = next(g for g in A3.members if g != 0)
     assert induced_counts(lam, s3, [rot]).tolist() == [[0, 1, 1]]
     assert induced_value(lam, s3, rot) == cyc(3, 1) + cyc(3, 2)
@@ -141,7 +138,7 @@ def test_induced_value_on_three_cycle(s3):
 
 def test_induced_value_off_conjugates(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    lam = linear_character(A3, triv(s3))
+    lam = shoda_character(A3, triv(s3))
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     assert not induced_counts(lam, s3, [refl]).any()
 
@@ -159,9 +156,11 @@ def normal_pairs(G):
 COSET_PAIRS = {name: normal_pairs(get_group(name)) for name in COSET_GROUPS}
 
 
-def check_against_oracles(G, H, K, t=1, shoda=True):
-    """The coset kernel and its three callers agree with the quotient
-    oracles on (H, K); returns whether H/K is cyclic."""
+def check_against_oracles(G, H, K):
+    """The coset kernel and its callers agree with the quotient oracles on
+    (H, K); returns whether H/K is cyclic.  A Shoda pair's character holds
+    the kernel's coset log, the transversal `right_transversal` finds and
+    epsilon(H, K); any other pair is refused."""
     log = cyclic_coset_log(H, K)
     expected = oracles.coset_log(H, K)
     assert (log is None) == (expected is None)
@@ -169,21 +168,22 @@ def check_against_oracles(G, H, K, t=1, shoda=True):
         assert log.dtype.kind == "i"
         assert {h: int(log[h]) for h in H.members} == expected
         assert all(log[g] == -1 for g in range(G.order) if g not in H.members)
-        lam = linear_character(H, K, t)
-        c = H.order // K.order
-        assert lam.order == c
-        scaled = oracles.coset_log(H, K, t)
-        assert {h: int(lam.coset_log[h]) for h in H.members} == scaled
-        assert all(
-            lam.coset_log[g] == -1 for g in range(G.order) if g not in H.members
-        )
     if log is None:
         with pytest.raises(NotShodaPair):
             epsilon(H, K)
     else:
         assert epsilon(H, K) == oracles.epsilon(H, K)
-    if shoda:
-        assert is_shoda_pair(G, H, K) == oracles.is_shoda_pair(G, H, K)
+    is_shoda = oracles.is_shoda_pair(G, H, K)
+    assert is_shoda_pair(G, H, K) == is_shoda
+    if is_shoda:
+        lam = shoda_character(H, K)
+        assert lam.order == H.order // K.order
+        assert np.array_equal(lam.coset_log, log)
+        assert lam.transversal.tolist() == right_transversal(H, G.whole())
+        assert lam.epsilon == epsilon(H, K)
+    else:
+        with pytest.raises(NotShodaPair):
+            shoda_character(H, K)
     return log is not None
 
 
@@ -208,38 +208,25 @@ def test_epsilon_rejects_non_cyclic_quotient(name):
         epsilon(G.whole(), triv(G))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(COSET_GROUPS), st.data())
-def test_linear_character_matches_oracle_for_every_root(name, data):
-    G = get_group(name)
-    H, K = data.draw(st.sampled_from(COSET_PAIRS[name]))
-    c = H.order // K.order
-    t = data.draw(st.sampled_from([t for t in range(1, c + 1) if gcd(t, c) == 1]))
-    check_against_oracles(G, H, K, t=t, shoda=False)
-
-
 # -- primitive central idempotents ---------------------------------------------
 
 
+def pair_pci(H, K):
+    return pci(shoda_character(H, K))
+
+
 def test_pci_trivial_pair(s3):
-    assert pci(s3, s3.whole(), s3.whole()) == hat(s3.whole())
+    assert pair_pci(s3.whole(), s3.whole()) == hat(s3.whole())
 
 
 def test_pci_a3(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    assert pci(s3, A3, triv(s3)) == QGElement.one(s3) - hat(A3)
+    assert pair_pci(A3, triv(s3)) == QGElement.one(s3) - hat(A3)
 
 
 def test_pci_sign_character(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    assert pci(s3, s3.whole(), A3) == hat(A3) - hat(s3.whole())
-
-
-def test_pci_choice_invariance(c5):
-    # two different primitive-root choices for the character generator
-    e1 = pci(c5, c5.whole(), triv(c5), lam=linear_character(c5.whole(), triv(c5), t=1))
-    e2 = pci(c5, c5.whole(), triv(c5), lam=linear_character(c5.whole(), triv(c5), t=2))
-    assert e1 == e2
+    assert pair_pci(s3.whole(), A3) == hat(A3) - hat(s3.whole())
 
 
 @pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
@@ -248,12 +235,12 @@ def test_pci_matches_galois_sum_oracle(name):
     pairs = oracles.shoda_pair_candidates(G)
     assert pairs
     for H, K in pairs:
-        assert pci(G, H, K) == oracles.pci(G, H, K), (H.order, K.order)
+        assert pair_pci(H, K) == oracles.pci(G, H, K), (H.order, K.order)
 
 
 def test_pci_matches_oracle_on_paper_pairs(paper1000):
     for H, K in paper9_pairs(paper1000):
-        assert pci(paper1000, H, K) == oracles.pci(paper1000, H, K)
+        assert pair_pci(H, K) == oracles.pci(paper1000, H, K)
 
 
 def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
@@ -267,14 +254,14 @@ def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
     cases = [(s4, H, K) for H, K in oracles.shoda_pair_candidates(s4)]
     cases += [(paper1000, H, K) for H, K in paper9_pairs(paper1000)]
     for G, H, K in cases:
-        assert pci(G, H, K) == oracles.pci(G, H, K), (G.order, H.order, K.order)
+        assert pair_pci(H, K) == oracles.pci(G, H, K), (G.order, H.order, K.order)
 
 
 def test_induced_value_matches_sum_over_group(s4):
     """The count rows against the oracle's sum over G with its own
-    character, which is the one `linear_character` picks."""
+    character, which is the one `shoda_character` picks."""
     for H, K in oracles.shoda_pair_candidates(s4):
-        lam = linear_character(H, K)
+        lam = shoda_character(H, K)
         exponents = oracles.character_exponents(s4, H, K)
         for g in range(s4.order):
             expected = oracles.induced_value(s4, H, exponents, lam.order, g)
@@ -285,7 +272,7 @@ def dense_rows_and_pci(G, H, K):
     """(class rows, pci) the dense way: the whole count matrix times
     `reduction_matrix`, and a full comparison of the class rows under
     every row of `galois_classes`."""
-    lam = linear_character(H, K)
+    lam = shoda_character(H, K)
     n = lam.order
     part = conjugacy_partition(G)
     rows = induced_counts(lam, G, part.reps) @ reduction_matrix(n)
@@ -299,9 +286,9 @@ def dense_rows_and_pci(G, H, K):
 def assert_sparse_rows_and_pci_match_dense(G, pairs):
     for H, K in pairs:
         rows, expected = dense_rows_and_pci(G, H, K)
-        lam = linear_character(H, K)
+        lam = shoda_character(H, K)
         assert np.array_equal(lam.class_rows, rows), (H.order, K.order)
-        e = pci(G, H, K, lam=lam, check=False)
+        e = pci(lam)
         assert e.den == expected.den, (H.order, K.order)
         assert np.array_equal(e.vec, expected.vec), (H.order, K.order)
 
@@ -324,14 +311,25 @@ def test_class_rows_and_pci_match_dense_on_c1021():
 
 
 def test_pci_rejects_non_shoda(s3):
+    # pci takes the character, which the Shoda test refuses to build
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     with pytest.raises(NotShodaPair):
-        pci(s3, subgroup_closure(s3, [refl]), triv(s3))
+        pair_pci(subgroup_closure(s3, [refl]), triv(s3))
+
+
+def test_shoda_character_names_the_failing_pair(s3, q8):
+    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
+    with pytest.raises(NotShodaPair, match=r"^pair \(\|H\|=2, \|K\|=1\) fails the Shoda conditions$"):
+        shoda_character(subgroup_closure(s3, [refl]), triv(s3))
+    # Q8 / center is the Klein group: H/K is not cyclic
+    center = next(g for g in range(8) if q8.element_orders[g] == 2)
+    with pytest.raises(NotShodaPair, match=r"\(\|H\|=8, \|K\|=2\)"):
+        shoda_character(q8.whole(), Subgroup(q8, {0, center}))
 
 
 def test_pci_idempotent_central_for_strong_pair(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    e = pci(s3, A3, triv(s3))
+    e = pair_pci(A3, triv(s3))
     assert is_idempotent(e) and is_central(e)
     assert e == e_sum_conjugates(s3.whole(), A3, triv(s3))
 
@@ -341,34 +339,35 @@ def test_pci_idempotent_central_for_strong_pair(s3):
 
 def test_strong_pair_one_step_chain(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    chain = find_strong_inductive_chain(s3, A3, triv(s3))
+    chain = find_strong_inductive_chain(shoda_character(A3, triv(s3)))
     assert chain is not None and chain.length == 1
     assert chain.indices == [2]  # the centralizer of the idempotent is S3
 
 
 def test_chain_search_rejects_non_shoda(s3):
+    # the search takes the character, which the Shoda test refuses to build
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     with pytest.raises(NotShodaPair):
-        find_strong_inductive_chain(s3, subgroup_closure(s3, [refl]), triv(s3))
+        find_strong_inductive_chain(shoda_character(subgroup_closure(s3, [refl]), triv(s3)))
 
 
 def test_verify_chain_with_repeats(c4):
     H = c4.whole()
-    chain = verify_chain(c4, H, triv(c4), [H, H, H])
+    chain = verify_chain(shoda_character(H, triv(c4)), [H, H, H])
     assert chain is not None
     assert chain.indices == [1, 1]
 
 
 def test_verify_chain_rejects_wrong_base(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    assert verify_chain(s3, A3, triv(s3), [s3.whole(), s3.whole()]) is None
+    assert verify_chain(shoda_character(A3, triv(s3)), [s3.whole(), s3.whole()]) is None
 
 
 def test_verify_chain_rejects_step_outside_the_next(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     R = subgroup_closure(s3, [refl])
-    assert verify_chain(s3, A3, triv(s3), [A3, R, s3.whole()]) is None
+    assert verify_chain(shoda_character(A3, triv(s3)), [A3, R, s3.whole()]) is None
 
 
 @pytest.mark.parametrize("name", CORPUS + ("paper-1000-86",))
@@ -439,11 +438,12 @@ def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
     H, K, steps = next(
         c for c in _paper9_candidates(paper1000) if (c[0].order, c[1].order) == (50, 10)
     )
-    chain = verify_chain(paper1000, H, K, steps)
+    lam = shoda_character(H, K)
+    chain = verify_chain(lam, steps)
     assert [S.order for S in chain.steps] == [50, 50, 250, 1000]
     assert chain.indices == [1, 1, 4]
     assert not is_idempotent(e_sum_conjugates(paper1000.whole(), H, K))
-    assert chain.top == pci(paper1000, H, K)
+    assert chain.top == pci(lam)
 
 
 def _searched_pairs(G):
@@ -452,12 +452,12 @@ def _searched_pairs(G):
     searched = [
         (H, K)
         for H, K in oracles.shoda_pair_candidates(G)
-        if verify_chain(G, H, K, [H, G.whole()]) is None
+        if verify_chain(shoda_character(H, K), [H, G.whole()]) is None
     ]
     supplied = [
         (H, K)
         for H, K in paper9_pairs(G)
-        if verify_chain(G, H, K, [H, G.whole()]) is None
+        if verify_chain(shoda_character(H, K), [H, G.whole()]) is None
     ]
     assert len(supplied) == 2 and len(searched) == 60
     return supplied + searched[::15]
@@ -466,7 +466,7 @@ def _searched_pairs(G):
 def test_chain_search_matches_closure_walk(paper1000):
     G = paper1000
     for H, K in _searched_pairs(G):
-        got = find_strong_inductive_chain(G, H, K)
+        got = find_strong_inductive_chain(shoda_character(H, K))
         want = oracles.find_strong_inductive_chain(G, H, K)
         assert got is not None and want is not None
         assert [S.order for S in got.steps] == [S.order for S in want.steps]
@@ -487,7 +487,7 @@ def test_chain_search_makes_no_closure(paper1000, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("zgcentral") and hasattr(module, "subgroup_closure"):
             monkeypatch.setattr(module, "subgroup_closure", counting)
-    chain = find_strong_inductive_chain(paper1000, H, K)
+    chain = find_strong_inductive_chain(shoda_character(H, K))
     assert chain.indices == [2, 1, 2]
     assert calls == []
 
@@ -591,7 +591,7 @@ def _counting_coset_logs(monkeypatch):
     """(coset logs, Shoda tests): call counts of `cyclic_coset_log`, in
     every module that binds it, and of the Shoda test."""
     counts = {"logs": 0, "tests": 0}
-    log, test = groups.cyclic_coset_log, shoda._is_shoda_pair
+    log, test = groups.cyclic_coset_log, shoda._shoda_character
 
     def counted_log(H, K):
         counts["logs"] += 1
@@ -604,7 +604,7 @@ def _counting_coset_logs(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("zgcentral") and hasattr(module, "cyclic_coset_log"):
             monkeypatch.setattr(module, "cyclic_coset_log", counted_log)
-    monkeypatch.setattr(shoda, "_is_shoda_pair", counted_test)
+    monkeypatch.setattr(shoda, "_shoda_character", counted_test)
     return counts
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -331,6 +332,24 @@ def test_z_on_dihedral_pair(d5):
     zu = z_central_unit(u, p)
     assert_central_unit(zu)
     assert_inverse_matches_oracle(zu)
+
+
+def test_z_units_walk_no_coset(d5, monkeypatch):
+    """z_central_unit reads epsilon(H, K) off the pair's character, so
+    building D5's z-units walks no coset of K in H again."""
+    pairs, complete = complete_irredundant_set(d5)
+    assert complete
+    log, calls = groups.cyclic_coset_log, []
+
+    def counted(H, K):
+        calls.append((H.order, K.order))
+        return log(H, K)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zgcentral") and hasattr(module, "cyclic_coset_log"):
+            monkeypatch.setattr(module, "cyclic_coset_log", counted)
+    assert z_units(d5, pairs)
+    assert calls == []
 
 
 def test_z_precondition_split_failure(c4, d5):
