@@ -3,9 +3,10 @@
 
 Runs the full pipeline (pair search, classification, rank formula) over
 every catalog group up to a given order and reports any disagreement.
-Every pair also goes through the center-degree check, which squares its
-idempotent, so each idempotent is checked to be one.  The number of pairs
-must equal the number of rational conjugacy classes, the number of
+Every pair also goes through the center-degree check, which compares
+the square of its central idempotent with it at one element of each
+conjugacy class, so each idempotent is checked to be one.  The number of
+pairs must equal the number of rational conjugacy classes, the number of
 Wedderburn components of QG, and the centers of those components tile
 Z(QG): their dimensions must add up to the number of ordinary classes.
 The idempotent that a pair's strong inductive chain carries to its top

@@ -12,10 +12,14 @@ the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
 only on the coset St, so the conjugates of a under N >= S are a^t over a
 right transversal of S in N (`shoda._climb`).
 
-For a central idempotent e, z -> z e is an idempotent linear map of the
-center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no
-elimination: on the basis of ordinary class sums its diagonal is read
-off e's coefficients by one gather (`center_component_dim`).
+Products are one convolution kernel (`_convolve`), which gives a * b at
+all of G (`mul`) or only at chosen elements.  For a central idempotent
+e, z -> z e is an idempotent linear map of the center Z(QG) onto
+Z(QGe), so dim_Q Z(QGe) is its trace, which needs no elimination: on
+the basis of ordinary class sums its diagonal is read off e's
+coefficients by one gather (`center_component_dim`).  A central e^2 is
+constant on classes, so e^2 = e is checked at one element per class,
+never by a full product.
 """
 
 from __future__ import annotations
@@ -204,14 +208,17 @@ class QGElement:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power: QG has no inversion; use Unit.inverse")
-        out, base = QGElement.one(self.group), self
-        while k:
+        if not k:
+            return QGElement.one(self.group)
+        # the powers of self commute: start from the lowest set bit of k
+        out, base = None, self
+        while True:
             if k & 1:
-                out = mul(out, base)
+                out = base if out is None else mul(out, base)
             k >>= 1
-            if k:
-                base = mul(base, base)
-        return out
+            if not k:
+                return out
+            base = mul(base, base)
 
     def conj(self, g):
         """g^-1 * self * g: its coefficient at y is self's at g y g^-1."""
@@ -220,29 +227,39 @@ class QGElement:
         return QGElement._of(G, self.den, self.vec[t[t[g], G.inv[g]]])
 
 
-def mul(a, b):
-    """Exact convolution product in QG, over the support of `a` in blocks
-    of rows of the Cayley table."""
-    if not isinstance(a, QGElement) or not isinstance(b, QGElement):
-        raise TypeError("mul expects QGElements")
-    if a.group is not b.group:
-        raise GroupMismatch("elements live over different groups")
+def _convolve(a, b, cols=None):
+    """The numerators of a * b at the group elements `cols`, or at all of
+    G when cols is None, over the support of `a` in blocks of rows of the
+    Cayley table: in int64 when a bound on the sums allows it, else in
+    Python ints."""
     G = a.group
     support = np.flatnonzero(a.vec)
     terms = min(support.size, int(np.count_nonzero(b.vec)))
+    width = G.order if cols is None else len(cols)
     if not terms:
-        return QGElement.zero(G)
+        return np.zeros(width, dtype=np.int64)
     bound = _maxabs(a.vec) * _maxabs(b.vec) * terms
     dtype = np.int64 if bound < _INT64_BOUND else object
     A = a.vec.astype(dtype, copy=False)
     B = b.vec.astype(dtype, copy=False)
-    acc = np.zeros(G.order, dtype=dtype)
-    block = max(1, _GATHER_BLOCK // G.order)
+    acc = np.zeros(width, dtype=dtype)
+    block = max(1, _GATHER_BLOCK // width)
     for start in range(0, support.size, block):
         g = support[start : start + block]
+        ginv = G.inv[g]
         # (a b)[k] is the sum over g of a[g] * b[g^-1 k]
-        acc += (A[g, None] * B[G.table[G.inv[g]]]).sum(axis=0)
-    return _element(G, a.den * b.den, acc)
+        rows = G.table[ginv] if cols is None else G.table[ginv[:, None], cols]
+        acc += (A[g, None] * B[rows]).sum(axis=0)
+    return acc
+
+
+def mul(a, b):
+    """Exact convolution product in QG."""
+    if not isinstance(a, QGElement) or not isinstance(b, QGElement):
+        raise TypeError("mul expects QGElements")
+    if a.group is not b.group:
+        raise GroupMismatch("elements live over different groups")
+    return _element(a.group, a.den * b.den, _convolve(a, b))
 
 
 # -- idempotent constructions ------------------------------------------------
@@ -276,10 +293,6 @@ def epsilon(H, K, log=None):
     return _element(H.parent, H.order, ram[log])
 
 
-def is_idempotent(a):
-    return mul(a, a) == a
-
-
 def is_central(a):
     return all(a.conj(g) == a for g in a.group.generators)
 
@@ -291,20 +304,30 @@ def center_component_dim(e):
     """dim_Q of the center of the simple component QGe, for a central
     idempotent e.
 
-    z -> z e is an idempotent linear map of Z(QG) whose image is Z(QGe),
-    so that dimension is the map's trace.  On the basis of ordinary class
-    sums, the diagonal entry at a class C is the coefficient of C e at
-    C's least element r, the sum over g in C of e's coefficient at
-    g^-1 r; over all classes that is one gather of length |G|.  Raises
-    NotCentral or NotIdempotent, the latter also if the trace is not an
-    integer, which no idempotent allows.
+    e is checked central first, so e^2 is central too, and e^2 = e holds
+    once it holds at the least element r of each ordinary class: one
+    convolution at the class representatives, |supp e| table entries per
+    class, not per group element.  z -> z e is then an idempotent linear
+    map of Z(QG) whose image is Z(QGe), so that dimension is the map's
+    trace.  On the basis of ordinary class sums, the diagonal entry at a
+    class C is the coefficient of C e at r, the sum over g in C of e's
+    coefficient at g^-1 r; over all classes that is one gather of length
+    |G|.  Raises NotCentral or NotIdempotent, the latter also if the
+    trace is not an integer, which no idempotent allows.
     """
     if not is_central(e):
         raise NotCentral("idempotent is not central")
-    if not is_idempotent(e):
-        raise NotIdempotent("element is not idempotent")
     G = e.group
     part = conjugacy_partition(G)
+    # in an abelian group every class is one element: the full product
+    # keeps the row gather
+    abelian = part.reps.size == G.order
+    square = _convolve(e, e, None if abelian else part.reps)
+    # e^2 = e on numerators is square = den * vec, compared without wrapping
+    dtype = np.int64 if _maxabs(e.vec) * e.den < _INT64_BOUND else object
+    target = (e.vec if abelian else e.vec[part.reps]).astype(dtype) * e.den
+    if not np.array_equal(square, target):
+        raise NotIdempotent("element is not idempotent")
     # e's coefficient at g^-1 r for each g, r the least element of g's class
     diag = e.vec[G.table[G.inv, part.reps[part.class_of]]]
     # summed in Python ints: an object vector's entries have no bound

@@ -213,14 +213,16 @@ class StrongInductiveChain:
     `top` is e_n: e_0 = epsilon(H, K), and e_{i+1} is the sum of the
     distinct H_{i+1}-conjugates of e_i (Bakshi-Kaur).  Per level i:
     `centralizers[i]` is the centralizer of e_i in H_{i+1},
-    `transversals[i]` its right transversal in H_{i+1}, and `indices[i]`
-    the index of H_i in the centralizer.
+    `transversals[i]` its right transversal in H_{i+1},
+    `inner_transversals[i]` the right transversal of H_i in it, and
+    `indices[i]` the index of H_i in the centralizer.
     """
 
     steps: list
     top: QGElement
     centralizers: list = field(default_factory=list)
     transversals: list = field(default_factory=list)
+    inner_transversals: list = field(default_factory=list)
     indices: list = field(default_factory=list)
 
     @property
@@ -236,7 +238,9 @@ def _climb(chain, nxt):
     H_i fixes e_i, so e_i^t depends only on the coset H_i t, and cen is
     the union of the cosets whose representative t fixes e_i.  Listed in
     increasing order, the first t of each distinct conjugate is the
-    least element of its coset of cen: a right transversal of cen.
+    least element of its coset of cen: a right transversal of cen.  The t
+    fixing e_i are the least elements of the cosets of H_i in cen, the
+    right transversal of H_i in cen that `right_transversal` lists.
     """
     Hi, ei = chain.steps[-1], chain.top
     if not Hi <= nxt:
@@ -259,6 +263,7 @@ def _climb(chain, nxt):
         top=sum(conjugates, QGElement.zero(G)),
         centralizers=chain.centralizers + [cen],
         transversals=chain.transversals + [[ts[0] for ts in conjugates.values()]],
+        inner_transversals=chain.inner_transversals + [fixing],
         indices=chain.indices + [len(fixing)],
     )
 

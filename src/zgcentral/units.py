@@ -269,7 +269,7 @@ def _integer_multiple_of(p, w):
 
 def _ordered_product(G, factors):
     """f_1 * f_2 * ... * f_r in the given order; 1 for no factors."""
-    return reduce(mul, factors, QGElement.one(G))
+    return reduce(mul, factors) if factors else QGElement.one(G)
 
 
 def _conjugate_product(value, inverse, reps):
@@ -301,10 +301,9 @@ def z_central_unit(u, pair):
     z, zinv = u.value, u.inverse
     for i in range(pair.chain.length):
         base = pair.chain.steps[i]
-        cen = pair.chain.centralizers[i]
         if any(z.conj(h) != z for h in base.gens or [0]):
             raise PreconditionFailed("intermediate value lost centrality")
-        reps = right_transversal(base, cen)
+        reps = pair.chain.inner_transversals[i]
         inner = _conjugate_product(z**base.order, zinv**base.order, reps)
         z, zinv = _conjugate_product(*inner, pair.chain.transversals[i])
     return _verified_unit(

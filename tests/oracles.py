@@ -50,7 +50,9 @@ since every unit it builds carries its own, and `gen_bass_unit` and the
 unit tests check those carried inverses against this one.  The
 center-degree oracle is the rank of the class sums times e, found by
 Bareiss fraction-free elimination over the integers, the way `zgcentral`
-did before it read that dimension off as a trace.  The group
+did before it read that dimension off as a trace, and `is_idempotent`
+squares in full, where `zgcentral` compares e^2 with e at one element
+per class.  The group
 constructors are the ones `zgcentral` ran before it built pc groups by
 cyclic extension and permutation tables from the right-regular action:
 a pc group by collection from the left, one word per normal-form tail
@@ -955,6 +957,11 @@ def integer_rank(rows):
         if rank == len(rows):
             break
     return rank
+
+
+def is_idempotent(a):
+    """a * a == a, by one full QG product."""
+    return qg_mul(a, a) == a
 
 
 def center_component_dim(e):

@@ -21,7 +21,6 @@ from zgcentral.errors import NotAGroup
 from zgcentral.groupalgebra import (
     QGElement,
     is_central,
-    is_idempotent,
     mul,
 )
 from zgcentral.groups import (
@@ -111,7 +110,7 @@ def test_idempotent_suite():
         pairs = full_analysis(G)
         total = QGElement.zero(G)
         for p in pairs:
-            assert is_idempotent(p.pci) and is_central(p.pci)
+            assert oracles.is_idempotent(p.pci) and is_central(p.pci)
             if p.status == "strong":
                 assert p.pci == e_sum_conjugates(G.whole(), p.H, p.K)
             total = total + p.pci

@@ -1,6 +1,7 @@
 """Group-algebra arithmetic: idempotents, products, powers, center."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -12,7 +13,13 @@ from oracles import e_sum_conjugates
 
 from zgcentral import groupalgebra
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import GroupMismatch, NotIdempotent, NotNormal, NotSubgroup
+from zgcentral.errors import (
+    GroupMismatch,
+    NotCentral,
+    NotIdempotent,
+    NotNormal,
+    NotSubgroup,
+)
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
@@ -20,7 +27,6 @@ from zgcentral.groupalgebra import (
     epsilon,
     hat,
     is_central,
-    is_idempotent,
     mul,
 )
 from zgcentral.groups import (
@@ -49,7 +55,7 @@ def test_hat_c2():
     C2 = cyclic(2)
     h = hat(C2.whole())
     assert [h.coeff(g) for g in range(2)] == [Fraction(1, 2), Fraction(1, 2)]
-    assert is_idempotent(h)
+    assert oracles.is_idempotent(h)
 
 
 def test_hat_absorption(s3):
@@ -71,7 +77,7 @@ def test_epsilon_c4():
     eps = epsilon(C4.whole(), Subgroup(C4, {0}))
     expected = QGElement.one(C4) - hat(Subgroup(C4, {0, g2}))
     assert eps == expected
-    assert is_idempotent(eps)
+    assert oracles.is_idempotent(eps)
 
 
 def test_epsilon_a3_in_s3(s3):
@@ -263,28 +269,115 @@ def test_center_dim_matches_elimination_oracle_on_paper_pairs(paper1000):
         assert center_component_dim(p.pci) == oracles.center_component_dim(p.pci)
 
 
-def test_center_dim_makes_one_qg_product(s4, monkeypatch):
-    """The idempotency check is the only QG product: the trace is a gather."""
-    calls = []
+def test_center_dim_makes_no_qg_product(s4, monkeypatch):
+    """e^2 = e is checked by one convolution at the class representatives,
+    never by a full QG product; the trace is a gather."""
+    products, widths = [], []
+    convolve = groupalgebra._convolve
 
-    def counted(a, b):
-        calls.append(1)
+    def counted_mul(a, b):
+        products.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(groupalgebra, "mul", counted)
+    def counted_convolve(a, b, cols=None):
+        out = convolve(a, b, cols)
+        widths.append(out.size)
+        return out
+
+    monkeypatch.setattr(groupalgebra, "mul", counted_mul)
+    monkeypatch.setattr(groupalgebra, "_convolve", counted_convolve)
+    classes = len(conjugacy_partition(s4).classes)
     for H, K in oracles.shoda_pair_candidates(s4):
         e = pci(shoda_character(H, K))
-        calls.clear()
+        products.clear()
+        widths.clear()
         center_component_dim(e)
-        assert len(calls) == 1
+        assert products == [] and widths == [classes]
 
 
 def test_center_dim_rejects_a_non_integral_trace(s3, monkeypatch):
-    # 1/2 is central; with the squaring check bypassed, its trace 3/2 on
+    # 1/2 is central; with the squaring check bypassed (the convolution
+    # reports e^2 = e at every class representative), its trace 3/2 on
     # Z(QS3) is a typed error, never a count
-    monkeypatch.setattr(groupalgebra, "is_idempotent", lambda a: True)
-    with pytest.raises(NotIdempotent):
+    def squares_to_itself(a, b, cols=None):
+        return (a.vec if cols is None else a.vec[cols]) * a.den
+
+    monkeypatch.setattr(groupalgebra, "_convolve", squares_to_itself)
+    with pytest.raises(NotIdempotent, match="non-integral trace"):
         center_component_dim(QGElement.one(s3).scale(Fraction(1, 2)))
+
+
+def test_center_dim_raises_typed_errors(s3):
+    refl = s3.element_orders.index(2)
+    with pytest.raises(NotCentral):
+        center_component_dim(hat(subgroup_closure(s3, [refl])))
+    for p in complete_irredundant_set(s3)[0]:
+        with pytest.raises(NotIdempotent, match="not idempotent"):
+            center_component_dim(p.pci.scale(2))
+
+
+# -- the class-representative squaring check against the full product ----------
+
+SQUARE_GROUPS = ("S3", "D4", "Q8", "C12", "S4", "paper-1000-86")
+
+
+@cache
+def _classes_and_pcis(name):
+    G = get_group(name)
+    candidates = oracles.paper9_pairs(G) if G.order > 100 else None
+    pairs, complete = complete_irredundant_set(G, candidates=candidates)
+    assert complete
+    return G, conjugacy_partition(G), [p.pci for p in pairs]
+
+
+def draw_central(data, name):
+    """A class function, or a combination of the group's pcis: a subset
+    sum (an idempotent), with a multiple (2e, e/2, ...) or a class
+    function added; coefficients reach and pass the int64 bound."""
+    G, part, pcis = _classes_and_pcis(name)
+    n = part.reps.size
+    kind = data.draw(st.sampled_from(["class function", "pci sum"]), label="kind")
+    if kind == "class function":
+        values = data.draw(st.lists(coefficients, min_size=n, max_size=n))
+        return QGElement(G, {g: values[c] for g, c in enumerate(part.class_of.tolist())})
+    chosen = data.draw(st.lists(st.sampled_from(range(len(pcis))), unique=True))
+    e = sum((pcis[i] for i in chosen), QGElement.zero(G))
+    scales = [1, 1, 2, Fraction(1, 2), -1, BIG, Fraction(1, BIG)]
+    e = e.scale(data.draw(st.sampled_from(scales), label="scale"))
+    if data.draw(st.booleans(), label="perturb"):
+        c = data.draw(coefficients)
+        cl = part.classes[data.draw(st.integers(0, n - 1))]
+        e = e + QGElement(G, dict.fromkeys(cl, c))
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SQUARE_GROUPS), st.data())
+def test_class_rep_square_check_matches_full_product(name, data):
+    """On central elements, center_component_dim raises NotIdempotent
+    exactly when the full product e * e differs from e."""
+    e = draw_central(data, name)
+    want = oracles.is_idempotent(e)
+    try:
+        center_component_dim(e)
+        got = True
+    except NotIdempotent as err:
+        assert "non-integral" not in str(err)
+        got = False
+    assert got == want
+
+
+def test_class_rep_square_check_takes_the_object_path():
+    # den * max|vec| past the int64 bound, by a large numerator or a large
+    # denominator: the comparison runs in Python ints and never wraps
+    _, _, pcis = _classes_and_pcis("S4")
+    for e in pcis:
+        for scale in (BIG + 1, Fraction(1, BIG + 1)):
+            x = e.scale(scale)
+            assert groupalgebra._maxabs(x.vec) * x.den >= BIG
+            assert not oracles.is_idempotent(x)
+            with pytest.raises(NotIdempotent, match="not idempotent"):
+                center_component_dim(x)
 
 
 # -- the (den, vec) kernels against the Fraction-dict oracles -------------------

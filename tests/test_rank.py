@@ -8,7 +8,7 @@ from oracles import CORPUS, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
 from zgcentral.cyclotomic import euler_phi
-from zgcentral.errors import IncompleteSet
+from zgcentral.errors import DivisibilityViolation, IncompleteSet
 from zgcentral.groupalgebra import hat
 from zgcentral.groups import conjugacy_partition, subgroup_closure
 from zgcentral.rank import (
@@ -142,6 +142,12 @@ def test_center_degree_is_false_for_a_bad_idempotent(s3):
     for p in pairs_of(s3):
         assert not verify_center_degree(s3, replace(p, pci=p.pci.scale(2)))
         assert not verify_center_degree(s3, replace(p, pci=not_central))
+
+
+def test_rank_term_without_a_chain_is_a_typed_error(s3):
+    for p in pairs_of(s3):
+        with pytest.raises(DivisibilityViolation, match="no verified chain"):
+            rank_term(s3, replace(p, chain=None))
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -20,7 +20,6 @@ from zgcentral.groupalgebra import (
     epsilon,
     hat,
     is_central,
-    is_idempotent,
     mul,
 )
 from zgcentral.groups import (
@@ -330,7 +329,7 @@ def test_shoda_character_names_the_failing_pair(s3, q8):
 def test_pci_idempotent_central_for_strong_pair(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     e = pair_pci(A3, triv(s3))
-    assert is_idempotent(e) and is_central(e)
+    assert oracles.is_idempotent(e) and is_central(e)
     assert e == e_sum_conjugates(s3.whole(), A3, triv(s3))
 
 
@@ -432,6 +431,24 @@ def test_chain_top_is_the_pci():
     assert chained == 443
 
 
+@pytest.mark.parametrize("name", ["D7", "S4", "D12", "Q16", "A4", "paper-1000-86"])
+def test_chain_carries_the_transversal_of_each_step_in_its_centralizer(name):
+    """The t of _climb that fix e_i are right_transversal(H_i, C_i),
+    element for element, at every level of every chain."""
+    G = get_group(name)
+    candidates = _paper9_candidates(G) if G.order > 100 else None
+    levels = 0
+    for p in complete_irredundant_set(G, candidates)[0]:
+        chain = p.chain
+        assert len(chain.inner_transversals) == chain.length
+        levels += chain.length
+        for Hi, cen, reps in zip(chain.steps, chain.centralizers, chain.inner_transversals):
+            assert reps == right_transversal(Hi, cen)
+            assert len(reps) == cen.order // Hi.order
+        assert chain.indices == [len(reps) for reps in chain.inner_transversals]
+    assert levels
+
+
 def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
     """On paper9.json's (50, 10) pair, chain [50, 50, 250, 1000], the sum
     of epsilon's G-orbit is no idempotent; the recursion's top is the pci."""
@@ -442,7 +459,7 @@ def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
     chain = verify_chain(lam, steps)
     assert [S.order for S in chain.steps] == [50, 50, 250, 1000]
     assert chain.indices == [1, 1, 4]
-    assert not is_idempotent(e_sum_conjugates(paper1000.whole(), H, K))
+    assert not oracles.is_idempotent(e_sum_conjugates(paper1000.whole(), H, K))
     assert chain.top == pci(lam)
 
 

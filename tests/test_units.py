@@ -9,10 +9,15 @@ from importlib import resources
 import oracles
 import pytest
 
-from zgcentral import groups
+from zgcentral import groupalgebra, groups, units
 from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
 from zgcentral.cli import parse_pairs_file
-from zgcentral.errors import BadCongruence, NotNormal, PreconditionFailed
+from zgcentral.errors import (
+    BadCongruence,
+    InternalBoundExceeded,
+    NotNormal,
+    PreconditionFailed,
+)
 from zgcentral.groupalgebra import QGElement, is_central, mul
 from zgcentral.groups import (
     Subgroup,
@@ -128,6 +133,33 @@ def test_ordered_product_empty_and_single(s3):
     assert _ordered_product(s3, [u, v]) == mul(u, v)
 
 
+def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
+    """r factors take r - 1 products; u**k takes one squaring per bit of k
+    above the lowest and one product per further set bit."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(units, "mul", counted)
+    monkeypatch.setattr(groupalgebra, "mul", counted)
+    u = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
+    factors = [u.conj(t) for t in range(s3.order)]
+    want = factors[0]
+    for f in factors[1:]:
+        want = mul(want, f)
+    calls.clear()
+    assert _ordered_product(s3, factors) == want
+    assert len(calls) == len(factors) - 1
+    power = QGElement.one(s3)
+    for k in range(12):
+        calls.clear()
+        assert u**k == power
+        assert len(calls) == max(0, k.bit_length() - 1) + max(0, k.bit_count() - 1)
+        power = mul(power, u)
+
+
 # -- generalized Bass units ----------------------------------------------------
 
 
@@ -151,6 +183,17 @@ def test_gen_bass_on_d5(d5):
     assert gb.value.is_integral() and gb.inverse.is_integral()
     assert mul(gb.value, gb.inverse) == QGElement.one(d5)
     assert_inverse_matches_oracle(gb)
+
+
+def test_gen_bass_cap_is_a_typed_error(monkeypatch):
+    # C22's n_b of 341 for (g, k, m) = (1, 3, 5): one power short of it
+    G = get_group("C22")
+    M = next(M for M in all_subgroups(G) if M.order == 2)
+    monkeypatch.setattr(units, "GEN_BASS_CAP", 340)
+    with pytest.raises(InternalBoundExceeded, match="340"):
+        gen_bass_unit(G, 1, M, 3, 5)
+    monkeypatch.setattr(units, "GEN_BASS_CAP", 341)
+    assert gen_bass_unit(G, 1, M, 3, 5).inputs["n_b"] == 341
 
 
 def test_gen_bass_requires_normal_m(s3):
@@ -350,6 +393,20 @@ def test_z_units_walk_no_coset(d5, monkeypatch):
             monkeypatch.setattr(module, "cyclic_coset_log", counted)
     assert z_units(d5, pairs)
     assert calls == []
+
+
+def test_z_units_make_no_transversal(monkeypatch):
+    """The right transversal of H_i in each level's centralizer rides on
+    the chain: D7's 65 z-units compute none."""
+    D7 = get_group("D7")
+    pairs, complete = complete_irredundant_set(D7)
+    assert complete
+
+    def refused(H, within):
+        raise AssertionError("right_transversal called")
+
+    monkeypatch.setattr(units, "right_transversal", refused)
+    assert len(z_units(D7, pairs)) == 65
 
 
 def test_z_precondition_split_failure(c4, d5):
