@@ -34,51 +34,42 @@ def euler_phi(n):
     return result
 
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_exact(num, den):
-    """Exact division of integer polynomials (monic-leading den up to sign)."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q[i] = c // lead
-        if q[i]:
-            for j, y in enumerate(den):
-                num[i + j] -= q[i] * y
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return q
+def _mobius(n):
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Integer coefficients of Phi_n, low degree first, monic."""
+    """Integer coefficients of Phi_n, low degree first, monic.
+
+    For n > 1, Phi_n is the product of (1 - x^d)^mu(n/d) over the
+    divisors d of n (the signs cancel: the mu(n/d) sum to 0), taken as a
+    power series cut at degree phi(n).  Multiplying by 1 - x^d is one
+    shifted subtraction, and dividing by it a running sum along each
+    residue class mod d; x^d with d > phi(n) is 0 in the cut series.
+    """
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_divmod_exact(num, den))
+    size = euler_phi(n) + 1
+    c = np.zeros(size, dtype=np.int64)
+    c[0] = 1
+    for d in range(1, size):
+        mu = _mobius(n // d) if n % d == 0 else 0
+        if mu > 0:
+            c[d:] = c[d:] - c[:-d]
+        elif mu < 0:
+            rows = -(-size // d)
+            c = np.pad(c, (0, rows * d - size)).reshape(rows, d).cumsum(axis=0).ravel()[:size]
+    return tuple(c.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -97,19 +88,6 @@ def reduction_matrix(n):
             out[k] += out[k - 1, -1] * out[phi]
     out.setflags(write=False)
     return out
-
-
-def _mobius(n):
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
 
 
 @lru_cache(maxsize=None)

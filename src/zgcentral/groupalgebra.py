@@ -30,13 +30,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclotomic import ramanujan_row
-from .errors import (
-    GroupMismatch,
-    NotCentral,
-    NotIdempotent,
-    NotShodaPair,
-)
-from .groups import _GATHER_BLOCK, conjugacy_partition, cyclic_coset_log
+from .errors import GroupMismatch, NotCentral, NotIdempotent
+from .groups import _GATHER_BLOCK, conjugacy_partition
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -272,29 +267,26 @@ def hat(S):
     return QGElement._of(S.parent, S.order, vec)
 
 
-def epsilon(H, K, log=None):
+def epsilon(H, K, log):
     """The idempotent of QH for the characters of H with kernel exactly K.
 
     With n = [H:K] and H/K cyclic, it is the lift to H of the idempotent
     of Q[H/K] for the faithful characters: its coefficient at h is
-    c_n(log h) / |H|, where log h is the discrete log of the coset Kh
-    (`cyclic_coset_log`) and c_n the Ramanujan sum.  A caller holding a
-    faithful character's `coset_log` passes it as `log`: c_n(t x) =
-    c_n(x) for t prime to n, so any generator of H/K gives the same
-    idempotent.  Without it, raises NotSubgroup or NotNormal unless K is
-    normal in H, NotShodaPair when H/K is not cyclic.
+    c_n(log h) / |H|, where `log` is the discrete log of the coset Kh
+    (`cyclic_coset_log`, or a faithful character's `coset_log`), -1
+    outside H, and c_n the Ramanujan sum.  c_n(t x) = c_n(x) for t prime
+    to n, so any generator of H/K gives the same idempotent.
     """
-    if log is None:
-        log = cyclic_coset_log(H, K)
-    if log is None:
-        raise NotShodaPair("H/K is not cyclic")
     # a trailing 0 so that log -1 (outside H) reads coefficient 0
     ram = np.append(ramanujan_row(H.order // K.order), 0)
     return _element(H.parent, H.order, ram[log])
 
 
-def is_central(a):
-    return all(a.conj(g) == a for g in a.group.generators)
+def is_central(a, S=None):
+    """Whether a commutes with every member of the subgroup S, or of G
+    when S is None: a is fixed by conjugation by each generator."""
+    gens = a.group.generators if S is None else S.gens
+    return all(a.conj(g) == a for g in gens)
 
 
 # -- center ------------------------------------------------------------------

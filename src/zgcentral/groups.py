@@ -70,14 +70,14 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
         self._validate()
-        self.element_orders = self._compute_element_orders()
         self._conjugacy = {}  # kind -> ConjugacyPartition, "galois" -> array
 
     # -- construction checks -------------------------------------------------
 
     def _validate(self):
         """Check the group axioms in blocks of at most _GATHER_BLOCK table
-        entries, naming the first bad index; store `inv` and `generators`."""
+        entries, naming the first bad index; store `inv`, `element_orders`
+        and `generators`."""
         t = self.table
         n = self.order
         idperm = np.arange(n, dtype=np.int32)
@@ -101,6 +101,9 @@ class FiniteGroup:
         if bad.size:
             raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
         self.inv.setflags(write=False)
+        # the power walk ends on any Latin square with an identity: right
+        # multiplication by a is a permutation, so the orbit of 0 is a cycle
+        self.element_orders = self._compute_element_orders()
         # Light's test: if (x g) y = x (g y) for all x, y and every g in a
         # generating set, the elements g with that property are closed
         # under products, so the table is associative.
@@ -223,12 +226,13 @@ class Subgroup:
 
 def _subgroup_generators(G, members):
     """Greedy generators of the subgroup of G with the given members: each
-    is the smallest member outside the closure of those before it."""
+    is the member of largest order outside the closure of those before
+    it, the smallest such index on ties."""
     gens = []
     closed = {0}
     remaining = set(members)
     while closed != remaining:
-        g = min(remaining - closed)
+        g = max(sorted(remaining - closed), key=G.element_orders.__getitem__)
         gens.append(g)
         closed = G._closure_members(closed | {g})
     return gens

@@ -5,7 +5,12 @@ up into the center of ZG.
 Every unit is a `Unit`: its value together with its integral inverse.
 Bass units and generalized Bass units get their inverses in closed form,
 u_{k,m}(g)^-1 = u_{k',m}(g^k) with k k' = 1 mod |g|, checked by an exact
-product in Z[x]/(x^|g| - 1); no inverse is ever solved for.
+product in Z[x]/(x^|g| - 1); no inverse is ever solved for.  One kernel,
+`_cyclic_convolve`, multiplies in Z[x]/(x^d - 1), on int64 rows or on
+exact rows of Python ints.  A generalized Bass unit for a normal M is
+computed in one ring, Z<gM> = Z[x]/(x^e - 1) with e the order of gM:
+the rows of u_{k,m}(g) and its inverse are folded once by residues mod
+e, n_b is walked there mod |M|, and the exact power is taken there too.
 
 The z-construction walks a strong inductive chain, conjugate-averaging
 over the level centralizers; the c-construction walks a subnormal series,
@@ -64,37 +69,37 @@ def validate_bass_spec(G, spec):
 
 
 def _cyclic_convolve(a, b, d):
-    out = [0] * d
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % d] += x * y
+    """a * b in Z[x]/(x^d - 1) for rows of length d: one full product,
+    its tail folded back onto the head.  int64 rows stay int64, object
+    rows of Python ints stay exact."""
+    full = np.convolve(a, b)
+    out = full[:d].copy()
+    out[: d - 1] += full[d:]
     return out
 
 
-def _cyclic_power(a, e, d):
-    """a^e in Z[x]/(x^d - 1), by repeated squaring."""
-    acc = [0] * d
-    acc[0] = 1
-    while e:
-        if e & 1:
-            acc = _cyclic_convolve(acc, a, d)
-        e >>= 1
-        if e:
-            a = _cyclic_convolve(a, a, d)
-    return acc
+def _cyclic_power(a, n, d):
+    """a^n in Z[x]/(x^d - 1) for n >= 1, by repeated squaring from the
+    lowest set bit of n."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = a if acc is None else _cyclic_convolve(acc, a, d)
+        n >>= 1
+        if not n:
+            return acc
+        a = _cyclic_convolve(a, a, d)
 
 
 @lru_cache(maxsize=None)
 def _bass_coeffs(d, k, m):
     """Coefficients of (1 + x + ... + x^(k-1))^m + ((1 - k^m)/d) (1 + ... +
-    x^(d-1)) in Z[x]/(x^d - 1).  The unit only depends on g through d."""
-    geo = [0] * d
-    for i in range(k):
-        geo[i % d] += 1
-    corr = (1 - k**m) // d
-    return tuple(a + corr for a in _cyclic_power(geo, m, d))
+    x^(d-1)) in Z[x]/(x^d - 1), an object row of Python ints.  The unit
+    only depends on g through d."""
+    geo = np.bincount(np.arange(k) % d, minlength=d).astype(object)
+    out = _cyclic_power(geo, m, d) + (1 - k**m) // d
+    out.setflags(write=False)  # cached
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -102,14 +107,13 @@ def _bass_inverse_coeffs(d, k, m):
     """Coefficients (along powers of x) of the inverse u_{k', m} taken at
     x^k, where k k' = 1 mod d; verified by an exact convolution."""
     k_inv = pow(k, -1, d) if d > 1 else 1
-    vk = _bass_coeffs(d, k_inv, m)
-    v = [0] * d
-    for i, c in enumerate(vk):
-        v[(k * i) % d] += c
+    v = np.zeros(d, dtype=object)
+    v[(k * np.arange(d)) % d] = _bass_coeffs(d, k_inv, m)
     prod = _cyclic_convolve(_bass_coeffs(d, k, m), v, d)
-    if prod[0] != 1 or any(prod[1:]):
+    if prod[0] != 1 or prod[1:].any():
         raise NotInvertible("closed-form Bass inverse identity failed")
-    return tuple(v)
+    v.setflags(write=False)  # cached
+    return v
 
 
 def _place_on_powers(G, g, coeffs):
@@ -166,18 +170,6 @@ def bass_specs_for(G, g):
 GEN_BASS_CAP = 10**4
 
 
-def _integral_over(coeffs, e, order):
-    """Whether 1 - hat(M) + x hat(M) is integral for x = sum c_i g^i, given
-    its coefficients mod |M| = `order` and e the order of gM in G/M: g^i
-    and g^j lie in one coset of M exactly when i = j mod e, so each coset
-    sum of x - 1 must vanish mod |M|."""
-    sums = [0] * e
-    for i, c in enumerate(coeffs):
-        sums[i % e] += c
-    sums[0] -= 1
-    return all(s % order == 0 for s in sums)
-
-
 def gen_bass_unit(G, g, M, k, m):
     """The generalized Bass unit 1 - hat(M) + u_{k, m n_b}(g) hat(M) of ZG,
     with n_b the least n for which the n-th power of 1 - hat(M) +
@@ -185,9 +177,14 @@ def gen_bass_unit(G, g, M, k, m):
 
     M is normal, so hat(M) is a central idempotent and that power is
     1 - hat(M) + u_{k,m}(g)^n hat(M), with u_{k,m}^n = u_{k,mn}; its
-    inverse puts u_{k,m}(g)^-n in the same place.  n_b is found from the
-    rows of u_{k,m}^n and u_{k,m}^-n in Z[x]/(x^|g| - 1), walked mod |M|,
-    and only the unit itself is built in QG.
+    inverse puts u_{k,m}(g)^-n in the same place.  All of it lives in
+    one ring, Z<gM> = Z[x]/(x^e - 1) with e the order of gM in G/M:
+    g^i hat(M) = g^j hat(M) exactly when i = j mod e, and e divides |g|,
+    so folding a row of Z[x]/(x^|g| - 1) by residues mod e is a ring
+    homomorphism.  The rows of u_{k,m}(g) and of its inverse are folded
+    once; n_b is the least n at which both folded n-th powers are
+    (1, 0, ..., 0) mod |M|, walked in int64 mod |M|, and the unit is the
+    exact folded power placed on g^0 ... g^(e-1) times hat(M).
     """
     if not is_normal(M, G.whole()):
         raise NotNormal("M must be normal in G")
@@ -197,21 +194,24 @@ def gen_bass_unit(G, g, M, k, m):
     while x not in M.members:
         x = G.mul(x, g)
         e += 1
-    rows = (_bass_coeffs(d, k, m), _bass_inverse_coeffs(d, k, m))
-    steps = [[c % M.order for c in row] for row in rows]
+    rows = [
+        row.reshape(d // e, e).sum(axis=0)
+        for row in (_bass_coeffs(d, k, m), _bass_inverse_coeffs(d, k, m))
+    ]
+    # entries stay below |M| <= MAX_ORDER, so every product sum fits in int64
+    steps = [(row % M.order).astype(np.int64) for row in rows]
+    target = np.zeros(e, dtype=np.int64)
+    target[0] = 1 % M.order
     powers = steps
     for n in range(1, GEN_BASS_CAP + 1):
-        if all(_integral_over(p, e, M.order) for p in powers):
+        if all(np.array_equal(p, target) for p in powers):
             break
-        powers = [
-            [c % M.order for c in _cyclic_convolve(p, step, d)]
-            for p, step in zip(powers, steps)
-        ]
+        powers = [_cyclic_convolve(p, s, e) % M.order for p, s in zip(powers, steps)]
     else:
         raise InternalBoundExceeded(f"no unit power found within {GEN_BASS_CAP} steps")
     one, hm = QGElement.one(G), hat(M)
     value, inverse = (
-        one - hm + mul(_place_on_powers(G, g, _cyclic_power(row, n, d)), hm)
+        one - hm + mul(_place_on_powers(G, g, _cyclic_power(row, n, e)), hm)
         for row in rows
     )
     if not (value.is_integral() and inverse.is_integral()):
@@ -249,9 +249,8 @@ def _require_central_unit_of_subring(u, H):
             )
         if not v.is_integral():
             raise PreconditionFailed(f"{label} has non-integer coefficients")
-    for h in H.gens or [0]:
-        if u.value.conj(h) != u.value:
-            raise PreconditionFailed("u is not central in the base subring")
+    if not is_central(u.value, H):
+        raise PreconditionFailed("u is not central in the base subring")
     if mul(u.value, u.inverse) != QGElement.one(H.parent):
         raise PreconditionFailed("u times its carried inverse is not 1")
 
@@ -301,7 +300,7 @@ def z_central_unit(u, pair):
     z, zinv = u.value, u.inverse
     for i in range(pair.chain.length):
         base = pair.chain.steps[i]
-        if any(z.conj(h) != z for h in base.gens or [0]):
+        if not is_central(z, base):
             raise PreconditionFailed("intermediate value lost centrality")
         reps = pair.chain.inner_transversals[i]
         inner = _conjugate_product(z**base.order, zinv**base.order, reps)

@@ -23,7 +23,8 @@ the representation that `zgcentral.groupalgebra` used before its
 own, with a projection map, the way `zgcentral` did before it read the
 cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
-quotient, the formula `zgcentral` used before its Ramanujan-sum gather.
+quotient, the formula `zgcentral` used before its Ramanujan-sum gather;
+the chain oracles start from it.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
 The chain-search oracle lists the overgroups of each subgroup it visits
@@ -40,7 +41,9 @@ the quotient, coset-log, Shoda-test and chain oracles all use it.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
-closed form.  `shoda_pair_candidates` gives every Shoda pair: it runs
+closed form.  `cyclic_convolve` is the schoolbook product in
+Z[x]/(x^d - 1) that `zgcentral` ran before its `np.convolve` kernel.
+`shoda_pair_candidates` gives every Shoda pair: it runs
 `zgcentral`'s Shoda test on every K <= H of the whole lattice, the
 enumeration `zgcentral` ran before it kept one H above Z(G) per
 conjugacy class, and the tests that need every pair read it.  `inverse` here is the only inversion left anywhere: it
@@ -91,7 +94,6 @@ from zgcentral.errors import (
     ZgError,
 )
 from zgcentral.groupalgebra import QGElement, hat
-from zgcentral.groupalgebra import epsilon as qg_epsilon
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     MAX_ORDER,
@@ -401,7 +403,7 @@ def verify_chain(G, H, K, steps):
     """The chain through `steps` with its centralizers, indices and top
     when every level passes `level_check`, e_0 = epsilon(H, K), else
     None; transversals are left empty."""
-    chain = shoda.StrongInductiveChain(steps=list(steps), top=qg_epsilon(H, K))
+    chain = shoda.StrongInductiveChain(steps=list(steps), top=epsilon(H, K))
     for Hi, Hnext in zip(steps, steps[1:]):
         level = level_check(Hi, Hnext, chain.top)
         if level is None:
@@ -452,7 +454,7 @@ def find_strong_inductive_chain(G, H, K):
         dead.add(cur.members)
         return None
 
-    steps = dfs([H], qg_epsilon(H, K))
+    steps = dfs([H], epsilon(H, K))
     return None if steps is None else verify_chain(G, H, K, steps)
 
 
@@ -1110,6 +1112,18 @@ def log_rank_witness(G, units, pairs):
 
 
 # -- generalized Bass units by powers ----------------------------------------------
+
+
+def cyclic_convolve(a, b, d):
+    """a * b in Z[x]/(x^d - 1), one product per pair of nonzero entries."""
+    out = [0] * d
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % d] += x * y
+    return out
+
 
 
 def gen_bass_unit(G, g, M, k, m, cap):

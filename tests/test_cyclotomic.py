@@ -3,6 +3,7 @@ the test oracles (Galois action, realness, embeddings) that checks them."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,20 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+@pytest.mark.parametrize("ns", [range(1, 1001), [105, 385, 1155, 2048]])
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1(ns):
+    """Phi_n is monic of degree phi(n), and the product of Phi_d over the
+    divisors d of n is x^n - 1, multiplied out in Python ints."""
+    for n in ns:
+        assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+        assert cyclotomic_polynomial(n)[-1] == 1
+        prod = np.ones(1, dtype=object)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = np.convolve(prod, np.array(cyclotomic_polynomial(d), dtype=object))
+        assert prod.tolist() == [-1] + [0] * (n - 1) + [1]
 
 
 def test_galois_identity_and_conjugation():

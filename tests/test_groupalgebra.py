@@ -13,13 +13,7 @@ from oracles import e_sum_conjugates
 
 from zgcentral import groupalgebra
 from zgcentral.catalog import cyclic, get_group, symmetric
-from zgcentral.errors import (
-    GroupMismatch,
-    NotCentral,
-    NotIdempotent,
-    NotNormal,
-    NotSubgroup,
-)
+from zgcentral.errors import GroupMismatch, NotCentral, NotIdempotent
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
     QGElement,
@@ -31,7 +25,9 @@ from zgcentral.groupalgebra import (
 )
 from zgcentral.groups import (
     Subgroup,
+    all_subgroups,
     conjugacy_partition,
+    cyclic_coset_log,
     subgroup_closure,
 )
 from zgcentral.rank import verify_center_degree
@@ -40,6 +36,11 @@ from zgcentral.shoda import complete_irredundant_set, pci, shoda_character
 
 def elem(G, g):
     return QGElement.element(G, g)
+
+
+def eps(H, K):
+    """epsilon(H, K) at the coset log of a normal K with H/K cyclic."""
+    return epsilon(H, K, cyclic_coset_log(H, K))
 
 
 # -- hat and epsilon -----------------------------------------------------------
@@ -67,32 +68,22 @@ def test_hat_absorption(s3):
 
 def test_epsilon_h_equals_k(c4):
     H = c4.whole()
-    assert epsilon(H, H) == hat(H)
+    assert eps(H, H) == hat(H)
 
 
 def test_epsilon_c4():
     C4 = cyclic(4)
     g = next(x for x in range(4) if C4.element_orders[x] == 4)
     g2 = C4.mul(g, g)
-    eps = epsilon(C4.whole(), Subgroup(C4, {0}))
+    e = eps(C4.whole(), Subgroup(C4, {0}))
     expected = QGElement.one(C4) - hat(Subgroup(C4, {0, g2}))
-    assert eps == expected
-    assert oracles.is_idempotent(eps)
+    assert e == expected
+    assert oracles.is_idempotent(e)
 
 
 def test_epsilon_a3_in_s3(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    eps = epsilon(A3, Subgroup(s3, {0}))
-    assert eps == QGElement.one(s3) - hat(A3)
-
-
-def test_epsilon_requires_normal(s3):
-    refl = next(g for g in range(6) if s3.element_orders[g] == 2)
-    with pytest.raises(NotNormal):
-        epsilon(s3.whole(), subgroup_closure(s3, [refl]))
-    A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    with pytest.raises(NotSubgroup):
-        epsilon(A3, subgroup_closure(s3, [refl]))
+    assert eps(A3, Subgroup(s3, {0})) == QGElement.one(s3) - hat(A3)
 
 
 def test_e_sum_conjugates_s3(s3):
@@ -103,13 +94,13 @@ def test_e_sum_conjugates_s3(s3):
 
 def test_e_sum_conjugates_abelian(c4):
     K = Subgroup(c4, {0})
-    assert e_sum_conjugates(c4.whole(), c4.whole(), K) == epsilon(c4.whole(), K)
+    assert e_sum_conjugates(c4.whole(), c4.whole(), K) == eps(c4.whole(), K)
 
 
 def test_orthogonality_c4():
     C4 = cyclic(4)
-    eps = epsilon(C4.whole(), Subgroup(C4, {0}))
-    assert mul(eps, hat(C4.whole())).is_zero()
+    e = eps(C4.whole(), Subgroup(C4, {0}))
+    assert mul(e, hat(C4.whole())).is_zero()
 
 
 # -- ring operations -----------------------------------------------------------
@@ -182,8 +173,7 @@ def test_center_component_dims():
     assert center_component_dim(hat(S3.whole())) == 1
     A3 = subgroup_closure(S3, [S3.element_orders.index(3)])
     assert center_component_dim(QGElement.one(S3) - hat(A3)) == 1
-    eps = epsilon(C4.whole(), Subgroup(C4, {0}))
-    assert center_component_dim(eps) == 2  # the component is an imaginary quadratic field
+    assert center_component_dim(eps(C4.whole(), Subgroup(C4, {0}))) == 2  # the component is an imaginary quadratic field
 
 
 def test_center_dims_and_component_counts():
@@ -466,6 +456,21 @@ def test_is_central_matches_oracle_conj(name, data):
     a = draw_element(data, G)
     da = oracles.as_dict(a)
     assert is_central(a) == all(oracles.conj(G, da, g) == da for g in range(G.order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_is_central_in_a_subgroup_matches_oracle_conj(name, data):
+    """is_central(a, S) reads S's generators only; the trivial subgroup,
+    with none, fixes everything.  Half the draws are summed over their
+    S-conjugates, so both outcomes are drawn."""
+    G = CORPUS_GROUPS[name]
+    S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
+    a = draw_element(data, G)
+    if data.draw(st.booleans(), label="S-invariant"):
+        a = sum((a.conj(s) for s in S.members), QGElement.zero(G))
+    da = oracles.as_dict(a)
+    assert is_central(a, S) == all(oracles.conj(G, da, s) == da for s in S.members)
 
 
 def test_int64_bound_edge():

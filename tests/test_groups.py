@@ -117,6 +117,35 @@ def test_construction_computes_generators_once(s3, monkeypatch):
     assert len(calls) == 1
 
 
+def test_generators_take_the_largest_order_first():
+    """Each generator is the element of largest order outside the closure
+    of those before it, the smallest index on ties.  No catalog group
+    gets more generators than by smallest index first (134 -> 129 over
+    the catalog), and a pc group keeps only the pc generators that a
+    larger order does not cover: C2048 from eleven order-2 pc generators
+    gets one."""
+    counts = {}
+    for entry in catalog():
+        G = entry.constructor()
+        closed = {0}
+        for g in G.generators if G.order > 1 else []:  # the trivial group: [0]
+            outside = [x for x in range(G.order) if x not in closed]
+            top = max(G.element_orders[x] for x in outside)
+            assert g == next(x for x in outside if G.element_orders[x] == top)
+            closed = G._closure_members(closed | {g})
+        assert len(closed) == G.order
+        smallest_first, closed = 0, {0}
+        while len(closed) < G.order:
+            closed = G._closure_members(closed | {min(set(range(G.order)) - closed)})
+            smallest_first += 1
+        assert len(G.generators) <= max(smallest_first, 1)
+        counts[entry.name] = len(G.generators)
+    assert [counts[n] for n in ("Q8", "Q16", "paper-1000-86")] == [2, 2, 4]
+    assert sum(counts.values()) == 129
+    C = group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
+    assert [C.element_orders[g] for g in C.generators] == [groups.MAX_ORDER]
+
+
 def test_perm_s3():
     gens = [perm_from_cycles(3, [[1, 2]]), perm_from_cycles(3, [[1, 2, 3]])]
     G = group_from_permutations(3, gens)

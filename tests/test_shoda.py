@@ -159,7 +159,7 @@ def check_against_oracles(G, H, K):
     """The coset kernel and its callers agree with the quotient oracles on
     (H, K); returns whether H/K is cyclic.  A Shoda pair's character holds
     the kernel's coset log, the transversal `right_transversal` finds and
-    epsilon(H, K); any other pair is refused."""
+    epsilon(H, K) at that log; any other pair is refused."""
     log = cyclic_coset_log(H, K)
     expected = oracles.coset_log(H, K)
     assert (log is None) == (expected is None)
@@ -167,11 +167,8 @@ def check_against_oracles(G, H, K):
         assert log.dtype.kind == "i"
         assert {h: int(log[h]) for h in H.members} == expected
         assert all(log[g] == -1 for g in range(G.order) if g not in H.members)
-    if log is None:
-        with pytest.raises(NotShodaPair):
-            epsilon(H, K)
-    else:
-        assert epsilon(H, K) == oracles.epsilon(H, K)
+    if log is not None:
+        assert epsilon(H, K, log) == oracles.epsilon(H, K)
     is_shoda = oracles.is_shoda_pair(G, H, K)
     assert is_shoda_pair(G, H, K) == is_shoda
     if is_shoda:
@@ -179,7 +176,7 @@ def check_against_oracles(G, H, K):
         assert lam.order == H.order // K.order
         assert np.array_equal(lam.coset_log, log)
         assert lam.transversal.tolist() == right_transversal(H, G.whole())
-        assert lam.epsilon == epsilon(H, K)
+        assert lam.epsilon == epsilon(H, K, log)
     else:
         with pytest.raises(NotShodaPair):
             shoda_character(H, K)
@@ -201,10 +198,11 @@ def test_coset_kernel_matches_oracles_on_paper_pairs(paper1000):
 
 
 @pytest.mark.parametrize("name", ["Q8", "E4"])
-def test_epsilon_rejects_non_cyclic_quotient(name):
+def test_non_cyclic_quotient_has_no_coset_log_or_character(name):
     G = get_group(name)
+    assert cyclic_coset_log(G.whole(), triv(G)) is None
     with pytest.raises(NotShodaPair):
-        epsilon(G.whole(), triv(G))
+        shoda_character(G.whole(), triv(G))
 
 
 # -- primitive central idempotents ---------------------------------------------

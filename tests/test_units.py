@@ -3,11 +3,15 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zgcentral import groupalgebra, groups, units
 from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
@@ -18,7 +22,7 @@ from zgcentral.errors import (
     NotNormal,
     PreconditionFailed,
 )
-from zgcentral.groupalgebra import QGElement, is_central, mul
+from zgcentral.groupalgebra import QGElement, hat, is_central, mul
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
@@ -40,7 +44,7 @@ from zgcentral.units import (
     random_right_transversal,
     z_central_unit,
 )
-from zgcentral.units import _ordered_product
+from zgcentral.units import _cyclic_convolve, _cyclic_power, _ordered_product
 
 
 def assert_central_unit(cu):
@@ -74,6 +78,30 @@ def cyclic_poly_oracle(n, k, m):
         acc = nxt
     corr = (1 - k**m) // n
     return [a + corr for a in acc]
+
+
+# -- the product kernel of Z[x]/(x^d - 1) ---------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cyclic_convolve_matches_schoolbook(data):
+    """One kernel for both dtypes: int64 rows stay int64, object rows of
+    Python ints stay exact, and both equal the schoolbook product, for d
+    from 1; powers equal repeated schoolbook products."""
+    d = data.draw(st.integers(1, 40), label="d")
+    exact = data.draw(st.booleans(), label="object rows")
+    dtype, bound = (object, 2**200) if exact else (np.int64, 2**20)
+    row = st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
+    a, b = data.draw(row, label="a"), data.draw(row, label="b")
+    got = _cyclic_convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype), d)
+    assert got.dtype == dtype
+    assert got.tolist() == oracles.cyclic_convolve(a, b, d)
+    n = data.draw(st.integers(1, 5), label="n")
+    want = a
+    for _ in range(n - 1):
+        want = oracles.cyclic_convolve(want, a, d)
+    assert _cyclic_power(np.array(a, dtype=object), n, d).tolist() == want
 
 
 # -- Bass units ----------------------------------------------------------------
@@ -203,8 +231,9 @@ def test_gen_bass_requires_normal_m(s3):
 
 
 def test_gen_bass_matches_powers_on_catalog():
-    # every catalog group of order <= 40 but C38, whose n_b of 9709 makes
-    # coefficients of 10^5 digits; the powers are walked up to n = 40
+    # every catalog group of order <= 40, the powers walked up to n = 40;
+    # C38's n_b of 9709 puts the QG-power oracle out of reach, and
+    # test_gen_bass_c38_within_a_minute checks its unit on its own
     cases, beyond = 0, 0
     for entry in catalog():
         G = entry.constructor()
@@ -228,6 +257,33 @@ def test_gen_bass_matches_powers_on_catalog():
                     assert gb.inputs == {"spec": spec, "M": M, "n_b": n_b}
                     assert (gb.value, gb.inverse) == (value, inverse)
     assert (cases, beyond) == (7492, 154)
+
+
+def test_gen_bass_c38_within_a_minute():
+    """C38's unit for (k, m) = (3, 18) and |M| = 2: n_b = 9709 and
+    coefficients of 267 712 bits, built in Z[x]/(x^19 - 1) within 60 s,
+    and integral.  value * inverse = 1 is checked on the two factors of
+    QG = QG(1 - hat(M)) x Q[G/M]: both are 1 - hat(M) on the first, one
+    product by hat(M) each, and their images in Z[G/M] = Z[x]/(x^19 - 1)
+    multiply to 1 by one exact schoolbook product, 19^2 big-integer
+    products where the product in QG makes 38^2."""
+    G = get_group("C38")
+    M = next(M for M in all_subgroups(G) if M.order == 2)
+    start = time.perf_counter()
+    gb = gen_bass_unit(G, 1, M, 3, 18)
+    elapsed = time.perf_counter() - start
+    assert gb.inputs["n_b"] == 9709
+    assert elapsed < 60, f"{elapsed:.1f} s"
+    assert gb.value.is_integral() and gb.inverse.is_integral()
+    hm = hat(M)
+    images = []
+    for v in (gb.value, gb.inverse):
+        assert v - mul(hm, v) == QGElement.one(G) - hm
+        row = [0] * 19
+        for i in range(G.order):
+            row[i % 19] += int(v.vec[G.power(1, i)])
+        images.append(row)
+    assert oracles.cyclic_convolve(*images, 19) == [1] + [0] * 18
 
 
 def test_gen_bass_paper_1000(paper1000):
