@@ -10,7 +10,8 @@ The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
 the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
 only on the coset St, so the conjugates of a under N >= S are a^t over a
-right transversal of S in N (`shoda._climb`).
+right transversal of S in N (`shoda._climb`), all read off one blocked
+gather with their inner products <a, a^t> (`conjugate_gram`).
 
 Products are one convolution kernel (`_convolve`), which gives a * b at
 all of G (`mul`) or only at chosen elements.  For a central idempotent
@@ -220,6 +221,30 @@ class QGElement:
         G = self.group
         t = G.table
         return QGElement._of(G, self.den, self.vec[t[t[g], G.inv[g]]])
+
+
+def conjugate_gram(a, ts):
+    """(g, s) on a's numerators v, with v^t those of a^t for t = ts[j]:
+    g[j] = <v, v^t>, the sum over y of v[y] v^t[y], and s is the sum of
+    the v^t.
+
+    v^t at y is v at t y t^-1, gathered for at most _GATHER_BLOCK entries
+    at a time: in int64 while max|v|^2 |G| bounds every sum, else in
+    Python ints."""
+    G = a.group
+    t = G.table
+    ts = np.asarray(ts, dtype=np.intp)
+    dtype = np.int64 if _maxabs(a.vec) ** 2 * G.order < _INT64_BOUND else object
+    v = a.vec.astype(dtype, copy=False)
+    gram = np.zeros(ts.size, dtype=dtype)
+    total = np.zeros(G.order, dtype=dtype)
+    rows = max(1, _GATHER_BLOCK // G.order)
+    for j in range(0, ts.size, rows):
+        block = ts[j : j + rows]
+        conj = v[t[t[block], G.inv[block][:, None]]]
+        gram[j : j + rows] = conj @ v
+        total += conj.sum(axis=0)
+    return gram, total
 
 
 def _convolve(a, b, cols=None):

@@ -9,9 +9,15 @@ of the rational group algebra.  The Shoda test is the one way in: it
 builds the pair's linear character (`shoda_character`) from its own
 coset log and H's coset representatives, and the idempotent, the chains
 and epsilon(H, K) all take that character.  The enumerated pairs have H
-above Z(G), one H per conjugacy class.  A chain carries its idempotent
-e_i, and each level reads e_i's conjugates off one right transversal of
-the step below, which also yields the centralizer and its transversal.
+above Z(G), one H per conjugacy class, and only the K that hold the
+commutators of H's generators with [H:K] dividing exp(H) are tested.  A
+chain carries its idempotent e_i, and each level reads e_i's conjugates
+off one right transversal of the step below, which also yields the
+centralizer and its transversal.  Every e_i is a self-adjoint
+idempotent (its coefficients at g and g^-1 agree), so the trace form
+<a, b>, the coefficient of 1 in a b*, decides a level with no QG
+product: e_i^t = e_i exactly when <e_i, e_i^t> = <e_i, e_i>, and
+e_i e_i^t = 0 exactly when <e_i, e_i^t> = 0 (`_climb`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from .errors import NotNormal, NotShodaPair, NotSubgroup
-from .groupalgebra import QGElement, epsilon, mul
+from .groupalgebra import QGElement, conjugate_gram, epsilon
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
@@ -235,34 +241,47 @@ def _climb(chain, nxt):
     condition fails: H_i <= nxt, H_i normal in cen, the centralizer of
     e_i = chain.top in nxt, and e_i orthogonal to its other conjugates.
 
-    H_i fixes e_i, so e_i^t depends only on the coset H_i t, and cen is
-    the union of the cosets whose representative t fixes e_i.  Listed in
-    increasing order, the first t of each distinct conjugate is the
-    least element of its coset of cen: a right transversal of cen.  The t
-    fixing e_i are the least elements of the cosets of H_i in cen, the
-    right transversal of H_i in cen that `right_transversal` lists.
+    H_i fixes e_i, so e_i^t depends only on the coset H_i t, t in the
+    right transversal T of H_i in nxt.  e_i is a self-adjoint idempotent
+    (e* = e, with g* = g^-1): epsilon(H, K) is, as c_n(-x) = c_n(x), and
+    conjugates and sums of orthogonal ones stay so.  With
+    g_t = <e_i, e_i^t>, the sum over y of their coefficients at y:
+    - the conjugates all have e_i's norm, so e_i^t = e_i exactly when
+      g_t = <e_i, e_i> (Cauchy-Schwarz);
+    - for d = e_i^t the coefficient of 1 in (e_i d)(e_i d)* = e_i d e_i
+      is g_t, so e_i d = 0 exactly when g_t = 0.
+    So one gather of the conjugates and one matrix-vector product decide
+    the level, and no QG product is taken.  cen is the union of the
+    cosets H_i t whose t fixes e_i; those t are the least elements of the
+    cosets of H_i in cen, `right_transversal(H_i, cen)`.  Each distinct
+    conjugate is e_i^t for [cen:H_i] of the t, so e_(i+1) is the sum
+    over T divided by that index.  A level with H_i = nxt has index 1.
     """
     Hi, ei = chain.steps[-1], chain.top
     if not Hi <= nxt:
         return None
-    conjugates = {}
-    for t in right_transversal(Hi, nxt):
-        conjugates.setdefault(ei.conj(t), []).append(t)
-    # t = 0 comes first: the first conjugate is e_i, with the t fixing it
-    (_, fixing), *others = conjugates.items()
-    G = ei.group
-    hs = np.array(Hi.sorted_members, dtype=np.intp)
-    members = G.table[np.ix_(hs, fixing)].ravel().tolist()
-    cen = Subgroup(G, members, gens=Hi.gens + fixing[1:])
-    if not is_normal(Hi, cen):
-        return None
-    if any(not mul(ei, d).is_zero() for d, _ in others):
-        return None
+    if Hi.order == nxt.order:
+        fixing, cen, top, transversal = [0], Hi, ei, [0]
+    else:
+        T = right_transversal(Hi, nxt)
+        gram, total = conjugate_gram(ei, T)
+        fixed = gram == gram[0]  # T[0] = 0: g_0 = <e_i, e_i>
+        if gram[~fixed].any():
+            return None
+        fixing = [t for t, f in zip(T, fixed.tolist()) if f]
+        G = ei.group
+        hs = np.array(Hi.sorted_members, dtype=np.intp)
+        members = G.table[np.ix_(hs, fixing)].ravel().tolist()
+        cen = Subgroup(G, members, gens=Hi.gens + fixing[1:])
+        if not is_normal(Hi, cen):
+            return None
+        top = QGElement.from_vec(G, total, den=ei.den * len(fixing))
+        transversal = right_transversal(cen, nxt)
     return StrongInductiveChain(
         steps=chain.steps + [nxt],
-        top=sum(conjugates, QGElement.zero(G)),
+        top=top,
         centralizers=chain.centralizers + [cen],
-        transversals=chain.transversals + [[ts[0] for ts in conjugates.values()]],
+        transversals=chain.transversals + [transversal],
         inner_transversals=chain.inner_transversals + [fixing],
         indices=chain.indices + [len(fixing)],
     )
@@ -387,19 +406,29 @@ def shoda_pair_candidates(G):
     commutator [h, z] = 1 lies in K, so the test fails at z.  A conjugate
     pair (H^g, K^g) realizes the same idempotent (Olivieri-del Rio-Simon,
     Comm. Algebra 32 (2004)) and comes later in lattice order, so the
-    first pair of each idempotent is among those returned.
+    first pair of each idempotent is among those returned.  H/K cyclic
+    needs K normal in H with H/K abelian, so K holds the commutator of
+    every two generators of H, and [H:K] divides the exponent of H; only
+    the K that pass both take the Shoda test, which still decides.
     """
     subgroups = all_subgroups(G)
     z = center(G)
+    t = G.table
+    orders = np.array(G.element_orders)
     seen = set()
     out = []
     for H in subgroups:
         if H.members in seen or not z <= H.members:
             continue
         seen |= conjugates(H)
+        exponent = int(np.lcm.reduce(orders[list(H.sorted_members)]))
+        # [a, b] = (b a)^-1 (a b) for every pair of H's generators
+        a = np.array(H.gens, dtype=np.intp)
+        ab = t[np.ix_(a, a)]
+        commutators = frozenset(t[G.inv[ab.T], ab].ravel().tolist())
         cosets = _coset_conjugates(H)  # shared by every K below H
         for K in subgroups:
-            if K.members <= H.members:
+            if commutators <= K.members <= H.members and exponent % (H.order // K.order) == 0:
                 lam = _shoda_character(H, K, cosets)
                 if lam is not None:
                     out.append(lam)

@@ -11,7 +11,7 @@ import pytest
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
-from zgcentral import groups, shoda
+from zgcentral import groupalgebra, groups, shoda
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
 from zgcentral.errors import CapExceeded, NotShodaPair
@@ -242,16 +242,19 @@ def test_pci_matches_oracle_on_paper_pairs(paper1000):
 
 def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
     """The normalizer |S| comes from the class power map, not from a QG
-    product: with `mul` unavailable to shoda, pci still matches."""
+    product: with the convolution kernel that every QG product takes
+    unavailable, pci still matches."""
 
-    def no_mul(a, b):
+    def no_convolve(a, b, cols=None):
         raise AssertionError("pci multiplied in QG")
 
-    monkeypatch.setattr(shoda, "mul", no_mul)
     cases = [(s4, H, K) for H, K in oracles.shoda_pair_candidates(s4)]
     cases += [(paper1000, H, K) for H, K in paper9_pairs(paper1000)]
-    for G, H, K in cases:
-        assert pair_pci(H, K) == oracles.pci(G, H, K), (G.order, H.order, K.order)
+    monkeypatch.setattr(groupalgebra, "_convolve", no_convolve)
+    got = [pair_pci(H, K) for _, H, K in cases]
+    monkeypatch.undo()  # the oracle multiplies
+    for e, (G, H, K) in zip(got, cases):
+        assert e == oracles.pci(G, H, K), (G.order, H.order, K.order)
 
 
 def test_induced_value_matches_sum_over_group(s4):
@@ -371,10 +374,12 @@ def test_verify_chain_rejects_step_outside_the_next(s3):
 def test_level_check_matches_orbit_oracle(name):
     """_climb, reading the conjugates of e_i off one right transversal of
     Hi, equals the orbit-search oracle for each Shoda pair (each candidate
-    of the CORPUS groups, paper9.json's nine pairs) on every Hi < Hnext of
+    of the CORPUS groups, paper9.json's nine pairs) on every Hi <= Hnext of
     the lattice, above H for paper-1000-86, with e_i the sum of epsilon's
     Hi-orbit: the same centralizer (the per-element filter's), a
-    transversal of it, and the same new top, or both None."""
+    transversal of it, the transversal of Hi in it with its length as the
+    index, and the same new top, or both None.  Hi = Hnext is the
+    closed-form level of index 1."""
     G = get_group(name)
     subs = all_subgroups(G)
     pairs = paper9_pairs(G) if G.order > 100 else oracles.shoda_pair_candidates(G)
@@ -385,7 +390,7 @@ def test_level_check_matches_orbit_oracle(name):
             ei = e_sum_conjugates(Hi, H, K)
             root = shoda.StrongInductiveChain([Hi], top=ei)
             for Hnext in subs:
-                if not Hi < Hnext:
+                if not Hi <= Hnext:
                     continue
                 got = shoda._climb(root, Hnext)
                 want = oracles.level_check(Hi, Hnext, ei)
@@ -395,6 +400,9 @@ def test_level_check_matches_orbit_oracle(name):
                     cen, top = want
                     assert got.centralizers == [cen]
                     assert got.transversals == [right_transversal(cen, Hnext)]
+                    inner = right_transversal(Hi, cen)
+                    assert got.inner_transversals == [inner]
+                    assert got.indices == [len(inner)] == [cen.order // Hi.order]
                     assert got.top == top
     # every level of an abelian group passes
     abelian = np.array_equal(G.table, G.table.T)
@@ -445,6 +453,70 @@ def test_chain_carries_the_transversal_of_each_step_in_its_centralizer(name):
             assert len(reps) == cen.order // Hi.order
         assert chain.indices == [len(reps) for reps in chain.inner_transversals]
     assert levels
+
+
+def _self_adjoint(e):
+    """e* = e, with g* = g^-1: the coefficient at g equals that at g^-1."""
+    return np.array_equal(e.vec[e.group.inv], e.vec)
+
+
+def test_chain_idempotents_are_self_adjoint():
+    """_climb's trace form needs every e_i self-adjoint: epsilon(H, K) of
+    every Shoda pair, and each level's e_i of every chain, rebuilt one
+    level at a time."""
+    levels = 0
+    for name, pairs in _chained_pairs():
+        G = pairs[0].H.parent
+        if name != "paper9.json":
+            assert all(_self_adjoint(lam.epsilon) for lam in shoda_pair_candidates(G))
+        for p in pairs:
+            chain = shoda._root(p.lam)
+            assert _self_adjoint(chain.top), (name, p.H.order, p.K.order)
+            for nxt in p.chain.steps[1:]:
+                chain = shoda._climb(chain, nxt)
+                assert _self_adjoint(chain.top), (name, p.H.order, p.K.order)
+                levels += 1
+    assert levels == 451
+
+
+@pytest.mark.parametrize("pair_file", [True, False])
+def test_chains_make_no_qg_product(paper1000, monkeypatch, pair_file):
+    """Each level reads e_i's conjugates off one gather and one
+    matrix-vector product: paper-1000-86's pairs, with paper9.json and
+    without a pair file, make no convolution at all."""
+    candidates = _paper9_candidates(paper1000) if pair_file else None
+    calls = []
+    convolve = groupalgebra._convolve
+
+    def counted(a, b, cols=None):
+        calls.append(1)
+        return convolve(a, b, cols)
+
+    monkeypatch.setattr(groupalgebra, "_convolve", counted)
+    pairs, complete = complete_irredundant_set(paper1000, candidates)
+    assert complete and len(pairs) == 9
+    assert sum(p.chain.length for p in pairs) > 9
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["D12", "S4", "paper-1000-86"])
+def test_chain_levels_agree_in_python_ints(name, monkeypatch):
+    """With groupalgebra's int64 bound at 1, every vector, and every
+    level's gather and Gram vector, is in Python ints, and every chain
+    comes out the same."""
+    G = get_group(name)
+    candidates = _paper9_candidates(G) if G.order > 100 else None
+
+    def chains():
+        pairs = complete_irredundant_set(G, candidates)[0]
+        return [
+            (c.steps, c.top, c.centralizers, c.transversals, c.inner_transversals, c.indices)
+            for c in (p.chain for p in pairs)
+        ]
+
+    want = chains()
+    monkeypatch.setattr(groupalgebra, "_INT64_BOUND", 1)
+    assert chains() == want
 
 
 def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
@@ -636,3 +708,33 @@ def test_classified_pairs_walk_no_coset_beyond_the_shoda_test(paper1000, monkeyp
     pairs, complete = complete_irredundant_set(paper1000, candidates)
     assert complete and len(pairs) == 9
     assert counts == {"logs": 9, "tests": 9}
+
+
+# the benchmark's catalog-sweep groups: orders 2-24, E25, D20-D25, C48-C60
+SWEEP = (
+    tuple(f"C{n}" for n in range(2, 25))
+    + tuple(f"D{n}" for n in range(3, 13))
+    + ("Q8", "Q16", "S3", "S4", "A4", "E4", "E8", "E9", "E25")
+    + tuple(f"D{n}" for n in range(20, 26))
+    + tuple(f"C{n}" for n in range(48, 61))
+)
+
+
+def test_k_filter_drops_no_shoda_pair(monkeypatch):
+    """Only the K that hold the commutators of H's generators, with [H:K]
+    dividing exp(H), take the Shoda test: 596 tests over the 61 sweep
+    groups, where every K <= H made 1251.  Each returned H keeps every
+    Shoda pair (H, K) of the unfiltered enumeration."""
+    groups_ = [get_group(name) for name in SWEEP]
+    counts = _counting_coset_logs(monkeypatch)
+    found = [shoda_pair_candidates(G) for G in groups_]
+    assert counts["tests"] == 596
+    monkeypatch.undo()
+    for G, lams in zip(groups_, found):
+        reps = {lam.H.members for lam in lams}
+        want = [
+            (H.members, K.members)
+            for H, K in oracles.shoda_pair_candidates(G)
+            if H.members in reps
+        ]
+        assert [(lam.H.members, lam.K.members) for lam in lams] == want
