@@ -25,6 +25,10 @@ cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather;
 the chain oracles start from it.
+`closure_members` is the breadth-first search over elements, one
+gather of the frontier times the seed per round, that `zgcentral` closed
+subgroups with before it extended them one seed element at a time, and
+`power` walks k table lookups where `zgcentral` squares.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
 The chain-search oracle lists the overgroups of each subgroup it visits
@@ -332,6 +336,32 @@ def element_orders(G):
             k += 1
         orders[a] = k
     return orders
+
+
+def power(G, a, k):
+    """a^k, one table lookup per factor."""
+    x = 0
+    for _ in range(k % G.element_orders[a]):
+        x = int(G.table[x, a])
+    return x
+
+
+def closure_members(G, seed):
+    """Member set of the subgroup generated by `seed`: a breadth-first
+    search from the identity under right multiplication by the seed, one
+    gather of the frontier rows and seed columns per round."""
+    t = G.table
+    gens = np.array(sorted({int(s) for s in seed} - {0}), dtype=np.intp)
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.zeros(G.order, dtype=bool)
+        reached[t[np.ix_(frontier, gens)]] = True
+        reached &= ~member
+        member |= reached
+        frontier = np.flatnonzero(reached)
+    return set(np.flatnonzero(member).tolist())
 
 
 # -- the subgroup lattice by closures ---------------------------------------------

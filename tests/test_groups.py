@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import time
+from functools import cache
 
 import numpy as np
 import oracles
@@ -56,6 +57,11 @@ def brute_force_subgroups(G, max_gens=3):
         for combo in itertools.combinations(range(G.order), r):
             found.add(subgroup_closure(G, list(combo)).members)
     return found
+
+
+def cyclic_2048():
+    """C2048 from eleven order-2 pc generators, x_i^2 = x_(i+1)."""
+    return group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
 
 
 # -- constructors --------------------------------------------------------------
@@ -132,17 +138,17 @@ def test_generators_take_the_largest_order_first():
             outside = [x for x in range(G.order) if x not in closed]
             top = max(G.element_orders[x] for x in outside)
             assert g == next(x for x in outside if G.element_orders[x] == top)
-            closed = G._closure_members(closed | {g})
+            closed = oracles.closure_members(G, closed | {g})
         assert len(closed) == G.order
         smallest_first, closed = 0, {0}
         while len(closed) < G.order:
-            closed = G._closure_members(closed | {min(set(range(G.order)) - closed)})
+            closed = oracles.closure_members(G, closed | {min(set(range(G.order)) - closed)})
             smallest_first += 1
         assert len(G.generators) <= max(smallest_first, 1)
         counts[entry.name] = len(G.generators)
     assert [counts[n] for n in ("Q8", "Q16", "paper-1000-86")] == [2, 2, 4]
     assert sum(counts.values()) == 129
-    C = group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
+    C = cyclic_2048()
     assert [C.element_orders[g] for g in C.generators] == [groups.MAX_ORDER]
 
 
@@ -361,7 +367,7 @@ def test_groups_at_max_order_build_quickly():
     assert time.perf_counter() - start < 60.0
     assert D.order == groups.MAX_ORDER and max(D.element_orders) == n
     start = time.perf_counter()
-    C = group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
+    C = cyclic_2048()
     assert time.perf_counter() - start < 60.0
     assert C.order == groups.MAX_ORDER and max(C.element_orders) == groups.MAX_ORDER
 
@@ -624,6 +630,10 @@ def test_subgroups_carry_generators():
     assert Subgroup(G, range(8)).gens == list(range(1, 8))
     assert Subgroup(G, {0}).gens == []
     assert subgroup_closure(G, [0, 3]).gens == [3]
+    # repeats are dropped, the first occurrence keeping its place
+    S4 = get_group("S4")
+    assert subgroup_closure(S4, [3, 3, 0, 3]).gens == [3]
+    assert subgroup_closure(S4, [5, 3, 5, 0, 3, 1]).gens == [5, 3, 1]
 
 
 # -- subnormality --------------------------------------------------------------
@@ -725,7 +735,7 @@ def test_closure_matches_pairwise_brute_force(name, data):
     G = CLOSURE_GROUPS[name]
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=4))
     seed.add(0)
-    members = G._closure_members(seed)
+    members, _ = G._closure_members(sorted(seed))
     assert members == pairwise_closure(G, seed)
     assert all(type(m) is int for m in members)
 
@@ -734,4 +744,84 @@ def test_closure_matches_pairwise_brute_force(name, data):
 @given(st.sets(st.integers(0, 999), min_size=1, max_size=2))
 def test_closure_matches_pairwise_brute_force_order_1000(paper1000, seed):
     seed.add(0)
-    assert paper1000._closure_members(seed) == pairwise_closure(paper1000, seed)
+    members, _ = paper1000._closure_members(sorted(seed))
+    assert members == pairwise_closure(paper1000, seed)
+
+
+# -- cyclic-extension closure against the breadth-first oracle -------------------
+
+
+@cache
+def extension_group(name):
+    """A catalog group, or D1024 (order 2048) built from permutations."""
+    return dihedral(1024) if name == "D1024" else get_group(name)
+
+
+EXTENSION_GROUPS = [name for name, _ in oracles.small_catalog()] + ["paper-1000-86", "D1024"]
+
+
+def check_closure(G, seed):
+    """The kernel's members equal the oracle's, as Python ints, and the
+    generators it kept come from the seed, at most log2 of the order of
+    them, and close to the same members."""
+    members, kept = G._closure_members(seed)
+    assert members == oracles.closure_members(G, seed)
+    assert all(type(m) is int for m in members)
+    assert set(kept) <= set(np.asarray(seed).tolist())
+    assert 2 ** len(kept) <= len(members)
+    assert G._closure_members(kept)[0] == members
+    return members
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(EXTENSION_GROUPS), st.data())
+def test_closure_matches_breadth_first_oracle(name, data):
+    """Random seeds of 1-6 elements, and every conjugate of a random
+    subgroup's generators, the seed a normal closure makes."""
+    G = extension_group(name)
+    elements = st.integers(0, G.order - 1)
+    seed = data.draw(st.lists(elements, min_size=1, max_size=6))
+    members = check_closure(G, seed)
+    if G.order <= 60:
+        assert members == pairwise_closure(G, {0, *seed})
+    S = subgroup_closure(G, data.draw(st.lists(elements, min_size=1, max_size=3)))
+    t = G.table
+    w = np.arange(G.order)[:, None]
+    check_closure(G, t[t[G.inv[w], np.array(S.gens, dtype=np.intp)], w].ravel())
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q16"])
+def test_closure_searches_where_g_does_not_normalize(name):
+    """Every seed (a, b) whose later element b lies outside <a> and does
+    not normalize it (the breadth-first search from <a>) closes to the
+    oracle's members, keeping both."""
+    G = get_group(name)
+    first = sorted(range(1, G.order), key=lambda g: (-G.element_orders[g], g))
+    checked = 0
+    for i, a in enumerate(first):
+        H = oracles.closure_members(G, {a})
+        for b in first[i + 1 :]:
+            if b in H or oracles.conjugate(G, a, b) in H:
+                continue
+            members, kept = G._closure_members([b, a])
+            assert members == oracles.closure_members(G, {a, b})
+            assert kept == [a, b]
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["C12", "S4", "Q16"])
+def test_power_by_squaring_matches_the_walk(name):
+    G = get_group(name)
+    for a in range(G.order):
+        for k in range(-2 * G.order, 2 * G.order + 1):
+            assert G.power(a, k) == oracles.power(G, a, k)
+
+
+@pytest.mark.parametrize(
+    "build", [cyclic_2048, lambda: extension_group("D1024")], ids=["C2048", "D1024"]
+)
+def test_cyclic_subnormal_hypothesis_at_order_2048(build):
+    """Every cyclic subgroup of C2048 and of D1024 is subnormal; each
+    <g> is closed by doubling, log2 |g| gathers."""
+    assert check_cyclic_subnormal_hypothesis(build()) == (True, None)
