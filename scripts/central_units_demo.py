@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Build central units from Bass units and measure their log-rank.
 
-For each cyclic subgroup of the chosen group, Bass units, each carrying
-its closed-form inverse, are pushed to central units of the whole
-integral group ring via the transversal product over a subnormal series.
+For each subnormal cyclic subgroup of the chosen group, Bass units, each
+carrying its closed-form inverse, are pushed to central units of the
+whole integral group ring via the transversal product over a subnormal
+series (`zgcentral.units.bass_central_units`).
 The rank of the subgroup they generate is estimated numerically
 (log-absolute-value embedding + SVD) and compared with the
 class-counting oracle; the exit status is 1 when the two disagree.
@@ -13,19 +14,10 @@ import argparse
 import sys
 
 from zgcentral.catalog import get_group
-from zgcentral.groups import (
-    check_cyclic_subnormal_hypothesis,
-    subgroup_closure,
-    subnormal_series,
-)
+from zgcentral.groups import check_cyclic_subnormal_hypothesis
 from zgcentral.rank import rank_oracle
 from zgcentral.shoda import complete_irredundant_set
-from zgcentral.units import (
-    bass_specs_for,
-    bass_unit,
-    c_central_unit,
-    log_rank_witness,
-)
+from zgcentral.units import bass_central_units, log_rank_witness
 
 
 def main():
@@ -41,15 +33,7 @@ def main():
     pairs, complete = complete_irredundant_set(G)
     assert complete
 
-    units, seen = [], set()
-    for g in range(G.order):
-        H = subgroup_closure(G, [g])
-        if H.members in seen:
-            continue
-        seen.add(H.members)
-        series = subnormal_series(H)
-        for spec in bass_specs_for(G, g):
-            units.append(c_central_unit(bass_unit(G, spec), series))
+    units = [cu for _, cu in bass_central_units(G)]
     print(f"constructed {len(units)} central units")
 
     witness = log_rank_witness(G, units, pairs)

@@ -32,6 +32,7 @@ from .shoda import (
 from .units import (
     BassSpec,
     Unit,
+    bass_central_units,
     bass_specs_for,
     bass_unit,
     c_central_unit,

@@ -59,23 +59,8 @@ def alternating4():
 
 
 def elementary_abelian(p, k):
-    n = p**k
-    table = [
-        [_ea_add(i, j, p, k) for j in range(n)]
-        for i in range(n)
-    ]
-    return group_from_cayley(table)
-
-
-def _ea_add(i, j, p, k):
-    out = 0
-    mult = 1
-    for _ in range(k):
-        out += ((i + j) % p) * mult
-        i //= p
-        j //= p
-        mult *= p
-    return out
+    """(Z/p)^k, the pc group of k generators of relative order p."""
+    return group_from_pc_presentation([p] * k)
 
 
 def paper_1000_86():

@@ -24,23 +24,17 @@ from fractions import Fraction
 from . import __version__
 from .catalog import catalog, get_group
 from .cyclotomic import euler_phi
-from .errors import NotSubnormal, ZgError
+from .errors import ZgError
 from .groups import (
     group_from_cayley,
     group_from_pc_presentation,
     group_from_permutations,
     perm_from_cycles,
     subgroup_closure,
-    subnormal_series,
 )
 from .rank import rank_oracle, rank_total
 from .shoda import complete_irredundant_set
-from .units import (
-    bass_specs_for,
-    bass_unit,
-    c_central_unit,
-    central_character_value,
-)
+from .units import bass_central_units, central_character_value
 
 
 # -- input loading -------------------------------------------------------------
@@ -245,27 +239,16 @@ def _omega_json(G, pair, v):
 
 def units_json(G, pairs, complete):
     rows = []
-    seen_cyclic = set()
-    for g in range(G.order):
-        H = subgroup_closure(G, [g])
-        if H.members in seen_cyclic:
-            continue
-        seen_cyclic.add(H.members)
-        try:
-            series = subnormal_series(H)
-        except NotSubnormal:
-            continue
-        for spec in bass_specs_for(G, g):
-            # c_central_unit verifies the central unit, or raises: exit 1
-            cu = c_central_unit(bass_unit(G, spec), series)
-            row = {
-                "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
-                "support": len(cu.value.support),
-                "central_unit": True,
-            }
-            if complete:
-                row["omega"] = [_omega_json(G, p, cu.value) for p in pairs]
-            rows.append(row)
+    # bass_central_units verifies each central unit, or raises: exit 1
+    for spec, cu in bass_central_units(G):
+        row = {
+            "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
+            "support": len(cu.value.support),
+            "central_unit": True,
+        }
+        if complete:
+            row["omega"] = [_omega_json(G, p, cu.value) for p in pairs]
+        rows.append(row)
     return {"units": rows}
 
 

@@ -378,9 +378,7 @@ def group_from_permutations(degree, generators):
     for j in range(1, n):
         p, s = parent[j]
         table[:, j] = right[s][table[:, p]]
-    G = FiniteGroup(table)
-    G.permutations = elements
-    return G
+    return FiniteGroup(table)
 
 
 def group_from_pc_presentation(orders, powers=None, commutators=None):
@@ -815,20 +813,25 @@ def is_subnormal(H):
         return False
 
 
+def cyclic_subgroups(G):
+    """Yield (g, <g>) once per cyclic subgroup of G, g its least
+    generator, in increasing g."""
+    seen = set()
+    for g in range(G.order):
+        H = subgroup_closure(G, [g])
+        if H.members not in seen:
+            seen.add(H.members)
+            yield g, H
+
+
 def check_cyclic_subnormal_hypothesis(G):
     """Check that <g> is subnormal for every g whose order divides neither 4 nor 6.
 
-    Returns (True, None) or (False, witness element index).
+    Returns (True, None) or (False, the least generator of the first
+    cyclic subgroup that is not subnormal).
     """
-    done = set()
-    for g in range(G.order):
+    for g, H in cyclic_subgroups(G):
         d = G.element_orders[g]
-        if 4 % d == 0 or 6 % d == 0:
-            continue
-        H = subgroup_closure(G, [g])
-        if H.members in done:
-            continue
-        done.add(H.members)
-        if not is_subnormal(H):
+        if 4 % d and 6 % d and not is_subnormal(H):
             return False, g
     return True, None

@@ -389,7 +389,8 @@ def _classify(lam, chain_steps, known=()):
         return None
     chain = verify_chain(lam, chain_steps) if chain_steps else None
     if chain is not None:
-        strong = verify_chain(lam, [lam.H, lam.H.parent.whole()]) is not None
+        # verify_chain checked H and G at the ends: one level decides strong
+        strong = _climb(_root(lam), chain.steps[-1]) is not None
     else:
         chain = find_strong_inductive_chain(lam)
         strong = chain is not None and chain.length == 1

