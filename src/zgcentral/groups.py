@@ -816,11 +816,12 @@ def is_subnormal(H):
 def cyclic_subgroups(G):
     """Yield (g, <g>) once per cyclic subgroup of G, g its least
     generator, in increasing g."""
-    seen = set()
+    done = set()
     for g in range(G.order):
-        H = subgroup_closure(G, [g])
-        if H.members not in seen:
-            seen.add(H.members)
+        if g not in done:
+            H = subgroup_closure(G, [g])
+            # H's members of order |H| generate H: none opens a new subgroup.
+            done.update(m for m in H.members if G.element_orders[m] == H.order)
             yield g, H
 
 

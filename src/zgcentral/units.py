@@ -338,13 +338,10 @@ def c_central_unit(u, series, transversals=None):
 
 
 def bass_central_units(G):
-    """The central units of Theorem 1: for each cyclic subgroup <g> that is
-    subnormal, g its least generator, the c-construction on the Bass unit
-    of every spec of `bass_specs_for(G, g)`, as (BassSpec, Unit) pairs.  A
-    <g> that is not subnormal is skipped.  When every cyclic subgroup whose
-    order divides neither 4 nor 6 is subnormal
-    (`groups.check_cyclic_subnormal_hypothesis`), they generate a subgroup
-    of finite index in Z(U(ZG))."""
+    """Theorem 1's central units as (BassSpec, Unit) pairs: the c-construction
+    on the Bass unit of every spec of `bass_specs_for(G, g)`, for each subnormal
+    <g>, g its least generator.  Under `check_cyclic_subnormal_hypothesis`
+    they generate a subgroup of finite index in Z(U(ZG))."""
     out = []
     for g, H in cyclic_subgroups(G):
         try:

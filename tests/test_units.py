@@ -501,6 +501,13 @@ def test_witness_c5(c5):
     pairs, _ = complete_irredundant_set(c5)
     units = [cu for _, cu in bass_central_units(c5)]
     assert log_rank_witness(c5, units, pairs) == 1
+    # Units from every generator of C5 are dependent and must not raise the rank.
+    every_generator = [
+        c_central_unit(bass_unit(c5, spec), subnormal_series(subgroup_closure(c5, [g])))
+        for g in range(1, c5.order)
+        for spec in bass_specs_for(c5, g)
+    ]
+    assert log_rank_witness(c5, units + every_generator, pairs) == 1
 
 
 def test_witness_q8_is_zero(q8):
