@@ -10,12 +10,18 @@ pairs must equal the number of rational conjugacy classes, the number of
 Wedderburn components of QG, and the centers of those components tile
 Z(QG): their dimensions must add up to the number of ordinary classes.
 The idempotent that a pair's strong inductive chain carries to its top
-must be the pair's primitive central idempotent.
+must be the pair's primitive central idempotent, as the test suite's
+Galois-orbit-sum oracle (`tests/oracles.py`) computes it.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from oracles import galois_pci
 from zgcentral.catalog import catalog
 from zgcentral.groupalgebra import center_component_dim
 from zgcentral.groups import conjugacy_partition
@@ -42,7 +48,7 @@ def main():
             continue
         report = rank_total(G, pairs, complete=True)
         bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
-        bad_top = sum(p.chain is not None and p.chain.top != p.pci for p in pairs)
+        bad_top = sum(p.chain.top != galois_pci(p.lam) for p in pairs)
         components = conjugacy_partition(G, "rational").reps.size
         classes = conjugacy_partition(G).reps.size
         mark = "ok"

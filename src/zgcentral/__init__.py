@@ -25,8 +25,6 @@ from .shoda import (
     StrongInductiveChain,
     complete_irredundant_set,
     find_strong_inductive_chain,
-    is_shoda_pair,
-    pci,
     shoda_character,
 )
 from .units import (

@@ -172,8 +172,6 @@ def parse_pairs_file(G, doc):
 
 
 def _chain_json(chain):
-    if chain is None:
-        return None
     return {
         "subgroup_orders": [s.order for s in chain.steps],
         "centralizer_orders": [c.order for c in chain.centralizers],

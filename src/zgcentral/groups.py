@@ -25,8 +25,7 @@ two read-only arrays, the class of each element and the least element of
 each class, and `center` reads Z(G) off its class sizes; `conjugates`
 walks a subgroup's orbit under G's generators.  `galois_classes` is the
 action of (Z/e)^x, e the exponent, on the ordinary classes by g -> g^t;
-the real and rational classes, the Galois stabilizer in `shoda.pci` and
-k in `rank.k_of_pair` all read it.
+the real and rational classes read it.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ field of degree phi([H:K]) / prod [C_i:H_i]; its unit group contributes
 that degree divided by k (1 if the field is totally real, else 2) minus
 one to the rank.  k is read off the pair's induced-character class rows
 (`LinearCharacter.class_rows`): it is 1 exactly when complex conjugation
-sigma_-1 fixes them, that is, when the t = -1 row of
-`groups.galois_classes` does.  The independent oracle counts real minus
+sigma_-1 fixes them, that is, when the row of each class equals the row
+of its inverses' class.  The independent oracle counts real minus
 rational conjugacy classes, the orbits of {1, -1} and of all units mod
-the exponent on the ordinary classes, which `galois_classes` also gives.
+the exponent on the ordinary classes (`groups.conjugacy_partition`).
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclotomic import euler_phi
 from .errors import DivisibilityViolation, IncompleteSet, NotCentral, NotIdempotent
 from .groupalgebra import center_component_dim
-from .groups import conjugacy_partition, galois_classes
+from .groups import conjugacy_partition
 from .shoda import is_complete
 
 
@@ -47,11 +45,13 @@ def k_of_pair(G, pair):
     """1 if the induced character chi is real-valued (totally real center),
     else 2; decided exactly.
 
-    chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when the last
-    row of `galois_classes` (t = -1) fixes its class rows.
+    chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when its class
+    rows, gathered at the classes of the representatives' inverses, are
+    unchanged.
     """
     rows = pair.lam.class_rows
-    return 1 if np.array_equal(rows[galois_classes(G)[-1]], rows) else 2
+    part = conjugacy_partition(G)
+    return 1 if (rows[part.class_of[G.inv[part.reps]]] == rows).all() else 2
 
 
 def _center_degree(pair, k=1):
@@ -63,8 +63,6 @@ def _center_degree(pair, k=1):
 
 def rank_term(G, pair):
     """The pair's contribution phi([H:K]) / (k * prod indices) - 1."""
-    if pair.chain is None:
-        raise DivisibilityViolation("pair has no verified chain")
     k = k_of_pair(G, pair)
     degree = _center_degree(pair, k)
     if degree is None:
@@ -105,8 +103,6 @@ def verify_center_degree(G, pair):
     character, of degree the number of Galois conjugates of chi.  That
     dimension is read off with no elimination, as the trace of the
     projection z -> z e of Z(QG) onto the center (`center_component_dim`)."""
-    if pair.chain is None:
-        return False
     degree = _center_degree(pair)
     if degree is None:
         return False

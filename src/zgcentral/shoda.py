@@ -1,14 +1,15 @@
-"""Shoda-pair detection, classification, and primitive central idempotents.
+"""Shoda-pair detection, and classification by strong inductive chains.
 
 A pair of subgroups (H, K) with K normal in H and H/K cyclic induces an
-irreducible character of G exactly when the Shoda condition holds; such
-pairs are classified here as plain, strong, or generalized strong (the
-latter witnessed by an inductive chain of subgroups from H up to G), and
-each equivalence class of pairs yields one primitive central idempotent
-of the rational group algebra.  The Shoda test is the one way in: it
+irreducible character of G exactly when the Shoda condition holds.  A
+Shoda pair is kept when a strong inductive chain of subgroups climbs
+from H up to G, which makes it a generalized strong Shoda pair, strong
+when one step does; the chain's top is the primitive central idempotent
+of the rational group algebra that the pair realizes (Bakshi-Kaur), and
+pairs with the same top are one.  The Shoda test is the one way in: it
 builds the pair's linear character (`shoda_character`) from its own
-coset log and H's coset representatives, and the idempotent, the chains
-and epsilon(H, K) all take that character.  The enumerated pairs have H
+coset log and H's coset representatives, and the chains and
+epsilon(H, K) take that character.  The enumerated pairs have H
 above Z(G), one H per conjugacy class, and only the K that hold the
 commutators of H's generators with [H:K] dividing exp(H) are tested.  A
 chain carries its idempotent e_i, and each level reads e_i's conjugates
@@ -23,11 +24,11 @@ e_i e_i^t = 0 exactly when <e_i, e_i^t> = 0 (`_climb`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .cyclotomic import euler_phi, ramanujan_row, reduction_matrix
+from .cyclotomic import reduction_matrix
 from .errors import NotNormal, NotShodaPair, NotSubgroup
 from .groupalgebra import QGElement, conjugate_gram, epsilon
 from .groups import (
@@ -38,7 +39,6 @@ from .groups import (
     conjugacy_partition,
     conjugates,
     cyclic_coset_log,
-    galois_classes,
     is_normal,
     right_transversal,
 )
@@ -114,12 +114,6 @@ def induced_counts(lam, G, cols):
 # -- Shoda conditions ---------------------------------------------------------
 
 
-def is_shoda_pair(G, H, K):
-    """K normal in H with H/K cyclic, and every g outside H has some
-    commutator [h, g] = h^-1 h^g, h in H, inside H but not in K."""
-    return _shoda_character(H, K, _coset_conjugates(H)) is not None
-
-
 def shoda_character(H, K):
     """The linear character of the Shoda pair (H, K), built by the Shoda
     test; raises NotShodaPair naming |H| and |K| when the test fails."""
@@ -175,37 +169,6 @@ def _shoda_character(H, K, coset_conjugates):
     return LinearCharacter(
         H=H, K=K, order=H.order // K.order, coset_log=log, transversal=reps
     )
-
-
-# -- primitive central idempotents --------------------------------------------
-
-
-def pci(lam):
-    """The primitive central idempotent realized by the Shoda pair of the
-    character `lam`.
-
-    With n = [H:K], the Galois conjugates of the induced character chi sum
-    to its trace from Q(zeta_n) to Q over |S|, S the stabilizer of chi in
-    (Z/n)^x.  The trace at a class is chi's class row times the Ramanujan
-    sums c_n(i), the traces of the power basis.  sigma_t(chi(g)) =
-    chi(g^t) for t prime to the exponent e of G, so row i of
-    `galois_classes` fixes chi's class rows exactly when sigma_t does, t
-    the i-th unit mod e.  Each element of S lifts to phi(e) / phi(n)
-    units mod e, so |S| is phi(n) / phi(e) times the rows that fix chi.
-    Only the rows that fix a fingerprint of the class rows, their dot
-    product with 1..phi(n), are compared in full.
-    """
-    G = lam.H.parent
-    n, rows = lam.order, lam.class_rows
-    P = galois_classes(G)
-    # equal rows have equal fingerprints, also where the int64 dot wraps
-    f = rows @ np.arange(1, rows.shape[1] + 1)
-    fixed = sum(np.array_equal(rows[p], rows) for p in P[(f[P] == f).all(axis=1)])
-    stabilizer = euler_phi(n) * fixed // len(P)
-    trace = rows @ ramanujan_row(n)[: rows.shape[1]]
-    # the coefficient of g^-1 is trace(g) / (|H| |S|)
-    class_of = conjugacy_partition(G).class_of
-    return QGElement.from_vec(G, trace[class_of][G.inv], den=lam.H.order * stabilizer)
 
 
 # -- strong inductive chains ---------------------------------------------------
@@ -311,7 +274,7 @@ def verify_chain(lam, steps):
     return chain
 
 
-def find_strong_inductive_chain(lam):
+def find_strong_inductive_chain(lam, subgroups=None):
     """Search for a strong inductive chain from H to G for the Shoda pair
     of the character `lam`.
 
@@ -321,8 +284,10 @@ def find_strong_inductive_chain(lam):
     A chain's top at H_i is the primitive central idempotent of Q H_i
     that (H, K) realizes, whatever the path below, so the memo holds.
     Every subgroup is entered at most once, so the walk ends with a chain,
-    or with None when no chain exists in the lattice.  Building the
-    lattice raises CapExceeded or NotSolvable as `all_subgroups` does.
+    or with None when no chain exists in the lattice.  The lattice is
+    `subgroups(G)`, `all_subgroups` by default, and is asked for only when
+    the one-step chain fails; it raises CapExceeded or NotSolvable as
+    `all_subgroups` does.
     """
     G = lam.H.parent
     whole = G.whole()
@@ -330,7 +295,7 @@ def find_strong_inductive_chain(lam):
     one_step = _climb(root, whole)
     if one_step is not None:
         return one_step
-    lattice = all_subgroups(G)
+    lattice = (subgroups or all_subgroups)(G)
     dead = set()
 
     def dfs(chain):
@@ -355,17 +320,17 @@ def find_strong_inductive_chain(lam):
 
 @dataclass
 class ShodaPair:
-    """A classified Shoda pair, given by its character, with its idempotent
-    and optional chain.
+    """A generalized strong Shoda pair, given by its character, with the
+    strong inductive chain that classifies it.
 
-    status is "strong", "generalized_strong" (chain found, not strong), or
-    "shoda" (no strong inductive chain exists in the subgroup lattice).
+    status is "strong" (the one-step chain passes) or "generalized_strong";
+    `pci`, the primitive central idempotent the pair realizes, is the
+    chain's top.
     """
 
     lam: LinearCharacter
     status: str
-    pci: QGElement
-    chain: StrongInductiveChain | None = None
+    chain: StrongInductiveChain
 
     @property
     def H(self):
@@ -379,29 +344,33 @@ class ShodaPair:
     def index(self):
         return self.lam.order
 
+    @property
+    def pci(self):
+        return self.chain.top
 
-def _classify(lam, chain_steps, known=()):
-    """The classified pair of the character `lam`, or None when its
-    idempotent is in `known`.  A supplied chain is verified before any
-    search."""
-    e = pci(lam)
-    if e in known:
-        return None
+
+def _classify(lam, chain_steps, subgroups, known):
+    """The classified pair of the character `lam`, or None when it has no
+    chain or its chain's top is in `known`.  A supplied chain is verified
+    before any search, which takes its lattice from `subgroups`."""
     chain = verify_chain(lam, chain_steps) if chain_steps else None
     if chain is not None:
         # verify_chain checked H and G at the ends: one level decides strong
         strong = _climb(_root(lam), chain.steps[-1]) is not None
     else:
-        chain = find_strong_inductive_chain(lam)
-        strong = chain is not None and chain.length == 1
-    status = "shoda" if chain is None else "strong" if strong else "generalized_strong"
-    return ShodaPair(lam=lam, status=status, pci=e, chain=chain)
+        chain = find_strong_inductive_chain(lam, subgroups)
+        if chain is None:
+            return None
+        strong = chain.length == 1
+    if chain.top in known:
+        return None
+    return ShodaPair(lam=lam, status="strong" if strong else "generalized_strong", chain=chain)
 
 
-def shoda_pair_candidates(G):
+def shoda_pair_candidates(G, subgroups=None):
     """The Shoda pairs (H, K) with H the first of its G-conjugacy class in
     lattice order, as their linear characters, in lattice order of H and
-    then of K.
+    then of K.  The lattice is `subgroups(G)`, `all_subgroups` by default.
 
     Every Shoda pair has H >= Z(G): for a central z outside H each
     commutator [h, z] = 1 lies in K, so the test fails at z.  A conjugate
@@ -412,13 +381,13 @@ def shoda_pair_candidates(G):
     every two generators of H, and [H:K] divides the exponent of H; only
     the K that pass both take the Shoda test, which still decides.
     """
-    subgroups = all_subgroups(G)
+    lattice = (subgroups or all_subgroups)(G)
     z = center(G)
     t = G.table
     orders = np.array(G.element_orders)
     seen = set()
     out = []
-    for H in subgroups:
+    for H in lattice:
         if H.members in seen or not z <= H.members:
             continue
         seen |= conjugates(H)
@@ -428,7 +397,7 @@ def shoda_pair_candidates(G):
         ab = t[np.ix_(a, a)]
         commutators = frozenset(t[G.inv[ab.T], ab].ravel().tolist())
         cosets = _coset_conjugates(H)  # shared by every K below H
-        for K in subgroups:
+        for K in lattice:
             if commutators <= K.members <= H.members and exponent % (H.order // K.order) == 0:
                 lam = _shoda_character(H, K, cosets)
                 if lam is not None:
@@ -441,11 +410,16 @@ def complete_irredundant_set(G, candidates=None):
 
     `candidates` is an optional list of (H, K[, chain_steps]) tuples, each
     taking the Shoda test (`shoda_character`) as it is reached; when
-    omitted the Shoda pairs come from `shoda_pair_candidates`.  The flag
-    is True exactly when the retained idempotents sum to 1.
+    omitted the Shoda pairs come from `shoda_pair_candidates`.  A
+    candidate with no strong inductive chain is dropped, so the flag, True
+    exactly when the kept idempotents sum to 1, says whether G is
+    generalized strongly monomial (over the candidates, when given).  The
+    enumeration and every chain search share one subgroup lattice, built
+    when first asked for and dropped on return.
     """
+    subgroups = cache(all_subgroups)
     if candidates is None:
-        todo = ((lam, None) for lam in shoda_pair_candidates(G))
+        todo = ((lam, None) for lam in shoda_pair_candidates(G, subgroups))
     else:
         todo = (
             (shoda_character(H, K), rest[0] if rest else None)
@@ -454,7 +428,7 @@ def complete_irredundant_set(G, candidates=None):
     kept = []
     seen = set()
     for lam, chain_steps in todo:
-        pair = _classify(lam, chain_steps, known=seen)
+        pair = _classify(lam, chain_steps, subgroups, seen)
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)

@@ -70,7 +70,10 @@ blocks.  `Cyclotomic` is the Fraction value of Q(zeta_n) that
 `zgcentral` held the central character value in before its exact
 (n, row, den), and `log_rank_witness` embeds it one coefficient and one
 (unit, pair) at a time, the way `zgcentral` did before it embedded all
-of a pair's rows with one matrix product.
+of a pair's rows with one matrix product.  `galois_pci` is the integer
+Galois-orbit sum that `zgcentral` took each candidate's idempotent by
+before it read the idempotent off its strong inductive chain's top: the
+tests compare `chain.top` against it, and it against the Fraction `pci`.
 """
 
 import cmath
@@ -87,7 +90,7 @@ import numpy as np
 from zgcentral.catalog import catalog
 from zgcentral.cli import parse_pairs_file
 from zgcentral import groups, shoda
-from zgcentral.cyclotomic import cyclotomic_polynomial
+from zgcentral.cyclotomic import cyclotomic_polynomial, euler_phi, ramanujan_row
 from zgcentral.errors import (
     CapExceeded,
     InconsistentPresentation,
@@ -1097,6 +1100,34 @@ def pci(G, H, K):
     r = a2.coeff(g0) / a.coeff(g0)
     assert r > 0 and a2 == a.scale(r), "induced character is not irreducible"
     return a.scale(1 / r)
+
+
+def galois_pci(lam):
+    """The primitive central idempotent realized by the Shoda pair of the
+    character `lam`, as its integer Galois-orbit sum.
+
+    With n = [H:K], the Galois conjugates of the induced character chi sum
+    to its trace from Q(zeta_n) to Q over |S|, S the stabilizer of chi in
+    (Z/n)^x.  The trace at a class is chi's class row times the Ramanujan
+    sums c_n(i), the traces of the power basis.  sigma_t(chi(g)) =
+    chi(g^t) for t prime to the exponent e of G, so row i of
+    `galois_classes` fixes chi's class rows exactly when sigma_t does, t
+    the i-th unit mod e.  Each element of S lifts to phi(e) / phi(n)
+    units mod e, so |S| is phi(n) / phi(e) times the rows that fix chi.
+    Only the rows that fix a fingerprint of the class rows, their dot
+    product with 1..phi(n), are compared in full.
+    """
+    G = lam.H.parent
+    n, rows = lam.order, lam.class_rows
+    P = groups.galois_classes(G)
+    # equal rows have equal fingerprints, also where the int64 dot wraps
+    f = rows @ np.arange(1, rows.shape[1] + 1)
+    fixed = sum(np.array_equal(rows[p], rows) for p in P[(f[P] == f).all(axis=1)])
+    stabilizer = euler_phi(n) * fixed // len(P)
+    trace = rows @ ramanujan_row(n)[: rows.shape[1]]
+    # the coefficient of g^-1 is trace(g) / (|H| |S|)
+    class_of = groups.conjugacy_partition(G).class_of
+    return QGElement.from_vec(G, trace[class_of][G.inv], den=lam.H.order * stabilizer)
 
 
 def k_of_pair(G, H, K):

@@ -31,7 +31,7 @@ from zgcentral.groups import (
     subgroup_closure,
 )
 from zgcentral.rank import verify_center_degree
-from zgcentral.shoda import complete_irredundant_set, pci, shoda_character
+from zgcentral.shoda import complete_irredundant_set, shoda_character
 
 
 def elem(G, g):
@@ -278,7 +278,7 @@ def test_center_dim_makes_no_qg_product(s4, monkeypatch):
     monkeypatch.setattr(groupalgebra, "_convolve", counted_convolve)
     classes = len(conjugacy_partition(s4).classes)
     for H, K in oracles.shoda_pair_candidates(s4):
-        e = pci(shoda_character(H, K))
+        e = oracles.galois_pci(shoda_character(H, K))
         products.clear()
         widths.clear()
         center_component_dim(e)

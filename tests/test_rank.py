@@ -8,7 +8,7 @@ from oracles import CORPUS, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
 from zgcentral.cyclotomic import euler_phi
-from zgcentral.errors import DivisibilityViolation, IncompleteSet
+from zgcentral.errors import IncompleteSet
 from zgcentral.groupalgebra import hat
 from zgcentral.groups import conjugacy_partition, subgroup_closure
 from zgcentral.rank import (
@@ -18,12 +18,8 @@ from zgcentral.rank import (
     rank_total,
     verify_center_degree,
 )
-from zgcentral.shoda import (
-    ShodaPair,
-    complete_irredundant_set,
-    pci,
-    shoda_character,
-)
+from zgcentral import shoda
+from zgcentral.shoda import complete_irredundant_set
 
 
 def pairs_of(G):
@@ -64,22 +60,23 @@ def test_k_odd_order_rule():
             assert k_of_pair(G, p) == expected
 
 
-def unclassified(G, H, K):
-    lam = shoda_character(H, K)
-    return ShodaPair(lam=lam, status="shoda", pci=pci(lam))
+def classified(G, H, K):
+    """The pair (H, K), classified alone."""
+    (pair,), _ = complete_irredundant_set(G, [(H, K)])
+    return pair
 
 
 @pytest.mark.parametrize("name", CORPUS + ("C1", "C2"))
 def test_k_matches_is_real_oracle(name):
     G = get_group(name)
     for H, K in oracles.shoda_pair_candidates(G):
-        assert k_of_pair(G, unclassified(G, H, K)) == oracles.k_of_pair(G, H, K)
+        assert k_of_pair(G, classified(G, H, K)) == oracles.k_of_pair(G, H, K)
 
 
 def test_k_matches_oracle_on_paper_pairs(paper1000):
     ks = []
     for H, K in paper9_pairs(paper1000):
-        k = k_of_pair(paper1000, unclassified(paper1000, H, K))
+        k = k_of_pair(paper1000, classified(paper1000, H, K))
         assert k == oracles.k_of_pair(paper1000, H, K)
         ks.append(k)
     assert ks == [1, 1, 2, 2, 1, 1, 1, 1, 1]
@@ -140,14 +137,25 @@ def test_center_degree_is_false_for_a_bad_idempotent(s3):
     refl = s3.element_orders.index(2)
     not_central = hat(subgroup_closure(s3, [refl]))
     for p in pairs_of(s3):
-        assert not verify_center_degree(s3, replace(p, pci=p.pci.scale(2)))
-        assert not verify_center_degree(s3, replace(p, pci=not_central))
+        for bad in (p.pci.scale(2), not_central):
+            assert not verify_center_degree(s3, replace(p, chain=replace(p.chain, top=bad)))
 
 
-def test_rank_term_without_a_chain_is_a_typed_error(s3):
-    for p in pairs_of(s3):
-        with pytest.raises(DivisibilityViolation, match="no verified chain"):
-            rank_term(s3, replace(p, chain=None))
+def test_chainless_candidate_is_dropped_and_rank_refuses(s3, monkeypatch):
+    """A candidate with no strong inductive chain is not kept: with the
+    search finding none for (A3, 1), S3's set lacks that component and
+    the rank is refused, not summed without it."""
+    search = shoda.find_strong_inductive_chain
+
+    def no_chain_at_a3(lam, subgroups=None):
+        return None if lam.H.order == 3 else search(lam, subgroups)
+
+    monkeypatch.setattr(shoda, "find_strong_inductive_chain", no_chain_at_a3)
+    pairs, complete = complete_irredundant_set(s3)
+    assert sorted((p.H.order, p.K.order) for p in pairs) == [(6, 3), (6, 6)]
+    assert not complete
+    with pytest.raises(IncompleteSet):
+        rank_total(s3, pairs)
 
 
 # -- cross-validation ----------------------------------------------------------

@@ -36,8 +36,6 @@ from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
     induced_counts,
-    is_shoda_pair,
-    pci,
     shoda_character,
     shoda_pair_candidates,
     verify_chain,
@@ -48,36 +46,45 @@ def triv(G):
     return Subgroup(G, {0})
 
 
+def passes_shoda_test(H, K):
+    """Whether the Shoda test builds the pair's character."""
+    try:
+        shoda_character(H, K)
+    except NotShodaPair:
+        return False
+    return True
+
+
 # -- conditions ----------------------------------------------------------------
 
 
 def test_abelian_pairs_are_shoda(c4):
     g2 = next(g for g in range(4) if c4.element_orders[g] == 2)
-    assert is_shoda_pair(c4, c4.whole(), triv(c4))
-    assert is_shoda_pair(c4, c4.whole(), Subgroup(c4, {0, g2}))
+    assert passes_shoda_test(c4.whole(), triv(c4))
+    assert passes_shoda_test(c4.whole(), Subgroup(c4, {0, g2}))
 
 
 def test_abelian_proper_h_fails(c4):
     g2 = next(g for g in range(4) if c4.element_orders[g] == 2)
     # in an abelian group condition (ii) forces H = G
-    assert not is_shoda_pair(c4, Subgroup(c4, {0, g2}), triv(c4))
+    assert not passes_shoda_test(Subgroup(c4, {0, g2}), triv(c4))
 
 
 def test_a3_pair(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
-    assert is_shoda_pair(s3, A3, triv(s3))
+    assert passes_shoda_test(A3, triv(s3))
     assert verify_chain(shoda_character(A3, triv(s3)), [A3, s3.whole()]) is not None
 
 
 def test_reflection_pair_fails(s3):
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
-    assert not is_shoda_pair(s3, subgroup_closure(s3, [refl]), triv(s3))
+    assert not passes_shoda_test(subgroup_closure(s3, [refl]), triv(s3))
 
 
 def test_noncyclic_quotient_fails(q8):
     center = next(g for g in range(8) if q8.element_orders[g] == 2)
     # Q8 / center is the Klein group
-    assert not is_shoda_pair(q8, q8.whole(), Subgroup(q8, {0, center}))
+    assert not passes_shoda_test(q8.whole(), Subgroup(q8, {0, center}))
 
 
 def test_shoda_gather_matches_loop_oracle_on_catalog():
@@ -90,14 +97,14 @@ def test_shoda_gather_matches_loop_oracle_on_catalog():
         for H in subgroups:
             for K in subgroups:
                 if K.members <= H.members:
-                    assert is_shoda_pair(G, H, K) == oracles.is_shoda_pair(
+                    assert passes_shoda_test(H, K) == oracles.is_shoda_pair(
                         G, H, K
                     ), (entry.name, H.order, K.order)
 
 
 def test_strong_in_abelian(c4):
     H = c4.whole()
-    assert is_shoda_pair(c4, H, triv(c4))
+    assert passes_shoda_test(H, triv(c4))
     assert verify_chain(shoda_character(H, triv(c4)), [H, c4.whole()]) is not None
 
 
@@ -169,9 +176,7 @@ def check_against_oracles(G, H, K):
         assert all(log[g] == -1 for g in range(G.order) if g not in H.members)
     if log is not None:
         assert epsilon(H, K, log) == oracles.epsilon(H, K)
-    is_shoda = oracles.is_shoda_pair(G, H, K)
-    assert is_shoda_pair(G, H, K) == is_shoda
-    if is_shoda:
+    if oracles.is_shoda_pair(G, H, K):
         lam = shoda_character(H, K)
         assert lam.order == H.order // K.order
         assert np.array_equal(lam.coset_log, log)
@@ -194,7 +199,7 @@ def test_coset_kernel_matches_oracles_on_every_normal_pair(name):
 def test_coset_kernel_matches_oracles_on_paper_pairs(paper1000):
     for H, K in paper9_pairs(paper1000):
         assert check_against_oracles(paper1000, H, K)
-        assert is_shoda_pair(paper1000, H, K)
+        assert oracles.is_shoda_pair(paper1000, H, K)
 
 
 @pytest.mark.parametrize("name", ["Q8", "E4"])
@@ -209,7 +214,8 @@ def test_non_cyclic_quotient_has_no_coset_log_or_character(name):
 
 
 def pair_pci(H, K):
-    return pci(shoda_character(H, K))
+    """The pair's idempotent: the top of its strong inductive chain."""
+    return find_strong_inductive_chain(shoda_character(H, K)).top
 
 
 def test_pci_trivial_pair(s3):
@@ -232,29 +238,37 @@ def test_pci_matches_galois_sum_oracle(name):
     pairs = oracles.shoda_pair_candidates(G)
     assert pairs
     for H, K in pairs:
-        assert pair_pci(H, K) == oracles.pci(G, H, K), (H.order, K.order)
+        want = oracles.pci(G, H, K)
+        assert pair_pci(H, K) == want, (H.order, K.order)
+        assert oracles.galois_pci(shoda_character(H, K)) == want, (H.order, K.order)
 
 
 def test_pci_matches_oracle_on_paper_pairs(paper1000):
     for H, K in paper9_pairs(paper1000):
-        assert pair_pci(H, K) == oracles.pci(paper1000, H, K)
+        want = oracles.pci(paper1000, H, K)
+        assert pair_pci(H, K) == oracles.galois_pci(shoda_character(H, K)) == want
 
 
 def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
-    """The normalizer |S| comes from the class power map, not from a QG
-    product: with the convolution kernel that every QG product takes
-    unavailable, pci still matches."""
+    """Classification takes no QG product: with the convolution kernel
+    that every QG product takes unavailable, S4 enumerated and
+    paper9.json's pairs classify, and each idempotent matches the oracle
+    that normalizes by one squaring."""
 
     def no_convolve(a, b, cols=None):
-        raise AssertionError("pci multiplied in QG")
+        raise AssertionError("classification multiplied in QG")
 
-    cases = [(s4, H, K) for H, K in oracles.shoda_pair_candidates(s4)]
-    cases += [(paper1000, H, K) for H, K in paper9_pairs(paper1000)]
+    candidates = _paper9_candidates(paper1000)
     monkeypatch.setattr(groupalgebra, "_convolve", no_convolve)
-    got = [pair_pci(H, K) for _, H, K in cases]
+    got = [
+        (s4, complete_irredundant_set(s4)),
+        (paper1000, complete_irredundant_set(paper1000, candidates)),
+    ]
     monkeypatch.undo()  # the oracle multiplies
-    for e, (G, H, K) in zip(got, cases):
-        assert e == oracles.pci(G, H, K), (G.order, H.order, K.order)
+    for G, (pairs, complete) in got:
+        assert complete
+        for p in pairs:
+            assert p.pci == oracles.pci(G, p.H, p.K), (G.order, p.H.order, p.K.order)
 
 
 def test_induced_value_matches_sum_over_group(s4):
@@ -288,7 +302,7 @@ def assert_sparse_rows_and_pci_match_dense(G, pairs):
         rows, expected = dense_rows_and_pci(G, H, K)
         lam = shoda_character(H, K)
         assert np.array_equal(lam.class_rows, rows), (H.order, K.order)
-        e = pci(lam)
+        e = oracles.galois_pci(lam)
         assert e.den == expected.den, (H.order, K.order)
         assert np.array_equal(e.vec, expected.vec), (H.order, K.order)
 
@@ -311,7 +325,7 @@ def test_class_rows_and_pci_match_dense_on_c1021():
 
 
 def test_pci_rejects_non_shoda(s3):
-    # pci takes the character, which the Shoda test refuses to build
+    # the chain takes the character, which the Shoda test refuses to build
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     with pytest.raises(NotShodaPair):
         pair_pci(subgroup_closure(s3, [refl]), triv(s3))
@@ -427,12 +441,12 @@ def _chained_pairs():
 
 
 def test_chain_top_is_the_pci():
-    """The carried e_n of every chain is its pair's idempotent; every
-    pair of these groups has a chain."""
+    """The carried e_n of every chain is its pair's idempotent, the
+    Galois-orbit sum of the oracle."""
     chained = 0
     for name, pairs in _chained_pairs():
         for p in pairs:
-            assert p.chain.top == p.pci, (name, p.H.order, p.K.order)
+            assert p.chain.top == oracles.galois_pci(p.lam), (name, p.H.order, p.K.order)
             chained += 1
     assert chained == 443
 
@@ -530,7 +544,7 @@ def test_chain_top_differs_from_the_orbit_sum_of_epsilon(paper1000):
     assert [S.order for S in chain.steps] == [50, 50, 250, 1000]
     assert chain.indices == [1, 1, 4]
     assert not oracles.is_idempotent(e_sum_conjugates(paper1000.whole(), H, K))
-    assert chain.top == pci(lam)
+    assert chain.top == oracles.galois_pci(lam)
 
 
 def _searched_pairs(G):
@@ -613,13 +627,42 @@ def test_supplied_bad_pair_rejected(s3):
 def test_chain_search_beyond_the_lattice_cap_is_an_error(paper1000, monkeypatch):
     # the generalized pair |H| = 50, |K| = 5 of paper9.json, without its
     # chain: the search needs the lattice, and a lattice past the cap must
-    # not read as "no chain exists" (status "shoda")
+    # not read as "no chain exists" (the pair dropped)
     H, K = next(
         (H, K) for H, K in paper9_pairs(paper1000) if (H.order, K.order) == (50, 5)
     )
     monkeypatch.setattr(groups, "LATTICE_CAP", 10)
     with pytest.raises(CapExceeded, match="chain for every pair.*--pairs-file"):
         complete_irredundant_set(paper1000, candidates=[(H, K)])
+
+
+@pytest.mark.parametrize("pair_file", [False, True])
+def test_one_lattice_per_complete_set(paper1000, monkeypatch, pair_file):
+    """Without a pair file, paper-1000-86's enumeration and the six chain
+    searches that go past the one-step chain (the 2 generalized_strong
+    pairs, and 4 candidates that only repeat a kept idempotent) share one
+    lattice; paper9.json supplies the chains that are not one step, so no
+    lattice is built."""
+    candidates = _paper9_candidates(paper1000) if pair_file else None
+    builds, searched = [], []
+    lattice, search = shoda.all_subgroups, shoda.find_strong_inductive_chain
+
+    def counted_lattice(G):
+        builds.append(G)
+        return lattice(G)
+
+    def counted_search(lam, subgroups=None):
+        chain = search(lam, subgroups)
+        searched.append(chain.length > 1)
+        return chain
+
+    monkeypatch.setattr(shoda, "all_subgroups", counted_lattice)
+    monkeypatch.setattr(shoda, "find_strong_inductive_chain", counted_search)
+    pairs, complete = complete_irredundant_set(paper1000, candidates)
+    assert complete and len(pairs) == 9
+    assert [p.status for p in pairs].count("generalized_strong") == 2
+    assert builds == ([] if pair_file else [paper1000])
+    assert sum(searched) == (0 if pair_file else 6)
 
 
 # -- the enumerator against every Shoda pair -------------------------------------
@@ -632,7 +675,8 @@ def _rows(pairs):
             p.K.members,
             p.status,
             p.pci,
-            None if p.chain is None else (p.chain.indices, [S.members for S in p.chain.steps]),
+            p.chain.indices,
+            [S.members for S in p.chain.steps],
         )
         for p in pairs
     ]

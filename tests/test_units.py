@@ -537,11 +537,9 @@ def random_c_units(G, rng):
 
 def z_units(G, pairs):
     """The z-construction on the Bass units of every element of H, for each
-    chained pair; units that fail its preconditions are skipped."""
+    pair; units that fail its preconditions are skipped."""
     units = []
     for p in pairs:
-        if p.chain is None:
-            continue
         for h in sorted(p.H.members):
             for spec in bass_specs_for(G, h):
                 try:
@@ -589,7 +587,7 @@ def test_omega_matches_field_oracle_on_z_units(name, count):
     strict=True,
     raises=AssertionError,
     reason="the float witness over-counts on z-units with coefficients of "
-    "up to 97 bits: 6 against rank 2 (ROADMAP item 4)",
+    "up to 97 bits: 6 against rank 2 (ROADMAP item 3)",
 )
 def test_witness_d7_z_units():
     G = get_group("D7")
