@@ -63,32 +63,36 @@ def elementary_abelian(p, k):
     return group_from_pc_presentation([p] * k)
 
 
+# paper_1000_86's relative orders, powers and commutators
+PAPER_1000_86_PC = (
+    (2, 2, 2, 5, 5, 5),
+    {1: [(2, 1)], 2: [(3, 1)]},
+    {
+        (4, 1): [(4, 3), (5, 3), (6, 2)],
+        (5, 1): [(4, 2), (6, 4)],
+        (6, 1): [(6, 2)],
+        (4, 2): [(4, 1), (6, 2)],
+        (5, 2): [(5, 1), (6, 2)],
+        (6, 2): [(6, 3)],
+        (4, 3): [(4, 3), (6, 2)],
+        (5, 3): [(5, 3), (6, 2)],
+        (5, 4): [(6, 1)],
+    },
+)
+
+
 def paper_1000_86():
     """The order-1000 group: extraspecial 5^(1+2) of exponent 5 extended
     by a cyclic group of order 8 acting with full order.
 
     Generators x1..x6 with x1^2 = x2, x2^2 = x3, x3^2 = 1, and x4, x5, x6
     of order 5 with [x5, x4] = x6 central in the 5-part.  The commutators
-    of x4 and x5 with x1 below are the unique normal words (given the
-    x2-commutators and the mod-center data of the x1-action) for which
-    conjugation by x2 is exactly the square of conjugation by x1 and the
-    x1-action has order 8.
+    of x4 and x5 with x1 in PAPER_1000_86_PC are the unique normal words
+    (given the x2-commutators and the mod-center data of the x1-action)
+    for which conjugation by x2 is exactly the square of conjugation by
+    x1 and the x1-action has order 8.
     """
-    return group_from_pc_presentation(
-        [2, 2, 2, 5, 5, 5],
-        powers={1: [(2, 1)], 2: [(3, 1)]},
-        commutators={
-            (4, 1): [(4, 3), (5, 3), (6, 2)],
-            (5, 1): [(4, 2), (6, 4)],
-            (6, 1): [(6, 2)],
-            (4, 2): [(4, 1), (6, 2)],
-            (5, 2): [(5, 1), (6, 2)],
-            (6, 2): [(6, 3)],
-            (4, 3): [(4, 3), (6, 2)],
-            (5, 3): [(5, 3), (6, 2)],
-            (5, 4): [(6, 1)],
-        },
-    )
+    return group_from_pc_presentation(*PAPER_1000_86_PC)
 
 
 @dataclass(frozen=True)

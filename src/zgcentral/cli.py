@@ -205,7 +205,6 @@ def rank_json(G, pairs, complete):
             {
                 **pair_json(t.pair),
                 "phi": euler_phi(t.pair.index),
-                "chain_indices": list(t.pair.chain.indices),
                 "k": t.k,
                 "term": t.term,
             }

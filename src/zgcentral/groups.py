@@ -25,7 +25,8 @@ two read-only arrays, the class of each element and the least element of
 each class, and `center` reads Z(G) off its class sizes; `conjugates`
 walks a subgroup's orbit under G's generators.  `galois_classes` is the
 action of (Z/e)^x, e the exponent, on the ordinary classes by g -> g^t;
-the real and rational classes read it.
+the real and rational classes read it.  `inverse_classes` is its t = -1
+row alone, one gather.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
         self._validate()
-        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois" -> array
+        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois"/"inverse" -> array
 
     # -- construction checks -------------------------------------------------
 
@@ -748,6 +749,17 @@ def galois_classes(G):
     P.setflags(write=False)
     G._conjugacy["galois"] = P
     return P
+
+
+def inverse_classes(G):
+    """The class of rep^-1 for each ordinary class representative rep, one
+    gather.  Memoized per group; read-only intp."""
+    out = G._conjugacy.get("inverse")
+    if out is None:
+        part = conjugacy_partition(G)
+        out = G._conjugacy["inverse"] = part.class_of[G.inv[part.reps]]
+        out.setflags(write=False)
+    return out
 
 
 def center(G):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cyclotomic import euler_phi
 from .errors import DivisibilityViolation, IncompleteSet, NotCentral, NotIdempotent
 from .groupalgebra import center_component_dim
-from .groups import conjugacy_partition
+from .groups import conjugacy_partition, inverse_classes
 from .shoda import is_complete
 
 
@@ -46,12 +46,11 @@ def k_of_pair(G, pair):
     else 2; decided exactly.
 
     chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when its class
-    rows, gathered at the classes of the representatives' inverses, are
-    unchanged.
+    rows, gathered at the classes of the representatives' inverses
+    (`groups.inverse_classes`, built once per group), are unchanged.
     """
     rows = pair.lam.class_rows
-    part = conjugacy_partition(G)
-    return 1 if (rows[part.class_of[G.inv[part.reps]]] == rows).all() else 2
+    return 1 if (rows[inverse_classes(G)] == rows).all() else 2
 
 
 def _center_degree(pair, k=1):

@@ -14,7 +14,7 @@ above Z(G), one H per conjugacy class, and only the K that hold the
 commutators of H's generators with [H:K] dividing exp(H) are tested.  A
 chain carries its idempotent e_i, and each level reads e_i's conjugates
 off one right transversal of the step below, which also yields the
-centralizer and its transversal.  Every e_i is a self-adjoint
+centralizer; the chain keeps that transversal.  Every e_i is a self-adjoint
 idempotent (its coefficients at g and g^-1 agree), so the trace form
 <a, b>, the coefficient of 1 in a b*, decides a level with no QG
 product: e_i^t = e_i exactly when <e_i, e_i^t> = <e_i, e_i>, and
@@ -181,22 +181,24 @@ class StrongInductiveChain:
 
     `top` is e_n: e_0 = epsilon(H, K), and e_{i+1} is the sum of the
     distinct H_{i+1}-conjugates of e_i (Bakshi-Kaur).  Per level i:
-    `centralizers[i]` is the centralizer of e_i in H_{i+1},
-    `transversals[i]` its right transversal in H_{i+1},
-    `inner_transversals[i]` the right transversal of H_i in it, and
-    `indices[i]` the index of H_i in the centralizer.
+    `centralizers[i]` is the centralizer of e_i in H_{i+1}, and
+    `transversals[i]` the right transversal of H_i in H_{i+1} that the
+    level check read, [0] for a repeated step.  `indices[i]` is the index
+    of H_i in the centralizer.
     """
 
     steps: list
     top: QGElement
     centralizers: list = field(default_factory=list)
     transversals: list = field(default_factory=list)
-    inner_transversals: list = field(default_factory=list)
-    indices: list = field(default_factory=list)
 
     @property
     def length(self):
         return len(self.steps) - 1
+
+    @property
+    def indices(self):
+        return [c.order // s.order for c, s in zip(self.centralizers, self.steps)]
 
 
 def _climb(chain, nxt):
@@ -215,16 +217,16 @@ def _climb(chain, nxt):
       is g_t, so e_i d = 0 exactly when g_t = 0.
     So one gather of the conjugates and one matrix-vector product decide
     the level, and no QG product is taken.  cen is the union of the
-    cosets H_i t whose t fixes e_i; those t are the least elements of the
-    cosets of H_i in cen, `right_transversal(H_i, cen)`.  Each distinct
-    conjugate is e_i^t for [cen:H_i] of the t, so e_(i+1) is the sum
-    over T divided by that index.  A level with H_i = nxt has index 1.
+    cosets H_i t whose t fixes e_i.  Each distinct conjugate is e_i^t for
+    [cen:H_i] of the t, so e_(i+1) is the sum over T divided by that
+    index.  The level keeps T.  A level with H_i = nxt has index 1 and
+    transversal [0].
     """
     Hi, ei = chain.steps[-1], chain.top
     if not Hi <= nxt:
         return None
     if Hi.order == nxt.order:
-        fixing, cen, top, transversal = [0], Hi, ei, [0]
+        cen, top, T = Hi, ei, [0]
     else:
         T = right_transversal(Hi, nxt)
         gram, total = conjugate_gram(ei, T)
@@ -239,14 +241,11 @@ def _climb(chain, nxt):
         if not is_normal(Hi, cen):
             return None
         top = QGElement.from_vec(G, total, den=ei.den * len(fixing))
-        transversal = right_transversal(cen, nxt)
     return StrongInductiveChain(
         steps=chain.steps + [nxt],
         top=top,
         centralizers=chain.centralizers + [cen],
-        transversals=chain.transversals + [transversal],
-        inner_transversals=chain.inner_transversals + [fixing],
-        indices=chain.indices + [len(fixing)],
+        transversals=chain.transversals + [T],
     )
 
 

@@ -12,13 +12,15 @@ computed in one ring, Z<gM> = Z[x]/(x^e - 1) with e the order of gM:
 the rows of u_{k,m}(g) and its inverse are folded once by residues mod
 e, n_b is walked there mod |M|, and the exact power is taken there too.
 
-The z-construction walks a strong inductive chain, conjugate-averaging
-over the level centralizers; the c-construction walks a subnormal series,
-conjugate-averaging over transversals.  Each checks the inverse its input
-carries with one multiplication, carries the inverse of its product, the
-reversed product of the conjugated inverses, and checks that with one
-more.  `bass_central_units` is the generating set of Theorem 1: the
-c-construction on the Bass units of every subnormal cyclic subgroup.
+The z-construction walks a strong inductive chain, one product of the
+conjugates of z^|H_i| per level over the transversal of H_i in H_(i+1)
+that the chain keeps; the c-construction walks a subnormal series, one
+product of conjugates per transversal.  Each carries the inverse of its
+product, the reversed product of the conjugated inverses.  One check,
+`_verified_unit`, guards the input in ZH and the output in ZG, with one
+multiplication each.  `bass_central_units` is the generating set of
+Theorem 1: the c-construction on the Bass units of every subnormal cyclic
+subgroup.
 
 A numerical log-embedding witness measures the multiplicative rank of a
 set of central units.  The central character value it embeds is exact,
@@ -230,37 +232,24 @@ def gen_bass_unit(G, g, M, k, m):
 # -- verification --------------------------------------------------------------
 
 
-def _verified_unit(value, inverse, provenance, inputs):
-    """Wrap a construction's output once it is integral and central and
-    its carried inverse is integral with value * inverse = 1."""
-    G = value.group
-    if not (
-        value.is_integral()
-        and inverse.is_integral()
-        and is_central(value)
-        and mul(value, inverse) == QGElement.one(G)
-    ):
-        raise ZgError("construction output failed the central-unit check")
-    return Unit(value, inverse, provenance, inputs)
+def _verified_unit(u, S, error):
+    """The Unit u once its value and carried inverse are integral and
+    supported in S, the value is central in ZS, and value * inverse = 1;
+    otherwise raises `error`.  A construction's input is checked with
+    PreconditionFailed, its output, in ZG, with ZgError."""
+    for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
+        if not set(v.support) <= S.members:
+            raise error(f"{label} is not supported inside the base subgroup")
+        if not v.is_integral():
+            raise error(f"{label} has non-integer coefficients")
+    if not is_central(u.value, S):
+        raise error("u is not central in the base subring")
+    if mul(u.value, u.inverse) != QGElement.one(S.parent):
+        raise error("u times its carried inverse is not 1")
+    return u
 
 
 # -- the z- and c-constructions ------------------------------------------------
-
-
-def _require_central_unit_of_subring(u, H):
-    """Check that the Unit u lies in ZH, is central there, and carries its
-    inverse: both integral and supported in H, value * inverse = 1."""
-    for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
-        if not set(v.support) <= H.members:
-            raise PreconditionFailed(
-                f"{label} is not supported inside the base subgroup"
-            )
-        if not v.is_integral():
-            raise PreconditionFailed(f"{label} has non-integer coefficients")
-    if not is_central(u.value, H):
-        raise PreconditionFailed("u is not central in the base subring")
-    if mul(u.value, u.inverse) != QGElement.one(H.parent):
-        raise PreconditionFailed("u times its carried inverse is not 1")
 
 
 def _integer_multiple_of(p, w):
@@ -291,10 +280,12 @@ def _conjugate_product(value, inverse, reps):
 
 def z_central_unit(u, pair):
     """Push a Unit central in Z[pair.H] up the pair's strong inductive
-    chain; the result is a verified central Unit of ZG."""
+    chain: z_(i+1) is the product of the conjugates of z_i^|H_i| over the
+    chain's transversal of H_i in H_(i+1).  The result is a verified
+    central Unit of ZG."""
     H = pair.H
     G = H.parent
-    _require_central_unit_of_subring(u, H)
+    _verified_unit(u, H, PreconditionFailed)
     eps = pair.lam.epsilon
     one_minus = QGElement.one(G) - eps
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
@@ -304,16 +295,12 @@ def z_central_unit(u, pair):
             )
     # (z^m)^-1 = (z^-1)^m
     z, zinv = u.value, u.inverse
-    for i in range(pair.chain.length):
-        base = pair.chain.steps[i]
+    for base, reps in zip(pair.chain.steps, pair.chain.transversals):
         if not is_central(z, base):
             raise PreconditionFailed("intermediate value lost centrality")
-        reps = pair.chain.inner_transversals[i]
-        inner = _conjugate_product(z**base.order, zinv**base.order, reps)
-        z, zinv = _conjugate_product(*inner, pair.chain.transversals[i])
-    return _verified_unit(
-        z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support}
-    )
+        z, zinv = _conjugate_product(z**base.order, zinv**base.order, reps)
+    out = Unit(z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support})
+    return _verified_unit(out, G.whole(), ZgError)
 
 
 def c_central_unit(u, series, transversals=None):
@@ -321,8 +308,7 @@ def c_central_unit(u, series, transversals=None):
     series by transversal products; independent of the transversal
     choices."""
     steps = series.steps
-    H = steps[0]
-    _require_central_unit_of_subring(u, H)
+    _verified_unit(u, steps[0], PreconditionFailed)
     c, cinv = u.value, u.inverse
     for i in range(len(steps) - 1):
         if transversals is not None:
@@ -330,9 +316,8 @@ def c_central_unit(u, series, transversals=None):
         else:
             reps = right_transversal(steps[i], steps[i + 1])
         c, cinv = _conjugate_product(c, cinv, reps)
-    return _verified_unit(
-        c, cinv, "c-construction", {"series_orders": [s.order for s in steps]}
-    )
+    out = Unit(c, cinv, "c-construction", {"series_orders": [s.order for s in steps]})
+    return _verified_unit(out, steps[0].parent.whole(), ZgError)
 
 
 def bass_central_units(G):

@@ -1,6 +1,7 @@
 import pytest
 
 from zgcentral.catalog import (
+    PAPER_1000_86_PC,
     alternating4,
     cyclic,
     dihedral,
@@ -8,6 +9,7 @@ from zgcentral.catalog import (
     quaternion8,
     symmetric,
 )
+from zgcentral.groups import group_from_pc_presentation
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +55,10 @@ def d5():
 @pytest.fixture(scope="session")
 def paper1000():
     return paper_1000_86()
+
+
+@pytest.fixture(scope="session")
+def paper1000_c2():
+    """paper-1000-86 x C2: its pc presentation and x7 of order 2, central."""
+    orders, powers, commutators = PAPER_1000_86_PC
+    return group_from_pc_presentation([*orders, 2], powers, commutators)

@@ -74,6 +74,10 @@ of a pair's rows with one matrix product.  `galois_pci` is the integer
 Galois-orbit sum that `zgcentral` took each candidate's idempotent by
 before it read the idempotent off its strong inductive chain's top: the
 tests compare `chain.top` against it, and it against the Fraction `pci`.
+`z_central_unit` takes two nested conjugate products per chain level,
+over the right transversals of H_i in its centralizer C_i and of C_i in
+H_(i+1), the way `zgcentral` did before each level kept the one
+transversal of H_i in H_(i+1) that its check read.
 """
 
 import cmath
@@ -81,7 +85,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from math import gcd, lcm
 
@@ -433,9 +437,9 @@ def level_check(Hi, Hnext, ei):
 
 
 def verify_chain(G, H, K, steps):
-    """The chain through `steps` with its centralizers, indices and top
-    when every level passes `level_check`, e_0 = epsilon(H, K), else
-    None; transversals are left empty."""
+    """The chain through `steps` with its centralizers and top when every
+    level passes `level_check`, e_0 = epsilon(H, K), else None;
+    transversals are left empty."""
     chain = shoda.StrongInductiveChain(steps=list(steps), top=epsilon(H, K))
     for Hi, Hnext in zip(steps, steps[1:]):
         level = level_check(Hi, Hnext, chain.top)
@@ -443,7 +447,6 @@ def verify_chain(G, H, K, steps):
             return None
         cen, chain.top = level
         chain.centralizers.append(cen)
-        chain.indices.append(cen.order // Hi.order)
     return chain
 
 
@@ -1202,3 +1205,55 @@ def gen_bass_unit(G, g, M, k, m, cap):
                 return n, p, QGElement(G, inv)
         p = qg_mul(p, b)
     return None
+
+
+# -- the z-construction as two nested products per level ------------------------
+
+
+def _splits(v, e):
+    """Whether v - v e is an integer multiple of 1 - e."""
+    w = QGElement.one(v.group) - e
+    p = v - qg_mul(v, e)
+    if w.is_zero():
+        return p.is_zero()
+    g = w.support[0]
+    c = p.coeff(g) / w.coeff(g)
+    return c.denominator == 1 and p == w.scale(c)
+
+
+def _conjugate_product(z, zinv, reps):
+    """The product of z's conjugates over reps, and its inverse, the
+    reversed product of zinv's."""
+    return (
+        reduce(qg_mul, [z.conj(t) for t in reps]),
+        reduce(qg_mul, [zinv.conj(t) for t in reversed(reps)]),
+    )
+
+
+def z_central_unit(u, pair):
+    """The z-construction of the Unit u along pair's chain, as (value,
+    inverse), or None where a precondition fails: u and its inverse
+    integral, supported in H and splitting as Z(1 - e) + (ZH)e with
+    e = epsilon(H, K), u central in ZH and value * inverse = 1, and each
+    z_i central in ZH_i, every one checked by conjugation by every member.
+    Level i takes the conjugates of z_i^|H_i| over the right transversal
+    of H_i in the centralizer C_i, then the conjugates of their product
+    over the right transversal of C_i in H_(i+1): the two nested products
+    `zgcentral` took before each level kept one transversal."""
+    H = pair.H
+    z, zinv = u.value, u.inverse
+    for v in (z, zinv):
+        if not (v.is_integral() and set(v.support) <= H.members):
+            return None
+    if qg_mul(z, zinv) != QGElement.one(H.parent):
+        return None
+    if not all(_splits(v, pair.lam.epsilon) for v in (z, zinv)):
+        return None
+    chain = pair.chain
+    for Hi, cen, nxt in zip(chain.steps, chain.centralizers, chain.steps[1:]):
+        if any(z.conj(h) != z for h in Hi.members):
+            return None
+        z, zinv = z**Hi.order, zinv**Hi.order
+        for reps in (right_transversal(Hi, cen), right_transversal(cen, nxt)):
+            z, zinv = _conjugate_product(z, zinv, reps)
+    return z, zinv

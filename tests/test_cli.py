@@ -175,7 +175,7 @@ def _rank_rows(doc):
             p["status"],
             p["k"],
             p["term"],
-            math.prod(p["chain_indices"]),
+            math.prod(p["chain"]["indices"]),
         )
         for p in doc["pairs"]
     )

@@ -25,6 +25,7 @@ from zgcentral.groupalgebra import (
 from zgcentral.groups import (
     Subgroup,
     all_subgroups,
+    check_cyclic_subnormal_hypothesis,
     conjugacy_partition,
     cyclic_coset_log,
     galois_classes,
@@ -32,6 +33,7 @@ from zgcentral.groups import (
     right_transversal,
     subgroup_closure,
 )
+from zgcentral.rank import rank_total
 from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
@@ -390,10 +392,10 @@ def test_level_check_matches_orbit_oracle(name):
     Hi, equals the orbit-search oracle for each Shoda pair (each candidate
     of the CORPUS groups, paper9.json's nine pairs) on every Hi <= Hnext of
     the lattice, above H for paper-1000-86, with e_i the sum of epsilon's
-    Hi-orbit: the same centralizer (the per-element filter's), a
-    transversal of it, the transversal of Hi in it with its length as the
-    index, and the same new top, or both None.  Hi = Hnext is the
-    closed-form level of index 1."""
+    Hi-orbit: the same centralizer (the per-element filter's) with its
+    index over Hi, the right transversal of Hi in Hnext, and the same new
+    top, or both None.  Hi = Hnext is the closed-form level of index 1
+    and transversal [0]."""
     G = get_group(name)
     subs = all_subgroups(G)
     pairs = paper9_pairs(G) if G.order > 100 else oracles.shoda_pair_candidates(G)
@@ -413,10 +415,8 @@ def test_level_check_matches_orbit_oracle(name):
                 if got is not None:
                     cen, top = want
                     assert got.centralizers == [cen]
-                    assert got.transversals == [right_transversal(cen, Hnext)]
-                    inner = right_transversal(Hi, cen)
-                    assert got.inner_transversals == [inner]
-                    assert got.indices == [len(inner)] == [cen.order // Hi.order]
+                    assert got.transversals == [right_transversal(Hi, Hnext)]
+                    assert got.indices == [cen.order // Hi.order]
                     assert got.top == top
     # every level of an abelian group passes
     abelian = np.array_equal(G.table, G.table.T)
@@ -452,21 +452,44 @@ def test_chain_top_is_the_pci():
 
 
 @pytest.mark.parametrize("name", ["D7", "S4", "D12", "Q16", "A4", "paper-1000-86"])
-def test_chain_carries_the_transversal_of_each_step_in_its_centralizer(name):
-    """The t of _climb that fix e_i are right_transversal(H_i, C_i),
-    element for element, at every level of every chain."""
+def test_chain_carries_the_transversal_of_each_step_in_the_next(name):
+    """Each level keeps the right transversal of H_i in H_(i+1) that its
+    check read ([0] for a repeated step), and its index is [C_i:H_i], at
+    every level of every chain."""
     G = get_group(name)
     candidates = _paper9_candidates(G) if G.order > 100 else None
     levels = 0
     for p in complete_irredundant_set(G, candidates)[0]:
         chain = p.chain
-        assert len(chain.inner_transversals) == chain.length
+        assert len(chain.transversals) == len(chain.centralizers) == chain.length
         levels += chain.length
-        for Hi, cen, reps in zip(chain.steps, chain.centralizers, chain.inner_transversals):
-            assert reps == right_transversal(Hi, cen)
-            assert len(reps) == cen.order // Hi.order
-        assert chain.indices == [len(reps) for reps in chain.inner_transversals]
+        for Hi, nxt, reps in zip(chain.steps, chain.steps[1:], chain.transversals):
+            assert reps == right_transversal(Hi, nxt)
+        assert chain.indices == [
+            cen.order // Hi.order for Hi, cen in zip(chain.steps, chain.centralizers)
+        ]
     assert levels
+
+
+def test_paper_1000_86_times_c2(paper1000_c2):
+    """The order-2000 group paper-1000-86 x C2: 18 pairs, 4 of them
+    generalized_strong with indices [2, 1, 2], every level keeping the
+    transversal of H_i in H_(i+1); rank 2 as the oracle says, and <g> is
+    not subnormal at g = 252."""
+    G = paper1000_c2
+    pairs, complete = complete_irredundant_set(G)
+    assert complete and len(pairs) == 18
+    gen = [p for p in pairs if p.status == "generalized_strong"]
+    assert len(gen) == 4 and [p.status for p in pairs].count("strong") == 14
+    assert all(p.chain.indices == [2, 1, 2] for p in gen)
+    for p in pairs:
+        steps = p.chain.steps
+        assert p.chain.transversals == [
+            right_transversal(Hi, nxt) for Hi, nxt in zip(steps, steps[1:])
+        ]
+    report = rank_total(G, pairs, complete)
+    assert report.total == report.oracle_total == 2
+    assert check_cyclic_subnormal_hypothesis(G) == (False, 252)
 
 
 def _self_adjoint(e):
@@ -524,7 +547,7 @@ def test_chain_levels_agree_in_python_ints(name, monkeypatch):
     def chains():
         pairs = complete_irredundant_set(G, candidates)[0]
         return [
-            (c.steps, c.top, c.centralizers, c.transversals, c.inner_transversals, c.indices)
+            (c.steps, c.top, c.centralizers, c.transversals, c.indices)
             for c in (p.chain for p in pairs)
         ]
 

@@ -21,6 +21,7 @@ from zgcentral.errors import (
     InternalBoundExceeded,
     NotNormal,
     PreconditionFailed,
+    ZgError,
 )
 from zgcentral.groupalgebra import QGElement, hat, is_central, mul
 from zgcentral.groups import (
@@ -454,8 +455,8 @@ def test_z_units_walk_no_coset(d5, monkeypatch):
 
 
 def test_z_units_make_no_transversal(monkeypatch):
-    """The right transversal of H_i in each level's centralizer rides on
-    the chain: D7's 65 z-units compute none."""
+    """Each level's right transversal of H_i in H_(i+1), the one its check
+    read, rides on the chain: D7's 65 z-units compute none."""
     D7 = get_group("D7")
     pairs, complete = complete_irredundant_set(D7)
     assert complete
@@ -465,6 +466,56 @@ def test_z_units_make_no_transversal(monkeypatch):
 
     monkeypatch.setattr(units, "right_transversal", refused)
     assert len(z_units(D7, pairs)) == 65
+
+
+# the corpus of the z-construction's nested-product oracle
+Z_ORACLE_GROUPS = tuple(
+    dict.fromkeys([name for name, _ in oracles.small_catalog(16)] + ["D11", "D12", "Q16", "S4", "A4"])
+)
+
+
+def test_z_units_match_the_nested_product_oracle():
+    """One conjugate product per level, over the chain's transversal of
+    H_i in H_(i+1), gives the units of the two nested products over the
+    centralizer's transversals (`oracles.z_central_unit`): the same
+    values and inverses, and the same refusals, for the Bass units of
+    every element of H, every pair, every group of order at most 16 and
+    D11, D12, S4."""
+    built = refused = 0
+    for name in Z_ORACLE_GROUPS:
+        G = get_group(name)
+        for p in complete_irredundant_set(G)[0]:
+            for h in sorted(p.H.members):
+                for spec in bass_specs_for(G, h):
+                    u = bass_unit(G, spec)
+                    want = oracles.z_central_unit(u, p)
+                    try:
+                        got = z_central_unit(u, p)
+                    except PreconditionFailed:
+                        assert want is None, (name, spec)
+                        refused += 1
+                        continue
+                    assert (got.value, got.inverse) == want, (name, spec)
+                    built += 1
+    assert (built, refused) == (1762, 2222)
+
+
+@pytest.mark.parametrize("construction", ["c", "z"])
+def test_failed_output_is_an_error_not_a_refusal(d5, monkeypatch, construction):
+    """An output that fails the unit check raises ZgError, never the
+    PreconditionFailed that marks a refused input."""
+    rot = next(g for g in range(10) if d5.element_orders[g] == 5)
+    H = subgroup_closure(d5, [rot])
+    u = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
+    # every product keeps its value and loses its inverse
+    monkeypatch.setattr(units, "_conjugate_product", lambda v, inv, reps: (v, v))
+    with pytest.raises(ZgError) as info:
+        if construction == "c":
+            c_central_unit(u, subnormal_series(H))
+        else:
+            pairs, _ = complete_irredundant_set(d5)
+            z_central_unit(u, next(p for p in pairs if p.H.members == H.members))
+    assert not isinstance(info.value, PreconditionFailed)
 
 
 def test_z_precondition_split_failure(c4, d5):
