@@ -26,6 +26,7 @@ from .catalog import catalog, get_group
 from .cyclotomic import euler_phi
 from .errors import ZgError
 from .groups import (
+    check_cyclic_subnormal_hypothesis,
     group_from_cayley,
     group_from_pc_presentation,
     group_from_permutations,
@@ -34,7 +35,7 @@ from .groups import (
 )
 from .rank import rank_oracle, rank_total
 from .shoda import complete_irredundant_set
-from .units import bass_central_units, central_character_value
+from .units import bass_central_units, central_character_value, log_rank_witness
 
 
 # -- input loading -------------------------------------------------------------
@@ -237,7 +238,8 @@ def _omega_json(G, pair, v):
 def units_json(G, pairs, complete):
     rows = []
     # bass_central_units verifies each central unit, or raises: exit 1
-    for spec, cu in bass_central_units(G):
+    built = bass_central_units(G)
+    for spec, cu in built:
         row = {
             "spec": {"g": spec.g, "k": spec.k, "m": spec.m},
             "support": len(cu.value.support),
@@ -246,7 +248,13 @@ def units_json(G, pairs, complete):
         if complete:
             row["omega"] = [_omega_json(G, p, cu.value) for p in pairs]
         rows.append(row)
-    return {"units": rows}
+    doc = {"units": rows}
+    if complete:
+        report = rank_total(G, pairs, complete=True)
+        doc["witness"] = log_rank_witness(G, [cu for _, cu in built], pairs)
+        doc["total"], doc["oracle"] = report.total, report.oracle_total
+        doc["cyclic_subnormal"] = check_cyclic_subnormal_hypothesis(G)[0]
+    return doc
 
 
 # -- emission ------------------------------------------------------------------

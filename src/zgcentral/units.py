@@ -22,19 +22,19 @@ multiplication each.  `bass_central_units` is the generating set of
 Theorem 1: the c-construction on the Bass units of every subnormal cyclic
 subgroup.
 
-A numerical log-embedding witness measures the multiplicative rank of a
-set of central units.  The central character value it embeds is exact,
+A p-adic log-embedding witness counts the multiplicative rank of a set
+of central units in int64.  The central character value is exact,
 (n, row, den): the unit's numerators summed per conjugacy class, times
 the pair's induced-character class rows (`LinearCharacter.class_rows`,
 on the power basis of Q(zeta_n)), over the unit's denominator times
-[G:H].  One matrix product per pair embeds all of the units' rows.
+[G:H]; one matrix product per pair takes it mod p^N at every embedding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .groupalgebra import QGElement, hat, is_central, mul
 from .groups import (
+    _prime_factors,
     conjugacy_partition,
     cyclic_subgroups,
     is_normal,
@@ -344,10 +345,7 @@ def random_right_transversal(H, within, rng):
     return [G.mul(hs[rng.randrange(len(hs))], t) for t in reps]
 
 
-# -- numerical rank witness ----------------------------------------------------
-
-# Singular values of the log matrix at or below this count as zero.
-WITNESS_TOLERANCE = 1e-6
+# -- p-adic rank witness ------------------------------------------------------
 
 
 def _class_sums(v):
@@ -358,53 +356,91 @@ def _class_sums(v):
     return sums
 
 
-def _omega(lam, sums, den):
-    """omega's exact row and denominator on lam's pair, for class sums
-    `sums` of numerators over `den`: one element, or with a matrix of
-    class sums and an array of dens, one element per row."""
-    return sums @ lam.class_rows.astype(object), den * lam.transversal.size
-
-
 def central_character_value(G, pair, v):
     """The scalar omega by which v acts on the pair's simple component, the
     induced character chi summed against v's coefficients over chi(1) =
     [G:H], as (n, row, den): omega = row / den on the power basis of
     Q(zeta_n), with `row` an exact integer object array."""
-    return (pair.lam.order, *_omega(pair.lam, _class_sums(v), v.den))
+    row = _class_sums(v) @ pair.lam.class_rows.astype(object)
+    return pair.lam.order, row, v.den * pair.lam.transversal.size
 
 
-@lru_cache(maxsize=None)
-def _embedding_matrix(n):
-    """phi(n) x phi(n) complex matrix of zeta_n^(i m), with i the power
-    basis index and m running over the units mod n: a power-basis row
-    times it is the row's value at every primitive n-th root of unity."""
-    ms = np.array([m for m in range(1, n + 1) if gcd(m, n) == 1])
-    out = np.exp(2j * np.pi * (np.outer(np.arange(ms.size), ms) % n) / n)
-    out.setflags(write=False)
-    return out
+def _witness_prime(e, order):
+    """(p, N, zeta): p the least odd prime = 1 mod e not dividing `order`,
+    N the largest integer below p with p^N < 2^31, and zeta mod p^N the
+    Teichmüller lift of an element of order e mod p."""
+    p = 1 + e
+    while p % 2 == 0 or _prime_factors(p) != [p] or order % p == 0:
+        p += e
+    N = max(N for N in range(1, min(p, 31)) if p**N < 2**31)
+    if N < 2:
+        raise InternalBoundExceeded(f"least prime = 1 mod {e} is {p}, above 2^15.5")
+    x = 2  # x^((p-1)/e) has order e unless some x^((p-1)/r), r | e prime, is 1
+    while any(pow(x, (p - 1) // r, p) == 1 for r in _prime_factors(e)):
+        x += 1
+    return p, N, pow(x, (p - 1) // e * p ** (N - 1), p**N)
+
+
+def _mulmod(a, b, q):
+    """a @ b mod q < 2^31 by a's 16-bit halves: every sum is below 2^62."""
+    hi, lo = np.divmod(a, 1 << 16)
+    return (((hi @ b) % q << 16) + lo @ b) % q
+
+
+def _padic_log(x, p, N):
+    """log(x^(p-1)) / p mod p^(N-1) entrywise, for int64 x prime to p: the
+    series sum_{k<N} (-1)^(k+1) (y-1)^k / k mod p^N at y = x^(p-1), whose
+    later terms vanish mod p^N since N < p."""
+    q, y = p**N, np.ones_like(x)
+    for bit in bin(p - 1)[2:]:
+        y = y * y % q * (x if bit == "1" else 1) % q
+    log, t = 0, y - 1  # by Horner: t (1/1 - t (1/2 - t (1/3 - ...)))
+    for k in range(N - 1, 0, -1):
+        log = (pow(k, -1, q) - t * log) % q
+    return t * log % q // p
+
+
+def _padic_rank(A, p, M):
+    """The number of Smith divisors below M = p^d of the int64 matrix A mod
+    M, pivoting on an entry of least p-adic valuation."""
+    rank, pv = 0, 1
+    while pv < M and A.size:
+        hits = np.argwhere(A // pv % p)  # the entries of valuation log_p(pv)
+        if not hits.size:
+            pv *= p
+            continue
+        i, j = hits[0]
+        f = A[:, j] // pv * pow(int(A[i, j] // pv), -1, M) % M
+        A = np.delete(np.delete((A - f[:, None] * A[i] % M) % M, i, 0), j, 1)
+        rank += 1
+    return rank
 
 
 def log_rank_witness(G, units, pairs):
-    """Rank of the subgroup generated by `units` modulo torsion, measured
-    through archimedean log-embeddings of their central characters.
-
-    The exact rows of the units and of their inverses become floats by
-    correctly rounded int/int division.  Where |sigma(u)| < 1 its float
-    value can be mostly cancellation noise, so log|sigma(u)| is taken as
-    -log|sigma(u^-1)| from the unit's verified inverse.
-    """
+    """Rank of the subgroup generated by `units` modulo torsion: the rank
+    mod p^(N-1) of the p-adic logs of each sigma_m(omega(u)) = class sums
+    times class rows times V[i, j] = zeta_n^(i m_j), m_j the units mod n,
+    over den [G:H].  A relation among the units is one among their logs,
+    so it never exceeds the rank; it is exact at enough digits, since
+    Leopoldt's conjecture holds for abelian fields (Brumer, 1967)."""
     if not is_complete(G, pairs):
         raise IncompleteSet("pair set does not cover the group algebra")
     if not units:
         return 0
-    elements = [cu.value for cu in units] + [cu.inverse for cu in units]
-    sums = np.array([_class_sums(v) for v in elements])
-    dens = np.array([v.den for v in elements], dtype=object)
+    e = lcm(*(pair.lam.order for pair in pairs))
+    p, N, zeta = _witness_prime(e, G.order)
+    q = p**N
+    sums = [_class_sums(u.value) * pow(u.value.den, -1, q) % q for u in units]
+    sums = np.array(sums, dtype=np.int64)
     blocks = []
-    for p in pairs:
-        rows, q = _omega(p.lam, sums, dens)
-        floats = (rows / q[:, None]).astype(float)
-        zs, ws = np.split(np.abs(floats @ _embedding_matrix(p.lam.order)), 2)
-        blocks.append(np.where(zs >= 1, np.log(zs), -np.log(ws)))
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return int(np.sum(sv > WITNESS_TOLERANCE))
+    for pair in pairs:
+        lam, n = pair.lam, pair.lam.order
+        powers = np.array([pow(zeta, e // n * k, q) for k in range(n)], dtype=np.int64)
+        ms = np.array([m for m in range(1, n + 1) if gcd(m, n) == 1])
+        V = powers[np.outer(np.arange(ms.size), ms) % n]
+        W = _mulmod(lam.class_rows % q, V, q) * pow(lam.transversal.size, -1, q) % q
+        blocks.append(_mulmod(sums, W, q))
+    x = np.hstack(blocks)
+    if (x % p == 0).any():
+        raise NotInvertible(f"a central character value is 0 mod {p}: not a unit")
+    return _padic_rank(_padic_log(x, p, N), p, p ** (N - 1))

@@ -68,9 +68,12 @@ permutation tuples.  `table_reason`, `inverses` and `element_orders`
 are its per-row and per-element loops from before it checked tables in
 blocks.  `Cyclotomic` is the Fraction value of Q(zeta_n) that
 `zgcentral` held the central character value in before its exact
-(n, row, den), and `log_rank_witness` embeds it one coefficient and one
-(unit, pair) at a time, the way `zgcentral` did before it embedded all
-of a pair's rows with one matrix product.  `galois_pci` is the integer
+(n, row, den), and `log_rank_witness` embeds it in floats one
+coefficient and one (unit, pair) at a time, the archimedean witness
+`zgcentral` ran before its p-adic one; the tests use it only on small
+units, where floats suffice.  `padic_rank` is the p-adic witness in
+Python ints one entry at a time, at the second admissible prime where
+`zgcentral` takes the first.  `galois_pci` is the integer
 Galois-orbit sum that `zgcentral` took each candidate's idempotent by
 before it read the idempotent off its strong inductive chain's top: the
 tests compare `chain.top` against it, and it against the Fraction `pci`.
@@ -113,7 +116,7 @@ from zgcentral.groups import (
     right_transversal,
     subgroup_closure,
 )
-from zgcentral.units import WITNESS_TOLERANCE, BassSpec, bass_unit
+from zgcentral.units import BassSpec, bass_unit
 from zgcentral.units import central_character_value as exact_omega
 
 # catalog groups whose every Shoda pair is checked against the oracles
@@ -1151,10 +1154,17 @@ def central_character_value(G, H, K, v):
     return total / values[0]
 
 
+# Singular values of the float log matrix at or below this count as zero.
+WITNESS_TOLERANCE = 1e-6
+
+
 def log_rank_witness(G, units, pairs):
-    """The log-rank witness one (unit, pair) at a time: the library's exact
-    omega row over its denominator as a Fraction `Cyclotomic`, embedded one
-    coefficient at a time, with the same inverse fallback and threshold."""
+    """The archimedean log-rank witness one (unit, pair) at a time: the
+    library's exact omega row over its denominator as a Fraction
+    `Cyclotomic`, embedded one coefficient at a time, log|sigma(u)| taken
+    as -log|sigma(u^-1)| where |sigma(u)| < 1, and singular values above
+    WITNESS_TOLERANCE counted.  Floats lose the small embeddings of units
+    with large coefficients, so it is right only on small units."""
     if not units:
         return 0
 
@@ -1173,6 +1183,85 @@ def log_rank_witness(G, units, pairs):
         rows.append(row)
     sv = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
     return int(np.sum(sv > WITNESS_TOLERANCE))
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def padic_rank(G, units, pairs):
+    """The p-adic log-rank witness at the second admissible prime, in Python
+    ints one entry at a time.
+
+    p is the second odd prime = 1 mod e (e the lcm of the [H:K]) that does
+    not divide |G|, N the largest integer with p^N < 2^31 and N < p, and
+    zeta_e the Teichmüller lift of g^((p-1)/e), g a primitive root mod p.
+    Each sigma_m(omega(u)) is the library's exact omega row summed against
+    powers of zeta_n one coefficient at a time, its log is the series
+    sum_{k<N} (-1)^(k+1) (y-1)^k / k mod p^N at y = x^(p-1), divided by p,
+    and the rank mod p^(N-1) counts the pivots of an elimination that
+    always takes an entry of least p-adic valuation."""
+    if not units:
+        return 0
+    e = lcm(*(pair.lam.order for pair in pairs))
+    admissible = (
+        p for p in range(e + 1, 10**7, e) if p % 2 and _is_prime(p) and G.order % p
+    )
+    next(admissible)
+    p = next(admissible)
+    N = max(N for N in range(1, p) if p**N < 2**31)
+    q, M = p**N, p ** (N - 1)
+    g = next(
+        x
+        for x in range(2, p)
+        if all(pow(x, (p - 1) // r, p) != 1 for r in range(2, p) if (p - 1) % r == 0 and _is_prime(r))
+    )
+    zeta = pow(pow(g, (p - 1) // e, p), M, q)
+
+    def log(x):
+        if x % p == 0:
+            raise NotInvertible(f"{x} is 0 mod {p}")
+        t = pow(x, p - 1, q) - 1
+        total = sum((-1) ** (k + 1) * t**k * pow(k, -1, q) for k in range(1, N))
+        return total % q // p
+
+    rows = []
+    for cu in units:
+        row = []
+        for pair in pairs:
+            n, coeffs, den = exact_omega(G, pair, cu.value)
+            zeta_n = pow(zeta, e // n, q)
+            inv_den = pow(int(den), -1, q)
+            for m in range(1, n + 1):
+                if gcd(m, n) == 1:
+                    x = sum(int(c) * pow(zeta_n, i * m, q) for i, c in enumerate(coeffs))
+                    row.append(log(x * inv_den % q))
+        rows.append(row)
+
+    rank = 0
+    while rows and rows[0]:
+        entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % M]
+        if not entries:
+            break
+        i, j = min(entries, key=lambda ij: _valuation(rows[ij[0]][ij[1]], p))
+        v = _valuation(rows[i][j], p)
+        w_inv = pow(rows[i][j] // p**v, -1, M)
+        pivot = rows.pop(i)
+        rows = [
+            [(x - (row[j] // p**v) * w_inv * y) % M for x, y in zip(row, pivot)]
+            for row in rows
+        ]
+        rows = [row[:j] + row[j + 1 :] for row in rows]
+        rank += 1
+    return rank
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 # -- generalized Bass units by powers ----------------------------------------------

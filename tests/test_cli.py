@@ -97,6 +97,16 @@ def test_units_c5(capsys):
     assert code == 0 and doc["complete"]
     assert doc["units"] and all(r["central_unit"] for r in doc["units"])
     assert all(len(r["omega"]) == 2 for r in doc["units"])
+    assert doc["witness"] == doc["total"] == doc["oracle"] == 1
+    assert doc["cyclic_subnormal"]
+
+
+def test_units_verdict_d25(capsys):
+    """D25's Theorem 1 units reach the rank (the float witness read 14)."""
+    code, doc = run_json(capsys, ["units", "--group", "catalog:D25"])
+    assert code == 0 and doc["complete"]
+    assert doc["witness"] == doc["total"] == doc["oracle"] == 10
+    assert doc["cyclic_subnormal"]
 
 
 @pytest.mark.parametrize("name", ["Q16", "C24"])

@@ -1,5 +1,6 @@
 """Bass units, generalized Bass units, z-/c-constructions, rank witness."""
 
+import functools
 import json
 import random
 import sys
@@ -634,21 +635,16 @@ def test_omega_matches_field_oracle_on_z_units(name, count):
     check_omega_against_oracle(G, pairs, units)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the float witness over-counts on z-units with coefficients of "
-    "up to 97 bits: 6 against rank 2 (ROADMAP item 3)",
-)
 def test_witness_d7_z_units():
     G = get_group("D7")
     pairs, _ = complete_irredundant_set(G)
     assert log_rank_witness(G, z_units(G, pairs), pairs) == rank_oracle(G)
 
 
-# -- the rank witness against its one-coefficient-at-a-time oracle --------------
+# -- the rank witness against its one-entry-at-a-time oracles ------------------
 
-# the c-unit groups of the central-units benchmark
+# the c-unit groups of the central-units benchmark, whose units are small
+# enough for the float oracle
 WITNESS_C_GROUPS = ("C20", "C21", "C24", "C30", "C36", "E25", "Q16")
 
 
@@ -661,13 +657,59 @@ def test_witness_matches_oracle_on_random_transversals(seed):
         units = random_c_units(G, rng)
         got = log_rank_witness(G, units, pairs)
         assert got == oracles.log_rank_witness(G, units, pairs) == rank_oracle(G), name
+        assert got == oracles.padic_rank(G, units, pairs), name
 
 
-@pytest.mark.parametrize("name, rank", [("D5", 1), ("D7", 6), ("D11", 10)])
+@pytest.mark.parametrize("name, rank", [("D5", 1), ("D7", 2), ("D11", 4)])
 def test_witness_matches_oracle_on_z_units(name, rank):
-    """Both witnesses give the same count on the z-units, over-counts
-    included: D7's and D11's are above the true rank."""
+    """The z-units reach the rank; D7's and D11's have coefficients of up
+    to 97 bits, where the float oracle reads 6 and 10."""
     G = get_group(name)
     pairs, _ = complete_irredundant_set(G)
     units = z_units(G, pairs)
-    assert log_rank_witness(G, units, pairs) == oracles.log_rank_witness(G, units, pairs) == rank
+    assert log_rank_witness(G, units, pairs) == oracles.padic_rank(G, units, pairs) == rank
+    assert rank == rank_oracle(G)
+
+
+def test_witness_reaches_the_rank_with_bass_central_units():
+    """Theorem 1's units on every catalog group but paper-1000-86 (whose
+    cyclic subgroups are not all subnormal), and on C105 and C120, whose
+    units have coefficients of up to 122 bits."""
+    named = [(e.name, e.constructor()) for e in catalog() if e.name != "paper-1000-86"]
+    named += [("C105", cyclic(105)), ("C120", cyclic(120))]
+    for name, G in named:
+        pairs, _ = complete_irredundant_set(G)
+        units = [cu for _, cu in bass_central_units(G)]
+        assert log_rank_witness(G, units, pairs) == rank_oracle(G), name
+
+
+@functools.cache
+def _theorem_1_units(name):
+    G = get_group(name)
+    return G, complete_irredundant_set(G)[0], [cu for _, cu in bass_central_units(G)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["C7", "C9", "C12", "C15", "C21", "Q16", "D5", "D12", "E25"]),
+    data=st.data(),
+)
+def test_witness_is_the_rank_of_the_generated_group(name, data):
+    """The witness of a few listed units never exceeds the rank, and adding
+    1, u^2 or u*v of listed units u, v leaves it unchanged."""
+    G, pairs, units = _theorem_1_units(name)
+    listed = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
+    witness = log_rank_witness(G, listed, pairs)
+    assert witness <= rank_oracle(G)
+    u, v = data.draw(st.sampled_from(listed)), data.draw(st.sampled_from(listed))
+    one = QGElement.one(G)
+    dependent = data.draw(
+        st.sampled_from(
+            [
+                Unit(one, one, "1"),
+                Unit(u.value**2, u.inverse**2, "u^2"),
+                Unit(mul(u.value, v.value), mul(v.inverse, u.inverse), "u*v"),
+            ]
+        )
+    )
+    assert log_rank_witness(G, listed + [dependent], pairs) == witness
