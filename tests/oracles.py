@@ -1209,13 +1209,12 @@ def padic_rank(G, units, pairs):
     )
     next(admissible)
     p = next(admissible)
-    N = max(N for N in range(1, p) if p**N < 2**31)
+    N = 1
+    while N + 1 < p and p ** (N + 1) < 2**31:
+        N += 1
     q, M = p**N, p ** (N - 1)
-    g = next(
-        x
-        for x in range(2, p)
-        if all(pow(x, (p - 1) // r, p) != 1 for r in range(2, p) if (p - 1) % r == 0 and _is_prime(r))
-    )
+    primes = [r for r in range(2, p) if (p - 1) % r == 0 and _is_prime(r)]
+    g = next(x for x in range(2, p) if all(pow(x, (p - 1) // r, p) != 1 for r in primes))
     zeta = pow(pow(g, (p - 1) // e, p), M, q)
 
     def log(x):

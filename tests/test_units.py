@@ -673,10 +673,11 @@ def test_witness_matches_oracle_on_z_units(name, rank):
 
 def test_witness_reaches_the_rank_with_bass_central_units():
     """Theorem 1's units on every catalog group but paper-1000-86 (whose
-    cyclic subgroups are not all subnormal), and on C105 and C120, whose
-    units have coefficients of up to 122 bits."""
+    cyclic subgroups are not all subnormal); on C72, whose logs need more
+    than one p-adic digit (one digit reads 20 against 25); and on C105 and
+    C120, whose units have coefficients of up to 122 bits."""
     named = [(e.name, e.constructor()) for e in catalog() if e.name != "paper-1000-86"]
-    named += [("C105", cyclic(105)), ("C120", cyclic(120))]
+    named += [(f"C{n}", cyclic(n)) for n in (72, 105, 120)]
     for name, G in named:
         pairs, _ = complete_irredundant_set(G)
         units = [cu for _, cu in bass_central_units(G)]
