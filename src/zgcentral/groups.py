@@ -15,7 +15,9 @@ element g at a time.  If g normalizes H, <H, g> is the union of the
 cosets H g^i, built by doubling with one gather per step; otherwise it is
 a breadth-first search from H's members under the generators kept so far
 and g.  `all_subgroups` extends by normal steps of prime index, whose
-cosets it walks directly.
+cosets it walks directly; it finds the index p of each step from the
+power maps x -> x^p, one per prime dividing the order, computed once per
+call by repeated squaring, z^p in S being one gather per prime.
 A Subgroup gets its generators when it is built, and nothing searches
 for them later; the greedy search runs once per group, in `_validate`,
 as the generators the closure of all of G keeps.
@@ -237,6 +239,19 @@ def _power(t, a, k):
             x = int(t[x, a])
         a = int(t[a, a])
         k >>= 1
+    return x
+
+
+def _array_power(t, a, k):
+    """a^k for every element of the index array a and k >= 0, by repeated
+    squaring through the table t: one gather per bit of k and per square."""
+    x = np.zeros_like(a)
+    while k:
+        if k & 1:
+            x = t[x, a]
+        k >>= 1
+        if k:
+            a = t[a, a]
     return x
 
 
@@ -508,13 +523,18 @@ def all_subgroups(G):
     T != 1 of a solvable group is S<z> for some normal S of prime index p,
     with z in N(S) and z^p in S, so T is the union of the cosets S z^i,
     i < p, and needs no closure.  T carries the generators S.gens + [z].
+    The power maps x -> x^p, one per prime p dividing |G|, are computed
+    once per call by repeated squaring and shared by every S; they are not
+    cached on G.
     Raises CapExceeded beyond LATTICE_CAP subgroups, and NotSolvable when
     G is not reached, which happens exactly when G is not solvable.
     """
+    everything = np.arange(G.order)
+    power_maps = [(p, _array_power(G.table, everything, p)) for p in _prime_factors(G.order)]
     found = {frozenset([0]): G.trivial()}
     queue = list(found.values())
     for S in queue:  # breadth first: the queue grows while it is read
-        for members, z in _cyclic_extensions(G, S):
+        for members, z in _cyclic_extensions(G, S, power_maps):
             key = frozenset(members.tolist())
             if key in found:
                 continue
@@ -536,27 +556,30 @@ def all_subgroups(G):
     return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
 
 
-def _cyclic_extensions(G, S):
+def _cyclic_extensions(G, S, power_maps):
     """(members, z) for each T = S<z> containing S as a normal subgroup of
-    prime index, with z the smallest element of T outside S."""
+    prime index, with z the smallest element of T outside S.
+
+    `power_maps` holds (p, x -> x^p) for each prime p dividing |G|.  For
+    z outside S normalizing S, zS has prime order p in N(S)/S exactly when
+    z^p is in S, so one gather per prime marks every candidate with its
+    index; no z qualifies for two primes.
+    """
     t = G.table
     s = np.array(S.sorted_members, dtype=np.intp)
     in_s = np.zeros(G.order, dtype=bool)
     in_s[s] = True
     # z normalizes S when it conjugates each generator of S into S
-    cand = ~in_s
+    norm = ~in_s
     for h in S.gens:
-        cand &= in_s[t[t[G.inv, h], np.arange(G.order)]]
-    z = np.flatnonzero(cand)
-    # k = order of zS in N(S)/S, walking the powers of every z at once
-    x, k = z.copy(), np.ones(z.size, dtype=np.int64)
-    while not in_s[x].all():
-        live = ~in_s[x]
-        x[live] = t[x[live], z[live]]
-        k += live
+        norm &= in_s[t[t[G.inv, h], np.arange(G.order)]]
+    index = np.zeros(G.order, dtype=np.int64)
+    for p, power_p in power_maps:
+        index[norm & in_s[power_p]] = p
+    z = np.flatnonzero(index)
     covered = np.zeros(G.order, dtype=bool)
-    for zi, p in zip(z.tolist(), k.tolist()):
-        if covered[zi] or any(p % d == 0 for d in range(2, p)):
+    for zi, p in zip(z.tolist(), index[z].tolist()):
+        if covered[zi]:
             continue
         cosets = [s]
         for _ in range(p - 1):

@@ -31,6 +31,10 @@ subgroups with before it extended them one seed element at a time, and
 `power` walks k table lookups where `zgcentral` squares.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
+`cyclic_extension_lattice` is that cyclic extension as `zgcentral` ran
+it before its power maps: the index of each step S < S<z> is the order
+of zS, found by walking the powers of every candidate z up to the
+exponent, then tested for primality by trial division.
 The chain-search oracle lists the overgroups of each subgroup it visits
 the same way, one closure per element outside, where `zgcentral` reads
 them off the lattice.  Its `level_check` and `verify_chain` carry
@@ -104,6 +108,7 @@ from zgcentral.errors import (
     NotAGroup,
     NotInvertible,
     NotNormal,
+    NotSolvable,
     NotSubgroup,
     ZgError,
 )
@@ -392,6 +397,49 @@ def all_subgroups(G):
                 seen[T.members] = T
                 frontier.append(T)
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
+
+
+def cyclic_extension_lattice(G):
+    """Every subgroup of G, sorted by (order, member tuple), by cyclic
+    extension over normal steps of prime index: the index of each step is
+    the order k of zS, found by walking the powers of every candidate z
+    at once, one gather per power, and kept when k passes trial division.
+    Raises CapExceeded and NotSolvable where `zgcentral.groups` does."""
+    t = G.table
+    found = {frozenset([0]): G.trivial()}
+    queue = list(found.values())
+    for S in queue:
+        s = np.array(S.sorted_members, dtype=np.intp)
+        in_s = np.zeros(G.order, dtype=bool)
+        in_s[s] = True
+        cand = ~in_s
+        for h in S.gens:
+            cand &= in_s[t[t[G.inv, h], np.arange(G.order)]]
+        z = np.flatnonzero(cand)
+        x, k = z.copy(), np.ones(z.size, dtype=np.int64)
+        while not in_s[x].all():
+            live = ~in_s[x]
+            x[live] = t[x[live], z[live]]
+            k += live
+        covered = np.zeros(G.order, dtype=bool)
+        for zi, p in zip(z.tolist(), k.tolist()):
+            if covered[zi] or any(p % d == 0 for d in range(2, p)):
+                continue
+            cosets = [s]
+            for _ in range(p - 1):
+                cosets.append(t[cosets[-1], zi])
+            members = np.concatenate(cosets)
+            covered[members] = True
+            key = frozenset(members.tolist())
+            if key in found:
+                continue
+            if len(found) == groups.LATTICE_CAP:
+                raise CapExceeded(f"more than {groups.LATTICE_CAP} subgroups")
+            found[key] = Subgroup(G, key, gens=S.gens + [zi])
+            queue.append(found[key])
+    if frozenset(range(G.order)) not in found:
+        raise NotSolvable(f"group of order {G.order} is not solvable")
+    return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
 
 
 def is_normal(K, H):

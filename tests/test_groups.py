@@ -9,7 +9,7 @@ from functools import cache
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zgcentral import groups
@@ -444,6 +444,64 @@ def test_all_subgroups_order_1000(paper1000):
     assert subs[-1].order == 1000
 
 
+def lattice_or_error(lattice, G):
+    """(sorted_members, gens) of each subgroup in `lattice(G)`'s order, or
+    the type of the error it raises."""
+    try:
+        return [(S.sorted_members, S.gens) for S in lattice(G)]
+    except (CapExceeded, NotSolvable) as exc:
+        return type(exc)
+
+
+def test_all_subgroups_matches_power_walk_oracle(paper1000_c2):
+    """Power maps give the lattice the power walk gave: the same members
+    and generators, in the same order, on the catalog, paper-1000-86 x C2,
+    E64, C2048 and D1024."""
+    corpus = [entry.constructor() for entry in catalog()]
+    corpus += [paper1000_c2, elementary_abelian(2, 6), cyclic_2048(), dihedral(1024)]
+    for G in corpus:
+        want = lattice_or_error(oracles.cyclic_extension_lattice, G)
+        assert lattice_or_error(all_subgroups, G) == want
+        assert isinstance(want, list)
+
+
+# half the draws keep only the power relations, which makes them
+# consistent and abelian; C6^4 has more than LATTICE_CAP subgroups
+@settings(max_examples=100, deadline=None)
+@example(([6, 6, 6, 6], {}, {}))
+@given(
+    st.tuples(pc_presentations(), st.booleans()).map(
+        lambda drawn: (*drawn[0][:2], drawn[0][2] if drawn[1] else {})
+    )
+)
+def test_all_subgroups_matches_power_walk_oracle_on_pc_groups(presentation):
+    """The same on random pc groups, which are solvable; both sides raise
+    CapExceeded on the same ones."""
+    try:
+        G = group_from_pc_presentation(*presentation)
+    except InconsistentPresentation:
+        return
+    want = lattice_or_error(oracles.cyclic_extension_lattice, G)
+    assert lattice_or_error(all_subgroups, G) == want
+    assert want is not NotSolvable
+
+
+@pytest.mark.parametrize("name, primes", [("D24", [2, 3]), ("C60", [2, 3, 5]), ("C1", [])])
+def test_all_subgroups_computes_one_power_map_per_prime(name, primes, monkeypatch):
+    """One power map per prime dividing |G| per call, not one per subgroup."""
+    G = get_group(name)
+    exponents = []
+
+    def counted(t, a, k):
+        exponents.append(k)
+        return power(t, a, k)
+
+    power = groups._array_power
+    monkeypatch.setattr(groups, "_array_power", counted)
+    assert len(all_subgroups(G)) > len(primes)
+    assert exponents == primes
+
+
 def test_derived_subgroup_s3(s3):
     A3 = subgroup_closure(s3, [s3.element_orders.index(3)])
     comms = {oracles.commutator(s3, a, b) for a in range(6) for b in range(6)}
@@ -828,6 +886,9 @@ def test_power_by_squaring_matches_the_walk(name):
     for a in range(G.order):
         for k in range(-2 * G.order, 2 * G.order + 1):
             assert G.power(a, k) == oracles.power(G, a, k)
+    for k in range(2 * G.order + 1):
+        want = [oracles.power(G, a, k) for a in range(G.order)]
+        assert groups._array_power(G.table, np.arange(G.order), k).tolist() == want
 
 
 @pytest.mark.parametrize("name", [n for n in EXTENSION_GROUPS if n != "D1024"])
