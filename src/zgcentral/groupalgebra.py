@@ -14,11 +14,13 @@ right transversal of S in N (`shoda._climb`), all read off one blocked
 gather with their inner products <a, a^t> (`conjugate_gram`).
 
 Products are one convolution kernel (`_convolve`), which gives a * b at
-all of G (`mul`) or only at chosen elements.  For a central idempotent
-e, z -> z e is an idempotent linear map of the center Z(QG) onto
-Z(QGe), so dim_Q Z(QGe) is its trace, which needs no elimination: on
-the basis of ordinary class sums its diagonal is read off e's
-coefficients by one gather (`center_component_dim`).  A central e^2 is
+all of G (`mul`) or only at chosen elements: per block of a's support it
+gathers b at g^-1 k through the Cayley table and takes one matrix-vector
+product with a's coefficients there.  For a central idempotent e,
+z -> z e is an idempotent linear map of the center Z(QG) onto Z(QGe), so
+dim_Q Z(QGe) is its trace, which needs no elimination: on the basis of
+ordinary class sums its diagonal is read off e's coefficients by one
+gather (`center_component_dim`).  A central e^2 is
 constant on classes, so e^2 = e is checked at one element per class,
 never by a full product.
 """
@@ -250,8 +252,8 @@ def conjugate_gram(a, ts):
 def _convolve(a, b, cols=None):
     """The numerators of a * b at the group elements `cols`, or at all of
     G when cols is None, over the support of `a` in blocks of rows of the
-    Cayley table: in int64 when a bound on the sums allows it, else in
-    Python ints."""
+    Cayley table, one matrix-vector product per block: in int64 when a
+    bound on the sums allows it, else in Python ints."""
     G = a.group
     support = np.flatnonzero(a.vec)
     terms = min(support.size, int(np.count_nonzero(b.vec)))
@@ -269,7 +271,7 @@ def _convolve(a, b, cols=None):
         ginv = G.inv[g]
         # (a b)[k] is the sum over g of a[g] * b[g^-1 k]
         rows = G.table[ginv] if cols is None else G.table[ginv[:, None], cols]
-        acc += (A[g, None] * B[rows]).sum(axis=0)
+        acc += A[g] @ B[rows]
     return acc
 
 

@@ -110,8 +110,6 @@ class FiniteGroup:
         if bad.size:
             raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
         self.inv.setflags(write=False)
-        # the power walk ends on any Latin square with an identity: right
-        # multiplication by a is a permutation, so the orbit of 0 is a cycle
         self._orders = self._compute_element_orders()
         self._orders.setflags(write=False)
         self.element_orders = self._orders.tolist()
@@ -198,16 +196,21 @@ class FiniteGroup:
         kept.append(g)
 
     def _compute_element_orders(self):
-        """Order of every element, walking the powers of all at once."""
-        t = self.table
-        orders = np.ones(self.order, dtype=np.int64)
-        a = np.arange(1, self.order)
-        x = a
-        while a.size:
-            x = t[x, a]
-            orders[a] += 1
-            live = x != 0
-            a, x = a[live], x[live]
+        """Order of every element from prime power maps: for each p^v
+        exactly dividing |G|, x = a^(|G|/p^v) has order p^j, the p-part of
+        a's order, and j <= v is the number of p-th powers that take x to
+        1.  Every loop is bounded, so this ends on any table."""
+        t, n = self.table, self.order
+        a = np.arange(n)
+        orders = np.ones(n, dtype=np.int64)
+        for p in _prime_factors(n):
+            v = 0
+            while n % p ** (v + 1) == 0:
+                v += 1
+            x = _array_power(t, a, n // p**v)
+            for _ in range(v):
+                orders[x != 0] *= p
+                x = _array_power(t, x, p)
         return orders
 
     # -- basic arithmetic ----------------------------------------------------

@@ -15,8 +15,11 @@ e, n_b is walked there mod |M|, and the exact power is taken there too.
 The z-construction walks a strong inductive chain, one product of the
 conjugates of z^|H_i| per level over the transversal of H_i in H_(i+1)
 that the chain keeps; the c-construction walks a subnormal series, one
-product of conjugates per transversal.  Each carries the inverse of its
-product, the reversed product of the conjugated inverses.  One check,
+product of conjugates per transversal.  A level's conjugates commute, so
+`_conjugate_product` multiplies each distinct conjugate once and raises
+that product to the power m, the number of times each recurs over the
+transversal; the z-construction folds z's power |H_i| into it, m |H_i|.
+The inverse is the same product over the conjugated inverse.  One check,
 `_verified_unit`, guards the input in ZH and the output in ZG, with one
 multiplication each.  `bass_central_units` is the generating set of
 Theorem 1: the c-construction on the Bass units of every subnormal cyclic
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .groupalgebra import QGElement, hat, is_central, mul
 from .groups import (
+    _GATHER_BLOCK,
     _prime_factors,
     conjugacy_partition,
     cyclic_subgroups,
@@ -264,19 +268,47 @@ def _integer_multiple_of(p, w):
     return int(c)
 
 
-def _ordered_product(G, factors):
-    """f_1 * f_2 * ... * f_r in the given order; 1 for no factors."""
-    return reduce(mul, factors) if factors else QGElement.one(G)
+def _conjugate_product(value, inverse, reps, power=1):
+    """((prod of value^t over reps)^power, (prod of inverse^t over reps)^power)
+    for conjugates value^t that commute, each distinct one multiplied once.
 
+    The callers' conjugates commute.  In the c-construction value is
+    central in ZS_i and S_i is normal in S_(i+1), so every value^t lies in
+    the commutative ring Z(ZS_i).  In the z-construction value is central
+    in ZH_i and equals s(1 - e_i) + value e_i for an integer s (the
+    level-0 split, kept by every level).  Two conjugates by t, t' with
+    t' t^-1 in the centralizer C_i of e_i, which normalizes H_i, both lie
+    in Z(ZH_i^t); otherwise they sit over distinct, hence orthogonal,
+    conjugates f, f' of e_i (the chain's level check), and s(1 - f) + a,
+    s(1 - f') + b with a = f a f, b = f' b f' commute, since ab = ba = 0.
 
-def _conjugate_product(value, inverse, reps):
-    """(prod of value^t over reps, prod of inverse^t over reversed reps),
-    since an ordered product's inverse is the reversed product of inverses."""
+    value^t depends only on the right coset of value's stabilizer F >= S
+    in which t lies, S the subgroup that `reps` is a right transversal of,
+    so each distinct conjugate occurs exactly m = [F:S] times and the
+    product over reps is the product of the distinct conjugates to the
+    m-th power: one product per distinct conjugate but the first, and
+    O(log(m power)) for the power, per side, in place of len(reps) - 1.
+    The inverse's stabilizer is F too, so it is taken at the same
+    representatives, and in a commutative ring the inverse of the product
+    is the product of the inverses.  The conjugates' coefficients are read
+    off one gather per block of at most _GATHER_BLOCK entries, value^t at
+    y being value at t y t^-1, and told apart as tuples of ints."""
     G = value.group
-    return (
-        _ordered_product(G, [value.conj(t) for t in reps]),
-        _ordered_product(G, [inverse.conj(t) for t in reversed(reps)]),
-    )
+    t = G.table
+    ts = np.asarray(reps, dtype=np.intp)
+    seen = {}  # a distinct conjugate's coefficients -> [a rep giving it, multiplicity]
+    rows = max(1, _GATHER_BLOCK // G.order)
+    for j in range(0, ts.size, rows):
+        block = ts[j : j + rows]
+        conj = value.vec[t[t[block], G.inv[block][:, None]]]
+        for key, rep in zip(map(tuple, conj.tolist()), block.tolist()):
+            seen.setdefault(key, [rep, 0])[1] += 1
+    counts = {m for _, m in seen.values()}
+    if len(counts) != 1:
+        raise ZgError("distinct conjugates occur unequally often over the transversal")
+    exponent = counts.pop() * power
+    firsts = [rep for rep, _ in seen.values()]
+    return tuple(reduce(mul, [v.conj(rep) for rep in firsts]) ** exponent for v in (value, inverse))
 
 
 def z_central_unit(u, pair):
@@ -294,26 +326,42 @@ def z_central_unit(u, pair):
             raise PreconditionFailed(
                 f"{label} does not split as Z(1-e) + (subring)e"
             )
-    # (z^m)^-1 = (z^-1)^m
+    # the product of the conjugates of z^|H_i| is that of z's to the |H_i|-th
+    # power, since they commute; (z^m)^-1 = (z^-1)^m
     z, zinv = u.value, u.inverse
     for base, reps in zip(pair.chain.steps, pair.chain.transversals):
         if not is_central(z, base):
             raise PreconditionFailed("intermediate value lost centrality")
-        z, zinv = _conjugate_product(z**base.order, zinv**base.order, reps)
+        z, zinv = _conjugate_product(z, zinv, reps, base.order)
     out = Unit(z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support})
     return _verified_unit(out, G.whole(), ZgError)
+
+
+def _check_transversal(reps, S, N):
+    """Raise PreconditionFailed unless reps lists [N:S] members of N in
+    distinct right cosets of S, the coset St named by its least member."""
+    index = N.order // S.order
+    if len(reps) != index or not set(reps) <= N.members:
+        raise PreconditionFailed(f"a transversal needs {index} members of the next subgroup")
+    cosets = S.parent.table[np.array(S.sorted_members)[:, None], reps].min(axis=0)
+    if len(set(cosets.tolist())) != index:
+        raise PreconditionFailed("two representatives lie in one right coset")
 
 
 def c_central_unit(u, series, transversals=None):
     """Push a Unit central in the ring of the series' first subgroup up the
     series by transversal products; independent of the transversal
-    choices."""
+    choices.  Supplied transversals, one per step, are checked to be
+    right transversals of S_i in S_(i+1)."""
     steps = series.steps
     _verified_unit(u, steps[0], PreconditionFailed)
+    if transversals is not None and len(transversals) != len(steps) - 1:
+        raise PreconditionFailed(f"need one transversal per step, {len(steps) - 1}")
     c, cinv = u.value, u.inverse
     for i in range(len(steps) - 1):
         if transversals is not None:
             reps = transversals[i]
+            _check_transversal(reps, steps[i], steps[i + 1])
         else:
             reps = right_transversal(steps[i], steps[i + 1])
         c, cinv = _conjugate_product(c, cinv, reps)

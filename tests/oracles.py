@@ -70,7 +70,8 @@ a pc group by collection from the left, one word per normal-form tail
 and generator, and a permutation group by composing all n^2 pairs of
 permutation tuples.  `table_reason`, `inverses` and `element_orders`
 are its per-row and per-element loops from before it checked tables in
-blocks.  `Cyclotomic` is the Fraction value of Q(zeta_n) that
+blocks; `zgcentral` now reads element orders off prime power maps.
+`Cyclotomic` is the Fraction value of Q(zeta_n) that
 `zgcentral` held the central character value in before its exact
 (n, row, den), and `log_rank_witness` embeds it in floats one
 coefficient and one (unit, pair) at a time, the archimedean witness
@@ -84,7 +85,14 @@ tests compare `chain.top` against it, and it against the Fraction `pci`.
 `z_central_unit` takes two nested conjugate products per chain level,
 over the right transversals of H_i in its centralizer C_i and of C_i in
 H_(i+1), the way `zgcentral` did before each level kept the one
-transversal of H_i in H_(i+1) that its check read.
+transversal of H_i in H_(i+1) that its check read.  Both it and
+`c_central_unit` multiply every conjugate over a transversal in order,
+r - 1 products per side (`ordered_conjugate_product`), the way
+`zgcentral` did before it took each distinct conjugate once and raised
+their product to the multiplicity.  `convolve` is the group-algebra
+kernel as `zgcentral` ran it before its matrix-vector product: each
+block of Cayley-table rows broadcast against a's coefficients and
+summed.
 """
 
 import cmath
@@ -969,6 +977,26 @@ def mul(G, a, b):
     return {k: v for k, v in acc.items() if v}
 
 
+def convolve(a, b, cols=None):
+    """The numerators of a * b at `cols`, or at all of G, in blocks of
+    Cayley-table rows over a's support: each block's rows of b scaled by
+    a's coefficients by broadcasting and summed, the kernel `zgcentral`
+    ran before its matrix-vector product.  Python ints throughout."""
+    G = a.group
+    A = a.vec.astype(object)
+    B = b.vec.astype(object)
+    width = G.order if cols is None else len(cols)
+    acc = np.zeros(width, dtype=object)
+    support = np.flatnonzero(a.vec)
+    block = max(1, 2**16 // width)
+    for start in range(0, support.size, block):
+        g = support[start : start + block]
+        ginv = G.inv[g]
+        rows = G.table[ginv] if cols is None else G.table[ginv[:, None], cols]
+        acc += (A[g, None] * B[rows]).sum(axis=0)
+    return acc
+
+
 def inverse(G, a):
     """a^-1 for a = {g: q}, from the first integer relation c_0 + c_1 b +
     ... + c_d b^d = 0 among the powers of b = m a, m the common
@@ -1343,6 +1371,31 @@ def gen_bass_unit(G, g, M, k, m, cap):
     return None
 
 
+# -- the c-construction as ordered products ---------------------------------------
+
+
+def ordered_conjugate_product(value, inverse, reps):
+    """(value^t_1 * ... * value^t_r, inverse^t_r * ... * inverse^t_1) for
+    reps = [t_1, ..., t_r]: r - 1 products per side, in the order given,
+    with the inverse as the reversed product of the conjugated inverses."""
+    return (
+        reduce(qg_mul, [value.conj(t) for t in reps]),
+        reduce(qg_mul, [inverse.conj(t) for t in reversed(reps)]),
+    )
+
+
+def c_central_unit(u, series, transversals=None):
+    """The c-construction of the Unit u up the series as (value, inverse):
+    one ordered product of conjugates per step, over the supplied
+    transversal or the least right transversal, with no check."""
+    steps = series.steps
+    c, cinv = u.value, u.inverse
+    for i in range(len(steps) - 1):
+        reps = right_transversal(steps[i], steps[i + 1]) if transversals is None else transversals[i]
+        c, cinv = ordered_conjugate_product(c, cinv, reps)
+    return c, cinv
+
+
 # -- the z-construction as two nested products per level ------------------------
 
 
@@ -1355,15 +1408,6 @@ def _splits(v, e):
     g = w.support[0]
     c = p.coeff(g) / w.coeff(g)
     return c.denominator == 1 and p == w.scale(c)
-
-
-def _conjugate_product(z, zinv, reps):
-    """The product of z's conjugates over reps, and its inverse, the
-    reversed product of zinv's."""
-    return (
-        reduce(qg_mul, [z.conj(t) for t in reps]),
-        reduce(qg_mul, [zinv.conj(t) for t in reversed(reps)]),
-    )
 
 
 def z_central_unit(u, pair):
@@ -1391,5 +1435,5 @@ def z_central_unit(u, pair):
             return None
         z, zinv = z**Hi.order, zinv**Hi.order
         for reps in (right_transversal(Hi, cen), right_transversal(cen, nxt)):
-            z, zinv = _conjugate_product(z, zinv, reps)
+            z, zinv = ordered_conjugate_product(z, zinv, reps)
     return z, zinv

@@ -473,6 +473,24 @@ def test_is_central_in_a_subgroup_matches_oracle_conj(name, data):
     assert is_central(a, S) == all(oracles.conj(G, da, s) == da for s in S.members)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([name for name, _ in oracles.small_catalog(60)]), st.data())
+def test_convolve_matches_the_broadcast_kernel(name, data):
+    """The matrix-vector kernel gives the broadcast-and-sum kernel's
+    numerators (`oracles.convolve`) at all of G and at the class
+    representatives, on int64 and Python-int elements, in int64 exactly
+    when the bound allows."""
+    G = dict(oracles.small_catalog(60))[name]
+    a, b = draw_element(data, G), draw_element(data, G)
+    for cols in (None, conjugacy_partition(G).reps):
+        got = groupalgebra._convolve(a, b, cols)
+        want = oracles.convolve(a, b, cols)
+        assert got.tolist() == want.tolist()
+        terms = int(min(np.count_nonzero(a.vec), np.count_nonzero(b.vec)))
+        bound = groupalgebra._maxabs(a.vec) * groupalgebra._maxabs(b.vec) * terms
+        assert got.dtype == (np.int64 if bound < BIG else object)
+
+
 def test_int64_bound_edge():
     G = cyclic(3)
     g, g2 = 1, G.mul(1, 1)

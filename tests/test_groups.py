@@ -364,9 +364,15 @@ def test_corrupted_table_reason_matches_loop_oracle(name, data):
     assert err.value.reason == oracles.table_reason(table)
 
 
-@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
-def test_inverses_and_element_orders_match_walk_oracle(entry):
-    G = entry.constructor()
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(e.constructor, id=e.name) for e in catalog()]
+    + [pytest.param(cyclic_2048, id="C2048"), pytest.param(lambda: dihedral(1024), id="D1024")],
+)
+def test_inverses_and_element_orders_match_walk_oracle(build):
+    """Element orders from prime power maps equal the walk's, on the
+    catalog and on C2048 (pc) and D1024 at the largest order."""
+    G = build()
     assert G.inv.tolist() == oracles.inverses(G)
     assert G.element_orders == oracles.element_orders(G)
     assert all(type(k) is int for k in G.element_orders)

@@ -21,6 +21,7 @@ from zgcentral.errors import (
     BadCongruence,
     InternalBoundExceeded,
     NotNormal,
+    NotSubnormal,
     PreconditionFailed,
     ZgError,
 )
@@ -30,6 +31,7 @@ from zgcentral.groups import (
     all_subgroups,
     cyclic_subgroups,
     is_normal,
+    right_transversal,
     subgroup_closure,
     subnormal_series,
 )
@@ -48,7 +50,7 @@ from zgcentral.units import (
     random_right_transversal,
     z_central_unit,
 )
-from zgcentral.units import _cyclic_convolve, _cyclic_power, _ordered_product
+from zgcentral.units import _conjugate_product, _cyclic_convolve, _cyclic_power
 
 
 def assert_central_unit(cu):
@@ -157,17 +159,27 @@ def test_bass_matches_cyclic_oracle():
         assert [u.coeff(G.power(1, i)) for i in range(n)] == oracle
 
 
+def s3_central_in_a3(s3):
+    """(a, b, reps): a = 2 + r and b = 1 - r for r of order 3, central in
+    Z[A3], and reps every member of S3, over which each of the two
+    distinct conjugates of a recurs 3 times."""
+    rot = next(g for g in range(6) if s3.element_orders[g] == 3)
+    a = QGElement(s3, {0: 2, rot: 1})
+    b = QGElement(s3, {0: 1, rot: -1})
+    return a, b, list(range(6))
+
+
 def test_ordered_product_empty_and_single(s3):
-    assert _ordered_product(s3, []) == QGElement.one(s3)
-    u = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
-    assert _ordered_product(s3, [u]) == u
-    v = QGElement(s3, {2: Fraction(1)})
-    assert _ordered_product(s3, [u, v]) == mul(u, v)
+    """Over the identity alone the conjugate product is the element itself,
+    or its power; over all of S3 it is the ordered product."""
+    a, b, reps = s3_central_in_a3(s3)
+    assert _conjugate_product(a, b, [0]) == (a, b)
+    assert _conjugate_product(a, b, [0], 3) == (a**3, b**3)
+    assert _conjugate_product(a, b, reps) == oracles.ordered_conjugate_product(a, b, reps)
 
 
-def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
-    """r factors take r - 1 products; u**k takes one squaring per bit of k
-    above the lowest and one product per further set bit."""
+def count_products(monkeypatch):
+    """A list that grows by one per QG product taken through `mul`."""
     calls = []
 
     def counted(a, b):
@@ -176,20 +188,69 @@ def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
 
     monkeypatch.setattr(units, "mul", counted)
     monkeypatch.setattr(groupalgebra, "mul", counted)
-    u = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
-    factors = [u.conj(t) for t in range(s3.order)]
-    want = factors[0]
-    for f in factors[1:]:
-        want = mul(want, f)
-    calls.clear()
-    assert _ordered_product(s3, factors) == want
-    assert len(calls) == len(factors) - 1
+    return calls
+
+
+def power_products(k):
+    """The products u**k takes: one squaring per bit of k above the lowest
+    and one product per further set bit."""
+    return max(0, k.bit_length() - 1) + max(0, k.bit_count() - 1)
+
+
+def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
+    """k distinct conjugates, each recurring m times, take k - 1 products
+    and the power m per side; u**k spends no product on one."""
+    a, b, reps = s3_central_in_a3(s3)
+    want = oracles.ordered_conjugate_product(a, b, reps)
+    calls = count_products(monkeypatch)
+    for power in range(1, 6):
+        powered = tuple(v**power for v in want)
+        calls.clear()
+        assert _conjugate_product(a, b, reps, power) == powered
+        assert len(calls) == 2 * (2 - 1 + power_products(3 * power))
+    v = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
     power = QGElement.one(s3)
     for k in range(12):
         calls.clear()
-        assert u**k == power
-        assert len(calls) == max(0, k.bit_length() - 1) + max(0, k.bit_count() - 1)
-        power = mul(power, u)
+        assert v**k == power
+        assert len(calls) == power_products(k)
+        power = mul(power, v)
+
+
+def test_c_unit_multiplies_each_distinct_conjugate_once(monkeypatch):
+    """On C36 with <g> of order 2, the 18 conjugates over the transversal
+    are one element: the c-unit takes the input and output checks and
+    u**18 per side, where the ordered product took 17 products per side."""
+    G = cyclic(36)
+    g = next(x for x in range(G.order) if G.element_orders[x] == 2)
+    series = subnormal_series(subgroup_closure(G, [g]))
+    assert [S.order for S in series.steps] == [2, 36]
+    u = bass_unit(G, bass_specs_for(G, g)[0])
+    calls = count_products(monkeypatch)
+    cu = c_central_unit(u, series)
+    assert len(calls) <= 2 + 2 * power_products(18) == 12
+    assert (cu.value, cu.inverse) == oracles.c_central_unit(u, series)
+
+
+def test_c_supplied_transversals_are_checked(d4):
+    """A supplied list must hold [S_(i+1):S_i] members of S_(i+1) in
+    distinct right cosets of S_i: a repeated coset is refused, a random
+    transversal is accepted and gives the default's unit."""
+    rot = next(g for g in range(8) if d4.element_orders[g] == 4)
+    H = subgroup_closure(d4, [rot])
+    series = subnormal_series(H)
+    assert [S.order for S in series.steps] == [4, 8]
+    u = bass_unit(d4, BassSpec(g=rot, k=3, m=2))
+    refl = next(g for g in range(8) if g not in H.members)
+    for bad in ([[0, 0]], [[0]], [[0, refl, refl]], [[0, rot]], [[0, refl], [0]], []):
+        with pytest.raises(PreconditionFailed):
+            c_central_unit(u, series, transversals=bad)
+    want = c_central_unit(u, series)
+    rng = random.Random(7)
+    for _ in range(5):
+        tv = [random_right_transversal(H, d4.whole(), rng)]
+        got = c_central_unit(u, series, transversals=tv)
+        assert (got.value, got.inverse) == (want.value, want.inverse)
 
 
 # -- generalized Bass units ----------------------------------------------------
@@ -469,36 +530,75 @@ def test_z_units_make_no_transversal(monkeypatch):
     assert len(z_units(D7, pairs)) == 65
 
 
-# the corpus of the z-construction's nested-product oracle
-Z_ORACLE_GROUPS = tuple(
-    dict.fromkeys([name for name, _ in oracles.small_catalog(16)] + ["D11", "D12", "Q16", "S4", "A4"])
-)
+def check_z_units_against_nested_products(G, pairs):
+    """(built, refused) of the z-construction on the Bass units of every
+    element of H, for each pair, each unit's value and inverse equal to
+    the nested products' (`oracles.z_central_unit`) and each refusal one
+    that the oracle makes too."""
+    built = refused = 0
+    for p in pairs:
+        for h in sorted(p.H.members):
+            for spec in bass_specs_for(G, h):
+                u = bass_unit(G, spec)
+                want = oracles.z_central_unit(u, p)
+                try:
+                    got = z_central_unit(u, p)
+                except PreconditionFailed:
+                    assert want is None, spec
+                    refused += 1
+                    continue
+                assert (got.value, got.inverse) == want, spec
+                built += 1
+    return built, refused
 
 
 def test_z_units_match_the_nested_product_oracle():
-    """One conjugate product per level, over the chain's transversal of
-    H_i in H_(i+1), gives the units of the two nested products over the
-    centralizer's transversals (`oracles.z_central_unit`): the same
-    values and inverses, and the same refusals, for the Bass units of
-    every element of H, every pair, every group of order at most 16 and
-    D11, D12, S4."""
+    """One product of the distinct conjugates per level, raised to their
+    multiplicity times |H_i|, gives the units of the two nested ordered
+    products over the centralizer's transversals: the same values and
+    inverses, and the same refusals, for every pair of every catalog group
+    of order at most 24."""
     built = refused = 0
-    for name in Z_ORACLE_GROUPS:
-        G = get_group(name)
-        for p in complete_irredundant_set(G)[0]:
-            for h in sorted(p.H.members):
-                for spec in bass_specs_for(G, h):
-                    u = bass_unit(G, spec)
-                    want = oracles.z_central_unit(u, p)
-                    try:
-                        got = z_central_unit(u, p)
-                    except PreconditionFailed:
-                        assert want is None, (name, spec)
-                        refused += 1
-                        continue
+    for _, G in oracles.small_catalog(24):
+        b, r = check_z_units_against_nested_products(G, complete_irredundant_set(G)[0])
+        built, refused = built + b, refused + r
+    assert (built, refused) == (3660, 6416)
+
+
+def test_z_units_match_the_nested_product_oracle_on_paper_1000_86(paper1000):
+    """The same on paper-1000-86's generalized_strong pairs, whose chains
+    climb by levels of index [2, 1, 2]."""
+    pairs = [p for p in complete_irredundant_set(paper1000)[0] if p.status == "generalized_strong"]
+    assert len(pairs) == 2
+    assert check_z_units_against_nested_products(paper1000, pairs) == (100, 264)
+
+
+def test_c_units_match_the_ordered_product_oracle():
+    """Theorem 1's c-units, over the least transversals and over random
+    ones, have the values and inverses of the ordered products of every
+    conjugate (`oracles.c_central_unit`), on every catalog group of order
+    at most 60 (paper-1000-86 is the one catalog group above)."""
+    rng = random.Random(20261019)
+    specs = 0
+    for name, G in oracles.small_catalog(60):
+        for g, H in cyclic_subgroups(G):
+            try:
+                series = subnormal_series(H)
+            except NotSubnormal:
+                continue
+            steps = series.steps
+            for spec in bass_specs_for(G, g):
+                u = bass_unit(G, spec)
+                tv = [
+                    random_right_transversal(steps[i], steps[i + 1], rng)
+                    for i in range(len(steps) - 1)
+                ]
+                for reps in (None, tv):
+                    got = c_central_unit(u, series, transversals=reps)
+                    want = oracles.c_central_unit(u, series, reps)
                     assert (got.value, got.inverse) == want, (name, spec)
-                    built += 1
-    assert (built, refused) == (1762, 2222)
+                specs += 1
+    assert specs == 2261
 
 
 @pytest.mark.parametrize("construction", ["c", "z"])
@@ -509,7 +609,7 @@ def test_failed_output_is_an_error_not_a_refusal(d5, monkeypatch, construction):
     H = subgroup_closure(d5, [rot])
     u = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
     # every product keeps its value and loses its inverse
-    monkeypatch.setattr(units, "_conjugate_product", lambda v, inv, reps: (v, v))
+    monkeypatch.setattr(units, "_conjugate_product", lambda v, inv, reps, power=1: (v, v))
     with pytest.raises(ZgError) as info:
         if construction == "c":
             c_central_unit(u, subnormal_series(H))
