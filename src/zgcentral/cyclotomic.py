@@ -7,44 +7,43 @@ on the power basis zeta^0..zeta^(phi(n)-1) after reduction modulo the
 n-th cyclotomic polynomial.  An exact value of Q(zeta_n), such as the
 central character value in `units`, is an integer row on that basis over
 one positive denominator; nothing here does field arithmetic.
+`factorize` is the package's one trial division: phi, mu, element orders
+and the witness prime read it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 
-def euler_phi(n):
+def factorize(n):
+    """{p: v} with n the product of the p^v, p prime, by trial division;
+    the primes in increasing order, and {} for n = 1."""
     if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+        raise ValueError("factorize needs n >= 1")
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n):
+    """phi(n), memoized, as the rank formula reads it for every pair."""
+    return prod((p - 1) * p ** (v - 1) for p, v in factorize(n).items())
 
 
 def _mobius(n):
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
+    f = factorize(n)
+    return 0 if any(v > 1 for v in f.values()) else (-1) ** len(f)
 
 
 @lru_cache(maxsize=None)

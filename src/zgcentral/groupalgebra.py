@@ -4,14 +4,16 @@ An element is (den, vec): the coefficient of group element g is
 vec[g] / den for a positive integer den and a length-|G| integer vector,
 with gcd(den, vec) = 1.  vec is int64 exactly when every entry is below
 _INT64_BOUND in absolute value, else a vector of Python ints; each
-operation picks its result's dtype from a bound on its operands.
+operation picks its result's dtype from a bound on its operands
+(`_dtype`).
 
 The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
 the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
 only on the coset St, so the conjugates of a under N >= S are a^t over a
 right transversal of S in N (`shoda._climb`), all read off one blocked
-gather with their inner products <a, a^t> (`conjugate_gram`).
+gather (`conjugate_rows`, which the unit constructions share) with their
+inner products <a, a^t> (`conjugate_gram`).
 
 Products are one convolution kernel (`_convolve`), which gives a * b at
 all of G (`mul`) or only at chosen elements: per block of a's support it
@@ -34,10 +36,16 @@ import numpy as np
 
 from .cyclotomic import ramanujan_row
 from .errors import GroupMismatch, NotCentral, NotIdempotent
-from .groups import _GATHER_BLOCK, conjugacy_partition
+from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
+
+
+def _dtype(bound):
+    """int64 when `bound` bounds every entry and partial sum of a result
+    below _INT64_BOUND, else object, for exact Python ints."""
+    return np.int64 if bound < _INT64_BOUND else object
 
 
 def _maxabs(vec):
@@ -49,8 +57,7 @@ def _combine(terms):
     """sum(s * x) over pairs (integer s, integer vector x), exactly: in
     int64 when the bound sum(|s| * max|x|) allows it, else in Python ints."""
     live = [(s, x) for s, x in terms if s and x.any()]
-    bound = sum(abs(s) * _maxabs(x) for s, x in live)
-    dtype = np.int64 if bound < _INT64_BOUND else object
+    dtype = _dtype(sum(abs(s) * _maxabs(x) for s, x in live))
     out = np.zeros(terms[0][1].size, dtype=dtype)
     for s, x in live:
         out += s * x.astype(dtype, copy=False)
@@ -206,45 +213,38 @@ class QGElement:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power: QG has no inversion; use Unit.inverse")
-        if not k:
-            return QGElement.one(self.group)
-        # the powers of self commute: start from the lowest set bit of k
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else mul(out, base)
-            k >>= 1
-            if not k:
-                return out
-            base = mul(base, base)
+        return binary_power(self, k, mul) if k else QGElement.one(self.group)
 
     def conj(self, g):
         """g^-1 * self * g: its coefficient at y is self's at g y g^-1."""
         G = self.group
-        t = G.table
-        return QGElement._of(G, self.den, self.vec[t[t[g], G.inv[g]]])
+        return QGElement._of(G, self.den, self.vec[conjugate(G, None, G.inv[g])])
+
+
+def conjugate_rows(G, vec, ts):
+    """Yield (block, rows) over the index array ts in slices of at most
+    _GATHER_BLOCK table entries: rows[i] holds the numerators vec^t of
+    a^t = t^-1 a t for t = ts[block][i], vec^t at y being vec at t y t^-1."""
+    ts_inv = G.inv[ts]
+    step = max(1, _GATHER_BLOCK // G.order)
+    for j in range(0, ts.size, step):
+        block = slice(j, j + step)
+        yield block, vec[conjugate(G, None, ts_inv[block])]
 
 
 def conjugate_gram(a, ts):
     """(g, s) on a's numerators v, with v^t those of a^t for t = ts[j]:
     g[j] = <v, v^t>, the sum over y of v[y] v^t[y], and s is the sum of
-    the v^t.
-
-    v^t at y is v at t y t^-1, gathered for at most _GATHER_BLOCK entries
-    at a time: in int64 while max|v|^2 |G| bounds every sum, else in
-    Python ints."""
+    the v^t; in int64 while max|v|^2 |G| bounds every sum, else in Python
+    ints."""
     G = a.group
-    t = G.table
     ts = np.asarray(ts, dtype=np.intp)
-    dtype = np.int64 if _maxabs(a.vec) ** 2 * G.order < _INT64_BOUND else object
+    dtype = _dtype(_maxabs(a.vec) ** 2 * G.order)
     v = a.vec.astype(dtype, copy=False)
     gram = np.zeros(ts.size, dtype=dtype)
     total = np.zeros(G.order, dtype=dtype)
-    rows = max(1, _GATHER_BLOCK // G.order)
-    for j in range(0, ts.size, rows):
-        block = ts[j : j + rows]
-        conj = v[t[t[block], G.inv[block][:, None]]]
-        gram[j : j + rows] = conj @ v
+    for block, conj in conjugate_rows(G, v, ts):
+        gram[block] = conj @ v
         total += conj.sum(axis=0)
     return gram, total
 
@@ -260,8 +260,7 @@ def _convolve(a, b, cols=None):
     width = G.order if cols is None else len(cols)
     if not terms:
         return np.zeros(width, dtype=np.int64)
-    bound = _maxabs(a.vec) * _maxabs(b.vec) * terms
-    dtype = np.int64 if bound < _INT64_BOUND else object
+    dtype = _dtype(_maxabs(a.vec) * _maxabs(b.vec) * terms)
     A = a.vec.astype(dtype, copy=False)
     B = b.vec.astype(dtype, copy=False)
     acc = np.zeros(width, dtype=dtype)
@@ -311,9 +310,13 @@ def epsilon(H, K, log):
 
 def is_central(a, S=None):
     """Whether a commutes with every member of the subgroup S, or of G
-    when S is None: a is fixed by conjugation by each generator."""
-    gens = a.group.generators if S is None else S.gens
-    return all(a.conj(g) == a for g in gens)
+    when S is None.  In G that holds exactly when a's numerators are
+    constant on each ordinary class, one gather; in a proper S, when a is
+    fixed by conjugation by each of S's generators."""
+    if S is None or S.order == a.group.order:
+        part = conjugacy_partition(a.group)
+        return np.array_equal(a.vec[part.reps[part.class_of]], a.vec)
+    return all(a.conj(g) == a for g in S.gens)
 
 
 # -- center ------------------------------------------------------------------
@@ -343,7 +346,7 @@ def center_component_dim(e):
     abelian = part.reps.size == G.order
     square = _convolve(e, e, None if abelian else part.reps)
     # e^2 = e on numerators is square = den * vec, compared without wrapping
-    dtype = np.int64 if _maxabs(e.vec) * e.den < _INT64_BOUND else object
+    dtype = _dtype(_maxabs(e.vec) * e.den)
     target = (e.vec if abelian else e.vec[part.reps]).astype(dtype) * e.den
     if not np.array_equal(square, target):
         raise NotIdempotent("element is not idempotent")

@@ -22,7 +22,9 @@ A Subgroup gets its generators when it is built, and nothing searches
 for them later; the greedy search runs once per group, in `_validate`,
 as the generators the closure of all of G keeps.
 
-Conjugacy is decided here and nowhere else.  A `ConjugacyPartition` is
+Conjugacy is decided here and nowhere else: `conjugate` is the one
+table gather of g^-1 h g, and `binary_power` the one repeated squaring,
+which the other modules call too.  A `ConjugacyPartition` is
 two read-only arrays, the class of each element and the least element of
 each class, and `center` reads Z(G) off its class sizes; `conjugates`
 walks a subgroup's orbit under G's generators.  `galois_classes` is the
@@ -39,6 +41,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from .cyclotomic import factorize
 from .errors import (
     CapExceeded,
     InconsistentPresentation,
@@ -171,10 +174,10 @@ class FiniteGroup:
         t = self.table
         h = np.flatnonzero(member)
         gens = np.array(kept, dtype=np.intp)
-        if member[t[self.inv[g], t[gens, g]]].all():
+        if member[conjugate(self, gens, g)].all():
             k = self.element_orders[g]
-            for p in _prime_factors(k) if kept else ():
-                while k % p == 0 and member[_power(t, g, k // p)]:
+            for p in factorize(k) if kept else ():
+                while k % p == 0 and member[self.power(g, k // p)]:
                     k //= p
             # |<H, g>| = k |H| in a group; the cap bounds the block on a
             # table that is not one (`_validate` closes before Light's test)
@@ -203,10 +206,7 @@ class FiniteGroup:
         t, n = self.table, self.order
         a = np.arange(n)
         orders = np.ones(n, dtype=np.int64)
-        for p in _prime_factors(n):
-            v = 0
-            while n % p ** (v + 1) == 0:
-                v += 1
+        for p, v in factorize(n).items():
             x = _array_power(t, a, n // p**v)
             for _ in range(v):
                 orders[x != 0] *= p
@@ -220,7 +220,8 @@ class FiniteGroup:
 
     def power(self, a, k):
         """a^k for any integer k, by repeated squaring through the table."""
-        return _power(self.table, a, k % self.element_orders[a])
+        k %= self.element_orders[a]
+        return binary_power(a, k, lambda x, y: int(self.table[x, y])) if k else 0
 
     def label(self, a):
         if self.labels is not None:
@@ -234,42 +235,37 @@ class FiniteGroup:
         return Subgroup(self, frozenset([0]), gens=[])
 
 
-def _power(t, a, k):
-    """a^k for k >= 0 by repeated squaring through the table t."""
-    x = 0
-    while k:
-        if k & 1:
-            x = int(t[x, a])
-        a = int(t[a, a])
-        k >>= 1
-    return x
+def binary_power(x, n, mul):
+    """x^n for n >= 1 under the associative product `mul`, by repeated
+    squaring from the lowest set bit of n: floor(log2 n) squares and one
+    product per further set bit, none of them by the identity."""
+    if n < 1:
+        raise ValueError("binary_power needs n >= 1")
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x)
 
 
 def _array_power(t, a, k):
-    """a^k for every element of the index array a and k >= 0, by repeated
-    squaring through the table t: one gather per bit of k and per square."""
-    x = np.zeros_like(a)
-    while k:
-        if k & 1:
-            x = t[x, a]
-        k >>= 1
-        if k:
-            a = t[a, a]
-    return x
+    """a^k for every element of the index array a and k >= 0, through the
+    table t: one gather per square and per further set bit of k."""
+    return binary_power(a, k, lambda x, y: t[x, y]) if k else np.zeros_like(a)
 
 
-def _prime_factors(n):
-    """The primes dividing n >= 1, by trial division."""
-    primes, p = [], 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes
+def conjugate(G, h, g):
+    """h^g = g^-1 h g, broadcast over the element indices or index arrays
+    h and g.  h = None stands for all of G along a new last axis: for each
+    g, row g^-1 of the table, a view when g is a scalar, and one gather."""
+    t = G.table
+    if h is None:
+        x = t[G.inv[g]]
+        return t[x, g[..., None] if isinstance(g, np.ndarray) else g]
+    return t[t[G.inv[g], h], g]
 
 
 class Subgroup:
@@ -533,7 +529,7 @@ def all_subgroups(G):
     G is not reached, which happens exactly when G is not solvable.
     """
     everything = np.arange(G.order)
-    power_maps = [(p, _array_power(G.table, everything, p)) for p in _prime_factors(G.order)]
+    power_maps = [(p, _array_power(G.table, everything, p)) for p in factorize(G.order)]
     found = {frozenset([0]): G.trivial()}
     queue = list(found.values())
     for S in queue:  # breadth first: the queue grows while it is read
@@ -574,8 +570,9 @@ def _cyclic_extensions(G, S, power_maps):
     in_s[s] = True
     # z normalizes S when it conjugates each generator of S into S
     norm = ~in_s
+    everything = np.arange(G.order)
     for h in S.gens:
-        norm &= in_s[t[t[G.inv, h], np.arange(G.order)]]
+        norm &= in_s[conjugate(G, h, everything)]
     index = np.zeros(G.order, dtype=np.int64)
     for p, power_p in power_maps:
         index[norm & in_s[power_p]] = p
@@ -611,14 +608,11 @@ def _normalizes(H, K, in_k):
     """K's generators conjugated by every member of H stay in K (mask
     `in_k`), gathered in blocks of at most _GATHER_BLOCK entries.  H's
     generators are not read."""
-    G = K.parent
-    t = G.table
     ks = np.array(K.gens, dtype=np.intp)
     hs = np.array(H.sorted_members, dtype=np.intp)[:, None]
     rows = max(1, _GATHER_BLOCK // max(ks.size, 1))
     for start in range(0, hs.size, rows):
-        h = hs[start : start + rows]
-        if not in_k[t[t[G.inv[h], ks], h]].all():
+        if not in_k[conjugate(K.parent, ks, hs[start : start + rows])].all():
             return False
     return True
 
@@ -628,9 +622,8 @@ def normal_closure(S, within):
     the closure of the conjugates s^w of S's generators by every w in
     `within`, gathered at once."""
     G = S.parent
-    t = G.table
     w = np.array(within.sorted_members, dtype=np.intp)[:, None]
-    conj = t[t[G.inv[w], np.array(S.gens, dtype=np.intp)], w]
+    conj = conjugate(G, np.array(S.gens, dtype=np.intp), w)
     members, kept = G._closure_members(conj.ravel())
     return Subgroup(G, members, gens=kept)
 
@@ -733,9 +726,7 @@ def conjugacy_partition(G, kind="ordinary"):
     if cached is not None:
         return cached
     if kind == "ordinary":
-        t = G.table
-        gens = np.array(G.generators, dtype=np.intp)[:, None]
-        conj = t[t[G.inv[gens], np.arange(G.order)], gens]
+        conj = conjugate(G, None, np.array(G.generators, dtype=np.intp))
         least = np.arange(G.order)
         while True:
             step = np.minimum(least, least[conj].min(axis=0))
@@ -799,14 +790,12 @@ def conjugates(H):
     G's generators, with one table gather per orbit member covering all
     generators at once."""
     G = H.parent
-    t = G.table
     gens = np.array(G.generators, dtype=np.intp)[:, None]
-    gens_inv = G.inv[gens]
     orbit = {H.members}
     frontier = [np.array(H.sorted_members, dtype=np.intp)]
     while frontier:
         hs = frontier.pop()
-        for row in t[t[gens_inv, hs], gens]:
+        for row in conjugate(G, hs, gens):
             key = frozenset(row.tolist())
             if key not in orbit:
                 orbit.add(key)

@@ -37,6 +37,7 @@ from .groups import (
     all_subgroups,
     center,
     conjugacy_partition,
+    conjugate,
     conjugates,
     cyclic_coset_log,
     is_normal,
@@ -92,17 +93,17 @@ def induced_counts(lam, G, cols):
     induced character at g is the sum of those powers.
 
     With T = lam.transversal, a block of columns gathers coset_log at
-    T[i] * g * T[i]^-1, at most _GATHER_BLOCK table entries at a time.
+    T[i] * g * T[i]^-1, the conjugate of g by T[i]^-1, at most
+    _GATHER_BLOCK table entries at a time.
     """
     n = lam.order
-    t = G.table
     T = lam.transversal
     T_inv = G.inv[T][:, None]
     cols = np.asarray(cols, dtype=np.intp)
     counts = np.zeros((cols.size, n + 1), dtype=np.int64)
     width = max(1, _GATHER_BLOCK // T.size)
     for j in range(0, cols.size, width):
-        E = lam.coset_log[t[t[np.ix_(T, cols[j : j + width])], T_inv]]
+        E = lam.coset_log[conjugate(G, cols[j : j + width], T_inv)]
         w = E.shape[1]
         # exponent -1 (outside H) lands in the spare slot n of its row
         slots = E % (n + 1) + (n + 1) * np.arange(w)
@@ -141,8 +142,7 @@ def _coset_conjugates(H):
     reps = np.flatnonzero(least == np.arange(G.order))
     reps.setflags(write=False)
     # [1:] drops H itself, the coset of 0
-    g = reps[1:, None]
-    return hs, reps, t[t[G.inv[g], hs], g]
+    return hs, reps, conjugate(G, hs, reps[1:, None])
 
 
 def _shoda_character(H, K, coset_conjugates):

@@ -22,15 +22,16 @@ transversal; the z-construction folds z's power |H_i| into it, m |H_i|.
 The inverse is the same product over the conjugated inverse.  One check,
 `_verified_unit`, guards the input in ZH and the output in ZG, with one
 multiplication each.  `bass_central_units` is the generating set of
-Theorem 1: the c-construction on the Bass units of every subnormal cyclic
-subgroup.
+Theorem 1: the c-construction on the Bass units u_(k,m)(g), 1 < k < |g|/2,
+of every subnormal cyclic subgroup <g>.
 
 A p-adic log-embedding witness counts the multiplicative rank of a set
-of central units in int64.  The central character value is exact,
-(n, row, den): the unit's numerators summed per conjugacy class, times
-the pair's induced-character class rows (`LinearCharacter.class_rows`,
-on the power basis of Q(zeta_n)), over the unit's denominator times
-[G:H]; one matrix product per pair takes it mod p^N at every embedding.
+of central units in int64, and refuses a unit that is not central.  The
+central character value is exact, (n, row, den): the unit's numerators
+summed per conjugacy class, times the pair's induced-character class rows
+(`LinearCharacter.class_rows`, on the power basis of Q(zeta_n)), over the
+unit's denominator times [G:H]; one matrix product per pair takes it mod
+p^N at every embedding.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from .errors import (
     PreconditionFailed,
     ZgError,
 )
-from .groupalgebra import QGElement, hat, is_central, mul
+from .cyclotomic import factorize
+from .groupalgebra import QGElement, conjugate_rows, hat, is_central, mul
 from .groups import (
-    _GATHER_BLOCK,
-    _prime_factors,
+    binary_power,
     conjugacy_partition,
     cyclic_subgroups,
     is_normal,
@@ -94,16 +95,8 @@ def _cyclic_convolve(a, b, d):
 
 
 def _cyclic_power(a, n, d):
-    """a^n in Z[x]/(x^d - 1) for n >= 1, by repeated squaring from the
-    lowest set bit of n."""
-    acc = None
-    while True:
-        if n & 1:
-            acc = a if acc is None else _cyclic_convolve(acc, a, d)
-        n >>= 1
-        if not n:
-            return acc
-        a = _cyclic_convolve(a, a, d)
+    """a^n in Z[x]/(x^d - 1) for n >= 1, by repeated squaring."""
+    return binary_power(a, n, lambda x, y: _cyclic_convolve(x, y, d))
 
 
 @lru_cache(maxsize=None)
@@ -291,17 +284,11 @@ def _conjugate_product(value, inverse, reps, power=1):
     The inverse's stabilizer is F too, so it is taken at the same
     representatives, and in a commutative ring the inverse of the product
     is the product of the inverses.  The conjugates' coefficients are read
-    off one gather per block of at most _GATHER_BLOCK entries, value^t at
-    y being value at t y t^-1, and told apart as tuples of ints."""
-    G = value.group
-    t = G.table
-    ts = np.asarray(reps, dtype=np.intp)
+    off `conjugate_rows` and told apart as tuples of ints."""
     seen = {}  # a distinct conjugate's coefficients -> [a rep giving it, multiplicity]
-    rows = max(1, _GATHER_BLOCK // G.order)
-    for j in range(0, ts.size, rows):
-        block = ts[j : j + rows]
-        conj = value.vec[t[t[block], G.inv[block][:, None]]]
-        for key, rep in zip(map(tuple, conj.tolist()), block.tolist()):
+    ts = np.asarray(reps, dtype=np.intp)
+    for block, conj in conjugate_rows(value.group, value.vec, ts):
+        for key, rep in zip(map(tuple, conj.tolist()), ts[block].tolist()):
             seen.setdefault(key, [rep, 0])[1] += 1
     counts = {m for _, m in seen.values()}
     if len(counts) != 1:
@@ -371,16 +358,24 @@ def c_central_unit(u, series, transversals=None):
 
 def bass_central_units(G):
     """Theorem 1's central units as (BassSpec, Unit) pairs: the c-construction
-    on the Bass unit of every spec of `bass_specs_for(G, g)`, for each subnormal
-    <g>, g its least generator.  Under `check_cyclic_subnormal_hypothesis`
-    they generate a subgroup of finite index in Z(U(ZG))."""
+    on the Bass unit of each spec of `bass_specs_for(G, g)` with 1 < k < |g|/2,
+    for each subnormal <g>, g its least generator.  Under
+    `check_cyclic_subnormal_hypothesis` they generate a subgroup of finite
+    index in Z(U(ZG)).  The other specs add no rank (Bass, Topology 4
+    (1966)): u_(1,m) = 1, u_(|g|-k,m)(g) is a torsion unit times
+    u_(k,m)(g), and the c-construction, multiplicative since a level's
+    conjugates commute, maps torsion to torsion."""
     out = []
     for g, H in cyclic_subgroups(G):
+        d = G.element_orders[g]
+        specs = [spec for spec in bass_specs_for(G, g) if 1 < spec.k and 2 * spec.k < d]
+        if not specs:
+            continue
         try:
             series = subnormal_series(H)
         except NotSubnormal:
             continue
-        for spec in bass_specs_for(G, g):
+        for spec in specs:
             out.append((spec, c_central_unit(bass_unit(G, spec), series)))
     return out
 
@@ -418,13 +413,13 @@ def _witness_prime(e, order):
     N the largest integer below p with p^N < 2^31, and zeta mod p^N the
     Teichmüller lift of an element of order e mod p."""
     p = 1 + e
-    while p % 2 == 0 or _prime_factors(p) != [p] or order % p == 0:
+    while p % 2 == 0 or factorize(p) != {p: 1} or order % p == 0:
         p += e
     N = max(N for N in range(1, min(p, 31)) if p**N < 2**31)
     if N < 2:
         raise InternalBoundExceeded(f"least prime = 1 mod {e} is {p}, above 2^15.5")
     x = 2  # x^((p-1)/e) has order e unless some x^((p-1)/r), r | e prime, is 1
-    while any(pow(x, (p - 1) // r, p) == 1 for r in _prime_factors(e)):
+    while any(pow(x, (p - 1) // r, p) == 1 for r in factorize(e)):
         x += 1
     return p, N, pow(x, (p - 1) // e * p ** (N - 1), p**N)
 
@@ -439,9 +434,8 @@ def _padic_log(x, p, N):
     """log(x^(p-1)) / p mod p^(N-1) entrywise, for int64 x prime to p: the
     series sum_{k<N} (-1)^(k+1) (y-1)^k / k mod p^N at y = x^(p-1), whose
     later terms vanish mod p^N since N < p."""
-    q, y = p**N, np.ones_like(x)
-    for bit in bin(p - 1)[2:]:
-        y = y * y % q * (x if bit == "1" else 1) % q
+    q = p**N
+    y = binary_power(x, p - 1, lambda a, b: a * b % q)
     log, t = 0, y - 1  # by Horner: t (1/1 - t (1/2 - t (1/3 - ...)))
     for k in range(N - 1, 0, -1):
         log = (pow(k, -1, q) - t * log) % q
@@ -470,9 +464,18 @@ def log_rank_witness(G, units, pairs):
     times class rows times V[i, j] = zeta_n^(i m_j), m_j the units mod n,
     over den [G:H].  A relation among the units is one among their logs,
     so it never exceeds the rank; it is exact at enough digits, since
-    Leopoldt's conjecture holds for abelian fields (Brumer, 1967)."""
+    Leopoldt's conjecture holds for abelian fields (Brumer, 1967).
+
+    The units must be central in ZG; PreconditionFailed names the first
+    that is not."""
     if not is_complete(G, pairs):
         raise IncompleteSet("pair set does not cover the group algebra")
+    for i, u in enumerate(units):
+        if not is_central(u.value):
+            raise PreconditionFailed(
+                f"unit {i} ({u.provenance}) is not central in ZG; the witness "
+                "counts central units only"
+            )
     if not units:
         return 0
     e = lcm(*(pair.lam.order for pair in pairs))

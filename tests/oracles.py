@@ -118,6 +118,7 @@ from zgcentral.errors import (
     NotNormal,
     NotSolvable,
     NotSubgroup,
+    NotSubnormal,
     ZgError,
 )
 from zgcentral.groupalgebra import QGElement, hat
@@ -126,10 +127,13 @@ from zgcentral.groups import (
     MAX_ORDER,
     FiniteGroup,
     Subgroup,
+    cyclic_subgroups,
     right_transversal,
     subgroup_closure,
+    subnormal_series,
 )
-from zgcentral.units import BassSpec, bass_unit
+from zgcentral.units import BassSpec, bass_specs_for, bass_unit
+from zgcentral.units import c_central_unit as verified_c_central_unit
 from zgcentral.units import central_character_value as exact_omega
 
 # catalog groups whose every Shoda pair is checked against the oracles
@@ -1394,6 +1398,22 @@ def c_central_unit(u, series, transversals=None):
         reps = right_transversal(steps[i], steps[i + 1]) if transversals is None else transversals[i]
         c, cinv = ordered_conjugate_product(c, cinv, reps)
     return c, cinv
+
+
+def bass_central_units(G):
+    """Theorem 1's full sweep as (BassSpec, Unit) pairs: the c-construction
+    on the Bass unit of every spec of `bass_specs_for(G, g)`, k = 1 and
+    k > |g|/2 included, for each subnormal <g>, g its least generator.  It
+    is the set `units.bass_central_units` cuts to 1 < k < |g|/2."""
+    out = []
+    for g, H in cyclic_subgroups(G):
+        try:
+            series = subnormal_series(H)
+        except NotSubnormal:
+            continue
+        for spec in bass_specs_for(G, g):
+            out.append((spec, verified_c_central_unit(bass_unit(G, spec), series)))
+    return out
 
 
 # -- the z-construction as two nested products per level ------------------------

@@ -124,12 +124,21 @@ def test_units_omega_matches_field_oracle(capsys, name):
         assert row["omega"] == [w.to_json() for w in want]
 
 
-def test_units_skip_only_non_subnormal_subgroups(capsys):
-    # S3's reflections generate non-subnormal subgroups, which are skipped
+def test_units_skip_only_non_subnormal_subgroups(tmp_path, capsys):
+    # in C11 x| C5 the <g> of order 5 are not subnormal and are skipped; the
+    # normal C11 keeps its units with 1 < k < 11/2, whose witness reads 0
+    # against rank 1, as Theorem 1's hypothesis fails
+    path = tmp_path / "c11-c5.json"
+    path.write_text(json.dumps({"type": "pc", "orders": [5, 11], "commutators": {"2,1": [[2, 2]]}}))
+    code, doc = run_json(capsys, ["units", "--group", str(path)])
+    assert code == 0 and doc["complete"] and not doc["cyclic_subnormal"]
+    assert all(r["central_unit"] for r in doc["units"])
+    assert [(r["spec"]["g"], r["spec"]["k"]) for r in doc["units"]] == [(1, k) for k in (2, 3, 4, 5)]
+    assert doc["witness"] == 0 and doc["total"] == doc["oracle"] == 1
+    # S3 has rank 0 and no cyclic subgroup of order 5 or more: no rows
     code, doc = run_json(capsys, ["units", "--group", "catalog:S3"])
-    assert code == 0
-    assert doc["units"] and all(r["central_unit"] for r in doc["units"])
-    assert {r["spec"]["g"] for r in doc["units"]} == {0, 2}
+    assert code == 0 and doc["units"] == []
+    assert doc["witness"] == doc["total"] == doc["oracle"] == 0
 
 
 def test_units_construction_failure_exits_1(monkeypatch, capsys):

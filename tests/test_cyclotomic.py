@@ -1,6 +1,8 @@
 """The integer cyclotomic kernels, and the Fraction field arithmetic of
 the test oracles (Galois action, realness, embeddings) that checks them."""
 
+import bisect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +21,10 @@ from oracles import (
 )
 
 from zgcentral.cyclotomic import (
+    _mobius,
     cyclotomic_polynomial,
     euler_phi,
+    factorize,
     ramanujan_row,
     reduction_matrix,
 )
@@ -30,6 +34,29 @@ def test_identity_values():
     assert cyc(1, 0) == Cyclotomic.rational(1)
     assert euler_phi(1) == 1
     assert [euler_phi(n) for n in (2, 4, 5, 8, 10, 12)] == [1, 2, 4, 4, 4, 4]
+
+
+def test_factorize_phi_and_mobius_match_their_definitions():
+    """For n <= 4096: factorize(n) lists the primes p dividing n, in
+    increasing order, each with the largest v such that p^v divides n;
+    phi(n) counts the k <= n prime to n; and mu is the function with
+    mu(1) = 1 whose sum over the divisors of every n > 1 is 0."""
+    top = 4096
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    mu = [0, 1] + [0] * (top - 1)
+    for d in range(1, top + 1):
+        for n in range(2 * d, top + 1, d):
+            mu[n] -= mu[d]
+    for n in range(1, top + 1):
+        want = {}
+        for p in primes[: bisect.bisect_right(primes, n)]:
+            while n % p ** (want.get(p, 0) + 1) == 0:
+                want[p] = want.get(p, 0) + 1
+        assert list(factorize(n).items()) == list(want.items())
+        assert euler_phi(n) == int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
+        assert _mobius(n) == mu[n]
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_i_squared():

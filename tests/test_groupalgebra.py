@@ -452,8 +452,13 @@ def test_equal_values_compare_and_hash_equal(name, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
 def test_is_central_matches_oracle_conj(name, data):
+    """is_central(a), one class-constant test, against conjugation by every
+    member; half the draws are summed over their G-conjugates, so both
+    outcomes are drawn."""
     G = CORPUS_GROUPS[name]
     a = draw_element(data, G)
+    if data.draw(st.booleans(), label="G-invariant"):
+        a = sum((a.conj(g) for g in range(G.order)), QGElement.zero(G))
     da = oracles.as_dict(a)
     assert is_central(a) == all(oracles.conj(G, da, g) == da for g in range(G.order))
 

@@ -888,6 +888,8 @@ def test_closure_searches_where_g_does_not_normalize(name):
 
 @pytest.mark.parametrize("name", ["C12", "S4", "Q16"])
 def test_power_by_squaring_matches_the_walk(name):
+    """`binary_power` through the table, on one element and on an index
+    array, equals the walk of one product per factor; it takes n >= 1."""
     G = get_group(name)
     for a in range(G.order):
         for k in range(-2 * G.order, 2 * G.order + 1):
@@ -895,6 +897,27 @@ def test_power_by_squaring_matches_the_walk(name):
     for k in range(2 * G.order + 1):
         want = [oracles.power(G, a, k) for a in range(G.order)]
         assert groups._array_power(G.table, np.arange(G.order), k).tolist() == want
+        if k:
+            got = groups.binary_power(np.arange(G.order), k, lambda x, y: G.table[x, y])
+            assert got.tolist() == want
+    with pytest.raises(ValueError):
+        groups.binary_power(1, 0, G.mul)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in oracles.small_catalog()] + ["paper-1000-86"])
+def test_conjugate_matches_oracle(name):
+    """h^g = g^-1 h g for every h and g at once, for one g over all of G
+    (h = None), and for an array of g over all of G, equals the product
+    walk; on paper-1000-86, for 40 sampled g."""
+    G = get_group(name)
+    everything = np.arange(G.order)
+    gs = everything if G.order <= 60 else everything[:: G.order // 40]
+    want = [[oracles.conjugate(G, h, g) for h in range(G.order)] for g in gs.tolist()]
+    assert groups.conjugate(G, everything, gs[:, None]).tolist() == want
+    assert groups.conjugate(G, None, gs).tolist() == want
+    for g, row in zip(gs.tolist(), want):
+        assert groups.conjugate(G, None, g).tolist() == row
+        assert int(groups.conjugate(G, 1 % G.order, g)) == row[1 % G.order]
 
 
 @pytest.mark.parametrize("name", [n for n in EXTENSION_GROUPS if n != "D1024"])

@@ -94,7 +94,9 @@ def cyclic_poly_oracle(n, k, m):
 def test_cyclic_convolve_matches_schoolbook(data):
     """One kernel for both dtypes: int64 rows stay int64, object rows of
     Python ints stay exact, and both equal the schoolbook product, for d
-    from 1; powers equal repeated schoolbook products."""
+    from 1; powers equal repeated schoolbook products.  `binary_power`'s
+    other products agree with their naive walks too: int64 rows mod a
+    q < 2^31, the p-adic log's product, and QG elements."""
     d = data.draw(st.integers(1, 40), label="d")
     exact = data.draw(st.booleans(), label="object rows")
     dtype, bound = (object, 2**200) if exact else (np.int64, 2**20)
@@ -108,6 +110,17 @@ def test_cyclic_convolve_matches_schoolbook(data):
     for _ in range(n - 1):
         want = oracles.cyclic_convolve(want, a, d)
     assert _cyclic_power(np.array(a, dtype=object), n, d).tolist() == want
+    q = data.draw(st.integers(2, 2**31 - 1), label="q")
+    x = np.array([v % q for v in a], dtype=np.int64)
+    got = groups.binary_power(x, n, lambda u, v: u * v % q)
+    assert got.tolist() == [pow(v, n, q) for v in x.tolist()]
+    G = get_group(data.draw(st.sampled_from(["C6", "S3", "Q8"]), label="G"))
+    vec = st.lists(st.integers(-9, 9), min_size=G.order, max_size=G.order)
+    el = QGElement.from_vec(G, data.draw(vec, label="element"))
+    want = QGElement.one(G)
+    for _ in range(n):
+        want = mul(want, el)
+    assert groups.binary_power(el, n, mul) == el**n == want
 
 
 # -- Bass units ----------------------------------------------------------------
@@ -434,7 +447,10 @@ def test_c_precondition_failures(s3):
 
 
 def test_construction_counts_and_n_b():
-    assert len(bass_central_units(get_group("C36"))) == 36
+    # the full sweep's 36 units cut to the 10 with 1 < k < |g|/2, the rank
+    C36 = get_group("C36")
+    assert len(oracles.bass_central_units(C36)) == 36
+    assert len(bass_central_units(C36)) == 10 == rank_oracle(C36)
     for name, count in (("D5", 37), ("D7", 65)):
         G = get_group(name)
         pairs, _ = complete_irredundant_set(G)
@@ -668,6 +684,22 @@ def test_witness_q8_is_zero(q8):
     assert log_rank_witness(q8, units, pairs) == 0
 
 
+@pytest.mark.parametrize("name, order", [("D5", 5), ("Q16", 8)])
+def test_witness_refuses_units_that_are_not_central(name, order):
+    """The Bass units of an element g of order 5 in D5 (the witness read 2
+    against rank 1) and of order 8 in Q16 (a misleading NotInvertible) are
+    central in Z<g> only; the witness names the first of them."""
+    G = get_group(name)
+    pairs, _ = complete_irredundant_set(G)
+    g = G.element_orders.index(order)
+    bass = [bass_unit(G, spec) for spec in bass_specs_for(G, g)]
+    central = [cu for _, cu in bass_central_units(G)]
+    first = next(i for i, u in enumerate(bass) if not is_central(u.value))
+    named = f"unit {len(central) + first} \\(Bass\\) is not central"
+    with pytest.raises(PreconditionFailed, match=named):
+        log_rank_witness(G, central + bass, pairs)
+
+
 # -- central character values against the field oracle -------------------------
 
 
@@ -772,16 +804,21 @@ def test_witness_matches_oracle_on_z_units(name, rank):
 
 
 def test_witness_reaches_the_rank_with_bass_central_units():
-    """Theorem 1's units on every catalog group but paper-1000-86 (whose
-    cyclic subgroups are not all subnormal); on C72, whose logs need more
-    than one p-adic digit (one digit reads 20 against 25); and on C105 and
-    C120, whose units have coefficients of up to 122 bits."""
+    """Theorem 1's units, one per rank, on every catalog group but
+    paper-1000-86 (whose cyclic subgroups are not all subnormal); on C72,
+    whose logs need more than one p-adic digit (one digit reads 20 against
+    25); and on C105 and C120, whose units have coefficients of up to 122
+    bits.  Up to order 60 the full sweep's witness is the same: the units
+    the cut drops add no rank."""
     named = [(e.name, e.constructor()) for e in catalog() if e.name != "paper-1000-86"]
     named += [(f"C{n}", cyclic(n)) for n in (72, 105, 120)]
     for name, G in named:
         pairs, _ = complete_irredundant_set(G)
         units = [cu for _, cu in bass_central_units(G)]
-        assert log_rank_witness(G, units, pairs) == rank_oracle(G), name
+        assert len(units) == log_rank_witness(G, units, pairs) == rank_oracle(G), name
+        if G.order <= 60:
+            full = [cu for _, cu in oracles.bass_central_units(G)]
+            assert log_rank_witness(G, full, pairs) == len(units), name
 
 
 @functools.cache
