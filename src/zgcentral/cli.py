@@ -364,10 +364,8 @@ def run(args):
             "oracle": report.oracle_total,
             "agree": report.agree,
         }
-        emit(payload, args)
-        return 0
     emit(payload, args)
-    return 2
+    return 0 if complete else 2
 
 
 def main(argv=None):

@@ -61,6 +61,10 @@ class NotShodaPair(ZgError):
     pass
 
 
+class NotStrongInductiveChain(ZgError):
+    pass
+
+
 class PreconditionFailed(ZgError):
     def __init__(self, clause):
         self.clause = clause

@@ -311,12 +311,13 @@ def epsilon(H, K, log):
 def is_central(a, S=None):
     """Whether a commutes with every member of the subgroup S, or of G
     when S is None.  In G that holds exactly when a's numerators are
-    constant on each ordinary class, one gather; in a proper S, when a is
-    fixed by conjugation by each of S's generators."""
+    constant on each ordinary class, one gather; in a proper S, when they
+    equal their conjugates by the inverses of S's generators, one gather."""
     if S is None or S.order == a.group.order:
         part = conjugacy_partition(a.group)
         return np.array_equal(a.vec[part.reps[part.class_of]], a.vec)
-    return all(a.conj(g) == a for g in S.gens)
+    conj = a.vec[conjugate(a.group, None, np.array(S.gens, dtype=np.intp))]
+    return bool((conj == a.vec).all())
 
 
 # -- center ------------------------------------------------------------------

@@ -20,7 +20,8 @@ power maps x -> x^p, one per prime dividing the order, computed once per
 call by repeated squaring, z^p in S being one gather per prime.
 A Subgroup gets its generators when it is built, and nothing searches
 for them later; the greedy search runs once per group, in `_validate`,
-as the generators the closure of all of G keeps.
+as the generators the closure of all of G keeps.  Normality reads them
+only: K's generators conjugated by H's, one gather (`is_normal`).
 
 Conjugacy is decided here and nowhere else: `conjugate` is the one
 table gather of g^-1 h g, and `binary_power` the one repeated squaring,
@@ -272,7 +273,7 @@ class Subgroup:
     """An immutable subgroup of a FiniteGroup, stored as a member set.
 
     `members` are element indices as Python ints; they are not converted.
-    `gens` defaults to the non-identity members, which need no closure.
+    `gens` must generate them; the default, the non-identity members, does.
     """
 
     __slots__ = ("parent", "members", "sorted_members", "_gens")
@@ -565,9 +566,7 @@ def _cyclic_extensions(G, S, power_maps):
     index; no z qualifies for two primes.
     """
     t = G.table
-    s = np.array(S.sorted_members, dtype=np.intp)
-    in_s = np.zeros(G.order, dtype=bool)
-    in_s[s] = True
+    s, in_s = _mask(S)
     # z normalizes S when it conjugates each generator of S into S
     norm = ~in_s
     everything = np.arange(G.order)
@@ -605,16 +604,13 @@ def is_normal(K, H):
 
 
 def _normalizes(H, K, in_k):
-    """K's generators conjugated by every member of H stay in K (mask
-    `in_k`), gathered in blocks of at most _GATHER_BLOCK entries.  H's
-    generators are not read."""
+    """H normalizes K (mask `in_k`): K's generators conjugated by H's
+    generators stay in K, one gather.  Conjugation by h is injective, so
+    K^h inside K is K^h = K, and the elements that normalize K form a
+    subgroup, which then holds H."""
     ks = np.array(K.gens, dtype=np.intp)
-    hs = np.array(H.sorted_members, dtype=np.intp)[:, None]
-    rows = max(1, _GATHER_BLOCK // max(ks.size, 1))
-    for start in range(0, hs.size, rows):
-        if not in_k[conjugate(K.parent, ks, hs[start : start + rows])].all():
-            return False
-    return True
+    hs = np.array(H.gens, dtype=np.intp)[:, None]
+    return bool(in_k[conjugate(K.parent, ks, hs)].all())
 
 
 def normal_closure(S, within):

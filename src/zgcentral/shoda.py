@@ -29,7 +29,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .cyclotomic import reduction_matrix
-from .errors import NotNormal, NotShodaPair, NotSubgroup
+from .errors import NotNormal, NotShodaPair, NotStrongInductiveChain, NotSubgroup
 from .groupalgebra import QGElement, conjugate_gram, epsilon
 from .groups import (
     _GATHER_BLOCK,
@@ -262,8 +262,7 @@ def verify_chain(lam, steps):
     which includes a step not contained in the next.  Repeated steps are
     allowed (they contribute index 1).
     """
-    whole = lam.H.parent.whole()
-    if steps[0].members != lam.H.members or steps[-1].members != whole.members:
+    if steps[0].members != lam.H.members or steps[-1].order != lam.H.parent.order:
         return None
     chain = _root(lam)
     for nxt in steps[1:]:
@@ -351,17 +350,18 @@ class ShodaPair:
 def _classify(lam, chain_steps, subgroups, known):
     """The classified pair of the character `lam`, or None when it has no
     chain or its chain's top is in `known`.  A supplied chain is verified
-    before any search, which takes its lattice from `subgroups`."""
-    chain = verify_chain(lam, chain_steps) if chain_steps else None
-    if chain is not None:
+    or refused; a pair without one is searched, on the lattice `subgroups`."""
+    if not chain_steps:
+        chain = find_strong_inductive_chain(lam, subgroups)
+        strong = chain is not None and chain.length == 1
+    elif (chain := verify_chain(lam, chain_steps)) is None:
+        raise NotStrongInductiveChain(
+            f"pair (|H|={lam.H.order}, |K|={lam.K.order}) fails its supplied chain"
+        )
+    else:
         # verify_chain checked H and G at the ends: one level decides strong
         strong = _climb(_root(lam), chain.steps[-1]) is not None
-    else:
-        chain = find_strong_inductive_chain(lam, subgroups)
-        if chain is None:
-            return None
-        strong = chain.length == 1
-    if chain.top in known:
+    if chain is None or chain.top in known:
         return None
     return ShodaPair(lam=lam, status="strong" if strong else "generalized_strong", chain=chain)
 
@@ -409,12 +409,12 @@ def complete_irredundant_set(G, candidates=None):
 
     `candidates` is an optional list of (H, K[, chain_steps]) tuples, each
     taking the Shoda test (`shoda_character`) as it is reached; when
-    omitted the Shoda pairs come from `shoda_pair_candidates`.  A
-    candidate with no strong inductive chain is dropped, so the flag, True
-    exactly when the kept idempotents sum to 1, says whether G is
-    generalized strongly monomial (over the candidates, when given).  The
-    enumeration and every chain search share one subgroup lattice, built
-    when first asked for and dropped on return.
+    omitted the Shoda pairs come from `shoda_pair_candidates`.  A supplied
+    chain that fails is refused, and a candidate with no chain dropped, so
+    the flag, True exactly when the kept idempotents sum to 1, says
+    whether G is generalized strongly monomial (over the candidates, when
+    given).  The enumeration and every chain search share one subgroup
+    lattice, built when first asked for and dropped on return.
     """
     subgroups = cache(all_subgroups)
     if candidates is None:

@@ -43,9 +43,9 @@ the sum of e_i's H_(i+1)-orbit, but each orbit is a breadth-first search
 under the generators that hashes whole QG vectors, and the centralizer
 is filtered one element at a time, where `zgcentral` reads both off one
 right transversal of the step below.  `is_normal` here loops over pairs
-of generators, one conjugate at a time, where `zgcentral` gathers the
-smaller group's generators conjugated by every member of the larger;
-the quotient, coset-log, Shoda-test and chain oracles all use it.
+of generators, one conjugate at a time, where `zgcentral` gathers all
+of them at once; the quotient, coset-log, Shoda-test and chain oracles
+all use it.
 The Shoda test loops over every g outside H and h in H, and the
 generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its

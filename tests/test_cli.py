@@ -358,6 +358,22 @@ def test_supplied_non_shoda_pair_exits_1(tmp_path, capsys):
         )
 
 
+def test_supplied_chain_that_fails_exits_1(tmp_path, capsys):
+    # paper9.json's (50, 10) pair with its chain cut to its two ends: the
+    # one level fails, and the chain is refused, not searched around
+    with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
+        entry = json.load(fh)["pairs"][7]
+    entry["chain"] = [entry["chain"][0], entry["chain"][-1]]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": [entry]}))
+    for command in ("pairs", "rank", "analyze", "units"):
+        argv = [command, "--group", "catalog:paper-1000-86", "--pairs-file", str(path)]
+        assert main(argv) == 1
+        assert _single_error(capsys) == (
+            "error: pair (|H|=50, |K|=10) fails its supplied chain\n"
+        )
+
+
 USAGE_ERRORS = {
     "unknown-format": ["rank", "--group", "catalog:C4", "--format", "xml"],
     "no-group": ["analyze"],

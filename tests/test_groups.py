@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zgcentral import groups
+from zgcentral.cli import parse_subgroup
 from zgcentral.catalog import (
     catalog,
     cyclic,
@@ -49,6 +50,7 @@ from zgcentral.groups import (
     subgroup_closure,
     subnormal_series,
 )
+from zgcentral.shoda import complete_irredundant_set
 
 
 def brute_force_subgroups(G, max_gens=3):
@@ -683,10 +685,12 @@ def test_normal_closure_matches_loop_oracle(name):
 
 
 def test_is_normal_matches_generator_loop_oracle():
-    """is_normal(K, H), one gather of K's generators conjugated by all of
-    H, equals the loop over pairs of generators for every K <= H of every
+    """is_normal(K, H), one gather of K's generators conjugated by H's,
+    equals the loop over pairs of generators for every K <= H of every
     lattice in the small catalog, also when K has the default generators
-    (its non-identity members)."""
+    (its non-identity members).  On paper-1000-86's and D1024's lattices
+    it does for every member against G, and for a seeded sample of pairs
+    K <= H, each also with H and K rebuilt with the default generators."""
     checked = 0
     for _, G in oracles.small_catalog():
         subs = all_subgroups(G)
@@ -698,9 +702,32 @@ def test_is_normal_matches_generator_loop_oracle():
                     assert is_normal(Subgroup(G, K.members), H) == want
                     checked += 1
     assert checked > 3500
+    rng = np.random.default_rng(7)
+    for name, normal in [("paper-1000-86", 6), ("D1024", 14)]:
+        G = extension_group(name)
+        subs = all_subgroups(G)
+        whole = G.whole()
+        got = [is_normal(K, whole) for K in subs]
+        assert got == [oracles.is_normal(K, whole) for K in subs]
+        assert sum(got) == normal
+        outcomes = []
+        while len(outcomes) < 200:
+            H, K = (subs[i] for i in rng.integers(len(subs), size=2))
+            if K <= H:
+                want = oracles.is_normal(K, H)
+                assert is_normal(K, H) == want
+                assert is_normal(Subgroup(G, K.members), Subgroup(G, H.members)) == want
+                outcomes.append(want)
+        assert any(outcomes) and not all(outcomes)
 
 
-def test_subgroups_carry_generators():
+def test_subgroups_carry_generators(paper1000_c2):
+    """Every Subgroup the library builds carries generators that generate
+    it, which is all that is_normal and is_central read: G and 1, every
+    lattice member and every centralizer of a kept chain, on the small
+    catalog, paper-1000-86, paper-1000-86 x C2 and D1024; normal closures,
+    subnormal series steps and cyclic subgroups there; closures of random
+    seeds; and the subgroups a pairs file names (cli.parse_subgroup)."""
     # the default is the non-identity members; closures keep their seed
     G = get_group("D4")
     assert Subgroup(G, range(8)).gens == list(range(1, 8))
@@ -710,6 +737,29 @@ def test_subgroups_carry_generators():
     S4 = get_group("S4")
     assert subgroup_closure(S4, [3, 3, 0, 3]).gens == [3]
     assert subgroup_closure(S4, [5, 3, 5, 0, 3, 1]).gens == [5, 3, 1]
+
+    def not_generated(built):
+        return [S for S in built if subgroup_closure(S.parent, S.gens).members != S.members]
+
+    rng = np.random.default_rng(7)
+    corpus = [G for _, G in oracles.small_catalog()]
+    corpus += [extension_group("paper-1000-86"), paper1000_c2, extension_group("D1024")]
+    counts = []
+    for G in corpus:
+        subs = all_subgroups(G)
+        cens = [c for p in complete_irredundant_set(G)[0] for c in p.chain.centralizers]
+        built = [G.whole(), G.trivial(), *subs, *cens]
+        built += [normal_closure(S, G.whole()) for S in subs[:: max(1, len(subs) // 40)]]
+        for _, H in itertools.islice(cyclic_subgroups(G), 40):
+            built += subnormal_series(H).steps if is_subnormal(H) else [H]
+        seeds = [rng.integers(G.order, size=rng.integers(1, 4)).tolist() for _ in range(10)]
+        built += [subgroup_closure(G, seed) for seed in seeds]
+        assert not_generated(built) == [], G.order
+        counts.append((len(subs), len(cens)))
+    assert counts[-3:] == [(632, 13), (1857, 26), (2058, 13)]
+    words = ["x1", "x4", "x5", "x6", "x3*x4^2*x6", "x3*x4^2*x6^3", "x4^-1*x5"]
+    G = extension_group("paper-1000-86")
+    assert not_generated([parse_subgroup(G, [a, b]) for a in words for b in words]) == []
 
 
 # -- subnormality --------------------------------------------------------------

@@ -14,7 +14,7 @@ from zgcentral.catalog import catalog, cyclic, get_group, symmetric
 from zgcentral import groupalgebra, groups, shoda
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
-from zgcentral.errors import CapExceeded, NotShodaPair
+from zgcentral.errors import CapExceeded, NotShodaPair, NotStrongInductiveChain
 from zgcentral.groupalgebra import (
     QGElement,
     epsilon,
@@ -657,6 +657,37 @@ def test_chain_search_beyond_the_lattice_cap_is_an_error(paper1000, monkeypatch)
     monkeypatch.setattr(groups, "LATTICE_CAP", 10)
     with pytest.raises(CapExceeded, match="chain for every pair.*--pairs-file"):
         complete_irredundant_set(paper1000, candidates=[(H, K)])
+
+
+def test_supplied_chain_that_fails_is_refused(paper1000, monkeypatch):
+    """A supplied chain is verified or refused, never searched around:
+    paper9.json's (50, 10) pair with its chain cut to its two ends fails
+    its one level and raises NotStrongInductiveChain naming |H| and |K|,
+    also past the lattice cap, where a search would raise CapExceeded.
+    Supplied without a chain, the pair is searched and kept."""
+    H, K, steps = next(
+        c for c in _paper9_candidates(paper1000) if (c[0].order, c[1].order) == (50, 10)
+    )
+    cut = [steps[0], steps[-1]]
+    searched = []
+    search = shoda.find_strong_inductive_chain
+
+    def counted_search(lam, subgroups=None):
+        searched.append(lam)
+        return search(lam, subgroups)
+
+    monkeypatch.setattr(shoda, "find_strong_inductive_chain", counted_search)
+    full_cap = groups.LATTICE_CAP
+    for cap in (full_cap, 10):
+        monkeypatch.setattr(groups, "LATTICE_CAP", cap)
+        with pytest.raises(NotStrongInductiveChain) as err:
+            complete_irredundant_set(paper1000, candidates=[(H, K, cut)])
+        assert str(err.value) == "pair (|H|=50, |K|=10) fails its supplied chain"
+    assert searched == []
+    monkeypatch.setattr(groups, "LATTICE_CAP", full_cap)
+    (pair,), _ = complete_irredundant_set(paper1000, candidates=[(H, K)])
+    assert len(searched) == 1
+    assert pair.status == "generalized_strong" and pair.chain.indices == [2, 1, 2]
 
 
 @pytest.mark.parametrize("pair_file", [False, True])
