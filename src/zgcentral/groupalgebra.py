@@ -65,11 +65,18 @@ def _combine(terms):
 
 
 def _element(group, den, vec):
-    """The element vec / den (den > 0), brought into canonical form."""
-    c = int(np.gcd.reduce(vec))
-    if not c:
-        return QGElement.zero(group)
-    g = gcd(den, c)
+    """The element vec / den (den > 0), brought into canonical form.  On
+    Python ints the gcd starts from den, so every step but the first is
+    a gcd with a small number, linear in the bits."""
+    if vec.dtype == object:
+        if not vec.any():
+            return QGElement.zero(group)
+        g = gcd(den, *vec.tolist())
+    else:
+        c = int(np.gcd.reduce(vec))
+        if not c:
+            return QGElement.zero(group)
+        g = gcd(den, c)
     if g > 1:
         den //= g
         vec = vec // g

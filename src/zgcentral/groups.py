@@ -615,13 +615,28 @@ def _normalizes(H, K, in_k):
 
 def normal_closure(S, within):
     """Smallest subgroup of `within` containing S and normal in `within`:
-    the closure of the conjugates s^w of S's generators by every w in
-    `within`, gathered at once."""
+    N starts as <S>, and the generators N keeps are conjugated by
+    `within`'s generators, one gather, until no conjugate x^w falls
+    outside N.  Conjugation by w is injective, so N^w ⊆ N means N^w = N,
+    and the elements that normalize N form a subgroup, so `within`'s
+    generators decide.  A conjugate outside N joins it as the commutator
+    x^-1 x^w, the same subgroup since x is in N; it tends to have the
+    larger order (a rotation, not a reflection, in a dihedral group), so
+    the closure, which takes its seeds largest order first, extends
+    normally and does not fall back to a search."""
     G = S.parent
-    w = np.array(within.sorted_members, dtype=np.intp)[:, None]
-    conj = conjugate(G, np.array(S.gens, dtype=np.intp), w)
-    members, kept = G._closure_members(conj.ravel())
-    return Subgroup(G, members, gens=kept)
+    ws = np.array(within.gens, dtype=np.intp)[:, None]
+    gens = S.gens
+    while True:
+        members, kept = G._closure_members(gens)
+        member = np.zeros(G.order, dtype=bool)
+        member[list(members)] = True
+        xs = np.array(kept, dtype=np.intp)
+        conj = conjugate(G, xs, ws)
+        outside = ~member[conj]
+        if not outside.any():
+            return Subgroup(G, members, gens=kept)
+        gens = kept + G.table[G.inv[xs], conj][outside].tolist()
 
 
 def right_transversal(H, within):

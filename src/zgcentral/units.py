@@ -6,11 +6,13 @@ Every unit is a `Unit`: its value together with its integral inverse.
 Bass units and generalized Bass units get their inverses in closed form,
 u_{k,m}(g)^-1 = u_{k',m}(g^k) with k k' = 1 mod |g|, checked by an exact
 product in Z[x]/(x^|g| - 1); no inverse is ever solved for.  One kernel,
-`_cyclic_convolve`, multiplies in Z[x]/(x^d - 1), on int64 rows or on
-exact rows of Python ints.  A generalized Bass unit for a normal M is
-computed in one ring, Z<gM> = Z[x]/(x^e - 1) with e the order of gM:
-the rows of u_{k,m}(g) and its inverse are folded once by residues mod
-e, n_b is walked there mod |M|, and the exact power is taken there too.
+`_cyclic_convolve`, multiplies in Z[x]/(x^d - 1): int64 rows by
+`np.convolve`, rows of Python ints by one Kronecker-packed big-integer
+product (`_packed_product`).  A Bass row stays int64 while k^m does.  A
+generalized Bass unit for a normal M is computed in one ring, Z<gM> =
+Z[x]/(x^e - 1) with e the order of gM: the rows of u_{k,m}(g) and its
+inverse are folded once by residues mod e, n_b is walked there mod |M|,
+and the exact power is taken there too.
 
 The z-construction walks a strong inductive chain, one product of the
 conjugates of z^|H_i| per level over the transversal of H_i in H_(i+1)
@@ -19,11 +21,20 @@ product of conjugates per transversal.  A level's conjugates commute, so
 `_conjugate_product` multiplies each distinct conjugate once and raises
 that product to the power m, the number of times each recurs over the
 transversal; the z-construction folds z's power |H_i| into it, m |H_i|.
-The inverse is the same product over the conjugated inverse.  One check,
-`_verified_unit`, guards the input in ZH and the output in ZG, with one
-multiplication each.  `bass_central_units` is the generating set of
-Theorem 1: the c-construction on the Bass units u_(k,m)(g), 1 < k < |g|/2,
-of every subnormal cyclic subgroup <g>.
+Value and inverse ride as one 2 x |G| block of numerators, so each
+product and each squaring is one `_stacked_mul` for both, taken only at
+the members of the smallest subgroup that holds the level: S_i for the
+c-construction (S_i is normal in S_(i+1)), H_(i+1) for the z-construction.
+
+Every unit check is `_verified_unit(u, S, ...)`, taken in ZS: the
+supports by one mask gather, value * inverse = 1 at S's members only.
+The input is checked in Z<g> or ZH.  The c-construction's output lies in
+Z S_(top-1): it is checked central in ZG by the class gather and
+multiplied only at S_(top-1)'s members; the z-construction's output is
+checked in ZG; a series or chain with no level returns its input, checked
+once.  `bass_central_units` is the generating set of Theorem 1: the
+c-construction on the Bass units u_(k,m)(g), 1 < k < |g|/2, of every
+subnormal cyclic subgroup <g>.
 
 A p-adic log-embedding witness counts the multiplicative rank of a set
 of central units in int64, and refuses a unit that is not central.  The
@@ -53,10 +64,23 @@ from .errors import (
     ZgError,
 )
 from .cyclotomic import factorize
-from .groupalgebra import QGElement, conjugate_rows, hat, is_central, mul
+from .groupalgebra import (
+    QGElement,
+    _convolve,
+    _dtype,
+    _element,
+    _maxabs,
+    conjugate_rows,
+    hat,
+    is_central,
+    mul,
+)
 from .groups import (
+    _GATHER_BLOCK,
+    _mask,
     binary_power,
     conjugacy_partition,
+    conjugate,
     cyclic_subgroups,
     is_normal,
     right_transversal,
@@ -84,11 +108,44 @@ def validate_bass_spec(G, spec):
     return d
 
 
+def _packed_product(a, b):
+    """The full product of two rows of Python ints, the coefficients of
+    (sum a_i x^i)(sum b_j x^j), by one big-integer product (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44 (2009)).  A row is read
+    as the integer sum a_i 2^(Wi), its slots W = 8w bits wide, a whole
+    number of bytes, with every |sum| of the product below 2^(W-1).  A
+    slot is written as a_i + 2^(W-1) >= 0 by `int.to_bytes` and the bias
+    taken off the packed integer at once; the product, plus the bias in
+    each slot, is read back by `int.from_bytes` slot by slot.  All but the
+    product is linear in the bits; CPython's Karatsuba takes the product,
+    a squaring when a is b."""
+    n = a.size + b.size - 1
+    bound = _maxabs(a) * _maxabs(b) * min(a.size, b.size)
+    if not bound:
+        return np.zeros(n, dtype=object)
+    w = bound.bit_length() // 8 + 1  # bound < 2^(8w - 1)
+    half = 1 << (8 * w - 1)
+    slot = bytes(w - 1) + b"\x80"  # half, little-endian
+
+    def pack(row):
+        raw = b"".join((x + half).to_bytes(w, "little") for x in row.tolist())
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * row.size, "little")
+
+    pa = pack(a)
+    full = pa * (pa if b is a else pack(b)) + int.from_bytes(slot * n, "little")
+    raw = memoryview(full.to_bytes(n * w, "little"))
+    return np.array(
+        [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, n * w, w)],
+        dtype=object,
+    )
+
+
 def _cyclic_convolve(a, b, d):
-    """a * b in Z[x]/(x^d - 1) for rows of length d: one full product,
-    its tail folded back onto the head.  int64 rows stay int64, object
-    rows of Python ints stay exact."""
-    full = np.convolve(a, b)
+    """a * b in Z[x]/(x^d - 1) for rows of length d and one dtype: one
+    full product, its tail folded back onto the head.  int64 rows stay
+    int64, by `np.convolve`; rows of Python ints stay exact, by
+    `_packed_product`."""
+    full = _packed_product(a, b) if a.dtype == object else np.convolve(a, b)
     out = full[:d].copy()
     out[: d - 1] += full[d:]
     return out
@@ -102,9 +159,11 @@ def _cyclic_power(a, n, d):
 @lru_cache(maxsize=None)
 def _bass_coeffs(d, k, m):
     """Coefficients of (1 + x + ... + x^(k-1))^m + ((1 - k^m)/d) (1 + ... +
-    x^(d-1)) in Z[x]/(x^d - 1), an object row of Python ints.  The unit
-    only depends on g through d."""
-    geo = np.bincount(np.arange(k) % d, minlength=d).astype(object)
+    x^(d-1)) in Z[x]/(x^d - 1).  Every power of the geometric row has
+    non-negative entries summing to k^j <= k^m, so the row is int64 while
+    `_dtype(k**m)` allows it, else a row of Python ints.  The unit only
+    depends on g through d."""
+    geo = np.bincount(np.arange(k) % d, minlength=d).astype(_dtype(k**m))
     out = _cyclic_power(geo, m, d) + (1 - k**m) // d
     out.setflags(write=False)  # cached
     return out
@@ -115,22 +174,34 @@ def _bass_inverse_coeffs(d, k, m):
     """Coefficients (along powers of x) of the inverse u_{k', m} taken at
     x^k, where k k' = 1 mod d; verified by an exact convolution."""
     k_inv = pow(k, -1, d) if d > 1 else 1
-    v = np.zeros(d, dtype=object)
-    v[(k * np.arange(d)) % d] = _bass_coeffs(d, k_inv, m)
-    prod = _cyclic_convolve(_bass_coeffs(d, k, m), v, d)
+    row = _bass_coeffs(d, k_inv, m)
+    v = np.zeros(d, dtype=row.dtype)
+    v[(k * np.arange(d)) % d] = row
+    u = _bass_coeffs(d, k, m)
+    dtype = _dtype(_maxabs(u) * _maxabs(v) * d)
+    prod = _cyclic_convolve(u.astype(dtype), v.astype(dtype), d)
     if prod[0] != 1 or prod[1:].any():
         raise NotInvertible("closed-form Bass inverse identity failed")
     v.setflags(write=False)  # cached
     return v
 
 
-def _place_on_powers(G, g, coeffs):
-    vec = [0] * G.order
-    x = 0  # g^i, one table lookup per step
-    for c in coeffs:
-        vec[x] = c
-        x = int(G.table[x, g])
-    return QGElement.from_vec(G, vec)
+def _powers_of(G, g, n):
+    """g^0, ..., g^(n-1) as an index array, by doubling: the first 2j are
+    the first j and their products with g^j, one gather."""
+    out = np.zeros(1, dtype=np.intp)
+    x = g
+    while out.size < n:
+        out = np.concatenate((out, G.table[out, x]))
+        x = int(G.table[x, x])
+    return out[:n]
+
+
+def _place_on_powers(G, powers, coeffs):
+    """The element with coefficient coeffs[i] at powers[i]."""
+    vec = np.zeros(G.order, dtype=coeffs.dtype)
+    vec[powers] = coeffs
+    return _element(G, 1, vec)
 
 
 @dataclass
@@ -150,9 +221,10 @@ def bass_unit(G, spec):
     """(1 + g + ... + g^(k-1))^m + ((1 - k^m)/|g|) (1 + g + ... + g^(|g|-1)),
     central in Z<g>, with its inverse u_{k', m}(g^k), k k' = 1 mod |g|."""
     d = validate_bass_spec(G, spec)
+    powers = _powers_of(G, spec.g, d)
     return Unit(
-        _place_on_powers(G, spec.g, _bass_coeffs(d, spec.k, spec.m)),
-        _place_on_powers(G, spec.g, _bass_inverse_coeffs(d, spec.k, spec.m)),
+        _place_on_powers(G, powers, _bass_coeffs(d, spec.k, spec.m)),
+        _place_on_powers(G, powers, _bass_inverse_coeffs(d, spec.k, spec.m)),
         "Bass",
         {"spec": spec},
     )
@@ -202,8 +274,9 @@ def gen_bass_unit(G, g, M, k, m):
     while x not in M.members:
         x = G.mul(x, g)
         e += 1
+    # folded, and powered below, in Python ints: the sums have no int64 bound
     rows = [
-        row.reshape(d // e, e).sum(axis=0)
+        row.astype(object).reshape(d // e, e).sum(axis=0)
         for row in (_bass_coeffs(d, k, m), _bass_inverse_coeffs(d, k, m))
     ]
     # entries stay below |M| <= MAX_ORDER, so every product sum fits in int64
@@ -217,9 +290,9 @@ def gen_bass_unit(G, g, M, k, m):
         powers = [_cyclic_convolve(p, s, e) % M.order for p, s in zip(powers, steps)]
     else:
         raise InternalBoundExceeded(f"no unit power found within {GEN_BASS_CAP} steps")
-    one, hm = QGElement.one(G), hat(M)
+    one, hm, powers = QGElement.one(G), hat(M), _powers_of(G, g, e)
     value, inverse = (
-        one - hm + mul(_place_on_powers(G, g, _cyclic_power(row, n, e)), hm)
+        one - hm + mul(_place_on_powers(G, powers, _cyclic_power(row, n, e)), hm)
         for row in rows
     )
     if not (value.is_integral() and inverse.is_integral()):
@@ -230,21 +303,41 @@ def gen_bass_unit(G, g, M, k, m):
 # -- verification --------------------------------------------------------------
 
 
-def _verified_unit(u, S, error):
+def _verified_unit(u, S, error, centre=None):
     """The Unit u once its value and carried inverse are integral and
-    supported in S, the value is central in ZS, and value * inverse = 1;
-    otherwise raises `error`.  A construction's input is checked with
-    PreconditionFailed, its output, in ZG, with ZgError."""
+    supported in S, the value is central in Z[centre] (in ZS when centre
+    is None), and value * inverse = 1; otherwise raises `error`.  A
+    construction's input is checked with PreconditionFailed, its output
+    with ZgError.
+
+    Every check is taken in ZS: the supports by one mask gather, and the
+    product, which lies in ZS with both factors, at S's members only
+    (`_convolve(..., cols)`), |S|^2 table entries in place of |S| |G|."""
+    G = S.parent
+    cols, inside = _mask(S)
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
-        if not set(v.support) <= S.members:
+        if v.vec[~inside].any():
             raise error(f"{label} is not supported inside the base subgroup")
         if not v.is_integral():
             raise error(f"{label} has non-integer coefficients")
-    if not is_central(u.value, S):
+    if not is_central(u.value, S if centre is None else centre):
         raise error("u is not central in the base subring")
-    if mul(u.value, u.inverse) != QGElement.one(S.parent):
+    # cols[0] is the identity; the row gather when S is all of G
+    prod = _convolve(u.value, u.inverse, None if S.order == G.order else cols)
+    if prod[0] != 1 or prod[1:].any():
         raise error("u times its carried inverse is not 1")
     return u
+
+
+def _product_in(a, b, S):
+    """a * b for a and b supported in the subgroup S, taken at S's members
+    only."""
+    G = S.parent
+    cols, _ = _mask(S)
+    at = _convolve(a, b, cols)
+    vec = np.zeros(G.order, dtype=at.dtype)
+    vec[cols] = at
+    return _element(G, a.den * b.den, vec)
 
 
 # -- the z- and c-constructions ------------------------------------------------
@@ -261,9 +354,34 @@ def _integer_multiple_of(p, w):
     return int(c)
 
 
-def _conjugate_product(value, inverse, reps, power=1):
-    """((prod of value^t over reps)^power, (prod of inverse^t over reps)^power)
-    for conjugates value^t that commute, each distinct one multiplied once.
+def _stacked_mul(G, X, Y, cols):
+    """The products X[r] * Y[r] of the rows of two 2 x |G| integer blocks,
+    taken at the group elements `cols` and zero elsewhere: the product of
+    value blocks and of inverse blocks in one call.  Per block of X's
+    support, one gather of Y through the Cayley table and one stacked
+    matrix product; in int64 when a bound on the sums allows it, else in
+    Python ints."""
+    support = np.flatnonzero((X != 0).any(axis=0))
+    dtype = _dtype(_maxabs(X) * _maxabs(Y) * support.size)
+    X = X.astype(dtype, copy=False)
+    Y = Y.astype(dtype, copy=False)
+    acc = np.zeros((2, 1, cols.size), dtype=dtype)
+    step = max(1, _GATHER_BLOCK // cols.size)
+    for start in range(0, support.size, step):
+        g = support[start : start + step]
+        # (x y)[k] is the sum over g of x[g] * y[g^-1 k]
+        acc += X[:, None, g] @ Y[:, G.table[G.inv[g][:, None], cols]]
+    out = np.zeros((2, G.order), dtype=dtype)
+    out[:, cols] = acc[:, 0]
+    return out
+
+
+def _conjugate_product(block, reps, ring, power=1):
+    """The 2 x |G| block of (prod of value^t over reps)^power over (prod
+    of inverse^t over reps)^power, for a block of value over inverse whose
+    conjugates value^t commute and lie in Z[ring], each distinct one
+    multiplied once.  Every product is one `_stacked_mul` for both sides,
+    taken at ring's members only.
 
     The callers' conjugates commute.  In the c-construction value is
     central in ZS_i and S_i is normal in S_(i+1), so every value^t lies in
@@ -280,22 +398,30 @@ def _conjugate_product(value, inverse, reps, power=1):
     so each distinct conjugate occurs exactly m = [F:S] times and the
     product over reps is the product of the distinct conjugates to the
     m-th power: one product per distinct conjugate but the first, and
-    O(log(m power)) for the power, per side, in place of len(reps) - 1.
-    The inverse's stabilizer is F too, so it is taken at the same
+    O(log(m power)) for the power, in place of len(reps) - 1.  The
+    inverse's stabilizer is F too, so it is taken at the same
     representatives, and in a commutative ring the inverse of the product
     is the product of the inverses.  The conjugates' coefficients are read
     off `conjugate_rows` and told apart as tuples of ints."""
+    G = ring.parent
     seen = {}  # a distinct conjugate's coefficients -> [a rep giving it, multiplicity]
     ts = np.asarray(reps, dtype=np.intp)
-    for block, conj in conjugate_rows(value.group, value.vec, ts):
-        for key, rep in zip(map(tuple, conj.tolist()), ts[block].tolist()):
+    for rows, conj in conjugate_rows(G, block[0], ts):
+        for key, rep in zip(map(tuple, conj.tolist()), ts[rows].tolist()):
             seen.setdefault(key, [rep, 0])[1] += 1
     counts = {m for _, m in seen.values()}
     if len(counts) != 1:
         raise ZgError("distinct conjugates occur unequally often over the transversal")
     exponent = counts.pop() * power
-    firsts = [rep for rep, _ in seen.values()]
-    return tuple(reduce(mul, [v.conj(rep) for rep in firsts]) ** exponent for v in (value, inverse))
+    firsts = np.array([rep for rep, _ in seen.values()], dtype=np.intp)
+    cols, _ = _mask(ring)
+
+    def product(x, y):
+        return _stacked_mul(G, x, y, cols)
+
+    # block^t, at y, is block at t y t^-1
+    conjugates = [block[:, idx] for idx in conjugate(G, None, G.inv[firsts])]
+    return binary_power(reduce(product, conjugates), exponent, product)
 
 
 def z_central_unit(u, pair):
@@ -309,18 +435,24 @@ def z_central_unit(u, pair):
     eps = pair.lam.epsilon
     one_minus = QGElement.one(G) - eps
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
-        if _integer_multiple_of(v - mul(v, eps), one_minus) is None:
+        if _integer_multiple_of(v - _product_in(v, eps, H), one_minus) is None:
             raise PreconditionFailed(
                 f"{label} does not split as Z(1-e) + (subring)e"
             )
+    inputs = {"pair": pair, "base_support": u.value.support}
+    steps, transversals = pair.chain.steps, pair.chain.transversals
+    if not transversals:  # H = G: the input check was the check in ZG
+        return Unit(u.value, u.inverse, "z-construction", inputs)
     # the product of the conjugates of z^|H_i| is that of z's to the |H_i|-th
-    # power, since they commute; (z^m)^-1 = (z^-1)^m
-    z, zinv = u.value, u.inverse
-    for base, reps in zip(pair.chain.steps, pair.chain.transversals):
+    # power, since they commute; (z^m)^-1 = (z^-1)^m.  z_i lies in ZH_i, so
+    # its conjugates by H_(i+1) lie in ZH_(i+1).
+    z, block = u.value, np.stack((u.value.vec, u.inverse.vec))
+    for base, ring, reps in zip(steps, steps[1:], transversals):
         if not is_central(z, base):
             raise PreconditionFailed("intermediate value lost centrality")
-        z, zinv = _conjugate_product(z, zinv, reps, base.order)
-    out = Unit(z, zinv, "z-construction", {"pair": pair, "base_support": u.value.support})
+        block = _conjugate_product(block, reps, ring, base.order)
+        z = _element(G, 1, block[0])
+    out = Unit(z, _element(G, 1, block[1]), "z-construction", inputs)
     return _verified_unit(out, G.whole(), ZgError)
 
 
@@ -339,21 +471,31 @@ def c_central_unit(u, series, transversals=None):
     """Push a Unit central in the ring of the series' first subgroup up the
     series by transversal products; independent of the transversal
     choices.  Supplied transversals, one per step, are checked to be
-    right transversals of S_i in S_(i+1)."""
+    right transversals of S_i in S_(i+1).
+
+    Level i multiplies conjugates of a value in ZS_i by members of
+    S_(i+1), which lie in ZS_i since S_i is normal in S_(i+1); so its
+    products are taken at S_i's members, and the output, in Z S_(top-1),
+    is checked central in ZG but multiplied by its inverse only at S_(top-1)'s
+    members.  A series with no level returns the input, checked in ZG."""
     steps = series.steps
+    G = steps[0].parent
     _verified_unit(u, steps[0], PreconditionFailed)
     if transversals is not None and len(transversals) != len(steps) - 1:
         raise PreconditionFailed(f"need one transversal per step, {len(steps) - 1}")
-    c, cinv = u.value, u.inverse
+    inputs = {"series_orders": [s.order for s in steps]}
+    if len(steps) == 1:  # S_0 = G: the input check was the check in ZG
+        return Unit(u.value, u.inverse, "c-construction", inputs)
+    block = np.stack((u.value.vec, u.inverse.vec))
     for i in range(len(steps) - 1):
         if transversals is not None:
             reps = transversals[i]
             _check_transversal(reps, steps[i], steps[i + 1])
         else:
             reps = right_transversal(steps[i], steps[i + 1])
-        c, cinv = _conjugate_product(c, cinv, reps)
-    out = Unit(c, cinv, "c-construction", {"series_orders": [s.order for s in steps]})
-    return _verified_unit(out, steps[0].parent.whole(), ZgError)
+        block = _conjugate_product(block, reps, steps[i])
+    out = Unit(_element(G, 1, block[0]), _element(G, 1, block[1]), "c-construction", inputs)
+    return _verified_unit(out, steps[-2], ZgError, centre=G.whole())
 
 
 def bass_central_units(G):

@@ -50,7 +50,13 @@ from zgcentral.units import (
     random_right_transversal,
     z_central_unit,
 )
-from zgcentral.units import _conjugate_product, _cyclic_convolve, _cyclic_power
+from zgcentral.units import (
+    _bass_coeffs,
+    _conjugate_product,
+    _cyclic_convolve,
+    _cyclic_power,
+    _verified_unit,
+)
 
 
 def assert_central_unit(cu):
@@ -89,19 +95,32 @@ def cyclic_poly_oracle(n, k, m):
 # -- the product kernel of Z[x]/(x^d - 1) ---------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
+def kernel_rows(d, bound):
+    """Rows of length d: any entries in [-bound, bound], all zero, or one
+    nonzero entry."""
+    single = st.tuples(st.integers(0, d - 1), st.integers(-bound, bound))
+    return st.one_of(
+        st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+        st.just([0] * d),
+        single.map(lambda iv: [iv[1] if i == iv[0] else 0 for i in range(d)]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_cyclic_convolve_matches_schoolbook(data):
-    """One kernel for both dtypes: int64 rows stay int64, object rows of
-    Python ints stay exact, and both equal the schoolbook product, for d
-    from 1; powers equal repeated schoolbook products.  `binary_power`'s
-    other products agree with their naive walks too: int64 rows mod a
-    q < 2^31, the p-adic log's product, and QG elements."""
-    d = data.draw(st.integers(1, 40), label="d")
+    """One kernel for both dtypes: int64 rows stay int64 (`np.convolve`),
+    signed rows of Python ints up to 600-bit coefficients stay exact (one
+    packed big-integer product), and both equal the schoolbook product,
+    for d from 1 to 64, rows that are all zero or have one nonzero entry
+    included; powers equal repeated schoolbook products.
+    `binary_power`'s other products agree with their naive walks too:
+    int64 rows mod a q < 2^31, the p-adic log's product, and QG
+    elements."""
+    d = data.draw(st.integers(1, 64), label="d")
     exact = data.draw(st.booleans(), label="object rows")
-    dtype, bound = (object, 2**200) if exact else (np.int64, 2**20)
-    row = st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
-    a, b = data.draw(row, label="a"), data.draw(row, label="b")
+    dtype, bound = (object, 2**600) if exact else (np.int64, 2**20)
+    a, b = data.draw(kernel_rows(d, bound), label="a"), data.draw(kernel_rows(d, bound), label="b")
     got = _cyclic_convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype), d)
     assert got.dtype == dtype
     assert got.tolist() == oracles.cyclic_convolve(a, b, d)
@@ -124,6 +143,25 @@ def test_cyclic_convolve_matches_schoolbook(data):
 
 
 # -- Bass units ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bass_coeffs_agree_on_int64_and_object_rows(data):
+    """While k^m < 2^62 the Bass row is powered in int64; the same row
+    powered in Python ints, by the packed product, has the same values,
+    and both equal the schoolbook expansion."""
+    d = data.draw(st.integers(1, 64), label="d")
+    k = data.draw(st.integers(1, max(1, d - 1)), label="k")
+    m = data.draw(st.integers(1, max(1, 61 // max(1, k.bit_length()))), label="m")
+    fast = _bass_coeffs.__wrapped__(d, k, m)
+    assert fast.dtype == np.int64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(units, "_dtype", lambda bound: object)
+        exact = _bass_coeffs.__wrapped__(d, k, m)
+    assert exact.dtype == object
+    assert fast.tolist() == exact.tolist() == cyclic_poly_oracle(d, k, m)
+
 
 
 def test_bass_k1_is_identity(c5):
@@ -173,22 +211,42 @@ def test_bass_matches_cyclic_oracle():
 
 
 def s3_central_in_a3(s3):
-    """(a, b, reps): a = 2 + r and b = 1 - r for r of order 3, central in
-    Z[A3], and reps every member of S3, over which each of the two
-    distinct conjugates of a recurs 3 times."""
+    """(a, b, reps, A3): a = 2 + r and b = 1 - r for r of order 3, central
+    in Z[A3], reps every member of S3, over which each of the two distinct
+    conjugates of a recurs 3 times, and A3, which holds every conjugate."""
     rot = next(g for g in range(6) if s3.element_orders[g] == 3)
     a = QGElement(s3, {0: 2, rot: 1})
     b = QGElement(s3, {0: 1, rot: -1})
-    return a, b, list(range(6))
+    return a, b, list(range(6)), subgroup_closure(s3, [rot])
+
+
+def conjugate_product(a, b, reps, ring, power=1):
+    """`_conjugate_product` on the block of a over b, read back as the two
+    elements."""
+    block = _conjugate_product(np.stack((a.vec, b.vec)), reps, ring, power)
+    return tuple(QGElement.from_vec(a.group, row) for row in block)
 
 
 def test_ordered_product_empty_and_single(s3):
     """Over the identity alone the conjugate product is the element itself,
     or its power; over all of S3 it is the ordered product."""
-    a, b, reps = s3_central_in_a3(s3)
-    assert _conjugate_product(a, b, [0]) == (a, b)
-    assert _conjugate_product(a, b, [0], 3) == (a**3, b**3)
-    assert _conjugate_product(a, b, reps) == oracles.ordered_conjugate_product(a, b, reps)
+    a, b, reps, A3 = s3_central_in_a3(s3)
+    assert conjugate_product(a, b, [0], A3) == (a, b)
+    assert conjugate_product(a, b, [0], A3, 3) == (a**3, b**3)
+    assert conjugate_product(a, b, reps, A3) == oracles.ordered_conjugate_product(a, b, reps)
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one per call of module.name."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def count_products(monkeypatch):
@@ -212,15 +270,18 @@ def power_products(k):
 
 def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
     """k distinct conjugates, each recurring m times, take k - 1 products
-    and the power m per side; u**k spends no product on one."""
-    a, b, reps = s3_central_in_a3(s3)
+    and the power m, each one stacked product for value and inverse at
+    once, and no QG product; u**k spends no product on one."""
+    a, b, reps, A3 = s3_central_in_a3(s3)
     want = oracles.ordered_conjugate_product(a, b, reps)
+    stacked = count_calls(monkeypatch, units, "_stacked_mul")
     calls = count_products(monkeypatch)
     for power in range(1, 6):
         powered = tuple(v**power for v in want)
+        stacked.clear()
         calls.clear()
-        assert _conjugate_product(a, b, reps, power) == powered
-        assert len(calls) == 2 * (2 - 1 + power_products(3 * power))
+        assert conjugate_product(a, b, reps, A3, power) == powered
+        assert (len(stacked), len(calls)) == (2 - 1 + power_products(3 * power), 0)
     v = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
     power = QGElement.one(s3)
     for k in range(12):
@@ -232,17 +293,73 @@ def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
 
 def test_c_unit_multiplies_each_distinct_conjugate_once(monkeypatch):
     """On C36 with <g> of order 2, the 18 conjugates over the transversal
-    are one element: the c-unit takes the input and output checks and
-    u**18 per side, where the ordered product took 17 products per side."""
+    are one element: the c-unit takes u**18 for value and inverse at once,
+    power_products(18) = 5 stacked products, and one product each for the
+    input and output checks, where the ordered product took 17 products
+    per side."""
     G = cyclic(36)
     g = next(x for x in range(G.order) if G.element_orders[x] == 2)
     series = subnormal_series(subgroup_closure(G, [g]))
     assert [S.order for S in series.steps] == [2, 36]
     u = bass_unit(G, bass_specs_for(G, g)[0])
+    stacked = count_calls(monkeypatch, units, "_stacked_mul")
+    checks = count_calls(monkeypatch, units, "_convolve")
     calls = count_products(monkeypatch)
     cu = c_central_unit(u, series)
-    assert len(calls) <= 2 + 2 * power_products(18) == 12
+    assert (len(stacked), len(checks), len(calls)) == (power_products(18), 2, 0) == (5, 2, 0)
     assert (cu.value, cu.inverse) == oracles.c_central_unit(u, series)
+
+
+def d5_rotation_unit(d5):
+    """(u, <r>): the Bass unit u_(2,4)(r) for r of order 5, central in
+    Z<r> only."""
+    rot = next(g for g in range(10) if d5.element_orders[g] == 5)
+    return bass_unit(d5, BassSpec(g=rot, k=2, m=4)), subgroup_closure(d5, [rot])
+
+
+def test_verified_unit_checks_support_and_inverse_in_zs(d5, c5):
+    """The unit check reads only S's members for the product, so it must
+    refuse a value or inverse supported outside S, and an inverse wrong at
+    any one member of S: for S = <r> proper in D5, and for S = C5 = G,
+    where nothing lies outside."""
+    u, R = d5_rotation_unit(d5)
+    assert _verified_unit(u, R, PreconditionFailed) is u
+    refl = next(g for g in range(10) if g not in R.members)
+    out = QGElement.element(d5, refl)
+    for bad, label in (
+        (Unit(u.value + out, u.inverse, "off S"), "u is not supported"),
+        (Unit(u.value, u.inverse + out, "off S"), "u inverse is not supported"),
+    ):
+        with pytest.raises(PreconditionFailed, match=label):
+            _verified_unit(bad, R, PreconditionFailed)
+    whole = bass_unit(c5, BassSpec(g=1, k=2, m=4))
+    for v, S in ((u, R), (whole, c5.whole())):
+        assert _verified_unit(v, S, ZgError) is v
+        for h in sorted(S.members):
+            bad = Unit(v.value, v.inverse + QGElement.element(S.parent, h), "wrong at h")
+            with pytest.raises(ZgError, match="inverse is not 1"):
+                _verified_unit(bad, S, ZgError)
+
+
+def test_c_output_wrong_inside_the_last_ring_is_an_error(d5, monkeypatch):
+    """The c-unit's output lies in Z S_(top-1) and is multiplied by its
+    inverse only there: a product whose inverse is off by one at any
+    member of S_(top-1) = <r> is an error."""
+    u, R = d5_rotation_unit(d5)
+    series = subnormal_series(R)
+    assert series.steps[-2].members == R.members
+    real = units._conjugate_product
+    for h in sorted(R.members):
+
+        def wrong(block, reps, ring, power=1, h=h):
+            out = real(block, reps, ring, power).astype(object)
+            out[1, h] += 1
+            return out
+
+        monkeypatch.setattr(units, "_conjugate_product", wrong)
+        with pytest.raises(ZgError, match="inverse is not 1") as info:
+            c_central_unit(u, series)
+        assert not isinstance(info.value, PreconditionFailed)
 
 
 def test_c_supplied_transversals_are_checked(d4):
@@ -340,7 +457,11 @@ def test_gen_bass_matches_powers_on_catalog():
 def test_gen_bass_c38_within_a_minute():
     """C38's unit for (k, m) = (3, 18) and |M| = 2: n_b = 9709 and
     coefficients of 267 712 bits, built in Z[x]/(x^19 - 1) within 60 s,
-    and integral.  value * inverse = 1 is checked on the two factors of
+    and integral.  Its exact power takes 21 packed big-integer products
+    per side (`_packed_product`, one Karatsuba product of two packed
+    rows each), about 9 s on a 2-vCPU Xeon where one `np.convolve` per
+    product, 19^2 big-integer products each, took 14 s.
+    value * inverse = 1 is checked on the two factors of
     QG = QG(1 - hat(M)) x Q[G/M]: both are 1 - hat(M) on the first, one
     product by hat(M) each, and their images in Z[G/M] = Z[x]/(x^19 - 1)
     multiply to 1 by one exact schoolbook product, 19^2 big-integer
@@ -625,7 +746,9 @@ def test_failed_output_is_an_error_not_a_refusal(d5, monkeypatch, construction):
     H = subgroup_closure(d5, [rot])
     u = bass_unit(d5, BassSpec(g=rot, k=2, m=4))
     # every product keeps its value and loses its inverse
-    monkeypatch.setattr(units, "_conjugate_product", lambda v, inv, reps, power=1: (v, v))
+    monkeypatch.setattr(
+        units, "_conjugate_product", lambda block, reps, ring, power=1: block[[0, 0]]
+    )
     with pytest.raises(ZgError) as info:
         if construction == "c":
             c_central_unit(u, subnormal_series(H))
