@@ -15,14 +15,16 @@ right transversal of S in N (`shoda._climb`), all read off one blocked
 gather (`conjugate_rows`, which the unit constructions share) with their
 inner products <a, a^t> (`conjugate_gram`).
 
-Products are one convolution kernel (`_convolve`), which gives a * b at
-all of G (`mul`) or only at chosen elements: per block of a's support it
-gathers b at g^-1 k through the Cayley table and takes one matrix-vector
-product with a's coefficients there.  For a central idempotent e,
-z -> z e is an idempotent linear map of the center Z(QG) onto Z(QGe), so
-dim_Q Z(QGe) is its trace, which needs no elimination: on the basis of
-ordinary class sums its diagonal is read off e's coefficients by one
-gather (`center_component_dim`).  A central e^2 is
+Products are one convolution kernel (`_convolve`) on numerator rows,
+the only one in the library, which gives a * b at all of G (`mul`) or
+only at chosen elements, for one row or a stack of rows (the unit
+constructions carry value and inverse as one 2 x |G| block): per block
+of a's support it gathers b at g^-1 k through the Cayley table and takes
+one matrix product with a's coefficients there.  For a central
+idempotent e, z -> z e is an idempotent linear map of the center Z(QG)
+onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no elimination:
+on the basis of ordinary class sums its diagonal is read off e's
+coefficients by one gather (`center_component_dim`).  A central e^2 is
 constant on classes, so e^2 = e is checked at one element per class,
 never by a full product.
 """
@@ -54,11 +56,12 @@ def _maxabs(vec):
 
 
 def _combine(terms):
-    """sum(s * x) over pairs (integer s, integer vector x), exactly: in
-    int64 when the bound sum(|s| * max|x|) allows it, else in Python ints."""
+    """sum(s * x) over pairs (integer s, integer array x, one shape for
+    all), exactly: in int64 when the bound sum(|s| * max|x|) allows it,
+    else in Python ints."""
     live = [(s, x) for s, x in terms if s and x.any()]
     dtype = _dtype(sum(abs(s) * _maxabs(x) for s, x in live))
-    out = np.zeros(terms[0][1].size, dtype=dtype)
+    out = np.zeros(terms[0][1].shape, dtype=dtype)
     for s, x in live:
         out += s * x.astype(dtype, copy=False)
     return out
@@ -256,29 +259,32 @@ def conjugate_gram(a, ts):
     return gram, total
 
 
-def _convolve(a, b, cols=None):
+def _convolve(G, A, B, cols=None):
     """The numerators of a * b at the group elements `cols`, or at all of
-    G when cols is None, over the support of `a` in blocks of rows of the
-    Cayley table, one matrix-vector product per block: in int64 when a
-    bound on the sums allows it, else in Python ints."""
-    G = a.group
-    support = np.flatnonzero(a.vec)
-    terms = min(support.size, int(np.count_nonzero(b.vec)))
+    G when cols is None, for integer numerator rows A of a and B of b; a
+    stack of rows A multiplies row by row with a stack B, or each with
+    one row B.  Over the support of A in blocks of rows of the Cayley
+    table, one matrix product per block: in int64 when a bound on the
+    sums allows it, else in Python ints."""
+    support = np.flatnonzero(A if A.ndim == 1 else A.any(axis=0))
+    terms = min(support.size, int(np.count_nonzero(B)))
     width = G.order if cols is None else len(cols)
     if not terms:
-        return np.zeros(width, dtype=np.int64)
-    dtype = _dtype(_maxabs(a.vec) * _maxabs(b.vec) * terms)
-    A = a.vec.astype(dtype, copy=False)
-    B = b.vec.astype(dtype, copy=False)
-    acc = np.zeros(width, dtype=dtype)
+        return np.zeros(A.shape[:-1] + (width,), dtype=np.int64)
+    dtype = _dtype(_maxabs(A) * _maxabs(B) * terms)
+    # each row of A as a 1 x |G| matrix, which meets the gathered rows of
+    # B row by row for a stack B, or all at once for one row B
+    A = A.astype(dtype, copy=False)[..., None, :]
+    B = B.astype(dtype, copy=False)
+    acc = np.zeros(A.shape[:-1] + (width,), dtype=dtype)
     block = max(1, _GATHER_BLOCK // width)
     for start in range(0, support.size, block):
         g = support[start : start + block]
         ginv = G.inv[g]
         # (a b)[k] is the sum over g of a[g] * b[g^-1 k]
-        rows = G.table[ginv] if cols is None else G.table[ginv[:, None], cols]
-        acc += A[g] @ B[rows]
-    return acc
+        rows = G.table.take(ginv, 0) if cols is None else G.table[ginv[:, None], cols]
+        acc += A.take(g, -1) @ B.take(rows, -1)
+    return acc[..., 0, :]
 
 
 def mul(a, b):
@@ -287,7 +293,7 @@ def mul(a, b):
         raise TypeError("mul expects QGElements")
     if a.group is not b.group:
         raise GroupMismatch("elements live over different groups")
-    return _element(a.group, a.den * b.den, _convolve(a, b))
+    return _element(a.group, a.den * b.den, _convolve(a.group, a.vec, b.vec))
 
 
 # -- idempotent constructions ------------------------------------------------
@@ -352,7 +358,7 @@ def center_component_dim(e):
     # in an abelian group every class is one element: the full product
     # keeps the row gather
     abelian = part.reps.size == G.order
-    square = _convolve(e, e, None if abelian else part.reps)
+    square = _convolve(G, e.vec, e.vec, None if abelian else part.reps)
     # e^2 = e on numerators is square = den * vec, compared without wrapping
     dtype = _dtype(_maxabs(e.vec) * e.den)
     target = (e.vec if abelian else e.vec[part.reps]).astype(dtype) * e.den

@@ -22,9 +22,13 @@ product of conjugates per transversal.  A level's conjugates commute, so
 that product to the power m, the number of times each recurs over the
 transversal; the z-construction folds z's power |H_i| into it, m |H_i|.
 Value and inverse ride as one 2 x |G| block of numerators, so each
-product and each squaring is one `_stacked_mul` for both, taken only at
-the members of the smallest subgroup that holds the level: S_i for the
-c-construction (S_i is normal in S_(i+1)), H_(i+1) for the z-construction.
+product and each squaring is one call of the QG product kernel,
+`groupalgebra._convolve`, for both, taken only at the members of the
+smallest subgroup that holds the level: S_i for the c-construction (S_i
+is normal in S_(i+1)), H_(i+1) for the z-construction, by the row gather
+when that is all of G.  The z-construction's split check, v - v e in
+Z(1 - e), and the generalized Bass unit's product by hat(M) take value
+and inverse in one call too.
 
 Every unit check is `_verified_unit(u, S, ...)`, taken in ZS: the
 supports by one mask gather, value * inverse = 1 at S's members only.
@@ -66,6 +70,7 @@ from .errors import (
 from .cyclotomic import factorize
 from .groupalgebra import (
     QGElement,
+    _combine,
     _convolve,
     _dtype,
     _element,
@@ -73,10 +78,8 @@ from .groupalgebra import (
     conjugate_rows,
     hat,
     is_central,
-    mul,
 )
 from .groups import (
-    _GATHER_BLOCK,
     _mask,
     binary_power,
     conjugacy_partition,
@@ -270,10 +273,9 @@ def gen_bass_unit(G, g, M, k, m):
         raise NotNormal("M must be normal in G")
     spec = BassSpec(g=g, k=k, m=m)
     d = validate_bass_spec(G, spec)
-    e, x = 1, g  # the order of gM in G/M
-    while x not in M.members:
-        x = G.mul(x, g)
-        e += 1
+    cycle, hm = _powers_of(G, g, d), hat(M)
+    # g^i lies in M exactly when e, the order of gM in G/M, divides i
+    e = d // int(np.count_nonzero(hm.vec[cycle]))
     # folded, and powered below, in Python ints: the sums have no int64 bound
     rows = [
         row.astype(object).reshape(d // e, e).sum(axis=0)
@@ -290,11 +292,12 @@ def gen_bass_unit(G, g, M, k, m):
         powers = [_cyclic_convolve(p, s, e) % M.order for p, s in zip(powers, steps)]
     else:
         raise InternalBoundExceeded(f"no unit power found within {GEN_BASS_CAP} steps")
-    one, hm, powers = QGElement.one(G), hat(M), _powers_of(G, g, e)
-    value, inverse = (
-        one - hm + mul(_place_on_powers(G, powers, _cyclic_power(row, n, e)), hm)
-        for row in rows
-    )
+    placed = np.zeros((2, G.order), dtype=object)
+    placed[:, cycle[:e]] = [_cyclic_power(row, n, e) for row in rows]
+    # 1 - hat(M) + x hat(M) on numerators over |M|, for value and inverse at once
+    block = _convolve(G, placed, hm.vec) - hm.vec
+    block[:, 0] += M.order
+    value, inverse = (_element(G, M.order, row) for row in block)
     if not (value.is_integral() and inverse.is_integral()):
         raise ZgError("closed-form generalized Bass unit is not integral")
     return Unit(value, inverse, "generalized Bass", {"spec": spec, "M": M, "n_b": n})
@@ -312,7 +315,7 @@ def _verified_unit(u, S, error, centre=None):
 
     Every check is taken in ZS: the supports by one mask gather, and the
     product, which lies in ZS with both factors, at S's members only
-    (`_convolve(..., cols)`), |S|^2 table entries in place of |S| |G|."""
+    (`_convolve(G, A, B, cols)`), |S|^2 table entries in place of |S| |G|."""
     G = S.parent
     cols, inside = _mask(S)
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
@@ -323,65 +326,33 @@ def _verified_unit(u, S, error, centre=None):
     if not is_central(u.value, S if centre is None else centre):
         raise error("u is not central in the base subring")
     # cols[0] is the identity; the row gather when S is all of G
-    prod = _convolve(u.value, u.inverse, None if S.order == G.order else cols)
+    prod = _convolve(G, u.value.vec, u.inverse.vec, None if S.order == G.order else cols)
     if prod[0] != 1 or prod[1:].any():
         raise error("u times its carried inverse is not 1")
     return u
 
 
-def _product_in(a, b, S):
-    """a * b for a and b supported in the subgroup S, taken at S's members
-    only."""
-    G = S.parent
-    cols, _ = _mask(S)
-    at = _convolve(a, b, cols)
-    vec = np.zeros(G.order, dtype=at.dtype)
-    vec[cols] = at
-    return _element(G, a.den * b.den, vec)
-
-
 # -- the z- and c-constructions ------------------------------------------------
 
 
-def _integer_multiple_of(p, w):
-    """The integer c with p = c*w, or None."""
-    if w.is_zero():
-        return 0 if p.is_zero() else None
-    g0 = w.support[0]
-    c = p.coeff(g0) / w.coeff(g0)
-    if c.denominator != 1 or p != w.scale(c):
-        return None
-    return int(c)
-
-
-def _stacked_mul(G, X, Y, cols):
-    """The products X[r] * Y[r] of the rows of two 2 x |G| integer blocks,
-    taken at the group elements `cols` and zero elsewhere: the product of
-    value blocks and of inverse blocks in one call.  Per block of X's
-    support, one gather of Y through the Cayley table and one stacked
-    matrix product; in int64 when a bound on the sums allows it, else in
-    Python ints."""
-    support = np.flatnonzero((X != 0).any(axis=0))
-    dtype = _dtype(_maxabs(X) * _maxabs(Y) * support.size)
-    X = X.astype(dtype, copy=False)
-    Y = Y.astype(dtype, copy=False)
-    acc = np.zeros((2, 1, cols.size), dtype=dtype)
-    step = max(1, _GATHER_BLOCK // cols.size)
-    for start in range(0, support.size, step):
-        g = support[start : start + step]
-        # (x y)[k] is the sum over g of x[g] * y[g^-1 k]
-        acc += X[:, None, g] @ Y[:, G.table[G.inv[g][:, None], cols]]
-    out = np.zeros((2, G.order), dtype=dtype)
-    out[:, cols] = acc[:, 0]
-    return out
+def _integer_multiple_of(x, w):
+    """The integer c with x = c w, for integer rows x and w, or None."""
+    nonzero = np.flatnonzero(w)
+    if not nonzero.size:
+        return None if x.any() else 0
+    # the only candidate; x = c w fails at that entry unless it divides
+    c = int(x[nonzero[0]]) // int(w[nonzero[0]])
+    dtype = _dtype(max(abs(c) * _maxabs(w), _maxabs(x)))
+    return c if np.array_equal(x.astype(dtype), c * w.astype(dtype)) else None
 
 
 def _conjugate_product(block, reps, ring, power=1):
     """The 2 x |G| block of (prod of value^t over reps)^power over (prod
     of inverse^t over reps)^power, for a block of value over inverse whose
     conjugates value^t commute and lie in Z[ring], each distinct one
-    multiplied once.  Every product is one `_stacked_mul` for both sides,
-    taken at ring's members only.
+    multiplied once.  Every product is one `_convolve` call for both
+    sides, taken at ring's members only, or by the row gather when ring
+    is all of G.
 
     The callers' conjugates commute.  In the c-construction value is
     central in ZS_i and S_i is normal in S_(i+1), so every value^t lies in
@@ -414,10 +385,14 @@ def _conjugate_product(block, reps, ring, power=1):
         raise ZgError("distinct conjugates occur unequally often over the transversal")
     exponent = counts.pop() * power
     firsts = np.array([rep for rep, _ in seen.values()], dtype=np.intp)
-    cols, _ = _mask(ring)
+    members, _ = _mask(ring)
+    cols = None if members.size == G.order else members
 
     def product(x, y):
-        return _stacked_mul(G, x, y, cols)
+        at = _convolve(G, x, y, cols)
+        out = np.zeros((2, G.order), dtype=at.dtype)
+        out[:, members] = at
+        return out
 
     # block^t, at y, is block at t y t^-1
     conjugates = [block[:, idx] for idx in conjugate(G, None, G.inv[firsts])]
@@ -432,13 +407,16 @@ def z_central_unit(u, pair):
     H = pair.H
     G = H.parent
     _verified_unit(u, H, PreconditionFailed)
-    eps = pair.lam.epsilon
-    one_minus = QGElement.one(G) - eps
-    for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
-        if _integer_multiple_of(v - _product_in(v, eps, H), one_minus) is None:
-            raise PreconditionFailed(
-                f"{label} does not split as Z(1-e) + (subring)e"
-            )
+    # v - v e = c (1 - e) on numerators over e's denominator, at H's
+    # members, which hold both: one product for value and inverse
+    eps, (cols, _) = pair.lam.epsilon, _mask(H)
+    block = np.stack((u.value.vec, u.inverse.vec))
+    one_minus = -eps.vec[cols]
+    one_minus[0] += eps.den  # cols[0] is the identity
+    split = _combine([(eps.den, block[:, cols]), (-1, _convolve(G, block, eps.vec, cols))])
+    for x, label in zip(split, ("u", "u inverse")):
+        if _integer_multiple_of(x, one_minus) is None:
+            raise PreconditionFailed(f"{label} does not split as Z(1-e) + (subring)e")
     inputs = {"pair": pair, "base_support": u.value.support}
     steps, transversals = pair.chain.steps, pair.chain.transversals
     if not transversals:  # H = G: the input check was the check in ZG
@@ -446,7 +424,7 @@ def z_central_unit(u, pair):
     # the product of the conjugates of z^|H_i| is that of z's to the |H_i|-th
     # power, since they commute; (z^m)^-1 = (z^-1)^m.  z_i lies in ZH_i, so
     # its conjugates by H_(i+1) lie in ZH_(i+1).
-    z, block = u.value, np.stack((u.value.vec, u.inverse.vec))
+    z = u.value
     for base, ring, reps in zip(steps, steps[1:], transversals):
         if not is_central(z, base):
             raise PreconditionFailed("intermediate value lost centrality")

@@ -269,8 +269,8 @@ def test_center_dim_makes_no_qg_product(s4, monkeypatch):
         products.append(1)
         return mul(a, b)
 
-    def counted_convolve(a, b, cols=None):
-        out = convolve(a, b, cols)
+    def counted_convolve(G, A, B, cols=None):
+        out = convolve(G, A, B, cols)
         widths.append(out.size)
         return out
 
@@ -287,10 +287,11 @@ def test_center_dim_makes_no_qg_product(s4, monkeypatch):
 
 def test_center_dim_rejects_a_non_integral_trace(s3, monkeypatch):
     # 1/2 is central; with the squaring check bypassed (the convolution
-    # reports e^2 = e at every class representative), its trace 3/2 on
-    # Z(QS3) is a typed error, never a count
-    def squares_to_itself(a, b, cols=None):
-        return (a.vec if cols is None else a.vec[cols]) * a.den
+    # reports e^2 = e at every class representative: e's numerators times
+    # its denominator 2), its trace 3/2 on Z(QS3) is a typed error, never
+    # a count
+    def squares_to_itself(G, A, B, cols=None):
+        return (A if cols is None else A[cols]) * 2
 
     monkeypatch.setattr(groupalgebra, "_convolve", squares_to_itself)
     with pytest.raises(NotIdempotent, match="non-integral trace"):
@@ -481,19 +482,30 @@ def test_is_central_in_a_subgroup_matches_oracle_conj(name, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([name for name, _ in oracles.small_catalog(60)]), st.data())
 def test_convolve_matches_the_broadcast_kernel(name, data):
-    """The matrix-vector kernel gives the broadcast-and-sum kernel's
-    numerators (`oracles.convolve`) at all of G and at the class
-    representatives, on int64 and Python-int elements, in int64 exactly
-    when the bound allows."""
+    """The matrix-product kernel gives the broadcast-and-sum kernel's
+    numerators (`oracles.convolve`) row by row: one row times one row, a
+    2 x |G| block times a block, and a block times one row, at all of G,
+    at the class representatives and at a subgroup's members, on int64
+    and Python-int rows, in int64 exactly when the bound allows."""
     G = dict(oracles.small_catalog(60))[name]
-    a, b = draw_element(data, G), draw_element(data, G)
-    for cols in (None, conjugacy_partition(G).reps):
-        got = groupalgebra._convolve(a, b, cols)
-        want = oracles.convolve(a, b, cols)
-        assert got.tolist() == want.tolist()
-        terms = int(min(np.count_nonzero(a.vec), np.count_nonzero(b.vec)))
-        bound = groupalgebra._maxabs(a.vec) * groupalgebra._maxabs(b.vec) * terms
-        assert got.dtype == (np.int64 if bound < BIG else object)
+    a, b, c, d = (draw_element(data, G) for _ in range(4))
+    S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
+    block = np.stack((a.vec, c.vec))
+    cases = (
+        (a.vec, b.vec, [(a, b)]),
+        (block, np.stack((b.vec, d.vec)), [(a, b), (c, d)]),
+        (block, b.vec, [(a, b), (c, b)]),
+    )
+    members = np.array(S.sorted_members, dtype=np.intp)
+    for cols in (None, conjugacy_partition(G).reps, members):
+        for A, B, factors in cases:
+            got = groupalgebra._convolve(G, A, B, cols)
+            want = [oracles.convolve(x, y, cols).tolist() for x, y in factors]
+            assert got.tolist() == (want if A.ndim == 2 else want[0])
+            support = np.flatnonzero(np.atleast_2d(A).any(axis=0))
+            terms = min(support.size, int(np.count_nonzero(B)))
+            bound = groupalgebra._maxabs(A) * groupalgebra._maxabs(B) * terms
+            assert got.dtype == (np.int64 if bound < BIG else object)
 
 
 def test_int64_bound_edge():

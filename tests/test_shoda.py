@@ -257,7 +257,7 @@ def test_pci_needs_no_squaring(s4, paper1000, monkeypatch):
     paper9.json's pairs classify, and each idempotent matches the oracle
     that normalizes by one squaring."""
 
-    def no_convolve(a, b, cols=None):
+    def no_convolve(G, A, B, cols=None):
         raise AssertionError("classification multiplied in QG")
 
     candidates = _paper9_candidates(paper1000)
@@ -525,9 +525,9 @@ def test_chains_make_no_qg_product(paper1000, monkeypatch, pair_file):
     calls = []
     convolve = groupalgebra._convolve
 
-    def counted(a, b, cols=None):
+    def counted(G, A, B, cols=None):
         calls.append(1)
-        return convolve(a, b, cols)
+        return convolve(G, A, B, cols)
 
     monkeypatch.setattr(groupalgebra, "_convolve", counted)
     pairs, complete = complete_irredundant_set(paper1000, candidates)

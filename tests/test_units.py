@@ -257,7 +257,6 @@ def count_products(monkeypatch):
         calls.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(units, "mul", counted)
     monkeypatch.setattr(groupalgebra, "mul", counted)
     return calls
 
@@ -270,18 +269,18 @@ def power_products(k):
 
 def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
     """k distinct conjugates, each recurring m times, take k - 1 products
-    and the power m, each one stacked product for value and inverse at
+    and the power m, each one `_convolve` call for value and inverse at
     once, and no QG product; u**k spends no product on one."""
     a, b, reps, A3 = s3_central_in_a3(s3)
     want = oracles.ordered_conjugate_product(a, b, reps)
-    stacked = count_calls(monkeypatch, units, "_stacked_mul")
+    products = count_calls(monkeypatch, units, "_convolve")
     calls = count_products(monkeypatch)
     for power in range(1, 6):
         powered = tuple(v**power for v in want)
-        stacked.clear()
+        products.clear()
         calls.clear()
         assert conjugate_product(a, b, reps, A3, power) == powered
-        assert (len(stacked), len(calls)) == (2 - 1 + power_products(3 * power), 0)
+        assert (len(products), len(calls)) == (2 - 1 + power_products(3 * power), 0)
     v = QGElement(s3, {1: Fraction(2), 3: Fraction(-1)})
     power = QGElement.one(s3)
     for k in range(12):
@@ -294,19 +293,18 @@ def test_products_and_powers_spend_no_product_on_one(s3, monkeypatch):
 def test_c_unit_multiplies_each_distinct_conjugate_once(monkeypatch):
     """On C36 with <g> of order 2, the 18 conjugates over the transversal
     are one element: the c-unit takes u**18 for value and inverse at once,
-    power_products(18) = 5 stacked products, and one product each for the
-    input and output checks, where the ordered product took 17 products
-    per side."""
+    power_products(18) = 5 `_convolve` calls, and one call each for the
+    input and output checks, 7 in all and no QG product, where the
+    ordered product took 17 products per side."""
     G = cyclic(36)
     g = next(x for x in range(G.order) if G.element_orders[x] == 2)
     series = subnormal_series(subgroup_closure(G, [g]))
     assert [S.order for S in series.steps] == [2, 36]
     u = bass_unit(G, bass_specs_for(G, g)[0])
-    stacked = count_calls(monkeypatch, units, "_stacked_mul")
-    checks = count_calls(monkeypatch, units, "_convolve")
+    products = count_calls(monkeypatch, units, "_convolve")
     calls = count_products(monkeypatch)
     cu = c_central_unit(u, series)
-    assert (len(stacked), len(checks), len(calls)) == (power_products(18), 2, 0) == (5, 2, 0)
+    assert (len(products), len(calls)) == (power_products(18) + 2, 0) == (7, 0)
     assert (cu.value, cu.inverse) == oracles.c_central_unit(u, series)
 
 
@@ -497,6 +495,14 @@ def test_gen_bass_paper_1000(paper1000):
     # this one unit already reaches the rank of the central units
     pairs, _ = complete_irredundant_set(G)
     assert log_rank_witness(G, [gb], pairs) == rank_oracle(G) == 1
+    # a generalized Bass unit that is not central is refused by name, not
+    # counted: M of order 5 and g outside it
+    M5 = Subgroup(G, range(5))
+    assert subgroup_closure(G, [1]).members == M5.members and is_normal(M5, G.whole())
+    bad = gen_bass_unit(G, 5, M5, 2, 4)
+    assert bad.inputs["n_b"] == 5 and not is_central(bad.value)
+    with pytest.raises(PreconditionFailed, match=r"unit 1 \(generalized Bass\) is not central"):
+        log_rank_witness(G, [gb, bad], pairs)
 
 
 # -- c-construction ------------------------------------------------------------
