@@ -239,7 +239,7 @@ def conjugate_rows(G, vec, ts):
     step = max(1, _GATHER_BLOCK // G.order)
     for j in range(0, ts.size, step):
         block = slice(j, j + step)
-        yield block, vec[conjugate(G, None, ts_inv[block])]
+        yield block, vec.take(conjugate(G, None, ts_inv[block]))
 
 
 def conjugate_gram(a, ts):

@@ -639,21 +639,38 @@ def normal_closure(S, within):
         gens = kept + G.table[G.inv[xs], conj][outside].tolist()
 
 
-def right_transversal(H, within):
-    """Representatives t with `within` the disjoint union of cosets H*t.
+def coset_least(H, xs=None):
+    """The least member of each right coset H x, for x in xs or in all of
+    G when xs is None: the min over H's rows of the table, in blocks of
+    at most _GATHER_BLOCK entries, starting from row 0, x itself."""
+    t = H.parent.table
+    hs = np.array(H.sorted_members, dtype=np.intp)
+    least = np.arange(len(t)) if xs is None else np.array(xs, dtype=np.intp)
+    step = max(1, _GATHER_BLOCK // len(t))
+    for start in range(0, hs.size, step):
+        rows = t.take(hs[start : start + step], axis=0)
+        np.minimum(least, (rows if xs is None else rows.take(xs, axis=1)).min(axis=0), out=least)
+    return least
 
-    The identity represents H itself; representatives are listed in
-    increasing element order for determinism.
-    """
+
+def right_transversal(H, within=None):
+    """The least member of each right coset H t in `within`, all of G when
+    None, in increasing order.  Many small cosets (|H| <= [within:H]) are
+    read off `coset_least`, |H| table rows; a few large ones are marked
+    off one at a time, the least member not yet seen coming next."""
     G = H.parent
-    t = G.table
-    seen = np.zeros(G.order, dtype=bool)
-    hs = np.fromiter(H.members, dtype=np.int64)
+    whole = within is None or within.order == G.order
+    xs = np.arange(G.order) if whole else np.array(within.sorted_members, dtype=np.intp)
+    index = xs.size // H.order
+    if H.order <= index:
+        return xs[coset_least(H, None if whole else xs) == xs].tolist()
+    hs = np.array(H.sorted_members, dtype=np.intp)
+    seen = np.ones(G.order, dtype=bool)
+    seen[xs] = False
     reps = []
-    for g in sorted(within.members):
-        if not seen[g]:
-            reps.append(g)
-            seen[t[hs, g]] = True
+    for _ in range(index):
+        reps.append(int(seen.argmin()))
+        seen[G.table[hs, reps[-1]]] = True
     return reps
 
 

@@ -8,17 +8,19 @@ when one step does; the chain's top is the primitive central idempotent
 of the rational group algebra that the pair realizes (Bakshi-Kaur), and
 pairs with the same top are one.  The Shoda test is the one way in: it
 builds the pair's linear character (`shoda_character`) from its own
-coset log and H's coset representatives, and the chains and
-epsilon(H, K) take that character.  The enumerated pairs have H
-above Z(G), one H per conjugacy class, and only the K that hold the
-commutators of H's generators with [H:K] dividing exp(H) are tested.  A
-chain carries its idempotent e_i, and each level reads e_i's conjugates
-off one right transversal of the step below, which also yields the
-centralizer; the chain keeps that transversal.  Every e_i is a self-adjoint
-idempotent (its coefficients at g and g^-1 agree), so the trace form
-<a, b>, the coefficient of 1 in a b*, decides a level with no QG
-product: e_i^t = e_i exactly when <e_i, e_i^t> = <e_i, e_i>, and
-e_i e_i^t = 0 exactly when <e_i, e_i^t> = 0 (`_climb`).
+coset log and the least element of each right coset Hg
+(`groups.right_transversal`; Olivieri-del Rio, J. Symbolic Comput. 35
+(2003)), and the chains and epsilon(H, K) take that character.  The
+enumerated pairs have H above Z(G), one H per conjugacy class, and only
+the K that hold the commutators of H's generators with [H:K] dividing
+exp(H) are tested.  A chain carries its idempotent e_i, and each level
+reads e_i's conjugates off one right transversal of the step below,
+which also yields the centralizer; the chain keeps that transversal.
+Every e_i is a self-adjoint idempotent (its coefficients at g and g^-1
+agree), so the trace form <a, b>, the coefficient of 1 in a b*, decides
+a level with no QG product: e_i^t = e_i exactly when
+<e_i, e_i^t> = <e_i, e_i>, and e_i e_i^t = 0 exactly when
+<e_i, e_i^t> = 0 (`_climb`).
 """
 
 from __future__ import annotations
@@ -127,22 +129,14 @@ def shoda_character(H, K):
 
 
 def _coset_conjugates(H):
-    """(hs, reps, conj): H's members; the least element of each right coset
-    Hg, in increasing order, which is `right_transversal(H, G.whole())`;
+    """(hs, reps, conj): H's members; `right_transversal(H)`, read-only;
     and conj[i, j] = hs[j]^g for g = reps[i + 1], one table gather of |G|
     entries."""
-    G = H.parent
-    t = G.table
     hs = np.array(H.sorted_members, dtype=np.intp)
-    # column g of t[hs] is the coset Hg: its least entry, in row blocks
-    least = np.arange(G.order)
-    rows = max(1, _GATHER_BLOCK // G.order)
-    for start in range(0, hs.size, rows):
-        np.minimum(least, t[hs[start : start + rows]].min(axis=0), out=least)
-    reps = np.flatnonzero(least == np.arange(G.order))
+    reps = np.array(right_transversal(H), dtype=np.intp)
     reps.setflags(write=False)
     # [1:] drops H itself, the coset of 0
-    return hs, reps, conjugate(G, hs, reps[1:, None])
+    return hs, reps, conjugate(H.parent, hs, reps[1:, None])
 
 
 def _shoda_character(H, K, coset_conjugates):

@@ -84,6 +84,7 @@ from .groups import (
     binary_power,
     conjugacy_partition,
     conjugate,
+    coset_least,
     cyclic_subgroups,
     is_normal,
     right_transversal,
@@ -440,8 +441,7 @@ def _check_transversal(reps, S, N):
     index = N.order // S.order
     if len(reps) != index or not set(reps) <= N.members:
         raise PreconditionFailed(f"a transversal needs {index} members of the next subgroup")
-    cosets = S.parent.table[np.array(S.sorted_members)[:, None], reps].min(axis=0)
-    if len(set(cosets.tolist())) != index:
+    if len(set(coset_least(S, reps).tolist())) != index:
         raise PreconditionFailed("two representatives lie in one right coset")
 
 

@@ -24,7 +24,10 @@ own, with a projection map, the way `zgcentral` did before it read the
 cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather;
-the chain oracles start from it.
+the chain oracles start from it.  `right_transversal` steps through
+every member of `within`, marking off the coset of each one not yet seen,
+the loop `zgcentral` ran before `coset_least` and its per-coset marking;
+the quotient, c-unit and z-unit oracles take their transversals from it.
 `closure_members` is the breadth-first search over elements, one
 gather of the frontier times the seed per round, that `zgcentral` closed
 subgroups with before it extended them one seed element at a time, and
@@ -128,7 +131,6 @@ from zgcentral.groups import (
     FiniteGroup,
     Subgroup,
     cyclic_subgroups,
-    right_transversal,
     subgroup_closure,
     subnormal_series,
 )
@@ -792,6 +794,22 @@ def galois_group(n):
 
 
 # -- the quotient group H/K ----------------------------------------------------
+
+
+def right_transversal(H, within):
+    """The least member of each right coset H t in `within`, in increasing
+    order: one step per member of `within`, marking off the coset of each
+    member not yet seen."""
+    G = H.parent
+    t = G.table
+    seen = np.zeros(G.order, dtype=bool)
+    hs = np.fromiter(H.members, dtype=np.int64)
+    reps = []
+    for g in sorted(within.members):
+        if not seen[g]:
+            reps.append(g)
+            seen[t[hs, g]] = True
+    return reps
 
 
 def quotient(H, K):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zgcentral import groups
+from zgcentral import groups, shoda
 from zgcentral.cli import parse_subgroup
 from zgcentral.catalog import (
     catalog,
@@ -47,6 +47,7 @@ from zgcentral.groups import (
     is_subnormal,
     normal_closure,
     perm_from_cycles,
+    right_transversal,
     subgroup_closure,
     subnormal_series,
 )
@@ -719,6 +720,64 @@ def test_is_normal_matches_generator_loop_oracle():
                 assert is_normal(Subgroup(G, K.members), Subgroup(G, H.members)) == want
                 outcomes.append(want)
         assert any(outcomes) and not all(outcomes)
+
+
+def check_right_transversals(pairs, monkeypatch):
+    """right_transversal(H, N) equals the loop oracle for each (H, N), and
+    right_transversal(H), within all of G, equals it with N = G and the
+    reps `shoda._coset_conjugates(H)` reads.  The least-element gather
+    (`coset_least`) runs exactly when |H| <= [N:H], so that at most
+    |N|^1.5 table entries are read; returns the branches taken, True for
+    the gather."""
+    gathers = []
+    least = groups.coset_least
+
+    def counted(H, xs=None):
+        gathers.append(H)
+        return least(H, xs)
+
+    monkeypatch.setattr(groups, "coset_least", counted)
+    branches = set()
+    for H, N in pairs:
+        gathers.clear()
+        assert right_transversal(H, N) == oracles.right_transversal(H, N)
+        branch = H.order**2 <= N.order
+        assert len(gathers) == branch, (H.order, N.order)
+        branches.add(branch)
+    for H in {H.members: H for H, _ in pairs}.values():
+        want = oracles.right_transversal(H, H.parent.whole())
+        assert right_transversal(H) == want
+        assert shoda._coset_conjugates(H)[1].tolist() == want
+    return branches
+
+
+def test_right_transversal_matches_the_loop_oracle(monkeypatch):
+    """The least member of each right coset, in increasing order, equals
+    the loop over every member of N for every H <= N of every lattice in
+    the small catalog (N = G among them) and for 200 seeded pairs H <= N
+    each of paper-1000-86's and D1024's lattices; each corpus takes both
+    branches, the least-element gather and the per-coset marking."""
+    pairs = [
+        (H, N)
+        for _, G in oracles.small_catalog()
+        for subs in [all_subgroups(G)]
+        for N in subs
+        for H in subs
+        if H <= N
+    ]
+    assert len(pairs) > 3500
+    assert any(N.order < N.parent.order for _, N in pairs)
+    assert any(H.order**2 == N.order for H, N in pairs)  # the branches' boundary
+    assert check_right_transversals(pairs, monkeypatch) == {True, False}
+    rng = np.random.default_rng(7)
+    for name in ("paper-1000-86", "D1024"):
+        subs = all_subgroups(extension_group(name))
+        pairs = []
+        while len(pairs) < 200:
+            H, N = (subs[i] for i in rng.integers(len(subs), size=2))
+            if H <= N:
+                pairs.append((H, N))
+        assert check_right_transversals(pairs, monkeypatch) == {True, False}, name
 
 
 def test_subgroups_carry_generators(paper1000_c2):

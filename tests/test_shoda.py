@@ -30,7 +30,6 @@ from zgcentral.groups import (
     cyclic_coset_log,
     galois_classes,
     is_normal,
-    right_transversal,
     subgroup_closure,
 )
 from zgcentral.rank import rank_total
@@ -167,7 +166,7 @@ COSET_PAIRS = {name: normal_pairs(get_group(name)) for name in COSET_GROUPS}
 def check_against_oracles(G, H, K):
     """The coset kernel and its callers agree with the quotient oracles on
     (H, K); returns whether H/K is cyclic.  A Shoda pair's character holds
-    the kernel's coset log, the transversal `right_transversal` finds and
+    the kernel's coset log, the transversal the loop oracle finds and
     epsilon(H, K) at that log; any other pair is refused."""
     log = cyclic_coset_log(H, K)
     expected = oracles.coset_log(H, K)
@@ -182,7 +181,7 @@ def check_against_oracles(G, H, K):
         lam = shoda_character(H, K)
         assert lam.order == H.order // K.order
         assert np.array_equal(lam.coset_log, log)
-        assert lam.transversal.tolist() == right_transversal(H, G.whole())
+        assert lam.transversal.tolist() == oracles.right_transversal(H, G.whole())
         assert lam.epsilon == epsilon(H, K, log)
     else:
         with pytest.raises(NotShodaPair):
@@ -415,7 +414,7 @@ def test_level_check_matches_orbit_oracle(name):
                 if got is not None:
                     cen, top = want
                     assert got.centralizers == [cen]
-                    assert got.transversals == [right_transversal(Hi, Hnext)]
+                    assert got.transversals == [oracles.right_transversal(Hi, Hnext)]
                     assert got.indices == [cen.order // Hi.order]
                     assert got.top == top
     # every level of an abelian group passes
@@ -464,7 +463,7 @@ def test_chain_carries_the_transversal_of_each_step_in_the_next(name):
         assert len(chain.transversals) == len(chain.centralizers) == chain.length
         levels += chain.length
         for Hi, nxt, reps in zip(chain.steps, chain.steps[1:], chain.transversals):
-            assert reps == right_transversal(Hi, nxt)
+            assert reps == oracles.right_transversal(Hi, nxt)
         assert chain.indices == [
             cen.order // Hi.order for Hi, cen in zip(chain.steps, chain.centralizers)
         ]
@@ -485,7 +484,7 @@ def test_paper_1000_86_times_c2(paper1000_c2):
     for p in pairs:
         steps = p.chain.steps
         assert p.chain.transversals == [
-            right_transversal(Hi, nxt) for Hi, nxt in zip(steps, steps[1:])
+            oracles.right_transversal(Hi, nxt) for Hi, nxt in zip(steps, steps[1:])
         ]
     report = rank_total(G, pairs, complete)
     assert report.total == report.oracle_total == 2
