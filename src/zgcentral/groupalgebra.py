@@ -18,15 +18,21 @@ inner products <a, a^t> (`conjugate_gram`).
 Products are one convolution kernel (`_convolve`) on numerator rows,
 the only one in the library, which gives a * b at all of G (`mul`) or
 only at chosen elements, for one row or a stack of rows (the unit
-constructions carry value and inverse as one 2 x |G| block): per block
-of a's support it gathers b at g^-1 k through the Cayley table and takes
-one matrix product with a's coefficients there.  For a central
-idempotent e, z -> z e is an idempotent linear map of the center Z(QG)
-onto Z(QGe), so dim_Q Z(QGe) is its trace, which needs no elimination:
-on the basis of ordinary class sums its diagonal is read off e's
-coefficients by one gather (`center_component_dim`).  A central e^2 is
-constant on classes, so e^2 = e is checked at one element per class,
-never by a full product.
+constructions carry value and inverse as one 2 x |G| block).  It reads
+the Cayley table by contiguous row takes, then one column take, along
+the shorter of supp(a) and the chosen elements: rows g^-1 over a's
+support, b gathered at g^-1 k, or rows k at the chosen elements, a
+gathered at k h^-1 over b's support; one matrix product per block of
+rows.  For a central idempotent e, z -> z e is an idempotent linear map
+of the center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which
+needs no elimination: on the basis of ordinary class sums its diagonal
+is read off e's coefficients by one gather at the trace index
+(`groups.trace_index`, memoized per group), summed
+(`center_component_dim`).  A central e^2 is constant on classes, so
+e^2 = e is checked at one element per class, never by a full product;
+when e's support is longer than the list of class representatives, as
+a pair's idempotent's usually is, that product takes the table rows at
+the representatives.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from .cyclotomic import ramanujan_row
 from .errors import GroupMismatch, NotCentral, NotIdempotent
-from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate
+from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate, trace_index
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -263,28 +269,50 @@ def _convolve(G, A, B, cols=None):
     """The numerators of a * b at the group elements `cols`, or at all of
     G when cols is None, for integer numerator rows A of a and B of b; a
     stack of rows A multiplies row by row with a stack B, or each with
-    one row B.  Over the support of A in blocks of rows of the Cayley
-    table, one matrix product per block: in int64 when a bound on the
-    sums allows it, else in Python ints."""
+    one row B.  The Cayley table is read by contiguous row takes, in
+    blocks of _GATHER_BLOCK // |G| rows, then one column take, along the
+    shorter of supp(a) and cols:
+
+    - (a b)[k] = sum over g in supp(a) of a[g] b[g^-1 k]: rows g^-1, then
+      the columns cols, and one matrix product with a's coefficients at g;
+    - (a b)[k] = sum over h in supp(b) of a[k h^-1] b[h]: rows k in cols,
+      then the columns h^-1, and one matrix product with b's coefficients
+      at h.
+
+    Either sum has at most min(|supp a|, nnz b) nonzero terms, so one
+    bound picks int64 when it allows, else Python ints."""
     support = np.flatnonzero(A if A.ndim == 1 else A.any(axis=0))
     terms = min(support.size, int(np.count_nonzero(B)))
     width = G.order if cols is None else len(cols)
     if not terms:
         return np.zeros(A.shape[:-1] + (width,), dtype=np.int64)
     dtype = _dtype(_maxabs(A) * _maxabs(B) * terms)
-    # each row of A as a 1 x |G| matrix, which meets the gathered rows of
-    # B row by row for a stack B, or all at once for one row B
-    A = A.astype(dtype, copy=False)[..., None, :]
+    A = A.astype(dtype, copy=False)
     B = B.astype(dtype, copy=False)
-    acc = np.zeros(A.shape[:-1] + (width,), dtype=dtype)
-    block = max(1, _GATHER_BLOCK // width)
-    for start in range(0, support.size, block):
-        g = support[start : start + block]
-        ginv = G.inv[g]
-        # (a b)[k] is the sum over g of a[g] * b[g^-1 k]
-        rows = G.table.take(ginv, 0) if cols is None else G.table[ginv[:, None], cols]
-        acc += A.take(g, -1) @ B.take(rows, -1)
-    return acc[..., 0, :]
+    step = max(1, _GATHER_BLOCK // G.order)
+    if support.size <= width:
+        # each row of A as a 1 x |G| matrix, which meets the gathered rows
+        # of B row by row for a stack B, or all at once for one row B
+        A = A[..., None, :]
+        acc = np.zeros(A.shape[:-1] + (width,), dtype=dtype)
+        for start in range(0, support.size, step):
+            g = support[start : start + step]
+            rows = G.table.take(G.inv[g], 0)
+            if cols is not None:
+                rows = rows.take(cols, 1)
+            acc += A.take(g, -1) @ B.take(rows, -1)
+        return acc[..., 0, :]
+    # b's coefficients on its support as a column, which meets the
+    # gathered entries of A row by row for a stack, or one row A all at once
+    hs = np.flatnonzero(B if B.ndim == 1 else B.any(axis=0))
+    hs_inv = G.inv[hs]
+    B = B.take(hs, -1)[..., None]
+    acc = np.empty(A.shape[:-1] + (width,), dtype=dtype)
+    for start in range(0, width, step):
+        ks = cols[start : start + step]
+        entries = G.table.take(ks, 0).take(hs_inv, 1)
+        acc[..., start : start + len(ks)] = (A.take(entries, -1) @ B)[..., 0]
+    return acc
 
 
 def mul(a, b):
@@ -327,8 +355,7 @@ def is_central(a, S=None):
     constant on each ordinary class, one gather; in a proper S, when they
     equal their conjugates by the inverses of S's generators, one gather."""
     if S is None or S.order == a.group.order:
-        part = conjugacy_partition(a.group)
-        return np.array_equal(a.vec[part.reps[part.class_of]], a.vec)
+        return np.array_equal(a.vec[conjugacy_partition(a.group).least], a.vec)
     conj = a.vec[conjugate(a.group, None, np.array(S.gens, dtype=np.intp))]
     return bool((conj == a.vec).all())
 
@@ -348,8 +375,13 @@ def center_component_dim(e):
     trace.  On the basis of ordinary class sums, the diagonal entry at a
     class C is the coefficient of C e at r, the sum over g in C of e's
     coefficient at g^-1 r; over all classes that is one gather of length
-    |G|.  Raises NotCentral or NotIdempotent, the latter also if the
-    trace is not an integer, which no idempotent allows.
+    |G| at the trace index g^-1 least[g] (`groups.trace_index`, built
+    once per group), summed in int64 while max|e| |G| allows it, else in
+    Python ints.  When e's support is longer than the list of
+    representatives, the square takes the table rows at those
+    (`_convolve`).  Raises
+    NotCentral or NotIdempotent, the latter also if the trace is not an
+    integer, which no idempotent allows.
     """
     if not is_central(e):
         raise NotCentral("idempotent is not central")
@@ -360,14 +392,14 @@ def center_component_dim(e):
     abelian = part.reps.size == G.order
     square = _convolve(G, e.vec, e.vec, None if abelian else part.reps)
     # e^2 = e on numerators is square = den * vec, compared without wrapping
-    dtype = _dtype(_maxabs(e.vec) * e.den)
-    target = (e.vec if abelian else e.vec[part.reps]).astype(dtype) * e.den
+    top = _maxabs(e.vec)
+    target = (e.vec if abelian else e.vec[part.reps]).astype(_dtype(top * e.den)) * e.den
     if not np.array_equal(square, target):
         raise NotIdempotent("element is not idempotent")
-    # e's coefficient at g^-1 r for each g, r the least element of g's class
-    diag = e.vec[G.table[G.inv, part.reps[part.class_of]]]
-    # summed in Python ints: an object vector's entries have no bound
-    trace, rest = divmod(sum(diag.tolist()), e.den)
+    diag = e.vec.take(trace_index(G))
+    # |G| terms of at most max|e| each, in int64 while that bound allows
+    total = int(diag.sum()) if _dtype(top * G.order) is np.int64 else sum(diag.tolist())
+    trace, rest = divmod(total, e.den)
     if rest:
         raise NotIdempotent("multiplication by e on Z(QG) has a non-integral trace")
     return trace

@@ -25,13 +25,15 @@ only: K's generators conjugated by H's, one gather (`is_normal`).
 
 Conjugacy is decided here and nowhere else: `conjugate` is the one
 table gather of g^-1 h g, and `binary_power` the one repeated squaring,
-which the other modules call too.  A `ConjugacyPartition` is
-two read-only arrays, the class of each element and the least element of
-each class, and `center` reads Z(G) off its class sizes; `conjugates`
-walks a subgroup's orbit under G's generators.  `galois_classes` is the
-action of (Z/e)^x, e the exponent, on the ordinary classes by g -> g^t;
-the real and rational classes read it.  `inverse_classes` is its t = -1
-row alone, one gather.
+which the other modules call too.  A `ConjugacyPartition` is three
+read-only arrays, the class of each element, the least element of each
+class, and the least element of each element's class, and `center`
+reads Z(G) off its class sizes; `conjugates` walks a subgroup's orbit
+under G's generators.  `galois_classes` is the action of (Z/e)^x, e the
+exponent, on the ordinary classes by g -> g^t; the real and rational
+classes read it.  `inverse_classes` is its t = -1 row alone, one
+gather, and `trace_index` the entries the center degree sums; both are
+memoized beside the partitions.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None):
-        table = np.asarray(table, dtype=np.int32)
+        table = np.ascontiguousarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("table is not square")
         n = table.shape[0]
@@ -83,7 +85,7 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
         self._validate()
-        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois"/"inverse" -> array
+        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois"/"inverse"/"trace" -> array
 
     # -- construction checks -------------------------------------------------
 
@@ -261,11 +263,18 @@ def _array_power(t, a, k):
 def conjugate(G, h, g):
     """h^g = g^-1 h g, broadcast over the element indices or index arrays
     h and g.  h = None stands for all of G along a new last axis: for each
-    g, row g^-1 of the table, a view when g is a scalar, and one gather."""
+    g, row g^-1 of the table, then column g of the rows it names.  For a
+    scalar g that is a row view and one gather; for an index array, one
+    contiguous take of the rows g^-1 and one take from the flat table at
+    x |G| + g, computed in intp."""
     t = G.table
     if h is None:
-        x = t[G.inv[g]]
-        return t[x, g[..., None] if isinstance(g, np.ndarray) else g]
+        if not isinstance(g, np.ndarray):
+            return t[t[G.inv[g]], g]
+        flat = t.take(G.inv[g], 0).astype(np.intp)
+        flat *= G.order
+        flat += g[..., None]
+        return t.ravel().take(flat)
     return t[t[G.inv[g], h], g]
 
 
@@ -711,14 +720,19 @@ def cyclic_coset_log(H, K):
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
-    """A partition of G into classes, as two read-only arrays.
+    """A partition of G into classes, as three read-only arrays.
 
     `class_of` holds the class id of each element and `reps` the least
-    element of each class; ids are ordered by least element.
+    element of each class; ids are ordered by least element.  `least`
+    holds the least element of each element's class, reps[class_of]: the
+    labels the partition was built from, kept so that a test for class
+    functions and the center degree's trace index read it without a
+    gather.
     """
 
     class_of: np.ndarray
     reps: np.ndarray
+    least: np.ndarray
     kind: str
 
     @property
@@ -733,9 +747,9 @@ def _partition(labels, kind):
     """The partition whose classes are the level sets of `labels`, each
     label being the least element of its class."""
     reps, class_of = np.unique(labels, return_inverse=True)
-    reps.setflags(write=False)
-    class_of.setflags(write=False)
-    return ConjugacyPartition(class_of, reps, kind)
+    for arr in (reps, class_of, labels):
+        arr.setflags(write=False)
+    return ConjugacyPartition(class_of, reps, labels, kind)
 
 
 def conjugacy_partition(G, kind="ordinary"):
@@ -803,6 +817,18 @@ def inverse_classes(G):
     if out is None:
         part = conjugacy_partition(G)
         out = G._conjugacy["inverse"] = part.class_of[G.inv[part.reps]]
+        out.setflags(write=False)
+    return out
+
+
+def trace_index(G):
+    """g^-1 r for each g, r the least element of g's ordinary class (the
+    partition's `least`): the entries of a central element that
+    `groupalgebra.center_component_dim` sums for its trace, one gather.
+    Memoized per group; read-only int32."""
+    out = G._conjugacy.get("trace")
+    if out is None:
+        out = G._conjugacy["trace"] = G.table[G.inv, conjugacy_partition(G).least]
         out.setflags(write=False)
     return out
 

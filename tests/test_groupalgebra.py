@@ -7,12 +7,12 @@ from math import gcd
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import e_sum_conjugates
 
 from zgcentral import groupalgebra
-from zgcentral.catalog import cyclic, get_group, symmetric
+from zgcentral.catalog import cyclic, get_group, paper_1000_86, symmetric
 from zgcentral.errors import GroupMismatch, NotCentral, NotIdempotent
 from zgcentral.groupalgebra import (
     _INT64_BOUND,
@@ -29,6 +29,7 @@ from zgcentral.groups import (
     conjugacy_partition,
     cyclic_coset_log,
     subgroup_closure,
+    trace_index,
 )
 from zgcentral.rank import verify_center_degree
 from zgcentral.shoda import complete_irredundant_set, shoda_character
@@ -250,13 +251,29 @@ def test_center_dim_matches_elimination_oracle_on_small_catalog():
     assert kept == 425
 
 
-def test_center_dim_matches_elimination_oracle_on_paper_pairs(paper1000):
-    pairs, complete = complete_irredundant_set(
-        paper1000, candidates=oracles.paper9_pairs(paper1000)
-    )
+def test_center_dim_matches_elimination_oracle_on_paper_pairs():
+    """On a fresh paper-1000-86, the nine pairs' center degrees equal the
+    elimination oracle's with the trace index cold and then memoized; the
+    memo and the partition's `least` are read-only, and 2e, central but
+    not idempotent, is still refused once the memo is filled."""
+    G = paper_1000_86()
+    pairs, complete = complete_irredundant_set(G, candidates=oracles.paper9_pairs(G))
     assert complete and len(pairs) == 9
+    want = [oracles.center_component_dim(p.pci) for p in pairs]
+    for p, dim in zip(pairs, want):
+        G._conjugacy.pop("trace", None)
+        assert center_component_dim(p.pci) == dim
+    assert [center_component_dim(p.pci) for p in pairs] == want
+    index, least = trace_index(G), conjugacy_partition(G).least
+    assert G._conjugacy["trace"] is index
+    assert index.tolist() == [G.mul(int(G.inv[g]), r) for g, r in enumerate(least.tolist())]
+    for arr in (index, least):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
     for p in pairs:
-        assert center_component_dim(p.pci) == oracles.center_component_dim(p.pci)
+        assert is_central(p.pci.scale(2))
+        with pytest.raises(NotIdempotent, match="not idempotent"):
+            center_component_dim(p.pci.scale(2))
 
 
 def test_center_dim_makes_no_qg_product(s4, monkeypatch):
@@ -479,17 +496,36 @@ def test_is_central_in_a_subgroup_matches_oracle_conj(name, data):
     assert is_central(a, S) == all(oracles.conj(G, da, s) == da for s in S.members)
 
 
+def check_convolve(G, A, B, factors, cols):
+    """_convolve(G, A, B, cols) gives `oracles.convolve` of each pair of
+    factors, in int64 exactly when the bound allows; returns the gather
+    order the lengths pick, True for rows g^-1 over supp(a)."""
+    got = groupalgebra._convolve(G, A, B, cols)
+    want = [oracles.convolve(x, y, cols).tolist() for x, y in factors]
+    assert got.tolist() == (want if A.ndim == 2 else want[0])
+    support = np.flatnonzero(np.atleast_2d(A).any(axis=0))
+    terms = min(support.size, int(np.count_nonzero(B)))
+    bound = groupalgebra._maxabs(A) * groupalgebra._maxabs(B) * terms
+    assert got.dtype == (np.int64 if bound < BIG else object)
+    return support.size <= (G.order if cols is None else len(cols))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([name for name, _ in oracles.small_catalog(60)]), st.data())
 def test_convolve_matches_the_broadcast_kernel(name, data):
-    """The matrix-product kernel gives the broadcast-and-sum kernel's
-    numerators (`oracles.convolve`) row by row: one row times one row, a
-    2 x |G| block times a block, and a block times one row, at all of G,
-    at the class representatives and at a subgroup's members, on int64
-    and Python-int rows, in int64 exactly when the bound allows."""
+    """The two-take kernel gives the broadcast-and-sum kernel's numerators
+    (`oracles.convolve`) row by row: one row times one row, a 2 x |G|
+    block times a block, and a block times one row, at all of G, at the
+    class representatives, at a subgroup's members, and at columns drawn
+    both shorter and longer than supp(a), so that both gather orders run;
+    with the table read two or three rows at a time, so that each runs in
+    several blocks; on int64 and Python-int rows, in int64 exactly when
+    the bound allows."""
     G = dict(oracles.small_catalog(60))[name]
     a, b, c, d = (draw_element(data, G) for _ in range(4))
+    assume(np.count_nonzero(a.vec) >= 2)
     S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
+    rows = data.draw(st.integers(2, 3), label="table rows per block")
     block = np.stack((a.vec, c.vec))
     cases = (
         (a.vec, b.vec, [(a, b)]),
@@ -497,15 +533,44 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
         (block, b.vec, [(a, b), (c, b)]),
     )
     members = np.array(S.sorted_members, dtype=np.intp)
-    for cols in (None, conjugacy_partition(G).reps, members):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupalgebra, "_GATHER_BLOCK", rows * G.order)
         for A, B, factors in cases:
-            got = groupalgebra._convolve(G, A, B, cols)
-            want = [oracles.convolve(x, y, cols).tolist() for x, y in factors]
-            assert got.tolist() == (want if A.ndim == 2 else want[0])
-            support = np.flatnonzero(np.atleast_2d(A).any(axis=0))
-            terms = min(support.size, int(np.count_nonzero(B)))
-            bound = groupalgebra._maxabs(A) * groupalgebra._maxabs(B) * terms
-            assert got.dtype == (np.int64 if bound < BIG else object)
+            size = np.count_nonzero(np.atleast_2d(A).any(axis=0))
+            order = data.draw(st.permutations(range(G.order)), label="column order")
+            short = data.draw(st.integers(1, size - 1), label="short")
+            long = data.draw(st.integers(size, G.order), label="long")
+            drawn = [np.array(order[:k], dtype=np.intp) for k in (short, long)]
+            picked = {
+                check_convolve(G, A, B, factors, cols)
+                for cols in (None, conjugacy_partition(G).reps, members, *drawn)
+            }
+            assert picked == {True, False}
+
+
+def test_convolve_on_paper_1000_86_at_class_representatives(paper1000, monkeypatch):
+    """At paper-1000-86's 13 class representatives, with the table read
+    three rows at a time: the pair idempotents, whose supports are longer,
+    take rows at the representatives; sparse elements take rows g^-1 over
+    their support; one row and 2 x |G| stacks of both."""
+    monkeypatch.setattr(groupalgebra, "_GATHER_BLOCK", 3 * paper1000.order)
+    reps = conjugacy_partition(paper1000).reps
+    assert reps.size == 13
+    candidates = oracles.paper9_pairs(paper1000)
+    pairs, _ = complete_irredundant_set(paper1000, candidates=candidates)
+    e, f = pairs[-1].pci, pairs[3].pci
+    sparse = [
+        QGElement(paper1000, {g: k - 3 for k, g in enumerate(range(7, 1000, 111))}),
+        QGElement(paper1000, {1: 2, 500: -1, 999: BIG - 1}),
+    ]
+    picked = set()
+    for x, y in ((e, f), (f, e), (e, sparse[1]), *[(s, e) for s in sparse]):
+        picked.add(check_convolve(paper1000, x.vec, y.vec, [(x, y)], reps))
+    for (x, y), (z, w) in (((e, f), (f, e)), ((sparse[0], e), (sparse[1], f))):
+        A = np.stack((x.vec, z.vec))
+        picked.add(check_convolve(paper1000, A, np.stack((y.vec, w.vec)), [(x, y), (z, w)], reps))
+        picked.add(check_convolve(paper1000, A, f.vec, [(x, f), (z, f)], reps))
+    assert picked == {True, False}
 
 
 def test_int64_bound_edge():

@@ -8,7 +8,7 @@ from oracles import CORPUS, paper9_pairs
 
 from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
 from zgcentral.cyclotomic import euler_phi
-from zgcentral.errors import IncompleteSet
+from zgcentral.errors import DivisibilityViolation, IncompleteSet
 from zgcentral.groupalgebra import hat
 from zgcentral.groups import conjugacy_partition, subgroup_closure
 from zgcentral.rank import (
@@ -139,6 +139,22 @@ def test_center_degree_is_false_for_a_bad_idempotent(s3):
     for p in pairs_of(s3):
         for bad in (p.pci.scale(2), not_central):
             assert not verify_center_degree(s3, replace(p, chain=replace(p.chain, top=bad)))
+
+
+def test_rank_term_refuses_indices_that_do_not_divide_phi(a4):
+    """A4's pair (V4, C2) has phi([H:K]) = phi(2) = 1 and chain index 1.
+    With the centralizer A4 put in place of V4, the chain's index is 3,
+    which does not divide 1: rank_term raises the typed error, naming phi
+    and the product, and rank_total passes it on."""
+    p = next(p for p in pairs_of(a4) if p.H.order == 4)
+    assert p.chain.indices == [1] and rank_term(a4, p).term == 0
+    bad = replace(p, chain=replace(p.chain, centralizers=[a4.whole()]))
+    assert bad.chain.indices == [3] and k_of_pair(a4, bad) == 1
+    message = r"^phi\(2\) = 1 not divisible by 3$"
+    with pytest.raises(DivisibilityViolation, match=message):
+        rank_term(a4, bad)
+    with pytest.raises(DivisibilityViolation, match=message):
+        rank_total(a4, [bad], complete=True)
 
 
 def test_chainless_candidate_is_dropped_and_rank_refuses(s3, monkeypatch):
