@@ -397,8 +397,9 @@ def center_component_dim(e):
     if not np.array_equal(square, target):
         raise NotIdempotent("element is not idempotent")
     diag = e.vec.take(trace_index(G))
-    # |G| terms of at most max|e| each, in int64 while that bound allows
-    total = int(diag.sum()) if _dtype(top * G.order) is np.int64 else sum(diag.tolist())
+    # |G| terms of at most max|e| each: in int64 while that bound allows,
+    # else an exact sum of Python ints
+    total = int(diag.astype(_dtype(top * G.order), copy=False).sum())
     trace, rest = divmod(total, e.den)
     if rest:
         raise NotIdempotent("multiplication by e on Z(QG) has a non-integral trace")

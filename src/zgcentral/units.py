@@ -316,7 +316,9 @@ def _verified_unit(u, S, error, centre=None):
 
     Every check is taken in ZS: the supports by one mask gather, and the
     product, which lies in ZS with both factors, at S's members only
-    (`_convolve(G, A, B, cols)`), |S|^2 table entries in place of |S| |G|."""
+    (`_convolve(G, A, B, cols)`): the table rows over the value's support,
+    then |S| of their columns, so one matrix product of |S| columns in
+    place of |G|."""
     G = S.parent
     cols, inside = _mask(S)
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):

@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import oracles
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import e_sum_conjugates
 
@@ -517,13 +517,13 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
     (`oracles.convolve`) row by row: one row times one row, a 2 x |G|
     block times a block, and a block times one row, at all of G, at the
     class representatives, at a subgroup's members, and at columns drawn
-    both shorter and longer than supp(a), so that both gather orders run;
-    with the table read two or three rows at a time, so that each runs in
-    several blocks; on int64 and Python-int rows, in int64 exactly when
-    the bound allows."""
+    longer than supp(a) and, when supp(a) has two or more elements,
+    shorter, so that both gather orders run; with the table read in the
+    default blocks and two or three rows at a time, so that each order
+    runs in several blocks; on int64 and Python-int rows, in int64
+    exactly when the bound allows."""
     G = dict(oracles.small_catalog(60))[name]
     a, b, c, d = (draw_element(data, G) for _ in range(4))
-    assume(np.count_nonzero(a.vec) >= 2)
     S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
     rows = data.draw(st.integers(2, 3), label="table rows per block")
     block = np.stack((a.vec, c.vec))
@@ -533,19 +533,22 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
         (block, b.vec, [(a, b), (c, b)]),
     )
     members = np.array(S.sorted_members, dtype=np.intp)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groupalgebra, "_GATHER_BLOCK", rows * G.order)
-        for A, B, factors in cases:
-            size = np.count_nonzero(np.atleast_2d(A).any(axis=0))
-            order = data.draw(st.permutations(range(G.order)), label="column order")
-            short = data.draw(st.integers(1, size - 1), label="short")
-            long = data.draw(st.integers(size, G.order), label="long")
-            drawn = [np.array(order[:k], dtype=np.intp) for k in (short, long)]
-            picked = {
-                check_convolve(G, A, B, factors, cols)
-                for cols in (None, conjugacy_partition(G).reps, members, *drawn)
-            }
-            assert picked == {True, False}
+    for A, B, factors in cases:
+        size = np.count_nonzero(np.atleast_2d(A).any(axis=0))
+        order = data.draw(st.permutations(range(G.order)), label="column order")
+        lengths = [data.draw(st.integers(max(size, 1), G.order), label="long")]
+        if size >= 2:
+            lengths.append(data.draw(st.integers(1, size - 1), label="short"))
+        drawn = [np.array(order[:k], dtype=np.intp) for k in lengths]
+        for step in (groupalgebra._GATHER_BLOCK, rows * G.order):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(groupalgebra, "_GATHER_BLOCK", step)
+                picked = {
+                    check_convolve(G, A, B, factors, cols)
+                    for cols in (None, conjugacy_partition(G).reps, members, *drawn)
+                }
+            # rows g^-1 over supp(a) whenever it is no longer than the columns
+            assert picked == ({True, False} if size >= 2 else {True})
 
 
 def test_convolve_on_paper_1000_86_at_class_representatives(paper1000, monkeypatch):
