@@ -146,25 +146,30 @@ def parse_word(G, token):
     return out
 
 
-def parse_subgroup(G, tokens):
-    return subgroup_closure(G, [parse_word(G, t) for t in tokens])
-
-
 def parse_pairs_file(G, doc):
-    """Candidate tuples (H, K, chain_steps_or_None) from a pairs file."""
+    """Candidate tuples (H, K, chain_steps_or_None) from a pairs file; each
+    distinct list of generator elements is closed once, one Subgroup."""
     if not isinstance(doc, dict):
         raise ValueError("pairs file must be a JSON object")
     entries = _field(doc, "pairs", "pairs file", lambda x: isinstance(x, list), "a list")
     subgroup = "a list of generator words and element indices"
+    closed = {}
+
+    def close(tokens):
+        gens = tuple(parse_word(G, t) for t in tokens)
+        if gens not in closed:
+            closed[gens] = subgroup_closure(G, gens)
+        return closed[gens]
+
     out = []
     for i, entry in enumerate(entries):
         where = f"pairs file entry {i}"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a JSON object")
-        H = parse_subgroup(G, _field(entry, "H", where, _TOKENS, subgroup))
-        K = parse_subgroup(G, _field(entry, "K", where, _TOKENS, subgroup))
+        H = close(_field(entry, "H", where, _TOKENS, subgroup))
+        K = close(_field(entry, "K", where, _TOKENS, subgroup))
         steps = _field(entry, "chain", where, _list_of(_TOKENS), f"a list of {subgroup}", None)
-        chain = [parse_subgroup(G, step) for step in steps] if steps else None
+        chain = [close(step) for step in steps] if steps else None
         out.append((H, K, chain))
     return out
 

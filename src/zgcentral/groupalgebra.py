@@ -173,7 +173,10 @@ class QGElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.den, tuple(self.vec.tolist())))
+        # canonical: int64 exactly when max|vec| < _INT64_BOUND, one dtype per value
+        if self.vec.dtype == object:
+            return hash((self.den, tuple(self.vec.tolist())))
+        return hash((self.den, self.vec.tobytes()))
 
     def __repr__(self):
         support = self.support

@@ -120,7 +120,12 @@ def induced_counts(lam, G, cols):
 def shoda_character(H, K):
     """The linear character of the Shoda pair (H, K), built by the Shoda
     test; raises NotShodaPair naming |H| and |K| when the test fails."""
-    lam = _shoda_character(H, K, _coset_conjugates(H))
+    return _checked_character(H, K, _coset_conjugates(H))
+
+
+def _checked_character(H, K, coset_conjugates):
+    """`shoda_character` with H's `_coset_conjugates` given."""
+    lam = _shoda_character(H, K, coset_conjugates)
     if lam is None:
         raise NotShodaPair(
             f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
@@ -195,16 +200,16 @@ class StrongInductiveChain:
         return [c.order // s.order for c, s in zip(self.centralizers, self.steps)]
 
 
-def _climb(chain, nxt):
+def _climb(chain, nxt, T=None):
     """The chain one level longer, up to `nxt`, or None when a level
     condition fails: H_i <= nxt, H_i normal in cen, the centralizer of
     e_i = chain.top in nxt, and e_i orthogonal to its other conjugates.
 
     H_i fixes e_i, so e_i^t depends only on the coset H_i t, t in the
-    right transversal T of H_i in nxt.  e_i is a self-adjoint idempotent
-    (e* = e, with g* = g^-1): epsilon(H, K) is, as c_n(-x) = c_n(x), and
-    conjugates and sums of orthogonal ones stay so.  With
-    g_t = <e_i, e_i^t>, the sum over y of their coefficients at y:
+    right transversal T of H_i in nxt, computed unless given.  e_i is a
+    self-adjoint idempotent (e* = e, with g* = g^-1): epsilon(H, K) is, as
+    c_n(-x) = c_n(x), and conjugates and sums of orthogonal ones stay so.
+    With g_t = <e_i, e_i^t>, the sum over y of their coefficients at y:
     - the conjugates all have e_i's norm, so e_i^t = e_i exactly when
       g_t = <e_i, e_i> (Cauchy-Schwarz);
     - for d = e_i^t the coefficient of 1 in (e_i d)(e_i d)* = e_i d e_i
@@ -222,7 +227,7 @@ def _climb(chain, nxt):
     if Hi.order == nxt.order:
         cen, top, T = Hi, ei, [0]
     else:
-        T = right_transversal(Hi, nxt)
+        T = right_transversal(Hi, nxt) if T is None else T
         gram, total = conjugate_gram(ei, T)
         fixed = gram == gram[0]  # T[0] = 0: g_0 = <e_i, e_i>
         if gram[~fixed].any():
@@ -270,9 +275,10 @@ def find_strong_inductive_chain(lam, subgroups=None):
     """Search for a strong inductive chain from H to G for the Shoda pair
     of the character `lam`.
 
-    Prefers the one-step chain (present exactly when the pair is strong);
-    otherwise walks the subgroup lattice depth first, trying each step's
-    overgroups smallest first and memoizing subgroups with no chain to G.
+    Prefers the one-step chain (present exactly when the pair is strong,
+    its level reading the Shoda test's `lam.transversal`); otherwise walks
+    the lattice depth first, trying each step's overgroups smallest first
+    and memoizing subgroups with no chain to G.
     A chain's top at H_i is the primitive central idempotent of Q H_i
     that (H, K) realizes, whatever the path below, so the memo holds.
     Every subgroup is entered at most once, so the walk ends with a chain,
@@ -284,7 +290,7 @@ def find_strong_inductive_chain(lam, subgroups=None):
     G = lam.H.parent
     whole = G.whole()
     root = _root(lam)
-    one_step = _climb(root, whole)
+    one_step = _climb(root, whole, lam.transversal.tolist())
     if one_step is not None:
         return one_step
     lattice = (subgroups or all_subgroups)(G)
@@ -354,7 +360,7 @@ def _classify(lam, chain_steps, subgroups, known):
         )
     else:
         # verify_chain checked H and G at the ends: one level decides strong
-        strong = _climb(_root(lam), chain.steps[-1]) is not None
+        strong = _climb(_root(lam), chain.steps[-1], lam.transversal.tolist()) is not None
     if chain is None or chain.top in known:
         return None
     return ShodaPair(lam=lam, status="strong" if strong else "generalized_strong", chain=chain)
@@ -408,14 +414,16 @@ def complete_irredundant_set(G, candidates=None):
     the flag, True exactly when the kept idempotents sum to 1, says
     whether G is generalized strongly monomial (over the candidates, when
     given).  The enumeration and every chain search share one subgroup
-    lattice, built when first asked for and dropped on return.
+    lattice, built when first asked for, and the supplied pairs with one H
+    share its coset table; both are dropped on return.
     """
     subgroups = cache(all_subgroups)
     if candidates is None:
         todo = ((lam, None) for lam in shoda_pair_candidates(G, subgroups))
     else:
+        cosets = cache(_coset_conjugates)  # by Subgroup: one table per distinct H
         todo = (
-            (shoda_character(H, K), rest[0] if rest else None)
+            (_checked_character(H, K, cosets(H)), rest[0] if rest else None)
             for H, K, *rest in candidates
         )
     kept = []

@@ -9,7 +9,7 @@ import oracles
 import pytest
 from jsonschema import Draft202012Validator
 
-from zgcentral import units
+from zgcentral import cli, units
 from zgcentral.catalog import cyclic, get_group
 from zgcentral.cli import main, parse_pairs_file, parse_word
 from zgcentral.errors import PreconditionFailed
@@ -217,6 +217,39 @@ def test_parse_word_semantics():
     prod = parse_word(G, "x4*x5^2")
     assert prod == G.mul(parse_word(G, "x4"), G.power(parse_word(G, "x5"), 2))
     assert parse_word(G, 0) == 0
+
+
+def test_parse_pairs_file_closes_each_generator_list_once(paper1000, monkeypatch):
+    """paper9.json names 11 distinct generator lists in its 26 subgroup
+    fields: the parser makes 11 closures, each field's subgroup has the
+    members and generators a fresh closure of its words has, and two
+    fields with the same words share one Subgroup."""
+    doc = json.loads(resources.files("zgcentral.data").joinpath("paper9.json").read_text())
+    closures = []
+
+    def counting(G, gens):
+        closures.append(list(gens))
+        return subgroup_closure(G, gens)
+
+    monkeypatch.setattr(cli, "subgroup_closure", counting)
+    candidates = parse_pairs_file(paper1000, doc)
+    monkeypatch.undo()
+    fields = [
+        (tokens, S)
+        for entry, (H, K, chain) in zip(doc["pairs"], candidates)
+        for tokens, S in [(entry["H"], H), (entry["K"], K), *zip(entry.get("chain", []), chain or [])]
+    ]
+    assert len(fields) == 26
+    assert len(closures) == len({tuple(t) for t, _ in fields}) == 11
+    by_tokens = {}
+    for tokens, S in fields:
+        fresh = subgroup_closure(paper1000, [parse_word(paper1000, t) for t in tokens])
+        assert S.members == fresh.members and S.gens == fresh.gens
+        assert by_tokens.setdefault(tuple(tokens), S) is S
+    H, K, _ = candidates[0]
+    assert H is K
+    H, _, chain = candidates[7]
+    assert chain[0] is chain[1] is H
 
 
 def test_parse_pairs_file_paper9_orders(paper1000):

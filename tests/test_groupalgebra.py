@@ -469,6 +469,41 @@ def test_equal_values_compare_and_hash_equal(name, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
+def test_every_route_keeps_int64_exactly_below_the_bound(name, data):
+    """`QGElement.__hash__` hashes int64 numerators by their bytes and
+    object ones as a tuple, which is sound because equal elements share a
+    dtype: every route leaves vec int64 exactly when max|vec| is below
+    _INT64_BOUND (`__init__`, `from_vec` on int64, list and object input,
+    `_element`, `conj`, negation, `mul`), and the same value reached by
+    different routes hashes equal."""
+    G = CORPUS_GROUPS[name]
+    a, b = draw_element(data, G), draw_element(data, G)
+    g = data.draw(st.integers(0, G.order - 1))
+    ints = a.vec.tolist()
+    same = [
+        QGElement.from_vec(G, ints, den=a.den),
+        QGElement.from_vec(G, np.array(ints, dtype=object), den=a.den),
+        groupalgebra._element(G, a.den, a.vec.astype(object)),
+        groupalgebra._element(G, 3 * a.den, a.vec.astype(object) * 3),
+        a.conj(g).conj(G.inv[g]),
+        -(-a),
+        mul(a, QGElement.one(G)),
+    ]
+    if a.vec.dtype == np.int64:
+        same += [QGElement.from_vec(G, a.vec, den=a.den), groupalgebra._element(G, a.den, a.vec)]
+    for x in [a, b, a.conj(g), -a, mul(a, b), *same]:
+        assert_canonical(x)
+    for x in same:
+        assert x == a and hash(x) == hash(a)
+    # an object array of small values comes back int64
+    small = QGElement.from_vec(G, np.arange(G.order).astype(object), den=2)
+    assert small.vec.dtype == np.int64
+    assert small == QGElement.from_vec(G, np.arange(G.order), den=2)
+    assert hash(small) == hash(QGElement.from_vec(G, np.arange(G.order), den=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CORPUS_GROUPS)), st.data())
 def test_is_central_matches_oracle_conj(name, data):
     """is_central(a), one class-constant test, against conjugation by every
     member; half the draws are summed over their G-conjugates, so both

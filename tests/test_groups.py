@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zgcentral import groups, shoda
-from zgcentral.cli import parse_subgroup
+from zgcentral.cli import parse_word
 from zgcentral.catalog import (
     catalog,
     cyclic,
@@ -786,7 +786,7 @@ def test_subgroups_carry_generators(paper1000_c2):
     lattice member and every centralizer of a kept chain, on the small
     catalog, paper-1000-86, paper-1000-86 x C2 and D1024; normal closures,
     subnormal series steps and cyclic subgroups there; closures of random
-    seeds; and the subgroups a pairs file names (cli.parse_subgroup)."""
+    seeds; and the subgroups a pairs file names, closed from its words."""
     # the default is the non-identity members; closures keep their seed
     G = get_group("D4")
     assert Subgroup(G, range(8)).gens == list(range(1, 8))
@@ -818,7 +818,8 @@ def test_subgroups_carry_generators(paper1000_c2):
     assert counts[-3:] == [(632, 13), (1857, 26), (2058, 13)]
     words = ["x1", "x4", "x5", "x6", "x3*x4^2*x6", "x3*x4^2*x6^3", "x4^-1*x5"]
     G = extension_group("paper-1000-86")
-    assert not_generated([parse_subgroup(G, [a, b]) for a in words for b in words]) == []
+    named = [subgroup_closure(G, [parse_word(G, a), parse_word(G, b)]) for a in words for b in words]
+    assert not_generated(named) == []
 
 
 # -- subnormality --------------------------------------------------------------

@@ -807,6 +807,56 @@ def test_classified_pairs_walk_no_coset_beyond_the_shoda_test(paper1000, monkeyp
     assert counts == {"logs": 9, "tests": 9}
 
 
+def _members(subgroups):
+    return [S.members for S in subgroups]
+
+
+def test_supplied_pairs_classify_as_enumerated():
+    """Every enumerated pair of every catalog group of order at most 60 and
+    of paper-1000-86, fed back as a supplied candidate (H, K, chain steps),
+    comes back in the same order with the same status, idempotent, chain
+    steps, centralizers, transversals and indices."""
+    corpus = oracles.small_catalog() + [("paper-1000-86", get_group("paper-1000-86"))]
+    for name, G in corpus:
+        found = complete_irredundant_set(G)[0]
+        again, complete = complete_irredundant_set(G, [(p.H, p.K, p.chain.steps) for p in found])
+        assert complete and len(again) == len(found), name
+        for p, q in zip(found, again):
+            assert (q.H, q.K, q.status, q.pci) == (p.H, p.K, p.status, p.pci), name
+            assert _members(q.chain.steps) == _members(p.chain.steps), name
+            assert _members(q.chain.centralizers) == _members(p.chain.centralizers), name
+            assert q.chain.transversals == p.chain.transversals, name
+            assert q.chain.indices == p.chain.indices, name
+
+
+def test_supplied_pairs_share_each_h_and_its_transversal(paper1000, monkeypatch):
+    """paper9.json's nine pairs name three distinct H: three coset tables,
+    and no level from a pair's H to G computes the transversal that the
+    Shoda test already holds."""
+    candidates = _paper9_candidates(paper1000)
+    tables, levels = [], []
+    coset_conjugates, transversal = shoda._coset_conjugates, shoda.right_transversal
+
+    def counted_tables(H):
+        tables.append(H)
+        return coset_conjugates(H)
+
+    def counted_transversal(H, within=None):
+        levels.append((H.members, within))
+        return transversal(H, within)
+
+    monkeypatch.setattr(shoda, "_coset_conjugates", counted_tables)
+    monkeypatch.setattr(shoda, "right_transversal", counted_transversal)
+    pairs, complete = complete_irredundant_set(paper1000, candidates)
+    assert complete and len(pairs) == 9
+    hs = {H.members for H, _, _ in candidates}
+    assert len(tables) == len(hs) == 3
+    # the three tables' transversals, and the two chains' levels 50 -> 250 -> 1000
+    assert len(levels) == 7
+    whole = paper1000.order
+    assert not [H for H, within in levels if H in hs and within and within.order == whole]
+
+
 # the benchmark's catalog-sweep groups: orders 2-24, E25, D20-D25, C48-C60
 SWEEP = (
     tuple(f"C{n}" for n in range(2, 25))
