@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .catalog import catalog, get_group
@@ -122,41 +123,52 @@ def resolve_group(arg):
         return load_group_spec(json.load(fh))
 
 
-def parse_word(G, token):
-    """Evaluate a generator word like "x3*x4^2" (or an element index)."""
-    if _is_int(token):
-        if not 0 <= token < G.order:
-            raise ValueError(f"element index {token} out of range")
-        return token
+def _word_reader(G):
+    """parse_word for G, with its generator lookup built once."""
     names = getattr(G, "generator_names", None)
     gens = getattr(G, "pc_generators", None)
-    if names is None or gens is None:
-        raise ValueError("generator words require a pc-presented group")
-    lookup = dict(zip(names, gens))
-    out = 0
-    for part in token.split("*"):
-        if "^" in part:
-            name, exp = part.split("^", 1)
-            exp = int(exp)
-        else:
-            name, exp = part, 1
-        if name not in lookup:
-            raise ValueError(f"unknown generator {name!r} in word {token!r}")
-        out = G.mul(out, G.power(lookup[name], exp))
-    return out
+    lookup = None if names is None or gens is None else dict(zip(names, gens))
+
+    def read(token):
+        if _is_int(token):
+            if not 0 <= token < G.order:
+                raise ValueError(f"element index {token} out of range")
+            return token
+        if lookup is None:
+            raise ValueError("generator words require a pc-presented group")
+        out = 0
+        for part in token.split("*"):
+            if "^" in part:
+                name, exp = part.split("^", 1)
+                exp = int(exp)
+            else:
+                name, exp = part, 1
+            if name not in lookup:
+                raise ValueError(f"unknown generator {name!r} in word {token!r}")
+            out = G.mul(out, G.power(lookup[name], exp))
+        return out
+
+    return read
+
+
+def parse_word(G, token):
+    """Evaluate a generator word like "x3*x4^2" (or an element index)."""
+    return _word_reader(G)(token)
 
 
 def parse_pairs_file(G, doc):
     """Candidate tuples (H, K, chain_steps_or_None) from a pairs file; each
+    distinct token is evaluated once, by one generator lookup, and each
     distinct list of generator elements is closed once, one Subgroup."""
     if not isinstance(doc, dict):
         raise ValueError("pairs file must be a JSON object")
     entries = _field(doc, "pairs", "pairs file", lambda x: isinstance(x, list), "a list")
     subgroup = "a list of generator words and element indices"
     closed = {}
+    read = cache(_word_reader(G))  # tokens repeat: each is evaluated once
 
     def close(tokens):
-        gens = tuple(parse_word(G, t) for t in tokens)
+        gens = tuple(map(read, tokens))
         if gens not in closed:
             closed[gens] = subgroup_closure(G, gens)
         return closed[gens]

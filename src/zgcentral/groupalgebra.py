@@ -11,9 +11,10 @@ The idempotents hat(S) and epsilon(H, K) are built directly as such
 vectors; epsilon is one gather of Ramanujan sums at the discrete logs of
 the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
 only on the coset St, so the conjugates of a under N >= S are a^t over a
-right transversal of S in N (`shoda._climb`), all read off one blocked
-gather (`conjugate_rows`, which the unit constructions share) with their
-inner products <a, a^t> (`conjugate_gram`).
+right transversal T of S in N (`shoda._climb`).  a^t is zero off
+supp(a)^t, so <a, a^t> and the sum of the a^t are read at those
+|T| |supp a| <= |N| positions alone (`conjugate_gram`), not at all of G
+as the unit constructions read whole conjugates (`conjugate_rows`).
 
 Products are one convolution kernel (`_convolve`) on numerator rows,
 the only one in the library, which gives a * b at all of G (`mul`) or
@@ -253,19 +254,28 @@ def conjugate_rows(G, vec, ts):
 
 def conjugate_gram(a, ts):
     """(g, s) on a's numerators v, with v^t those of a^t for t = ts[j]:
-    g[j] = <v, v^t>, the sum over y of v[y] v^t[y], and s is the sum of
-    the v^t; in int64 while max|v|^2 |G| bounds every sum, else in Python
-    ints."""
+    g[j] = <v, v^t>, and s() builds the sum of the v^t when asked.  v^t
+    is v[x] at x^t = t^-1 x t, zero elsewhere, so both read only the
+    |ts| x |supp v| positions x^t, two flat table takes: g is one take and
+    one matrix-vector product, s one scatter-add; in int64 while
+    max|v| max(max|v| |supp v|, |ts|) bounds every sum, else Python ints."""
     G = a.group
     ts = np.asarray(ts, dtype=np.intp)
-    dtype = _dtype(_maxabs(a.vec) ** 2 * G.order)
-    v = a.vec.astype(dtype, copy=False)
-    gram = np.zeros(ts.size, dtype=dtype)
-    total = np.zeros(G.order, dtype=dtype)
-    for block, conj in conjugate_rows(G, v, ts):
-        gram[block] = conj @ v
-        total += conj.sum(axis=0)
-    return gram, total
+    xs = np.flatnonzero(a.vec)
+    top = _maxabs(a.vec[xs])
+    v = a.vec.astype(_dtype(top * max(top * xs.size, ts.size)), copy=False)
+    vx = v[xs]
+    # x^t = (t^-1 x) t at flat table positions row |G| + column, in intp
+    flat = G.table.ravel()
+    at = flat.take(G.inv[ts].astype(np.intp)[:, None] * G.order + xs).astype(np.intp)
+    at = flat.take(at * G.order + ts[:, None])
+
+    def total():
+        out = np.zeros(G.order, dtype=v.dtype)
+        np.add.at(out, at.ravel(), np.tile(vx, ts.size))
+        return out
+
+    return v.take(at) @ vx, total
 
 
 def _convolve(G, A, B, cols=None):
@@ -285,11 +295,13 @@ def _convolve(G, A, B, cols=None):
     Either sum has at most min(|supp a|, nnz b) nonzero terms, so one
     bound picks int64 when it allows, else Python ints."""
     support = np.flatnonzero(A if A.ndim == 1 else A.any(axis=0))
-    terms = min(support.size, int(np.count_nonzero(B)))
+    square = B is A  # a square scans its factor once
+    terms = support.size if square else min(support.size, int(np.count_nonzero(B)))
     width = G.order if cols is None else len(cols)
     if not terms:
         return np.zeros(A.shape[:-1] + (width,), dtype=np.int64)
-    dtype = _dtype(_maxabs(A) * _maxabs(B) * terms)
+    top = _maxabs(A)
+    dtype = _dtype(top * (top if square else _maxabs(B)) * terms)
     A = A.astype(dtype, copy=False)
     B = B.astype(dtype, copy=False)
     step = max(1, _GATHER_BLOCK // G.order)
@@ -307,7 +319,7 @@ def _convolve(G, A, B, cols=None):
         return acc[..., 0, :]
     # b's coefficients on its support as a column, which meets the
     # gathered entries of A row by row for a stack, or one row A all at once
-    hs = np.flatnonzero(B if B.ndim == 1 else B.any(axis=0))
+    hs = support if square else np.flatnonzero(B if B.ndim == 1 else B.any(axis=0))
     hs_inv = G.inv[hs]
     B = B.take(hs, -1)[..., None]
     acc = np.empty(A.shape[:-1] + (width,), dtype=dtype)
@@ -394,8 +406,9 @@ def center_component_dim(e):
     # keeps the row gather
     abelian = part.reps.size == G.order
     square = _convolve(G, e.vec, e.vec, None if abelian else part.reps)
-    # e^2 = e on numerators is square = den * vec, compared without wrapping
-    top = _maxabs(e.vec)
+    # e^2 = e on numerators is square = den * vec, compared without wrapping;
+    # a central e takes its largest entry at a class representative
+    top = _maxabs(e.vec[part.reps])
     target = (e.vec if abelian else e.vec[part.reps]).astype(_dtype(top * e.den)) * e.den
     if not np.array_equal(square, target):
         raise NotIdempotent("element is not idempotent")

@@ -20,7 +20,8 @@ Every e_i is a self-adjoint idempotent (its coefficients at g and g^-1
 agree), so the trace form <a, b>, the coefficient of 1 in a b*, decides
 a level with no QG product: e_i^t = e_i exactly when
 <e_i, e_i^t> = <e_i, e_i>, and e_i e_i^t = 0 exactly when
-<e_i, e_i^t> = 0 (`_climb`).
+<e_i, e_i^t> = 0 (`_climb`), read at supp(e_i)^t alone: at most
+|H_(i+1)| table entries a level, not [H_(i+1):H_i] |G|.
 """
 
 from __future__ import annotations
@@ -214,12 +215,12 @@ def _climb(chain, nxt, T=None):
       g_t = <e_i, e_i> (Cauchy-Schwarz);
     - for d = e_i^t the coefficient of 1 in (e_i d)(e_i d)* = e_i d e_i
       is g_t, so e_i d = 0 exactly when g_t = 0.
-    So one gather of the conjugates and one matrix-vector product decide
-    the level, and no QG product is taken.  cen is the union of the
-    cosets H_i t whose t fixes e_i.  Each distinct conjugate is e_i^t for
-    [cen:H_i] of the t, so e_(i+1) is the sum over T divided by that
-    index.  The level keeps T.  A level with H_i = nxt has index 1 and
-    transversal [0].
+    So one gather at supp(e_i)^t, |T| |supp e_i| <= |nxt| entries, and one
+    matrix-vector product decide the level, and no QG product is taken.
+    cen is the union of the cosets H_i t whose t fixes e_i.  Each distinct
+    conjugate is e_i^t for [cen:H_i] of the t, so e_(i+1), built once the
+    level passes, is the sum over T divided by that index.  The level
+    keeps T.  A level with H_i = nxt has index 1 and transversal [0].
     """
     Hi, ei = chain.steps[-1], chain.top
     if not Hi <= nxt:
@@ -228,7 +229,7 @@ def _climb(chain, nxt, T=None):
         cen, top, T = Hi, ei, [0]
     else:
         T = right_transversal(Hi, nxt) if T is None else T
-        gram, total = conjugate_gram(ei, T)
+        gram, conjugate_sum = conjugate_gram(ei, T)
         fixed = gram == gram[0]  # T[0] = 0: g_0 = <e_i, e_i>
         if gram[~fixed].any():
             return None
@@ -239,7 +240,7 @@ def _climb(chain, nxt, T=None):
         cen = Subgroup(G, members, gens=Hi.gens + fixing[1:])
         if not is_normal(Hi, cen):
             return None
-        top = QGElement.from_vec(G, total, den=ei.den * len(fixing))
+        top = QGElement.from_vec(G, conjugate_sum(), den=ei.den * len(fixing))
     return StrongInductiveChain(
         steps=chain.steps + [nxt],
         top=top,
@@ -271,7 +272,7 @@ def verify_chain(lam, steps):
     return chain
 
 
-def find_strong_inductive_chain(lam, subgroups=None):
+def find_strong_inductive_chain(lam, subgroups=None, whole=None):
     """Search for a strong inductive chain from H to G for the Shoda pair
     of the character `lam`.
 
@@ -285,10 +286,10 @@ def find_strong_inductive_chain(lam, subgroups=None):
     or with None when no chain exists in the lattice.  The lattice is
     `subgroups(G)`, `all_subgroups` by default, and is asked for only when
     the one-step chain fails; it raises CapExceeded or NotSolvable as
-    `all_subgroups` does.
+    `all_subgroups` does.  `whole` is G as a Subgroup, built unless given.
     """
     G = lam.H.parent
-    whole = G.whole()
+    whole = G.whole() if whole is None else whole
     root = _root(lam)
     one_step = _climb(root, whole, lam.transversal.tolist())
     if one_step is not None:
@@ -347,12 +348,12 @@ class ShodaPair:
         return self.chain.top
 
 
-def _classify(lam, chain_steps, subgroups, known):
+def _classify(lam, chain_steps, subgroups, whole, known):
     """The classified pair of the character `lam`, or None when it has no
     chain or its chain's top is in `known`.  A supplied chain is verified
-    or refused; a pair without one is searched, on the lattice `subgroups`."""
+    or refused; a pair without one is searched on `subgroups` up to `whole`."""
     if not chain_steps:
-        chain = find_strong_inductive_chain(lam, subgroups)
+        chain = find_strong_inductive_chain(lam, subgroups, whole)
         strong = chain is not None and chain.length == 1
     elif (chain := verify_chain(lam, chain_steps)) is None:
         raise NotStrongInductiveChain(
@@ -414,10 +415,12 @@ def complete_irredundant_set(G, candidates=None):
     the flag, True exactly when the kept idempotents sum to 1, says
     whether G is generalized strongly monomial (over the candidates, when
     given).  The enumeration and every chain search share one subgroup
-    lattice, built when first asked for, and the supplied pairs with one H
-    share its coset table; both are dropped on return.
+    lattice, built when first asked for, and one Subgroup of all of G; the
+    supplied pairs with one H share its coset table; all are dropped on
+    return.
     """
     subgroups = cache(all_subgroups)
+    whole = G.whole()
     if candidates is None:
         todo = ((lam, None) for lam in shoda_pair_candidates(G, subgroups))
     else:
@@ -429,7 +432,7 @@ def complete_irredundant_set(G, candidates=None):
     kept = []
     seen = set()
     for lam, chain_steps in todo:
-        pair = _classify(lam, chain_steps, subgroups, seen)
+        pair = _classify(lam, chain_steps, subgroups, whole, seen)
         if pair is not None:
             seen.add(pair.pci)
             kept.append(pair)

@@ -54,6 +54,8 @@ generalized Bass unit is found by multiplying out powers in QG and
 inverting each, the ways `zgcentral` did before its table gather and its
 closed form.  `cyclic_convolve` is the schoolbook product in
 Z[x]/(x^d - 1) that `zgcentral` ran before its `np.convolve` kernel.
+`conjugate_gram` gathers each conjugate a^t at every element of G, the
+kernel `zgcentral` ran before it read a^t at supp(a)^t alone.
 `shoda_pair_candidates` gives every Shoda pair: it runs
 `zgcentral`'s Shoda test on every K <= H of the whole lattice, the
 enumeration `zgcentral` ran before it kept one H above Z(G) per
@@ -124,7 +126,7 @@ from zgcentral.errors import (
     NotSubnormal,
     ZgError,
 )
-from zgcentral.groupalgebra import QGElement, hat
+from zgcentral.groupalgebra import QGElement, conjugate_rows, hat
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     MAX_ORDER,
@@ -1017,6 +1019,23 @@ def convolve(a, b, cols=None):
         rows = G.table[ginv] if cols is None else G.table[ginv[:, None], cols]
         acc += (A[g, None] * B[rows]).sum(axis=0)
     return acc
+
+
+def conjugate_gram(a, ts):
+    """(g, s) for a's numerators v and the index array ts, from whole
+    conjugates: v^t at every element of G, gathered in blocks of table
+    rows (`zgcentral.groupalgebra.conjugate_rows`), g[j] = v . v^t for
+    t = ts[j] and s the sum of the v^t, the full-row kernel `zgcentral`
+    ran before it read a's conjugates at supp(a)^t alone.  Python ints
+    throughout."""
+    G = a.group
+    v = a.vec.astype(object)
+    gram = np.zeros(len(ts), dtype=object)
+    total = np.zeros(G.order, dtype=object)
+    for block, conj in conjugate_rows(G, v, np.asarray(ts, dtype=np.intp)):
+        gram[block] = conj @ v
+        total += conj.sum(axis=0)
+    return gram, total
 
 
 def inverse(G, a):

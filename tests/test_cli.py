@@ -252,6 +252,66 @@ def test_parse_pairs_file_closes_each_generator_list_once(paper1000, monkeypatch
     assert chain[0] is chain[1] is H
 
 
+def test_parse_pairs_file_evaluates_each_token_once(paper1000, monkeypatch):
+    """paper9.json's 77 tokens are 10 distinct words of 16 generator
+    powers in all: with closing stubbed out, so that each field reads as
+    its tuple of elements, the parser takes those 16 powers, and every
+    field holds parse_word's elements."""
+    doc = json.loads(resources.files("zgcentral.data").joinpath("paper9.json").read_text())
+    powers = []
+    power = type(paper1000).power
+
+    def counting(G, a, k):
+        powers.append((a, k))
+        return power(G, a, k)
+
+    monkeypatch.setattr(type(paper1000), "power", counting)
+    monkeypatch.setattr(cli, "subgroup_closure", lambda G, gens: gens)
+    candidates = parse_pairs_file(paper1000, doc)
+    monkeypatch.undo()
+    fields = [
+        (words, S)
+        for entry, (H, K, chain) in zip(doc["pairs"], candidates)
+        for words, S in [
+            (entry["H"], H),
+            (entry["K"], K),
+            *zip(entry.get("chain", []), chain or []),
+        ]
+    ]
+    tokens = [t for words, _ in fields for t in words]
+    assert len(tokens) == 77 and len(set(tokens)) == 10
+    assert len(powers) == sum(len(t.split("*")) for t in set(tokens)) == 16
+    for words, S in fields:
+        assert S == tuple(parse_word(paper1000, t) for t in words)
+
+
+@pytest.mark.parametrize(
+    "group, token, message",
+    [
+        ("paper-1000-86", 1000, "element index 1000 out of range"),
+        ("paper-1000-86", -1, "element index -1 out of range"),
+        ("paper-1000-86", "x1*y2", "unknown generator 'y2' in word 'x1*y2'"),
+        ("paper-1000-86", "x1^a", "invalid literal for int() with base 10: 'a'"),
+        ("S3", "x1", "generator words require a pc-presented group"),
+    ],
+)
+def test_bad_tokens_raise_the_same_error_in_a_file_and_alone(group, token, message):
+    """A bad token raises one ValueError, with one message, from parse_word
+    and from a pairs file, in H, in K or in a chain step."""
+    G = get_group(group)
+    with pytest.raises(ValueError) as alone:
+        parse_word(G, token)
+    assert str(alone.value) == message
+    docs = [
+        {"pairs": [{"H": [token], "K": []}]},
+        {"pairs": [{"H": [], "K": [0, token]}]},
+        {"pairs": [{"H": [], "K": [], "chain": [[], [token]]}]},
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError) as in_file:
+            parse_pairs_file(G, doc)
+        assert str(in_file.value) == message
+
 def test_parse_pairs_file_paper9_orders(paper1000):
     with resources.files("zgcentral.data").joinpath("paper9.json").open() as fh:
         candidates = parse_pairs_file(paper1000, json.load(fh))

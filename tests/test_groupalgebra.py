@@ -28,6 +28,7 @@ from zgcentral.groups import (
     all_subgroups,
     conjugacy_partition,
     cyclic_coset_log,
+    right_transversal,
     subgroup_closure,
     trace_index,
 )
@@ -556,7 +557,8 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
     shorter, so that both gather orders run; with the table read in the
     default blocks and two or three rows at a time, so that each order
     runs in several blocks; on int64 and Python-int rows, in int64
-    exactly when the bound allows."""
+    exactly when the bound allows; and a square, one array as both
+    factors, which scans it once."""
     G = dict(oracles.small_catalog(60))[name]
     a, b, c, d = (draw_element(data, G) for _ in range(4))
     S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
@@ -566,6 +568,8 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
         (a.vec, b.vec, [(a, b)]),
         (block, np.stack((b.vec, d.vec)), [(a, b), (c, d)]),
         (block, b.vec, [(a, b), (c, b)]),
+        (a.vec, a.vec, [(a, a)]),
+        (block, block, [(a, a), (c, c)]),
     )
     members = np.array(S.sorted_members, dtype=np.intp)
     for A, B, factors in cases:
@@ -609,6 +613,41 @@ def test_convolve_on_paper_1000_86_at_class_representatives(paper1000, monkeypat
         picked.add(check_convolve(paper1000, A, np.stack((y.vec, w.vec)), [(x, y), (z, w)], reps))
         picked.add(check_convolve(paper1000, A, f.vec, [(x, f), (z, f)], reps))
     assert picked == {True, False}
+
+
+def check_conjugate_gram(a, ts):
+    """conjugate_gram(a, ts) gives the full-row oracle's Gram vector and
+    conjugate sum (`oracles.conjugate_gram`), in int64 exactly when its
+    bound max|a| max(max|a| |supp a|, |ts|) allows."""
+    gram, conjugate_sum = groupalgebra.conjugate_gram(a, ts)
+    total = conjugate_sum()
+    want_gram, want_total = oracles.conjugate_gram(a, ts)
+    assert gram.tolist() == want_gram.tolist()
+    assert total.tolist() == want_total.tolist()
+    top = groupalgebra._maxabs(a.vec)
+    bound = top * max(top * int(np.count_nonzero(a.vec)), len(ts))
+    assert gram.dtype == total.dtype == (np.int64 if bound < BIG else object)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([name for name, _ in oracles.small_catalog(60)]), st.data())
+def test_conjugate_gram_matches_the_full_row_oracle(name, data):
+    """The kernel that reads a^t at supp(a)^t alone gives the full-row
+    oracle's Gram vector and conjugate sum on every catalog group of order
+    at most 60: for a drawn element (sparse or dense, numerators up to and
+    past the int64 bound), a = 0, a one-term a, and a drawn element of QS
+    for a drawn subgroup S, as it is and scaled past the bound; over a
+    drawn list of t that holds t = 1 twice, over no t, and over the right
+    transversal of S in G that a chain level reads."""
+    G = dict(oracles.small_catalog(60))[name]
+    S = data.draw(st.sampled_from(all_subgroups(G)), label="S")
+    drawn = draw_element(data, G)
+    in_s = QGElement(G, {h: drawn.coeff(h) for h in S.members})
+    one_term = QGElement(G, {data.draw(st.integers(0, G.order - 1)): data.draw(coefficients)})
+    ts = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2 * G.order), label="ts")
+    for a in (drawn, QGElement.zero(G), one_term, in_s, in_s.scale(BIG)):
+        for t in ([0, *ts, 0], [], right_transversal(S)):
+            check_conjugate_gram(a, t)
 
 
 def test_int64_bound_edge():

@@ -163,8 +163,8 @@ def test_chainless_candidate_is_dropped_and_rank_refuses(s3, monkeypatch):
     the rank is refused, not summed without it."""
     search = shoda.find_strong_inductive_chain
 
-    def no_chain_at_a3(lam, subgroups=None):
-        return None if lam.H.order == 3 else search(lam, subgroups)
+    def no_chain_at_a3(lam, subgroups=None, whole=None):
+        return None if lam.H.order == 3 else search(lam, subgroups, whole)
 
     monkeypatch.setattr(shoda, "find_strong_inductive_chain", no_chain_at_a3)
     pairs, complete = complete_irredundant_set(s3)

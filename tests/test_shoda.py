@@ -517,8 +517,9 @@ def test_chain_idempotents_are_self_adjoint():
 
 @pytest.mark.parametrize("pair_file", [True, False])
 def test_chains_make_no_qg_product(paper1000, monkeypatch, pair_file):
-    """Each level reads e_i's conjugates off one gather and one
-    matrix-vector product: paper-1000-86's pairs, with paper9.json and
+    """Each level reads <e_i, e_i^t> at supp(e_i)^t by one take and one
+    matrix-vector product, and a level that passes adds up the conjugates
+    by one scatter-add: paper-1000-86's pairs, with paper9.json and
     without a pair file, make no convolution at all."""
     candidates = _paper9_candidates(paper1000) if pair_file else None
     calls = []
@@ -533,6 +534,61 @@ def test_chains_make_no_qg_product(paper1000, monkeypatch, pair_file):
     assert complete and len(pairs) == 9
     assert sum(p.chain.length for p in pairs) > 9
     assert calls == []
+
+
+@pytest.mark.parametrize("pair_file", [True, False])
+def test_chain_levels_match_the_full_row_oracle(paper1000, monkeypatch, pair_file):
+    """Every level of paper-1000-86's chains, with paper9.json and without
+    a pair file (the search's failing levels too), gets the Gram vector
+    and conjugate sum of the oracle that gathers whole conjugates; each
+    reads |T| |supp e_i| <= [H_(i+1):H_i] |H_i| <= |G| positions, where
+    the oracle reads |T| |G|."""
+    candidates = _paper9_candidates(paper1000) if pair_file else None
+    kernel = shoda.conjugate_gram
+    levels = []
+
+    def checked(a, ts):
+        gram, conjugate_sum = kernel(a, ts)
+        want_gram, want_total = oracles.conjugate_gram(a, ts)
+        assert gram.tolist() == want_gram.tolist()
+        assert conjugate_sum().tolist() == want_total.tolist()
+        levels.append(len(ts) * np.count_nonzero(a.vec))
+        return gram, conjugate_sum
+
+    monkeypatch.setattr(shoda, "conjugate_gram", checked)
+    pairs, complete = complete_irredundant_set(paper1000, candidates)
+    assert complete and len(pairs) == 9
+    assert len(levels) == (9 if pair_file else 30)
+    assert max(levels) <= paper1000.order
+
+
+def test_chain_search_gathers_no_whole_conjugate(paper1000, monkeypatch):
+    """The chain search on paper-1000-86 never gathers a whole conjugate:
+    `conjugate_rows`, which the unit constructions read, is not called."""
+
+    def no_rows(G, vec, ts):
+        raise AssertionError("a chain level gathered whole conjugates")
+
+    monkeypatch.setattr(groupalgebra, "conjugate_rows", no_rows)
+    pairs, complete = complete_irredundant_set(paper1000)
+    assert complete and [p.status for p in pairs].count("generalized_strong") == 2
+
+
+def test_one_whole_group_per_call(paper1000, monkeypatch):
+    """complete_irredundant_set builds G as a Subgroup once, shared by
+    every chain search; find_strong_inductive_chain alone builds its own."""
+    wholes = []
+    whole = type(paper1000).whole
+
+    def counted(G):
+        wholes.append(G)
+        return whole(G)
+
+    monkeypatch.setattr(type(paper1000), "whole", counted)
+    pairs, _ = complete_irredundant_set(paper1000)
+    assert len(wholes) == 1 and len(pairs) == 9
+    chain = find_strong_inductive_chain(pairs[0].lam)
+    assert len(wholes) == 2 and chain.top == pairs[0].pci
 
 
 @pytest.mark.parametrize("name", ["D12", "S4", "paper-1000-86"])
@@ -671,9 +727,9 @@ def test_supplied_chain_that_fails_is_refused(paper1000, monkeypatch):
     searched = []
     search = shoda.find_strong_inductive_chain
 
-    def counted_search(lam, subgroups=None):
+    def counted_search(lam, subgroups=None, whole=None):
         searched.append(lam)
-        return search(lam, subgroups)
+        return search(lam, subgroups, whole)
 
     monkeypatch.setattr(shoda, "find_strong_inductive_chain", counted_search)
     full_cap = groups.LATTICE_CAP
@@ -704,8 +760,8 @@ def test_one_lattice_per_complete_set(paper1000, monkeypatch, pair_file):
         builds.append(G)
         return lattice(G)
 
-    def counted_search(lam, subgroups=None):
-        chain = search(lam, subgroups)
+    def counted_search(lam, subgroups=None, whole=None):
+        chain = search(lam, subgroups, whole)
         searched.append(chain.length > 1)
         return chain
 
