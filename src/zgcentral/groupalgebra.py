@@ -13,8 +13,8 @@ the cosets of K in H.  No orbit is searched: when S fixes a, a^t depends
 only on the coset St, so the conjugates of a under N >= S are a^t over a
 right transversal T of S in N (`shoda._climb`).  a^t is zero off
 supp(a)^t, so <a, a^t> and the sum of the a^t are read at those
-|T| |supp a| <= |N| positions alone (`conjugate_gram`), not at all of G
-as the unit constructions read whole conjugates (`conjugate_rows`).
+|T| |supp a| <= |N| positions alone (`conjugate_gram`); the unit
+constructions read a^t at its ring's members (`units._conjugate_product`).
 
 Products are one convolution kernel (`_convolve`) on numerator rows,
 the only one in the library, which gives a * b at all of G (`mul`) or
@@ -241,17 +241,6 @@ class QGElement:
         return QGElement._of(G, self.den, self.vec[conjugate(G, None, G.inv[g])])
 
 
-def conjugate_rows(G, vec, ts):
-    """Yield (block, rows) over the index array ts in slices of at most
-    _GATHER_BLOCK table entries: rows[i] holds the numerators vec^t of
-    a^t = t^-1 a t for t = ts[block][i], vec^t at y being vec at t y t^-1."""
-    ts_inv = G.inv[ts]
-    step = max(1, _GATHER_BLOCK // G.order)
-    for j in range(0, ts.size, step):
-        block = slice(j, j + step)
-        yield block, vec.take(conjugate(G, None, ts_inv[block]))
-
-
 def conjugate_gram(a, ts):
     """(g, s) on a's numerators v, with v^t those of a^t for t = ts[j]:
     g[j] = <v, v^t>, and s() builds the sum of the v^t when asked.  v^t
@@ -345,7 +334,7 @@ def mul(a, b):
 def hat(S):
     """The averaging idempotent (1/|S|) * sum of the members of S."""
     vec = np.zeros(S.parent.order, dtype=np.int64)
-    vec[list(S.members)] = 1
+    vec[S.sorted_members] = 1
     return QGElement._of(S.parent, S.order, vec)
 
 

@@ -18,10 +18,12 @@ and g.  `all_subgroups` extends by normal steps of prime index, whose
 cosets it walks directly; it finds the index p of each step from the
 power maps x -> x^p, one per prime dividing the order, computed once per
 call by repeated squaring, z^p in S being one gather per prime.
-A Subgroup gets its generators when it is built, and nothing searches
-for them later; the greedy search runs once per group, in `_validate`,
-as the generators the closure of all of G keeps.  Normality reads them
-only: K's generators conjugated by H's, one gather (`is_normal`).
+A Subgroup's members are gathered over as one sorted index array, built
+on first read (`sorted_members`).  A Subgroup gets its generators when it
+is built, and nothing searches for them later; the greedy search runs
+once per group, in `_validate`, as the generators the closure of all of
+G keeps.  Normality reads them only: K's generators conjugated by H's,
+one gather (`is_normal`).
 
 Conjugacy is decided here and nowhere else: `conjugate` is the one
 table gather of g^-1 h g, and `binary_power` the one repeated squaring,
@@ -279,19 +281,27 @@ def conjugate(G, h, g):
 
 
 class Subgroup:
-    """An immutable subgroup of a FiniteGroup, stored as a member set.
-
-    `members` are element indices as Python ints; they are not converted.
+    """An immutable subgroup of a FiniteGroup: `members`, a frozenset of
+    element indices as Python ints, not converted, and `sorted_members`,
+    the same as a read-only increasing intp array built on first read.
     `gens` must generate them; the default, the non-identity members, does.
     """
 
-    __slots__ = ("parent", "members", "sorted_members", "_gens")
+    __slots__ = ("parent", "members", "_sorted", "_gens")
 
     def __init__(self, parent, members, gens=None):
         self.parent = parent
         self.members = frozenset(members)
-        self.sorted_members = tuple(sorted(self.members))
-        self._gens = [g for g in self.sorted_members if g] if gens is None else list(gens)
+        self._sorted = None
+        self._gens = sorted(g for g in self.members if g) if gens is None else list(gens)
+
+    @property
+    def sorted_members(self):
+        # sorted(), not np.sort, whose first call loads a 0.4 MB SIMD kernel
+        if self._sorted is None:
+            self._sorted = np.array(sorted(self.members), dtype=np.intp)
+            self._sorted.setflags(write=False)
+        return self._sorted
 
     @property
     def order(self):
@@ -526,7 +536,7 @@ def group_from_pc_presentation(orders, powers=None, commutators=None):
 
 
 def all_subgroups(G):
-    """Every subgroup of G, sorted by (order, member tuple).
+    """Every subgroup of G, sorted by (order, sorted member list).
 
     Cyclic extension (Neubüser, Numer. Math. 2 (1960)): each subgroup
     T != 1 of a solvable group is S<z> for some normal S of prime index p,
@@ -562,7 +572,7 @@ def all_subgroups(G):
             "supply candidate pairs, and a chain for every pair that is not "
             "strong, with --pairs-file"
         )
-    return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
+    return sorted(found.values(), key=lambda S: (S.order, sorted(S.members)))
 
 
 def _cyclic_extensions(G, S, power_maps):
@@ -575,7 +585,7 @@ def _cyclic_extensions(G, S, power_maps):
     index; no z qualifies for two primes.
     """
     t = G.table
-    s, in_s = _mask(S)
+    s, in_s = S.sorted_members, _mask(S)
     # z normalizes S when it conjugates each generator of S into S
     norm = ~in_s
     everything = np.arange(G.order)
@@ -599,17 +609,15 @@ def _cyclic_extensions(G, S, power_maps):
 
 
 def _mask(K):
-    """(members, in_k): K's sorted members as an index array, and its
-    membership mask over G."""
-    ks = np.array(K.sorted_members, dtype=np.intp)
+    """K's membership mask over G."""
     in_k = np.zeros(K.parent.order, dtype=bool)
-    in_k[ks] = True
-    return ks, in_k
+    in_k[K.sorted_members] = True
+    return in_k
 
 
 def is_normal(K, H):
     """K normal in H (both subgroups of the same parent; K <= H assumed)."""
-    return _normalizes(H, K, _mask(K)[1])
+    return _normalizes(H, K, _mask(K))
 
 
 def _normalizes(H, K, in_k):
@@ -637,15 +645,13 @@ def normal_closure(S, within):
     ws = np.array(within.gens, dtype=np.intp)[:, None]
     gens = S.gens
     while True:
-        members, kept = G._closure_members(gens)
-        member = np.zeros(G.order, dtype=bool)
-        member[list(members)] = True
-        xs = np.array(kept, dtype=np.intp)
+        N = Subgroup(G, *G._closure_members(gens))
+        xs = np.array(N.gens, dtype=np.intp)
         conj = conjugate(G, xs, ws)
-        outside = ~member[conj]
+        outside = ~_mask(N)[conj]
         if not outside.any():
-            return Subgroup(G, members, gens=kept)
-        gens = kept + G.table[G.inv[xs], conj][outside].tolist()
+            return N
+        gens = N.gens + G.table[G.inv[xs], conj][outside].tolist()
 
 
 def coset_least(H, xs=None):
@@ -653,11 +659,10 @@ def coset_least(H, xs=None):
     G when xs is None: the min over H's rows of the table, in blocks of
     at most _GATHER_BLOCK entries, starting from row 0, x itself."""
     t = H.parent.table
-    hs = np.array(H.sorted_members, dtype=np.intp)
     least = np.arange(len(t)) if xs is None else np.array(xs, dtype=np.intp)
     step = max(1, _GATHER_BLOCK // len(t))
-    for start in range(0, hs.size, step):
-        rows = t.take(hs[start : start + step], axis=0)
+    for start in range(0, H.order, step):
+        rows = t.take(H.sorted_members[start : start + step], axis=0)
         np.minimum(least, (rows if xs is None else rows.take(xs, axis=1)).min(axis=0), out=least)
     return least
 
@@ -669,17 +674,16 @@ def right_transversal(H, within=None):
     off one at a time, the least member not yet seen coming next."""
     G = H.parent
     whole = within is None or within.order == G.order
-    xs = np.arange(G.order) if whole else np.array(within.sorted_members, dtype=np.intp)
+    xs = np.arange(G.order) if whole else within.sorted_members
     index = xs.size // H.order
     if H.order <= index:
         return xs[coset_least(H, None if whole else xs) == xs].tolist()
-    hs = np.array(H.sorted_members, dtype=np.intp)
     seen = np.ones(G.order, dtype=bool)
     seen[xs] = False
     reps = []
     for _ in range(index):
         reps.append(int(seen.argmin()))
-        seen[G.table[hs, reps[-1]]] = True
+        seen[G.table[H.sorted_members, reps[-1]]] = True
     return reps
 
 
@@ -694,7 +698,7 @@ def cyclic_coset_log(H, K):
     G = H.parent
     if not K.members <= H.members:
         raise NotSubgroup("K is not contained in H")
-    ks, in_k = _mask(K)
+    ks, in_k = K.sorted_members, _mask(K)
     if not _normalizes(H, K, in_k):
         raise NotNormal("K is not normal in H")
     t = G.table
@@ -846,7 +850,7 @@ def conjugates(H):
     G = H.parent
     gens = np.array(G.generators, dtype=np.intp)[:, None]
     orbit = {H.members}
-    frontier = [np.array(H.sorted_members, dtype=np.intp)]
+    frontier = [H.sorted_members]
     while frontier:
         hs = frontier.pop()
         for row in conjugate(G, hs, gens):

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from math import lcm
 
 import numpy as np
 
 from .cyclotomic import reduction_matrix
 from .errors import NotNormal, NotShodaPair, NotStrongInductiveChain, NotSubgroup
-from .groupalgebra import QGElement, conjugate_gram, epsilon
+from .groupalgebra import QGElement, _combine, conjugate_gram, epsilon
 from .groups import (
     _GATHER_BLOCK,
     Subgroup,
@@ -138,11 +139,10 @@ def _coset_conjugates(H):
     """(hs, reps, conj): H's members; `right_transversal(H)`, read-only;
     and conj[i, j] = hs[j]^g for g = reps[i + 1], one table gather of |G|
     entries."""
-    hs = np.array(H.sorted_members, dtype=np.intp)
     reps = np.array(right_transversal(H), dtype=np.intp)
     reps.setflags(write=False)
     # [1:] drops H itself, the coset of 0
-    return hs, reps, conjugate(H.parent, hs, reps[1:, None])
+    return H.sorted_members, reps, conjugate(H.parent, H.sorted_members, reps[1:, None])
 
 
 def _shoda_character(H, K, coset_conjugates):
@@ -235,8 +235,7 @@ def _climb(chain, nxt, T=None):
             return None
         fixing = [t for t, f in zip(T, fixed.tolist()) if f]
         G = ei.group
-        hs = np.array(Hi.sorted_members, dtype=np.intp)
-        members = G.table[np.ix_(hs, fixing)].ravel().tolist()
+        members = G.table[np.ix_(Hi.sorted_members, fixing)].ravel().tolist()
         cen = Subgroup(G, members, gens=Hi.gens + fixing[1:])
         if not is_normal(Hi, cen):
             return None
@@ -391,7 +390,7 @@ def shoda_pair_candidates(G, subgroups=None):
         if H.members in seen or not z <= H.members:
             continue
         seen |= conjugates(H)
-        exponent = int(np.lcm.reduce(orders[list(H.sorted_members)]))
+        exponent = int(np.lcm.reduce(orders[H.sorted_members]))
         # [a, b] = (b a)^-1 (a b) for every pair of H's generators
         a = np.array(H.gens, dtype=np.intp)
         ab = t[np.ix_(a, a)]
@@ -441,5 +440,9 @@ def complete_irredundant_set(G, candidates=None):
 
 def is_complete(G, pairs):
     """True when the pairs' idempotents sum to 1, so that their simple
-    components cover QG."""
-    return sum((p.pci for p in pairs), QGElement.zero(G)) == QGElement.one(G)
+    components cover QG; one `_combine` over the lcm of the denominators."""
+    if not pairs:
+        return False
+    den = lcm(*(p.pci.den for p in pairs))
+    total = _combine([(den // p.pci.den, p.pci.vec) for p in pairs])
+    return bool(total[0] == den) and not total[1:].any()

@@ -75,11 +75,11 @@ from .groupalgebra import (
     _dtype,
     _element,
     _maxabs,
-    conjugate_rows,
     hat,
     is_central,
 )
 from .groups import (
+    _GATHER_BLOCK,
     _mask,
     binary_power,
     conjugacy_partition,
@@ -320,7 +320,7 @@ def _verified_unit(u, S, error, centre=None):
     then |S| of their columns, so one matrix product of |S| columns in
     place of |G|."""
     G = S.parent
-    cols, inside = _mask(S)
+    cols, inside = S.sorted_members, _mask(S)
     for v, label in ((u.value, "u"), (u.inverse, "u inverse")):
         if v.vec[~inside].any():
             raise error(f"{label} is not supported inside the base subgroup")
@@ -375,20 +375,23 @@ def _conjugate_product(block, reps, ring, power=1):
     O(log(m power)) for the power, in place of len(reps) - 1.  The
     inverse's stabilizer is F too, so it is taken at the same
     representatives, and in a commutative ring the inverse of the product
-    is the product of the inverses.  The conjugates' coefficients are read
-    off `conjugate_rows` and told apart as tuples of ints."""
+    is the product of the inverses.  Each value^t lies in Z[ring] (S_i is
+    normal in S_(i+1), H_i^t lies in H_(i+1)): it is keyed by the tuple of
+    its |ring| coefficients there, gathered in blocks of _GATHER_BLOCK."""
     G = ring.parent
+    members = ring.sorted_members
     seen = {}  # a distinct conjugate's coefficients -> [a rep giving it, multiplicity]
     ts = np.asarray(reps, dtype=np.intp)
-    for rows, conj in conjugate_rows(G, block[0], ts):
-        for key, rep in zip(map(tuple, conj.tolist()), ts[rows].tolist()):
+    step = max(1, _GATHER_BLOCK // members.size)
+    for j in range(0, ts.size, step):
+        keys = block[0].take(conjugate(G, members, G.inv[ts[j : j + step], None]))
+        for key, rep in zip(map(tuple, keys.tolist()), ts[j : j + step].tolist()):
             seen.setdefault(key, [rep, 0])[1] += 1
     counts = {m for _, m in seen.values()}
     if len(counts) != 1:
         raise ZgError("distinct conjugates occur unequally often over the transversal")
     exponent = counts.pop() * power
     firsts = np.array([rep for rep, _ in seen.values()], dtype=np.intp)
-    members, _ = _mask(ring)
     cols = None if members.size == G.order else members
 
     def product(x, y):
@@ -412,7 +415,7 @@ def z_central_unit(u, pair):
     _verified_unit(u, H, PreconditionFailed)
     # v - v e = c (1 - e) on numerators over e's denominator, at H's
     # members, which hold both: one product for value and inverse
-    eps, (cols, _) = pair.lam.epsilon, _mask(H)
+    eps, cols = pair.lam.epsilon, H.sorted_members
     block = np.stack((u.value.vec, u.inverse.vec))
     one_minus = -eps.vec[cols]
     one_minus[0] += eps.den  # cols[0] is the identity
@@ -506,8 +509,8 @@ def random_right_transversal(H, within, rng):
     """A right transversal of H in `within` with random representatives."""
     G = H.parent
     reps = right_transversal(H, within)
-    hs = sorted(H.members)
-    return [G.mul(hs[rng.randrange(len(hs))], t) for t in reps]
+    hs = H.sorted_members
+    return [G.mul(hs[rng.randrange(hs.size)], t) for t in reps]
 
 
 # -- p-adic rank witness ------------------------------------------------------

@@ -126,7 +126,7 @@ from zgcentral.errors import (
     NotSubnormal,
     ZgError,
 )
-from zgcentral.groupalgebra import QGElement, conjugate_rows, hat
+from zgcentral.groupalgebra import QGElement, hat
 from zgcentral.groupalgebra import mul as qg_mul
 from zgcentral.groups import (
     MAX_ORDER,
@@ -399,7 +399,7 @@ def closure_members(G, seed):
 
 
 def all_subgroups(G):
-    """Every subgroup of G, sorted by (order, member tuple): the closures
+    """Every subgroup of G, sorted by (order, sorted member list): the closures
     of S + g for every subgroup S found so far and every g outside S."""
     seen = {}
     triv = G.trivial()
@@ -412,11 +412,11 @@ def all_subgroups(G):
             if T.members not in seen:
                 seen[T.members] = T
                 frontier.append(T)
-    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_members))
+    return sorted(seen.values(), key=lambda S: (S.order, sorted(S.members)))
 
 
 def cyclic_extension_lattice(G):
-    """Every subgroup of G, sorted by (order, member tuple), by cyclic
+    """Every subgroup of G, sorted by (order, sorted member list), by cyclic
     extension over normal steps of prime index: the index of each step is
     the order k of zS, found by walking the powers of every candidate z
     at once, one gather per power, and kept when k passes trial division.
@@ -425,7 +425,7 @@ def cyclic_extension_lattice(G):
     found = {frozenset([0]): G.trivial()}
     queue = list(found.values())
     for S in queue:
-        s = np.array(S.sorted_members, dtype=np.intp)
+        s = S.sorted_members
         in_s = np.zeros(G.order, dtype=bool)
         in_s[s] = True
         cand = ~in_s
@@ -455,7 +455,7 @@ def cyclic_extension_lattice(G):
             queue.append(found[key])
     if frozenset(range(G.order)) not in found:
         raise NotSolvable(f"group of order {G.order} is not solvable")
-    return sorted(found.values(), key=lambda S: (S.order, S.sorted_members))
+    return sorted(found.values(), key=lambda S: (S.order, sorted(S.members)))
 
 
 def is_normal(K, H):
@@ -944,7 +944,7 @@ def minimal_normal_overgroups(H, K):
     for mem in mins:
         lifted = {g for g in H.members if proj[g] in mem}
         out.append(Subgroup(G, frozenset(lifted)))
-    out.sort(key=lambda S: (S.order, S.sorted_members))
+    out.sort(key=lambda S: (S.order, sorted(S.members)))
     return out
 
 
@@ -959,6 +959,13 @@ def epsilon(H, K):
     for L in minimal_normal_overgroups(H, K):
         out = out * (hk - hat(L))
     return out
+
+
+def is_complete(G, pairs):
+    """True when the pairs' idempotents sum to 1: one `QGElement`
+    addition per pair, the fold `zgcentral.shoda` ran before it combined
+    the numerators once."""
+    return sum((p.pci for p in pairs), QGElement.zero(G)) == QGElement.one(G)
 
 
 def e_sum_conjugates(N, H, K):
@@ -1023,19 +1030,15 @@ def convolve(a, b, cols=None):
 
 def conjugate_gram(a, ts):
     """(g, s) for a's numerators v and the index array ts, from whole
-    conjugates: v^t at every element of G, gathered in blocks of table
-    rows (`zgcentral.groupalgebra.conjugate_rows`), g[j] = v . v^t for
-    t = ts[j] and s the sum of the v^t, the full-row kernel `zgcentral`
-    ran before it read a's conjugates at supp(a)^t alone.  Python ints
-    throughout."""
+    conjugates: v^t at every element of G, v at t y t^-1 for each y, one
+    gather of |ts| table rows (`zgcentral.groups.conjugate`), g[j] =
+    v . v^t for t = ts[j] and s the sum of the v^t, the full-row kernel
+    `zgcentral` ran before it read a's conjugates at supp(a)^t alone.
+    Python ints throughout."""
     G = a.group
     v = a.vec.astype(object)
-    gram = np.zeros(len(ts), dtype=object)
-    total = np.zeros(G.order, dtype=object)
-    for block, conj in conjugate_rows(G, v, np.asarray(ts, dtype=np.intp)):
-        gram[block] = conj @ v
-        total += conj.sum(axis=0)
-    return gram, total
+    conj = v[groups.conjugate(G, None, G.inv[np.asarray(ts, dtype=np.intp)])]
+    return conj @ v, conj.sum(axis=0)
 
 
 def inverse(G, a):

@@ -571,7 +571,7 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
         (a.vec, a.vec, [(a, a)]),
         (block, block, [(a, a), (c, c)]),
     )
-    members = np.array(S.sorted_members, dtype=np.intp)
+    members = S.sorted_members
     for A, B, factors in cases:
         size = np.count_nonzero(np.atleast_2d(A).any(axis=0))
         order = data.draw(st.permutations(range(G.order)), label="column order")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zgcentral import groups, shoda
-from zgcentral.cli import parse_word
+from zgcentral.cli import parse_pairs_file, parse_word
 from zgcentral.catalog import (
     catalog,
     cyclic,
@@ -426,8 +426,8 @@ def test_all_subgroups_matches_closure_oracle(entry):
     G = entry.constructor()
     assert G.order <= 60
     subs = all_subgroups(G)
-    assert [S.sorted_members for S in subs] == [
-        S.sorted_members for S in oracles.all_subgroups(G)
+    assert [S.sorted_members.tolist() for S in subs] == [
+        S.sorted_members.tolist() for S in oracles.all_subgroups(G)
     ]
     for S in subs:
         assert subgroup_closure(G, S.gens).members == S.members
@@ -457,7 +457,7 @@ def lattice_or_error(lattice, G):
     """(sorted_members, gens) of each subgroup in `lattice(G)`'s order, or
     the type of the error it raises."""
     try:
-        return [(S.sorted_members, S.gens) for S in lattice(G)]
+        return [(S.sorted_members.tolist(), S.gens) for S in lattice(G)]
     except (CapExceeded, NotSolvable) as exc:
         return type(exc)
 
@@ -1051,3 +1051,74 @@ def test_cyclic_subnormal_hypothesis_at_order_2048(build):
     """Every cyclic subgroup of C2048 and of D1024 is subnormal; each
     <g> is closed by doubling, log2 |g| gathers."""
     assert check_cyclic_subnormal_hypothesis(build()) == (True, None)
+
+
+# -- a subgroup's sorted member array --------------------------------------------
+
+
+def check_sorted_members(S):
+    """S.sorted_members holds S's members in increasing order as a
+    read-only intp array that owns its data, the same object on every
+    read; writing to it raises ValueError."""
+    arr = S.sorted_members
+    assert arr is S.sorted_members
+    assert arr.dtype == np.intp and arr.ndim == 1 and arr.base is None
+    assert arr.tolist() == sorted(S.members)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0
+
+
+@cache
+def sorted_members_corpus(name):
+    """(lattice, centralizers, closures) of a catalog group: `all_subgroups`,
+    the centralizers of every chain level `_climb` passed while
+    classifying G, and `parse_pairs_file`'s closures of a pairs file that
+    names each subgroup by its generators, with G as a one-step chain."""
+    G = dict(oracles.small_catalog())[name]
+    lattice = all_subgroups(G)
+    pairs, _ = complete_irredundant_set(G)
+    centralizers = [c for p in pairs for c in p.chain.centralizers]
+    doc = {"pairs": [{"H": S.gens, "K": [], "chain": [S.gens, G.generators]} for S in lattice]}
+    closures = [S for H, K, chain in parse_pairs_file(G, doc) for S in (H, K, *chain)]
+    return lattice, centralizers, closures
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([name for name, _ in oracles.small_catalog()]), st.data())
+def test_sorted_members_on_every_construction_path(name, data):
+    """Every way a Subgroup is built, on the catalog up to order 60, gives
+    the same read-only sorted intp array: from a set, a list and a range;
+    `whole`, `trivial`, `subgroup_closure` and `normal_closure`; and the
+    subgroups of `all_subgroups`, of `_climb`'s centralizers and of
+    `parse_pairs_file`'s closures, drawn here and all of them in
+    `test_sorted_members_of_every_lattice_and_chain`."""
+    G = dict(oracles.small_catalog())[name]
+    lattice, centralizers, closures = sorted_members_corpus(name)
+    S = data.draw(st.sampled_from(lattice), label="S")
+    members = sorted(S.members)
+    built = [
+        Subgroup(G, set(members)),
+        Subgroup(G, members[::-1]),
+        Subgroup(G, range(G.order)),
+        G.whole(),
+        G.trivial(),
+        subgroup_closure(G, S.gens),
+        normal_closure(S, G.whole()),
+        S,
+    ]
+    if centralizers:
+        built.append(data.draw(st.sampled_from(centralizers), label="centralizer"))
+    built.append(data.draw(st.sampled_from(closures), label="closure"))
+    for T in built:
+        check_sorted_members(T)
+    assert built[0].sorted_members.tolist() == built[1].sorted_members.tolist() == members
+
+
+def test_sorted_members_of_every_lattice_and_chain():
+    """The same on every subgroup of the catalog up to order 60 that the
+    lattice, the chain levels and a pairs file build."""
+    for name, _ in oracles.small_catalog():
+        for found in sorted_members_corpus(name):
+            for S in found:
+                check_sorted_members(S)

@@ -37,6 +37,7 @@ from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
     induced_counts,
+    is_complete,
     shoda_character,
     shoda_pair_candidates,
     verify_chain,
@@ -564,12 +565,16 @@ def test_chain_levels_match_the_full_row_oracle(paper1000, monkeypatch, pair_fil
 
 def test_chain_search_gathers_no_whole_conjugate(paper1000, monkeypatch):
     """The chain search on paper-1000-86 never gathers a whole conjugate:
-    `conjugate_rows`, which the unit constructions read, is not called."""
+    neither `groupalgebra` nor `shoda` calls `conjugate` with h = None,
+    which would conjugate all of G."""
 
-    def no_rows(G, vec, ts):
-        raise AssertionError("a chain level gathered whole conjugates")
+    def no_whole(G, h, g):
+        if h is None:
+            raise AssertionError("a chain level gathered whole conjugates")
+        return groups.conjugate(G, h, g)
 
-    monkeypatch.setattr(groupalgebra, "conjugate_rows", no_rows)
+    for module in (groupalgebra, shoda):
+        monkeypatch.setattr(module, "conjugate", no_whole)
     pairs, complete = complete_irredundant_set(paper1000)
     assert complete and [p.status for p in pairs].count("generalized_strong") == 2
 
@@ -815,7 +820,7 @@ def test_candidates_cover_every_shoda_pair_up_to_conjugacy(name):
     everyone = np.arange(G.order)[:, None]
 
     def conjugates(H):
-        hs = np.array(H.sorted_members)
+        hs = H.sorted_members
         return {frozenset(row.tolist()) for row in t[t[G.inv[everyone], hs], everyone]}
 
     reps = {lam.H for lam in shoda_pair_candidates(G)}
@@ -941,3 +946,18 @@ def test_k_filter_drops_no_shoda_pair(monkeypatch):
             if H.members in reps
         ]
         assert [(lam.H.members, lam.K.members) for lam in lams] == want
+
+
+def test_is_complete_agrees_with_the_fold():
+    """One combination of the numerators over the lcm of the denominators
+    decides completeness as the `QGElement` fold does: on every catalog
+    group's pair set, on each of those sets with one pair dropped, and on
+    the empty set."""
+    for entry in catalog():
+        G = entry.constructor()
+        pairs, complete = complete_irredundant_set(G)
+        assert complete == is_complete(G, pairs) == oracles.is_complete(G, pairs)
+        for i in range(len(pairs)):
+            fewer = pairs[:i] + pairs[i + 1 :]
+            assert is_complete(G, fewer) == oracles.is_complete(G, fewer)
+        assert is_complete(G, []) is oracles.is_complete(G, []) is False
