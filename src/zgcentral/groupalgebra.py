@@ -27,8 +27,8 @@ gathered at k h^-1 over b's support; one matrix product per block of
 rows.  For a central idempotent e, z -> z e is an idempotent linear map
 of the center Z(QG) onto Z(QGe), so dim_Q Z(QGe) is its trace, which
 needs no elimination: on the basis of ordinary class sums its diagonal
-is read off e's coefficients by one gather at the trace index
-(`groups.trace_index`, memoized per group), summed
+is read off e's coefficients by one gather at the conjugacy
+partition's `trace_index`, built with it once per group, summed
 (`center_component_dim`).  A central e^2 is constant on classes, so
 e^2 = e is checked at one element per class, never by a full product;
 when e's support is longer than the list of class representatives, as
@@ -45,7 +45,7 @@ import numpy as np
 
 from .cyclotomic import ramanujan_row
 from .errors import GroupMismatch, NotCentral, NotIdempotent
-from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate, trace_index
+from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -268,12 +268,14 @@ def conjugate_gram(a, ts):
 
 
 def _convolve(G, A, B, cols=None):
-    """The numerators of a * b at the group elements `cols`, or at all of
-    G when cols is None, for integer numerator rows A of a and B of b; a
-    stack of rows A multiplies row by row with a stack B, or each with
-    one row B.  The Cayley table is read by contiguous row takes, in
-    blocks of _GATHER_BLOCK // |G| rows, then one column take, along the
-    shorter of supp(a) and cols:
+    """The numerators of a * b at the group elements `cols`, an index
+    array, or at all of G when cols is None, for integer numerator rows A
+    of a and B of b; a stack of rows A multiplies row by row with a stack
+    B, or each with one row B.  cols of length |G| must be increasing, so
+    all of G in order, and take the row gather as None does.  The Cayley
+    table is read by contiguous row takes, in blocks of
+    _GATHER_BLOCK // |G| rows, then one column take, along the shorter of
+    supp(a) and cols:
 
     - (a b)[k] = sum over g in supp(a) of a[g] b[g^-1 k]: rows g^-1, then
       the columns cols, and one matrix product with a's coefficients at g;
@@ -283,6 +285,8 @@ def _convolve(G, A, B, cols=None):
 
     Either sum has at most min(|supp a|, nnz b) nonzero terms, so one
     bound picks int64 when it allows, else Python ints."""
+    if cols is not None and len(cols) == G.order:
+        cols = None
     support = np.flatnonzero(A if A.ndim == 1 else A.any(axis=0))
     square = B is A  # a square scans its factor once
     terms = support.size if square else min(support.size, int(np.count_nonzero(B)))
@@ -379,29 +383,25 @@ def center_component_dim(e):
     trace.  On the basis of ordinary class sums, the diagonal entry at a
     class C is the coefficient of C e at r, the sum over g in C of e's
     coefficient at g^-1 r; over all classes that is one gather of length
-    |G| at the trace index g^-1 least[g] (`groups.trace_index`, built
-    once per group), summed in int64 while max|e| |G| allows it, else in
-    Python ints.  When e's support is longer than the list of
-    representatives, the square takes the table rows at those
-    (`_convolve`).  Raises
-    NotCentral or NotIdempotent, the latter also if the trace is not an
-    integer, which no idempotent allows.
+    |G| at g^-1 least[g], the partition's `trace_index`, summed in int64
+    while max|e| |G| allows it, else in Python ints.  When e's support is
+    longer than the list of representatives, the square takes the table
+    rows at those (`_convolve`).  Raises NotCentral or NotIdempotent, the
+    latter also if the trace is not an integer, which no idempotent
+    allows.
     """
     if not is_central(e):
         raise NotCentral("idempotent is not central")
     G = e.group
     part = conjugacy_partition(G)
-    # in an abelian group every class is one element: the full product
-    # keeps the row gather
-    abelian = part.reps.size == G.order
-    square = _convolve(G, e.vec, e.vec, None if abelian else part.reps)
+    square = _convolve(G, e.vec, e.vec, part.reps)
     # e^2 = e on numerators is square = den * vec, compared without wrapping;
     # a central e takes its largest entry at a class representative
-    top = _maxabs(e.vec[part.reps])
-    target = (e.vec if abelian else e.vec[part.reps]).astype(_dtype(top * e.den)) * e.den
-    if not np.array_equal(square, target):
+    at_reps = e.vec[part.reps]
+    top = _maxabs(at_reps)
+    if not np.array_equal(square, at_reps.astype(_dtype(top * e.den)) * e.den):
         raise NotIdempotent("element is not idempotent")
-    diag = e.vec.take(trace_index(G))
+    diag = e.vec.take(part.trace_index)
     # |G| terms of at most max|e| each: in int64 while that bound allows,
     # else an exact sum of Python ints
     total = int(diag.astype(_dtype(top * G.order), copy=False).sum())

@@ -27,15 +27,17 @@ one gather (`is_normal`).
 
 Conjugacy is decided here and nowhere else: `conjugate` is the one
 table gather of g^-1 h g, and `binary_power` the one repeated squaring,
-which the other modules call too.  A `ConjugacyPartition` is three
+which the other modules call too.  What a group remembers about its
+classes is one record, `conjugacy_partition(G)`, built once: five
 read-only arrays, the class of each element, the least element of each
-class, and the least element of each element's class, and `center`
-reads Z(G) off its class sizes; `conjugates` walks a subgroup's orbit
-under G's generators.  `galois_classes` is the action of (Z/e)^x, e the
-exponent, on the ordinary classes by g -> g^t; the real and rational
-classes read it.  `inverse_classes` is its t = -1 row alone, one
-gather, and `trace_index` the entries the center degree sums; both are
-memoized beside the partitions.
+class and of each element's class, the class of each representative's
+inverse (`inverse`, which the rank formula's k reads) and the entries
+the center degree sums (`trace_index`).  It holds arrays only, never G,
+so G and its record form no reference cycle.  `center` reads Z(G) off
+its class sizes; `conjugates` walks a subgroup's orbit under G's
+generators.  `galois_classes` is the action of (Z/e)^x, e the
+exponent, on the ordinary classes by g -> g^t, built on first read; the
+class-counting oracle counts its orbits (`rank.rank_oracle`).
 """
 
 from __future__ import annotations
@@ -86,8 +88,11 @@ class FiniteGroup:
         self.table = table
         self.table.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
+        if self.labels is not None and len(self.labels) != n:
+            raise NotAGroup(f"{len(self.labels)} labels for a table of order {n}")
         self._validate()
-        self._conjugacy = {}  # kind -> ConjugacyPartition, "galois"/"inverse"/"trace" -> array
+        # "partition" -> ConjugacyPartition, "galois" -> array, "oracle" -> int
+        self._conjugacy = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -166,15 +171,13 @@ class FiniteGroup:
         g, always true for H = 1), <H, g> is the union of the cosets H g^i,
         i < k, with k the least power of g in H.  k divides the order of g,
         so when H != 1 it is found by testing g^(k/p) for the primes p
-        dividing it.  The union is built by doubling, one gather per step:
-        the cosets i < j, listed in order, are joined by their product with
-        g^j, cut to the cosets still missing.  Otherwise <H, g> is a
-        breadth-first search from H's members under right multiplication by
-        the kept generators and g, one gather of the frontier times them (at
-        most |G| by 12 entries) per round.  A search over the right cosets
-        of H, H times each new representative, gathers less but needs a
-        dedupe per round, and timed 1.5-2.5x slower on S4, A4, D12, Q16 and
-        paper-1000-86.
+        dividing it.  The union is built by doubling (`_coset_walk`).
+        Otherwise <H, g> is a breadth-first search from H's members under
+        right multiplication by the kept generators and g, one gather of the
+        frontier times them (at most |G| by 12 entries) per round.  A search
+        over the right cosets of H, H times each new representative, gathers
+        less but needs a dedupe per round, and timed 1.5-2.5x slower on S4,
+        A4, D12, Q16 and paper-1000-86.
         """
         t = self.table
         h = np.flatnonzero(member)
@@ -186,12 +189,7 @@ class FiniteGroup:
                     k //= p
             # |<H, g>| = k |H| in a group; the cap bounds the block on a
             # table that is not one (`_validate` closes before Light's test)
-            size = min(k * h.size, self.order)
-            x = g
-            while h.size < size:
-                h = np.concatenate((h, t[h[: size - h.size], x]))
-                x = int(t[x, x])
-            member[h] = True
+            member[_coset_walk(self, h, g, min(k * h.size, self.order))] = True
         else:
             gens = np.append(gens, g)
             frontier = h
@@ -254,6 +252,18 @@ def binary_power(x, n, mul):
         if not n:
             return out
         x = mul(x, x)
+
+
+def _coset_walk(G, h, g, n):
+    """The index array h, h g, h g^2, ... concatenated and cut at n
+    entries, for n >= h.size: by doubling, the first j blocks joined by
+    their products with g^j, one gather per step.  h = [0] lists the
+    powers of g."""
+    x = g
+    while h.size < n:
+        h = np.concatenate((h, G.table[h[: n - h.size], x]))
+        x = int(G.table[x, x])
+    return h[:n]
 
 
 def _array_power(t, a, k):
@@ -584,7 +594,6 @@ def _cyclic_extensions(G, S, power_maps):
     z^p is in S, so one gather per prime marks every candidate with its
     index; no z qualifies for two primes.
     """
-    t = G.table
     s, in_s = S.sorted_members, _mask(S)
     # z normalizes S when it conjugates each generator of S into S
     norm = ~in_s
@@ -599,10 +608,7 @@ def _cyclic_extensions(G, S, power_maps):
     for zi, p in zip(z.tolist(), index[z].tolist()):
         if covered[zi]:
             continue
-        cosets = [s]
-        for _ in range(p - 1):
-            cosets.append(t[cosets[-1], zi])
-        members = np.concatenate(cosets)
+        members = _coset_walk(G, s, zi, p * s.size)
         # each element of T outside S generates T over S
         covered[members] = True
         yield members, zi
@@ -724,20 +730,28 @@ def cyclic_coset_log(H, K):
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyPartition:
-    """A partition of G into classes, as three read-only arrays.
+    """G's ordinary conjugacy classes, as five read-only arrays and no
+    reference to G.
 
     `class_of` holds the class id of each element and `reps` the least
     element of each class; ids are ordered by least element.  `least`
     holds the least element of each element's class, reps[class_of]: the
     labels the partition was built from, kept so that a test for class
-    functions and the center degree's trace index read it without a
-    gather.
+    functions reads it without a gather.  `inverse` holds the class of
+    rep^-1 for each representative rep, which `rank.k_of_pair` reads, and
+    `trace_index` the element g^-1 least[g] for each g, the entries of a
+    central element that `groupalgebra.center_component_dim` sums.
     """
 
     class_of: np.ndarray
     reps: np.ndarray
     least: np.ndarray
-    kind: str
+    inverse: np.ndarray
+    trace_index: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.class_of, self.reps, self.least, self.inverse, self.trace_index):
+            arr.setflags(write=False)
 
     @property
     def classes(self):
@@ -747,31 +761,16 @@ class ConjugacyPartition:
         return tuple(frozenset(c.tolist()) for c in np.split(members, bounds))
 
 
-def _partition(labels, kind):
-    """The partition whose classes are the level sets of `labels`, each
-    label being the least element of its class."""
-    reps, class_of = np.unique(labels, return_inverse=True)
-    for arr in (reps, class_of, labels):
-        arr.setflags(write=False)
-    return ConjugacyPartition(class_of, reps, labels, kind)
+def conjugacy_partition(G):
+    """The ordinary conjugacy classes of G, memoized per group.
 
-
-def conjugacy_partition(G, kind="ordinary"):
-    """Partition of G into ordinary, real or rational conjugacy classes.
-
-    Ordinary classes are the fixpoint of least labels under conjugation
-    by the generators: conjugation permutes G, so in a finite group what
-    the generators reach from x is the class of x.  Real and rational
-    classes are orbits of {1, -1} and of all of (Z/e)^x on the ordinary
-    classes, read off `galois_classes`.  Memoized per group and kind; the
-    result is immutable.
+    The classes are the fixpoint of least labels under conjugation by the
+    generators: conjugation permutes G, so in a finite group what the
+    generators reach from x is the class of x.  `inverse` and
+    `trace_index` are one gather each, built with the partition.
     """
-    if kind not in ("ordinary", "real", "rational"):
-        raise ValueError(f"unknown kind {kind!r}")
-    cached = G._conjugacy.get(kind)
-    if cached is not None:
-        return cached
-    if kind == "ordinary":
+    part = G._conjugacy.get("partition")
+    if part is None:
         conj = conjugate(G, None, np.array(G.generators, dtype=np.intp))
         least = np.arange(G.order)
         while True:
@@ -779,14 +778,10 @@ def conjugacy_partition(G, kind="ordinary"):
             if np.array_equal(step, least):
                 break
             least = step
-        part = _partition(least, kind)
-    else:
-        ordinary = conjugacy_partition(G)
-        P = galois_classes(G)
-        # orbits of a group action: the least class id in each is one step away
-        merged = np.minimum(P[0], P[-1]) if kind == "real" else P.min(axis=0)
-        part = _partition(ordinary.reps[merged][ordinary.class_of], kind)
-    G._conjugacy[kind] = part
+        reps, class_of = np.unique(least, return_inverse=True)
+        part = G._conjugacy["partition"] = ConjugacyPartition(
+            class_of, reps, least, class_of[G.inv[reps]], G.table[G.inv, least]
+        )
     return part
 
 
@@ -798,43 +793,18 @@ def galois_classes(G):
     the last row t = -1.  The powers are walked with one table gather per
     t < e.  Memoized per group; read-only intp.
     """
-    cached = G._conjugacy.get("galois")
-    if cached is not None:
-        return cached
-    part = conjugacy_partition(G)
-    e = lcm(*G.element_orders)
-    rows, x = [part.class_of[part.reps]], part.reps
-    for t in range(2, e):
-        x = G.table[x, part.reps]
-        if gcd(t, e) == 1:
-            rows.append(part.class_of[x])
-    P = np.array(rows)
-    P.setflags(write=False)
-    G._conjugacy["galois"] = P
-    return P
-
-
-def inverse_classes(G):
-    """The class of rep^-1 for each ordinary class representative rep, one
-    gather.  Memoized per group; read-only intp."""
-    out = G._conjugacy.get("inverse")
-    if out is None:
+    P = G._conjugacy.get("galois")
+    if P is None:
         part = conjugacy_partition(G)
-        out = G._conjugacy["inverse"] = part.class_of[G.inv[part.reps]]
-        out.setflags(write=False)
-    return out
-
-
-def trace_index(G):
-    """g^-1 r for each g, r the least element of g's ordinary class (the
-    partition's `least`): the entries of a central element that
-    `groupalgebra.center_component_dim` sums for its trace, one gather.
-    Memoized per group; read-only int32."""
-    out = G._conjugacy.get("trace")
-    if out is None:
-        out = G._conjugacy["trace"] = G.table[G.inv, conjugacy_partition(G).least]
-        out.setflags(write=False)
-    return out
+        e = lcm(*G.element_orders)
+        rows, x = [part.class_of[part.reps]], part.reps
+        for t in range(2, e):
+            x = G.table[x, part.reps]
+            if gcd(t, e) == 1:
+                rows.append(part.class_of[x])
+        P = G._conjugacy["galois"] = np.array(rows)
+        P.setflags(write=False)
+    return P
 
 
 def center(G):

@@ -6,9 +6,10 @@ that degree divided by k (1 if the field is totally real, else 2) minus
 one to the rank.  k is read off the pair's induced-character class rows
 (`LinearCharacter.class_rows`): it is 1 exactly when complex conjugation
 sigma_-1 fixes them, that is, when the row of each class equals the row
-of its inverses' class.  The independent oracle counts real minus
-rational conjugacy classes, the orbits of {1, -1} and of all units mod
-the exponent on the ordinary classes (`groups.conjugacy_partition`).
+of its inverses' class (the partition's `inverse`).  The independent
+oracle counts real minus rational conjugacy classes, the orbits of
+{1, -1} and of all units mod the exponent on the ordinary classes
+(`groups.galois_classes`), each orbit at its least class id.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomic import euler_phi
 from .errors import DivisibilityViolation, IncompleteSet, NotCentral, NotIdempotent
 from .groupalgebra import center_component_dim
-from .groups import conjugacy_partition, inverse_classes
+from .groups import conjugacy_partition, galois_classes
 from .shoda import is_complete
 
 
@@ -46,11 +49,11 @@ def k_of_pair(G, pair):
     else 2; decided exactly.
 
     chi(g^-1) = sigma_-1(chi(g)), so chi is real exactly when its class
-    rows, gathered at the classes of the representatives' inverses
-    (`groups.inverse_classes`, built once per group), are unchanged.
+    rows, gathered at the classes of the representatives' inverses (the
+    partition's `inverse`, built once per group), are unchanged.
     """
     rows = pair.lam.class_rows
-    return 1 if (rows[inverse_classes(G)] == rows).all() else 2
+    return 1 if (rows[conjugacy_partition(G).inverse] == rows).all() else 2
 
 
 def _center_degree(pair, k=1):
@@ -87,10 +90,21 @@ def rank_total(G, pairs, complete=None):
 
 
 def rank_oracle(G):
-    """Number of real conjugacy classes minus number of rational ones."""
-    real = conjugacy_partition(G, "real")
-    rational = conjugacy_partition(G, "rational")
-    return real.reps.size - rational.reps.size
+    """Number of real conjugacy classes minus number of rational ones.
+
+    These are the orbits on the ordinary classes of {1, -1} and of all
+    units mod the exponent, rows 0 and -1 and all rows of
+    `galois_classes`.  Each orbit is counted at its least class id c:
+    c <= P[-1][c] for a real one, c = min_i P[i][c] for a rational one.
+    Memoized per group."""
+    out = G._conjugacy.get("oracle")
+    if out is None:
+        P = galois_classes(G)
+        ids = np.arange(P.shape[1])
+        real = np.count_nonzero(ids <= P[-1])
+        rational = np.count_nonzero(ids == P.min(axis=0))
+        out = G._conjugacy["oracle"] = int(real - rational)
+    return out
 
 
 def verify_center_degree(G, pair):

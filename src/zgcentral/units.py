@@ -80,6 +80,7 @@ from .groupalgebra import (
 )
 from .groups import (
     _GATHER_BLOCK,
+    _coset_walk,
     _mask,
     binary_power,
     conjugacy_partition,
@@ -190,17 +191,6 @@ def _bass_inverse_coeffs(d, k, m):
     return v
 
 
-def _powers_of(G, g, n):
-    """g^0, ..., g^(n-1) as an index array, by doubling: the first 2j are
-    the first j and their products with g^j, one gather."""
-    out = np.zeros(1, dtype=np.intp)
-    x = g
-    while out.size < n:
-        out = np.concatenate((out, G.table[out, x]))
-        x = int(G.table[x, x])
-    return out[:n]
-
-
 def _place_on_powers(G, powers, coeffs):
     """The element with coefficient coeffs[i] at powers[i]."""
     vec = np.zeros(G.order, dtype=coeffs.dtype)
@@ -225,7 +215,7 @@ def bass_unit(G, spec):
     """(1 + g + ... + g^(k-1))^m + ((1 - k^m)/|g|) (1 + g + ... + g^(|g|-1)),
     central in Z<g>, with its inverse u_{k', m}(g^k), k k' = 1 mod |g|."""
     d = validate_bass_spec(G, spec)
-    powers = _powers_of(G, spec.g, d)
+    powers = _coset_walk(G, np.zeros(1, dtype=np.intp), spec.g, d)
     return Unit(
         _place_on_powers(G, powers, _bass_coeffs(d, spec.k, spec.m)),
         _place_on_powers(G, powers, _bass_inverse_coeffs(d, spec.k, spec.m)),
@@ -274,7 +264,7 @@ def gen_bass_unit(G, g, M, k, m):
         raise NotNormal("M must be normal in G")
     spec = BassSpec(g=g, k=k, m=m)
     d = validate_bass_spec(G, spec)
-    cycle, hm = _powers_of(G, g, d), hat(M)
+    cycle, hm = _coset_walk(G, np.zeros(1, dtype=np.intp), g, d), hat(M)
     # g^i lies in M exactly when e, the order of gM in G/M, divides i
     e = d // int(np.count_nonzero(hm.vec[cycle]))
     # folded, and powered below, in Python ints: the sums have no int64 bound
@@ -329,7 +319,7 @@ def _verified_unit(u, S, error, centre=None):
     if not is_central(u.value, S if centre is None else centre):
         raise error("u is not central in the base subring")
     # cols[0] is the identity; the row gather when S is all of G
-    prod = _convolve(G, u.value.vec, u.inverse.vec, None if S.order == G.order else cols)
+    prod = _convolve(G, u.value.vec, u.inverse.vec, cols)
     if prod[0] != 1 or prod[1:].any():
         raise error("u times its carried inverse is not 1")
     return u
@@ -392,10 +382,9 @@ def _conjugate_product(block, reps, ring, power=1):
         raise ZgError("distinct conjugates occur unequally often over the transversal")
     exponent = counts.pop() * power
     firsts = np.array([rep for rep, _ in seen.values()], dtype=np.intp)
-    cols = None if members.size == G.order else members
 
     def product(x, y):
-        at = _convolve(G, x, y, cols)
+        at = _convolve(G, x, y, members)
         out = np.zeros((2, G.order), dtype=at.dtype)
         out[:, members] = at
         return out
@@ -518,7 +507,7 @@ def random_right_transversal(H, within, rng):
 
 def _class_sums(v):
     """v's integer numerators summed over each ordinary class, as Python ints."""
-    part = conjugacy_partition(v.group, "ordinary")
+    part = conjugacy_partition(v.group)
     sums = np.zeros(part.reps.size, dtype=object)
     np.add.at(sums, part.class_of, v.vec.astype(object))
     return sums

@@ -12,11 +12,14 @@ Galois sum by one QG squaring, the way `zgcentral` did before it read
 the Galois stabilizer off the class power map.  The character oracles
 take their classes from `conjugacy_classes`, a breadth-first search
 under conjugation by G's generators, the way `zgcentral` found them
-before its least-label fixpoint; the tests check that partition, the
-real and rational ones and `zgcentral.groups.galois_classes` against
-`G.power`.  The normal-closure oracle closes again after every conjugate
-that falls outside, the loop `zgcentral` ran before it closed all
-conjugates at once.  The group-algebra
+before its least-label fixpoint; the tests check that partition and
+`zgcentral.groups.galois_classes` against `G.power`.
+`merged_class_counts` counts the real and rational classes by merging
+those classes under powers, the way `zgcentral` built the real and
+rational partitions before its oracle counted Galois orbits; the tests
+check `zgcentral.rank.rank_oracle` against it.  The normal-closure
+oracle closes again after every conjugate that falls outside, the loop
+`zgcentral` ran before it closed all conjugates at once.  The group-algebra
 oracles work on sparse `{index: Fraction}` dicts with no stored zeros,
 the representation that `zgcentral.groupalgebra` used before its
 `(den, vec)` elements.  The coset oracles build H/K as a group of its
@@ -1199,6 +1202,39 @@ def conjugacy_classes(G):
             class_of[x] = len(classes)
         classes.append(frozenset(orbit))
     return classes, class_of
+
+
+def merged_class_counts(G):
+    """(real, rational): the number of real and of rational classes of G.
+    The `conjugacy_classes` are merged, the class of g with that of g^-1
+    for the real ones, and with that of g^t for every t prime to |g| for
+    the rational ones, the powers of one representative per class walked
+    one table lookup at a time; the merges are kept as a union-find over
+    class ids."""
+    classes, class_of = conjugacy_classes(G)
+
+    def count(keep):
+        root = list(range(len(classes)))
+
+        def find(c):
+            while root[c] != c:
+                c = root[c]
+            return c
+
+        for cl in classes:
+            g = min(cl)
+            d, x = G.element_orders[g], 0
+            for t in range(1, d + 1):
+                x = int(G.table[x, g])
+                if keep(t, d):
+                    a, b = sorted((find(class_of[g]), find(class_of[x])))
+                    root[b] = a
+        return sum(find(c) == c for c in range(len(classes)))
+
+    return (
+        count(lambda t, d: t == d - 1),
+        count(lambda t, d: gcd(t, d) == 1),
+    )
 
 
 def class_values(G, H, K):

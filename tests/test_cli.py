@@ -413,6 +413,10 @@ MALFORMED_GROUPS = {
     "cayley-no-table": ({"type": "cayley"}, "lacks the field 'table'"),
     "cayley-bool": ({"type": "cayley", "table": [[0, True], [1, 0]]}, "field 'table'"),
     "cayley-labels": ({"type": "cayley", "table": [[0]], "labels": [1]}, "field 'labels'"),
+    "cayley-label-count": (
+        {"type": "cayley", "table": [[0, 1], [1, 0]], "labels": ["e"]},
+        "1 labels for a table of order 2",
+    ),
     "perm-no-degree": ({"type": "perm", "generators": []}, "lacks the field 'degree'"),
     "perm-flat": ({"type": "perm", "degree": 3, "generators": [[1, 2]]}, "field 'generators'"),
     "perm-degree-str": ({"type": "perm", "degree": "3", "generators": []}, "field 'degree'"),

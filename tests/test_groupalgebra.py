@@ -30,9 +30,8 @@ from zgcentral.groups import (
     cyclic_coset_log,
     right_transversal,
     subgroup_closure,
-    trace_index,
 )
-from zgcentral.rank import verify_center_degree
+from zgcentral.rank import rank_oracle, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set, shoda_character
 
 
@@ -180,13 +179,16 @@ def test_center_component_dims():
 
 def test_center_dims_and_component_counts():
     # the component centers tile Z(QG): dimensions sum to the ordinary
-    # class count, and there is one component per rational class
+    # class count, and there is one component per rational class, as the
+    # power oracle merges them
     for G in (symmetric(3), cyclic(4), cyclic(6)):
         pairs, complete = complete_irredundant_set(G)
         assert complete
         total = sum(center_component_dim(p.pci) for p in pairs)
-        assert total == len(conjugacy_partition(G, "ordinary").classes)
-        assert len(pairs) == len(conjugacy_partition(G, "rational").classes)
+        assert total == len(conjugacy_partition(G).classes)
+        real, rational = oracles.merged_class_counts(G)
+        assert len(pairs) == rational
+        assert rank_oracle(G) == real - rational
 
 
 # -- the center degree as a trace against the elimination oracle ---------------
@@ -254,19 +256,20 @@ def test_center_dim_matches_elimination_oracle_on_small_catalog():
 
 def test_center_dim_matches_elimination_oracle_on_paper_pairs():
     """On a fresh paper-1000-86, the nine pairs' center degrees equal the
-    elimination oracle's with the trace index cold and then memoized; the
-    memo and the partition's `least` are read-only, and 2e, central but
-    not idempotent, is still refused once the memo is filled."""
+    elimination oracle's with the conjugacy partition cold and then
+    memoized; its trace index and `least` are read-only, and 2e, central
+    but not idempotent, is still refused once the memo is filled."""
     G = paper_1000_86()
     pairs, complete = complete_irredundant_set(G, candidates=oracles.paper9_pairs(G))
     assert complete and len(pairs) == 9
     want = [oracles.center_component_dim(p.pci) for p in pairs]
     for p, dim in zip(pairs, want):
-        G._conjugacy.pop("trace", None)
+        G._conjugacy.pop("partition", None)
         assert center_component_dim(p.pci) == dim
     assert [center_component_dim(p.pci) for p in pairs] == want
-    index, least = trace_index(G), conjugacy_partition(G).least
-    assert G._conjugacy["trace"] is index
+    part = conjugacy_partition(G)
+    assert G._conjugacy["partition"] is part
+    index, least = part.trace_index, part.least
     assert index.tolist() == [G.mul(int(G.inv[g]), r) for g, r in enumerate(least.tolist())]
     for arr in (index, least):
         with pytest.raises(ValueError, match="read-only"):
@@ -553,8 +556,9 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
     (`oracles.convolve`) row by row: one row times one row, a 2 x |G|
     block times a block, and a block times one row, at all of G, at the
     class representatives, at a subgroup's members, and at columns drawn
-    longer than supp(a) and, when supp(a) has two or more elements,
-    shorter, so that both gather orders run; with the table read in the
+    in random order longer than supp(a) and, when supp(a) has two or more
+    elements, shorter, so that both gather orders run (a draw of all |G|
+    columns takes them in order); with the table read in the
     default blocks and two or three rows at a time, so that each order
     runs in several blocks; on int64 and Python-int rows, in int64
     exactly when the bound allows; and a square, one array as both
@@ -578,7 +582,8 @@ def test_convolve_matches_the_broadcast_kernel(name, data):
         lengths = [data.draw(st.integers(max(size, 1), G.order), label="long")]
         if size >= 2:
             lengths.append(data.draw(st.integers(1, size - 1), label="short"))
-        drawn = [np.array(order[:k], dtype=np.intp) for k in lengths]
+        # columns of length |G| are all of G in order, as _convolve needs
+        drawn = [np.array(order[:k] if k < G.order else range(k), dtype=np.intp) for k in lengths]
         for step in (groupalgebra._GATHER_BLOCK, rows * G.order):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(groupalgebra, "_GATHER_BLOCK", step)

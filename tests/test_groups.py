@@ -1,9 +1,11 @@
 """Group core: constructors, subgroup machinery, conjugacy, subnormality."""
 
+import gc
 import importlib
 import itertools
 import math
 import time
+import weakref
 from functools import cache
 
 import numpy as np
@@ -32,7 +34,9 @@ from zgcentral.errors import (
     NotSubgroup,
     NotSubnormal,
 )
+from zgcentral.groupalgebra import QGElement
 from zgcentral.groups import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     check_cyclic_subnormal_hypothesis,
@@ -51,6 +55,7 @@ from zgcentral.groups import (
     subgroup_closure,
     subnormal_series,
 )
+from zgcentral.rank import rank_oracle
 from zgcentral.shoda import complete_irredundant_set
 
 
@@ -82,6 +87,14 @@ def test_c2_cayley():
     G = group_from_cayley([[0, 1], [1, 0]])
     assert G.order == 2
     assert G.element_orders == [1, 2]
+
+
+@pytest.mark.parametrize("labels", [["e"], ["e", "a", "b"], []])
+def test_label_count_must_match_the_order(labels):
+    with pytest.raises(NotAGroup, match=f"^{len(labels)} labels for a table of order 2$"):
+        group_from_cayley([[0, 1], [1, 0]], labels=labels)
+    G = group_from_cayley([[0, 1], [1, 0]], labels=["e", "a"])
+    assert repr(QGElement.element(G, 1)) == "QG(1*[a])"
 
 
 def test_corrupt_table_rejected(s3):
@@ -474,6 +487,22 @@ def test_all_subgroups_matches_power_walk_oracle(paper1000_c2):
         assert isinstance(want, list)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coset_walk_matches_the_sequential_loop(data):
+    """h, h g, h g^2, ... by doubling, cut at n, is the list the loop
+    that appends one product by g at a time builds, in order."""
+    G = get_group(data.draw(st.sampled_from(["S4", "D12", "Q16", "C24", "paper-1000-86"])))
+    S = subgroup_closure(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
+    g = data.draw(st.integers(0, G.order - 1))
+    h = S.sorted_members if data.draw(st.booleans()) else np.zeros(1, dtype=np.intp)
+    n = data.draw(st.integers(h.size, G.element_orders[g] * h.size))
+    walk = [int(x) for x in h]
+    while len(walk) < n:
+        walk += [int(G.table[x, g]) for x in walk[-h.size :]]
+    assert groups._coset_walk(G, h, g, n).tolist() == walk[:n]
+
+
 # half the draws keep only the power relations, which makes them
 # consistent and abelian; C6^4 has more than LATTICE_CAP subgroups
 @settings(max_examples=100, deadline=None)
@@ -566,42 +595,49 @@ def test_minimal_normal_overgroups_a3(s3):
 
 
 def test_partition_counts_c5(c5):
-    assert len(conjugacy_partition(c5, "ordinary").classes) == 5
-    assert len(conjugacy_partition(c5, "real").classes) == 3
-    assert len(conjugacy_partition(c5, "rational").classes) == 2
+    assert len(conjugacy_partition(c5).classes) == 5
+    assert oracles.merged_class_counts(c5) == (3, 2)
+    assert rank_oracle(c5) == 3 - 2
 
 
 def test_partition_counts_q8(q8):
-    for kind in ("ordinary", "real", "rational"):
-        assert len(conjugacy_partition(q8, kind).classes) == 5
+    assert len(conjugacy_partition(q8).classes) == 5
+    assert oracles.merged_class_counts(q8) == (5, 5)
+    assert rank_oracle(q8) == 0
 
 
 def test_partition_trivial():
     G = group_from_cayley([[0]])
-    for kind in ("ordinary", "real", "rational"):
-        assert len(conjugacy_partition(G, kind).classes) == 1
+    part = conjugacy_partition(G)
+    assert len(part.classes) == 1
+    assert part.inverse.tolist() == part.trace_index.tolist() == [0]
+    assert rank_oracle(G) == 0
 
 
 @pytest.mark.parametrize("name", ["C12", "D4", "S4"])
 def test_partition_invariants(name):
-    from zgcentral.catalog import get_group
-
+    """The classes tile G, `inverse` is an involution taking each class
+    to the class of its members' inverses, and the oracle's counts keep
+    rational <= real <= ordinary."""
     G = get_group(name)
-    sizes = {}
-    for kind in ("ordinary", "real", "rational"):
-        part = conjugacy_partition(G, kind)
-        assert sum(len(c) for c in part.classes) == G.order
-        for cl in part.classes:
-            if kind == "real":
-                assert all(int(G.inv[g]) in cl for g in cl)
-        sizes[kind] = len(part.classes)
-    assert sizes["rational"] <= sizes["real"] <= sizes["ordinary"]
+    part = conjugacy_partition(G)
+    classes = part.classes
+    assert sum(len(c) for c in classes) == G.order
+    for c, cl in enumerate(classes):
+        assert {int(G.inv[g]) for g in cl} == classes[part.inverse[c]]
+    assert part.inverse[part.inverse].tolist() == list(range(len(classes)))
+    real, rational = oracles.merged_class_counts(G)
+    assert rational <= real <= len(classes)
+    assert rank_oracle(G) == real - rational
 
 
 @pytest.mark.parametrize("name", ["C12", "D4", "S4", "Q16", "C60", "D25"])
 def test_partition_merges_match_power_oracle(name):
+    """The classes merged under g -> g^-1 and under g -> g^t, t prime to
+    |g|, walked by G.power, are as many as `oracles.merged_class_counts`
+    counts, and rank_oracle is the difference."""
     G = get_group(name)
-    ordinary = conjugacy_partition(G, "ordinary")
+    ordinary = conjugacy_partition(G)
 
     def merged(exponents_of):
         return {
@@ -618,54 +654,72 @@ def test_partition_merges_match_power_oracle(name):
         d = G.element_orders[g]
         return [m for m in range(1, d + 1) if math.gcd(m, d) == 1]
 
-    assert set(conjugacy_partition(G, "real").classes) == merged(real)
-    assert set(conjugacy_partition(G, "rational").classes) == merged(rational)
+    counts = len(merged(real)), len(merged(rational))
+    assert oracles.merged_class_counts(G) == counts
+    assert rank_oracle(G) == counts[0] - counts[1]
 
 
 def test_partition_memoized_and_immutable():
-    G = cyclic(6)
-    for kind in ("ordinary", "real", "rational"):
-        part = conjugacy_partition(G, kind)
-        assert conjugacy_partition(G, kind) is part
-        for arr in (part.class_of, part.reps):
-            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
-        with pytest.raises(AttributeError):
-            part.classes = ()
+    G = cyclic(10)
+    part = conjugacy_partition(G)
+    assert conjugacy_partition(G) is part
+    for arr in (part.class_of, part.reps, part.least, part.inverse, part.trace_index):
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(AttributeError):
+        part.classes = ()
+    with pytest.raises(AttributeError):
+        part.inverse = None
     assert galois_classes(G) is galois_classes(G)
     assert not galois_classes(G).flags.writeable
+    assert rank_oracle(G) == G._conjugacy["oracle"] == 2
+
+
+def test_group_and_its_class_record_form_no_cycle(paper1000):
+    """The partition holds arrays only: a group whose record, Galois
+    matrix and oracle count are built is freed by reference counting
+    alone, with its 4 MB table, as soon as the last reference goes."""
+    G = group_from_cayley(paper1000.table)
+    rank_oracle(G)
+    assert set(G._conjugacy) == {"partition", "galois", "oracle"}
+    assert not any(isinstance(x, FiniteGroup) for x in gc.get_referents(conjugacy_partition(G)))
+    gc.disable()
+    try:
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
 def test_partitions_and_galois_classes_match_power_oracle(name):
     """Every catalog group (orders up to 60, and paper-1000-86): the
-    ordinary classes equal the breadth-first oracle's, row i of
-    galois_classes holds the oracle class of rep^t for the i-th unit t
-    mod the exponent, walked by G.power, and the real and rational classes
-    merge the oracle classes of g^t over t = +-1 and over every unit."""
+    ordinary classes equal the breadth-first oracle's, with each
+    representative's inverse class and each element's trace index
+    g^-1 least[g]; row i of galois_classes holds the oracle class of
+    rep^t for the i-th unit t mod the exponent, walked by G.power; and
+    rank_oracle is the oracle's real minus rational class count."""
     G = get_group(name)
     classes, class_of = oracles.conjugacy_classes(G)
     e = math.lcm(*G.element_orders)
     units = [t for t in range(1, e + 1) if math.gcd(t, e) == 1]
-
-    def merged(ts):
-        return {
-            frozenset().union(*(classes[class_of[G.power(g, t)]] for t in ts))
-            for g in range(G.order)
-        }
-
-    expected = {"ordinary": set(classes), "real": merged({1, e - 1}), "rational": merged(units)}
-    for kind, want in expected.items():
-        part = conjugacy_partition(G, kind)
-        assert set(part.classes) == want
-        assert part.reps.tolist() == sorted(min(c) for c in want)
-        assert all(part.class_of[g] == i for i, c in enumerate(part.classes) for g in c)
-    assert conjugacy_partition(G).class_of.tolist() == class_of
+    part = conjugacy_partition(G)
+    assert set(part.classes) == set(classes)
     reps = [min(c) for c in classes]
+    assert part.reps.tolist() == reps
+    assert part.class_of.tolist() == class_of
+    assert part.least.tolist() == [reps[c] for c in class_of]
+    assert part.inverse.tolist() == [class_of[G.inv[r]] for r in reps]
+    assert part.trace_index.tolist() == [
+        G.mul(int(G.inv[g]), reps[c]) for g, c in enumerate(class_of)
+    ]
     assert galois_classes(G).tolist() == [
         [class_of[G.power(r, t)] for r in reps] for t in units
     ]
+    real, rational = oracles.merged_class_counts(G)
+    assert rank_oracle(G) == real - rational
 
 
 @pytest.mark.parametrize("name", ["S4", "A4", "D12", "Q16", "D8", "E8", "C24", "paper-1000-86"])

@@ -6,11 +6,18 @@ import oracles
 import pytest
 from oracles import CORPUS, paper9_pairs
 
-from zgcentral.catalog import cyclic, get_group, quaternion8, symmetric
+from zgcentral.catalog import (
+    catalog,
+    cyclic,
+    elementary_abelian,
+    get_group,
+    quaternion8,
+    symmetric,
+)
 from zgcentral.cyclotomic import euler_phi
 from zgcentral.errors import DivisibilityViolation, IncompleteSet
 from zgcentral.groupalgebra import hat
-from zgcentral.groups import conjugacy_partition, subgroup_closure
+from zgcentral.groups import subgroup_closure
 from zgcentral.rank import (
     k_of_pair,
     rank_oracle,
@@ -185,8 +192,8 @@ def test_oracle_equals_formula_on_mixed_corpus():
 
 
 def test_oracle_is_class_count_difference():
-    for name in ("C12", "D4", "S4"):
-        G = get_group(name)
-        real = len(conjugacy_partition(G, "real").classes)
-        rational = len(conjugacy_partition(G, "rational").classes)
-        assert rank_oracle(G) == real - rational
+    """rank_oracle counts Galois orbits on the ordinary classes; the
+    oracle merges the classes themselves.  The memo holds the value."""
+    for G in (*(get_group(e.name) for e in catalog()), elementary_abelian(2, 6)):
+        real, rational = oracles.merged_class_counts(G)
+        assert rank_oracle(G) == G._conjugacy["oracle"] == real - rational
