@@ -7,11 +7,11 @@ Every pair also goes through the center-degree check, which compares
 the square of its central idempotent with it at one element of each
 conjugacy class, so each idempotent is checked to be one.  The number of
 pairs must equal the number of rational conjugacy classes, the number of
-Wedderburn components of QG, counted as `rank.rank_oracle` counts them:
-one per orbit of the units mod the exponent on the ordinary classes
-(`groups.galois_classes`), at its least class id.  The centers of those
-components tile Z(QG): their dimensions must add up to the number of
-ordinary classes.
+Wedderburn components of QG: one per orbit of the units mod the exponent
+on the ordinary classes, the rational count of
+`groups.galois_orbit_counts`, which `rank.rank_oracle` reads too.  The
+centers of those components tile Z(QG): their dimensions must add up to
+the number of ordinary classes.
 The idempotent that a pair's strong inductive chain carries to its top
 must be the pair's primitive central idempotent, as the test suite's
 Galois-orbit-sum oracle (`tests/oracles.py`) computes it.
@@ -22,14 +22,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from oracles import galois_pci
 from zgcentral.catalog import catalog
 from zgcentral.groupalgebra import center_component_dim
-from zgcentral.groups import conjugacy_partition, galois_classes
+from zgcentral.groups import conjugacy_partition, galois_orbit_counts
 from zgcentral.rank import rank_total, verify_center_degree
 from zgcentral.shoda import complete_irredundant_set
 
@@ -54,8 +52,7 @@ def main():
         report = rank_total(G, pairs, complete=True)
         bad_degree = sum(not verify_center_degree(G, p) for p in pairs)
         bad_top = sum(p.chain.top != galois_pci(p.lam) for p in pairs)
-        P = galois_classes(G)
-        components = np.count_nonzero(np.arange(P.shape[1]) == P.min(axis=0))
+        components = galois_orbit_counts(G)[1]
         classes = conjugacy_partition(G).reps.size
         mark = "ok"
         if not report.agree:

@@ -37,10 +37,6 @@ class NotSolvable(ZgError):
     pass
 
 
-class GroupMismatch(ZgError):
-    pass
-
-
 class NotInvertible(ZgError):
     pass
 

@@ -16,10 +16,11 @@ supp(a)^t, so <a, a^t> and the sum of the a^t are read at those
 |T| |supp a| <= |N| positions alone (`conjugate_gram`); the unit
 constructions read a^t at its ring's members (`units._conjugate_product`).
 
-Products are one convolution kernel (`_convolve`) on numerator rows,
-the only one in the library, which gives a * b at all of G (`mul`) or
-only at chosen elements, for one row or a stack of rows (the unit
-constructions carry value and inverse as one 2 x |G| block).  It reads
+`QGElement` is a value: it has no arithmetic operators.  Products are
+one convolution kernel (`_convolve`) on numerator rows, the only one in
+the library, which gives a * b at all of G or only at chosen elements,
+for one row or a stack of rows (the unit constructions carry value and
+inverse as one 2 x |G| block).  It reads
 the Cayley table by contiguous row takes, then one column take, along
 the shorter of supp(a) and the chosen elements: rows g^-1 over a's
 support, b gathered at g^-1 k, or rows k at the chosen elements, a
@@ -44,8 +45,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclotomic import ramanujan_row
-from .errors import GroupMismatch, NotCentral, NotIdempotent
-from .groups import _GATHER_BLOCK, binary_power, conjugacy_partition, conjugate
+from .errors import NotCentral, NotIdempotent
+from .groups import _GATHER_BLOCK, conjugacy_partition, conjugate
 
 # int64 results are used only while a bound on every entry stays below this
 _INT64_BOUND = 2**62
@@ -96,7 +97,8 @@ def _element(group, den, vec):
 
 
 class QGElement:
-    """An element of the rational group algebra QG, built from {g: q}."""
+    """An element of the rational group algebra QG, built from {g: q}: a
+    value, compared and hashed, with no arithmetic of its own."""
 
     __slots__ = ("group", "den", "vec")
 
@@ -157,9 +159,6 @@ class QGElement:
     def augmentation(self):
         return Fraction(sum(self.vec.tolist()), self.den)
 
-    def coeff(self, g):
-        return Fraction(int(self.vec[g]), self.den)
-
     def __eq__(self, other):
         if isinstance(other, QGElement):
             return (
@@ -183,57 +182,10 @@ class QGElement:
         support = self.support
         if not support:
             return "QG(0)"
-        parts = [f"{self.coeff(g)}*[{self.group.label(g)}]" for g in support[:8]]
+        label = self.group.label
+        parts = [f"{Fraction(int(self.vec[g]), self.den)}*[{label(g)}]" for g in support[:8]]
         more = "..." if len(support) > 8 else ""
         return "QG(" + " + ".join(parts) + more + ")"
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        den = lcm(self.den, other.den)
-        vec = _combine([(den // self.den, self.vec), (den // other.den, other.vec)])
-        return _element(self.group, den, vec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QGElement._of(self.group, self.den, -self.vec)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def scale(self, q):
-        q = Fraction(q)
-        vec = _combine([(q.numerator, self.vec)])
-        return _element(self.group, self.den * q.denominator, vec)
-
-    def _coerce(self, other):
-        if isinstance(other, QGElement):
-            if other.group is not self.group:
-                raise GroupMismatch("elements live over different groups")
-            return other
-        return QGElement(self.group, {0: other})
-
-    # -- multiplicative structure --------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, QGElement):
-            return self.scale(other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if not isinstance(other, QGElement):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power: QG has no inversion; use Unit.inverse")
-        return binary_power(self, k, mul) if k else QGElement.one(self.group)
 
     def conj(self, g):
         """g^-1 * self * g: its coefficient at y is self's at g y g^-1."""
@@ -321,15 +273,6 @@ def _convolve(G, A, B, cols=None):
         entries = G.table.take(ks, 0).take(hs_inv, 1)
         acc[..., start : start + len(ks)] = (A.take(entries, -1) @ B)[..., 0]
     return acc
-
-
-def mul(a, b):
-    """Exact convolution product in QG."""
-    if not isinstance(a, QGElement) or not isinstance(b, QGElement):
-        raise TypeError("mul expects QGElements")
-    if a.group is not b.group:
-        raise GroupMismatch("elements live over different groups")
-    return _element(a.group, a.den * b.den, _convolve(a.group, a.vec, b.vec))
 
 
 # -- idempotent constructions ------------------------------------------------

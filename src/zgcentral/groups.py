@@ -36,8 +36,8 @@ the center degree sums (`trace_index`).  It holds arrays only, never G,
 so G and its record form no reference cycle.  `center` reads Z(G) off
 its class sizes; `conjugates` walks a subgroup's orbit under G's
 generators.  `galois_classes` is the action of (Z/e)^x, e the
-exponent, on the ordinary classes by g -> g^t, built on first read; the
-class-counting oracle counts its orbits (`rank.rank_oracle`).
+exponent, on the ordinary classes by g -> g^t, built on first read;
+`galois_orbit_counts` counts its real and rational orbits.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class FiniteGroup:
         if self.labels is not None and len(self.labels) != n:
             raise NotAGroup(f"{len(self.labels)} labels for a table of order {n}")
         self._validate()
-        # "partition" -> ConjugacyPartition, "galois" -> array, "oracle" -> int
+        # "partition" -> ConjugacyPartition, "galois" -> array, "orbits" -> (int, int)
         self._conjugacy = {}
 
     # -- construction checks -------------------------------------------------
@@ -805,6 +805,21 @@ def galois_classes(G):
         P = G._conjugacy["galois"] = np.array(rows)
         P.setflags(write=False)
     return P
+
+
+def galois_orbit_counts(G):
+    """(real, rational): the numbers of orbits on the ordinary classes of
+    {1, -1} and of all units mod the exponent, rows 0 and -1 and all rows
+    of `galois_classes`.  Each orbit is counted at its least class id c:
+    c <= P[-1][c] for a real one, c = min_i P[i][c] for a rational one.
+    Memoized per group."""
+    out = G._conjugacy.get("orbits")
+    if out is None:
+        P = galois_classes(G)
+        ids = np.arange(P.shape[1])
+        out = int(np.count_nonzero(ids <= P[-1])), int(np.count_nonzero(ids == P.min(axis=0)))
+        G._conjugacy["orbits"] = out
+    return out
 
 
 def center(G):

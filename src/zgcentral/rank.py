@@ -9,7 +9,7 @@ sigma_-1 fixes them, that is, when the row of each class equals the row
 of its inverses' class (the partition's `inverse`).  The independent
 oracle counts real minus rational conjugacy classes, the orbits of
 {1, -1} and of all units mod the exponent on the ordinary classes
-(`groups.galois_classes`), each orbit at its least class id.
+(`groups.galois_orbit_counts`).
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclotomic import euler_phi
 from .errors import DivisibilityViolation, IncompleteSet, NotCentral, NotIdempotent
 from .groupalgebra import center_component_dim
-from .groups import conjugacy_partition, galois_classes
+from .groups import conjugacy_partition, galois_orbit_counts
 from .shoda import is_complete
 
 
@@ -90,21 +88,10 @@ def rank_total(G, pairs, complete=None):
 
 
 def rank_oracle(G):
-    """Number of real conjugacy classes minus number of rational ones.
-
-    These are the orbits on the ordinary classes of {1, -1} and of all
-    units mod the exponent, rows 0 and -1 and all rows of
-    `galois_classes`.  Each orbit is counted at its least class id c:
-    c <= P[-1][c] for a real one, c = min_i P[i][c] for a rational one.
-    Memoized per group."""
-    out = G._conjugacy.get("oracle")
-    if out is None:
-        P = galois_classes(G)
-        ids = np.arange(P.shape[1])
-        real = np.count_nonzero(ids <= P[-1])
-        rational = np.count_nonzero(ids == P.min(axis=0))
-        out = G._conjugacy["oracle"] = int(real - rational)
-    return out
+    """Number of real conjugacy classes minus number of rational ones,
+    the Galois orbits on the ordinary classes (`galois_orbit_counts`)."""
+    real, rational = galois_orbit_counts(G)
+    return real - rational
 
 
 def verify_center_degree(G, pair):

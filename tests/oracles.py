@@ -27,7 +27,11 @@ own, with a projection map, the way `zgcentral` did before it read the
 cosets off G's table, and `epsilon`
 is the product over the minimal normal overgroups of K found in that
 quotient, the formula `zgcentral` used before its Ramanujan-sum gather;
-the chain oracles start from it.  `right_transversal` steps through
+the chain oracles start from it.  QG's sums, differences, multiples,
+products and powers (`qg_add`, `qg_sub`, `qg_scale`, `qg_mul`, `qg_pow`)
+are free functions here, on the same `_element`, `_combine` and
+`_convolve` kernels, since no library path takes them: a `QGElement` is
+a value.  `right_transversal` steps through
 every member of `within`, marking off the coset of each one not yet seen,
 the loop `zgcentral` ran before `coset_least` and its per-coset marking;
 the quotient, c-unit and z-unit oracles take their transversals from it.
@@ -129,8 +133,7 @@ from zgcentral.errors import (
     NotSubnormal,
     ZgError,
 )
-from zgcentral.groupalgebra import QGElement, hat
-from zgcentral.groupalgebra import mul as qg_mul
+from zgcentral.groupalgebra import QGElement, _combine, _convolve, _element, hat
 from zgcentral.groups import (
     MAX_ORDER,
     FiniteGroup,
@@ -145,6 +148,59 @@ from zgcentral.units import central_character_value as exact_omega
 
 # catalog groups whose every Shoda pair is checked against the oracles
 CORPUS = ("S4", "D12", "Q16", "C24", "C60", "D25", "E25")
+
+
+# -- QG arithmetic on (den, vec) ---------------------------------------------------
+
+
+def _same_group(a, b):
+    if a.group is not b.group:
+        raise ValueError("elements live over different groups")
+
+
+def qg_add(a, b):
+    """a + b, over the lcm of the denominators, by one `_combine`."""
+    _same_group(a, b)
+    den = lcm(a.den, b.den)
+    return _element(a.group, den, _combine([(den // a.den, a.vec), (den // b.den, b.vec)]))
+
+
+def qg_neg(a):
+    return QGElement._of(a.group, a.den, -a.vec)
+
+
+def qg_sub(a, b):
+    return qg_add(a, qg_neg(b))
+
+
+def qg_scale(a, q):
+    """q * a for a rational q."""
+    q = Fraction(q)
+    return _element(a.group, a.den * q.denominator, _combine([(q.numerator, a.vec)]))
+
+
+def qg_mul(a, b):
+    """a * b at all of G, by one `_convolve` on the numerators."""
+    _same_group(a, b)
+    return _element(a.group, a.den * b.den, _convolve(a.group, a.vec, b.vec))
+
+
+def qg_pow(a, k):
+    """a^k for k >= 0 by repeated squaring; QG solves for no inverse, so a
+    negative k raises ValueError."""
+    if k < 0:
+        raise ValueError("negative power: QG has no inversion; use Unit.inverse")
+    return groups.binary_power(a, k, qg_mul) if k else QGElement.one(a.group)
+
+
+def qg_sum(elements, G):
+    """The sum of the QG elements over G, 0 when there are none."""
+    return reduce(qg_add, elements, QGElement.zero(G))
+
+
+def qg_coeff(a, g):
+    """a's coefficient at the group element g, a Fraction."""
+    return Fraction(int(a.vec[g]), a.den)
 
 
 @cache
@@ -503,7 +559,7 @@ def level_check(Hi, Hnext, ei):
     for d in orbit:
         if d != ei and not qg_mul(ei, d).is_zero():
             return None
-    return cen, sum(orbit, QGElement.zero(ei.group))
+    return cen, qg_sum(orbit, ei.group)
 
 
 def verify_chain(G, H, K, steps):
@@ -960,21 +1016,20 @@ def epsilon(H, K):
     hk = hat(K)
     out = hk
     for L in minimal_normal_overgroups(H, K):
-        out = out * (hk - hat(L))
+        out = qg_mul(out, qg_sub(hk, hat(L)))
     return out
 
 
 def is_complete(G, pairs):
-    """True when the pairs' idempotents sum to 1: one `QGElement`
-    addition per pair, the fold `zgcentral.shoda` ran before it combined
-    the numerators once."""
-    return sum((p.pci for p in pairs), QGElement.zero(G)) == QGElement.one(G)
+    """True when the pairs' idempotents sum to 1: one `qg_add` per pair,
+    the fold `zgcentral.shoda` ran before it combined the numerators once."""
+    return qg_sum((p.pci for p in pairs), G) == QGElement.one(G)
 
 
 def e_sum_conjugates(N, H, K):
     """Sum of the distinct N-conjugates of epsilon(H, K)."""
     eps = epsilon(H, K)
-    return sum({eps.conj(g) for g in N.members}, QGElement.zero(H.parent))
+    return qg_sum({eps.conj(g) for g in N.members}, H.parent)
 
 
 # -- QG elements as {index: Fraction} dicts --------------------------------------
@@ -982,7 +1037,7 @@ def e_sum_conjugates(N, H, K):
 
 def as_dict(a):
     """The coefficients of a QGElement as a {index: Fraction} dict."""
-    return {g: a.coeff(g) for g in a.support}
+    return {g: qg_coeff(a, g) for g in a.support}
 
 
 def add(a, b):
@@ -1257,11 +1312,11 @@ def pci(G, H, K):
             for x in cl:
                 coeffs[int(G.inv[x])] = t / H.order
     a = QGElement(G, coeffs)
-    a2 = a * a
+    a2 = qg_mul(a, a)
     g0 = a.support[0]
-    r = a2.coeff(g0) / a.coeff(g0)
-    assert r > 0 and a2 == a.scale(r), "induced character is not irreducible"
-    return a.scale(1 / r)
+    r = qg_coeff(a2, g0) / qg_coeff(a, g0)
+    assert r > 0 and a2 == qg_scale(a, r), "induced character is not irreducible"
+    return qg_scale(a, 1 / r)
 
 
 def galois_pci(lam):
@@ -1306,7 +1361,7 @@ def central_character_value(G, H, K, v):
         values.update(dict.fromkeys(cl, x))
     total = Cyclotomic.zero(H.order // K.order)
     for g in v.support:
-        total = total + values[g] * v.coeff(g)
+        total = total + values[g] * qg_coeff(v, g)
     return total / values[0]
 
 
@@ -1440,7 +1495,7 @@ def gen_bass_unit(G, g, M, k, m, cap):
     the Fraction `inverse` of each integral power, kept when it is
     integral.  None when n_b > cap."""
     hm = hat(M)
-    b = QGElement.one(G) - hm + qg_mul(bass_unit(G, BassSpec(g, k, m)).value, hm)
+    b = qg_add(qg_sub(QGElement.one(G), hm), qg_mul(bass_unit(G, BassSpec(g, k, m)).value, hm))
     p = b
     for n in range(1, cap + 1):
         if p.is_integral():
@@ -1497,13 +1552,13 @@ def bass_central_units(G):
 
 def _splits(v, e):
     """Whether v - v e is an integer multiple of 1 - e."""
-    w = QGElement.one(v.group) - e
-    p = v - qg_mul(v, e)
+    w = qg_sub(QGElement.one(v.group), e)
+    p = qg_sub(v, qg_mul(v, e))
     if w.is_zero():
         return p.is_zero()
     g = w.support[0]
-    c = p.coeff(g) / w.coeff(g)
-    return c.denominator == 1 and p == w.scale(c)
+    c = qg_coeff(p, g) / qg_coeff(w, g)
+    return c.denominator == 1 and p == qg_scale(w, c)
 
 
 def z_central_unit(u, pair):
@@ -1529,7 +1584,7 @@ def z_central_unit(u, pair):
     for Hi, cen, nxt in zip(chain.steps, chain.centralizers, chain.steps[1:]):
         if any(z.conj(h) != z for h in Hi.members):
             return None
-        z, zinv = z**Hi.order, zinv**Hi.order
+        z, zinv = qg_pow(z, Hi.order), qg_pow(zinv, Hi.order)
         for reps in (right_transversal(Hi, cen), right_transversal(cen, nxt)):
             z, zinv = ordered_conjugate_product(z, zinv, reps)
     return z, zinv

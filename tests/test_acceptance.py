@@ -13,16 +13,12 @@ from importlib import resources
 
 import oracles
 import pytest
-from oracles import e_sum_conjugates
+from oracles import e_sum_conjugates, qg_add, qg_mul
 
 from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
 from zgcentral.cli import load_group_spec, parse_pairs_file
 from zgcentral.errors import NotAGroup
-from zgcentral.groupalgebra import (
-    QGElement,
-    is_central,
-    mul,
-)
+from zgcentral.groupalgebra import QGElement, is_central
 from zgcentral.groups import (
     check_cyclic_subnormal_hypothesis,
     group_from_cayley,
@@ -114,10 +110,10 @@ def test_idempotent_suite():
             assert oracles.is_idempotent(p.pci) and is_central(p.pci)
             if p.status == "strong":
                 assert p.pci == e_sum_conjugates(G.whole(), p.H, p.K)
-            total = total + p.pci
+            total = qg_add(total, p.pci)
         for i, p in enumerate(pairs):
             for q in pairs[i + 1 :]:
-                assert mul(p.pci, q.pci).is_zero()
+                assert qg_mul(p.pci, q.pci).is_zero()
         assert total == QGElement.one(G)
 
 
@@ -150,7 +146,7 @@ def test_unit_suite():
     for k, m in ((2, 4), (3, 4)):
         gb = gen_bass_unit(d5, rot, M, k, m)
         assert gb.value.is_integral() and gb.inverse.is_integral()
-        assert mul(gb.value, gb.inverse) == QGElement.one(d5)
+        assert qg_mul(gb.value, gb.inverse) == QGElement.one(d5)
 
     # z- and c-constructions produce central units that carry their
     # inverses: both integral, value * inverse = 1
@@ -162,7 +158,7 @@ def test_unit_suite():
     for cu in (z_unit, c_unit):
         assert cu.value.is_integral() and cu.inverse.is_integral()
         assert is_central(cu.value)
-        assert mul(cu.value, cu.inverse) == QGElement.one(d5)
+        assert qg_mul(cu.value, cu.inverse) == QGElement.one(d5)
     reference = c_unit.value
 
     # the c-construction does not depend on the transversal choice

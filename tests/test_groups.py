@@ -44,6 +44,7 @@ from zgcentral.groups import (
     cyclic_coset_log,
     cyclic_subgroups,
     galois_classes,
+    galois_orbit_counts,
     group_from_cayley,
     group_from_pc_presentation,
     group_from_permutations,
@@ -673,17 +674,20 @@ def test_partition_memoized_and_immutable():
         part.inverse = None
     assert galois_classes(G) is galois_classes(G)
     assert not galois_classes(G).flags.writeable
-    assert rank_oracle(G) == G._conjugacy["oracle"] == 2
+    counts = galois_orbit_counts(G)
+    assert galois_orbit_counts(G) is counts
+    assert rank_oracle(G) == counts[0] - counts[1] == 2
 
 
 def test_group_and_its_class_record_form_no_cycle(paper1000):
     """The partition holds arrays only: a group whose record, Galois
-    matrix and oracle count are built is freed by reference counting
-    alone, with its 4 MB table, as soon as the last reference goes."""
+    matrix and orbit counts are built is freed by reference counting
+    alone, with its 4 MB table, as soon as the last reference goes; no
+    memoized value holds a FiniteGroup."""
     G = group_from_cayley(paper1000.table)
     rank_oracle(G)
-    assert set(G._conjugacy) == {"partition", "galois", "oracle"}
-    assert not any(isinstance(x, FiniteGroup) for x in gc.get_referents(conjugacy_partition(G)))
+    for value in (conjugacy_partition(G), galois_classes(G), galois_orbit_counts(G)):
+        assert not any(isinstance(x, FiniteGroup) for x in gc.get_referents(value))
     gc.disable()
     try:
         ref = weakref.ref(G)
