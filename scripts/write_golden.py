@@ -11,7 +11,9 @@ Each group is recorded in two sections, kept apart:
   refactor must leave these as they are.
 - "chosen", what the code chooses: the order of the pairs (their
   idempotents' digests), each pair's chain steps as sorted member lists,
-  and K's generators.  A change to the pair search or the lattice may
+  K's generators, and the digest of each pair's linear character, its
+  coset log and transversal, which pins the generator of H/K that the
+  Shoda test picks.  A change to the pair search or the lattice may
   change these, and says so.
 
 An element's digest is taken over (den, numerators as Python ints), so it
@@ -79,6 +81,12 @@ def digest(*elements):
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
+def character_digest(lam):
+    """sha256 over a linear character's (coset_log, transversal) as Python ints."""
+    doc = [[int(v) for v in lam.coset_log.tolist()], [int(v) for v in lam.transversal.tolist()]]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
 def record(G, candidates=None, units=True):
     """(fixed, chosen) for G, its pairs from `candidates` when given."""
     pairs, complete = complete_irredundant_set(G, candidates=candidates)
@@ -98,6 +106,7 @@ def record(G, candidates=None, units=True):
         "pairs": keys,
         "chains": [[sorted(S.members) for S in p.chain.steps] for p in pairs],
         "K_gens": [[int(g) for g in p.K.gens] for p in pairs],
+        "characters": [character_digest(p.lam) for p in pairs],
     }
     return fixed, chosen
 

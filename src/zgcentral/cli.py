@@ -390,7 +390,9 @@ def main(argv=None):
     try:
         return run(args)
     except (ZgError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -696,10 +696,18 @@ def right_transversal(H, within=None):
 def cyclic_coset_log(H, K):
     """Discrete logs of the cosets of K in H, or None if H/K is not cyclic.
 
-    Tries the elements r of H in increasing order.  For the first r
+    Walks the elements r of H in increasing order.  For the first r
     whose coset generates H/K, returns a length-|G| int64 array holding e
     at every element of the coset K r^e, and -1 outside H.  Raises
     NotSubgroup or NotNormal unless K is a normal subgroup of H.
+
+    Each attempt collects the powers r^e as Python ints until one falls
+    in K, then writes the cosets K r^e with one 2-d gather and one
+    scatter.  An r whose coset was written by an earlier attempt lies in
+    the proper subgroup that attempt's coset generates, so it is skipped.
+    This is the walk alone: the Shoda test (`shoda._shoda_character`)
+    calls it only for a K with no walked K' below it, H/K' cyclic, and
+    reads the log of a K above a walked one off that walk's log.
     """
     G = H.parent
     if not K.members <= H.members:
@@ -710,17 +718,20 @@ def cyclic_coset_log(H, K):
     t = G.table
     n = H.order // K.order
     # a walk that covers every coset overwrites all of H, so one array
-    # serves every attempt
+    # serves every attempt; each starts at the coset K itself
     log = np.full(G.order, -1, dtype=np.int64)
-    for r in H.sorted_members:
+    log[ks] = 0
+    if n == 1:
+        return log
+    for r in H.sorted_members.tolist():
         if log[r] >= 0:
-            continue  # in <Kr'> for an earlier r' that did not generate
-        x, e = 0, 0
-        while e == 0 or not in_k[x]:
-            log[t[ks, x]] = e
+            continue  # in K, or in <Kr'> for an earlier r' that did not generate
+        powers, x = [0], r
+        while not in_k[x]:
+            powers.append(x)
             x = int(t[x, r])
-            e += 1
-        if e == n:
+        log[t[ks[:, None], powers]] = np.arange(len(powers))
+        if len(powers) == n:
             return log
     return None
 

@@ -10,15 +10,20 @@ pairs with the same top are one.  The Shoda test is the one way in: it
 builds the pair's linear character (`shoda_character`) from its own
 coset log and the least element of each right coset Hg
 (`groups.right_transversal`; Olivieri-del Rio, J. Symbolic Comput. 35
-(2003)), and the chains and epsilon(H, K) take that character.  The
-enumerated pairs have H above Z(G), one H per conjugacy class, and only
-the K that hold the commutators of H's generators with [H:K] dividing
-exp(H) are tested.  A chain carries its idempotent e_i, and each level
-reads e_i's conjugates off one right transversal of the step below,
-which also yields the centralizer; the chain keeps that transversal.
-Every e_i is a self-adjoint idempotent (its coefficients at g and g^-1
-agree), so the trace form <a, b>, the coefficient of 1 in a b*, decides
-a level with no QG product: e_i^t = e_i exactly when
+(2003)), and the chains and epsilon(H, K) take that character.  The test
+keeps one record per H (`_CosetTable`), the same for enumerated and
+supplied pairs: a K above a K' whose coset log was walked, with H/K'
+cyclic, reads its log off log' with no walk, and a K above one that
+failed the commutator condition fails, since "some [h, g] lies in H but
+not in K" only gets harder to meet as K grows; only walked logs are
+kept.  The enumerated pairs have H above Z(G), one H per conjugacy
+class, and only the K that hold the commutators of H's generators with
+[H:K] dividing exp(H) are tested.  A chain carries its idempotent e_i,
+and each level reads e_i's conjugates off one right transversal of the
+step below, which also yields the centralizer; the chain keeps that
+transversal.  Every e_i is a self-adjoint idempotent (its coefficients
+at g and g^-1 agree), so the trace form <a, b>, the coefficient of 1 in
+a b*, decides a level with no QG product: e_i^t = e_i exactly when
 <e_i, e_i^t> = <e_i, e_i>, and e_i e_i^t = 0 exactly when
 <e_i, e_i^t> = 0 (`_climb`), read at supp(e_i)^t alone: at most
 |H_(i+1)| table entries a level, not [H_(i+1):H_i] |G|.
@@ -28,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .cyclotomic import reduction_matrix
-from .errors import NotNormal, NotShodaPair, NotStrongInductiveChain, NotSubgroup
+from .errors import NotNormal, NotShodaPair, NotStrongInductiveChain
 from .groupalgebra import QGElement, _combine, conjugate_gram, epsilon
 from .groups import (
     _GATHER_BLOCK,
@@ -125,9 +130,9 @@ def shoda_character(H, K):
     return _checked_character(H, K, _coset_conjugates(H))
 
 
-def _checked_character(H, K, coset_conjugates):
-    """`shoda_character` with H's `_coset_conjugates` given."""
-    lam = _shoda_character(H, K, coset_conjugates)
+def _checked_character(H, K, table):
+    """`shoda_character` with H's `_CosetTable` given."""
+    lam = _shoda_character(H, K, table)
     if lam is None:
         raise NotShodaPair(
             f"pair (|H|={H.order}, |K|={K.order}) fails the Shoda conditions"
@@ -135,40 +140,98 @@ def _checked_character(H, K, coset_conjugates):
     return lam
 
 
+@dataclass(eq=False)
+class _CosetTable:
+    """The Shoda test's record of one H, built by `_coset_conjugates`,
+    shared by every K tested under H, and held no longer than its caller
+    holds it: the enumeration drops it at the next H, and the supplied
+    pairs' cache on return.
+
+    `hs` holds H's members and `reps` its least right transversal,
+    read-only; conj[i, j] = hs[j]^g for g = reps[i + 1].  `walked` holds
+    (K'.members, log') for each K' whose coset log was walked (H/K'
+    cyclic), and `failed` the members of each K that failed the
+    commutator condition.
+    """
+
+    hs: np.ndarray
+    reps: np.ndarray
+    conj: np.ndarray
+    walked: list = field(default_factory=list)
+    failed: list = field(default_factory=list)
+
+
 def _coset_conjugates(H):
-    """(hs, reps, conj): H's members; `right_transversal(H)`, read-only;
-    and conj[i, j] = hs[j]^g for g = reps[i + 1], one table gather of |G|
-    entries."""
+    """H's `_CosetTable`, its conjugates one table gather of |G| entries,
+    with nothing walked or failed yet."""
     reps = np.array(right_transversal(H), dtype=np.intp)
     reps.setflags(write=False)
     # [1:] drops H itself, the coset of 0
-    return H.sorted_members, reps, conjugate(H.parent, H.sorted_members, reps[1:, None])
+    conj = conjugate(H.parent, H.sorted_members, reps[1:, None])
+    return _CosetTable(H.sorted_members, reps, conj)
 
 
-def _shoda_character(H, K, coset_conjugates):
-    """The Shoda test with H's `_coset_conjugates` given: the pair's
-    character when it passes, else None.
+def _quotient_log(walked, hs, n):
+    """The coset log of K in H read off the walked log of a K' <= K with
+    H/K' cyclic: with n = [H:K], log' mod n is the log of H/K for the
+    coset of some r, and the walk of K starts at the least member r of H
+    whose log' is a unit mod n, so the log is log' / log'(r) mod n on H
+    and -1 off it."""
+    for r in hs:  # increasing: the first unit is the walk's generator
+        unit = int(walked[r]) % n
+        if gcd(unit, n) == 1:
+            break
+    log = walked * pow(unit, -1, n) % n
+    log[walked < 0] = -1
+    return log
+
+
+def _shoda_character(H, K, table):
+    """The Shoda test with H's `_CosetTable` given: the pair's character
+    when it passes, else None.
 
     The coset log checks that K is normal in H with H/K cyclic, and
     becomes the character's.  [h, g] lies in H but not in K exactly when
     h^g lies in H outside the coset hK, which the coset log reads off.  As
     H/K is abelian the test for g only depends on the coset Hg, so one
     element of each will do.
+
+    The table remembers what earlier K taught about H, so that most K
+    cost no walk:
+    (a) a K that holds a walked K' is normal in H with H/K cyclic of
+        order n = [H:K], since K/K' is the one subgroup of that order of
+        the cyclic H/K'; its log is read off log' (`_quotient_log`),
+        identical to the walk's, with no walk and no normality gather;
+    (b) a K that holds a K_f that failed the commutator condition
+        fails too: for the g at which K_f fails, every h in H has h^g
+        outside H or in h K_f, so in hK; a non-cyclic quotient or a K
+        not normal in H is not recorded, as it says nothing of the K
+        above;
+    (c) any other K is walked (`groups.cyclic_coset_log`), and its log
+        kept when H/K is cyclic.
     """
-    try:
-        log = cyclic_coset_log(H, K)
-    except (NotSubgroup, NotNormal):
+    if not K.members <= H.members:
         return None
-    if log is None:
+    if any(f <= K.members for f in table.failed):
         return None
-    hs, reps, conj = coset_conjugates
-    x = log[conj]
-    if not ((x >= 0) & (x != log[hs])).any(axis=1).all():
-        return None
+    n = H.order // K.order
+    below = next((w for members, w in table.walked if members <= K.members), None)
+    if below is not None:
+        log = _quotient_log(below, table.hs, n)
+    else:
+        try:
+            log = cyclic_coset_log(H, K)
+        except NotNormal:
+            return None
+        if log is None:
+            return None
+        table.walked.append((K.members, log))
     log.setflags(write=False)
-    return LinearCharacter(
-        H=H, K=K, order=H.order // K.order, coset_log=log, transversal=reps
-    )
+    x = log[table.conj]
+    if not ((x >= 0) & (x != log[table.hs])).any(axis=1).all():
+        table.failed.append(K.members)
+        return None
+    return LinearCharacter(H=H, K=K, order=n, coset_log=log, transversal=table.reps)
 
 
 # -- strong inductive chains ---------------------------------------------------
@@ -395,10 +458,10 @@ def shoda_pair_candidates(G, subgroups=None):
         a = np.array(H.gens, dtype=np.intp)
         ab = t[np.ix_(a, a)]
         commutators = frozenset(t[G.inv[ab.T], ab].ravel().tolist())
-        cosets = _coset_conjugates(H)  # shared by every K below H
+        table = _coset_conjugates(H)  # shared by every K below H
         for K in lattice:
             if commutators <= K.members <= H.members and exponent % (H.order // K.order) == 0:
-                lam = _shoda_character(H, K, cosets)
+                lam = _shoda_character(H, K, table)
                 if lam is not None:
                     out.append(lam)
     return out
@@ -423,9 +486,9 @@ def complete_irredundant_set(G, candidates=None):
     if candidates is None:
         todo = ((lam, None) for lam in shoda_pair_candidates(G, subgroups))
     else:
-        cosets = cache(_coset_conjugates)  # by Subgroup: one table per distinct H
+        tables = cache(_coset_conjugates)  # by Subgroup: one table per distinct H
         todo = (
-            (_checked_character(H, K, cosets(H)), rest[0] if rest else None)
+            (_checked_character(H, K, tables(H)), rest[0] if rest else None)
             for H, K, *rest in candidates
         )
     kept = []

@@ -64,9 +64,14 @@ Z[x]/(x^d - 1) that `zgcentral` ran before its `np.convolve` kernel.
 `conjugate_gram` gathers each conjugate a^t at every element of G, the
 kernel `zgcentral` ran before it read a^t at supp(a)^t alone.
 `shoda_pair_candidates` gives every Shoda pair: it runs
-`zgcentral`'s Shoda test on every K <= H of the whole lattice, the
-enumeration `zgcentral` ran before it kept one H above Z(G) per
-conjugacy class, and the tests that need every pair read it.  `inverse` here is the only inversion left anywhere: it
+`zgcentral`'s Shoda test on every K <= H of the whole lattice, each K
+with a fresh copy of H's coset table, so that every coset log is walked
+and no K is refused for holding one that failed, the enumeration
+`zgcentral` ran before it kept one H above Z(G) per conjugacy class and
+remembered its H; the tests that need every pair read it.
+`walked_coset_log` is the coset walk `zgcentral` ran before it collected
+each attempt's powers and wrote their cosets with one scatter: one
+scatter of a coset per step.  `inverse` here is the only inversion left anywhere: it
 finds the first integer relation among the powers of the element by
 fraction-free elimination.  `zgcentral` never solves for an inverse,
 since every unit it builds carries its own, and `gen_bass_unit` and the
@@ -110,7 +115,7 @@ summed.
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from importlib import resources
@@ -921,6 +926,34 @@ def coset_log(H, K, t=1):
     return {h: log_q[proj[h]] for h in H.members}
 
 
+def walked_coset_log(H, K):
+    """`zgcentral.groups.cyclic_coset_log`'s array, walked one step at a
+    time: for each r of H in increasing order whose coset no earlier
+    attempt wrote, write K x at e and step x to x r until x falls in K;
+    the first r that writes [H:K] cosets generates H/K.  None when H/K is
+    not cyclic; raises NotSubgroup or NotNormal unless K is normal in H."""
+    G = H.parent
+    if not K.members <= H.members:
+        raise NotSubgroup("K is not contained in H")
+    if not is_normal(K, H):
+        raise NotNormal("K is not normal in H")
+    t = G.table
+    ks = np.array(sorted(K.members), dtype=np.intp)
+    n = H.order // K.order
+    log = np.full(G.order, -1, dtype=np.int64)
+    for r in sorted(H.members):
+        if log[r] >= 0:
+            continue
+        x, e = 0, 0
+        while e == 0 or x not in K.members:
+            log[t[ks, x]] = e
+            x = int(t[x, r])
+            e += 1
+        if e == n:
+            return log
+    return None
+
+
 def is_shoda_pair(G, H, K):
     """K normal in H, H/K cyclic, and for every g outside H some
     commutator [h, g] with h in H lies in H but not in K; one commutator
@@ -938,18 +971,18 @@ def is_shoda_pair(G, H, K):
 
 def shoda_pair_candidates(G):
     """Every Shoda pair (H, K) of G in lattice order of H and then of K:
-    every K <= H of the whole lattice takes `zgcentral`'s Shoda test, the
-    enumeration `zgcentral` ran before it took H above Z(G), one per
-    conjugacy class."""
+    every K <= H of the whole lattice takes `zgcentral`'s Shoda test with
+    nothing remembered of H, the enumeration `zgcentral` ran before it
+    took H above Z(G), one per conjugacy class."""
     subgroups = groups.all_subgroups(G)
     out = []
     for H in subgroups:
-        cosets = shoda._coset_conjugates(H)  # shared by every K below H
+        table = shoda._coset_conjugates(H)  # its gather shared by every K below H
         out += [
             (H, K)
             for K in subgroups
             if K.members <= H.members
-            and shoda._shoda_character(H, K, cosets) is not None
+            and shoda._shoda_character(H, K, replace(table, walked=[], failed=[])) is not None
         ]
     return out
 

@@ -442,6 +442,11 @@ def test_malformed_group_file_exits_1(tmp_path, capsys, doc, says):
     assert says in _single_error(capsys)
 
 
+def test_unknown_catalog_group_exits_1(capsys):
+    assert main(["rank", "--group", "catalog:Nope"]) == 1
+    assert _single_error(capsys) == "error: unknown catalog group 'Nope'\n"
+
+
 def test_supplied_non_shoda_pair_exits_1(tmp_path, capsys):
     # <x4> of order 5 with K = 1 fails the Shoda test, the only check on
     # a supplied pair

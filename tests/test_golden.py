@@ -3,7 +3,7 @@
 The "fixed" section is what the mathematics fixes (idempotents, ranks,
 rank terms, Theorem 1's units) and no refactor may change it; the
 "chosen" section is what the code chooses (pair order, chain steps, K's
-generators).  A change to either is named in CHANGES.md with its reason,
+generators, each pair's coset log and transversal).  A change to either is named in CHANGES.md with its reason,
 and the file rewritten by the script.
 """
 

@@ -805,7 +805,7 @@ def check_right_transversals(pairs, monkeypatch):
     for H in {H.members: H for H, _ in pairs}.values():
         want = oracles.right_transversal(H, H.parent.whole())
         assert right_transversal(H) == want
-        assert shoda._coset_conjugates(H)[1].tolist() == want
+        assert shoda._coset_conjugates(H).reps.tolist() == want
     return branches
 
 

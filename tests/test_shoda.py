@@ -8,13 +8,20 @@ from importlib import resources
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings
 from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs, qg_mul, qg_sub
+from test_groups import pc_presentations
 
 from zgcentral.catalog import catalog, cyclic, get_group, symmetric
 from zgcentral import groupalgebra, groups, shoda
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
-from zgcentral.errors import CapExceeded, NotShodaPair, NotStrongInductiveChain
+from zgcentral.errors import (
+    CapExceeded,
+    InconsistentPresentation,
+    NotShodaPair,
+    NotStrongInductiveChain,
+)
 from zgcentral.groupalgebra import QGElement, epsilon, hat, is_central
 from zgcentral.groups import (
     Subgroup,
@@ -23,6 +30,7 @@ from zgcentral.groups import (
     conjugacy_partition,
     cyclic_coset_log,
     galois_classes,
+    group_from_pc_presentation,
     is_normal,
     subgroup_closure,
 )
@@ -166,6 +174,9 @@ def check_against_oracles(G, H, K):
     log = cyclic_coset_log(H, K)
     expected = oracles.coset_log(H, K)
     assert (log is None) == (expected is None)
+    walked = oracles.walked_coset_log(H, K)
+    assert (walked is None) == (log is None)
+    assert log is None or log.tobytes() == walked.tobytes()
     if log is not None:
         assert log.dtype.kind == "i"
         assert {h: int(log[h]) for h in H.members} == expected
@@ -204,6 +215,48 @@ def test_non_cyclic_quotient_has_no_coset_log_or_character(name):
     assert cyclic_coset_log(G.whole(), triv(G)) is None
     with pytest.raises(NotShodaPair):
         shoda_character(G.whole(), triv(G))
+
+
+def check_characters_against_the_walk(G):
+    """Every character `shoda_pair_candidates` returns, most of them read
+    off a walked log below K, holds the per-step walk's coset log and the
+    loop oracle's transversal byte for byte, and the quotient oracle's
+    log; over the H it returns, the (H, K) list is the one the
+    enumeration that remembers nothing gives.  Returns the pair count."""
+    lams = shoda_pair_candidates(G)
+    for lam in lams:
+        walked = oracles.walked_coset_log(lam.H, lam.K)
+        assert lam.coset_log.dtype == walked.dtype
+        assert lam.coset_log.tobytes() == walked.tobytes()
+        reps = np.array(oracles.right_transversal(lam.H, G.whole()), dtype=np.intp)
+        assert lam.transversal.tobytes() == reps.tobytes()
+        log = {h: int(lam.coset_log[h]) for h in lam.H.members}
+        assert log == oracles.coset_log(lam.H, lam.K)
+    hs = {lam.H.members for lam in lams}
+    want = [(H.members, K.members) for H, K in oracles.shoda_pair_candidates(G) if H.members in hs]
+    assert [(lam.H.members, lam.K.members) for lam in lams] == want
+    return len(lams)
+
+
+def test_characters_match_the_walk_on_the_small_catalog():
+    assert all(check_characters_against_the_walk(G) for _, G in oracles.small_catalog(60))
+
+
+# the example is C12 with x1^3 = x2: the K of index 4 reads its log off
+# the walked log of K' = 1 divided by log'(r) = 3, where every K of the
+# small catalog's groups finds log'(r) = 1
+@settings(max_examples=150, deadline=None)
+@example(([3, 4], {1: [(2, -1), (2, 2)]}, {}))
+@given(pc_presentations())
+def test_characters_match_the_walk_on_pc_groups(presentation):
+    """The same on the consistent random pc presentations, about one draw
+    in five."""
+    try:
+        G = group_from_pc_presentation(*presentation)
+        count = check_characters_against_the_walk(G)
+    except (InconsistentPresentation, CapExceeded):
+        return
+    assert count
 
 
 # -- primitive central idempotents ---------------------------------------------
@@ -827,18 +880,25 @@ def test_candidates_cover_every_shoda_pair_up_to_conjugacy(name):
 
 
 def _counting_coset_logs(monkeypatch):
-    """(coset logs, Shoda tests): call counts of `cyclic_coset_log`, in
-    every module that binds it, and of the Shoda test."""
-    counts = {"logs": 0, "tests": 0}
+    """{"walks", "tests", "stray"}: call counts of `cyclic_coset_log`, in
+    every module that binds it, and of the Shoda test, and the walks made
+    outside a Shoda test."""
+    counts = {"walks": 0, "tests": 0, "stray": 0}
+    inside = []
     log, test = groups.cyclic_coset_log, shoda._shoda_character
 
     def counted_log(H, K):
-        counts["logs"] += 1
+        counts["walks"] += 1
+        counts["stray"] += not inside
         return log(H, K)
 
-    def counted_test(H, K, conj):
+    def counted_test(H, K, table):
         counts["tests"] += 1
-        return test(H, K, conj)
+        inside.append(True)
+        try:
+            return test(H, K, table)
+        finally:
+            inside.pop()
 
     for name, module in list(sys.modules.items()):
         if name.startswith("zgcentral") and hasattr(module, "cyclic_coset_log"):
@@ -849,17 +909,20 @@ def _counting_coset_logs(monkeypatch):
 
 def test_classified_pairs_walk_no_coset_beyond_the_shoda_test(paper1000, monkeypatch):
     """The Shoda test's coset log serves the character, epsilon and the
-    chain: D24 enumerated and paper9.json's pairs make no other walk."""
+    chain: D24 enumerated and paper9.json's pairs make no walk outside
+    the test, and the test walks at most once per pair it tests.
+    paper9.json lists each H's K largest first, so none of its K holds an
+    earlier one and each is walked."""
     d24 = get_group("D24")
     candidates = _paper9_candidates(paper1000)
     counts = _counting_coset_logs(monkeypatch)
     pairs, complete = complete_irredundant_set(d24)
     assert complete and pairs
-    assert counts["logs"] == counts["tests"] > 0
-    counts.update(logs=0, tests=0)
+    assert 0 < counts["walks"] <= counts["tests"] and counts["stray"] == 0
+    counts.update(walks=0, tests=0)
     pairs, complete = complete_irredundant_set(paper1000, candidates)
     assert complete and len(pairs) == 9
-    assert counts == {"logs": 9, "tests": 9}
+    assert counts == {"walks": 9, "tests": 9, "stray": 0}
 
 
 def _members(subgroups):
@@ -925,12 +988,15 @@ SWEEP = (
 def test_k_filter_drops_no_shoda_pair(monkeypatch):
     """Only the K that hold the commutators of H's generators, with [H:K]
     dividing exp(H), take the Shoda test: 596 tests over the 61 sweep
-    groups, where every K <= H made 1251.  Each returned H keeps every
-    Shoda pair (H, K) of the unfiltered enumeration."""
+    groups, where every K <= H made 1251.  The tests walk 297 coset logs;
+    every other K reads its log off a walked one below it or holds a K
+    that failed.  Each returned H keeps every Shoda pair (H, K) of the
+    unfiltered enumeration, which remembers nothing."""
     groups_ = [get_group(name) for name in SWEEP]
     counts = _counting_coset_logs(monkeypatch)
     found = [shoda_pair_candidates(G) for G in groups_]
     assert counts["tests"] == 596
+    assert counts["walks"] == 297
     monkeypatch.undo()
     for G, lams in zip(groups_, found):
         reps = {lam.H.members for lam in lams}
