@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (
     group_from_cayley,
     group_from_pc_presentation,
@@ -18,7 +20,11 @@ from .groups import (
 
 
 def cyclic(n):
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    """C_n, element i being g^i: its table (i + j) mod n is built as one
+    int32 array, reduced in place."""
+    element = np.arange(n, dtype=np.int32)
+    table = np.add.outer(element, element)
+    table %= n
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return group_from_cayley(table, labels=labels)
 

@@ -2,7 +2,13 @@
 
 Elements are dense indices 0..order-1 with 0 the identity.  Groups up to
 order 2048 are supported; the table is kept as an int32 matrix so that
-multiplication is a single lookup.
+multiplication is a single lookup.  The table, 4 |G|^2 bytes, is the
+memory floor, and building a group costs about that much: a build peaks
+at its table, plus the previous extension's table while a pc
+presentation grows (`_extension_table`), plus blocks of at most
+_GATHER_BLOCK entries.  `FiniteGroup` keeps a C-contiguous int32 table
+as it is given, without a copy, and its validation reads the table in
+such blocks (`FiniteGroup._validate`).
 
 A pc group on x_1..x_m is built as the tower of cyclic extensions
 G_i = <x_i, G_(i+1)>, x_1^(e_1) ... x_m^(e_m) having the radix index with
@@ -99,7 +105,10 @@ class FiniteGroup:
     def _validate(self):
         """Check the group axioms in blocks of at most _GATHER_BLOCK table
         entries, naming the first bad index; store `inv`, `element_orders`
-        and `generators`."""
+        and `generators`.  The reads that span the table, `inv`'s row
+        search too, go by row blocks of _GATHER_BLOCK // n rows, and the
+        others gather n entries at a time, so validation adds no more than
+        a few such blocks to the table it checks."""
         t = self.table
         n = self.order
         idperm = np.arange(n, dtype=np.int32)
@@ -108,17 +117,19 @@ class FiniteGroup:
         if not np.array_equal(t[:, 0], idperm):
             raise NotAGroup("column 0 is not the identity permutation")
         rows = max(1, _GATHER_BLOCK // n)
+        self.inv = np.empty(n, dtype=np.int32)
         for start in range(0, n, rows):
-            k = np.arange(min(rows, n - start))
+            block = t[start : start + rows]
+            k = np.arange(block.shape[0])
             seen = np.zeros((2, k.size, n), dtype=bool)  # membership scatter
-            seen[0, k[:, None], t[start : start + rows]] = True
+            seen[0, k[:, None], block] = True
             seen[1, k, t[:, start : start + rows]] = True
             bad = ~seen.all(axis=2)
             if bad.any():
                 a = bad.any(axis=0).argmax()
                 kind = "row" if bad[0, a] else "column"
                 raise NotAGroup(f"{kind} {start + a} is not a permutation")
-        self.inv = t.argmin(axis=1).astype(np.int32)  # where row a holds 0
+            self.inv[start : start + rows] = block.argmin(axis=1)  # where row a holds 0
         bad = np.flatnonzero(t[self.inv, idperm])
         if bad.size:
             raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
@@ -444,7 +455,9 @@ def group_from_pc_presentation(orders, powers=None, commutators=None):
     extension exists exactly when phi (read over normal forms) is an
     automorphism of G_(i+1), phi(w) = w, and phi^p is conjugation by w;
     otherwise InconsistentPresentation names x_i and the failed condition.
-    (x^a y)(x^b z) = x^(a+b) phi^b(y) z fills the table in p^2 blocks.
+    (x^a y)(x^b z) = x^(a+b) phi^b(y) z fills the table in p^2 blocks,
+    written in place (`_extension_table`); G_(i+1)'s table is released as
+    G_i's replaces it.
     """
     orders = [int(e) for e in orders]
     if any(e < 2 for e in orders):
@@ -523,13 +536,7 @@ def group_from_pc_presentation(orders, powers=None, commutators=None):
             raise InconsistentPresentation(
                 f"x{i}: conjugation by x{i} to the power {p} is not conjugation by x{i}^{p}"
             )
-        grown = np.empty((p * s, p * s), dtype=np.int32)
-        for b in range(p):
-            low, high = table[phis[b]], table[table[w, phis[b]]]
-            for a in range(p):
-                block = low if a + b < p else high
-                grown[a * s : (a + 1) * s, b * s : (b + 1) * s] = block + (a + b) % p * s
-        table = grown
+        table = _extension_table(table, w, phis)
 
     labels = [
         "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(t) if e)
@@ -540,6 +547,27 @@ def group_from_pc_presentation(orders, powers=None, commutators=None):
     G.pc_generators = radix
     G.generator_names = [f"x{i + 1}" for i in range(ngen)]
     return G
+
+
+def _extension_table(table, w, phis):
+    """The table of <x, N> from N's `table`, with x^p = w and phis[b] the
+    map phi^b, b <= p: (x^a y)(x^b z) = x^(a+b) phi^b(y) z, and past p,
+    x^(a+b) = x^(a+b-p) w.  Each of the p^2 blocks is written in place,
+    rows of `table` taken in chunks of at most _GATHER_BLOCK entries and
+    the block's offset added on the way, so nothing of the size of a
+    block is made beside the two tables."""
+    p, s = len(phis) - 1, table.shape[0]
+    grown = np.empty((p * s, p * s), dtype=np.int32)
+    step = max(1, _GATHER_BLOCK // s)
+    for b in range(p):
+        sources = phis[b], table[w, phis[b]]  # phi^b(y), and w phi^b(y)
+        for a in range(p):
+            rows, offset = sources[a + b >= p], (a + b) % p * s
+            for start in range(0, s, step):
+                stop = min(start + step, s)
+                out = grown[a * s + start : a * s + stop, b * s : (b + 1) * s]
+                np.add(table.take(rows[start:stop], axis=0), offset, out=out)
+    return grown
 
 
 # -- subgroup machinery ------------------------------------------------------
@@ -802,18 +830,21 @@ def galois_classes(G):
     Row i holds the class of rep^t for each class representative rep,
     with t the i-th unit mod e in increasing order: row 0 is t = 1 and
     the last row t = -1.  The powers are walked with one table gather per
-    t < e.  Memoized per group; read-only intp.
+    t < e, each unit's row written into the one preallocated matrix.
+    Memoized per group; read-only intp.
     """
     P = G._conjugacy.get("galois")
     if P is None:
         part = conjugacy_partition(G)
         e = lcm(*G.element_orders)
-        rows, x = [part.class_of[part.reps]], part.reps
-        for t in range(2, e):
-            x = G.table[x, part.reps]
-            if gcd(t, e) == 1:
-                rows.append(part.class_of[x])
-        P = G._conjugacy["galois"] = np.array(rows)
+        units = [t for t in range(1, max(e, 2)) if gcd(t, e) == 1]
+        P = np.empty((len(units), part.reps.size), dtype=part.class_of.dtype)
+        x, t = part.reps, 1  # x = rep^t
+        for row, u in zip(P, units):
+            while t < u:
+                x, t = G.table[x, part.reps], t + 1
+            np.take(part.class_of, x, out=row)
+        G._conjugacy["galois"] = P
         P.setflags(write=False)
     return P
 

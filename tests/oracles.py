@@ -39,6 +39,8 @@ the quotient, c-unit and z-unit oracles take their transversals from it.
 gather of the frontier times the seed per round, that `zgcentral` closed
 subgroups with before it extended them one seed element at a time, and
 `power` walks k table lookups where `zgcentral` squares.
+`cyclic_table` is C_n's table as nested lists of Python ints, which
+`zgcentral` built before it filled one int32 array.
 The subgroup-lattice oracle closes S + g for every known subgroup S and
 every g outside it, the way `zgcentral` did before its cyclic extension.
 `cyclic_extension_lattice` is that cyclic extension as `zgcentral` ran
@@ -374,6 +376,12 @@ def group_from_pc_presentation(orders, powers=None, commutators=None, step_bound
     ]
     G.generator_names = [f"x{i + 1}" for i in range(ngen)]
     return G
+
+
+def cyclic_table(n):
+    """C_n's Cayley table (i + j) mod n as n lists of n Python ints, the
+    way `zgcentral.catalog.cyclic` built it before its one int32 array."""
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
 def group_from_permutations(degree, generators):

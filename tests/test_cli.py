@@ -1,5 +1,6 @@
 """In-process CLI tests: subcommands, formats, error paths, exit codes."""
 
+import itertools
 import json
 import math
 from importlib import resources
@@ -183,6 +184,53 @@ def test_pairs_non_solvable_group_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "not solvable" in err and "--pairs-file" in err
+
+
+# the nonzero vectors of F_3^2, the points 1..8 that SL(2,3) and GL(2,3) act on
+F3_VECTORS = [v for v in itertools.product(range(3), repeat=2) if any(v)]
+
+
+def matrix_cycles(m):
+    """The cycles, 1-based, of v -> m v on F3_VECTORS, for a 2x2 matrix m over F_3."""
+    image = [
+        F3_VECTORS.index(tuple(sum(a * b for a, b in zip(row, v)) % 3 for row in m))
+        for v in F3_VECTORS
+    ]
+    cycles, seen = [], set()
+    for start in range(len(F3_VECTORS)):
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x + 1)
+            x = image[x]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return cycles
+
+
+# SL(2,3) is generated by the two elementary transvections; GL(2,3) adds
+# a matrix of determinant 2.  Neither group is monomial.
+NOT_MONOMIAL = {
+    "SL(2,3)": ([((1, 1), (0, 1)), ((1, 0), (1, 1))], 24, 3),
+    "GL(2,3)": ([((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))], 48, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_MONOMIAL))
+def test_a_group_that_is_not_monomial_exits_2(name, tmp_path, capsys):
+    """A real group, not a patched chain search, reaches exit 2: SL(2,3)
+    and GL(2,3) as permutations of the nonzero vectors of F_3^2."""
+    matrices, order, kept = NOT_MONOMIAL[name]
+    spec = {"type": "perm", "degree": 8, "generators": [matrix_cycles(m) for m in matrices]}
+    G = cli.load_group_spec(spec)
+    pairs, complete = complete_irredundant_set(G)
+    assert (G.order, len(pairs), complete) == (order, kept, False)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_json(capsys, ["rank", "--group", str(path)])
+    assert code == 2
+    assert doc["error"] == "incomplete pair set"
+    Draft202012Validator(REPORT_SCHEMA).validate(doc)
 
 
 def _rank_rows(doc):

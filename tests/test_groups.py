@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import time
+import tracemalloc
 import weakref
 from functools import cache
 
@@ -405,6 +406,51 @@ def test_groups_at_max_order_build_quickly():
     C = cyclic_2048()
     assert time.perf_counter() - start < 60.0
     assert C.order == groups.MAX_ORDER and max(C.element_orders) == groups.MAX_ORDER
+
+
+MB = 1 << 20
+
+
+def traced_peak(build):
+    """(build(), the bytes its run held at most beyond those held before),
+    under tracemalloc, which sees numpy's buffers."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(paper_1000_86, id="paper-1000-86"), pytest.param(lambda: cyclic(1024), id="C1024")],
+)
+def test_a_build_peaks_at_its_table(build):
+    """A pc or Cayley construction holds its table, plus at most the
+    previous extension's table and blocks of _GATHER_BLOCK entries."""
+    G, peak = traced_peak(build)
+    assert peak <= 1.5 * G.table.nbytes + MB
+
+
+def test_validating_an_int32_table_adds_only_blocks():
+    """group_from_cayley keeps an int32 table as given, and validation
+    reads it by row blocks, `inv` too."""
+    table = np.array(paper_1000_86().table)
+    G, peak = traced_peak(lambda: group_from_cayley(table))
+    assert G.table is table
+    assert peak <= MB
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 1021])
+def test_cyclic_table_matches_the_list_oracle(n):
+    want = np.array(oracles.cyclic_table(n), dtype=np.int32)
+    assert cyclic(n).table.tobytes() == want.tobytes()
 
 
 # -- subgroup machinery --------------------------------------------------------
