@@ -21,9 +21,9 @@ does not depend on the dtype the numerators are held in.
 
 The tier-1 groups are the whole catalog, paper-1000-86 without a pair
 file included, and paper-1000-86 with `paper9.json`
-(`tests/test_golden.py` compares them).  The CI groups, D1024 and
-paper-1000-86 x C2, record the fixed section alone, and D1024 its pairs
-and rank without units.
+(`tests/test_golden.py` compares them).  The CI groups, the groups of
+`tests/corpus.py`, record the fixed section alone, and all but
+paper-1000-86 x C2 their pairs and rank without units.
 
     python scripts/write_golden.py                    # write every group
     python scripts/write_golden.py --check D1024 ...  # compare, exit 1 on a difference
@@ -36,12 +36,15 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from zgcentral.catalog import PAPER_1000_86_PC, catalog, dihedral, get_group
-from zgcentral.cli import parse_pairs_file
-from zgcentral.groups import group_from_pc_presentation
-from zgcentral.rank import rank_total
-from zgcentral.shoda import complete_irredundant_set
-from zgcentral.units import bass_central_units
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+import corpus  # noqa: E402
+
+from zgcentral.catalog import catalog, get_group  # noqa: E402
+from zgcentral.cli import parse_pairs_file  # noqa: E402
+from zgcentral.rank import rank_total  # noqa: E402
+from zgcentral.shoda import complete_irredundant_set  # noqa: E402
+from zgcentral.units import bass_central_units  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden.json"
 PAPER9 = "paper-1000-86 with paper9.json"
@@ -53,11 +56,6 @@ def _paper9():
         return G, parse_pairs_file(G, json.load(fh))
 
 
-def _paper_times_c2():
-    orders, powers, commutators = PAPER_1000_86_PC
-    return group_from_pc_presentation([*orders, 2], powers, commutators), None
-
-
 def tier1_groups():
     """name -> () -> (G, candidates or None), for the groups tier-1 compares."""
     out = {e.name: (lambda e=e: (e.constructor(), None)) for e in catalog()}
@@ -66,12 +64,13 @@ def tier1_groups():
 
 
 def ci_groups():
-    """name -> (() -> (G, None), whether units are recorded), for the groups
-    a CI step compares.  D1024's units take over a minute, so only its
-    pairs and rank are recorded."""
+    """name -> (() -> (G, None), whether units are recorded), for the corpus
+    groups a CI step compares.  Units are recorded on paper-1000-86 x C2
+    alone: D1024's take over a minute, C2048's cyclic subgroups are larger
+    still, and E64, of rank 0, has none."""
     return {
-        "D1024": (lambda: (dihedral(1024), None), False),
-        "paper-1000-86 x C2": (_paper_times_c2, True),
+        name: (lambda name=name: (corpus.build(name), None), name == "paper-1000-86 x C2")
+        for name in corpus.BUILDERS
     }
 
 

@@ -324,18 +324,21 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_group=True, formats=("json", "tsv")):
+    def add_common(p, needs_group=True, reads_pairs=True, formats=("json", "tsv")):
         if needs_group:
             p.add_argument("--group", required=True, help="catalog:NAME or a JSON file")
+        if reads_pairs:
             p.add_argument("--pairs-file", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=formats, default="json")
 
-    for name in ("analyze", "pairs", "units", "oracle"):
+    for name in ("analyze", "pairs", "units"):
         add_common(sub.add_parser(name))
+    # the oracle counts classes and reads no pairs
+    add_common(sub.add_parser("oracle"), reads_pairs=False)
     # rank alone has a text form, its table
     add_common(sub.add_parser("rank"), formats=("json", "tsv", "text"))
-    add_common(sub.add_parser("catalog"), needs_group=False)
+    add_common(sub.add_parser("catalog"), needs_group=False, reads_pairs=False)
     return parser
 
 

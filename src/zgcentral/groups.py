@@ -79,6 +79,9 @@ class FiniteGroup:
 
     Immutable after construction; all derived data (inverses, element
     orders, generators, conjugacy classes) is computed eagerly or cached.
+    A C-contiguous int32 table is adopted, not copied, and made read-only,
+    so the caller's own array becomes read-only too; any other table is
+    copied to one first.
     """
 
     def __init__(self, table, labels=None):
@@ -86,8 +89,10 @@ class FiniteGroup:
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NotAGroup("table is not square")
         n = table.shape[0]
-        if n == 0 or n > MAX_ORDER:
-            raise NotAGroup(f"order {n} outside supported range 1..{MAX_ORDER}")
+        if n == 0:
+            raise NotAGroup(f"order 0 outside supported range 1..{MAX_ORDER}")
+        if n > MAX_ORDER:
+            raise CapExceeded(f"table order {n} exceeds {MAX_ORDER}")
         if table.min() < 0 or table.max() >= n:
             raise NotAGroup("table entries out of range")
         self.order = n
@@ -375,7 +380,9 @@ def subgroup_closure(G, gens):
 
 
 def group_from_cayley(table, labels=None):
-    """Validate a Cayley table and wrap it as a FiniteGroup."""
+    """Validate a Cayley table and wrap it as a FiniteGroup.  A C-contiguous
+    int32 array is adopted as the group's table without a copy and made
+    read-only: the caller's array can no longer be written."""
     return FiniteGroup(table, labels=labels)
 
 

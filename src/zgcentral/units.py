@@ -256,9 +256,11 @@ def gen_bass_unit(G, g, M, k, m):
     g^i hat(M) = g^j hat(M) exactly when i = j mod e, and e divides |g|,
     so folding a row of Z[x]/(x^|g| - 1) by residues mod e is a ring
     homomorphism.  The rows of u_{k,m}(g) and of its inverse are folded
-    once; n_b is the least n at which both folded n-th powers are
-    (1, 0, ..., 0) mod |M|, walked in int64 mod |M|, and the unit is the
-    exact folded power placed on g^0 ... g^(e-1) times hat(M).
+    once; n_b is the least n at which the value's folded n-th power is
+    (1, 0, ..., 0) mod |M|, walked in int64 mod |M|.  The inverse's folded
+    power is that power's inverse, so it is 1 at the same n and is not
+    walked.  The unit is the exact folded power placed on g^0 ... g^(e-1)
+    times hat(M).
     """
     if not is_normal(M, G.whole()):
         raise NotNormal("M must be normal in G")
@@ -273,14 +275,14 @@ def gen_bass_unit(G, g, M, k, m):
         for row in (_bass_coeffs(d, k, m), _bass_inverse_coeffs(d, k, m))
     ]
     # entries stay below |M| <= MAX_ORDER, so every product sum fits in int64
-    steps = [(row % M.order).astype(np.int64) for row in rows]
+    step = (rows[0] % M.order).astype(np.int64)
     target = np.zeros(e, dtype=np.int64)
     target[0] = 1 % M.order
-    powers = steps
+    power = step
     for n in range(1, GEN_BASS_CAP + 1):
-        if all(np.array_equal(p, target) for p in powers):
+        if np.array_equal(power, target):
             break
-        powers = [_cyclic_convolve(p, s, e) % M.order for p, s in zip(powers, steps)]
+        power = _cyclic_convolve(power, step, e) % M.order
     else:
         raise InternalBoundExceeded(f"no unit power found within {GEN_BASS_CAP} steps")
     placed = np.zeros((2, G.order), dtype=object)

@@ -1,7 +1,7 @@
+import corpus
 import pytest
 
 from zgcentral.catalog import (
-    PAPER_1000_86_PC,
     alternating4,
     cyclic,
     dihedral,
@@ -9,7 +9,6 @@ from zgcentral.catalog import (
     quaternion8,
     symmetric,
 )
-from zgcentral.groups import group_from_pc_presentation
 
 
 @pytest.fixture(scope="session")
@@ -60,5 +59,4 @@ def paper1000():
 @pytest.fixture(scope="session")
 def paper1000_c2():
     """paper-1000-86 x C2: its pc presentation and x7 of order 2, central."""
-    orders, powers, commutators = PAPER_1000_86_PC
-    return group_from_pc_presentation([*orders, 2], powers, commutators)
+    return corpus.build("paper-1000-86 x C2")

@@ -11,6 +11,7 @@ import json
 import time
 from importlib import resources
 
+import corpus
 import oracles
 import pytest
 from oracles import e_sum_conjugates, qg_add, qg_mul
@@ -82,7 +83,7 @@ def test_order_1000_showcase():
 def test_e64_pairs_above_the_center():
     """E64 has 2825 subgroups but one H above its center: 64 pairs, rank 0."""
     start = time.monotonic()
-    G = load_group_spec({"type": "pc", "orders": [2, 2, 2, 2, 2, 2]})
+    G = load_group_spec(corpus.spec("E64"))
     pairs, complete = complete_irredundant_set(G)
     assert complete and len(pairs) == 64
     report = rank_total(G, pairs, complete=True)

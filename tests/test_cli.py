@@ -528,6 +528,8 @@ USAGE_ERRORS = {
     "unknown-format": ["rank", "--group", "catalog:C4", "--format", "xml"],
     "no-group": ["analyze"],
     "unknown-option": ["oracle", "--group", "catalog:C4", "--seed", "1"],
+    # the oracle counts classes and reads no pairs
+    "oracle-pairs-file": ["oracle", "--group", "catalog:Q8", "--pairs-file", "x.json"],
     "unknown-command": ["frobnicate"],
     "no-command": [],
 }

@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 from functools import cache
 
+import corpus
 import numpy as np
 import oracles
 import pytest
@@ -68,11 +69,6 @@ def brute_force_subgroups(G, max_gens=3):
         for combo in itertools.combinations(range(G.order), r):
             found.add(subgroup_closure(G, list(combo)).members)
     return found
-
-
-def cyclic_2048():
-    """C2048 from eleven order-2 pc generators, x_i^2 = x_(i+1)."""
-    return group_from_pc_presentation([2] * 11, powers={i: [(i + 1, 1)] for i in range(1, 11)})
 
 
 # -- constructors --------------------------------------------------------------
@@ -167,7 +163,7 @@ def test_generators_take_the_largest_order_first():
         counts[entry.name] = len(G.generators)
     assert [counts[n] for n in ("Q8", "Q16", "paper-1000-86")] == [2, 2, 4]
     assert sum(counts.values()) == 129
-    C = cyclic_2048()
+    C = corpus.build("C2048")
     assert [C.element_orders[g] for g in C.generators] == [groups.MAX_ORDER]
 
 
@@ -385,7 +381,7 @@ def test_corrupted_table_reason_matches_loop_oracle(name, data):
 @pytest.mark.parametrize(
     "build",
     [pytest.param(e.constructor, id=e.name) for e in catalog()]
-    + [pytest.param(cyclic_2048, id="C2048"), pytest.param(lambda: dihedral(1024), id="D1024")],
+    + [pytest.param(corpus.BUILDERS[name], id=name) for name in ("C2048", "D1024")],
 )
 def test_inverses_and_element_orders_match_walk_oracle(build):
     """Element orders from prime power maps equal the walk's, on the
@@ -403,7 +399,7 @@ def test_groups_at_max_order_build_quickly():
     assert time.perf_counter() - start < 60.0
     assert D.order == groups.MAX_ORDER and max(D.element_orders) == n
     start = time.perf_counter()
-    C = cyclic_2048()
+    C = corpus.build("C2048")
     assert time.perf_counter() - start < 60.0
     assert C.order == groups.MAX_ORDER and max(C.element_orders) == groups.MAX_ORDER
 
@@ -444,7 +440,18 @@ def test_validating_an_int32_table_adds_only_blocks():
     table = np.array(paper_1000_86().table)
     G, peak = traced_peak(lambda: group_from_cayley(table))
     assert G.table is table
+    assert not table.flags.writeable
     assert peak <= MB
+
+
+def test_a_table_past_max_order_is_a_typed_cap_error():
+    """A 2049 x 2049 int32 table raises CapExceeded, as pc and permutation
+    groups past MAX_ORDER do; an empty one is still not a group."""
+    n = groups.MAX_ORDER + 1
+    with pytest.raises(CapExceeded, match=f"^table order {n} exceeds {groups.MAX_ORDER}$"):
+        group_from_cayley(np.zeros((n, n), dtype=np.int32))
+    with pytest.raises(NotAGroup):
+        group_from_cayley(np.zeros((0, 0), dtype=np.int32))
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 1021])
@@ -526,9 +533,9 @@ def test_all_subgroups_matches_power_walk_oracle(paper1000_c2):
     """Power maps give the lattice the power walk gave: the same members
     and generators, in the same order, on the catalog, paper-1000-86 x C2,
     E64, C2048 and D1024."""
-    corpus = [entry.constructor() for entry in catalog()]
-    corpus += [paper1000_c2, elementary_abelian(2, 6), cyclic_2048(), dihedral(1024)]
-    for G in corpus:
+    checked = [entry.constructor() for entry in catalog()]
+    checked += [paper1000_c2, *map(corpus.build, ("E64", "C2048", "D1024"))]
+    for G in checked:
         want = lattice_or_error(oracles.cyclic_extension_lattice, G)
         assert lattice_or_error(all_subgroups, G) == want
         assert isinstance(want, list)
@@ -905,10 +912,10 @@ def test_subgroups_carry_generators(paper1000_c2):
         return [S for S in built if subgroup_closure(S.parent, S.gens).members != S.members]
 
     rng = np.random.default_rng(7)
-    corpus = [G for _, G in oracles.small_catalog()]
-    corpus += [extension_group("paper-1000-86"), paper1000_c2, extension_group("D1024")]
+    checked = [G for _, G in oracles.small_catalog()]
+    checked += [extension_group("paper-1000-86"), paper1000_c2, extension_group("D1024")]
     counts = []
-    for G in corpus:
+    for G in checked:
         subs = all_subgroups(G)
         cens = [c for p in complete_irredundant_set(G)[0] for c in p.chain.centralizers]
         built = [G.whole(), G.trivial(), *subs, *cens]
@@ -1044,7 +1051,7 @@ def test_closure_matches_pairwise_brute_force_order_1000(paper1000, seed):
 @cache
 def extension_group(name):
     """A catalog group, or D1024 (order 2048) built from permutations."""
-    return dihedral(1024) if name == "D1024" else get_group(name)
+    return corpus.build(name) if name == "D1024" else get_group(name)
 
 
 EXTENSION_GROUPS = [name for name, _ in oracles.small_catalog()] + ["paper-1000-86", "D1024"]
@@ -1149,7 +1156,7 @@ def test_cyclic_subgroups_yield_each_once(name):
 
 
 @pytest.mark.parametrize(
-    "build", [cyclic_2048, lambda: extension_group("D1024")], ids=["C2048", "D1024"]
+    "build", [corpus.BUILDERS["C2048"], lambda: extension_group("D1024")], ids=["C2048", "D1024"]
 )
 def test_cyclic_subnormal_hypothesis_at_order_2048(build):
     """Every cyclic subgroup of C2048 and of D1024 is subnormal; each

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import corpus
 import oracles
 import pytest
 from oracles import CORPUS, paper9_pairs, qg_scale
@@ -9,7 +10,6 @@ from oracles import CORPUS, paper9_pairs, qg_scale
 from zgcentral.catalog import (
     catalog,
     cyclic,
-    elementary_abelian,
     get_group,
     quaternion8,
     symmetric,
@@ -195,7 +195,7 @@ def test_oracle_is_class_count_difference():
     """rank_oracle counts Galois orbits on the ordinary classes; the
     oracle merges the classes themselves.  `galois_orbit_counts` gives
     both counts."""
-    for G in (*(get_group(e.name) for e in catalog()), elementary_abelian(2, 6)):
+    for G in (*(get_group(e.name) for e in catalog()), corpus.build("E64")):
         real, rational = oracles.merged_class_counts(G)
         assert rank_oracle(G) == real - rational
         assert galois_orbit_counts(G) == (real, rational)

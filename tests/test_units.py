@@ -412,6 +412,23 @@ def test_gen_bass_cap_is_a_typed_error(monkeypatch):
     assert gen_bass_unit(G, 1, M, 3, 5).inputs["n_b"] == 341
 
 
+def test_gen_bass_walks_the_value_row_alone(monkeypatch):
+    """n_b is walked on the value's folded row only: C22's n_b of 341 takes
+    340 int64 products mod |M| in Z[x]/(x^11 - 1), not one per row."""
+    G = get_group("C22")
+    M = next(M for M in all_subgroups(G) if M.order == 2)
+    walked = []
+    kernel = units._cyclic_convolve
+
+    def counted(a, b, d):
+        walked.append(a.dtype == np.int64 and d == 11)
+        return kernel(a, b, d)
+
+    monkeypatch.setattr(units, "_cyclic_convolve", counted)
+    assert gen_bass_unit(G, 1, M, 3, 5).inputs["n_b"] == 341
+    assert sum(walked) == 340
+
+
 def test_gen_bass_requires_normal_m(s3):
     refl = next(g for g in range(6) if s3.element_orders[g] == 2)
     with pytest.raises(NotNormal):
