@@ -13,8 +13,12 @@ Each group is recorded in two sections, kept apart:
   idempotents' digests), each pair's chain steps as sorted member lists,
   K's generators, and the digest of each pair's linear character, its
   coset log and transversal, which pins the generator of H/K that the
-  Shoda test picks.  A change to the pair search or the lattice may
-  change these, and says so.
+  Shoda test picks, and the digest of each pair's class rows
+  (`LinearCharacter.class_rows`), keyed by its idempotent's digest.
+  The rows are the induced character on the power basis of Q(zeta_n),
+  the zeta_n that the character sends the picked generator to, so they
+  depend on that choice too.  A change to the pair search or the
+  lattice may change these, and says so.
 
 An element's digest is taken over (den, numerators as Python ints), so it
 does not depend on the dtype the numerators are held in.
@@ -22,8 +26,8 @@ does not depend on the dtype the numerators are held in.
 The tier-1 groups are the whole catalog, paper-1000-86 without a pair
 file included, and paper-1000-86 with `paper9.json`
 (`tests/test_golden.py` compares them).  The CI groups, the groups of
-`tests/corpus.py`, record the fixed section alone, and all but
-paper-1000-86 x C2 their pairs and rank without units.
+`tests/corpus.py`, record the fixed section and the class-rows digests,
+and all but paper-1000-86 x C2 their pairs and rank without units.
 
     python scripts/write_golden.py                    # write every group
     python scripts/write_golden.py --check D1024 ...  # compare, exit 1 on a difference
@@ -86,6 +90,15 @@ def character_digest(lam):
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
+def rows_digest(lam):
+    """sha256 over a pair's class rows: their shape, then their bytes as
+    little-endian int64 (the rows are read-only int64)."""
+    rows = lam.class_rows
+    h = hashlib.sha256(json.dumps(rows.shape).encode())
+    h.update(rows.astype("<i8", copy=False).tobytes())
+    return h.hexdigest()
+
+
 def record(G, candidates=None, units=True):
     """(fixed, chosen) for G, its pairs from `candidates` when given."""
     pairs, complete = complete_irredundant_set(G, candidates=candidates)
@@ -106,6 +119,7 @@ def record(G, candidates=None, units=True):
         "chains": [[sorted(S.members) for S in p.chain.steps] for p in pairs],
         "K_gens": [[int(g) for g in p.K.gens] for p in pairs],
         "characters": [character_digest(p.lam) for p in pairs],
+        "class_rows": {key: rows_digest(p.lam) for key, p in zip(keys, pairs)},
     }
     return fixed, chosen
 
@@ -119,7 +133,8 @@ def compute(names=None):
             out["fixed"][name], out["chosen"][name] = record(*build())
     for name, (build, units) in ci_groups().items():
         if names is None or name in names:
-            out["ci"][name] = record(*build(), units=units)[0]
+            fixed, chosen = record(*build(), units=units)
+            out["ci"][name] = {**fixed, "class_rows": chosen["class_rows"]}
     return out
 
 

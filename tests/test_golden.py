@@ -3,8 +3,10 @@
 The "fixed" section is what the mathematics fixes (idempotents, ranks,
 rank terms, Theorem 1's units) and no refactor may change it; the
 "chosen" section is what the code chooses (pair order, chain steps, K's
-generators, each pair's coset log and transversal).  A change to either is named in CHANGES.md with its reason,
-and the file rewritten by the script.
+generators, each pair's coset log and transversal, and its class rows).
+A change to either is named in CHANGES.md with its reason, and the file
+rewritten by the script.  The "ci" section holds the fixed section and
+the class rows of the groups a CI step checks.
 """
 
 import json
