@@ -27,6 +27,7 @@ import oracles  # noqa: E402
 
 from zgcentral import rank, shoda  # noqa: E402
 from zgcentral.catalog import cyclic, get_group  # noqa: E402
+from zgcentral.cyclotomic import reduction_matrix  # noqa: E402
 from zgcentral.groupalgebra import center_component_dim  # noqa: E402
 from zgcentral.groups import (  # noqa: E402
     all_subgroups,
@@ -82,8 +83,9 @@ def _traced_peak(run):
 def build_peaks():
     """C2048 (pc), paper-1000-86 x C2 and catalog.cyclic(2048) each build
     within 1.5 x their table + 1 MiB under tracemalloc, cyclic(2048)'s
-    table is (i + j) % n, and C2048's Galois class matrix costs at most
-    itself + 1 MiB."""
+    table is (i + j) % n, C2048's Galois class matrix costs at most
+    itself + 1 MiB, and the class rows of C2048's n = 2048 pair, with
+    reduction_matrix(2048) built first, at most themselves + 2 MiB."""
     builds = {
         "C2048 (pc)": corpus.BUILDERS["C2048"],
         XC2: corpus.BUILDERS[XC2],
@@ -102,6 +104,11 @@ def build_peaks():
     _, used = _traced_peak(lambda: galois_orbit_counts(C))
     print("C2048 (pc) galois_orbit_counts", "matrix", galois_classes(C).nbytes, "peak", used)
     bad += [] if used <= galois_classes(C).nbytes + MB else ["galois_classes"]
+    lam = shoda.shoda_character(C.whole(), C.trivial())
+    reduction_matrix(lam.order)
+    rows, used = _traced_peak(lambda: lam.class_rows)
+    print("C2048 (pc) n =", lam.order, "class_rows", rows.nbytes, "peak", used)
+    bad += [] if used <= rows.nbytes + 2 * MB else ["class_rows"]
     print(bad)
     return not bad
 

@@ -1,10 +1,10 @@
 """Integer kernels for sums of roots of unity in Q(zeta_n).
 
-A character value is a sum of powers of zeta_n with integer
-multiplicities, held as a row of exponent counts: `ramanujan_row` gives
-the traces to Q of those powers, and `reduction_matrix` their coordinates
-on the power basis zeta^0..zeta^(phi(n)-1) after reduction modulo the
-n-th cyclotomic polynomial.  An exact value of Q(zeta_n), such as the
+A character value is a sum of powers of zeta_n: `reduction_matrix`
+holds each power's coordinates on the power basis
+zeta^0..zeta^(phi(n)-1) after reduction modulo the n-th cyclotomic
+polynomial, so the value is the sum of its rows at the exponents, and
+`ramanujan_row` holds the traces to Q of the powers.  An exact value of Q(zeta_n), such as the
 central character value in `units`, is an integer row on that basis over
 one positive denominator; nothing here does field arithmetic.
 `factorize` is the package's one trial division: phi, mu, element orders
@@ -74,8 +74,8 @@ def cyclotomic_polynomial(n):
 @lru_cache(maxsize=None)
 def reduction_matrix(n):
     """Integer n x phi(n) matrix whose row k holds zeta_n^k on the power
-    basis (integral because Phi_n is monic); a row of exponent counts
-    times it is that sum reduced mod Phi_n."""
+    basis (integral because Phi_n is monic); the sum of its rows at some
+    exponents is the sum of those powers reduced mod Phi_n."""
     phi = euler_phi(n)
     out = np.zeros((n, phi), dtype=np.int64)
     out[np.arange(phi), np.arange(phi)] = 1

@@ -79,14 +79,22 @@ class LinearCharacter:
         """Row c: the induced character at G's c-th ordinary class, on the
         power basis of Q(zeta_n); read-only int64.
 
-        It is the count row times `reduction_matrix`, summed over the at
-        most [G:H] nonzero counts of each row only."""
+        With T = self.transversal and g the class representative, the
+        induced character at g sums the character at t g t^-1 over the t
+        in T whose conjugate lies in H.  A block of classes gathers the
+        coset logs E at those conjugates, -1 outside H, and row c is the
+        sum of the rows `reduction_matrix(n)[E[t, c]]` over the t with
+        E[t, c] >= 0; the gather of those rows holds at most
+        _GATHER_BLOCK entries."""
         G = self.H.parent
-        counts = induced_counts(self, G, conjugacy_partition(G).reps)
         R = reduction_matrix(self.order)
-        c, k = np.nonzero(counts)
-        rows = np.zeros((counts.shape[0], R.shape[1]), dtype=np.int64)
-        np.add.at(rows, c, counts[c, k, None] * R[k])
+        T_inv = G.inv[self.transversal][:, None]
+        reps = conjugacy_partition(G).reps
+        rows = np.empty((reps.size, R.shape[1]), dtype=np.int64)
+        width = max(1, _GATHER_BLOCK // (T_inv.size * R.shape[1]))
+        for j in range(0, reps.size, width):
+            E = self.coset_log[conjugate(G, reps[j : j + width], T_inv)]
+            np.sum(R[E], axis=0, out=rows[j : j + width], where=(E >= 0)[..., None])
         rows.setflags(write=False)
         return rows
 
@@ -94,31 +102,6 @@ class LinearCharacter:
     def epsilon(self):
         """epsilon(H, K), read off the coset log."""
         return epsilon(self.H, self.K, self.coset_log)
-
-
-def induced_counts(lam, G, cols):
-    """Row c counts, for each exponent k < [H:K], the transversal elements
-    whose conjugate of g = cols[c] has character value zeta_n ** k; the
-    induced character at g is the sum of those powers.
-
-    With T = lam.transversal, a block of columns gathers coset_log at
-    T[i] * g * T[i]^-1, the conjugate of g by T[i]^-1, at most
-    _GATHER_BLOCK table entries at a time.
-    """
-    n = lam.order
-    T = lam.transversal
-    T_inv = G.inv[T][:, None]
-    cols = np.asarray(cols, dtype=np.intp)
-    counts = np.zeros((cols.size, n + 1), dtype=np.int64)
-    width = max(1, _GATHER_BLOCK // T.size)
-    for j in range(0, cols.size, width):
-        E = lam.coset_log[conjugate(G, cols[j : j + width], T_inv)]
-        w = E.shape[1]
-        # exponent -1 (outside H) lands in the spare slot n of its row
-        slots = E % (n + 1) + (n + 1) * np.arange(w)
-        block = np.bincount(slots.ravel(), minlength=w * (n + 1))
-        counts[j : j + w] = block.reshape(w, n + 1)
-    return counts[:, :n]
 
 
 # -- Shoda conditions ---------------------------------------------------------

@@ -111,7 +111,11 @@ r - 1 products per side (`ordered_conjugate_product`), the way
 their product to the multiplicity.  `convolve` is the group-algebra
 kernel as `zgcentral` ran it before its matrix-vector product: each
 block of Cayley-table rows broadcast against a's coefficients and
-summed.
+summed.  `induced_counts` is the count matrix that `zgcentral` read
+class rows through before it summed rows of `reduction_matrix` at the
+coset logs: per class, one count of each power of zeta_n that the
+induced character sums there, which times `reduction_matrix` gives the
+class rows.
 """
 
 import cmath
@@ -1275,6 +1279,31 @@ def induced_value(G, H, exponents, n, g):
         total = total + cyc(n, k, Fraction(c, H.order))
     return total
 
+
+
+def induced_counts(lam, G, cols):
+    """Row c counts, for each exponent k < [H:K], the transversal elements
+    whose conjugate of g = cols[c] has character value zeta_n ** k; the
+    induced character at g is the sum of those powers.
+
+    With T = lam.transversal, a block of columns gathers coset_log at
+    T[i] * g * T[i]^-1, the conjugate of g by T[i]^-1, at most
+    _GATHER_BLOCK table entries at a time.
+    """
+    n = lam.order
+    T = lam.transversal
+    T_inv = G.inv[T][:, None]
+    cols = np.asarray(cols, dtype=np.intp)
+    counts = np.zeros((cols.size, n + 1), dtype=np.int64)
+    width = max(1, groups._GATHER_BLOCK // T.size)
+    for j in range(0, cols.size, width):
+        E = lam.coset_log[groups.conjugate(G, cols[j : j + width], T_inv)]
+        w = E.shape[1]
+        # exponent -1 (outside H) lands in the spare slot n of its row
+        slots = E % (n + 1) + (n + 1) * np.arange(w)
+        block = np.bincount(slots.ravel(), minlength=w * (n + 1))
+        counts[j : j + w] = block.reshape(w, n + 1)
+    return counts[:, :n]
 
 def conjugacy_classes(G):
     """(classes, class_of): the ordinary classes of G as frozensets in

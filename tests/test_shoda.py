@@ -2,17 +2,25 @@
 
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import example, given, settings
-from oracles import CORPUS, Cyclotomic, cyc, e_sum_conjugates, paper9_pairs, qg_mul, qg_sub
-from test_groups import pc_presentations
+from oracles import (
+    CORPUS,
+    Cyclotomic,
+    cyc,
+    e_sum_conjugates,
+    induced_counts,
+    paper9_pairs,
+    qg_mul,
+    qg_sub,
+)
+from test_groups import MB, pc_presentations, traced_peak
 
-from zgcentral.catalog import catalog, cyclic, get_group, symmetric
+from zgcentral.catalog import catalog, cyclic, get_group
 from zgcentral import groupalgebra, groups, shoda
 from zgcentral.cli import parse_pairs_file
 from zgcentral.cyclotomic import euler_phi, ramanujan_row, reduction_matrix
@@ -38,7 +46,6 @@ from zgcentral.rank import rank_total
 from zgcentral.shoda import (
     complete_irredundant_set,
     find_strong_inductive_chain,
-    induced_counts,
     is_complete,
     shoda_character,
     shoda_pair_candidates,
@@ -346,7 +353,7 @@ def dense_rows_and_pci(G, H, K):
     return rows, QGElement.from_vec(G, trace[part.class_of][G.inv], den=den)
 
 
-def assert_sparse_rows_and_pci_match_dense(G, pairs):
+def assert_rows_and_pci_match_dense(G, pairs):
     for H, K in pairs:
         rows, expected = dense_rows_and_pci(G, H, K)
         lam = shoda_character(H, K)
@@ -360,7 +367,7 @@ def test_class_rows_and_pci_match_dense_on_small_catalog():
     count = 0
     for _, G in oracles.small_catalog():
         pairs = oracles.shoda_pair_candidates(G)
-        assert_sparse_rows_and_pci_match_dense(G, pairs)
+        assert_rows_and_pci_match_dense(G, pairs)
         count += len(pairs)
     assert count == 461
 
@@ -370,7 +377,20 @@ def test_class_rows_and_pci_match_dense_on_c1021():
     G = cyclic(1021)
     pairs = oracles.shoda_pair_candidates(G)
     assert sorted((H.order, K.order) for H, K in pairs) == [(1021, 1), (1021, 1021)]
-    assert_sparse_rows_and_pci_match_dense(G, pairs)
+    assert_rows_and_pci_match_dense(G, pairs)
+
+
+def test_class_rows_peak_at_the_rows():
+    """The n = 512 pair of C512 from nine order-2 pc generators, x_i^2 =
+    x_(i+1), reads its class rows holding at most the rows + 2 MiB under
+    tracemalloc, reduction_matrix(512) and G's classes built first."""
+    G = group_from_pc_presentation([2] * 9, {i: [(i + 1, 1)] for i in range(1, 9)})
+    lam = shoda_character(G.whole(), G.trivial())
+    assert lam.order == 512
+    reduction_matrix(lam.order)
+    conjugacy_partition(G)
+    rows, peak = traced_peak(lambda: lam.class_rows)
+    assert peak <= rows.nbytes + 2 * MB
 
 
 def test_pci_rejects_non_shoda(s3):

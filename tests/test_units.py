@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import qg_add, qg_coeff, qg_mul, qg_pow, qg_scale, qg_sub
 
 from zgcentral import groups, units
-from zgcentral.catalog import catalog, cyclic, dihedral, get_group, quaternion8
+from zgcentral.catalog import catalog, cyclic, get_group
 from zgcentral.cli import parse_pairs_file
 from zgcentral.errors import (
     BadCongruence,
@@ -32,7 +32,6 @@ from zgcentral.groups import (
     all_subgroups,
     cyclic_subgroups,
     is_normal,
-    right_transversal,
     subgroup_closure,
     subnormal_series,
 )
