@@ -4,9 +4,10 @@ A character value is a sum of powers of zeta_n: `reduction_matrix`
 holds each power's coordinates on the power basis
 zeta^0..zeta^(phi(n)-1) after reduction modulo the n-th cyclotomic
 polynomial, so the value is the sum of its rows at the exponents, and
-`ramanujan_row` holds the traces to Q of the powers.  An exact value of Q(zeta_n), such as the
-central character value in `units`, is an integer row on that basis over
-one positive denominator; nothing here does field arithmetic.
+`ramanujan_row` holds the traces to Q of the powers.  An exact value
+of Q(zeta_n), such as the central character value in `units`, is an
+integer row on that basis over one positive denominator; nothing here
+does field arithmetic.
 `factorize` is the package's one trial division: phi, mu, element orders
 and the witness prime read it.
 """

@@ -1280,7 +1280,6 @@ def induced_value(G, H, exponents, n, g):
     return total
 
 
-
 def induced_counts(lam, G, cols):
     """Row c counts, for each exponent k < [H:K], the transversal elements
     whose conjugate of g = cols[c] has character value zeta_n ** k; the
@@ -1304,6 +1303,7 @@ def induced_counts(lam, G, cols):
         block = np.bincount(slots.ravel(), minlength=w * (n + 1))
         counts[j : j + w] = block.reshape(w, n + 1)
     return counts[:, :n]
+
 
 def conjugacy_classes(G):
     """(classes, class_of): the ordinary classes of G as frozensets in
